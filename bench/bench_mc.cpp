@@ -2,25 +2,21 @@
 // reproduction (16-kb array, four sensing schemes per cell).
 //
 // The headline metric is the margin-solve kernel itself: trials/sec of
-// the batched SoA solve vs the scalar per-cell path (which rebuilds
-// heap-allocated scheme objects per cell), measured in-process on the
-// same pre-sampled 16-kb population so the ratio is machine-independent.
-// End-to-end yield and tail throughput ride along, plus the batched
-// Simmons Newton and the operating-point cache hit rate.
+// the batched SoA solve vs the class-based per-cell oracle (which
+// rebuilds heap-allocated scheme objects per cell), measured in-process
+// on the same pre-sampled 16-kb population so the ratio is
+// machine-independent.  End-to-end yield and tail throughput ride along,
+// plus the batched Simmons Newton and the operating-point cache hit rate.
 //
 // The batched kernels dispatch on active_simd_isa(); this bench times
 // every ISA the host supports (forced via set_simd_isa_override, bitwise
-// gated against the scalar oracle first) and claims >= 2x for the widest
-// SIMD width over the scalar-ISA batch loop on AVX2-class hardware.
-//
-// `--no-batch` makes the scalar path the snapshot's subject (same metric
-// names), so a committed scalar baseline pairs directly with a batched
-// candidate in tools/bench_compare.
+// gated against the oracle first; `scalar` is the kernels' W = 1
+// instantiation) and claims >= 2x for the widest SIMD width over the
+// scalar ISA on AVX2-class hardware.
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -69,15 +65,9 @@ bool margins_equal(const std::array<SenseMargins, 4>& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  argc = bench::apply_bench_dir_flag(argc, argv);
-  bool batch = true;
-  for (int k = 1; k < argc; ++k) {
-    if (std::strcmp(argv[k], "--no-batch") == 0) batch = false;
-  }
+  bench::apply_bench_dir_flag(argc, argv);
   obs::BenchSnapshot snap = bench::make_snapshot("mc");
-  bench::heading("MC kernels",
-                 batch ? "batched SoA margin kernels (16-kb Fig. 11)"
-                       : "scalar margin path (16-kb Fig. 11, --no-batch)");
+  bench::heading("MC kernels", "batched SoA margin kernels (16-kb Fig. 11)");
   const auto wall0 = std::chrono::steady_clock::now();
 
   // --- the Fig. 11 population (exactly what sim/yield samples) --------
@@ -116,8 +106,8 @@ int main(int argc, char** argv) {
     inputs.col_ref_p[c] = variation.sample(stream);
     inputs.col_ref_ap[c] = variation.sample(stream);
   }
-  // Scalar oracle: the per-cell solve sim/yield ran before batching
-  // (fresh scheme objects per cell).
+  // Oracle: the class-based per-cell solve (fresh scheme objects per
+  // cell), as tests/mc_oracle.cpp runs it.
   const auto scalar_cell = [&](std::size_t idx,
                                std::array<SenseMargins, 4>& m) {
     const std::size_t col = idx % cfg.geometry.cols;
@@ -153,7 +143,7 @@ int main(int argc, char** argv) {
                            blocks[b]);
   }
 
-  // Correctness gate before any timing: batched == scalar per cell, for
+  // Correctness gate before any timing: batched == oracle per cell, for
   // every margin-kernel ISA this host supports (forced one at a time via
   // set_simd_isa_override; each is timed only after it passes bitwise).
   std::vector<std::array<SenseMargins, 4>> scalar_m(cells);
@@ -175,7 +165,7 @@ int main(int argc, char** argv) {
   const SimdIsa active_isa = active_simd_isa();
   bool identical = true;
   double batched_s = 0.0;     // active-ISA solve time
-  double scalar_isa_s = 0.0;  // forced-kScalar batch-loop time
+  double scalar_isa_s = 0.0;  // forced-kScalar (W = 1) solve time
   std::printf("margin solve (4 schemes/cell, %zu cells):\n", cells);
   for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kSse2, SimdIsa::kNeon,
                       SimdIsa::kAvx2, SimdIsa::kAvx512}) {
@@ -215,43 +205,41 @@ int main(int argc, char** argv) {
   const double speedup = scalar_s / batched_s;
   const double simd_speedup =
       batched_s > 0.0 ? scalar_isa_s / batched_s : 1.0;
-  const double subject_rate = batch ? batched_rate : scalar_rate;
   std::printf("  oracle  %8.2f ns/cell  (%.3g trials/sec)  "
               "[per-cell scheme objects]\n",
               1e9 * scalar_s / static_cast<double>(cells), scalar_rate);
-  std::printf("  speedup  %7.1fx vs oracle, %.2fx vs scalar-ISA batch\n\n",
+  std::printf("  speedup  %7.1fx vs oracle, %.2fx vs the scalar ISA\n\n",
               speedup, simd_speedup);
 
   // --- end-to-end yield + tail ---------------------------------------
   YieldConfig e2e = cfg;
   e2e.max_scatter_points = 1;
-  e2e.use_batch = batch;
   const auto y0 = std::chrono::steady_clock::now();
   const YieldResult yr = run_yield_experiment(e2e, nullptr);
   const double yield_s = seconds_since(y0);
-  YieldConfig other = e2e;
-  other.use_batch = !batch;
-  const YieldResult yr_other = run_yield_experiment(other, nullptr);
+  // The oracle's per-scheme failure counts over the same population.
+  std::array<std::size_t, 4> oracle_failures{};
+  for (const auto& m : scalar_m) {
+    for (std::size_t s = 0; s < 4; ++s) {
+      if (m[s].min() < cfg.required_margin) ++oracle_failures[s];
+    }
+  }
   const bool e2e_identical =
-      yr.nondestructive.failures == yr_other.nondestructive.failures &&
-      yr.conventional.failures == yr_other.conventional.failures &&
-      yr.nondestructive.sm0_stats.mean() ==
-          yr_other.nondestructive.sm0_stats.mean() &&
-      yr.shared_reference_window.value() ==
-          yr_other.shared_reference_window.value();
-  std::printf("end-to-end yield (%s): %.3f s (%.3g cells/sec)\n",
-              batch ? "batched" : "scalar", yield_s,
+      yr.conventional.failures == oracle_failures[0] &&
+      yr.reference_cell.failures == oracle_failures[1] &&
+      yr.destructive.failures == oracle_failures[2] &&
+      yr.nondestructive.failures == oracle_failures[3];
+  std::printf("end-to-end yield: %.3f s (%.3g cells/sec)\n", yield_s,
               static_cast<double>(cells) / yield_s);
 
   TailConfig tail;
-  tail.use_batch = batch;
   const std::size_t tail_trials = 20000;
   const auto t0 = std::chrono::steady_clock::now();
   const TailEstimate te = estimate_margin_tail(tail, 1, tail_trials);
   const double tail_s = seconds_since(t0);
-  std::printf("tail sampling (%s): %zu trials in %.3f s (%.3g trials/sec), "
+  std::printf("tail sampling: %zu trials in %.3f s (%.3g trials/sec), "
               "P(fail)/bit = %.3e\n\n",
-              batch ? "batched" : "scalar", tail_trials, tail_s,
+              tail_trials, tail_s,
               static_cast<double>(tail_trials) / tail_s,
               te.estimate.probability);
 
@@ -263,40 +251,30 @@ int main(int argc, char** argv) {
   }
   std::vector<double> v_out(currents.size());
   const double simmons_s = best_of(5, [&] {
-    if (batch) {
-      simmons.bias_voltage_batch(MtjState::kAntiParallel, currents.data(),
-                                 currents.size(), v_out.data());
-    } else {
-      for (std::size_t k = 0; k < currents.size(); ++k) {
-        v_out[k] = simmons
-                       .bias_voltage(MtjState::kAntiParallel,
-                                     Ampere(currents[k]))
-                       .value();
-      }
-    }
+    simmons.bias_voltage_batch(MtjState::kAntiParallel, currents.data(),
+                               currents.size(), v_out.data());
   });
   const double simmons_rate =
       static_cast<double>(currents.size()) / simmons_s;
-  std::printf("Simmons Newton (%s): %.3g solves/sec\n\n",
-              batch ? "batched" : "scalar", simmons_rate);
+  std::printf("Simmons Newton (batched): %.3g solves/sec\n\n",
+              simmons_rate);
 
   // --- claims ---------------------------------------------------------
   const bool avx2_class = simd_isa_supported(SimdIsa::kAvx2);
   bool simd_ok = true;
   std::printf("Claims:\n");
-  bench::claim("batched margins bit-identical to the scalar oracle "
+  bench::claim("batched margins bit-identical to the per-cell oracle "
                "(every supported ISA x 4 schemes x 16 kb)",
                identical);
-  bench::claim("end-to-end yield identical with batching on vs off",
+  bench::claim("end-to-end yield failure counts equal the per-cell "
+               "oracle's (4 schemes x 16 kb)",
                e2e_identical);
-  if (batch) {
-    bench::claim("margin-solve kernel >= 10x the scalar path", speedup >= 10.0);
-    if (avx2_class) {
-      simd_ok = simd_speedup >= 2.0;
-      bench::claim("SIMD margin kernel >= 2x the scalar-ISA batch loop "
-                   "(AVX2-class host)",
-                   simd_ok);
-    }
+  bench::claim("margin-solve kernel >= 10x the per-cell oracle",
+               speedup >= 10.0);
+  if (avx2_class) {
+    simd_ok = simd_speedup >= 2.0;
+    bench::claim("SIMD margin kernel >= 2x the scalar ISA (AVX2-class host)",
+                 simd_ok);
   }
 
   // --- perf snapshot ---------------------------------------------------
@@ -317,13 +295,11 @@ int main(int argc, char** argv) {
 
   snap.add_metric("wall_seconds", seconds_since(wall0), "s",
                   /*higher_is_better=*/false);
-  snap.add_metric("margin_trials_per_second", subject_rate, "trial/s",
+  snap.add_metric("margin_trials_per_second", batched_rate, "trial/s",
                   /*higher_is_better=*/true);
-  snap.add_metric("margin_kernel_speedup_vs_scalar",
-                  batch ? speedup : 1.0, "x",
+  snap.add_metric("margin_kernel_speedup_vs_scalar", speedup, "x",
                   /*higher_is_better=*/true);
-  snap.add_metric("simd_kernel_speedup_vs_scalar_isa",
-                  batch ? simd_speedup : 1.0, "x",
+  snap.add_metric("simd_kernel_speedup_vs_scalar_isa", simd_speedup, "x",
                   /*higher_is_better=*/true);
   snap.add_metric("yield_cells_per_second",
                   static_cast<double>(cells) / yield_s, "cell/s",

@@ -15,6 +15,8 @@
 //
 // Run `sttram_cli --help` for the full command and flag reference (the
 // same text is printed for -h, --help and the help command).
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -77,18 +79,8 @@ void print_help() {
       "each word\n"
       "                             --retry <n>        read attempts "
       "(default 1)\n"
-      "                             --no-batch         per-cell scalar "
-      "solve instead\n"
-      "                                                of the batched SoA "
-      "kernel\n"
-      "                                                (bit-identical, "
-      "slower)\n"
       "  tail [margin_mv]         importance-sampled failure-tail "
       "estimate\n"
-      "                             --no-batch         scalar per-trial "
-      "sampling\n"
-      "                                                (bit-identical, "
-      "slower)\n"
       "  read [0|1]               execute one read + Fig. 9 timing "
       "diagram\n"
       "  transient [0|1]          circuit-level (MNA) read summary\n"
@@ -224,6 +216,36 @@ bool reject_unknown_flags(int argc, char** argv,
   return true;
 }
 
+/// Strict number argument: the whole token must parse to a finite value
+/// >= `min`.  Otherwise prints an error naming `what` and returns false
+/// (a usage error: the caller exits 2).
+bool parse_number(const char* what, const char* text, double min,
+                  double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || v < min) {
+    std::fprintf(stderr, "error: %s wants a finite number >= %g, got '%s'\n",
+                 what, min, text);
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+/// Strict integer argument: the whole token is a base-10 integer >= `min`.
+bool parse_integer(const char* what, const char* text, long min, long* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v < min) {
+    std::fprintf(stderr, "error: %s wants an integer >= %ld, got '%s'\n",
+                 what, min, text);
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 int cmd_margins(int argc, char** argv) {
   if (!reject_unknown_flags(argc, argv)) return 2;
   const MtjParams mtj = MtjParams::paper_calibrated();
@@ -293,7 +315,7 @@ int cmd_robustness(int argc, char** argv) {
 
 int cmd_yield(int argc, char** argv) {
   static const char* const kFlags[] = {"--json", "--faults", "--ecc",
-                                       "--retry", "--no-batch", nullptr};
+                                       "--retry", nullptr};
   if (!reject_unknown_flags(argc, argv, kFlags)) return 2;
   YieldConfig cfg;
   bool as_json = false;
@@ -301,7 +323,7 @@ int cmd_yield(int argc, char** argv) {
   bool ecc = false;
   long retry = 1;
   int positional = 0;
-  std::size_t rows = 0, cols = 0;
+  long rows = 0, cols = 0;
   for (int k = 2; k < argc; ++k) {
     const bool is_faults = std::strcmp(argv[k], "--faults") == 0;
     const bool is_retry = std::strcmp(argv[k], "--retry") == 0;
@@ -310,34 +332,45 @@ int cmd_yield(int argc, char** argv) {
         std::fprintf(stderr, "error: %s requires a value\n", argv[k]);
         return 2;
       }
-      if (is_faults) fault_density = std::atof(argv[++k]);
-      else retry = std::atol(argv[++k]);
+      const bool ok =
+          is_faults ? parse_number("--faults", argv[++k], 0.0, &fault_density)
+                    : parse_integer("--retry", argv[++k], 1, &retry);
+      if (!ok) return 2;
     } else if (std::strcmp(argv[k], "--ecc") == 0) {
       ecc = true;
     } else if (std::strcmp(argv[k], "--json") == 0) {
       as_json = true;
-    } else if (std::strcmp(argv[k], "--no-batch") == 0) {
-      cfg.use_batch = false;
     } else if (positional == 0) {
-      rows = static_cast<std::size_t>(std::atoi(argv[k]));
+      if (!parse_integer("yield rows", argv[k], 1, &rows)) return 2;
       ++positional;
     } else if (positional == 1) {
-      cols = static_cast<std::size_t>(std::atoi(argv[k]));
+      if (!parse_integer("yield cols", argv[k], 1, &cols)) return 2;
+      ++positional;
+    } else if (positional == 2) {
+      if (!parse_number("yield sigma", argv[k], 0.0,
+                        &cfg.variation.sigma_common)) {
+        return 2;
+      }
       ++positional;
     } else {
-      cfg.variation.sigma_common = std::atof(argv[k]);
+      std::fprintf(stderr, "error: unexpected argument '%s' for 'yield'\n",
+                   argv[k]);
+      return 2;
     }
+  }
+  if (positional == 1) {
+    std::fprintf(stderr, "error: yield wants rows and cols together\n");
+    return 2;
   }
   if ((ecc || retry > 1) && fault_density < 0.0) {
     std::fprintf(stderr,
                  "error: --ecc / --retry need --faults <density>\n");
     return 2;
   }
-  if (retry < 1) {
-    std::fprintf(stderr, "error: --retry wants a count >= 1\n");
-    return 2;
+  if (positional >= 2) {
+    cfg.geometry = {static_cast<std::size_t>(rows),
+                    static_cast<std::size_t>(cols)};
   }
-  if (rows > 0 && cols > 0) cfg.geometry = {rows, cols};
   cfg.max_scatter_points = 1;
 
   if (fault_density >= 0.0) {
@@ -427,15 +460,17 @@ int cmd_yield(int argc, char** argv) {
 }
 
 int cmd_tail(int argc, char** argv) {
-  static const char* const kFlags[] = {"--no-batch", nullptr};
-  if (!reject_unknown_flags(argc, argv, kFlags)) return 2;
+  if (!reject_unknown_flags(argc, argv)) return 2;
+  if (argc > 3) {
+    std::fprintf(stderr, "error: unexpected argument '%s' for 'tail'\n",
+                 argv[3]);
+    return 2;
+  }
   TailConfig cfg;
-  for (int k = 2; k < argc; ++k) {
-    if (std::strcmp(argv[k], "--no-batch") == 0) {
-      cfg.use_batch = false;
-    } else {
-      cfg.threshold = Volt(std::atof(argv[k]) * 1e-3);
-    }
+  if (argc > 2) {
+    double margin_mv = 0.0;
+    if (!parse_number("tail margin_mv", argv[2], 0.0, &margin_mv)) return 2;
+    cfg.threshold = Volt(margin_mv * 1e-3);
   }
   const TailEstimate e = estimate_margin_tail(cfg, 1, 20000, g_executor);
   if (e.design_point.empty()) {

@@ -8,12 +8,15 @@
 // not, so exp/log stay scalar libm calls per lane — see DESIGN.md §15).
 //
 // `Vec<W>` wraps GCC vector extensions (explicit specializations because
-// vector_size cannot depend on a template parameter).  Kernels are written
-// once as `template <int W>` and instantiated in per-width translation
-// units compiled with the matching -m flags (w2 = baseline SSE2/NEON,
-// w4 = -mavx2, w8 = -mavx512f -mavx512dq) plus -ffp-contract=off so no
-// mul+add is fused into an FMA (contraction changes rounding).  The
-// dispatcher picks the table for `active_simd_isa()` at kernel-build time.
+// vector_size cannot depend on a template parameter); `Vec<1>` is a plain
+// double.  Each kernel is written once as `template <int W>`.  Its W = 1
+// instantiation is the `scalar` target and also runs the remainder lanes
+// of every wider width; W = 2/4/8 are instantiated in per-width
+// translation units compiled with the matching -m flags (w2 = baseline
+// SSE2/NEON, w4 = -mavx2, w8 = -mavx512f -mavx512dq).  The whole build
+// runs with -ffp-contract=off so no mul+add is fused into an FMA
+// (contraction changes rounding).  pick_simd_table() picks the table for
+// `active_simd_isa()` at kernel-build time.
 //
 // ISA selection order: programmatic override (`--simd`, tests) >
 // STTRAM_SIMD environment variable > cpuid autodetection.
@@ -66,6 +69,20 @@ void set_simd_isa_override(SimdIsa isa);
 
 /// Returns to env/autodetect resolution.
 void clear_simd_isa_override();
+
+/// The one ISA ladder every batched kernel layer resolves through: the
+/// widest compiled-in table `isa` can run (AVX-512 -> AVX2 -> SSE2/NEON),
+/// else `w1`, the W = 1 table.  A wider table is nullptr when that width
+/// is not compiled for this target.
+template <class Table>
+const Table& pick_simd_table(SimdIsa isa, const Table* w1, const Table* w2,
+                             const Table* w4, const Table* w8) {
+  const int lanes = simd_isa_lanes(isa);
+  if (lanes >= 8 && w8 != nullptr) return *w8;
+  if (lanes >= 4 && w4 != nullptr) return *w4;
+  if (lanes >= 2 && w2 != nullptr) return *w2;
+  return *w1;
+}
 
 namespace simd {
 
@@ -152,12 +169,66 @@ struct Vec {
   }
 };
 
+/// One lane as a plain double, so the W = 1 instantiations compile to
+/// ordinary scalar code.  A one-element vector type would load and store
+/// through memcpy, which may alias anything and makes the kernel loops
+/// reload their operands after every store.  Masks are 0 / -1 like the
+/// vector compares, so `~m` and `a & b` work unchanged.
+template <>
+struct Vec<1> {
+  using D = double;
+  using M = long long;
+
+  double v;
+
+  static Vec load(const double* p) { return Vec{*p}; }
+  void store(double* p) const { *p = v; }
+  static Vec splat(double x) { return Vec{x}; }
+  double operator[](int) const { return v; }
+
+  friend Vec operator+(Vec a, Vec b) { return Vec{a.v + b.v}; }
+  friend Vec operator-(Vec a, Vec b) { return Vec{a.v - b.v}; }
+  friend Vec operator*(Vec a, Vec b) { return Vec{a.v * b.v}; }
+  friend Vec operator/(Vec a, Vec b) { return Vec{a.v / b.v}; }
+  friend Vec operator-(Vec a) { return Vec{-a.v}; }
+
+  friend M operator<(Vec a, Vec b) { return a.v < b.v ? -1 : 0; }
+  friend M operator<=(Vec a, Vec b) { return a.v <= b.v ? -1 : 0; }
+  friend M operator==(Vec a, Vec b) { return a.v == b.v ? -1 : 0; }
+
+  static Vec select(M m, Vec a, Vec b) { return Vec{m ? a.v : b.v}; }
+  friend Vec vmax(Vec a, Vec b) { return Vec{(a.v < b.v) ? b.v : a.v}; }
+  friend Vec vmin(Vec a, Vec b) { return Vec{(b.v < a.v) ? b.v : a.v}; }
+  friend Vec vsqrt(Vec a) { return Vec{__builtin_sqrt(a.v)}; }
+  friend Vec vabs(Vec a) { return Vec{__builtin_fabs(a.v)}; }
+};
+
 /// True when any lane of a compare-result mask is set.
 template <int W>
-inline bool mask_any(typename LaneTraits<W>::vm m) {
-  bool any = false;
-  for (int i = 0; i < W; ++i) any |= (m[i] != 0);
-  return any;
+inline bool mask_any(typename Vec<W>::M m) {
+  if constexpr (W == 1) {
+    return m != 0;
+  } else {
+    bool any = false;
+    for (int i = 0; i < W; ++i) any |= (m[i] != 0);
+    return any;
+  }
+}
+
+/// Lane-count tag, so one generic kernel body can run at W and at 1.
+template <int W>
+struct Lanes {};
+
+/// Strip-mines [0, n) for a kernel body `body(i, Lanes<L>{})` that
+/// processes lanes [i, i + L): full W-lane strips first, then the
+/// remainder one lane at a time through the same body at L = 1.
+template <int W, class Body>
+inline void for_each_strip(std::size_t n, Body&& body) {
+  std::size_t i = 0;
+  for (; i + W <= n; i += W) body(i, Lanes<W>{});
+  if constexpr (W > 1) {
+    for (; i < n; ++i) body(i, Lanes<1>{});
+  }
 }
 
 }  // namespace simd

@@ -1,7 +1,6 @@
 #include "sttram/device/ri_curve.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "sttram/common/error.hpp"
@@ -11,72 +10,10 @@
 namespace sttram {
 namespace {
 
-/// The PR 9 masked batch loop, verbatim — the kScalar dispatch target and
-/// the differential oracle the vector widths are tested against.
-void simmons_newton_scalar(double r0, double vh, const double* i_amps,
-                           std::size_t n, double* v_out) {
-  const double g0 = 1.0 / r0;
-  constexpr std::size_t kLanes = 64;
-  std::array<double, kLanes> v;
-  std::array<double, kLanes> cur;
-  std::array<bool, kLanes> active;
-  for (std::size_t base = 0; base < n; base += kLanes) {
-    const std::size_t count = std::min(n - base, kLanes);
-    std::size_t remaining = 0;
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      cur[lane] = std::fabs(i_amps[base + lane]);
-      if (cur[lane] == 0.0) {
-        v[lane] = 0.0;
-        active[lane] = false;
-      } else {
-        v[lane] = cur[lane] * r0;
-        active[lane] = true;
-        ++remaining;
-      }
-    }
-    // One Newton iteration per pass over every unconverged lane; a lane
-    // retires on its own |step| test, exactly as the scalar loop breaks.
-    for (int iter = 0; iter < 60 && remaining > 0; ++iter) {
-      for (std::size_t lane = 0; lane < count; ++lane) {
-        if (!active[lane]) continue;
-        const double u = v[lane] / vh;
-        const double f = g0 * v[lane] * (1.0 + u * u) - cur[lane];
-        const double df = g0 * (1.0 + 3.0 * u * u);
-        const double step = f / df;
-        v[lane] -= step;
-        if (v[lane] <= 0.0) v[lane] = 1e-15;
-        if (std::fabs(step) < 1e-15 * (1.0 + std::fabs(v[lane]))) {
-          active[lane] = false;
-          --remaining;
-        }
-      }
-    }
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      v_out[base + lane] = v[lane];
-    }
-  }
-}
-
-/// Walks the ISA ladder down from `isa` to the widest compiled-in width.
-SimmonsNewtonFn resolve_simmons_newton(SimdIsa isa) {
-  const DeviceSimdKernels* t = nullptr;
-  switch (isa) {
-    case SimdIsa::kAvx512:
-      t = device_simd_kernels_w8();
-      if (t != nullptr) break;
-      [[fallthrough]];
-    case SimdIsa::kAvx2:
-      t = device_simd_kernels_w4();
-      if (t != nullptr) break;
-      [[fallthrough]];
-    case SimdIsa::kSse2:
-    case SimdIsa::kNeon:
-      t = device_simd_kernels_w2();
-      break;
-    case SimdIsa::kScalar:
-      break;
-  }
-  return t != nullptr ? t->simmons_newton : &simmons_newton_scalar;
+const DeviceSimdKernels& device_kernels() {
+  static const DeviceSimdKernels kW1{&simd_detail::simmons_newton_simd<1>};
+  return pick_simd_table(active_simd_isa(), &kW1, device_simd_kernels_w2(),
+                         device_simd_kernels_w4(), device_simd_kernels_w8());
 }
 
 }  // namespace
@@ -191,7 +128,7 @@ void SimmonsRiModel::bias_voltage_batch(MtjState state, const double* i_amps,
   const double vh = (state == MtjState::kParallel ? params_.v_half_low
                                                   : params_.v_half_high)
                         .value();
-  resolve_simmons_newton(active_simd_isa())(r0, vh, i_amps, n, v_out);
+  device_kernels().simmons_newton(r0, vh, i_amps, n, v_out);
 }
 
 void SimmonsRiModel::resistance_batch(MtjState state, const double* i_amps,

@@ -1,18 +1,18 @@
-// Per-width instantiations of the Simmons Newton solve (ri_curve.cpp
-// dispatches on active_simd_isa()).
+// Width-generic Simmons Newton solve (ri_curve.cpp dispatches on
+// active_simd_isa()).
 //
-// The vector kernel runs every lane through the same Newton iteration the
-// scalar bias_voltage() runs — converged lanes keep computing but their v
-// is frozen by an active-lane select, so each lane's update sequence (and
-// therefore its result) is bit-identical to the scalar loop.  Zero-current
-// lanes start inactive with v = 0, matching the scalar early-out.
+// The kernel runs every lane through the Newton iteration of
+// SimmonsRiModel::bias_voltage() — converged lanes keep computing but
+// their v is frozen by an active-lane select, so each lane's update
+// sequence (and therefore its result) is bit-identical to that loop.
+// Zero-current lanes start inactive with v = 0, matching its early-out.
 //
-// These templates are instantiated only inside ri_curve_w{2,4,8}.cpp,
-// which are compiled with the matching -m flags and -ffp-contract=off
-// (an FMA contraction would change the rounding of f = g0*v*(1+u^2) - i).
+// Instantiated at W = 1 in ri_curve.cpp (the `scalar` target) and at
+// W = 2/4/8 in ri_curve_w{2,4,8}.cpp, which are compiled with the
+// matching -m flags (the build-wide -ffp-contract=off keeps
+// f = g0*v*(1+u^2) - i from contracting into an FMA).
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 
 #include "sttram/common/simd.hpp"
@@ -34,62 +34,36 @@ const DeviceSimdKernels* device_simd_kernels_w8();
 
 namespace simd_detail {
 
-/// The scalar bias_voltage() Newton body for one lane (tail lanes and the
-/// kScalar batch loop share it, so every path runs the same sequence).
-inline double simmons_newton_lane(double r0, double vh, double i) {
-  const double current = std::fabs(i);
-  if (current == 0.0) return 0.0;
-  const double g0 = 1.0 / r0;
-  double v = current * r0;
-  for (int iter = 0; iter < 60; ++iter) {
-    const double u = v / vh;
-    const double f = g0 * v * (1.0 + u * u) - current;
-    const double df = g0 * (1.0 + 3.0 * u * u);
-    const double step = f / df;
-    v -= step;
-    if (v <= 0.0) v = 1e-15;
-    if (std::fabs(step) < 1e-15 * (1.0 + std::fabs(v))) break;
-  }
-  return v;
-}
-
-/// Masked vector Newton: W lanes per strip, per-lane convergence masks.
+/// Masked Newton: W lanes per strip, per-lane convergence masks.
 template <int W>
 void simmons_newton_simd(double r0, double vh, const double* i_amps,
                          std::size_t n, double* v_out) {
-  using V = simd::Vec<W>;
-  using M = typename simd::LaneTraits<W>::vm;
-  const V vg0 = V::splat(1.0 / r0);
-  const V vr0 = V::splat(r0);
-  const V vvh = V::splat(vh);
-  const V one = V::splat(1.0);
-  const V three = V::splat(3.0);
-  const V zero = V::splat(0.0);
-  const V tiny = V::splat(1e-15);
-  const V eps = V::splat(1e-15);
-  std::size_t k = 0;
-  for (; k + W <= n; k += W) {
+  const double g0 = 1.0 / r0;
+  simd::for_each_strip<W>(n, [&]<int L>(std::size_t k, simd::Lanes<L>) {
+    using V = simd::Vec<L>;
+    using M = typename V::M;
+    const V vg0 = V::splat(g0);
+    const V one = V::splat(1.0);
+    const V three = V::splat(3.0);
+    const V zero = V::splat(0.0);
+    const V eps = V::splat(1e-15);
     const V cur = vabs(V::load(i_amps + k));
     const M zero_cur = (cur == zero);
     M active = ~zero_cur;
-    V v = V::select(zero_cur, zero, cur * vr0);
-    for (int iter = 0; iter < 60 && simd::mask_any<W>(active); ++iter) {
-      const V u = v / vvh;
-      const V uu = u * u;
-      const V f = vg0 * v * (one + uu) - cur;
-      const V df = vg0 * (one + three * uu);
+    V v = V::select(zero_cur, zero, cur * V::splat(r0));
+    for (int iter = 0; iter < 60 && simd::mask_any<L>(active); ++iter) {
+      const V u = v / V::splat(vh);
+      const V f = vg0 * v * (one + u * u) - cur;
+      const V df = vg0 * (one + three * u * u);
       const V step = f / df;
       V v_new = v - step;
-      v_new = V::select(v_new <= zero, tiny, v_new);
+      v_new = V::select(v_new <= zero, V::splat(1e-15), v_new);
       const M conv = vabs(step) < eps * (one + vabs(v_new));
       v = V::select(active, v_new, v);
       active = active & ~conv;
     }
     v.store(v_out + k);
-  }
-  for (; k < n; ++k) {
-    v_out[k] = simmons_newton_lane(r0, vh, i_amps[k]);
-  }
+  });
 }
 
 }  // namespace simd_detail

@@ -40,9 +40,6 @@ ParamSchema yield_schema() {
              "die-to-die common factor sigma (default 0)")
       .field("required_margin_mv", ParamType::kNumber,
              "sense-amp margin requirement in mV (default 8)")
-      .field("no_batch", ParamType::kBool,
-             "per-cell scalar solve instead of the batched SoA kernel "
-             "(bit-identical, default false)")
       .field("seed", ParamType::kInteger,
              "RNG seed (default: forked from the campaign seed)");
   return s;
@@ -67,7 +64,6 @@ YieldConfig yield_config_from(const ScenarioInstance& inst) {
   cfg.die_sigma = param_number(inst.params, "die_sigma", cfg.die_sigma);
   cfg.required_margin = Volt(
       param_number(inst.params, "required_margin_mv", 8.0) * 1e-3);
-  cfg.use_batch = !param_bool(inst.params, "no_batch", false);
   cfg.seed = inst.seed;
   cfg.max_scatter_points = 1;
   return cfg;
@@ -104,9 +100,6 @@ ParamSchema tail_schema() {
           "failure threshold in mV (default 8)")
       .field("trials", ParamType::kInteger,
              "importance-sampling trials (default 20000)")
-      .field("no_batch", ParamType::kBool,
-             "scalar per-trial sampling instead of the batched SoA "
-             "kernel (bit-identical, default false)")
       .field("seed", ParamType::kInteger,
              "RNG seed (default: forked from the campaign seed)");
   return s;
@@ -117,7 +110,6 @@ Json run_tail_kind(const ScenarioInstance& inst,
   TailConfig cfg;
   cfg.threshold =
       Volt(param_number(inst.params, "threshold_mv", 8.0) * 1e-3);
-  cfg.use_batch = !param_bool(inst.params, "no_batch", false);
   const auto trials = static_cast<std::size_t>(
       param_int(inst.params, "trials", 20000));
   const TailEstimate e =

@@ -28,65 +28,11 @@ std::uint64_t scheme_key(OpKind kind, const MtjParams& nominal, Ohm r_access,
   return key;
 }
 
-/// The PR 9 batch loop, verbatim — the kScalar dispatch target and the
-/// differential oracle every wider width is tested against.
-void yield_solve_scalar(const YieldKernelTables& k, const VariationBlock& block,
-                        std::size_t first_cell, double* const* out_rows,
-                        double* max_low, double* min_high) {
-  const double* rl = block.r_low0.data();
-  const double* rh = block.r_high0.data();
-  const double* dl = block.droop_low.data();
-  const double* dh = block.droop_high.data();
-  const double* ra = block.r_access.data();
-  double ml = *max_low;
-  double mh = *min_high;
-  std::size_t c = first_cell % k.cols;
-  for (std::size_t lane = 0; lane < block.size; ++lane) {
-    simd_detail::yield_solve_lane(k, rl[lane], rh[lane], dl[lane], dh[lane],
-                                  ra[lane], c, out_rows, lane, ml, mh);
-    if (++c == k.cols) c = 0;
-  }
-  *max_low = ml;
-  *min_high = mh;
-}
-
-void tail_margins_scalar(const TailKernelTables& k, const GaussianBlock& block,
-                         double* out) {
-  const double* z0 = block.axis(0);
-  const double* z1 = block.axis(1);
-  const double* z2 = block.axis(2);
-  const double* z3 = block.axis(3);
-  const double* z4 = block.axis(4);
-  for (std::size_t lane = 0; lane < block.size; ++lane) {
-    out[lane] = simd_detail::tail_margin_lane(k, z0[lane], z1[lane], z2[lane],
-                                              z3[lane], z4[lane]);
-  }
-}
-
-/// Walks the ISA ladder down from `isa` to the widest compiled-in table.
-SenseSimdKernels resolve_sense_kernels(SimdIsa isa) {
-  const SenseSimdKernels* t = nullptr;
-  switch (isa) {
-    case SimdIsa::kAvx512:
-      t = sense_simd_kernels_w8();
-      if (t != nullptr) break;
-      [[fallthrough]];
-    case SimdIsa::kAvx2:
-      t = sense_simd_kernels_w4();
-      if (t != nullptr) break;
-      [[fallthrough]];
-    case SimdIsa::kSse2:
-    case SimdIsa::kNeon:
-      t = sense_simd_kernels_w2();
-      break;
-    case SimdIsa::kScalar:
-      break;
-  }
-  if (t != nullptr) return *t;
-  SenseSimdKernels scalar;
-  scalar.yield_solve = &yield_solve_scalar;
-  scalar.tail_margins = &tail_margins_scalar;
-  return scalar;
+const SenseSimdKernels& sense_kernels() {
+  static const SenseSimdKernels kW1{&simd_detail::yield_solve_simd<1>,
+                                    &simd_detail::tail_margins_simd<1>};
+  return pick_simd_table(active_simd_isa(), &kW1, sense_simd_kernels_w2(),
+                         sense_simd_kernels_w4(), sense_simd_kernels_w8());
 }
 
 }  // namespace
@@ -184,7 +130,7 @@ YieldBatchKernel YieldBatchKernel::build(const YieldKernelInputs& in) {
     k.frac1_n[c] = std::min(std::fabs(k.i1_n[c]) / in.i_droop_ref, 1.5);
     k.alpha_eff[c] = in.selfref.alpha * (1.0 + in.col_alpha_dev[c]);
   }
-  kernel.fn_ = resolve_sense_kernels(active_simd_isa()).yield_solve;
+  kernel.fn_ = sense_kernels().yield_solve;
   return kernel;
 }
 
@@ -212,7 +158,7 @@ TailBatchKernel TailBatchKernel::build(const TailKernelConfig& config) {
   k.excess0_base = (config.nominal.r_high0 - config.nominal.r_low0).value();
   k.excess_droop_base =
       (config.nominal.droop_high - config.nominal.droop_low).value();
-  kernel.fn_ = resolve_sense_kernels(active_simd_isa()).tail_margins;
+  kernel.fn_ = sense_kernels().tail_margins;
   return kernel;
 }
 

@@ -14,11 +14,12 @@
 // `x + Ohm(0.0)` no-ops (the scalar path's unused delta_r_t / extra_r
 // hooks) are dropped, which is exact in IEEE-754 for every x except
 // -0.0 (whose value is unchanged).  The solve itself dispatches on
-// active_simd_isa() to a per-width instantiation of the same template
-// (margins_batch_simd.hpp); every vector op is correctly rounded and
-// lane-parallel, so each ISA reproduces the scalar loop bitwise.
-// test_mc_batch.cpp holds the differential proof across schemes,
-// corners, thread counts, and every host-supported ISA.
+// active_simd_isa() to a per-width instantiation of one template
+// (margins_batch_simd.hpp; W = 1 is the `scalar` target); every vector
+// op is correctly rounded and lane-parallel, so each ISA reproduces the
+// scalar classes bitwise.  tests/test_mc_batch.cpp holds the
+// differential proof against the per-cell oracle (tests/mc_oracle.cpp)
+// across schemes, corners, thread counts, and every host-supported ISA.
 #pragma once
 
 #include <array>

@@ -1,13 +1,14 @@
-// Width-generic instantiations of the batched sense-margin kernels.
+// Width-generic batched sense-margin kernels.
 //
-// Each kernel is written once as `template <int W>` over Vec<W> lanes and
-// instantiated by the per-width TUs (margins_batch_w2/w4/w8.cpp), which
-// are the only files compiled with wider -m flags.  Everything here is
-// lane-parallel IEEE arithmetic (+, -, *, /, compare/select/abs, min/max
-// in scalar-predicate form); the only libm calls (exp in the tail kernel)
-// run scalar per lane, so every width reproduces the scalar loop bitwise.
-// The TUs are compiled with -ffp-contract=off: FMA contraction would
-// change rounding and break that contract.
+// Each kernel is written once as `template <int W>` over Vec<W> lanes.
+// margins_batch.cpp instantiates W = 1 (the `scalar` target); the
+// per-width TUs (margins_batch_w2/w4/w8.cpp), the only files compiled
+// with wider -m flags, instantiate the vector widths, whose remainder
+// lanes run the same body at W = 1.  Everything here is lane-parallel
+// IEEE arithmetic (+, -, *, /, compare/select/abs, min/max in
+// scalar-predicate form) in the association of the margins.cpp closed
+// forms; the only libm calls (exp in the tail kernel) run scalar per
+// lane, so every width reproduces the class-based schemes bitwise.
 //
 // The yield kernel's outputs are SoA (YieldMarginsSoA: one row per
 // scheme/bit, contiguous across cells), so the vector path retires each
@@ -15,7 +16,7 @@
 // cross-lane shuffles anywhere in the hot loop.
 #pragma once
 
-#include <array>
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 
@@ -38,105 +39,45 @@ const SenseSimdKernels* sense_simd_kernels_w8();  // AVX-512 F+DQ
 
 namespace simd_detail {
 
-/// One yield lane, exactly the PR 9 scalar-loop body (the margins land in
-/// SoA rows instead of an AoS record — same doubles, different layout).
-/// The vector path falls back to this for tail lanes and column-table
-/// wraps.
-inline void yield_solve_lane(const YieldKernelTables& k, double rl, double rh,
-                             double dl, double dh, double r_t, std::size_t c,
-                             double* const* out_rows, std::size_t lane,
-                             double& ml, double& mh) {
-  // Second-read (I2 = I_max) path resistances and bit-line voltages —
-  // shared by all four schemes.
-  const double r_p2 = rl - dl * k.frac2;
-  const double r_ap2 = rh - dh * k.frac2;
-  const double v_p2 = k.i_max * (r_p2 + r_t);
-  const double v_ap2 = k.i_max * (r_ap2 + r_t);
-  ml = std::max(ml, v_p2);
-  mh = std::min(mh, v_ap2);
-  // Conventional sensing against the shared V_REF (+ column error).
-  out_rows[0][lane] = k.v_ref_conv[c] - v_p2;
-  out_rows[1][lane] = v_ap2 - k.v_ref_conv[c];
-  // Reference-cell sensing: the column pair's midpoint sees the same
-  // per-cell access device as the data read.
-  const double v_rp = k.i_max * (k.r_ref_p2[c] + r_t);
-  const double v_rap = k.i_max * (k.r_ref_ap2[c] + r_t);
-  const double v_ref_rc = 0.5 * (v_rp + v_rap);
-  out_rows[2][lane] = v_ref_rc - v_p2;
-  out_rows[3][lane] = v_ap2 - v_ref_rc;
-  // Destructive self-reference: the erased-cell second read IS v_p2.
-  {
-    const double i1 = k.i1_d[c];
-    const double f1 = k.frac1_d[c];
-    const double r_p1 = rl - dl * f1;
-    const double r_ap1 = rh - dh * f1;
-    out_rows[5][lane] = i1 * (r_ap1 + r_t) - v_p2;
-    out_rows[4][lane] = v_p2 - i1 * (r_p1 + r_t);
-  }
-  // Nondestructive self-reference: first read vs divided second read.
-  {
-    const double i1 = k.i1_n[c];
-    const double f1 = k.frac1_n[c];
-    const double r_p1 = rl - dl * f1;
-    const double r_ap1 = rh - dh * f1;
-    const double ae = k.alpha_eff[c];
-    out_rows[7][lane] = i1 * (r_ap1 + r_t) - ae * v_ap2;
-    out_rows[6][lane] = ae * v_p2 - i1 * (r_p1 + r_t);
-  }
-}
-
-/// W-lane yield solve.  Vector strips run where the next W columns are
+/// W-lane yield solve.  Strips run where the next W columns are
 /// contiguous in the per-column tables; the column wrap (at most once per
-/// `cols` lanes) and the block tail fall back to the scalar lane body.
-/// The window bounds accumulate per vector slot and fold at the end —
-/// exact, because max/min over positive finite voltages is
-/// order-independent.
+/// `cols` lanes) and the block tail run the same body at W = 1.  The
+/// window bounds accumulate per vector slot and fold at the end — exact,
+/// because max/min over positive finite voltages is order-independent.
 template <int W>
 void yield_solve_simd(const YieldKernelTables& k, const VariationBlock& block,
                       std::size_t first_cell, double* const* out_rows,
                       double* max_low, double* min_high) {
-  using V = simd::Vec<W>;
-  const double* rl = block.r_low0.data();
-  const double* rh = block.r_high0.data();
-  const double* dl = block.droop_low.data();
-  const double* dh = block.droop_high.data();
-  const double* ra = block.r_access.data();
-  double ml = *max_low;
-  double mh = *min_high;
-  V vml = V::splat(ml);
-  V vmh = V::splat(mh);
-  const V i_max = V::splat(k.i_max);
-  const V frac2 = V::splat(k.frac2);
-  const V half = V::splat(0.5);
-  std::size_t c = first_cell % k.cols;
-  std::size_t lane = 0;
-  while (lane < block.size) {
-    if (lane + W > block.size || c + W > k.cols) {
-      yield_solve_lane(k, rl[lane], rh[lane], dl[lane], dh[lane], ra[lane], c,
-                       out_rows, lane, ml, mh);
-      ++lane;
-      if (++c == k.cols) c = 0;
-      continue;
-    }
-    const V vrl = V::load(rl + lane);
-    const V vrh = V::load(rh + lane);
-    const V vdl = V::load(dl + lane);
-    const V vdh = V::load(dh + lane);
-    const V r_t = V::load(ra + lane);
-    const V r_p2 = vrl - vdl * frac2;
-    const V r_ap2 = vrh - vdh * frac2;
-    const V v_p2 = i_max * (r_p2 + r_t);
-    const V v_ap2 = i_max * (r_ap2 + r_t);
-    vml = vmax(vml, v_p2);
-    vmh = vmin(vmh, v_ap2);
+  // L cells from `lane`, whose columns c .. c + L - 1 are contiguous.
+  const auto strip = [&]<int L>(std::size_t lane, std::size_t c,
+                                simd::Vec<L>& ml, simd::Vec<L>& mh) {
+    using V = simd::Vec<L>;
+    const V vrl = V::load(block.r_low0.data() + lane);
+    const V vrh = V::load(block.r_high0.data() + lane);
+    const V vdl = V::load(block.droop_low.data() + lane);
+    const V vdh = V::load(block.droop_high.data() + lane);
+    const V r_t = V::load(block.r_access.data() + lane);
+    const V vi_max = V::splat(k.i_max);
+    // Second-read (I2 = I_max) path resistances and bit-line voltages —
+    // shared by all four schemes.
+    const V r_p2 = vrl - vdl * V::splat(k.frac2);
+    const V r_ap2 = vrh - vdh * V::splat(k.frac2);
+    const V v_p2 = vi_max * (r_p2 + r_t);
+    const V v_ap2 = vi_max * (r_ap2 + r_t);
+    ml = vmax(ml, v_p2);
+    mh = vmin(mh, v_ap2);
+    // Conventional sensing against the shared V_REF (+ column error).
     const V vref = V::load(k.v_ref_conv.data() + c);
     (vref - v_p2).store(out_rows[0] + lane);
     (v_ap2 - vref).store(out_rows[1] + lane);
-    const V v_rp = i_max * (V::load(k.r_ref_p2.data() + c) + r_t);
-    const V v_rap = i_max * (V::load(k.r_ref_ap2.data() + c) + r_t);
-    const V v_ref_rc = half * (v_rp + v_rap);
+    // Reference-cell sensing: the column pair's midpoint sees the same
+    // per-cell access device as the data read.
+    const V v_rp = vi_max * (V::load(k.r_ref_p2.data() + c) + r_t);
+    const V v_rap = vi_max * (V::load(k.r_ref_ap2.data() + c) + r_t);
+    const V v_ref_rc = V::splat(0.5) * (v_rp + v_rap);
     (v_ref_rc - v_p2).store(out_rows[2] + lane);
     (v_ap2 - v_ref_rc).store(out_rows[3] + lane);
+    // Destructive self-reference: the erased-cell second read IS v_p2.
     {
       const V i1 = V::load(k.i1_d.data() + c);
       const V f1 = V::load(k.frac1_d.data() + c);
@@ -145,6 +86,7 @@ void yield_solve_simd(const YieldKernelTables& k, const VariationBlock& block,
       (i1 * (r_ap1 + r_t) - v_p2).store(out_rows[5] + lane);
       (v_p2 - i1 * (r_p1 + r_t)).store(out_rows[4] + lane);
     }
+    // Nondestructive self-reference: first read vs divided second read.
     {
       const V i1 = V::load(k.i1_n.data() + c);
       const V f1 = V::load(k.frac1_n.data() + c);
@@ -154,73 +96,65 @@ void yield_solve_simd(const YieldKernelTables& k, const VariationBlock& block,
       (i1 * (r_ap1 + r_t) - ae * v_ap2).store(out_rows[7] + lane);
       (ae * v_p2 - i1 * (r_p1 + r_t)).store(out_rows[6] + lane);
     }
-    lane += W;
-    c += W;
+  };
+
+  simd::Vec<W> vml = simd::Vec<W>::splat(*max_low);
+  simd::Vec<W> vmh = simd::Vec<W>::splat(*min_high);
+  simd::Vec<1> ml = simd::Vec<1>::splat(*max_low);
+  simd::Vec<1> mh = simd::Vec<1>::splat(*min_high);
+  std::size_t c = first_cell % k.cols;
+  std::size_t lane = 0;
+  while (lane < block.size) {
+    // The cells up to the block end or the column wrap, whichever is first.
+    const std::size_t run = std::min(block.size - lane, k.cols - c);
+    std::size_t i = 0;
+    for (; i + W <= run; i += W) strip(lane + i, c + i, vml, vmh);
+    if constexpr (W > 1) {
+      for (; i < run; ++i) strip(lane + i, c + i, ml, mh);
+    }
+    lane += run;
+    c += run;
     if (c == k.cols) c = 0;
   }
+  double lo = ml[0];
+  double hi = mh[0];
   for (int i = 0; i < W; ++i) {
-    ml = std::max(ml, vml[i]);
-    mh = std::min(mh, vmh[i]);
+    lo = std::max(lo, vml[i]);
+    hi = std::min(hi, vmh[i]);
   }
-  *max_low = ml;
-  *min_high = mh;
+  *max_low = lo;
+  *min_high = hi;
 }
 
-/// One tail lane, exactly the PR 9 scalar-loop body.
-inline double tail_margin_lane(const TailKernelTables& k, double z0, double z1,
-                               double z2, double z3, double z4) {
-  // MtjParams::scaled(common, tmr) on the nominal device, unfolded.
-  const double common = std::exp(k.sigma_common * z0);
-  const double tmr = std::exp(k.sigma_tmr * z1);
-  const double excess0 = k.excess0_base * tmr;
-  const double excess_droop = k.excess_droop_base * tmr;
-  const double r_l0 = k.r_low0 * common;
-  const double r_h0 = (k.r_low0 + excess0) * common;
-  const double d_l = k.droop_low * common;
-  const double d_h = (k.droop_low + excess_droop) * common;
-  const double r_t = k.r_access_nominal * std::exp(k.sigma_access * z2);
-  const double beta_eff = k.beta * (1.0 + k.sigma_beta * z3);
-  const double alpha_eff = k.alpha * (1.0 + k.sigma_alpha * z4);
-  const double i1 = k.i_max / beta_eff;
-  const double frac1 = std::min(std::fabs(i1) / k.idr, 1.5);
-  const double r_p1 = r_l0 - d_l * frac1;
-  const double r_ap1 = r_h0 - d_h * frac1;
-  const double r_p2 = r_l0 - d_l * k.frac2;
-  const double r_ap2 = r_h0 - d_h * k.frac2;
-  const double sm1 = i1 * (r_ap1 + r_t) - alpha_eff * (k.i_max * (r_ap2 + r_t));
-  const double sm0 = alpha_eff * (k.i_max * (r_p2 + r_t)) - i1 * (r_p1 + r_t);
-  return std::min(sm0, sm1);
-}
-
-/// W-lane tail margins-min.  The three exponentials per lane stay scalar
-/// libm calls (vector math libraries are not bit-identical to libm); the
-/// surrounding arithmetic runs on vectors.
+/// W-lane tail margins-min: MtjParams::scaled(common, tmr) on the nominal
+/// device unfolded, then the nondestructive scheme's two margins.  The
+/// three exponentials per lane stay scalar libm calls (vector math
+/// libraries are not bit-identical to libm); the surrounding arithmetic
+/// runs on vectors.
 template <int W>
 void tail_margins_simd(const TailKernelTables& k, const GaussianBlock& block,
                        double* out) {
-  using V = simd::Vec<W>;
-  const double* z0 = block.axis(0);
-  const double* z1 = block.axis(1);
-  const double* z2 = block.axis(2);
-  const double* z3 = block.axis(3);
-  const double* z4 = block.axis(4);
-  const V one = V::splat(1.0);
-  const V cap = V::splat(1.5);
-  const V i_max = V::splat(k.i_max);
-  const V frac2 = V::splat(k.frac2);
-  const V r_low0 = V::splat(k.r_low0);
-  const V droop_low = V::splat(k.droop_low);
-  std::size_t lane = 0;
-  for (; lane + W <= block.size; lane += W) {
+  const double* const z0 = block.axis(0);
+  const double* const z1 = block.axis(1);
+  const double* const z2 = block.axis(2);
+  const double* const z3 = block.axis(3);
+  const double* const z4 = block.axis(4);
+  simd::for_each_strip<W>(block.size, [&]<int L>(std::size_t lane,
+                                                 simd::Lanes<L>) {
+    using V = simd::Vec<L>;
+    const V one = V::splat(1.0);
+    const V i_max = V::splat(k.i_max);
+    const V r_low0 = V::splat(k.r_low0);
+    const V droop_low = V::splat(k.droop_low);
     // exp arguments are vector muls (bit-identical to the scalar mul);
     // the exp itself is libm per lane.
     const V arg_c = V::splat(k.sigma_common) * V::load(z0 + lane);
     const V arg_t = V::splat(k.sigma_tmr) * V::load(z1 + lane);
     const V arg_a = V::splat(k.sigma_access) * V::load(z2 + lane);
-    alignas(64) double e_c[W], e_t[W], e_a[W];
-    for (int i = 0; i < W; ++i) e_c[i] = std::exp(arg_c[i]);
-    for (int i = 0; i < W; ++i) e_t[i] = std::exp(arg_t[i]);
-    for (int i = 0; i < W; ++i) e_a[i] = std::exp(arg_a[i]);
+    alignas(64) double e_c[L], e_t[L], e_a[L];
+    for (int i = 0; i < L; ++i) e_c[i] = std::exp(arg_c[i]);
+    for (int i = 0; i < L; ++i) e_t[i] = std::exp(arg_t[i]);
+    for (int i = 0; i < L; ++i) e_a[i] = std::exp(arg_a[i]);
     const V common = V::load(e_c);
     const V tmr = V::load(e_t);
     const V excess0 = V::splat(k.excess0_base) * tmr;
@@ -235,19 +169,15 @@ void tail_margins_simd(const TailKernelTables& k, const GaussianBlock& block,
     const V alpha_eff = V::splat(k.alpha) *
                         (one + V::splat(k.sigma_alpha) * V::load(z4 + lane));
     const V i1 = i_max / beta_eff;
-    const V frac1 = vmin(vabs(i1) / V::splat(k.idr), cap);
+    const V frac1 = vmin(vabs(i1) / V::splat(k.idr), V::splat(1.5));
     const V r_p1 = r_l0 - d_l * frac1;
     const V r_ap1 = r_h0 - d_h * frac1;
-    const V r_p2 = r_l0 - d_l * frac2;
-    const V r_ap2 = r_h0 - d_h * frac2;
+    const V r_p2 = r_l0 - d_l * V::splat(k.frac2);
+    const V r_ap2 = r_h0 - d_h * V::splat(k.frac2);
     const V sm1 = i1 * (r_ap1 + r_t) - alpha_eff * (i_max * (r_ap2 + r_t));
     const V sm0 = alpha_eff * (i_max * (r_p2 + r_t)) - i1 * (r_p1 + r_t);
     vmin(sm0, sm1).store(out + lane);
-  }
-  for (; lane < block.size; ++lane) {
-    out[lane] =
-        tail_margin_lane(k, z0[lane], z1[lane], z2[lane], z3[lane], z4[lane]);
-  }
+  });
 }
 
 }  // namespace simd_detail

@@ -1,6 +1,5 @@
 #include "sttram/sim/tail.hpp"
 
-#include <atomic>
 #include <cmath>
 
 #include "sttram/common/error.hpp"
@@ -43,63 +42,53 @@ TailEstimate estimate_margin_tail(const TailConfig& config,
   STTRAM_PROFILE_SCOPE("tail.search");
   // Hoisted operating point: the designed beta is a constant of the
   // experiment, so resolve it once here instead of re-deriving it inside
-  // every margin evaluation (the scalar predicate used to pay a full
-  // scheme construction per trial for it).
+  // every margin evaluation of the design-point search.
   TailConfig solved = config;
   if (solved.beta <= 0.0) {
     solved.beta = cached_nondestructive_beta(MtjParams::paper_calibrated(),
                                              Ohm(917.0), config.selfref);
   }
-  // Atomic: the sampling-phase predicate may run on pool threads.
-  std::atomic<std::size_t> margin_evals{0};
+  // The design-point search runs on the calling thread only.
+  std::size_t margin_evals = 0;
   const auto g = [&](const std::vector<double>& z) {
-    margin_evals.fetch_add(1, std::memory_order_relaxed);
+    ++margin_evals;
     return nondestructive_margin_at(solved, z) - config.threshold.value();
   };
   TailEstimate out;
   out.design_point = design_point_on_gradient(g, kTailDimensions);
   if (out.design_point.empty()) {
     // No failure region within the search radius: report zero.
-    STTRAM_OBS_ADD("tail.margin_evaluations", margin_evals.load());
+    STTRAM_OBS_ADD("tail.margin_evaluations", margin_evals);
     out.estimate.trials = trials;
     return out;
   }
   double r2 = 0.0;
   for (const double v : out.design_point) r2 += v * v;
   out.design_radius = std::sqrt(r2);
-  if (config.use_batch) {
-    TailKernelConfig kc;
-    kc.nominal = MtjParams::paper_calibrated();
-    kc.sigma_common = config.variation.sigma_common;
-    kc.sigma_tmr = config.variation.sigma_tmr;
-    kc.sigma_access = config.sigma_access;
-    kc.sigma_beta = config.sigma_beta;
-    kc.sigma_alpha = config.sigma_alpha;
-    kc.selfref = config.selfref;
-    kc.beta = solved.beta;
-    const TailBatchKernel kernel = TailBatchKernel::build(kc);
-    const double threshold = config.threshold.value();
-    out.estimate = importance_sample_blocked(
-        seed, trials, out.design_point,
-        [&](const GaussianBlock& block, std::size_t, std::uint8_t* fails) {
-          thread_local std::vector<double> margin;
-          if (margin.size() < block.size) margin.resize(block.size);
-          kernel.margins_min(block, margin.data());
-          for (std::size_t lane = 0; lane < block.size; ++lane) {
-            fails[lane] = (margin[lane] - threshold) < 0.0 ? 1 : 0;
-          }
-        },
-        executor,
-        config.block_size == 0 ? kMcBlockSize : config.block_size);
-    // Counter parity with the scalar path, whose predicate evaluates the
-    // margin once per sampling trial.
-    STTRAM_OBS_ADD("tail.margin_evaluations", margin_evals.load() + trials);
-  } else {
-    out.estimate = importance_sample(
-        seed, trials, out.design_point,
-        [&](const std::vector<double>& z) { return g(z) < 0.0; }, executor);
-    STTRAM_OBS_ADD("tail.margin_evaluations", margin_evals.load());
-  }
+  TailKernelConfig kc;
+  kc.nominal = MtjParams::paper_calibrated();
+  kc.sigma_common = config.variation.sigma_common;
+  kc.sigma_tmr = config.variation.sigma_tmr;
+  kc.sigma_access = config.sigma_access;
+  kc.sigma_beta = config.sigma_beta;
+  kc.sigma_alpha = config.sigma_alpha;
+  kc.selfref = config.selfref;
+  kc.beta = solved.beta;
+  const TailBatchKernel kernel = TailBatchKernel::build(kc);
+  const double threshold = config.threshold.value();
+  out.estimate = importance_sample_blocked(
+      seed, trials, out.design_point,
+      [&](const GaussianBlock& block, std::size_t, std::uint8_t* fails) {
+        thread_local std::vector<double> margin;
+        if (margin.size() < block.size) margin.resize(block.size);
+        kernel.margins_min(block, margin.data());
+        for (std::size_t lane = 0; lane < block.size; ++lane) {
+          fails[lane] = (margin[lane] - threshold) < 0.0 ? 1 : 0;
+        }
+      },
+      executor);
+  // The sampling phase evaluates the margin once per trial.
+  STTRAM_OBS_ADD("tail.margin_evaluations", margin_evals + trials);
   out.expected_failures_16kb = out.estimate.probability * 16384.0;
   return out;
 }

@@ -23,14 +23,6 @@ struct TailConfig {
   SelfRefConfig selfref{};
   double beta = 0.0;             ///< 0 = nominal paper_beta()
   Volt threshold{8e-3};          ///< sense-amp requirement
-  /// Batched SoA margin kernel for the sampling phase (default) vs the
-  /// scalar per-trial predicate (`sttram_cli tail --no-batch`).  The two
-  /// paths are bit-identical (regression-tested).
-  bool use_batch = true;
-  /// Trials per SoA block in the batched sampling phase; 0 = the default
-  /// kMcBlockSize.  The estimate is invariant under this value
-  /// (regression-tested) — it is purely a cache-blocking knob.
-  std::size_t block_size = 0;
 };
 
 /// Number of standard-normal coordinates in the variation space.

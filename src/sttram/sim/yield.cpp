@@ -34,26 +34,9 @@ void record(SchemeYield& y, const SenseMargins& m, Volt required,
   }
 }
 
-void record_all(YieldResult& result,
-                const std::vector<std::array<SenseMargins, 4>>& cell_margins,
-                const YieldConfig& config, std::size_t keep_every) {
-  // Serial accumulation in row-major order: RunningStats and the scatter
-  // subsampling are order-sensitive, so this pass is what keeps the
-  // result bit-identical for any thread count.
-  for (const auto& margins : cell_margins) {
-    record(result.conventional, margins[0], config.required_margin,
-           keep_every, config.keep_per_bit_margins);
-    record(result.reference_cell, margins[1], config.required_margin,
-           keep_every, config.keep_per_bit_margins);
-    record(result.destructive, margins[2], config.required_margin,
-           keep_every, config.keep_per_bit_margins);
-    record(result.nondestructive, margins[3], config.required_margin,
-           keep_every, config.keep_per_bit_margins);
-  }
-}
-
-/// SoA variant for the batched path: same per-cell record order, reading
-/// the kernel's margin rows (same doubles, different layout).
+/// Serial accumulation in row-major order: RunningStats and the scatter
+/// subsampling are order-sensitive, so this pass is what keeps the
+/// result bit-identical for any thread count.
 void record_all(YieldResult& result, const YieldMarginsSoA& frame,
                 const YieldConfig& config, std::size_t keep_every) {
   for (std::size_t i = 0; i < frame.cells; ++i) {
@@ -76,7 +59,16 @@ std::size_t scatter_keep_every(const YieldConfig& config, std::size_t cells) {
              : cells / config.max_scatter_points;
 }
 
-void sample_die_factor(const YieldConfig& config, YieldResult& result) {
+/// The batched SoA path: per-block variation sampling fused with the
+/// four-scheme closed-form kernel, operating points memoized in the op
+/// cache.  Bit-identical to the class-based per-cell path (see DESIGN.md
+/// §14 for the argument; tests/test_mc_batch.cpp checks it against the
+/// oracle in tests/mc_oracle.cpp).
+YieldResult run_yield_batched(const YieldConfig& config,
+                              ParallelExecutor* executor) {
+  const MtjParams nominal = MtjParams::paper_calibrated();
+
+  YieldResult result;
   // Die-level common factor: every MTJ on this chip (data and reference
   // cells) shares it; within-die variation samples around it.
   if (config.die_sigma > 0.0) {
@@ -84,146 +76,17 @@ void sample_die_factor(const YieldConfig& config, YieldResult& result) {
     result.die_factor =
         sample_lognormal_median(die_stream, 1.0, config.die_sigma);
   }
-}
+  const MtjParams die_nominal = nominal.scaled(result.die_factor, 1.0);
+  const MtjVariationModel variation(die_nominal, config.variation);
 
-void name_schemes(YieldResult& result) {
   result.conventional.scheme = "conventional";
   result.reference_cell.scheme = "reference-cell";
   result.destructive.scheme = "destructive self-ref";
   result.nondestructive.scheme = "nondestructive self-ref";
-}
-
-/// The original per-cell scalar path, kept verbatim as the differential
-/// oracle behind YieldConfig::use_batch = false (`--no-batch`).
-YieldResult run_yield_scalar(const YieldConfig& config,
-                             ParallelExecutor* executor) {
-  const MtjParams nominal = MtjParams::paper_calibrated();
-
-  YieldResult result;
-  sample_die_factor(config, result);
-  const MtjParams die_nominal = nominal.scaled(result.die_factor, 1.0);
-  const MtjVariationModel variation(die_nominal, config.variation);
-  const MemoryArray array(config.geometry, variation, config.sigma_access,
-                          config.seed);
-
-  name_schemes(result);
-
-  // Designed betas come from the nominal device unless overridden.
-  const FixedAccessResistor nominal_access(Ohm(917.0));
-  const LinearRiModel nominal_model(nominal);
-  const DestructiveSelfReference nominal_destructive(
-      nominal_model, nominal_access, config.selfref);
-  const NondestructiveSelfReference nominal_nondestructive(
-      nominal_model, nominal_access, config.selfref);
-  result.beta_destructive = config.beta_destructive > 0.0
-                                ? config.beta_destructive
-                                : nominal_destructive.paper_beta();
-  result.beta_nondestructive = config.beta_nondestructive > 0.0
-                                   ? config.beta_nondestructive
-                                   : nominal_nondestructive.paper_beta();
-
-  // Shared reference from the nominal device, as a real design would.
-  const ConventionalSensing nominal_conventional(nominal_model,
-                                                 nominal_access,
-                                                 config.selfref.i_max);
-  result.shared_v_ref = nominal_conventional.midpoint_reference();
-  result.shared_reference_window =
-      array.shared_reference_window(config.selfref.i_max);
-
-  const std::size_t cells = config.geometry.cell_count();
-  const std::size_t keep_every = scatter_keep_every(config, cells);
-
-  // Per-column peripheral mismatch streams.
-  const Xoshiro256 column_master(config.seed ^ 0x5741524d5454536bULL);
-  std::vector<double> col_beta_dev(config.geometry.cols, 0.0);
-  std::vector<double> col_alpha_dev(config.geometry.cols, 0.0);
-  std::vector<double> col_vref_err(config.geometry.cols, 0.0);
-  std::vector<MtjParams> col_ref_p(config.geometry.cols);
-  std::vector<MtjParams> col_ref_ap(config.geometry.cols);
-  for (std::size_t c = 0; c < config.geometry.cols; ++c) {
-    Xoshiro256 stream = column_master.fork(c);
-    col_beta_dev[c] = sample_normal(stream, 0.0, config.sigma_beta);
-    col_alpha_dev[c] = sample_normal(stream, 0.0, config.sigma_alpha);
-    col_vref_err[c] =
-        sample_normal(stream, 0.0, config.sigma_vref.value());
-    // The column's reference pair: two more devices from the same die.
-    col_ref_p[c] = variation.sample(stream);
-    col_ref_ap[c] = variation.sample(stream);
-  }
-
-  // Per-cell margin computation for all four schemes.  Pure function of
-  // the pre-sampled array and column streams — no RNG, no shared writes —
-  // so cells can be evaluated in any order (or concurrently).
-  const auto compute_cell = [&](std::size_t idx) {
-    const std::size_t row = idx / config.geometry.cols;
-    const std::size_t col = idx % config.geometry.cols;
-    const ArrayCell& cell = array.cell(row, col);
-    const LinearRiModel model(cell.params);
-    const FixedAccessResistor access(cell.r_access);
-
-    std::array<SenseMargins, 4> margins;
-    // Conventional sensing against the shared reference (with the
-    // column's reference-distribution error).
-    const ConventionalSensing conv(model, access, config.selfref.i_max);
-    const Volt v_ref = result.shared_v_ref + Volt(col_vref_err[col]);
-    margins[0] = conv.margins(v_ref);
-
-    // Reference-cell sensing against the column's reference pair.
-    const LinearRiModel ref_p_model(col_ref_p[col]);
-    const LinearRiModel ref_ap_model(col_ref_ap[col]);
-    const ReferenceCellSensing ref_cell(model, access, ref_p_model,
-                                        ref_ap_model, config.selfref.i_max);
-    margins[1] = ref_cell.margins();
-
-    SchemeMismatch mm;
-    mm.beta_deviation = col_beta_dev[col];
-    const DestructiveSelfReference destructive(model, access,
-                                               config.selfref);
-    margins[2] = destructive.margins(result.beta_destructive, mm);
-
-    mm.alpha_deviation = col_alpha_dev[col];
-    const NondestructiveSelfReference nondestructive(model, access,
-                                                     config.selfref);
-    margins[3] = nondestructive.margins(result.beta_nondestructive, mm);
-    return margins;
-  };
-
-  std::vector<std::array<SenseMargins, 4>> cell_margins(cells);
-  if (executor != nullptr && executor->thread_count() > 1) {
-    executor->for_chunks(
-        cells, [&](std::size_t, std::size_t begin, std::size_t end) {
-          for (std::size_t idx = begin; idx < end; ++idx) {
-            cell_margins[idx] = compute_cell(idx);
-          }
-        });
-  } else {
-    for (std::size_t idx = 0; idx < cells; ++idx) {
-      cell_margins[idx] = compute_cell(idx);
-    }
-  }
-
-  record_all(result, cell_margins, config, keep_every);
-  return result;
-}
-
-/// The batched SoA path (default): per-block variation sampling fused
-/// with the four-scheme closed-form kernel, operating points memoized in
-/// the op cache.  Bit-identical to run_yield_scalar (see DESIGN.md §14
-/// for the argument; test_mc_batch.cpp for the proof).
-YieldResult run_yield_batched(const YieldConfig& config,
-                              ParallelExecutor* executor) {
-  const MtjParams nominal = MtjParams::paper_calibrated();
-
-  YieldResult result;
-  sample_die_factor(config, result);
-  const MtjParams die_nominal = nominal.scaled(result.die_factor, 1.0);
-  const MtjVariationModel variation(die_nominal, config.variation);
-
-  name_schemes(result);
 
   // Designed operating points from the thread-shard-local op cache —
   // pure functions of the nominal device and read setup, so a hit
-  // returns exactly the value the scalar path derives inline.
+  // returns exactly the value the scheme classes derive.
   const Ohm r_access_nominal(917.0);
   result.beta_destructive =
       config.beta_destructive > 0.0
@@ -241,8 +104,8 @@ YieldResult run_yield_batched(const YieldConfig& config,
   const std::size_t cells = config.geometry.cell_count();
   const std::size_t keep_every = scatter_keep_every(config, cells);
 
-  // Per-column peripheral mismatch streams — identical draws to the
-  // scalar path, staged directly into the kernel's input tables.
+  // Per-column peripheral mismatch streams, staged directly into the
+  // kernel's input tables.
   const Xoshiro256 column_master(config.seed ^ 0x5741524d5454536bULL);
   YieldKernelInputs inputs;
   inputs.selfref = config.selfref;
@@ -334,9 +197,7 @@ YieldResult run_yield_experiment(const YieldConfig& config,
   STTRAM_PROFILE_SCOPE("yield.experiment");
   const bool metered = obs::metrics_enabled();
   const auto t_begin = std::chrono::steady_clock::now();
-  YieldResult result = config.use_batch
-                           ? run_yield_batched(config, executor)
-                           : run_yield_scalar(config, executor);
+  YieldResult result = run_yield_batched(config, executor);
   if (metered) {
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

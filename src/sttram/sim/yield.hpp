@@ -71,11 +71,6 @@ struct YieldConfig {
   /// the fault/BER overlay.  Off by default; turning it on changes no
   /// other output field (regression-tested).
   bool keep_per_bit_margins = false;
-  /// Batched SoA margin kernel (default) vs the per-cell scalar solve
-  /// (`sttram_cli yield --no-batch`).  The two paths are bit-identical
-  /// (regression-tested); the scalar one is kept as the differential
-  /// oracle.
-  bool use_batch = true;
 };
 
 /// Result across the four schemes.

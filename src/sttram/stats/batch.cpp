@@ -8,44 +8,11 @@
 namespace sttram {
 namespace {
 
-/// Walks the ISA ladder down from `isa` to the widest compiled-in width.
-StatsSimdKernels resolve_stats_kernels(SimdIsa isa) {
-  const StatsSimdKernels* t = nullptr;
-  switch (isa) {
-    case SimdIsa::kAvx512:
-      t = stats_simd_kernels_w8();
-      if (t != nullptr) break;
-      [[fallthrough]];
-    case SimdIsa::kAvx2:
-      t = stats_simd_kernels_w4();
-      if (t != nullptr) break;
-      [[fallthrough]];
-    case SimdIsa::kSse2:
-    case SimdIsa::kNeon:
-      t = stats_simd_kernels_w2();
-      break;
-    case SimdIsa::kScalar:
-      break;
-  }
-  if (t != nullptr) return *t;
-  StatsSimdKernels scalar;
-  scalar.polar_tail = [](const double* u, const double* s, const double* t2,
-                         std::size_t n, double* out) {
-    for (std::size_t k = 0; k < n; ++k) {
-      out[k] = simd_detail::polar_tail_lane(u[k], s[k], t2[k]);
-    }
-  };
-  scalar.gaussian_axis = [](const double* u, const double* s,
-                            const double* t2, double shift, std::size_t n,
-                            double* z_row, double* dot) {
-    for (std::size_t k = 0; k < n; ++k) {
-      const double zi = shift + simd_detail::polar_tail_lane(u[k], s[k],
-                                                             t2[k]);
-      z_row[k] = zi;
-      dot[k] += shift * zi;
-    }
-  };
-  return scalar;
+const StatsSimdKernels& stats_kernels() {
+  static const StatsSimdKernels kW1{&simd_detail::polar_tail_simd<1>,
+                                    &simd_detail::gaussian_axis_simd<1>};
+  return pick_simd_table(active_simd_isa(), &kW1, stats_simd_kernels_w2(),
+                         stats_simd_kernels_w4(), stats_simd_kernels_w8());
 }
 
 }  // namespace
@@ -65,7 +32,7 @@ void stage_polar_pair(Xoshiro256& rng, double* u_out, double* s_out) {
 
 void polar_tail(const double* u, const double* s, const double* t,
                 std::size_t n, double* out) {
-  resolve_stats_kernels(active_simd_isa()).polar_tail(u, s, t, n, out);
+  stats_kernels().polar_tail(u, s, t, n, out);
 }
 
 void fill_shifted_gaussian_block(const Xoshiro256& master,
@@ -89,8 +56,7 @@ void fill_shifted_gaussian_block(const Xoshiro256& master,
                        &s_rows[d * out.capacity + lane]);
     }
   }
-  const GaussianAxisFn axis_fn =
-      resolve_stats_kernels(active_simd_isa()).gaussian_axis;
+  const GaussianAxisFn axis_fn = stats_kernels().gaussian_axis;
   for (std::size_t lane = 0; lane < count; ++lane) out.dot[lane] = 0.0;
   for (std::size_t d = 0; d < out.dim; ++d) {
     const double* s_row = &s_rows[d * out.capacity];

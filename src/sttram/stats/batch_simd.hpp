@@ -1,5 +1,5 @@
-// Per-width instantiations of the Gaussian-fill vector tails
-// (stats/batch.cpp dispatches on active_simd_isa()).
+// Width-generic Gaussian-fill value tails (stats/batch.cpp dispatches on
+// active_simd_isa()).
 //
 // The Marsaglia polar sampler splits into three stages: (1) the rejection
 // loop, which consumes the rng stream and must stay scalar per lane to
@@ -9,12 +9,14 @@
 // rounded arithmetic and vectorizes bit-identically.  These templates
 // implement stage 3 — given staged u, s and t = log(s) rows — plus the
 // fused importance-sampling axis fill z = shift + n, dot += shift * z.
+// Both keep the association of sample_standard_normal's return
+// expression `u * std::sqrt(-2.0 * std::log(s) / s)`.
 //
-// Instantiated only in batch_w{2,4,8}.cpp, compiled with the matching
-// -m flags and -ffp-contract=off (see DESIGN.md §15).
+// Instantiated at W = 1 in batch.cpp (the `scalar` target) and at
+// W = 2/4/8 in batch_w{2,4,8}.cpp, compiled with the matching -m flags
+// (see DESIGN.md §15).
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 
 #include "sttram/common/simd.hpp"
@@ -42,47 +44,30 @@ const StatsSimdKernels* stats_simd_kernels_w8();
 
 namespace simd_detail {
 
-/// The scalar polar tail — exactly sample_standard_normal's return
-/// expression `u * std::sqrt(-2.0 * std::log(s) / s)` with log(s)
-/// precomputed (tail lanes and the kScalar targets share it).
-inline double polar_tail_lane(double u, double s, double t) {
-  return u * std::sqrt(-2.0 * t / s);
-}
-
 template <int W>
 void polar_tail_simd(const double* u, const double* s, const double* t,
                      std::size_t n, double* out) {
-  using V = simd::Vec<W>;
-  const V m2 = V::splat(-2.0);
-  std::size_t k = 0;
-  for (; k + W <= n; k += W) {
-    const V vs = V::load(s + k);
-    const V vn = V::load(u + k) * vsqrt(m2 * V::load(t + k) / vs);
+  simd::for_each_strip<W>(n, [&]<int L>(std::size_t k, simd::Lanes<L>) {
+    using V = simd::Vec<L>;
+    const V vn =
+        V::load(u + k) * vsqrt(V::splat(-2.0) * V::load(t + k) / V::load(s + k));
     vn.store(out + k);
-  }
-  for (; k < n; ++k) out[k] = polar_tail_lane(u[k], s[k], t[k]);
+  });
 }
 
 template <int W>
 void gaussian_axis_simd(const double* u, const double* s, const double* t,
                         double shift, std::size_t n, double* z_row,
                         double* dot) {
-  using V = simd::Vec<W>;
-  const V m2 = V::splat(-2.0);
-  const V vshift = V::splat(shift);
-  std::size_t k = 0;
-  for (; k + W <= n; k += W) {
-    const V vs = V::load(s + k);
-    const V vn = V::load(u + k) * vsqrt(m2 * V::load(t + k) / vs);
+  simd::for_each_strip<W>(n, [&]<int L>(std::size_t k, simd::Lanes<L>) {
+    using V = simd::Vec<L>;
+    const V vshift = V::splat(shift);
+    const V vn =
+        V::load(u + k) * vsqrt(V::splat(-2.0) * V::load(t + k) / V::load(s + k));
     const V z = vshift + vn;
     z.store(z_row + k);
     (V::load(dot + k) + vshift * z).store(dot + k);
-  }
-  for (; k < n; ++k) {
-    const double zi = shift + polar_tail_lane(u[k], s[k], t[k]);
-    z_row[k] = zi;
-    dot[k] += shift * zi;
-  }
+  });
 }
 
 }  // namespace simd_detail

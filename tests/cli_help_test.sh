@@ -8,8 +8,9 @@
 # 2. Every `--flag` string literal the source's parsers accept must
 #    appear in that help text — a flag you can pass but cannot discover
 #    is a documentation bug.
-# 3. Usage errors exit 2: unknown commands, unknown campaign verbs and
-#    unknown campaign flags all refuse with the documented status.
+# 3. Usage errors exit 2: unknown commands, unknown campaign verbs,
+#    unknown campaign flags and malformed yield/tail arguments all refuse
+#    with the documented status.
 set -eu
 
 cli="$1"
@@ -90,6 +91,27 @@ expect_exit2 "$cli" campaign verify /nonexistent.json
 # environment variable — both must refuse with status 2.
 expect_exit2 "$cli" --simd bogus stats
 expect_exit2 env STTRAM_SIMD=bogus "$cli" stats
+
+# Malformed Monte-Carlo arguments are usage errors too: every number must
+# be consumed whole, finite and in range (rows/cols >= 1 and given
+# together, sigma / margin / --faults >= 0, --retry an integer >= 1), and
+# flags the commands no longer take are unknown flags.
+expect_exit2 "$cli" yield abc 7
+expect_exit2 "$cli" yield 0 0
+expect_exit2 "$cli" yield 64
+expect_exit2 "$cli" yield 64 64 0.06junk
+expect_exit2 "$cli" yield 16 16 nan
+expect_exit2 "$cli" yield 16 16 -0.1
+expect_exit2 "$cli" yield 16 16 0.06 7
+expect_exit2 "$cli" yield 16 16 --faults abc
+expect_exit2 "$cli" yield 16 16 --faults 0.01 --retry 2x
+expect_exit2 "$cli" yield 16 16 --faults 0.01 --retry 0
+expect_exit2 "$cli" yield --no-batch
+expect_exit2 "$cli" tail abc
+expect_exit2 "$cli" tail 8x
+expect_exit2 "$cli" tail -1
+expect_exit2 "$cli" tail 8 9
+expect_exit2 "$cli" tail --no-batch
 
 count="$(echo "$flags" | wc -l)"
 [ "$status" -eq 0 ] && echo "OK: help texts identical, $count flags documented, usage errors exit 2"

@@ -1,12 +1,14 @@
-// Batched SoA Monte-Carlo kernels vs the scalar paths: the differential
-// bit-identity proof behind YieldConfig::use_batch / TailConfig::use_batch
-// (DESIGN.md §14), plus the operating-point cache's correctness contract.
+// Batched SoA Monte-Carlo kernels vs the class-based per-cell oracle
+// (mc_oracle.hpp): the differential bit-identity proof behind the yield,
+// tail, Gaussian-fill and Simmons kernels for every SIMD ISA (DESIGN.md
+// §14-§15), plus the operating-point cache's correctness contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
+#include "mc_oracle.hpp"
 #include "sttram/cell/array.hpp"
 #include "sttram/common/error.hpp"
 #include "sttram/common/simd.hpp"
@@ -83,19 +85,27 @@ void expect_tail_equal(const TailEstimate& a, const TailEstimate& b) {
   EXPECT_EQ(a.expected_failures_16kb, b.expected_failures_16kb);
 }
 
-// -------------------------------------------- yield: batched vs scalar
-
-YieldResult run_with(const YieldConfig& base, bool batch,
-                     ParallelExecutor* executor = nullptr) {
-  YieldConfig cfg = base;
-  cfg.use_batch = batch;
-  return run_yield_experiment(cfg, executor);
+/// Synthetic linear failure surface for the importance-weight checks:
+/// fail when z0 + 0.5 z1 > 2.5, per trial and per block.
+bool linear_fails(const std::vector<double>& z) {
+  return z[0] + 0.5 * z[1] > 2.5;
 }
+
+void linear_block_fails(const GaussianBlock& block, std::size_t,
+                        std::uint8_t* fails) {
+  const double* z0 = block.axis(0);
+  const double* z1 = block.axis(1);
+  for (std::size_t lane = 0; lane < block.size; ++lane) {
+    if (z0[lane] + 0.5 * z1[lane] > 2.5) fails[lane] = 1;
+  }
+}
+
+// -------------------------------------------- yield: batched vs oracle
 
 TEST(McBatchYield, BitIdenticalToScalarAcrossCorners) {
   // Default corner, hot corner, off-center die, scatter subsampling, and
   // the per-bit-margin overlay all take the same code paths the campaign
-  // goldens gate — each must match the scalar oracle double for double.
+  // goldens gate — each must match the per-cell oracle double for double.
   std::vector<YieldConfig> corners(5);
   corners[0].geometry = {24, 32};
   corners[1].geometry = {24, 32};
@@ -108,7 +118,7 @@ TEST(McBatchYield, BitIdenticalToScalarAcrossCorners) {
   corners[4].keep_per_bit_margins = true;
   corners[4].beta_destructive = 1.22;  // explicit override path
   for (const YieldConfig& cfg : corners) {
-    expect_yield_equal(run_with(cfg, true), run_with(cfg, false));
+    expect_yield_equal(oracle::run_yield(cfg), run_yield_experiment(cfg));
   }
 }
 
@@ -116,78 +126,51 @@ TEST(McBatchYield, ThreadCountBitIdentity) {
   YieldConfig cfg;
   cfg.geometry = {32, 48};
   cfg.keep_per_bit_margins = true;
-  const YieldResult serial = run_with(cfg, true);
+  const YieldResult serial = run_yield_experiment(cfg);
   for (const std::size_t threads : {1u, 2u, 8u}) {
     ThreadPool pool(threads);
-    expect_yield_equal(serial, run_with(cfg, true, &pool));
-    expect_yield_equal(serial, run_with(cfg, false, &pool));
+    expect_yield_equal(serial, run_yield_experiment(cfg, &pool));
+    expect_yield_equal(serial, oracle::run_yield(cfg, &pool));
   }
 }
 
-// --------------------------------------------- tail: batched vs scalar
+// --------------------------------------------- tail: batched vs oracle
 
 TEST(McBatchTail, BitIdenticalToScalarAcrossThresholdsAndThreads) {
   for (const double threshold_mv : {6.0, 8.0, 10.0}) {
     TailConfig cfg;
     cfg.threshold = Volt(threshold_mv * 1e-3);
-    cfg.use_batch = true;
-    TailConfig scalar = cfg;
-    scalar.use_batch = false;
     const TailEstimate batched = estimate_margin_tail(cfg, 7, 4000);
-    expect_tail_equal(batched, estimate_margin_tail(scalar, 7, 4000));
+    expect_tail_equal(oracle::estimate_tail(cfg, 7, 4000), batched);
     for (const std::size_t threads : {2u, 8u}) {
       ThreadPool pool(threads);
       expect_tail_equal(batched, estimate_margin_tail(cfg, 7, 4000, &pool));
       expect_tail_equal(batched,
-                        estimate_margin_tail(scalar, 7, 4000, &pool));
+                        oracle::estimate_tail(cfg, 7, 4000, &pool));
     }
-  }
-}
-
-TEST(McBatchTail, EstimateInvariantUnderBlockSize) {
-  TailConfig base;
-  base.use_batch = true;
-  base.block_size = 0;  // default kMcBlockSize
-  const TailEstimate reference = estimate_margin_tail(base, 3, 3000);
-  for (const std::size_t block : {std::size_t{1}, std::size_t{8},
-                                  std::size_t{64}, std::size_t{3000}}) {
-    TailConfig cfg = base;
-    cfg.block_size = block;
-    expect_tail_equal(reference, estimate_margin_tail(cfg, 3, 3000));
   }
 }
 
 // ------------------------------------- importance weights: block sizes
 
 TEST(McBatchImportance, WeightsInvariantUnderBlockSizeAndThreads) {
-  // Synthetic linear failure surface: fail when z0 + 0.5 z1 > 2.5.
   const std::vector<double> shift = {2.0, 1.0, 0.0};
-  const auto scalar_fails = [](const std::vector<double>& z) {
-    return z[0] + 0.5 * z[1] > 2.5;
-  };
-  const auto block_fails = [](const GaussianBlock& block, std::size_t,
-                              std::uint8_t* fails) {
-    const double* z0 = block.axis(0);
-    const double* z1 = block.axis(1);
-    for (std::size_t lane = 0; lane < block.size; ++lane) {
-      if (z0[lane] + 0.5 * z1[lane] > 2.5) fails[lane] = 1;
-    }
-  };
   const std::size_t trials = 5000;
   const ImportanceEstimate reference =
-      importance_sample(11, trials, shift, scalar_fails);
+      importance_sample(11, trials, shift, linear_fails);
   EXPECT_GT(reference.hits, 0u);
   for (const std::size_t block : {std::size_t{1}, std::size_t{8},
                                   std::size_t{64}, std::size_t{0}}) {
     expect_estimate_equal(reference,
                           importance_sample_blocked(11, trials, shift,
-                                                    block_fails, nullptr,
-                                                    block));
+                                                    linear_block_fails,
+                                                    nullptr, block));
   }
   ThreadPool pool(4);
-  expect_estimate_equal(
-      reference,
-      importance_sample_blocked(11, trials, shift, block_fails, &pool, 64));
+  expect_estimate_equal(reference,
+                        importance_sample_blocked(11, trials, shift,
+                                                  linear_block_fails, &pool,
+                                                  64));
 }
 
 // ------------------------------------------------------------ op cache
@@ -253,10 +236,10 @@ TEST(OpCache, ColdVsWarmCacheDeterminism) {
   YieldConfig cfg;
   cfg.geometry = {16, 24};
   OpCache::local_shard().clear();
-  const YieldResult cold = run_with(cfg, true);  // serial: this thread's shard
+  const YieldResult cold = run_yield_experiment(cfg);  // this thread's shard
   const OpCacheStats after_cold = OpCache::local_shard().stats();
   EXPECT_GT(after_cold.misses, 0u);
-  const YieldResult warm = run_with(cfg, true);
+  const YieldResult warm = run_yield_experiment(cfg);
   const OpCacheStats after_warm = OpCache::local_shard().stats();
   EXPECT_GT(after_warm.hits, after_cold.hits);
   expect_yield_equal(cold, warm);
@@ -309,9 +292,9 @@ TEST(McBatchObs, MetricsOnVsOffBitIdentityAndCounters) {
   YieldConfig cfg;
   cfg.geometry = {16, 32};
   obs::set_metrics_enabled(false);
-  const YieldResult off = run_with(cfg, true);
+  const YieldResult off = run_yield_experiment(cfg);
   obs::set_metrics_enabled(true);
-  const YieldResult on = run_with(cfg, true);
+  const YieldResult on = run_yield_experiment(cfg);
   const TailEstimate tail_on = estimate_margin_tail(TailConfig{}, 5, 1000);
   obs::set_metrics_enabled(false);
   const TailEstimate tail_off = estimate_margin_tail(TailConfig{}, 5, 1000);
@@ -398,60 +381,72 @@ TEST(McSimd, ParseAndOverrideValidation) {
 }
 
 TEST(McSimd, ForcedIsaMatrixBitIdenticalToScalar) {
-  // Every vector ISA the host can run must reproduce the forced-scalar
-  // results double for double — yield, tail, and importance weights —
-  // cold and warm op cache, serial and on 1/2/8 worker threads.
-  YieldConfig ycfg;
-  ycfg.geometry = {16, 32};
-  ycfg.keep_per_bit_margins = true;
-  TailConfig tcfg;
-  tcfg.use_batch = true;
+  // Every ISA the host can run, `scalar` (the W = 1 instantiation)
+  // included, must reproduce the class-based oracle double for double:
+  // yield, tail, importance weights and the Simmons Newton, cold and warm
+  // op cache, serial and on 1/2/3/8 worker threads.  The sizes leave
+  // remainders at every width, so the W = 1 lanes inside the wider
+  // kernels run too: column counts that wrap mid-strip, 3001 trials (a
+  // partial last block) and a 29-point Simmons grid.
+  std::vector<YieldConfig> ycfgs(4);
+  ycfgs[0].geometry = {16, 32};
+  ycfgs[1].geometry = {7, 13};
+  ycfgs[2].geometry = {5, 37};
+  ycfgs[3].geometry = {3, 129};
+  std::vector<YieldResult> y_oracle;
+  for (YieldConfig& cfg : ycfgs) {
+    cfg.keep_per_bit_margins = true;
+    y_oracle.push_back(oracle::run_yield(cfg));
+  }
+  const TailConfig tcfg;
+  const TailEstimate t_oracle = oracle::estimate_tail(tcfg, 7, 3001);
   const std::vector<double> shift = {2.0, 1.0, 0.0};
-  const auto block_fails = [](const GaussianBlock& block, std::size_t,
-                              std::uint8_t* fails) {
-    const double* z0 = block.axis(0);
-    const double* z1 = block.axis(1);
-    for (std::size_t lane = 0; lane < block.size; ++lane) {
-      if (z0[lane] + 0.5 * z1[lane] > 2.5) fails[lane] = 1;
-    }
-  };
-  const auto run_importance = [&] {
-    return importance_sample_blocked(11, 4000, shift, block_fails, nullptr,
-                                     64);
-  };
+  const ImportanceEstimate i_oracle =
+      importance_sample(11, 3001, shift, linear_fails);
+  const SimmonsRiModel simmons =
+      SimmonsRiModel::calibrated_to(MtjParams::paper_calibrated());
+  std::vector<double> grid = {0.0, 1e-9, 1e-7};
+  for (int k = 1; k <= 26; ++k) grid.push_back(2.3e-6 * k);
+  std::vector<double> v_batch(grid.size());
 
-  const YieldResult y_scalar = [&] {
-    ScopedSimdIsa forced(SimdIsa::kScalar);
-    return run_with(ycfg, true);
-  }();
-  const TailEstimate t_scalar = [&] {
-    ScopedSimdIsa forced(SimdIsa::kScalar);
-    return estimate_margin_tail(tcfg, 7, 3000);
-  }();
-  const ImportanceEstimate i_scalar = [&] {
-    ScopedSimdIsa forced(SimdIsa::kScalar);
-    return run_importance();
-  }();
-
-  for (const SimdIsa isa : {SimdIsa::kSse2, SimdIsa::kNeon, SimdIsa::kAvx2,
-                            SimdIsa::kAvx512}) {
+  for (const SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kSse2, SimdIsa::kNeon,
+                            SimdIsa::kAvx2, SimdIsa::kAvx512}) {
     if (!simd_isa_supported(isa)) continue;
     SCOPED_TRACE(simd_isa_name(isa));
     ScopedSimdIsa forced(isa);
     OpCache::local_shard().clear();
-    expect_yield_equal(y_scalar, run_with(ycfg, true));  // cold op cache
-    expect_yield_equal(y_scalar, run_with(ycfg, true));  // warm op cache
-    expect_tail_equal(t_scalar, estimate_margin_tail(tcfg, 7, 3000));
-    expect_estimate_equal(i_scalar, run_importance());
-    for (const std::size_t threads : {1u, 2u, 8u}) {
+    expect_yield_equal(y_oracle[0], run_yield_experiment(ycfgs[0]));  // cold
+    for (std::size_t g = 0; g < ycfgs.size(); ++g) {
+      SCOPED_TRACE(g);
+      expect_yield_equal(y_oracle[g], run_yield_experiment(ycfgs[g]));
+    }
+    expect_tail_equal(t_oracle, estimate_margin_tail(tcfg, 7, 3001));
+    expect_estimate_equal(i_oracle,
+                          importance_sample_blocked(11, 3001, shift,
+                                                    linear_block_fails));
+    for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+      SCOPED_TRACE(threads);
       ThreadPool pool(threads);
-      expect_yield_equal(y_scalar, run_with(ycfg, true, &pool));
-      expect_tail_equal(t_scalar,
-                        estimate_margin_tail(tcfg, 7, 3000, &pool));
-      expect_estimate_equal(i_scalar,
-                            importance_sample_blocked(11, 4000, shift,
-                                                      block_fails, &pool,
-                                                      64));
+      for (std::size_t g = 0; g < ycfgs.size(); ++g) {
+        expect_yield_equal(y_oracle[g],
+                           run_yield_experiment(ycfgs[g], &pool));
+      }
+      expect_tail_equal(t_oracle,
+                        estimate_margin_tail(tcfg, 7, 3001, &pool));
+      expect_estimate_equal(i_oracle,
+                            importance_sample_blocked(11, 3001, shift,
+                                                      linear_block_fails,
+                                                      &pool));
+    }
+    for (const MtjState state :
+         {MtjState::kParallel, MtjState::kAntiParallel}) {
+      simmons.bias_voltage_batch(state, grid.data(), grid.size(),
+                                 v_batch.data());
+      for (std::size_t k = 0; k < grid.size(); ++k) {
+        EXPECT_EQ(v_batch[k],
+                  simmons.bias_voltage(state, Ampere(grid[k])).value())
+            << "lane " << k;
+      }
     }
   }
 }

@@ -68,18 +68,7 @@ for flag in --controller --channels --ranks --banks; do
   fi
 done
 
-# --- 4. batched-MC opt-out is documented ------------------------------
-# `yield --no-batch` / `tail --no-batch` fall back to the scalar MC
-# paths; the flag must be discoverable from README's CLI reference and
-# the design doc, not just --help.
-for doc in "$readme" "$root/DESIGN.md"; do
-  if ! grep -q -- "--no-batch" "$doc"; then
-    echo "FAIL: '--no-batch' missing from $(basename "$doc")" >&2
-    status=1
-  fi
-done
-
-# --- 5. SIMD ISA override is documented -------------------------------
+# --- 4. SIMD ISA override is documented -------------------------------
 # `--simd <isa>` / STTRAM_SIMD pin the runtime-dispatched kernel ISA;
 # both knobs must be discoverable from README and the design doc.
 for doc in "$readme" "$root/DESIGN.md"; do
