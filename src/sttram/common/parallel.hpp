@@ -11,7 +11,16 @@
 //   (b) perform any floating-point reduction serially, in index order,
 //       after for_chunks() returns.
 // Under those two rules results are bit-identical for every thread
-// count, including the inline serial fallback.
+// count, including the inline serial fallback.  Two patterns keep that
+// guarantee without following the partition (sim/yield.cpp uses both):
+//   (c) a body may ignore [begin, end) and claim work items from a
+//       shared atomic counter, when each item's output depends only on
+//       its index and lands in that item's own slot — which thread runs
+//       an item is then unobservable;
+//   (d) one chunk's body (say chunk 0) may run the in-order serial
+//       reduction of a buffer that no chunk of the same call writes,
+//       e.g. the previous call's output, so the reduction overlaps
+//       the other chunks' work instead of following it.
 #pragma once
 
 #include <algorithm>

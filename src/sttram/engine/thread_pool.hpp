@@ -8,6 +8,10 @@
 // the per-chunk work order depends on scheduling, load, or wall-clock
 // time, so a caller that writes disjoint state from the body and reduces
 // serially afterwards gets bit-identical results for every thread count.
+// The contract's two further patterns — claiming index-determined items
+// from a shared counter, and one chunk reducing a buffer no chunk of the
+// same call writes — hold here too: every call's writes happen-before
+// its return, hence before the next call's reads (common/parallel.hpp).
 //
 // Workers are started once in the constructor and parked on a condition
 // variable between calls; a for_chunks() call costs one notify_all plus

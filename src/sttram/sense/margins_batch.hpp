@@ -87,9 +87,11 @@ struct YieldKernelTables {
 /// s, bit b at r = 2*s + b; scheme order conventional, reference-cell,
 /// destructive, nondestructive) contiguous across cells, so a W-lane
 /// kernel retires each output with one contiguous vector store instead
-/// of an 8x8 in-register transpose.
+/// of an 8x8 in-register transpose.  Slot i holds the cell at row-major
+/// index `origin + i`: a whole array (origin 0) or one window of it.
 struct YieldMarginsSoA {
   std::size_t cells = 0;
+  std::size_t origin = 0;  ///< row-major index of the cell in slot 0
   std::array<aligned_vector<double>, 8> rows;
 
   void resize(std::size_t n) {
@@ -100,7 +102,7 @@ struct YieldMarginsSoA {
   [[nodiscard]] const double* row(std::size_t r) const {
     return rows[r].data();
   }
-  /// The four schemes' margins of one cell, in record order.
+  /// The four schemes' margins of the cell in slot i, in record order.
   [[nodiscard]] std::array<SenseMargins, 4> cell(std::size_t i) const {
     std::array<SenseMargins, 4> m;
     for (std::size_t s = 0; s < 4; ++s) {
@@ -126,16 +128,18 @@ class YieldBatchKernel {
 
   /// Solves lanes [0, block.size) for cells starting at row-major index
   /// `first_cell`.  Writes margins for the four schemes to
-  /// `out->row(r)[first_cell + lane]`, and folds each lane's second-read
-  /// bit-line voltages into the running shared-reference window bounds
-  /// `*max_low` / `*min_high`.
+  /// `out->row(r)[first_cell - out->origin + lane]`, and folds each
+  /// lane's second-read bit-line voltages into the running
+  /// shared-reference window bounds `*max_low` / `*min_high`.
   void solve(const VariationBlock& block, std::size_t first_cell,
              YieldMarginsSoA* out, double* max_low, double* min_high) const {
-    require(first_cell + block.size <= out->cells,
+    require(first_cell >= out->origin &&
+                first_cell - out->origin + block.size <= out->cells,
             "YieldBatchKernel: block exceeds the margin frame");
+    const std::size_t slot = first_cell - out->origin;
     double* out_rows[8];
     for (std::size_t r = 0; r < 8; ++r) {
-      out_rows[r] = out->row(r) + first_cell;
+      out_rows[r] = out->row(r) + slot;
     }
     fn_(tables_, block, first_cell, out_rows, max_low, min_high);
   }

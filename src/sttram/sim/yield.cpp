@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
+#include <functional>
 #include <limits>
 
 #include "sttram/common/error.hpp"
@@ -17,46 +19,67 @@
 namespace sttram {
 namespace {
 
-void record(SchemeYield& y, const SenseMargins& m, Volt required,
-            std::size_t keep_every, bool keep_per_bit) {
-  y.bits += 1;
-  y.sm0_stats.add(m.sm0.value());
-  y.sm1_stats.add(m.sm1.value());
-  const bool failed = m.min() < required;
-  if (failed) y.failures += 1;
-  STTRAM_OBS_COUNT("yield.margin_evaluations");
-  if (failed) STTRAM_OBS_COUNT("yield.margin_failures");
-  if (keep_every == 0 || (y.bits % keep_every) == 1 || keep_every == 1) {
-    y.scatter.emplace_back(m.sm0.value(), m.sm1.value());
+/// Cells per pipeline window.  Each of the two reused margin buffers
+/// holds 8 doubles per cell: 1 MiB at this size, whatever the array.
+constexpr std::size_t kWindowCells = 16384;
+
+/// Serial accumulation of one window, cell by cell in row-major order.
+/// RunningStats and the scatter subsampling are order-sensitive; every
+/// accumulator sees its values in the same order for any window split or
+/// thread count, which is what keeps the result bit-identical.
+void record_window(YieldResult& result, const YieldMarginsSoA& window,
+                   const YieldConfig& config, std::size_t keep_every) {
+  SchemeYield* const schemes[4] = {&result.conventional,
+                                   &result.reference_cell,
+                                   &result.destructive,
+                                   &result.nondestructive};
+  const double required = config.required_margin.value();
+  // SenseMargins::min(), operand order included (it fixes which zero a
+  // -0.0 / +0.0 pair yields).
+  const auto min_margin = [](double sm0, double sm1) {
+    return sm0 < sm1 ? sm0 : sm1;
+  };
+  std::size_t failures = 0;
+  for (std::size_t i = 0; i < window.cells; ++i) {
+    for (std::size_t s = 0; s < 4; ++s) {
+      SchemeYield& y = *schemes[s];
+      const double sm0 = window.row(2 * s)[i];
+      const double sm1 = window.row(2 * s + 1)[i];
+      y.sm0_stats.add(sm0);
+      y.sm1_stats.add(sm1);
+      if (min_margin(sm0, sm1) < required) {
+        ++y.failures;
+        ++failures;
+      }
+    }
   }
-  if (keep_per_bit) {
-    y.per_bit_min_margin.push_back(static_cast<float>(m.min().value()));
+  // Scatter points sit at every keep_every-th row-major index.
+  const std::size_t first_kept =
+      (keep_every - window.origin % keep_every) % keep_every;
+  for (std::size_t s = 0; s < 4; ++s) {
+    SchemeYield& y = *schemes[s];
+    const double* sm0 = window.row(2 * s);
+    const double* sm1 = window.row(2 * s + 1);
+    y.bits += window.cells;
+    for (std::size_t i = first_kept; i < window.cells; i += keep_every) {
+      y.scatter.emplace_back(sm0[i], sm1[i]);
+    }
+    if (config.keep_per_bit_margins) {
+      for (std::size_t i = 0; i < window.cells; ++i) {
+        y.per_bit_min_margin.push_back(
+            static_cast<float>(min_margin(sm0[i], sm1[i])));
+      }
+    }
   }
+  STTRAM_OBS_ADD("yield.margin_evaluations", 4 * window.cells);
+  STTRAM_OBS_ADD("yield.margin_failures", failures);
 }
 
-/// Serial accumulation in row-major order: RunningStats and the scatter
-/// subsampling are order-sensitive, so this pass is what keeps the
-/// result bit-identical for any thread count.
-void record_all(YieldResult& result, const YieldMarginsSoA& frame,
-                const YieldConfig& config, std::size_t keep_every) {
-  for (std::size_t i = 0; i < frame.cells; ++i) {
-    const std::array<SenseMargins, 4> margins = frame.cell(i);
-    record(result.conventional, margins[0], config.required_margin,
-           keep_every, config.keep_per_bit_margins);
-    record(result.reference_cell, margins[1], config.required_margin,
-           keep_every, config.keep_per_bit_margins);
-    record(result.destructive, margins[2], config.required_margin,
-           keep_every, config.keep_per_bit_margins);
-    record(result.nondestructive, margins[3], config.required_margin,
-           keep_every, config.keep_per_bit_margins);
-  }
-}
-
+/// Keeps every k-th cell with k = ceil(cells / max_scatter_points): at
+/// most that many points, exactly that many when it divides the cells.
 std::size_t scatter_keep_every(const YieldConfig& config, std::size_t cells) {
-  return (config.max_scatter_points == 0 ||
-          cells <= config.max_scatter_points)
-             ? 1
-             : cells / config.max_scatter_points;
+  const std::size_t max = config.max_scatter_points;
+  return (max == 0 || cells <= max) ? 1 : (cells - 1) / max + 1;
 }
 
 /// The batched SoA path: per-block variation sampling fused with the
@@ -129,62 +152,88 @@ YieldResult run_yield_batched(const YieldConfig& config,
   }
   const YieldBatchKernel kernel = YieldBatchKernel::build(inputs);
 
-  // Cache-blocked sweep: sample a block of cells into SoA arrays (the
-  // exact per-cell streams MemoryArray forks) and solve all lanes while
-  // the samples are L1-resident.  Chunks write disjoint margin slots and
-  // private window partials; the window merge and the record pass run
-  // serially in index order, so any thread count is bit-identical.
+  // Window pipeline.  Window j is sampled and solved into buffer j % 2
+  // by one for_chunks() dispatch whose chunks all claim 64-cell blocks
+  // from a shared counter: the samples are L1-resident when the kernel
+  // reads them, and a cell's margins depend only on its index (its
+  // stream is cell_master.fork(index)), never on the thread that
+  // computes it.  In the same dispatch chunk 0 first records window
+  // j - 1 from the other buffer, so the serial row-major reduction
+  // overlaps the other chunks' sampling instead of following it
+  // (common/parallel.hpp states both patterns).
   const Xoshiro256 cell_master(config.seed);
-  YieldMarginsSoA cell_margins;
-  cell_margins.resize(cells);
-  const bool parallel =
-      executor != nullptr && executor->thread_count() > 1;
-  const std::size_t chunks = parallel ? executor->thread_count() : 1;
+  const std::size_t windows = (cells + kWindowCells - 1) / kWindowCells;
+  std::array<YieldMarginsSoA, 2> buffers;
+  SerialExecutor serial;
+  ParallelExecutor& exec = executor != nullptr ? *executor : serial;
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> chunk_max_low(chunks, -kInf);
-  std::vector<double> chunk_min_high(chunks, kInf);
+  // Window bounds are min/max, exact in any order.  Each chunk folds its
+  // blocks in locals and stores its own cache line once per window.
+  struct alignas(64) WindowBounds {
+    double max_low = -kInf;
+    double min_high = kInf;
+  };
+  std::vector<WindowBounds> chunk_bounds(exec.thread_count());
+  struct alignas(64) BlockClaim {
+    std::atomic<std::size_t> next{0};
+  } claim;
   obs::HistogramMetric* block_hist =
       obs::metrics_enabled()
           ? &obs::Registry::instance().histogram("mc.block_seconds")
           : nullptr;
   STTRAM_OBS_SET_GAUGE("mc.batch_size", kMcBlockSize);
-  const auto run_range = [&](std::size_t chunk, std::size_t begin,
-                             std::size_t end) {
-    VariationBlock block;
-    double max_low = -kInf;
-    double min_high = kInf;
-    for (std::size_t b = begin; b < end; b += kMcBlockSize) {
-      const std::size_t count = std::min(end - b, kMcBlockSize);
-      const auto t0 = block_hist != nullptr
-                          ? std::chrono::steady_clock::now()
-                          : std::chrono::steady_clock::time_point{};
-      sample_variation_block(cell_master, variation,
-                             r_access_nominal.value(), config.sigma_access,
-                             b, count, block);
-      kernel.solve(block, b, &cell_margins, &max_low, &min_high);
-      if (block_hist != nullptr) {
-        block_hist->record(std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count());
-      }
-    }
-    chunk_max_low[chunk] = max_low;
-    chunk_min_high[chunk] = min_high;
-  };
-  if (parallel) {
-    executor->for_chunks(cells, run_range);
-  } else {
-    run_range(0, 0, cells);
+  std::size_t window = 0;
+  const std::function<void(std::size_t, std::size_t, std::size_t)> step =
+      [&](std::size_t chunk, std::size_t, std::size_t) {
+        if (chunk == 0 && window > 0) {
+          record_window(result, buffers[(window - 1) % 2], config,
+                        keep_every);
+        }
+        YieldMarginsSoA& out = buffers[window % 2];
+        const std::size_t blocks =
+            (out.cells + kMcBlockSize - 1) / kMcBlockSize;
+        VariationBlock block;
+        WindowBounds bounds = chunk_bounds[chunk];
+        for (;;) {
+          const std::size_t b =
+              claim.next.fetch_add(1, std::memory_order_relaxed);
+          if (b >= blocks) break;
+          const std::size_t first = out.origin + b * kMcBlockSize;
+          const std::size_t count =
+              std::min(out.cells - b * kMcBlockSize, kMcBlockSize);
+          const auto t0 = block_hist != nullptr
+                              ? std::chrono::steady_clock::now()
+                              : std::chrono::steady_clock::time_point{};
+          sample_variation_block(cell_master, variation,
+                                 r_access_nominal.value(),
+                                 config.sigma_access, first, count, block);
+          kernel.solve(block, first, &out, &bounds.max_low,
+                       &bounds.min_high);
+          if (block_hist != nullptr) {
+            block_hist->record(std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count());
+          }
+        }
+        chunk_bounds[chunk] = bounds;
+      };
+  for (; window < windows; ++window) {
+    YieldMarginsSoA& out = buffers[window % 2];
+    out.origin = window * kWindowCells;
+    out.resize(std::min(cells - out.origin, kWindowCells));
+    claim.next.store(0, std::memory_order_relaxed);
+    exec.for_chunks(exec.thread_count(), step);
+  }
+  if (windows > 0) {
+    record_window(result, buffers[(windows - 1) % 2], config, keep_every);
   }
   double max_low = -kInf;
   double min_high = kInf;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    max_low = std::max(max_low, chunk_max_low[c]);
-    min_high = std::min(min_high, chunk_min_high[c]);
+  for (const WindowBounds& b : chunk_bounds) {
+    max_low = std::max(max_low, b.max_low);
+    min_high = std::min(min_high, b.min_high);
   }
   result.shared_reference_window = Volt(min_high - max_low);
-
-  record_all(result, cell_margins, config, keep_every);
   return result;
 }
 

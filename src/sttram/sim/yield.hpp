@@ -64,8 +64,9 @@ struct YieldConfig {
   double beta_nondestructive = 0.0;    ///< 0 = use the scheme's paper_beta()
   Volt required_margin{8e-3};          ///< auto-zero amp requirement
   std::uint64_t seed = 20100308;       ///< DATE 2010 :-)
-  /// Keep at most this many scatter points per scheme (subsampled
-  /// deterministically); 0 keeps all.
+  /// Keep at most this many scatter points per scheme: every
+  /// ceil(cells / max_scatter_points)-th bit in row-major order, exactly
+  /// this many when it divides the cell count; 0 keeps all.
   std::size_t max_scatter_points = 0;
   /// Record every bit's min margin (SchemeYield::per_bit_min_margin) for
   /// the fault/BER overlay.  Off by default; turning it on changes no
@@ -90,10 +91,13 @@ struct YieldResult {
   double beta_nondestructive = 0.0;
 };
 
-/// Runs the full experiment.  Deterministic for a given config; with
-/// `executor` set, per-cell margins are computed in parallel and
-/// accumulated serially in row-major order, so the result is
-/// bit-identical for any thread count.
+/// Runs the full experiment.  Deterministic for a given config.  The
+/// array is swept in windows of 16 Ki cells through two reused margin
+/// buffers (at most 2 MiB, whatever the array size): every chunk of
+/// `executor` claims 64-cell blocks of the current window from a shared
+/// counter, while chunk 0 first records the previous window serially in
+/// row-major order.  The record overlaps sampling, and the result is
+/// bit-identical for any thread count, including no executor.
 YieldResult run_yield_experiment(const YieldConfig& config,
                                  ParallelExecutor* executor = nullptr);
 

@@ -120,10 +120,10 @@ YieldResult run_yield(const YieldConfig& config, ParallelExecutor* executor) {
     }
   }
 
+  // Every ceil(cells / max)-th bit: at most max_scatter_points points.
+  const std::size_t max = config.max_scatter_points;
   const std::size_t keep_every =
-      (config.max_scatter_points == 0 || cells <= config.max_scatter_points)
-          ? 1
-          : cells / config.max_scatter_points;
+      (max == 0 || cells <= max) ? 1 : (cells - 1) / max + 1;
   for (const auto& m : cell_margins) {
     record(result.conventional, m[0], config, keep_every);
     record(result.reference_cell, m[1], config, keep_every);

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "mc_oracle.hpp"
@@ -132,6 +133,94 @@ TEST(McBatchYield, ThreadCountBitIdentity) {
     expect_yield_equal(serial, run_yield_experiment(cfg, &pool));
     expect_yield_equal(serial, oracle::run_yield(cfg, &pool));
   }
+}
+
+TEST(McBatchYield, MultiWindowPipelineMatchesOracle) {
+  // 129 x 257 = 16 384 + 16 384 + 385 cells: three pipeline windows, the
+  // last one partial and ending in a partial 64-cell block.  The other
+  // yield tests and the campaign goldens all fit in one window.
+  YieldConfig cfg;
+  cfg.geometry = {129, 257};
+  cfg.keep_per_bit_margins = true;
+  cfg.max_scatter_points = 1000;  // does not divide the cell count
+  cfg.die_sigma = 0.05;
+  const YieldResult expected = oracle::run_yield(cfg);
+  EXPECT_EQ(expected.conventional.scatter.size(), 976u);
+  expect_yield_equal(expected, run_yield_experiment(cfg));
+  for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    expect_yield_equal(expected, run_yield_experiment(cfg, &pool));
+  }
+}
+
+TEST(McBatchYield, EmptyArrayGivesEmptyResult) {
+  // Zero rows: no window to sample or record, and no shared-reference
+  // bound, so the window is +inf - (-inf).
+  YieldConfig cfg;
+  cfg.geometry = {0, 8};
+  cfg.keep_per_bit_margins = true;
+  ThreadPool pool(4);
+  for (ParallelExecutor* executor : {static_cast<ParallelExecutor*>(nullptr),
+                                     static_cast<ParallelExecutor*>(&pool)}) {
+    const YieldResult r = run_yield_experiment(cfg, executor);
+    for (const SchemeYield* y : {&r.conventional, &r.reference_cell,
+                                 &r.destructive, &r.nondestructive}) {
+      EXPECT_EQ(y->bits, 0u);
+      EXPECT_EQ(y->failures, 0u);
+      EXPECT_EQ(y->sm0_stats.count(), 0u);
+      EXPECT_EQ(y->sm1_stats.count(), 0u);
+      EXPECT_TRUE(y->scatter.empty());
+      EXPECT_TRUE(y->per_bit_min_margin.empty());
+    }
+    EXPECT_EQ(r.shared_reference_window.value(),
+              std::numeric_limits<double>::infinity());
+  }
+}
+
+TEST(McBatchYield, SolveWritesRelativeToTheBufferOrigin) {
+  const MtjParams nominal = MtjParams::paper_calibrated();
+  const std::size_t cols = 8;
+  YieldKernelInputs in;
+  in.i_droop_ref = nominal.i_droop_ref.value();
+  in.beta_destructive = 1.2;
+  in.beta_nondestructive = 1.5;
+  in.shared_v_ref = Volt(0.3);
+  in.col_vref_err.assign(cols, 0.0);
+  in.col_beta_dev.assign(cols, 0.0);
+  in.col_alpha_dev.assign(cols, 0.0);
+  in.col_ref_p.assign(cols, nominal);
+  in.col_ref_ap.assign(cols, nominal);
+  const YieldBatchKernel kernel = YieldBatchKernel::build(in);
+  const MtjVariationModel variation(nominal, VariationParams{});
+  VariationBlock block;
+  sample_variation_block(Xoshiro256(7), variation, 917.0, 0.02, 128,
+                         kMcBlockSize, block);
+
+  // The same block into a whole-array frame and into a one-block buffer
+  // whose slot 0 is cell 128.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  YieldMarginsSoA frame;
+  frame.resize(256);
+  YieldMarginsSoA window;
+  window.origin = 128;
+  window.resize(kMcBlockSize);
+  double lo = -kInf, hi = kInf, window_lo = -kInf, window_hi = kInf;
+  kernel.solve(block, 128, &frame, &lo, &hi);
+  kernel.solve(block, 128, &window, &window_lo, &window_hi);
+  for (std::size_t r = 0; r < 8; ++r) {
+    for (std::size_t i = 0; i < kMcBlockSize; ++i) {
+      EXPECT_EQ(window.row(r)[i], frame.row(r)[128 + i]);
+    }
+  }
+  EXPECT_EQ(window_lo, lo);
+  EXPECT_EQ(window_hi, hi);
+
+  // Blocks that start before the origin (64 would wrap to an in-range
+  // end without the lower check) or end past the buffer are rejected.
+  EXPECT_THROW(kernel.solve(block, 64, &window, &lo, &hi), InvalidArgument);
+  EXPECT_THROW(kernel.solve(block, 0, &window, &lo, &hi), InvalidArgument);
+  EXPECT_THROW(kernel.solve(block, 129, &window, &lo, &hi), InvalidArgument);
+  EXPECT_THROW(kernel.solve(block, 256, &frame, &lo, &hi), InvalidArgument);
 }
 
 // --------------------------------------------- tail: batched vs oracle

@@ -14,6 +14,7 @@
 
 #include "sttram/common/error.hpp"
 #include "sttram/engine/bank_sim.hpp"
+#include "sttram/engine/thread_pool.hpp"
 #include "sttram/io/json.hpp"
 #include "sttram/obs/obs.hpp"
 #include "sttram/sim/yield.hpp"
@@ -242,6 +243,23 @@ TEST_F(ObsTest, YieldExperimentIsInvariantUnderInstrumentation) {
   EXPECT_EQ(
       obs::Registry::instance().counter("yield.margin_evaluations").value(),
       4u * 64u);
+
+  // Three pipeline windows recorded by chunk 0 while 4 threads sample:
+  // the counters still total every evaluation and every failure.
+  obs::Registry::instance().reset();
+  cfg.geometry = {129, 257};
+  engine::ThreadPool pool(4);
+  const YieldResult pooled = run_yield_experiment(cfg, &pool);
+  const std::size_t failures =
+      pooled.conventional.failures + pooled.reference_cell.failures +
+      pooled.destructive.failures + pooled.nondestructive.failures;
+  EXPECT_GT(failures, 0u);
+  EXPECT_EQ(
+      obs::Registry::instance().counter("yield.margin_evaluations").value(),
+      4u * 129u * 257u);
+  EXPECT_EQ(
+      obs::Registry::instance().counter("yield.margin_failures").value(),
+      failures);
 }
 
 TEST_F(ObsTest, TrafficRunIsInvariantUnderInstrumentation) {

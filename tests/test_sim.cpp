@@ -135,6 +135,33 @@ TEST(Yield, SmallArrayDeterministic) {
   EXPECT_EQ(a.conventional.bits, 256u);
 }
 
+TEST(Yield, ScatterKeepsAtMostMaxPoints) {
+  // Every ceil(cells / max)-th bit: never more than max points, exactly
+  // max when it divides the cell count, all bits when max is 0 or no
+  // smaller than the array.
+  struct Case {
+    ArrayGeometry geometry;
+    std::size_t max;
+    std::size_t expected;
+  };
+  for (const Case& c : {Case{{128, 128}, 1000, 964}, Case{{16, 16}, 7, 7},
+                        Case{{16, 16}, 100, 86}, Case{{128, 128}, 1024, 1024},
+                        Case{{16, 16}, 8, 8}, Case{{16, 16}, 1, 1},
+                        Case{{16, 16}, 0, 256}, Case{{16, 16}, 256, 256},
+                        Case{{16, 16}, 1000, 256}}) {
+    YieldConfig cfg;
+    cfg.geometry = c.geometry;
+    cfg.max_scatter_points = c.max;
+    const YieldResult r = run_yield_experiment(cfg);
+    for (const SchemeYield* y : {&r.conventional, &r.reference_cell,
+                                 &r.destructive, &r.nondestructive}) {
+      if (c.max > 0) EXPECT_LE(y->scatter.size(), c.max);
+      EXPECT_EQ(y->scatter.size(), c.expected)
+          << c.geometry.rows << "x" << c.geometry.cols << " max " << c.max;
+    }
+  }
+}
+
 TEST(Yield, SelfReferenceSchemesBeatConventional) {
   YieldConfig cfg;
   cfg.geometry = {64, 64};  // 4 kb keeps the test fast
