@@ -15,13 +15,18 @@
 //
 // Run `sttram_cli --help` for the full command and flag reference (the
 // same text is printed for -h, --help and the help command).
-#include <cerrno>
-#include <cmath>
+//
+// The yield, tail, traffic and fault commands run experiment kinds of the
+// scenario registry.  Each declares one table mapping its flags and
+// positional slots to fields of the kind it runs; the kind's ParamSchema
+// checks every value and its builder (scenario/builders.hpp) turns the
+// params into the library config, exactly as for a campaign instance.
+// A bad token, value or flag combination is a usage error (exit 2).
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,6 +41,7 @@
 #include "sttram/io/json.hpp"
 #include "sttram/io/table.hpp"
 #include "sttram/obs/obs.hpp"
+#include "sttram/scenario/builders.hpp"
 #include "sttram/scenario/campaign.hpp"
 #include "sttram/scenario/registry.hpp"
 #include "sttram/sense/design.hpp"
@@ -52,6 +58,12 @@ namespace {
 
 /// Shared executor from the global --threads flag (null = serial).
 ParallelExecutor* g_executor = nullptr;
+
+/// A malformed command line: main prints it and exits 2.
+class UsageError : public Error {
+ public:
+  using Error::Error;
+};
 
 /// The one help text: printed verbatim for -h, --help and `help`, and
 /// checked by tests/cli_help_test.sh against every flag the parsers
@@ -194,66 +206,134 @@ void print_help() {
       "                     the STTRAM_SIMD environment variable)\n");
 }
 
-/// Rejects any "--flag" token the subcommand does not understand.
-/// `allowed` is a null-terminated list of accepted flag spellings.
-bool reject_unknown_flags(int argc, char** argv,
-                          const char* const* allowed = nullptr) {
-  for (int k = 2; k < argc; ++k) {
-    if (std::strncmp(argv[k], "--", 2) != 0) continue;
-    bool known = false;
-    for (const char* const* f = allowed; f != nullptr && *f != nullptr; ++f) {
-      if (std::strcmp(argv[k], *f) == 0) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::fprintf(stderr, "error: unknown flag '%s' for '%s'\n", argv[k],
-                   argv[1]);
-      return false;
-    }
+// ------------------------------------------------------ argument reading
+
+using Tokens = std::vector<std::string>;
+using scenario::CliArg;
+using scenario::CliArgs;
+using scenario::Range;
+
+/// Calls `step`, which reads the command line: any library error it
+/// raises blames the user's input, so it becomes a usage error.
+template <class Step>
+auto from_args(Step&& step) {
+  try {
+    return step();
+  } catch (const Error& e) {
+    throw UsageError(e.what());
   }
-  return true;
 }
 
-/// Strict number argument: the whole token must parse to a finite value
-/// >= `min`.  Otherwise prints an error naming `what` and returns false
-/// (a usage error: the caller exits 2).
-bool parse_number(const char* what, const char* text, double min,
-                  double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !std::isfinite(v) || v < min) {
-    std::fprintf(stderr, "error: %s wants a finite number >= %g, got '%s'\n",
-                 what, min, text);
-    return false;
-  }
-  *out = v;
-  return true;
+const scenario::ParamSchema& schema_of(const char* kind) {
+  scenario::register_builtin_kinds();
+  return scenario::Registry::instance().find(kind)->schema;
 }
 
-/// Strict integer argument: the whole token is a base-10 integer >= `min`.
-bool parse_integer(const char* what, const char* text, long min, long* out) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || v < min) {
-    std::fprintf(stderr, "error: %s wants an integer >= %ld, got '%s'\n",
-                 what, min, text);
-    return false;
-  }
-  *out = v;
-  return true;
+/// `tokens` read through `table` against the schema of `kind`.
+CliArgs read_args(const std::vector<CliArg>& table, const char* kind,
+                  const Tokens& tokens, const std::string& command) {
+  return from_args([&] {
+    return scenario::parse_cli_args(table, schema_of(kind), tokens, command);
+  });
 }
 
-int cmd_margins(int argc, char** argv) {
-  if (!reject_unknown_flags(argc, argv)) return 2;
+/// The arguments of a command without a kind: at most one positional
+/// `slot` (nullptr: none) and no flags.  Returns the argument or "".
+std::string lone_arg(const Tokens& tokens, const char* command,
+                     const char* slot = nullptr) {
+  std::vector<CliArg> table;
+  if (slot != nullptr) table.push_back({slot, nullptr});
+  const CliArgs args = from_args([&] {
+    return scenario::parse_cli_args(table, {}, tokens, command);
+  });
+  return slot != nullptr && args.cli.count(slot) > 0 ? args.cli.at(slot)
+                                                     : "";
+}
+
+/// `token` read strictly as a value of `type` inside `valid`, like a
+/// schema field; `what` names it in the usage error.
+Json arg_value(const char* what, const std::string& token,
+               scenario::ParamType type, Range valid) {
+  scenario::ParamField field;
+  field.type = type;
+  field.range = valid;
+  return from_args([&] { return field.read(token, what); });
+}
+
+/// The seed a command runs with: --seed, else the command's own default.
+std::uint64_t seed_arg(const CliArgs& args, std::int64_t fallback) {
+  return static_cast<std::uint64_t>(
+      scenario::param_int(args.params, "seed", fallback));
+}
+
+// Each table maps a flag, or a positional slot ("<rows>"), to a field of
+// the kind its command runs; rows without a field are CLI-only.  Flags
+// stay string literals here: tests/cli_help_test.sh scrapes them.
+
+/// yield runs `yield`, or `fault_overlay` when --faults is given.
+const std::vector<CliArg> kYieldArgs = {
+    {"<rows>", "rows"},
+    {"<cols>", "cols"},
+    {"<sigma>", "sigma_common"},
+    {"--faults", "density"},
+    {"--ecc", "ecc", "true"},
+    {"--retry", "retry"},
+    {"--json", nullptr, ""}};
+
+/// tail runs `tail`.
+const std::vector<CliArg> kTailArgs = {{"<margin_mv>", "threshold_mv"}};
+
+/// traffic runs `traffic`, or `controller` when --controller is given;
+/// `--workload trace` replays --trace-file.
+const std::vector<CliArg> kTrafficArgs = {
+    {"--controller", nullptr, ""},
+    {"--scheme", "scheme"},
+    {"--requests", "requests"},
+    {"--banks", "banks"},
+    {"--policy", "policy"},
+    {"--workload", "workload", nullptr, "trace"},
+    {"--rho", "rho"},
+    {"--read-fraction", "read_fraction"},
+    {"--clients", "clients"},
+    {"--think-ns", "think_ns"},
+    {"--seed", "seed"},
+    {"--word-bits", "word_bits"},
+    {"--trace-file", nullptr},
+    {"--faults", "faults_ber"},
+    {"--ecc", "ecc", "true"},
+    {"--retry", "retry"},
+    {"--channels", "channels"},
+    {"--ranks", "ranks"},
+    {"--rows", "rows"},
+    {"--row-locality", "row_locality"},
+    {"--scheduler", "scheduler"},
+    {"--starvation-cap", "starvation_cap"},
+    {"--no-coalesce", "coalescing", "false"}};
+
+/// fault reads the rows, cols, density and seed of `march`, then runs
+/// March C- with every scheme.
+const std::vector<CliArg> kFaultArgs = {
+    {"--seed", "seed"},
+    {"--rows", "rows"},
+    {"--cols", "cols"},
+    {"--density", "density"},
+    {"--json", nullptr, ""}};
+
+// --------------------------------------------------------------- commands
+
+int cmd_margins(const Tokens& tokens) {
+  const std::string beta_arg = lone_arg(tokens, "margins", "<beta>");
   const MtjParams mtj = MtjParams::paper_calibrated();
   const Ohm r_t(917.0);
   const SelfRefConfig config;
   const NondestructiveSelfReference nondes(mtj, r_t, config);
   const DestructiveSelfReference destr(mtj, r_t, config);
-  const double beta = argc > 2 ? std::atof(argv[2]) : nondes.paper_beta();
+  const double beta =
+      beta_arg.empty() ? nondes.paper_beta()
+                       : arg_value("margins <beta>", beta_arg,
+                                   scenario::ParamType::kNumber,
+                                   Range::above(0))
+                             .as_number();
   const ConventionalSensing conv(mtj, r_t, config.i_max);
   const ReferenceCellSensing refcell(mtj, mtj, r_t, config.i_max);
 
@@ -275,8 +355,8 @@ int cmd_margins(int argc, char** argv) {
   return 0;
 }
 
-int cmd_design(int argc, char** argv) {
-  if (!reject_unknown_flags(argc, argv)) return 2;
+int cmd_design(const Tokens& tokens) {
+  (void)lone_arg(tokens, "design");
   const SchemeDesign d = design_nondestructive_read(
       MtjParams::paper_calibrated(), Ohm(917.0), DesignConstraints{});
   std::printf("%s\n", d.feasible ? "FEASIBLE" : "INFEASIBLE");
@@ -289,8 +369,8 @@ int cmd_design(int argc, char** argv) {
   return d.feasible ? 0 : 1;
 }
 
-int cmd_robustness(int argc, char** argv) {
-  if (!reject_unknown_flags(argc, argv)) return 2;
+int cmd_robustness(const Tokens& tokens) {
+  (void)lone_arg(tokens, "robustness");
   const MtjParams mtj = MtjParams::paper_calibrated();
   const Ohm r_t(917.0);
   const SelfRefConfig config;
@@ -313,76 +393,31 @@ int cmd_robustness(int argc, char** argv) {
   return 0;
 }
 
-int cmd_yield(int argc, char** argv) {
-  static const char* const kFlags[] = {"--json", "--faults", "--ecc",
-                                       "--retry", nullptr};
-  if (!reject_unknown_flags(argc, argv, kFlags)) return 2;
-  YieldConfig cfg;
-  bool as_json = false;
-  double fault_density = -1.0;
-  bool ecc = false;
-  long retry = 1;
-  int positional = 0;
-  long rows = 0, cols = 0;
-  for (int k = 2; k < argc; ++k) {
-    const bool is_faults = std::strcmp(argv[k], "--faults") == 0;
-    const bool is_retry = std::strcmp(argv[k], "--retry") == 0;
-    if (is_faults || is_retry) {
-      if (k + 1 >= argc) {
-        std::fprintf(stderr, "error: %s requires a value\n", argv[k]);
-        return 2;
-      }
-      const bool ok =
-          is_faults ? parse_number("--faults", argv[++k], 0.0, &fault_density)
-                    : parse_integer("--retry", argv[++k], 1, &retry);
-      if (!ok) return 2;
-    } else if (std::strcmp(argv[k], "--ecc") == 0) {
-      ecc = true;
-    } else if (std::strcmp(argv[k], "--json") == 0) {
-      as_json = true;
-    } else if (positional == 0) {
-      if (!parse_integer("yield rows", argv[k], 1, &rows)) return 2;
-      ++positional;
-    } else if (positional == 1) {
-      if (!parse_integer("yield cols", argv[k], 1, &cols)) return 2;
-      ++positional;
-    } else if (positional == 2) {
-      if (!parse_number("yield sigma", argv[k], 0.0,
-                        &cfg.variation.sigma_common)) {
-        return 2;
-      }
-      ++positional;
-    } else {
-      std::fprintf(stderr, "error: unexpected argument '%s' for 'yield'\n",
-                   argv[k]);
-      return 2;
-    }
+int cmd_yield(const Tokens& tokens) {
+  const bool with_faults =
+      std::count(tokens.begin(), tokens.end(), "--faults") > 0;
+  const CliArgs args =
+      read_args(kYieldArgs, with_faults ? "fault_overlay" : "yield", tokens,
+                with_faults ? "yield --faults" : "yield without --faults");
+  if (args.params.contains("rows") != args.params.contains("cols")) {
+    throw UsageError("yield wants <rows> and <cols> together");
   }
-  if (positional == 1) {
-    std::fprintf(stderr, "error: yield wants rows and cols together\n");
-    return 2;
-  }
-  if ((ecc || retry > 1) && fault_density < 0.0) {
-    std::fprintf(stderr,
-                 "error: --ecc / --retry need --faults <density>\n");
-    return 2;
-  }
-  if (positional >= 2) {
-    cfg.geometry = {static_cast<std::size_t>(rows),
-                    static_cast<std::size_t>(cols)};
-  }
-  cfg.max_scatter_points = 1;
+  const bool as_json = args.cli.count("--json") > 0;
+  const scenario::FieldNames names = scenario::cli_names(kYieldArgs);
 
-  if (fault_density >= 0.0) {
+  if (with_faults) {
     // Fault overlay: the plain yield path below stays untouched so
     // fault-free runs are bit-identical to earlier releases.
-    const fault::FaultConfig faults =
-        fault::FaultConfig::with_total_density(fault_density);
-    fault::BerConfig ber;
-    ber.ecc = ecc;
-    ber.read_attempts = static_cast<std::uint32_t>(retry);
+    const scenario::FaultOverlaySetup f = from_args([&] {
+      return scenario::build_fault_overlay(args.params, YieldConfig{}.seed,
+                                           names);
+    });
+    const YieldConfig& cfg = f.yield;
+    const double fault_density = args.params.at("density").as_number();
+    const bool ecc = f.ber.ecc;
+    const long retry = f.ber.read_attempts;
     const fault::FaultYieldResult r =
-        fault::run_yield_with_faults(cfg, faults, ber, g_executor);
+        fault::run_yield_with_faults(cfg, f.faults, f.ber, g_executor);
     const auto schemes = {&r.conventional, &r.reference_cell,
                           &r.destructive, &r.nondestructive};
     if (as_json) {
@@ -424,6 +459,9 @@ int cmd_yield(int argc, char** argv) {
     return 0;
   }
 
+  const YieldConfig cfg = from_args([&] {
+    return scenario::build_yield(args.params, YieldConfig{}.seed, names);
+  });
   const YieldResult r = run_yield_experiment(cfg, g_executor);
   if (as_json) {
     Json out = Json::object();
@@ -459,35 +497,35 @@ int cmd_yield(int argc, char** argv) {
   return 0;
 }
 
-int cmd_tail(int argc, char** argv) {
-  if (!reject_unknown_flags(argc, argv)) return 2;
-  if (argc > 3) {
-    std::fprintf(stderr, "error: unexpected argument '%s' for 'tail'\n",
-                 argv[3]);
-    return 2;
-  }
-  TailConfig cfg;
-  if (argc > 2) {
-    double margin_mv = 0.0;
-    if (!parse_number("tail margin_mv", argv[2], 0.0, &margin_mv)) return 2;
-    cfg.threshold = Volt(margin_mv * 1e-3);
-  }
-  const TailEstimate e = estimate_margin_tail(cfg, 1, 20000, g_executor);
+int cmd_tail(const Tokens& tokens) {
+  const CliArgs args = read_args(kTailArgs, "tail", tokens, "tail");
+  const scenario::TailSetup t = from_args([&] {
+    return scenario::build_tail(args.params, 1, scenario::cli_names(kTailArgs));
+  });
+  const TailEstimate e =
+      estimate_margin_tail(t.config, t.seed, t.trials, g_executor);
   if (e.design_point.empty()) {
     std::printf("no failure region within 12 sigma\n");
     return 0;
   }
   std::printf("threshold %s: design point at %.2f sigma\n",
-              format(cfg.threshold).c_str(), e.design_radius);
+              format(t.config.threshold).c_str(), e.design_radius);
   std::printf("P(fail)/bit = %.3e (+- %.1e), E[fails in 16 kb] = %.3g\n",
               e.estimate.probability, e.estimate.std_error,
               e.expected_failures_16kb);
   return 0;
 }
 
-int cmd_read(int argc, char** argv) {
-  if (!reject_unknown_flags(argc, argv)) return 2;
-  const bool bit = argc > 2 ? std::atoi(argv[2]) != 0 : true;
+/// The optional stored-bit argument of read and transient (default 1).
+bool bit_arg(const Tokens& tokens, const char* command) {
+  const std::string bit = lone_arg(tokens, command, "<bit>");
+  return bit.empty() || arg_value(command, bit, scenario::ParamType::kInteger,
+                                  Range::closed(0, 1))
+                                .as_integer() == 1;
+}
+
+int cmd_read(const Tokens& tokens) {
+  const bool bit = bit_arg(tokens, "read");
   OneT1JCell cell;
   cell.mtj().force_state(from_bit(bit));
   const SelfRefConfig config;
@@ -505,12 +543,10 @@ int cmd_read(int argc, char** argv) {
   return r.correct ? 0 : 1;
 }
 
-int cmd_transient(int argc, char** argv) {
-  if (!reject_unknown_flags(argc, argv)) return 2;
+int cmd_transient(const Tokens& tokens) {
   SpiceReadConfig cfg;
-  cfg.state = (argc > 2 && std::atoi(argv[2]) == 0)
-                  ? MtjState::kParallel
-                  : MtjState::kAntiParallel;
+  cfg.state = bit_arg(tokens, "transient") ? MtjState::kAntiParallel
+                                           : MtjState::kParallel;
   const SpiceReadResult r = simulate_nondestructive_read(cfg);
   std::printf("stored %s -> sensed %d, V(C1)=%s V_BO=%s margin %s, "
               "decision at %s\n",
@@ -520,305 +556,116 @@ int cmd_transient(int argc, char** argv) {
   return 0;
 }
 
-int cmd_traffic(int argc, char** argv) {
-  engine::TrafficConfig cfg;
-  engine::controller::ControllerConfig ctl;
-  bool controller_mode = false;
-  bool saw_banks = false;
-  bool saw_requests = false;
-  /// First bank-mode-only flag seen (incompatible with --controller).
-  const char* bank_only = nullptr;
-  /// First controller-only flag seen (requires --controller).
-  const char* ctl_only = nullptr;
-  std::string trace_path;
-  double fault_ber = -1.0;
-  bool ecc = false;
-  long retry = 3;
-  const auto flag_value = [&](int& k) -> const char* {
-    if (k + 1 >= argc) {
-      std::fprintf(stderr, "error: %s requires a value\n", argv[k]);
-      return nullptr;
-    }
-    return argv[++k];
-  };
-  for (int k = 2; k < argc; ++k) {
-    const char* flag = argv[k];
-    const char* value = nullptr;
-    if (std::strcmp(flag, "--scheme") == 0) {
-      if ((value = flag_value(k)) == nullptr) return 2;
-      if (!engine::parse_scheme(value, cfg.scheme)) {
-        std::fprintf(stderr,
-                     "error: unknown scheme '%s' (want conventional, "
-                     "destructive or nondestructive)\n",
-                     value);
-        return 2;
-      }
-    } else if (std::strcmp(flag, "--requests") == 0) {
-      if ((value = flag_value(k)) == nullptr) return 2;
-      cfg.requests = static_cast<std::size_t>(std::atoll(value));
-      saw_requests = true;
-    } else if (std::strcmp(flag, "--banks") == 0) {
-      if ((value = flag_value(k)) == nullptr) return 2;
-      cfg.banks = static_cast<std::size_t>(std::atoll(value));
-      saw_banks = true;
-    } else if (std::strcmp(flag, "--controller") == 0) {
-      controller_mode = true;
-    } else if (std::strcmp(flag, "--channels") == 0) {
-      if ((value = flag_value(k)) == nullptr) return 2;
-      ctl.channels = static_cast<std::size_t>(std::atoll(value));
-      ctl_only = flag;
-    } else if (std::strcmp(flag, "--ranks") == 0) {
-      if ((value = flag_value(k)) == nullptr) return 2;
-      ctl.ranks = static_cast<std::size_t>(std::atoll(value));
-      ctl_only = flag;
-    } else if (std::strcmp(flag, "--rows") == 0) {
-      if ((value = flag_value(k)) == nullptr) return 2;
-      ctl.rows = static_cast<std::size_t>(std::atoll(value));
-      ctl_only = flag;
-    } else if (std::strcmp(flag, "--row-locality") == 0) {
-      if ((value = flag_value(k)) == nullptr) return 2;
-      ctl.row_locality = std::atof(value);
-      ctl_only = flag;
-    } else if (std::strcmp(flag, "--scheduler") == 0) {
-      if ((value = flag_value(k)) == nullptr) return 2;
-      if (!engine::controller::parse_scheduler(value, ctl.scheduler)) {
-        std::fprintf(stderr,
-                     "error: unknown scheduler '%s' (want fcfs or "
-                     "frfcfs)\n",
-                     value);
-        return 2;
-      }
-      ctl_only = flag;
-    } else if (std::strcmp(flag, "--starvation-cap") == 0) {
-      if ((value = flag_value(k)) == nullptr) return 2;
-      ctl.starvation_cap = static_cast<std::size_t>(std::atoll(value));
-      ctl_only = flag;
-    } else if (std::strcmp(flag, "--no-coalesce") == 0) {
-      ctl.coalescing = false;
-      ctl_only = flag;
-    } else if (std::strcmp(flag, "--policy") == 0) {
-      if ((value = flag_value(k)) == nullptr) return 2;
-      if (std::strcmp(value, "fcfs") == 0) {
-        cfg.policy = engine::SchedulingPolicy::kFcfs;
-      } else if (std::strcmp(value, "read-priority") == 0) {
-        cfg.policy = engine::SchedulingPolicy::kReadPriority;
-      } else {
-        std::fprintf(stderr,
-                     "error: unknown policy '%s' (want fcfs or "
-                     "read-priority)\n",
-                     value);
-        return 2;
-      }
-      bank_only = flag;
-    } else if (std::strcmp(flag, "--workload") == 0) {
-      if ((value = flag_value(k)) == nullptr) return 2;
-      if (std::strcmp(value, "poisson") == 0) {
-        cfg.workload = engine::WorkloadKind::kPoisson;
-      } else if (std::strcmp(value, "closed") == 0) {
-        cfg.workload = engine::WorkloadKind::kClosedLoop;
-      } else if (std::strcmp(value, "trace") == 0) {
-        cfg.workload = engine::WorkloadKind::kTrace;
-      } else {
-        std::fprintf(stderr,
-                     "error: unknown workload '%s' (want poisson, closed "
-                     "or trace)\n",
-                     value);
-        return 2;
-      }
-      bank_only = flag;
-    } else if (std::strcmp(flag, "--rho") == 0) {
-      if ((value = flag_value(k)) == nullptr) return 2;
-      cfg.utilization = std::atof(value);
-    } else if (std::strcmp(flag, "--read-fraction") == 0) {
-      if ((value = flag_value(k)) == nullptr) return 2;
-      cfg.read_fraction = std::atof(value);
-    } else if (std::strcmp(flag, "--clients") == 0) {
-      if ((value = flag_value(k)) == nullptr) return 2;
-      cfg.clients = static_cast<std::size_t>(std::atoll(value));
-      bank_only = flag;
-    } else if (std::strcmp(flag, "--think-ns") == 0) {
-      if ((value = flag_value(k)) == nullptr) return 2;
-      cfg.think_time = Second(std::atof(value) * 1e-9);
-      bank_only = flag;
-    } else if (std::strcmp(flag, "--seed") == 0) {
-      if ((value = flag_value(k)) == nullptr) return 2;
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(value));
-    } else if (std::strcmp(flag, "--word-bits") == 0) {
-      if ((value = flag_value(k)) == nullptr) return 2;
-      cfg.word_bits = static_cast<std::size_t>(std::atoll(value));
-    } else if (std::strcmp(flag, "--trace-file") == 0) {
-      if ((value = flag_value(k)) == nullptr) return 2;
-      trace_path = value;
-      bank_only = flag;
-    } else if (std::strcmp(flag, "--faults") == 0) {
-      if ((value = flag_value(k)) == nullptr) return 2;
-      fault_ber = std::atof(value);
-    } else if (std::strcmp(flag, "--ecc") == 0) {
-      ecc = true;
-    } else if (std::strcmp(flag, "--retry") == 0) {
-      if ((value = flag_value(k)) == nullptr) return 2;
-      retry = std::atol(value);
-    } else {
-      std::fprintf(stderr, "error: unknown flag '%s' for 'traffic'\n",
-                   flag);
-      return 2;
-    }
-  }
-  if (!controller_mode && ctl_only != nullptr) {
-    std::fprintf(stderr, "error: %s requires --controller\n", ctl_only);
-    return 2;
-  }
-  if (controller_mode && bank_only != nullptr) {
-    std::fprintf(stderr,
-                 "error: %s is incompatible with --controller (the "
-                 "controller is open-loop Poisson, FR-FCFS scheduled)\n",
-                 bank_only);
-    return 2;
-  }
-  if (controller_mode) {
-    ctl.scheme = cfg.scheme;
-    ctl.cost = cfg.cost;
-    if (saw_banks) ctl.banks = cfg.banks;
-    if (saw_requests) ctl.requests = cfg.requests;
-    ctl.read_fraction = cfg.read_fraction;
-    ctl.utilization = cfg.utilization;
-    ctl.word_bits = cfg.word_bits;
-    ctl.seed = cfg.seed;
-    if (ecc && fault_ber < 0.0) {
-      std::fprintf(stderr, "error: --ecc needs --faults <ber>\n");
-      return 2;
-    }
-    if (retry < 1) {
-      std::fprintf(stderr, "error: --retry wants a count >= 1\n");
-      return 2;
-    }
-    std::unique_ptr<fault::TrafficFaultModel> fault_model;
-    if (fault_ber >= 0.0) {
-      fault::TrafficFaultConfig fc;
-      fc.raw_ber = fault_ber;
-      fc.ecc = ecc;
-      fc.max_attempts = static_cast<std::uint32_t>(retry);
-      const engine::BankTiming timing =
-          engine::scheme_bank_timing(ctl.scheme, ctl.cost);
-      fc.retry_latency = timing.read_service;
-      fc.retry_energy = timing.read_energy;
-      fc.seed = ctl.seed ^ 0x5717fa7ee1dULL;
-      fault_model = std::make_unique<fault::TrafficFaultModel>(fc);
-      ctl.faults = fault_model.get();
-    }
+/// The fault/recovery rows of a traffic report whose run had a hook.
+void add_fault_rows(TextTable& t, const engine::TrafficFaultStats& f) {
+  t.add_row({"raw bit errors", std::to_string(f.raw_bit_errors)});
+  t.add_row({"faulty reads", std::to_string(f.faulty_reads)});
+  t.add_row({"retries", std::to_string(f.retries)});
+  t.add_row({"ECC corrected", std::to_string(f.corrected_words)});
+  t.add_row({"ECC uncorrectable", std::to_string(f.uncorrectable_words)});
+  t.add_row({"silent corruptions", std::to_string(f.silent_corruptions)});
+  t.add_row({"recovery latency", format(f.extra_latency)});
+  t.add_row({"recovery energy", format(f.extra_energy)});
+}
 
-    namespace ctrl = engine::controller;
-    const ctrl::ControllerReport r =
-        ctrl::run_controller_traffic(ctl, g_executor);
-    std::printf("%s chip: %zu channels x %zu ranks x %zu banks "
-                "(%zu rows/bank), %s scheduler, %zu requests "
-                "(%zu reads / %zu writes)\n",
-                r.scheme.c_str(), r.channels, r.ranks, r.banks, r.rows,
-                r.scheduler.c_str(), r.requests, r.reads, r.writes);
-    std::printf("command timing: RD %s, WR %s, tRCD %s, tRP %s\n",
-                format(r.timing.t_read).c_str(),
-                format(r.timing.t_write).c_str(),
-                format(r.timing.t_rcd).c_str(),
-                format(r.timing.t_rp).c_str());
-    TextTable t({"metric", "value"});
-    t.add_row({"mean latency", format(r.mean_latency)});
-    t.add_row({"p50 latency", format(r.p50_latency)});
-    t.add_row({"p90 latency", format(r.p90_latency)});
-    t.add_row({"p99 latency", format(r.p99_latency)});
-    t.add_row({"p99.9 latency", format(r.p999_latency)});
-    t.add_row({"max latency", format(r.max_latency)});
-    t.add_row({"mean queue wait", format(r.mean_queue_wait)});
-    t.add_row({"makespan", format(r.makespan)});
-    t.add_row({"row hit rate", format_percent(r.row_hit_rate)});
-    t.add_row({"row hits / misses / conflicts",
-               std::to_string(r.row_hits) + " / " +
-                   std::to_string(r.row_misses) + " / " +
-                   std::to_string(r.row_conflicts)});
-    t.add_row({"coalesced reads", std::to_string(r.coalesced_reads)});
-    t.add_row({"starvation promotions",
-               std::to_string(r.starvation_promotions)});
-    t.add_row({"peak queue depth", std::to_string(r.peak_queue_depth)});
-    t.add_row({"total bandwidth",
-               format_double(r.total_bandwidth_mbps, 5) + " Mb/s"});
-    t.add_row({"total energy", format(r.total_energy)});
-    t.add_row({"energy per bit",
-               format_double(r.energy_per_bit_pj, 4) + " pJ"});
-    if (r.faults_enabled) {
-      t.add_row({"raw bit errors",
-                 std::to_string(r.faults.raw_bit_errors)});
-      t.add_row({"faulty reads", std::to_string(r.faults.faulty_reads)});
-      t.add_row({"retries", std::to_string(r.faults.retries)});
-      t.add_row({"ECC corrected",
-                 std::to_string(r.faults.corrected_words)});
-      t.add_row({"ECC uncorrectable",
-                 std::to_string(r.faults.uncorrectable_words)});
-      t.add_row({"silent corruptions",
-                 std::to_string(r.faults.silent_corruptions)});
-      t.add_row({"recovery latency", format(r.faults.extra_latency)});
-      t.add_row({"recovery energy", format(r.faults.extra_energy)});
-    }
-    std::printf("%s", t.to_string().c_str());
-
-    TextTable per({"channel", "requests", "mean lat", "p99 lat",
-                   "bandwidth", "bank util", "row hit"});
-    for (std::size_t c = 0; c < r.channel.size(); ++c) {
-      const ctrl::ChannelReport& ch = r.channel[c];
-      const std::size_t rows_served =
-          ch.row_hits + ch.row_misses + ch.row_conflicts;
-      per.add_row({std::to_string(c), std::to_string(ch.requests),
-                   format(ch.mean_latency), format(ch.p99_latency),
-                   format_double(ch.bandwidth_mbps, 5) + " Mb/s",
-                   format_percent(ch.avg_bank_utilization),
-                   format_percent(rows_served > 0
-                                      ? static_cast<double>(ch.row_hits) /
-                                            static_cast<double>(rows_served)
-                                      : 0.0)});
-    }
-    std::printf("%s", per.to_string().c_str());
-
-    std::printf("\nread command sequence (row miss, %s):\n",
-                r.scheme.c_str());
-    std::printf("%s", ctrl::render_command_sequence(
-                          ctrl::read_command_sequence(ctl.scheme, ctl.cost))
-                          .c_str());
-    return 0;
+/// traffic --controller: the chip-scale run.
+int run_controller(const CliArgs& args) {
+  namespace ctrl = engine::controller;
+  if (args.cli.count("--trace-file") > 0) {
+    throw UsageError("--trace-file does not apply to 'traffic --controller'");
   }
-  if (!trace_path.empty()) {
-    std::ifstream in(trace_path);
+  const scenario::TrafficSetup<ctrl::ControllerConfig> setup = from_args([&] {
+    return scenario::build_controller(args.params, seed_arg(args, 1),
+                                      scenario::cli_names(kTrafficArgs));
+  });
+  const ctrl::ControllerConfig& ctl = setup.config;
+  const ctrl::ControllerReport r =
+      ctrl::run_controller_traffic(ctl, g_executor);
+  std::printf("%s chip: %zu channels x %zu ranks x %zu banks "
+              "(%zu rows/bank), %s scheduler, %zu requests "
+              "(%zu reads / %zu writes)\n",
+              r.scheme.c_str(), r.channels, r.ranks, r.banks, r.rows,
+              r.scheduler.c_str(), r.requests, r.reads, r.writes);
+  std::printf("command timing: RD %s, WR %s, tRCD %s, tRP %s\n",
+              format(r.timing.t_read).c_str(),
+              format(r.timing.t_write).c_str(),
+              format(r.timing.t_rcd).c_str(),
+              format(r.timing.t_rp).c_str());
+  TextTable t({"metric", "value"});
+  t.add_row({"mean latency", format(r.mean_latency)});
+  t.add_row({"p50 latency", format(r.p50_latency)});
+  t.add_row({"p90 latency", format(r.p90_latency)});
+  t.add_row({"p99 latency", format(r.p99_latency)});
+  t.add_row({"p99.9 latency", format(r.p999_latency)});
+  t.add_row({"max latency", format(r.max_latency)});
+  t.add_row({"mean queue wait", format(r.mean_queue_wait)});
+  t.add_row({"makespan", format(r.makespan)});
+  t.add_row({"row hit rate", format_percent(r.row_hit_rate)});
+  t.add_row({"row hits / misses / conflicts",
+             std::to_string(r.row_hits) + " / " +
+                 std::to_string(r.row_misses) + " / " +
+                 std::to_string(r.row_conflicts)});
+  t.add_row({"coalesced reads", std::to_string(r.coalesced_reads)});
+  t.add_row({"starvation promotions",
+             std::to_string(r.starvation_promotions)});
+  t.add_row({"peak queue depth", std::to_string(r.peak_queue_depth)});
+  t.add_row({"total bandwidth",
+             format_double(r.total_bandwidth_mbps, 5) + " Mb/s"});
+  t.add_row({"total energy", format(r.total_energy)});
+  t.add_row({"energy per bit",
+             format_double(r.energy_per_bit_pj, 4) + " pJ"});
+  if (r.faults_enabled) add_fault_rows(t, r.faults);
+  std::printf("%s", t.to_string().c_str());
+
+  TextTable per({"channel", "requests", "mean lat", "p99 lat",
+                 "bandwidth", "bank util", "row hit"});
+  for (std::size_t c = 0; c < r.channel.size(); ++c) {
+    const ctrl::ChannelReport& ch = r.channel[c];
+    const std::size_t rows_served =
+        ch.row_hits + ch.row_misses + ch.row_conflicts;
+    per.add_row({std::to_string(c), std::to_string(ch.requests),
+                 format(ch.mean_latency), format(ch.p99_latency),
+                 format_double(ch.bandwidth_mbps, 5) + " Mb/s",
+                 format_percent(ch.avg_bank_utilization),
+                 format_percent(rows_served > 0
+                                    ? static_cast<double>(ch.row_hits) /
+                                          static_cast<double>(rows_served)
+                                    : 0.0)});
+  }
+  std::printf("%s", per.to_string().c_str());
+
+  std::printf("\nread command sequence (row miss, %s):\n",
+              r.scheme.c_str());
+  std::printf("%s", ctrl::render_command_sequence(
+                        ctrl::read_command_sequence(ctl.scheme, ctl.cost))
+                        .c_str());
+  return 0;
+}
+
+int cmd_traffic(const Tokens& tokens) {
+  const bool controller =
+      std::count(tokens.begin(), tokens.end(), "--controller") > 0;
+  const CliArgs args = read_args(
+      kTrafficArgs, controller ? "controller" : "traffic", tokens,
+      controller ? "traffic --controller" : "traffic without --controller");
+  if (controller) return run_controller(args);
+
+  scenario::TrafficSetup<engine::TrafficConfig> setup = from_args([&] {
+    return scenario::build_traffic(args.params, seed_arg(args, 1),
+                                   scenario::cli_names(kTrafficArgs));
+  });
+  engine::TrafficConfig& cfg = setup.config;
+  const auto trace_path = args.cli.find("--trace-file");
+  if (trace_path != args.cli.end()) {
+    std::ifstream in(trace_path->second);
     if (!in) {
-      std::fprintf(stderr, "error: cannot open trace file '%s'\n",
-                   trace_path.c_str());
-      return 2;
+      throw UsageError("cannot open trace file '" + trace_path->second +
+                       "'");
     }
-    cfg.trace = engine::load_trace_csv(in);
+    cfg.trace = from_args([&] { return engine::load_trace_csv(in); });
     cfg.workload = engine::WorkloadKind::kTrace;
-  } else if (cfg.workload == engine::WorkloadKind::kTrace) {
-    std::fprintf(stderr,
-                 "error: --workload trace requires --trace-file <csv>\n");
-    return 2;
-  }
-  if (ecc && fault_ber < 0.0) {
-    std::fprintf(stderr, "error: --ecc needs --faults <ber>\n");
-    return 2;
-  }
-  if (retry < 1) {
-    std::fprintf(stderr, "error: --retry wants a count >= 1\n");
-    return 2;
-  }
-  std::unique_ptr<fault::TrafficFaultModel> fault_model;
-  if (fault_ber >= 0.0) {
-    fault::TrafficFaultConfig fc;
-    fc.raw_ber = fault_ber;
-    fc.ecc = ecc;
-    fc.max_attempts = static_cast<std::uint32_t>(retry);
-    // A retry re-runs the whole read: charge the scheme's service time.
-    const engine::BankTiming timing =
-        engine::scheme_bank_timing(cfg.scheme, cfg.cost);
-    fc.retry_latency = timing.read_service;
-    fc.retry_energy = timing.read_energy;
-    fc.seed = cfg.seed ^ 0x5717fa7ee1dULL;
-    fault_model = std::make_unique<fault::TrafficFaultModel>(fc);
-    cfg.faults = fault_model.get();
+  } else if (args.cli.count("--workload") > 0) {
+    throw UsageError("--workload trace requires --trace-file <csv>");
   }
 
   const engine::TrafficReport r = engine::run_traffic(cfg);
@@ -850,61 +697,27 @@ int cmd_traffic(int argc, char** argv) {
   t.add_row({"total energy", format(r.total_energy)});
   t.add_row({"energy per bit",
              format_double(r.energy_per_bit_pj, 4) + " pJ"});
-  if (r.faults_enabled) {
-    t.add_row({"raw bit errors", std::to_string(r.faults.raw_bit_errors)});
-    t.add_row({"faulty reads", std::to_string(r.faults.faulty_reads)});
-    t.add_row({"retries", std::to_string(r.faults.retries)});
-    t.add_row({"ECC corrected", std::to_string(r.faults.corrected_words)});
-    t.add_row({"ECC uncorrectable",
-               std::to_string(r.faults.uncorrectable_words)});
-    t.add_row({"silent corruptions",
-               std::to_string(r.faults.silent_corruptions)});
-    t.add_row({"recovery latency", format(r.faults.extra_latency)});
-    t.add_row({"recovery energy", format(r.faults.extra_energy)});
-  }
+  if (r.faults_enabled) add_fault_rows(t, r.faults);
   std::printf("%s", t.to_string().c_str());
   return 0;
 }
 
-int cmd_fault(int argc, char** argv) {
-  static const char* const kFlags[] = {"--seed", "--rows", "--cols",
-                                       "--density", "--json", nullptr};
-  if (!reject_unknown_flags(argc, argv, kFlags)) return 2;
-  std::uint64_t seed = 1;
-  std::size_t rows = 64, cols = 64;
-  double density = 0.01;
-  bool as_json = false;
-  for (int k = 2; k < argc; ++k) {
-    const char* flag = argv[k];
-    if (std::strcmp(flag, "--json") == 0) {
-      as_json = true;
-      continue;
-    }
-    if (k + 1 >= argc) {
-      std::fprintf(stderr, "error: %s requires a value\n", flag);
-      return 2;
-    }
-    const char* value = argv[++k];
-    if (std::strcmp(flag, "--seed") == 0) {
-      seed = static_cast<std::uint64_t>(std::atoll(value));
-    } else if (std::strcmp(flag, "--rows") == 0) {
-      rows = static_cast<std::size_t>(std::atoll(value));
-    } else if (std::strcmp(flag, "--cols") == 0) {
-      cols = static_cast<std::size_t>(std::atoll(value));
-    } else if (std::strcmp(flag, "--density") == 0) {
-      density = std::atof(value);
-    }
-  }
-  if (rows == 0 || cols == 0) {
-    std::fprintf(stderr, "error: --rows / --cols must be > 0\n");
-    return 2;
-  }
-
-  const ArrayGeometry geometry{rows, cols};
-  const fault::FaultConfig config =
-      fault::FaultConfig::with_total_density(density);
+int cmd_fault(const Tokens& tokens) {
+  const CliArgs args = read_args(kFaultArgs, "march", tokens, "fault");
+  const scenario::MarchSetup m = from_args([&] {
+    return scenario::build_march(args.params, seed_arg(args, 1),
+                                 scenario::cli_names(kFaultArgs));
+  });
+  const bool as_json = args.cli.count("--json") > 0;
+  const std::uint64_t seed = m.seed;
+  const ArrayGeometry& geometry = m.geometry;
+  const std::size_t rows = geometry.rows;
+  const std::size_t cols = geometry.cols;
+  const double density = scenario::param_number(
+      args.params, "density",
+      schema_of("march").find("density")->fallback.as_number());
   const fault::FaultMap map =
-      fault::generate_fault_map(geometry, config, seed, g_executor);
+      fault::generate_fault_map(geometry, m.faults, seed, g_executor);
   // No process variation: every flagged cell is then attributable to an
   // injected fault (extra_flags isolates scheme-induced misreads).
   const MtjVariationModel variation(MtjParams::paper_calibrated(),
@@ -999,115 +812,94 @@ int cmd_fault(int argc, char** argv) {
   return 0;
 }
 
-/// Loads a whole file; empty optional-on-failure via the `ok` flag.
-bool read_file(const std::string& path, std::string& out) {
+/// A whole input file; a usage error names `what` when it cannot be
+/// opened.
+std::string input_file(const std::string& path, const char* what) {
   std::ifstream in(path);
-  if (!in) return false;
+  if (!in) {
+    throw UsageError(std::string("cannot open ") + what + " '" + path + "'");
+  }
   std::ostringstream buf;
   buf << in.rdbuf();
-  out = buf.str();
-  return true;
+  return buf.str();
 }
 
-int cmd_campaign(int argc, char** argv) {
-  const auto usage = []() {
+int cmd_campaign(const Tokens& tokens) {
+  if (tokens.empty()) {
     std::fprintf(stderr,
                  "usage: sttram_cli campaign {run|list|expand|verify} "
                  "[file] [--out <report>] [--golden <report>] [--json]\n");
     return 2;
-  };
-  if (argc < 3) return usage();
-  const std::string verb = argv[2];
+  }
+  const std::string& verb = tokens[0];
 
   if (verb == "list") {
-    for (int k = 3; k < argc; ++k) {
-      std::fprintf(stderr, "error: unknown flag '%s' for 'campaign list'\n",
-                   argv[k]);
-      return 2;
+    if (tokens.size() > 1) {
+      throw UsageError("unknown flag '" + tokens[1] +
+                       "' for 'campaign list'");
     }
     scenario::register_builtin_kinds();
     for (const scenario::ExperimentKind& kind :
          scenario::Registry::instance().kinds()) {
-      std::printf("%s - %s\n", kind.name.c_str(), kind.description.c_str());
-      for (const scenario::ParamField& f : kind.schema.fields()) {
-        std::string type = to_string(f.type);
-        if (!f.choices.empty()) {
-          type += "(";
-          for (std::size_t i = 0; i < f.choices.size(); ++i) {
-            if (i > 0) type += "|";
-            type += f.choices[i];
-          }
-          type += ")";
-        }
-        std::printf("  %-18s %-10s %s\n", f.name.c_str(), type.c_str(),
-                    f.description.c_str());
-      }
+      std::printf("%s - %s\n%s", kind.name.c_str(), kind.description.c_str(),
+                  kind.schema.describe().c_str());
     }
     return 0;
   }
 
   if (verb != "run" && verb != "expand" && verb != "verify") {
-    std::fprintf(stderr,
-                 "error: unknown campaign verb '%s' (try one of run, "
-                 "list, expand, verify)\n",
-                 verb.c_str());
-    return 2;
+    throw UsageError("unknown campaign verb '" + verb +
+                     "' (try one of run, list, expand, verify)");
   }
 
-  // Shared flag parse for run/expand/verify: one positional campaign
-  // file plus --out / --golden / --json where the verb supports them.
-  std::string campaign_path;
-  std::string out_path;
-  std::string golden_path;
-  bool as_json = false;
-  for (int k = 3; k < argc; ++k) {
-    const char* flag = argv[k];
-    const bool is_out = std::strcmp(flag, "--out") == 0;
-    const bool is_golden = std::strcmp(flag, "--golden") == 0;
-    if (is_out || is_golden) {
-      if (k + 1 >= argc) {
-        std::fprintf(stderr, "error: %s requires a value\n", flag);
-        return 2;
-      }
-      (is_out ? out_path : golden_path) = argv[++k];
-    } else if (std::strcmp(flag, "--json") == 0) {
-      as_json = true;
-    } else if (std::strncmp(flag, "--", 2) == 0) {
-      std::fprintf(stderr, "error: unknown flag '%s' for 'campaign %s'\n",
-                   flag, verb.c_str());
-      return 2;
-    } else if (campaign_path.empty()) {
-      campaign_path = flag;
-    } else {
-      std::fprintf(stderr, "error: extra argument '%s'\n", flag);
-      return 2;
-    }
-  }
+  // run/expand/verify read one campaign file plus the verb's flags.
+  const std::vector<CliArg> table =
+      verb == "run"      ? std::vector<CliArg>{{"<file>", nullptr},
+                                               {"--out", nullptr},
+                                               {"--json", nullptr, ""}}
+      : verb == "expand" ? std::vector<CliArg>{{"<file>", nullptr},
+                                               {"--json", nullptr, ""}}
+                         : std::vector<CliArg>{{"<file>", nullptr},
+                                               {"--golden", nullptr}};
+  const CliArgs args = from_args([&] {
+    return scenario::parse_cli_args(table, {}, {tokens.begin() + 1,
+                                                tokens.end()},
+                                    "campaign " + verb);
+  });
+  const auto arg = [&](const char* flag) {
+    const auto it = args.cli.find(flag);
+    return it == args.cli.end() ? std::string() : it->second;
+  };
+  const std::string campaign_path = arg("<file>");
+  const std::string out_path = arg("--out");
+  const std::string golden_path = arg("--golden");
+  const bool as_json = args.cli.count("--json") > 0;
   if (campaign_path.empty()) {
-    std::fprintf(stderr, "error: campaign %s needs a campaign file\n",
-                 verb.c_str());
-    return 2;
-  }
-  if ((verb != "run" && !out_path.empty()) ||
-      (verb != "verify" && !golden_path.empty())) {
-    std::fprintf(stderr, "error: %s is not a 'campaign %s' flag\n",
-                 out_path.empty() ? "--golden" : "--out", verb.c_str());
-    return 2;
+    throw UsageError("campaign " + verb + " needs a campaign file");
   }
   if (verb == "verify" && golden_path.empty()) {
-    std::fprintf(stderr,
-                 "error: campaign verify needs --golden <report>\n");
-    return 2;
+    throw UsageError("campaign verify needs --golden <report>");
   }
 
-  std::string text;
-  if (!read_file(campaign_path, text)) {
-    std::fprintf(stderr, "error: cannot open campaign file '%s'\n",
-                 campaign_path.c_str());
-    return 2;
+  // Every input is read and every instance checked against its kind's
+  // schema before anything runs: a bad file or parameter exits 2.
+  const scenario::CampaignSpec spec = from_args([&] {
+    scenario::CampaignSpec s = scenario::parse_campaign_text(
+        input_file(campaign_path, "campaign file"));
+    scenario::register_builtin_kinds();
+    for (const scenario::ScenarioInstance& inst :
+         scenario::expand_campaign(s)) {
+      scenario::validate_instance(inst);
+    }
+    return s;
+  });
+  std::optional<scenario::CampaignReport> golden;
+  if (verb == "verify") {
+    golden = from_args([&] {
+      return scenario::CampaignReport::from_json(
+          Json::parse(input_file(golden_path, "golden report")));
+    });
   }
-  const scenario::CampaignSpec spec = scenario::parse_campaign_text(text);
-  scenario::register_builtin_kinds();
 
   if (verb == "expand") {
     const auto instances = scenario::expand_campaign(spec);
@@ -1141,16 +933,8 @@ int cmd_campaign(int argc, char** argv) {
       scenario::run_campaign(spec, g_executor);
 
   if (verb == "verify") {
-    std::string golden_text;
-    if (!read_file(golden_path, golden_text)) {
-      std::fprintf(stderr, "error: cannot open golden report '%s'\n",
-                   golden_path.c_str());
-      return 2;
-    }
-    const scenario::CampaignReport golden =
-        scenario::CampaignReport::from_json(Json::parse(golden_text));
     const std::vector<scenario::MetricDiff> diffs =
-        scenario::diff_reports(golden, report, spec.tolerances);
+        scenario::diff_reports(*golden, report, spec.tolerances);
     if (diffs.empty()) {
       std::printf("campaign '%s': PASS (%zu scenarios match '%s')\n",
                   spec.name.c_str(), report.scenarios.size(),
@@ -1200,8 +984,8 @@ int cmd_campaign(int argc, char** argv) {
   return 0;
 }
 
-int cmd_stats(int argc, char** argv) {
-  if (!reject_unknown_flags(argc, argv)) return 2;
+int cmd_stats(const Tokens& tokens) {
+  (void)lone_arg(tokens, "stats");
   // Self-profiling snapshot: run one representative workload from each
   // instrumented subsystem with telemetry and phase profiling forced
   // on, then print the registry.  Shows which solver/MC counters a
@@ -1297,59 +1081,47 @@ int main(int argc, char** argv) {
   // subcommand untouched, so numerical output is independent of them.
   std::string metrics_path;
   std::string trace_path;
-  long threads = 1;
-  std::vector<char*> args;
-  args.push_back(argv[0]);
-  for (int k = 1; k < argc; ++k) {
-    const bool is_metrics = std::strcmp(argv[k], "--metrics") == 0;
-    const bool is_trace = std::strcmp(argv[k], "--trace") == 0;
-    const bool is_threads = std::strcmp(argv[k], "--threads") == 0;
-    const bool is_simd = std::strcmp(argv[k], "--simd") == 0;
-    if (is_metrics || is_trace || is_threads || is_simd) {
-      if (k + 1 >= argc) {
-        std::fprintf(stderr, "error: %s requires a value\n", argv[k]);
-        return 2;
+  std::int64_t threads = 1;
+  Tokens args;
+  try {
+    for (int k = 1; k < argc; ++k) {
+      const std::string flag = argv[k];
+      const bool is_metrics = flag == "--metrics";
+      const bool is_trace = flag == "--trace";
+      const bool is_threads = flag == "--threads";
+      const bool is_simd = flag == "--simd";
+      if (!(is_metrics || is_trace || is_threads || is_simd)) {
+        args.push_back(flag);
+        continue;
       }
+      if (k + 1 >= argc) throw UsageError(flag + " requires a value");
+      const std::string value = argv[++k];
       if (is_threads) {
-        threads = std::atol(argv[++k]);
-        if (threads < 1) {
-          std::fprintf(stderr, "error: --threads wants a count >= 1\n");
-          return 2;
-        }
+        threads = arg_value("--threads", value, scenario::ParamType::kInteger,
+                            Range::at_least(1))
+                      .as_integer();
       } else if (is_simd) {
-        const char* value = argv[++k];
         SimdIsa isa = SimdIsa::kScalar;
         bool is_auto = false;
         if (!parse_simd_isa(value, &isa, &is_auto)) {
-          std::fprintf(stderr,
-                       "error: --simd: unrecognized value '%s' (expected "
-                       "auto|scalar|sse2|avx2|avx512|neon)\n",
-                       value);
-          return 2;
+          throw UsageError("--simd: unrecognized value '" + value +
+                           "' (expected auto|scalar|sse2|avx2|avx512|neon)");
         }
-        try {
-          if (is_auto) clear_simd_isa_override();
-          else set_simd_isa_override(isa);
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "error: %s\n", e.what());
-          return 2;
-        }
+        if (is_auto) clear_simd_isa_override();
+        else set_simd_isa_override(isa);
       } else {
-        (is_metrics ? metrics_path : trace_path) = argv[++k];
+        (is_metrics ? metrics_path : trace_path) = value;
       }
-    } else {
-      args.push_back(argv[k]);
     }
-  }
-  // Resolve the kernel ISA up front so a bogus STTRAM_SIMD value is a
-  // usage error (exit 2) before any command output, not a mid-run throw.
-  try {
+    // Resolve the kernel ISA up front so a bogus STTRAM_SIMD value is a
+    // usage error (exit 2) before any command output, not a mid-run
+    // throw.
     (void)active_simd_isa();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
-  if (args.size() < 2) {
+  if (args.empty()) {
     std::fprintf(
         stderr,
         "usage: sttram_cli [--metrics <file>] [--trace <file>] "
@@ -1370,33 +1142,33 @@ int main(int argc, char** argv) {
     g_executor = pool.get();
   }
 
-  const int sub_argc = static_cast<int>(args.size());
-  char** sub_argv = args.data();
-  const std::string cmd = sub_argv[1];
+  const std::string& cmd = args[0];
+  const Tokens rest(args.begin() + 1, args.end());
   int rc = 2;
   try {
-    if (cmd == "margins") rc = cmd_margins(sub_argc, sub_argv);
-    else if (cmd == "design") rc = cmd_design(sub_argc, sub_argv);
-    else if (cmd == "robustness") rc = cmd_robustness(sub_argc, sub_argv);
-    else if (cmd == "yield") rc = cmd_yield(sub_argc, sub_argv);
-    else if (cmd == "tail") rc = cmd_tail(sub_argc, sub_argv);
-    else if (cmd == "read") rc = cmd_read(sub_argc, sub_argv);
-    else if (cmd == "transient") rc = cmd_transient(sub_argc, sub_argv);
-    else if (cmd == "traffic") rc = cmd_traffic(sub_argc, sub_argv);
-    else if (cmd == "fault") rc = cmd_fault(sub_argc, sub_argv);
-    else if (cmd == "campaign") rc = cmd_campaign(sub_argc, sub_argv);
-    else if (cmd == "stats") rc = cmd_stats(sub_argc, sub_argv);
+    if (cmd == "margins") rc = cmd_margins(rest);
+    else if (cmd == "design") rc = cmd_design(rest);
+    else if (cmd == "robustness") rc = cmd_robustness(rest);
+    else if (cmd == "yield") rc = cmd_yield(rest);
+    else if (cmd == "tail") rc = cmd_tail(rest);
+    else if (cmd == "read") rc = cmd_read(rest);
+    else if (cmd == "transient") rc = cmd_transient(rest);
+    else if (cmd == "traffic") rc = cmd_traffic(rest);
+    else if (cmd == "fault") rc = cmd_fault(rest);
+    else if (cmd == "campaign") rc = cmd_campaign(rest);
+    else if (cmd == "stats") rc = cmd_stats(rest);
     else if (cmd == "help" || cmd == "-h" || cmd == "--help") {
       print_help();
       rc = 0;
     } else {
-      std::fprintf(stderr,
-                   "error: unknown command '%s' (try one of margins, "
-                   "design, robustness, yield, tail, read, transient, "
-                   "traffic, fault, campaign, stats, help)\n",
-                   cmd.c_str());
-      return 2;
+      throw UsageError("unknown command '" + cmd +
+                       "' (try one of margins, design, robustness, yield, "
+                       "tail, read, transient, traffic, fault, campaign, "
+                       "stats, help)");
     }
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

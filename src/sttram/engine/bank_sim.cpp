@@ -33,22 +33,6 @@ const char* to_string(SensingScheme scheme) {
   return "?";
 }
 
-bool parse_scheme(const std::string& name, SensingScheme& scheme) {
-  if (name == "conventional") {
-    scheme = SensingScheme::kConventional;
-    return true;
-  }
-  if (name == "destructive") {
-    scheme = SensingScheme::kDestructive;
-    return true;
-  }
-  if (name == "nondestructive") {
-    scheme = SensingScheme::kNondestructive;
-    return true;
-  }
-  return false;
-}
-
 BankTiming scheme_bank_timing(SensingScheme scheme,
                               const CostComparisonConfig& cost) {
   const auto costs = compare_scheme_costs(cost);

@@ -33,9 +33,6 @@ enum class SensingScheme : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(SensingScheme scheme);
-/// Parses "conventional" / "destructive" / "nondestructive"; returns
-/// false on anything else.
-bool parse_scheme(const std::string& name, SensingScheme& scheme);
 
 /// Per-request bank occupancy and energy of one scheme, taken from the
 /// calibrated executable read operations (worst case over the stored

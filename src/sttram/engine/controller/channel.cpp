@@ -20,18 +20,6 @@ const char* to_string(SchedulerPolicy policy) {
   return "?";
 }
 
-bool parse_scheduler(const std::string& name, SchedulerPolicy& policy) {
-  if (name == "fcfs") {
-    policy = SchedulerPolicy::kFcfs;
-    return true;
-  }
-  if (name == "frfcfs") {
-    policy = SchedulerPolicy::kFrFcfs;
-    return true;
-  }
-  return false;
-}
-
 void ChannelSim::Ring::push_back(Entry&& entry) {
   if (count == slots.size()) {
     // Grow to the next power of two and linearize so the mask stays

@@ -50,8 +50,6 @@ enum class SchedulerPolicy : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(SchedulerPolicy policy);
-/// Parses "fcfs" / "frfcfs"; returns false on anything else.
-bool parse_scheduler(const std::string& name, SchedulerPolicy& policy);
 
 /// One access offered to a channel.  `bank` is the flat bank index
 /// within the channel (rank * banks_per_rank + bank).

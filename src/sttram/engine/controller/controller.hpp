@@ -41,7 +41,7 @@ struct ControllerConfig {
   SchedulerPolicy scheduler = SchedulerPolicy::kFrFcfs;
   std::size_t starvation_cap = 8;
   bool coalescing = true;
-  std::size_t requests = 1000000;  ///< total across all channels
+  std::size_t requests = 100000;  ///< total across all channels
   double read_fraction = 0.7;
   /// Offered load per bank as a fraction of its (row-overhead-adjusted)
   /// service capacity.

@@ -4,10 +4,13 @@
 #include <cmath>
 #include <cstdio>
 #include <istream>
+#include <limits>
+#include <optional>
 #include <ostream>
 #include <string>
 
 #include "sttram/common/error.hpp"
+#include "sttram/common/token.hpp"
 #include "sttram/io/csv.hpp"
 #include "sttram/stats/rng.hpp"
 
@@ -28,16 +31,6 @@ bool parse_op(const std::string& field, Op& op) {
     return true;
   }
   return false;
-}
-
-bool parse_double(const std::string& field, double& value) {
-  std::size_t consumed = 0;
-  try {
-    value = std::stod(field, &consumed);
-  } catch (const std::exception&) {
-    return false;
-  }
-  return consumed == field.size();
 }
 
 }  // namespace
@@ -74,29 +67,30 @@ std::vector<Request> load_trace_csv(std::istream& in) {
             "load_trace_csv: expected arrival_s,op,bank — got " +
                 std::to_string(fields.size()) + " field(s) in row " +
                 std::to_string(reader.rows_read()));
-    double arrival = 0.0;
-    if (!parse_double(fields[0], arrival)) {
+    const std::optional<double> arrival = parse_number(fields[0]);
+    if (!arrival) {
       // A non-numeric first column in the first row is the header.
       if (out.empty() && reader.rows_read() == 1) continue;
       throw InvalidArgument("load_trace_csv: bad arrival '" + fields[0] +
                             "' in row " + std::to_string(reader.rows_read()));
     }
-    require(arrival >= 0.0, "load_trace_csv: arrival must be >= 0 in row " +
-                                std::to_string(reader.rows_read()));
+    require(*arrival >= 0.0, "load_trace_csv: arrival must be >= 0 in row " +
+                                 std::to_string(reader.rows_read()));
     Request r;
-    r.arrival = Second(arrival);
+    r.arrival = Second(*arrival);
     if (!parse_op(fields[1], r.op)) {
       throw InvalidArgument("load_trace_csv: bad op '" + fields[1] +
                             "' in row " + std::to_string(reader.rows_read()) +
                             " (want read/write)");
     }
-    double bank = 0.0;
-    if (!parse_double(fields[2], bank) || bank < 0.0 ||
-        bank != std::floor(bank)) {
+    const std::optional<std::int64_t> bank = parse_integer(fields[2]);
+    if (!bank || *bank < 0 ||
+        *bank > std::numeric_limits<std::uint32_t>::max()) {
       throw InvalidArgument("load_trace_csv: bad bank '" + fields[2] +
-                            "' in row " + std::to_string(reader.rows_read()));
+                            "' in row " + std::to_string(reader.rows_read()) +
+                            " (want an integer in [0, 2^32))");
     }
-    r.bank = static_cast<std::uint32_t>(bank);
+    r.bank = static_cast<std::uint32_t>(*bank);
     r.id = out.size();
     out.push_back(r);
   }

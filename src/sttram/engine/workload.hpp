@@ -28,9 +28,11 @@ std::vector<Request> generate_poisson_workload(
 /// Loads an access trace.  Format: a CSV with columns
 ///   arrival_s,op,bank
 /// where `op` is read/r/R or write/w/W; a header row is skipped when the
-/// first column does not parse as a number.  Rows are sorted by arrival
-/// (stable, so equal arrivals keep file order) and re-numbered.  Throws
-/// InvalidArgument on malformed rows.
+/// first column does not parse as a number.  Numbers are strict tokens
+/// (common/token.hpp): the arrival a finite value >= 0, the bank an
+/// integer in [0, 2^32).  Rows are sorted by arrival (stable, so equal
+/// arrivals keep file order) and re-numbered.  Throws InvalidArgument
+/// naming the row on a malformed one.
 std::vector<Request> load_trace_csv(std::istream& in);
 
 /// Writes `requests` in the load_trace_csv format (with header).

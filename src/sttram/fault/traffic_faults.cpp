@@ -69,4 +69,19 @@ engine::ReadFaultOutcome TrafficFaultModel::read_outcome(
   return outcome;
 }
 
+std::unique_ptr<TrafficFaultModel> make_traffic_fault_model(
+    double raw_ber, bool ecc, std::uint32_t max_attempts,
+    engine::SensingScheme scheme, const CostComparisonConfig& cost,
+    std::uint64_t workload_seed) {
+  TrafficFaultConfig fc;
+  fc.raw_ber = raw_ber;
+  fc.ecc = ecc;
+  fc.max_attempts = max_attempts;
+  const engine::BankTiming timing = engine::scheme_bank_timing(scheme, cost);
+  fc.retry_latency = timing.read_service;
+  fc.retry_energy = timing.read_energy;
+  fc.seed = workload_seed ^ 0x5717fa7ee1dULL;
+  return std::make_unique<TrafficFaultModel>(fc);
+}
+
 }  // namespace sttram::fault

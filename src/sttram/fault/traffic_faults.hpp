@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
+#include "sttram/engine/bank_sim.hpp"
 #include "sttram/engine/fault_hook.hpp"
 #include "sttram/fault/ecc.hpp"
 #include "sttram/stats/rng.hpp"
@@ -58,5 +60,16 @@ class TrafficFaultModel final : public engine::ReadFaultModel {
   Xoshiro256 master_;
   std::size_t codeword_bits_;
 };
+
+/// The fault hook of a traffic run over banks of `scheme`: per-bit read
+/// error rate `raw_ber`, optional SECDED, `max_attempts` reads in all.
+/// A retry re-runs the whole read, so it costs the scheme's read service
+/// time and energy (engine::scheme_bank_timing).  The hook draws from
+/// its own stream, seeded `workload_seed ^ 0x5717fa7ee1d`.  Both the
+/// traffic engine and the chip-scale controller take this hook.
+[[nodiscard]] std::unique_ptr<TrafficFaultModel> make_traffic_fault_model(
+    double raw_ber, bool ecc, std::uint32_t max_attempts,
+    engine::SensingScheme scheme, const CostComparisonConfig& cost,
+    std::uint64_t workload_seed);
 
 }  // namespace sttram::fault

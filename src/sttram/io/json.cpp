@@ -1,11 +1,11 @@
 #include "sttram/io/json.hpp"
 
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "sttram/common/error.hpp"
+#include "sttram/common/token.hpp"
 
 namespace sttram {
 
@@ -111,16 +111,24 @@ double Json::as_number() const {
   return static_cast<double>(std::get<std::int64_t>(value_));
 }
 
+bool Json::is_integer() const {
+  return std::holds_alternative<std::int64_t>(value_) ||
+         (std::holds_alternative<double>(value_) &&
+          to_int64(std::get<double>(value_)).has_value());
+}
+
 std::int64_t Json::as_integer() const {
   if (std::holds_alternative<std::int64_t>(value_)) {
     return std::get<std::int64_t>(value_);
   }
   require(std::holds_alternative<double>(value_),
           "Json::as_integer: not a number");
-  const double v = std::get<double>(value_);
-  require(std::isfinite(v) && v == std::floor(v),
-          "Json::as_integer: non-integral number");
-  return static_cast<std::int64_t>(v);
+  const std::optional<std::int64_t> v = to_int64(std::get<double>(value_));
+  if (!v) {
+    throw InvalidArgument("Json::as_integer: " + dump() +
+                          " is not an integer inside int64");
+  }
+  return *v;
 }
 
 const std::string& Json::as_string() const {
@@ -472,25 +480,23 @@ class Parser {
     const std::string tok = text_.substr(start, pos_ - start);
     pos_ = start;  // errors below point at the number's first byte
     if (tok.empty() || tok == "-") fail("invalid number");
+    // The shared token grammar decides what a number is: a token it
+    // does not cover entirely ("1.2.3", "1e", "1e+") is malformed, and
+    // one that overflows ("1e999") has no JSON representation.
+    if (sttram::scan_number(tok) != tok.size()) {
+      fail("malformed number '" + tok + "'");
+    }
     if (integral) {
-      try {
-        Json v = Json::integer(std::stoll(tok));
+      // Out of int64 range falls through to the double path.
+      if (const std::optional<std::int64_t> i = sttram::parse_integer(tok)) {
         pos_ = start + tok.size();
-        return v;
-      } catch (const std::exception&) {
-        // Out of int64 range: fall through to the double path.
+        return Json::integer(*i);
       }
     }
-    // strtod both converts and validates: a token it cannot consume
-    // entirely ("1.2.3", "1e", "1e+") is malformed, and an overflowing
-    // one ("1e999") yields inf, which JSON cannot represent.
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (end != tok.c_str() + tok.size()) fail("malformed number '" + tok + "'");
-    if (!std::isfinite(v)) fail("non-finite number '" + tok + "'");
+    const std::optional<double> v = sttram::parse_number(tok);
+    if (!v) fail("non-finite number '" + tok + "'");
     pos_ = start + tok.size();
-    return Json::number(v);
+    return Json::number(*v);
   }
 
   void expect_literal(const char* lit) {

@@ -38,6 +38,9 @@ class Json {
   [[nodiscard]] bool is_null() const;
   [[nodiscard]] bool is_bool() const;
   [[nodiscard]] bool is_number() const;  ///< double or integer
+  /// True when as_integer() succeeds: an int64, or an integral double
+  /// inside [-2^63, 2^63).
+  [[nodiscard]] bool is_integer() const;
   [[nodiscard]] bool is_string() const;
   [[nodiscard]] bool is_array() const;
   [[nodiscard]] bool is_object() const;
@@ -54,7 +57,7 @@ class Json {
 
   /// Value extraction; each throws on a type mismatch.  as_number()
   /// accepts either numeric alternative; as_integer() accepts a double
-  /// only when it is integral.
+  /// only when it is integral and inside int64.
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
   [[nodiscard]] std::int64_t as_integer() const;

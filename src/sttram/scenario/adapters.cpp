@@ -1,73 +1,168 @@
-// Built-in experiment-kind adapters: thin, deterministic bridges from a
-// validated ScenarioInstance to the existing experiment layers.  Each
-// adapter returns a flat JSON object of metrics; see registry.hpp for
-// the determinism contract.
-#include <cmath>
+// Built-in experiment kinds.  Each kind is three pieces, in this order:
+// its ParamSchema (the one place its parameters' types, defaults and
+// ranges are written), its builder (builders.hpp: validated params +
+// seed -> library config, shared with `sttram_cli`) and its adapter (a
+// thin, deterministic bridge from a ScenarioInstance to the experiment
+// layers that returns a flat JSON object of metrics; see registry.hpp
+// for the determinism contract).
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "sttram/common/error.hpp"
-#include "sttram/engine/bank_sim.hpp"
-#include "sttram/engine/controller/controller.hpp"
 #include "sttram/fault/coverage.hpp"
-#include "sttram/fault/fault_model.hpp"
-#include "sttram/fault/traffic_faults.hpp"
-#include "sttram/fault/yield_overlay.hpp"
+#include "sttram/scenario/builders.hpp"
 #include "sttram/scenario/registry.hpp"
 #include "sttram/sense/margins.hpp"
-#include "sttram/sim/tail.hpp"
-#include "sttram/sim/yield.hpp"
 
 namespace sttram::scenario {
 
 namespace {
 
+/// Spelling and value of one enum choice.
+template <class E>
+struct Choice {
+  const char* name;
+  E value;
+};
+
+constexpr Choice<engine::SensingScheme> kSchemes[] = {
+    {"conventional", engine::SensingScheme::kConventional},
+    {"destructive", engine::SensingScheme::kDestructive},
+    {"nondestructive", engine::SensingScheme::kNondestructive}};
+constexpr Choice<engine::SchedulingPolicy> kPolicies[] = {
+    {"fcfs", engine::SchedulingPolicy::kFcfs},
+    {"read-priority", engine::SchedulingPolicy::kReadPriority}};
+constexpr Choice<engine::WorkloadKind> kWorkloads[] = {
+    {"poisson", engine::WorkloadKind::kPoisson},
+    {"closed", engine::WorkloadKind::kClosedLoop}};
+constexpr Choice<engine::controller::SchedulerPolicy> kSchedulers[] = {
+    {"fcfs", engine::controller::SchedulerPolicy::kFcfs},
+    {"frfcfs", engine::controller::SchedulerPolicy::kFrFcfs}};
+constexpr Choice<ReadScheme> kReadSchemes[] = {
+    {"conventional", ReadScheme::kConventional},
+    {"destructive", ReadScheme::kDestructive},
+    {"nondestructive", ReadScheme::kNondestructive}};
+
+template <class E, std::size_t N>
+std::vector<std::string> names_of(const Choice<E> (&choices)[N]) {
+  std::vector<std::string> out;
+  for (const Choice<E>& c : choices) out.emplace_back(c.name);
+  return out;
+}
+
+template <class E, std::size_t N>
+std::string name_of(const Choice<E> (&choices)[N], E value) {
+  for (const Choice<E>& c : choices) {
+    if (c.value == value) return c.name;
+  }
+  throw InvalidArgument("enum value without a schema spelling");
+}
+
+/// The value of a choice the schema has validated.
+template <class E, std::size_t N>
+E value_of(const Choice<E> (&choices)[N], const std::string& name) {
+  for (const Choice<E>& c : choices) {
+    if (name == c.name) return c.value;
+  }
+  throw InvalidArgument("unknown choice '" + name + "'");
+}
+
+/// A kind's validated params, read by its builder: a set value or the
+/// schema default; `names` spells fields in messages.
+struct Params {
+  const ParamSchema& schema;
+  const Json& values;
+  const FieldNames& names;
+
+  [[nodiscard]] const Json& at(const std::string& field) const {
+    if (values.contains(field)) return values.at(field);
+    const ParamField* f = schema.find(field);
+    if (f == nullptr) {
+      throw InvalidArgument("builder reads unknown parameter '" + field +
+                            "'");
+    }
+    return f->fallback;
+  }
+  [[nodiscard]] bool has(const std::string& field) const {
+    return values.contains(field);
+  }
+  [[nodiscard]] std::size_t count(const std::string& field) const {
+    return static_cast<std::size_t>(at(field).as_integer());
+  }
+  [[nodiscard]] double number(const std::string& field) const {
+    return at(field).as_number();
+  }
+  [[nodiscard]] bool boolean(const std::string& field) const {
+    return at(field).as_bool();
+  }
+  [[nodiscard]] const std::string& choice(const std::string& field) const {
+    return at(field).as_string();
+  }
+  [[nodiscard]] std::string name(const std::string& field) const {
+    const auto it = names.find(field);
+    return it != names.end() ? it->second : "'" + field + "'";
+  }
+};
+
+constexpr Range kCount = Range::at_least(1);
+constexpr Range kNonNegative = Range::at_least(0);
+constexpr Range kFraction = Range::closed(0, 1);
+/// Read attempts land in a uint32_t.
+constexpr Range kAttempts =
+    Range::closed(1, std::numeric_limits<std::uint32_t>::max());
+
+/// Defaults no library struct carries, each written once.
+constexpr double kFaultDensity = 0.01;  // fault_overlay and march
+constexpr std::int64_t kMarchSide = 64;  // march rows and cols
+
 // ---------------------------------------------------------------- yield
 
-ParamSchema yield_schema() {
-  ParamSchema s;
-  s.field("rows", ParamType::kInteger, "array rows (default 128)")
-      .field("cols", ParamType::kInteger, "array columns (default 128)")
-      .field("sigma_common", ParamType::kNumber,
-             "common-mode (barrier) lognormal sigma (default 0.06)")
-      .field("sigma_tmr", ParamType::kNumber,
-             "TMR lognormal sigma (default 0.015)")
-      .field("sigma_icrit", ParamType::kNumber,
-             "critical-current relative sigma (default 0.05)")
-      .field("sigma_access", ParamType::kNumber,
-             "access-device lognormal sigma (default 0.02)")
-      .field("die_sigma", ParamType::kNumber,
-             "die-to-die common factor sigma (default 0)")
-      .field("required_margin_mv", ParamType::kNumber,
-             "sense-amp margin requirement in mV (default 8)")
-      .field("seed", ParamType::kInteger,
-             "RNG seed (default: forked from the campaign seed)");
+const ParamSchema& yield_schema() {
+  static const ParamSchema s = [] {
+    const YieldConfig d;
+    return ParamSchema()
+        .integer("rows", "array rows", d.geometry.rows, kCount)
+        .integer("cols", "array columns", d.geometry.cols, kCount)
+        .number("sigma_common", "common-mode (barrier) lognormal sigma",
+                d.variation.sigma_common, kNonNegative)
+        .number("sigma_tmr", "TMR lognormal sigma", d.variation.sigma_tmr,
+                kNonNegative)
+        .number("sigma_icrit", "critical-current relative sigma",
+                d.variation.sigma_icrit, kNonNegative)
+        .number("sigma_access", "access-device lognormal sigma",
+                d.sigma_access, kNonNegative)
+        .number("die_sigma", "die-to-die common factor sigma", d.die_sigma,
+                kNonNegative)
+        .number("required_margin_mv", "sense-amp margin requirement in mV",
+                d.required_margin.value() * 1e3, kNonNegative)
+        .integer("seed", "RNG seed; absent: forked from the campaign seed",
+                 std::nullopt);
+  }();
   return s;
 }
 
-YieldConfig yield_config_from(const ScenarioInstance& inst) {
+}  // namespace
+
+YieldConfig build_yield(const Json& params, std::uint64_t seed,
+                        const FieldNames& names) {
+  const Params p{yield_schema(), params, names};
   YieldConfig cfg;
-  cfg.geometry = {static_cast<std::size_t>(
-                      param_int(inst.params, "rows", 128)),
-                  static_cast<std::size_t>(
-                      param_int(inst.params, "cols", 128))};
-  require(cfg.geometry.rows > 0 && cfg.geometry.cols > 0,
-          "scenario '" + inst.name + "': rows/cols must be > 0");
-  cfg.variation.sigma_common =
-      param_number(inst.params, "sigma_common", cfg.variation.sigma_common);
-  cfg.variation.sigma_tmr =
-      param_number(inst.params, "sigma_tmr", cfg.variation.sigma_tmr);
-  cfg.variation.sigma_icrit =
-      param_number(inst.params, "sigma_icrit", cfg.variation.sigma_icrit);
-  cfg.sigma_access =
-      param_number(inst.params, "sigma_access", cfg.sigma_access);
-  cfg.die_sigma = param_number(inst.params, "die_sigma", cfg.die_sigma);
-  cfg.required_margin = Volt(
-      param_number(inst.params, "required_margin_mv", 8.0) * 1e-3);
-  cfg.seed = inst.seed;
+  cfg.geometry = {p.count("rows"), p.count("cols")};
+  cfg.variation.sigma_common = p.number("sigma_common");
+  cfg.variation.sigma_tmr = p.number("sigma_tmr");
+  cfg.variation.sigma_icrit = p.number("sigma_icrit");
+  cfg.sigma_access = p.number("sigma_access");
+  cfg.die_sigma = p.number("die_sigma");
+  cfg.required_margin = Volt(p.number("required_margin_mv") * 1e-3);
+  cfg.seed = seed;
   cfg.max_scatter_points = 1;
   return cfg;
 }
+
+namespace {
 
 void add_scheme_yield(Json& metrics, const SchemeYield& y,
                       const std::string& prefix) {
@@ -81,7 +176,7 @@ void add_scheme_yield(Json& metrics, const SchemeYield& y,
 Json run_yield_kind(const ScenarioInstance& inst,
                     ParallelExecutor* executor) {
   const YieldResult r =
-      run_yield_experiment(yield_config_from(inst), executor);
+      run_yield_experiment(build_yield(inst.params, inst.seed), executor);
   Json metrics = Json::object();
   add_scheme_yield(metrics, r.conventional, "conventional");
   add_scheme_yield(metrics, r.reference_cell, "reference_cell");
@@ -94,26 +189,36 @@ Json run_yield_kind(const ScenarioInstance& inst,
 
 // ----------------------------------------------------------------- tail
 
-ParamSchema tail_schema() {
-  ParamSchema s;
-  s.field("threshold_mv", ParamType::kNumber,
-          "failure threshold in mV (default 8)")
-      .field("trials", ParamType::kInteger,
-             "importance-sampling trials (default 20000)")
-      .field("seed", ParamType::kInteger,
-             "RNG seed (default: forked from the campaign seed)");
+const ParamSchema& tail_schema() {
+  static const ParamSchema s =
+      ParamSchema()
+          .number("threshold_mv", "failure threshold in mV",
+                  TailConfig{}.threshold.value() * 1e3, kNonNegative)
+          .integer("trials", "importance-sampling trials", 20000, kCount)
+          .integer("seed", "RNG seed; absent: forked from the campaign seed",
+                   std::nullopt);
   return s;
 }
 
+}  // namespace
+
+TailSetup build_tail(const Json& params, std::uint64_t seed,
+                     const FieldNames& names) {
+  const Params p{tail_schema(), params, names};
+  TailSetup out;
+  out.config.threshold = Volt(p.number("threshold_mv") * 1e-3);
+  out.seed = seed;
+  out.trials = p.count("trials");
+  return out;
+}
+
+namespace {
+
 Json run_tail_kind(const ScenarioInstance& inst,
                    ParallelExecutor* executor) {
-  TailConfig cfg;
-  cfg.threshold =
-      Volt(param_number(inst.params, "threshold_mv", 8.0) * 1e-3);
-  const auto trials = static_cast<std::size_t>(
-      param_int(inst.params, "trials", 20000));
+  const TailSetup t = build_tail(inst.params, inst.seed);
   const TailEstimate e =
-      estimate_margin_tail(cfg, inst.seed, trials, executor);
+      estimate_margin_tail(t.config, t.seed, t.trials, executor);
   Json metrics = Json::object();
   metrics.set("probability", Json::number(e.estimate.probability));
   metrics.set("std_error", Json::number(e.estimate.std_error));
@@ -123,120 +228,133 @@ Json run_tail_kind(const ScenarioInstance& inst,
   return metrics;
 }
 
+// ------------------------------------------------- traffic + controller
+
+/// A traffic or controller schema: the workload fields both share, the
+/// kind's own (`add_own`), then the shared fault-hook fields.
+template <class Config, class AddOwn>
+ParamSchema traffic_kind_schema(const Config& d, AddOwn add_own) {
+  ParamSchema s;
+  s.choice("scheme", "sensing scheme of every bank", names_of(kSchemes),
+           name_of(kSchemes, d.scheme))
+      .integer("requests", "total request count", d.requests, kCount)
+      .number("rho", "per-bank offered load", d.utilization, Range::open(0, 1))
+      .number("read_fraction", "fraction of reads", d.read_fraction, kFraction)
+      .integer("word_bits", "bits per access", d.word_bits, kCount);
+  add_own(s);
+  return s
+      .number("faults_ber",
+              "per-bit read error rate; absent: the fault-free path",
+              std::nullopt, kFraction)
+      .boolean("ecc", "SECDED + retry recovery (needs faults_ber)", false)
+      .integer("retry", "max read attempts with ECC",
+               fault::TrafficFaultConfig{}.max_attempts, kAttempts)
+      .integer("seed", "workload seed; absent: forked from the campaign seed",
+               std::nullopt);
+}
+
+/// Reads the shared fields into either config and attaches the fault
+/// hook when `faults_ber` is set.
+template <class Config>
+TrafficSetup<Config> build_traffic_common(const Params& p,
+                                          std::uint64_t seed) {
+  if (p.boolean("ecc") && !p.has("faults_ber")) {
+    throw InvalidArgument(p.name("ecc") + " needs " + p.name("faults_ber"));
+  }
+  TrafficSetup<Config> out;
+  Config& cfg = out.config;
+  cfg.scheme = value_of(kSchemes, p.choice("scheme"));
+  cfg.requests = p.count("requests");
+  cfg.utilization = p.number("rho");
+  cfg.read_fraction = p.number("read_fraction");
+  cfg.word_bits = p.count("word_bits");
+  cfg.seed = seed;
+  if (p.has("faults_ber")) {
+    out.faults = fault::make_traffic_fault_model(
+        p.number("faults_ber"), p.boolean("ecc"),
+        static_cast<std::uint32_t>(p.count("retry")), cfg.scheme, cfg.cost,
+        seed);
+    cfg.faults = out.faults.get();
+  }
+  return out;
+}
+
+/// The metrics both traffic kinds report: latency, queueing, energy and,
+/// when a fault hook ran, its counters.
+template <class Report>
+Json traffic_metrics(const Report& r) {
+  const auto ns = [](Second s) { return Json::number(s.value() * 1e9); };
+  const auto count = [](std::size_t v) {
+    return Json::integer(static_cast<std::int64_t>(v));
+  };
+  Json m = Json::object();
+  m.set("mean_latency_ns", ns(r.mean_latency));
+  m.set("p50_latency_ns", ns(r.p50_latency));
+  m.set("p90_latency_ns", ns(r.p90_latency));
+  m.set("p99_latency_ns", ns(r.p99_latency));
+  m.set("p999_latency_ns", ns(r.p999_latency));
+  m.set("max_latency_ns", ns(r.max_latency));
+  m.set("mean_queue_wait_ns", ns(r.mean_queue_wait));
+  m.set("makespan_us", Json::number(r.makespan.value() * 1e6));
+  m.set("peak_queue_depth", count(r.peak_queue_depth));
+  m.set("energy_per_bit_pj", Json::number(r.energy_per_bit_pj));
+  if (r.faults_enabled) {
+    m.set("faults.raw_bit_errors", count(r.faults.raw_bit_errors));
+    m.set("faults.retries", count(r.faults.retries));
+    m.set("faults.corrected_words", count(r.faults.corrected_words));
+    m.set("faults.uncorrectable_words", count(r.faults.uncorrectable_words));
+    m.set("faults.silent_corruptions", count(r.faults.silent_corruptions));
+  }
+  return m;
+}
+
 // -------------------------------------------------------------- traffic
 
-ParamSchema traffic_schema() {
-  ParamSchema s;
-  s.field("scheme", ParamType::kEnum, "sensing scheme of every bank",
-          {"conventional", "destructive", "nondestructive"})
-      .field("banks", ParamType::kInteger, "bank count (default 4)")
-      .field("policy", ParamType::kEnum, "scheduling policy (default fcfs)",
-             {"fcfs", "read-priority"})
-      .field("workload", ParamType::kEnum,
-             "request stream shape (default poisson)",
-             {"poisson", "closed"})
-      .field("requests", ParamType::kInteger,
-             "request count (default 100000)")
-      .field("rho", ParamType::kNumber,
-             "per-bank offered load (poisson, default 0.6)")
-      .field("read_fraction", ParamType::kNumber,
-             "fraction of reads (default 0.7)")
-      .field("clients", ParamType::kInteger,
-             "closed-loop population (default 8)")
-      .field("think_ns", ParamType::kNumber,
-             "closed-loop think time in ns (default 50)")
-      .field("word_bits", ParamType::kInteger,
-             "bits per access (default 32)")
-      .field("faults_ber", ParamType::kNumber,
-             "per-bit read error rate (default: fault-free path)")
-      .field("ecc", ParamType::kBool,
-             "SECDED + retry recovery (default false)")
-      .field("retry", ParamType::kInteger,
-             "max read attempts with ECC (default 3)")
-      .field("seed", ParamType::kInteger,
-             "workload seed (default: forked from the campaign seed)");
+const ParamSchema& traffic_schema() {
+  static const ParamSchema s = [] {
+    const engine::TrafficConfig d;
+    return traffic_kind_schema(d, [&](ParamSchema& own) {
+      own.integer("banks", "bank count", d.banks, kCount)
+          .choice("policy", "scheduling policy", names_of(kPolicies),
+                  name_of(kPolicies, d.policy))
+          .choice("workload", "request stream shape", names_of(kWorkloads),
+                  name_of(kWorkloads, d.workload))
+          .integer("clients", "closed-loop population", d.clients, kCount)
+          .number("think_ns", "closed-loop mean think time in ns",
+                  d.think_time.value() * 1e9, kNonNegative);
+    });
+  }();
   return s;
 }
 
+}  // namespace
+
+TrafficSetup<engine::TrafficConfig> build_traffic(const Json& params,
+                                                  std::uint64_t seed,
+                                                  const FieldNames& names) {
+  const Params p{traffic_schema(), params, names};
+  TrafficSetup<engine::TrafficConfig> out =
+      build_traffic_common<engine::TrafficConfig>(p, seed);
+  engine::TrafficConfig& cfg = out.config;
+  cfg.banks = p.count("banks");
+  cfg.policy = value_of(kPolicies, p.choice("policy"));
+  cfg.workload = value_of(kWorkloads, p.choice("workload"));
+  cfg.clients = p.count("clients");
+  cfg.think_time = Second(p.number("think_ns") * 1e-9);
+  return out;
+}
+
+namespace {
+
 Json run_traffic_kind(const ScenarioInstance& inst, ParallelExecutor*) {
-  engine::TrafficConfig cfg;
-  const std::string scheme =
-      param_string(inst.params, "scheme", "nondestructive");
-  require(engine::parse_scheme(scheme, cfg.scheme),
-          "scenario '" + inst.name + "': unknown scheme '" + scheme + "'");
-  cfg.banks =
-      static_cast<std::size_t>(param_int(inst.params, "banks", 4));
-  cfg.policy = param_string(inst.params, "policy", "fcfs") == "fcfs"
-                   ? engine::SchedulingPolicy::kFcfs
-                   : engine::SchedulingPolicy::kReadPriority;
-  cfg.workload =
-      param_string(inst.params, "workload", "poisson") == "poisson"
-          ? engine::WorkloadKind::kPoisson
-          : engine::WorkloadKind::kClosedLoop;
-  cfg.requests =
-      static_cast<std::size_t>(param_int(inst.params, "requests", 100000));
-  cfg.utilization = param_number(inst.params, "rho", cfg.utilization);
-  cfg.read_fraction =
-      param_number(inst.params, "read_fraction", cfg.read_fraction);
-  cfg.clients =
-      static_cast<std::size_t>(param_int(inst.params, "clients", 8));
-  cfg.think_time =
-      Second(param_number(inst.params, "think_ns", 50.0) * 1e-9);
-  cfg.word_bits =
-      static_cast<std::size_t>(param_int(inst.params, "word_bits", 32));
-  cfg.seed = inst.seed;
-
-  const double ber = param_number(inst.params, "faults_ber", -1.0);
-  std::unique_ptr<fault::TrafficFaultModel> faults;
-  if (ber >= 0.0) {
-    fault::TrafficFaultConfig fc;
-    fc.raw_ber = ber;
-    fc.ecc = param_bool(inst.params, "ecc", false);
-    fc.max_attempts = static_cast<std::uint32_t>(
-        param_int(inst.params, "retry", 3));
-    require(fc.max_attempts >= 1,
-            "scenario '" + inst.name + "': retry must be >= 1");
-    const engine::BankTiming timing =
-        engine::scheme_bank_timing(cfg.scheme, cfg.cost);
-    fc.retry_latency = timing.read_service;
-    fc.retry_energy = timing.read_energy;
-    fc.seed = cfg.seed ^ 0x5717fa7ee1dULL;  // matches `sttram_cli traffic`
-    faults = std::make_unique<fault::TrafficFaultModel>(fc);
-    cfg.faults = faults.get();
-  }
-
-  const engine::TrafficReport r = engine::run_traffic(cfg);
-  const auto ns = [](Second s) { return s.value() * 1e9; };
-  Json metrics = Json::object();
-  metrics.set("mean_latency_ns", Json::number(ns(r.mean_latency)));
-  metrics.set("p50_latency_ns", Json::number(ns(r.p50_latency)));
-  metrics.set("p90_latency_ns", Json::number(ns(r.p90_latency)));
-  metrics.set("p99_latency_ns", Json::number(ns(r.p99_latency)));
-  metrics.set("p999_latency_ns", Json::number(ns(r.p999_latency)));
-  metrics.set("max_latency_ns", Json::number(ns(r.max_latency)));
-  metrics.set("mean_queue_wait_ns", Json::number(ns(r.mean_queue_wait)));
-  metrics.set("makespan_us", Json::number(r.makespan.value() * 1e6));
+  const TrafficSetup<engine::TrafficConfig> t =
+      build_traffic(inst.params, inst.seed);
+  const engine::TrafficReport r = engine::run_traffic(t.config);
+  Json metrics = traffic_metrics(r);
   metrics.set("bandwidth_mbps", Json::number(r.sustained_bandwidth_mbps));
   metrics.set("avg_bank_utilization",
               Json::number(r.avg_bank_utilization));
-  metrics.set("peak_queue_depth",
-              Json::integer(static_cast<std::int64_t>(r.peak_queue_depth)));
-  metrics.set("energy_per_bit_pj", Json::number(r.energy_per_bit_pj));
   if (r.faults_enabled) {
-    metrics.set("faults.raw_bit_errors",
-                Json::integer(static_cast<std::int64_t>(
-                    r.faults.raw_bit_errors)));
-    metrics.set("faults.retries",
-                Json::integer(static_cast<std::int64_t>(r.faults.retries)));
-    metrics.set("faults.corrected_words",
-                Json::integer(static_cast<std::int64_t>(
-                    r.faults.corrected_words)));
-    metrics.set("faults.uncorrectable_words",
-                Json::integer(static_cast<std::int64_t>(
-                    r.faults.uncorrectable_words)));
-    metrics.set("faults.silent_corruptions",
-                Json::integer(static_cast<std::int64_t>(
-                    r.faults.silent_corruptions)));
     metrics.set("faults.recovery_latency_us",
                 Json::number(r.faults.extra_latency.value() * 1e6));
   }
@@ -245,105 +363,59 @@ Json run_traffic_kind(const ScenarioInstance& inst, ParallelExecutor*) {
 
 // ----------------------------------------------------------- controller
 
-ParamSchema controller_schema() {
-  ParamSchema s;
-  s.field("scheme", ParamType::kEnum, "sensing scheme of every bank",
-          {"conventional", "destructive", "nondestructive"})
-      .field("channels", ParamType::kInteger, "channel count (default 4)")
-      .field("ranks", ParamType::kInteger,
-             "ranks per channel (default 2)")
-      .field("banks", ParamType::kInteger, "banks per rank (default 8)")
-      .field("rows", ParamType::kInteger, "rows per bank (default 64)")
-      .field("scheduler", ParamType::kEnum,
-             "command scheduler (default frfcfs)", {"fcfs", "frfcfs"})
-      .field("starvation_cap", ParamType::kInteger,
-             "FR-FCFS aging cap (default 8)")
-      .field("coalescing", ParamType::kBool,
-             "MSHR-style read coalescing (default true)")
-      .field("requests", ParamType::kInteger,
-             "total request count (default 100000)")
-      .field("rho", ParamType::kNumber,
-             "per-bank offered load (default 0.6)")
-      .field("row_locality", ParamType::kNumber,
-             "P(reuse the bank's last row) (default 0.6)")
-      .field("read_fraction", ParamType::kNumber,
-             "fraction of reads (default 0.7)")
-      .field("word_bits", ParamType::kInteger,
-             "bits per access (default 32)")
-      .field("faults_ber", ParamType::kNumber,
-             "per-bit read error rate (default: fault-free path)")
-      .field("ecc", ParamType::kBool,
-             "SECDED + retry recovery (default false)")
-      .field("retry", ParamType::kInteger,
-             "max read attempts with ECC (default 3)")
-      .field("seed", ParamType::kInteger,
-             "workload seed (default: forked from the campaign seed)");
+const ParamSchema& controller_schema() {
+  static const ParamSchema s = [] {
+    const engine::controller::ControllerConfig d;
+    return traffic_kind_schema(d, [&](ParamSchema& own) {
+      own.integer("channels", "channel count (<= requests)", d.channels, kCount)
+          .integer("ranks", "ranks per channel", d.ranks, kCount)
+          .integer("banks", "banks per rank", d.banks, kCount)
+          .integer("rows", "rows per bank", d.rows, kCount)
+          .choice("scheduler", "command scheduler", names_of(kSchedulers),
+                  name_of(kSchedulers, d.scheduler))
+          .integer("starvation_cap", "FR-FCFS aging cap",
+                   d.starvation_cap, kNonNegative)
+          .boolean("coalescing", "MSHR-style read coalescing", d.coalescing)
+          .number("row_locality", "P(reuse the bank's last row)",
+                  d.row_locality, kFraction);
+    });
+  }();
   return s;
 }
+
+}  // namespace
+
+TrafficSetup<engine::controller::ControllerConfig> build_controller(
+    const Json& params, std::uint64_t seed, const FieldNames& names) {
+  const Params p{controller_schema(), params, names};
+  TrafficSetup<engine::controller::ControllerConfig> out =
+      build_traffic_common<engine::controller::ControllerConfig>(p, seed);
+  engine::controller::ControllerConfig& cfg = out.config;
+  cfg.channels = p.count("channels");
+  cfg.ranks = p.count("ranks");
+  cfg.banks = p.count("banks");
+  cfg.rows = p.count("rows");
+  cfg.scheduler = value_of(kSchedulers, p.choice("scheduler"));
+  cfg.starvation_cap = p.count("starvation_cap");
+  cfg.coalescing = p.boolean("coalescing");
+  cfg.row_locality = p.number("row_locality");
+  if (cfg.requests < cfg.channels) {
+    throw InvalidArgument(p.name("requests") + " must be at least " +
+                          p.name("channels") + " (one request per channel)");
+  }
+  return out;
+}
+
+namespace {
 
 Json run_controller_kind(const ScenarioInstance& inst,
                          ParallelExecutor* executor) {
   namespace ctrl = engine::controller;
-  ctrl::ControllerConfig cfg;
-  const std::string scheme =
-      param_string(inst.params, "scheme", "nondestructive");
-  require(engine::parse_scheme(scheme, cfg.scheme),
-          "scenario '" + inst.name + "': unknown scheme '" + scheme + "'");
-  cfg.channels =
-      static_cast<std::size_t>(param_int(inst.params, "channels", 4));
-  cfg.ranks = static_cast<std::size_t>(param_int(inst.params, "ranks", 2));
-  cfg.banks = static_cast<std::size_t>(param_int(inst.params, "banks", 8));
-  cfg.rows = static_cast<std::size_t>(param_int(inst.params, "rows", 64));
-  const std::string scheduler =
-      param_string(inst.params, "scheduler", "frfcfs");
-  require(ctrl::parse_scheduler(scheduler, cfg.scheduler),
-          "scenario '" + inst.name + "': unknown scheduler '" + scheduler +
-              "'");
-  cfg.starvation_cap = static_cast<std::size_t>(
-      param_int(inst.params, "starvation_cap", 8));
-  cfg.coalescing = param_bool(inst.params, "coalescing", true);
-  cfg.requests =
-      static_cast<std::size_t>(param_int(inst.params, "requests", 100000));
-  cfg.utilization = param_number(inst.params, "rho", cfg.utilization);
-  cfg.row_locality =
-      param_number(inst.params, "row_locality", cfg.row_locality);
-  cfg.read_fraction =
-      param_number(inst.params, "read_fraction", cfg.read_fraction);
-  cfg.word_bits =
-      static_cast<std::size_t>(param_int(inst.params, "word_bits", 32));
-  cfg.seed = inst.seed;
-
-  const double ber = param_number(inst.params, "faults_ber", -1.0);
-  std::unique_ptr<fault::TrafficFaultModel> faults;
-  if (ber >= 0.0) {
-    fault::TrafficFaultConfig fc;
-    fc.raw_ber = ber;
-    fc.ecc = param_bool(inst.params, "ecc", false);
-    fc.max_attempts = static_cast<std::uint32_t>(
-        param_int(inst.params, "retry", 3));
-    require(fc.max_attempts >= 1,
-            "scenario '" + inst.name + "': retry must be >= 1");
-    const engine::BankTiming timing =
-        engine::scheme_bank_timing(cfg.scheme, cfg.cost);
-    fc.retry_latency = timing.read_service;
-    fc.retry_energy = timing.read_energy;
-    fc.seed = cfg.seed ^ 0x5717fa7ee1dULL;  // matches `sttram_cli traffic`
-    faults = std::make_unique<fault::TrafficFaultModel>(fc);
-    cfg.faults = faults.get();
-  }
-
+  const TrafficSetup<ctrl::ControllerConfig> t =
+      build_controller(inst.params, inst.seed);
   const ctrl::ControllerReport r =
-      ctrl::run_controller_traffic(cfg, executor);
-  const auto ns = [](Second s) { return s.value() * 1e9; };
-  Json metrics = Json::object();
-  metrics.set("mean_latency_ns", Json::number(ns(r.mean_latency)));
-  metrics.set("p50_latency_ns", Json::number(ns(r.p50_latency)));
-  metrics.set("p90_latency_ns", Json::number(ns(r.p90_latency)));
-  metrics.set("p99_latency_ns", Json::number(ns(r.p99_latency)));
-  metrics.set("p999_latency_ns", Json::number(ns(r.p999_latency)));
-  metrics.set("max_latency_ns", Json::number(ns(r.max_latency)));
-  metrics.set("mean_queue_wait_ns", Json::number(ns(r.mean_queue_wait)));
-  metrics.set("makespan_us", Json::number(r.makespan.value() * 1e6));
+      ctrl::run_controller_traffic(t.config, executor);
+  Json metrics = traffic_metrics(r);
   metrics.set("row_hit_rate", Json::number(r.row_hit_rate));
   metrics.set("row_conflicts",
               Json::integer(static_cast<std::int64_t>(r.row_conflicts)));
@@ -352,45 +424,47 @@ Json run_controller_kind(const ScenarioInstance& inst,
   metrics.set("starvation_promotions",
               Json::integer(static_cast<std::int64_t>(
                   r.starvation_promotions)));
-  metrics.set("peak_queue_depth",
-              Json::integer(static_cast<std::int64_t>(r.peak_queue_depth)));
   metrics.set("bandwidth_mbps", Json::number(r.total_bandwidth_mbps));
-  metrics.set("energy_per_bit_pj", Json::number(r.energy_per_bit_pj));
-  if (r.faults_enabled) {
-    metrics.set("faults.raw_bit_errors",
-                Json::integer(static_cast<std::int64_t>(
-                    r.faults.raw_bit_errors)));
-    metrics.set("faults.retries",
-                Json::integer(static_cast<std::int64_t>(r.faults.retries)));
-    metrics.set("faults.corrected_words",
-                Json::integer(static_cast<std::int64_t>(
-                    r.faults.corrected_words)));
-    metrics.set("faults.uncorrectable_words",
-                Json::integer(static_cast<std::int64_t>(
-                    r.faults.uncorrectable_words)));
-    metrics.set("faults.silent_corruptions",
-                Json::integer(static_cast<std::int64_t>(
-                    r.faults.silent_corruptions)));
-  }
   return metrics;
 }
 
 // -------------------------------------------------------- fault_overlay
 
-ParamSchema fault_overlay_schema() {
-  ParamSchema s;
-  s.field("rows", ParamType::kInteger, "array rows (default 128)")
-      .field("cols", ParamType::kInteger, "array columns (default 128)")
-      .field("density", ParamType::kNumber,
-             "total fault density (default 0.01)")
-      .field("sigma_common", ParamType::kNumber,
-             "common-mode lognormal sigma (default 0.06)")
-      .field("ecc", ParamType::kBool, "SECDED(72,64) (default false)")
-      .field("retry", ParamType::kInteger, "read attempts (default 1)")
-      .field("seed", ParamType::kInteger,
-             "RNG seed (default: forked from the campaign seed)");
+const ParamSchema& fault_overlay_schema() {
+  static const ParamSchema s = [] {
+    const YieldConfig d;
+    return ParamSchema()
+        .integer("rows", "array rows", d.geometry.rows, kCount)
+        .integer("cols", "array columns", d.geometry.cols, kCount)
+        .number("density", "total fault density", kFaultDensity, kFraction)
+        .number("sigma_common", "common-mode lognormal sigma",
+                d.variation.sigma_common, kNonNegative)
+        .boolean("ecc", "SECDED(72,64)", false)
+        .integer("retry", "read attempts", fault::BerConfig{}.read_attempts,
+                 kAttempts)
+        .integer("seed", "RNG seed; absent: forked from the campaign seed",
+                 std::nullopt);
+  }();
   return s;
 }
+
+}  // namespace
+
+FaultOverlaySetup build_fault_overlay(const Json& params, std::uint64_t seed,
+                                      const FieldNames& names) {
+  const Params p{fault_overlay_schema(), params, names};
+  FaultOverlaySetup out;
+  out.yield.geometry = {p.count("rows"), p.count("cols")};
+  out.yield.variation.sigma_common = p.number("sigma_common");
+  out.yield.seed = seed;
+  out.yield.max_scatter_points = 1;
+  out.faults = fault::FaultConfig::with_total_density(p.number("density"));
+  out.ber.ecc = p.boolean("ecc");
+  out.ber.read_attempts = static_cast<std::uint32_t>(p.count("retry"));
+  return out;
+}
+
+namespace {
 
 void add_scheme_ber(Json& metrics, const fault::SchemeBer& s,
                     const std::string& prefix) {
@@ -403,27 +477,9 @@ void add_scheme_ber(Json& metrics, const fault::SchemeBer& s,
 
 Json run_fault_overlay_kind(const ScenarioInstance& inst,
                             ParallelExecutor* executor) {
-  YieldConfig cfg;
-  cfg.geometry = {static_cast<std::size_t>(
-                      param_int(inst.params, "rows", 128)),
-                  static_cast<std::size_t>(
-                      param_int(inst.params, "cols", 128))};
-  require(cfg.geometry.rows > 0 && cfg.geometry.cols > 0,
-          "scenario '" + inst.name + "': rows/cols must be > 0");
-  cfg.variation.sigma_common =
-      param_number(inst.params, "sigma_common", cfg.variation.sigma_common);
-  cfg.seed = inst.seed;
-  cfg.max_scatter_points = 1;
-  const fault::FaultConfig faults = fault::FaultConfig::with_total_density(
-      param_number(inst.params, "density", 0.01));
-  fault::BerConfig ber;
-  ber.ecc = param_bool(inst.params, "ecc", false);
-  ber.read_attempts = static_cast<std::uint32_t>(
-      param_int(inst.params, "retry", 1));
-  require(ber.read_attempts >= 1,
-          "scenario '" + inst.name + "': retry must be >= 1");
+  const FaultOverlaySetup f = build_fault_overlay(inst.params, inst.seed);
   const fault::FaultYieldResult r =
-      fault::run_yield_with_faults(cfg, faults, ber, executor);
+      fault::run_yield_with_faults(f.yield, f.faults, f.ber, executor);
   Json metrics = Json::object();
   metrics.set("faulty_bits",
               Json::integer(static_cast<std::int64_t>(r.faulty_bits)));
@@ -436,47 +492,49 @@ Json run_fault_overlay_kind(const ScenarioInstance& inst,
 
 // --------------------------------------------------------- margin_sweep
 
-ParamSchema margin_sweep_schema() {
-  ParamSchema s;
-  s.field("scheme", ParamType::kEnum, "self-reference scheme under sweep",
-          {"destructive", "nondestructive"})
-      .field("beta_lo", ParamType::kNumber,
-             "lowest current ratio (default 1.05)")
-      .field("beta_hi", ParamType::kNumber,
-             "highest current ratio (default 4.0)")
-      .field("steps", ParamType::kInteger, "grid points (default 60)")
-      .field("alpha", ParamType::kNumber,
-             "divider ratio (nondestructive, default 0.5)")
-      .field("i_max_ua", ParamType::kNumber,
-             "second-read current in uA (default 200)");
+const ParamSchema& margin_sweep_schema() {
+  static const ParamSchema s = [] {
+    const SelfRefConfig d;
+    return ParamSchema()
+        .choice("scheme", "self-reference scheme under sweep",
+                {"destructive", "nondestructive"}, "nondestructive")
+        .number("beta_lo", "lowest current ratio", 1.05, Range::above(0))
+        .number("beta_hi", "highest current ratio (> beta_lo)", 4.0,
+                Range::above(0))
+        .integer("steps", "grid points", 60, Range::at_least(2))
+        .number("alpha", "divider ratio (nondestructive)", d.alpha,
+                Range{0, 1, true, false})
+        .number("i_max_ua", "second-read current in uA",
+                d.i_max.value() * 1e6, Range::above(0));
+  }();
   return s;
 }
 
 Json run_margin_sweep_kind(const ScenarioInstance& inst,
                            ParallelExecutor*) {
+  const FieldNames names;
+  const Params p{margin_sweep_schema(), inst.params, names};
+  const double beta_lo = p.number("beta_lo");
+  const double beta_hi = p.number("beta_hi");
+  const std::size_t steps = p.count("steps");
+  if (!(beta_hi > beta_lo)) {
+    throw InvalidArgument(p.name("beta_hi") + " must exceed " +
+                          p.name("beta_lo"));
+  }
   SelfRefConfig config;
-  config.alpha = param_number(inst.params, "alpha", config.alpha);
-  config.i_max =
-      Ampere(param_number(inst.params, "i_max_ua", 200.0) * 1e-6);
+  config.alpha = p.number("alpha");
+  config.i_max = Ampere(p.number("i_max_ua") * 1e-6);
   const MtjParams mtj = MtjParams::paper_calibrated();
   const Ohm r_t(917.0);
+  const bool destructive = p.choice("scheme") == "destructive";
   std::unique_ptr<SelfReferenceScheme> scheme;
-  if (param_string(inst.params, "scheme", "nondestructive") ==
-      "destructive") {
+  if (destructive) {
     scheme =
         std::make_unique<DestructiveSelfReference>(mtj, r_t, config);
   } else {
     scheme =
         std::make_unique<NondestructiveSelfReference>(mtj, r_t, config);
   }
-
-  const double beta_lo = param_number(inst.params, "beta_lo", 1.05);
-  const double beta_hi = param_number(inst.params, "beta_hi", 4.0);
-  const auto steps =
-      static_cast<std::size_t>(param_int(inst.params, "steps", 60));
-  require(steps >= 2 && beta_hi > beta_lo,
-          "scenario '" + inst.name +
-              "': want steps >= 2 and beta_hi > beta_lo");
 
   double best_beta = beta_lo;
   double best_min = -1e30;
@@ -494,7 +552,7 @@ Json run_margin_sweep_kind(const ScenarioInstance& inst,
     }
   }
   const double paper_beta =
-      param_string(inst.params, "scheme", "nondestructive") == "destructive"
+      destructive
           ? static_cast<DestructiveSelfReference&>(*scheme).paper_beta()
           : static_cast<NondestructiveSelfReference&>(*scheme).paper_beta();
   const SenseMargins at_paper = scheme->margins(paper_beta);
@@ -515,42 +573,46 @@ Json run_margin_sweep_kind(const ScenarioInstance& inst,
 
 // ---------------------------------------------------------------- march
 
-ParamSchema march_schema() {
-  ParamSchema s;
-  s.field("rows", ParamType::kInteger, "array rows (default 64)")
-      .field("cols", ParamType::kInteger, "array columns (default 64)")
-      .field("density", ParamType::kNumber,
-             "total fault density (default 0.01)")
-      .field("scheme", ParamType::kEnum, "read scheme of the tester",
-             {"conventional", "destructive", "nondestructive"})
-      .field("seed", ParamType::kInteger,
-             "fault-map seed (default: forked from the campaign seed)");
+const ParamSchema& march_schema() {
+  static const ParamSchema s =
+      ParamSchema()
+          .integer("rows", "array rows", kMarchSide, kCount)
+          .integer("cols", "array columns", kMarchSide, kCount)
+          .number("density", "total fault density", kFaultDensity, kFraction)
+          .choice("scheme", "read scheme of the tester",
+                  names_of(kReadSchemes), "nondestructive")
+          .integer("seed",
+                   "fault-map seed; absent: forked from the campaign seed",
+                   std::nullopt);
   return s;
 }
 
+}  // namespace
+
+MarchSetup build_march(const Json& params, std::uint64_t seed,
+                       const FieldNames& names) {
+  const Params p{march_schema(), params, names};
+  MarchSetup out;
+  out.geometry = {p.count("rows"), p.count("cols")};
+  out.faults = fault::FaultConfig::with_total_density(p.number("density"));
+  out.scheme = value_of(kReadSchemes, p.choice("scheme"));
+  out.seed = seed;
+  return out;
+}
+
+namespace {
+
 Json run_march_kind(const ScenarioInstance& inst,
                     ParallelExecutor* executor) {
-  const ArrayGeometry geometry{
-      static_cast<std::size_t>(param_int(inst.params, "rows", 64)),
-      static_cast<std::size_t>(param_int(inst.params, "cols", 64))};
-  require(geometry.rows > 0 && geometry.cols > 0,
-          "scenario '" + inst.name + "': rows/cols must be > 0");
-  const fault::FaultConfig config = fault::FaultConfig::with_total_density(
-      param_number(inst.params, "density", 0.01));
+  const MarchSetup m = build_march(inst.params, inst.seed);
   const fault::FaultMap map =
-      fault::generate_fault_map(geometry, config, inst.seed, executor);
-  const std::string scheme_name =
-      param_string(inst.params, "scheme", "nondestructive");
-  const ReadScheme scheme =
-      scheme_name == "conventional"  ? ReadScheme::kConventional
-      : scheme_name == "destructive" ? ReadScheme::kDestructive
-                                     : ReadScheme::kNondestructive;
+      fault::generate_fault_map(m.geometry, m.faults, m.seed, executor);
   const MtjVariationModel variation(MtjParams::paper_calibrated(),
                                     VariationParams::none());
-  TestableArray array(geometry, variation, inst.seed, SelfRefConfig{},
+  TestableArray array(m.geometry, variation, m.seed, SelfRefConfig{},
                       Volt(0.0));
   const fault::MarchCoverageReport report =
-      fault::run_march_with_faults(array, map, scheme);
+      fault::run_march_with_faults(array, map, m.scheme);
   Json metrics = Json::object();
   metrics.set("operations", Json::integer(static_cast<std::int64_t>(
                                 report.operations)));

@@ -11,8 +11,9 @@
 // verification can diff them exactly.
 //
 // Adding a new experiment kind (CONTRIBUTING.md):
-//   1. write the adapter function,
-//   2. declare its ParamSchema (every accepted parameter, typed),
+//   1. declare its ParamSchema: every accepted parameter with its type,
+//      default and valid range,
+//   2. write its builder (builders.hpp) and the adapter that calls it,
 //   3. register_kind() it — builtin kinds register from
 //      register_builtin_kinds(), which the campaign runner and CLI call
 //      once at startup.
@@ -70,8 +71,8 @@ class Registry {
 void register_builtin_kinds();
 
 /// Validates `inst.params` against its kind's schema; throws
-/// sttram::Error naming the instance on an unknown kind, unknown
-/// parameter or type mismatch.
+/// sttram::Error naming the instance on an unknown kind, an unknown
+/// parameter or a value its field does not accept.
 void validate_instance(const ScenarioInstance& inst);
 
 }  // namespace sttram::scenario

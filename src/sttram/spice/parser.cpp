@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "sttram/common/error.hpp"
+#include "sttram/common/token.hpp"
 #include "sttram/device/mtj_params.hpp"
 #include "sttram/device/ri_curve.hpp"
 #include "sttram/spice/elements.hpp"
@@ -20,6 +22,8 @@ std::string lower(std::string s) {
                  [](unsigned char c) { return std::tolower(c); });
   return s;
 }
+
+constexpr std::size_t kMaxDcPoints = 1000000;
 
 [[noreturn]] void fail(std::size_t line, const std::string& message) {
   throw CircuitError("netlist line " + std::to_string(line) + ": " +
@@ -103,24 +107,31 @@ std::unique_ptr<Waveform> parse_source(const std::vector<std::string>& args,
 
 double parse_spice_number(const std::string& token) {
   if (token.empty()) throw CircuitError("empty number");
-  char* end = nullptr;
-  const double base = std::strtod(token.c_str(), &end);
-  if (end == token.c_str()) {
-    throw CircuitError("not a number: '" + token + "'");
+  const std::size_t length = scan_number(token);
+  if (length == 0) throw CircuitError("not a number: '" + token + "'");
+  const std::optional<double> base =
+      parse_number(std::string_view(token).substr(0, length));
+  if (!base) throw CircuitError("non-finite number '" + token + "'");
+  const std::string suffix = lower(token.substr(length));
+  double scale = 1.0;
+  if (suffix == "f") scale = 1e-15;
+  else if (suffix == "p") scale = 1e-12;
+  else if (suffix == "n") scale = 1e-9;
+  else if (suffix == "u") scale = 1e-6;
+  else if (suffix == "m") scale = 1e-3;
+  else if (suffix == "k") scale = 1e3;
+  else if (suffix == "meg") scale = 1e6;
+  else if (suffix == "g") scale = 1e9;
+  else if (suffix == "t") scale = 1e12;
+  else if (!suffix.empty()) {
+    throw CircuitError("unknown SI suffix '" + suffix + "' in '" + token +
+                       "'");
   }
-  const std::string suffix = lower(std::string(end));
-  if (suffix.empty()) return base;
-  if (suffix == "f") return base * 1e-15;
-  if (suffix == "p") return base * 1e-12;
-  if (suffix == "n") return base * 1e-9;
-  if (suffix == "u") return base * 1e-6;
-  if (suffix == "m") return base * 1e-3;
-  if (suffix == "k") return base * 1e3;
-  if (suffix == "meg") return base * 1e6;
-  if (suffix == "g") return base * 1e9;
-  if (suffix == "t") return base * 1e12;
-  throw CircuitError("unknown SI suffix '" + suffix + "' in '" + token +
-                     "'");
+  const double value = *base * scale;
+  if (!std::isfinite(value)) {
+    throw CircuitError("number '" + token + "' overflows after SI scaling");
+  }
+  return value;
 }
 
 ParsedDeck parse_spice_deck(std::istream& in) {
@@ -204,6 +215,11 @@ ParsedDeck parse_spice_deck(const std::string& text) {
                       : v >= stop - 1e-15 * std::fabs(stop);
            v += step) {
         spec.values.push_back(v);
+        // Caps a sweep too fine for its span, or one whose step vanishes
+        // against v and would never end.
+        if (spec.values.size() > kMaxDcPoints) {
+          fail(line, ".dc sweep needs more than 1e6 points");
+        }
       }
       deck.dc = std::move(spec);
       first = false;

@@ -13,7 +13,7 @@
 //   Sname a b [ron=..] [roff=..] [state0] [events=t:on,t:off,...]
 //   Jname a b MTJ [state=p|ap]        (the calibrated MTJ element)
 //   .tran <dt> <t_stop> [trap] [adaptive[=lte]]
-//   .dc <source> <start> <stop> <step>
+//   .dc <source> <start> <stop> <step>   (at most 1e6 points)
 //   .end
 // Numbers accept SI suffixes: f p n u m k meg g t (e.g. 250f, 1.2k).
 #pragma once
@@ -48,7 +48,10 @@ ParsedDeck parse_spice_deck(const std::string& text);
 ParsedDeck parse_spice_deck(std::istream& in);
 
 /// Parses one SPICE number with optional SI suffix ("250f" -> 2.5e-13,
-/// "1meg" -> 1e6).  Throws CircuitError on garbage.
+/// "1meg" -> 1e6).  The mantissa is a strict decimal token
+/// (common/token.hpp).  Throws CircuitError naming the token on garbage,
+/// an unknown suffix or a value that is not finite, before or after the
+/// SI scaling ("1e999", "1e300meg").
 double parse_spice_number(const std::string& token);
 
 }  // namespace sttram::spice

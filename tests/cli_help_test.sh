@@ -9,8 +9,8 @@
 #    appear in that help text — a flag you can pass but cannot discover
 #    is a documentation bug.
 # 3. Usage errors exit 2: unknown commands, unknown campaign verbs,
-#    unknown campaign flags and malformed yield/tail arguments all refuse
-#    with the documented status.
+#    unknown campaign flags, malformed subcommand arguments and campaign
+#    params outside their schema all refuse with the documented status.
 set -eu
 
 cli="$1"
@@ -112,6 +112,62 @@ expect_exit2 "$cli" tail 8x
 expect_exit2 "$cli" tail -1
 expect_exit2 "$cli" tail 8 9
 expect_exit2 "$cli" tail --no-batch
+
+# Every subcommand reads its numbers with the strict token parser and
+# checks them against the schema of the kind it runs: a malformed token,
+# an out-of-range value or a bad flag combination names the flag and
+# exits 2, never 0 (silently wrong run) or 1 (library error mid-run).
+expect_exit2 "$cli" traffic --requests 10x
+expect_exit2 "$cli" traffic --requests abc
+expect_exit2 "$cli" traffic --requests -5
+expect_exit2 "$cli" traffic --banks 4.9
+expect_exit2 "$cli" traffic --banks 0
+expect_exit2 "$cli" traffic --rho 1.5
+expect_exit2 "$cli" traffic --rho abc
+expect_exit2 "$cli" traffic --faults -1
+expect_exit2 "$cli" traffic --faults abc --ecc
+expect_exit2 "$cli" traffic --retry 2x
+expect_exit2 "$cli" traffic --seed xyz
+expect_exit2 "$cli" traffic --think-ns nan --workload closed
+expect_exit2 "$cli" traffic --word-bits 0
+expect_exit2 "$cli" traffic --read-fraction 2
+expect_exit2 "$cli" traffic --controller --channels -1
+expect_exit2 "$cli" traffic --ecc
+expect_exit2 "$cli" traffic --channels 2
+expect_exit2 "$cli" traffic --controller --policy fcfs
+expect_exit2 "$cli" traffic --controller --requests 2 --channels 4
+expect_exit2 "$cli" fault --rows -1
+expect_exit2 "$cli" fault --rows 32.7
+expect_exit2 "$cli" fault --density abc
+expect_exit2 "$cli" fault --seed xyz
+expect_exit2 "$cli" margins abc
+expect_exit2 "$cli" read 7
+expect_exit2 "$cli" read abc
+expect_exit2 "$cli" transient abc
+expect_exit2 "$cli" --threads 2x yield 16 16
+expect_exit2 "$cli" yield 16 16 --ecc
+
+# A trace row that does not parse names its row and exits 2.
+printf '0,R,0\ninf,R,1\n' > "$workdir/bad_trace.csv"
+expect_exit2 "$cli" traffic --trace-file "$workdir/bad_trace.csv" --banks 2
+
+# Campaign params go through the same schema: every verb refuses a value
+# outside its field's range with exit 2 before any instance runs.
+golden="$(dirname "$source")/campaigns/golden/smoke.json"
+probe=0
+for case in 'yield|"rows": -1' 'yield|"sigma_common": -0.1' \
+            'traffic|"requests": -5' 'traffic|"faults_ber": -1' \
+            'traffic|"word_bits": 1e30' 'traffic|"rho": 1.5' \
+            'tail|"trials": -1' 'controller|"channels": -1' \
+            'march|"density": -0.5'; do
+  probe=$((probe + 1))
+  file="$workdir/probe$probe.json"
+  printf '{"schema_version": 1, "name": "probe", "scenarios": [{"name": "p", "kind": "%s", "params": {%s}}]}\n' \
+    "${case%%|*}" "${case#*|}" > "$file"
+  expect_exit2 "$cli" campaign run "$file"
+  expect_exit2 "$cli" campaign expand "$file"
+  expect_exit2 "$cli" campaign verify "$file" --golden "$golden"
+done
 
 count="$(echo "$flags" | wc -l)"
 [ "$status" -eq 0 ] && echo "OK: help texts identical, $count flags documented, usage errors exit 2"

@@ -1,11 +1,15 @@
-// Tests for sttram/common: units, numeric utilities, formatting.
+// Tests for sttram/common: units, numeric utilities, formatting, the
+// strict token parser.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "sttram/common/error.hpp"
 #include "sttram/common/format.hpp"
 #include "sttram/common/numeric.hpp"
+#include "sttram/common/token.hpp"
 #include "sttram/common/units.hpp"
 
 namespace sttram {
@@ -148,6 +152,38 @@ TEST(Format, Percent) {
 TEST(Require, ThrowsInvalidArgument) {
   EXPECT_NO_THROW(require(true, "ok"));
   EXPECT_THROW(require(false, "boom"), InvalidArgument);
+}
+
+TEST(Token, NumberConsumesTheWholeFiniteToken) {
+  EXPECT_EQ(parse_number("0.06"), 0.06);
+  EXPECT_EQ(parse_number("-1.5e-3"), -1.5e-3);
+  EXPECT_EQ(parse_number("+2."), 2.0);
+  EXPECT_EQ(parse_number(".5"), 0.5);
+  for (const char* bad : {"", "abc", "10x", "2.5.1", "1e", "nan", "inf",
+                          "0x10", " 1", "1 ", "1e999", "-1e999"}) {
+    EXPECT_FALSE(parse_number(bad).has_value()) << bad;
+  }
+  EXPECT_EQ(scan_number("1.5meg"), 3u);
+  EXPECT_EQ(scan_number("2e"), 1u);  // the exponent needs digits
+  EXPECT_EQ(scan_number("e5"), 0u);
+}
+
+TEST(Token, IntegerIsExactAndNeverWraps) {
+  EXPECT_EQ(parse_integer("100000"), 100000);
+  EXPECT_EQ(parse_integer("1e5"), 100000);  // as a campaign reads it
+  EXPECT_EQ(parse_integer("3.0"), 3);
+  EXPECT_EQ(parse_integer("+7"), 7);
+  EXPECT_EQ(parse_integer("-9223372036854775808"),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(parse_integer("9223372036854775807"),
+            std::numeric_limits<std::int64_t>::max());
+  for (const char* bad : {"", "4.9", "10x", "abc", "9223372036854775808",
+                          "1e30", "-1e19", "nan", "+-5"}) {
+    EXPECT_FALSE(parse_integer(bad).has_value()) << bad;
+  }
+  EXPECT_FALSE(to_int64(0x1p63).has_value());
+  EXPECT_EQ(to_int64(-0x1p63), std::numeric_limits<std::int64_t>::min());
+  EXPECT_FALSE(to_int64(std::nan("")).has_value());
 }
 
 }  // namespace

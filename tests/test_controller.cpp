@@ -350,15 +350,5 @@ TEST(RunControllerTest, DegenerateChipMatchesBankSimWithinTolerance) {
               0.05 * flat.energy_per_bit_pj);
 }
 
-TEST(RunControllerTest, SchedulerParsingRoundTrips) {
-  SchedulerPolicy policy;
-  ASSERT_TRUE(parse_scheduler("fcfs", policy));
-  EXPECT_EQ(policy, SchedulerPolicy::kFcfs);
-  ASSERT_TRUE(parse_scheduler("frfcfs", policy));
-  EXPECT_EQ(policy, SchedulerPolicy::kFrFcfs);
-  EXPECT_FALSE(parse_scheduler("lifo", policy));
-  EXPECT_STREQ(to_string(SchedulerPolicy::kFrFcfs), "frfcfs");
-}
-
 }  // namespace
 }  // namespace sttram::engine::controller

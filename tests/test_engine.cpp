@@ -7,6 +7,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sttram/common/error.hpp"
@@ -346,18 +347,6 @@ TEST(SchemeTiming, NondestructiveReadsFasterThanDestructive) {
   EXPECT_EQ(nondes.write_service, write_service_time(cost.timing));
 }
 
-TEST(SchemeTiming, ParseSchemeRoundTrips) {
-  SensingScheme s = SensingScheme::kConventional;
-  EXPECT_TRUE(engine::parse_scheme("nondestructive", s));
-  EXPECT_EQ(s, SensingScheme::kNondestructive);
-  EXPECT_TRUE(engine::parse_scheme("destructive", s));
-  EXPECT_EQ(s, SensingScheme::kDestructive);
-  EXPECT_TRUE(engine::parse_scheme("conventional", s));
-  EXPECT_EQ(s, SensingScheme::kConventional);
-  EXPECT_FALSE(engine::parse_scheme("quantum", s));
-  EXPECT_FALSE(engine::parse_scheme("", s));
-}
-
 // ---------------------------------------------------------------------
 // BankController event mechanics
 // ---------------------------------------------------------------------
@@ -618,6 +607,29 @@ TEST(TraceWorkload, LoaderRejectsMalformedRows) {
     std::stringstream csv("1e-9,read,0\nxyz,read,0\n");
     EXPECT_THROW(engine::load_trace_csv(csv), InvalidArgument);
   }
+}
+
+TEST(TraceWorkload, LoaderParsesNumbersStrictly) {
+  // A row with an infinite arrival or a bank past uint32_t is refused and
+  // named, never replayed (inf made every latency NaN; casting 1e30 to
+  // uint32_t is undefined behaviour).
+  for (const char* row : {"inf,read,0", "1e999,read,0", "nan,read,0",
+                          "2e-9,read,1e30", "2e-9,read,4294967296",
+                          "2e-9,read,-1", "2e-9,read,0x1", "2e-9x,read,0"}) {
+    std::stringstream csv(std::string("1e-9,read,0\n") + row + "\n");
+    try {
+      (void)engine::load_trace_csv(csv);
+      ADD_FAILURE() << row << " loaded";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("row 2"), std::string::npos)
+          << e.what();
+    }
+  }
+  std::stringstream csv("1e-9,read,4294967295\n2e-9,w,1e2\n");
+  const std::vector<Request> loaded = engine::load_trace_csv(csv);
+  ASSERT_EQ(loaded.size(), 2u);
+  EXPECT_EQ(loaded[0].bank, 4294967295u);
+  EXPECT_EQ(loaded[1].bank, 100u);
 }
 
 TEST(TraceWorkload, GeneratorIsDeterministicAndSorted) {

@@ -1,6 +1,7 @@
 // Tests for sttram/io: table rendering, CSV escaping, ASCII plots.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "sttram/common/error.hpp"
@@ -237,6 +238,20 @@ TEST(Json, ParseRejectsTrailingGarbageWithPosition) {
   expect_parse_error("[1, 2] []", "line 1, column 8");
   // Trailing whitespace is not garbage.
   EXPECT_NO_THROW(Json::parse("{\"a\": 1}\n\n  "));
+}
+
+TEST(Json, AsIntegerRejectsValuesOutsideInt64) {
+  // Casting these to int64 is undefined behaviour; they must throw.
+  for (const char* text : {"1e30", "-1e30", "9.3e18", "9223372036854775808.0",
+                           "1e19"}) {
+    EXPECT_THROW((void)Json::parse(text).as_integer(), InvalidArgument)
+        << text;
+    EXPECT_FALSE(Json::parse(text).is_integer()) << text;
+  }
+  EXPECT_EQ(Json::parse("-9223372036854775808.0").as_integer(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(Json::parse("1e5").as_integer(), 100000);
+  EXPECT_TRUE(Json::parse("9223372036854775807").is_integer());
 }
 
 TEST(Json, ParseRejectsNonFiniteNumbers) {

@@ -3,6 +3,8 @@
 // simulation.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sttram/common/error.hpp"
 #include "sttram/spice/analysis.hpp"
 #include "sttram/spice/parser.hpp"
@@ -28,6 +30,24 @@ TEST(SpiceNumber, SiSuffixes) {
   EXPECT_THROW(parse_spice_number("abc"), CircuitError);
   EXPECT_THROW(parse_spice_number("1x"), CircuitError);
   EXPECT_THROW(parse_spice_number(""), CircuitError);
+}
+
+TEST(SpiceNumber, RejectsNonFiniteValuesNamingTheToken) {
+  for (const char* bad : {"1e999", "-1e999", "1e303meg", "1e305t", "inf",
+                          "nan", "0x10"}) {
+    try {
+      (void)parse_spice_number(bad);
+      ADD_FAILURE() << bad << " parsed";
+    } catch (const CircuitError& e) {
+      EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+          << e.what();
+    }
+  }
+  // A deck with such a value fails at its line instead of solving.
+  EXPECT_THROW(parse_spice_deck("* div\nV1 in 0 1\nR1 in mid 1e999\n"
+                                "R2 mid 0 1k\n.end\n"),
+               CircuitError);
+  EXPECT_DOUBLE_EQ(parse_spice_number("1e300meg"), 1e306);
 }
 
 TEST(SpiceParser, DividerDeckEndToEnd) {

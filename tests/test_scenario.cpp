@@ -1,5 +1,6 @@
 // Scenario platform: campaign parsing, sweep expansion, registry
-// validation, the determinism contract of the campaign runner (reports
+// validation (types, ranges, defaults), the kinds' builders, command-line
+// tables, the determinism contract of the campaign runner (reports
 // bit-identical across thread counts) and the golden-verify round trip.
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 
 #include "sttram/common/error.hpp"
 #include "sttram/engine/thread_pool.hpp"
+#include "sttram/scenario/builders.hpp"
 #include "sttram/scenario/campaign.hpp"
 #include "sttram/scenario/registry.hpp"
 #include "sttram/scenario/scenario.hpp"
@@ -44,9 +46,9 @@ CampaignSpec unit_spec() { return parse_campaign_text(kCampaignText); }
 
 TEST(Schema, ValidatesTypesAndRejectsUnknownKeys) {
   ParamSchema s;
-  s.field("count", ParamType::kInteger, "a count")
-      .field("rate", ParamType::kNumber, "a rate")
-      .field("mode", ParamType::kEnum, "a mode", {"fast", "slow"});
+  s.integer("count", "a count", std::nullopt)
+      .number("rate", "a rate", std::nullopt)
+      .choice("mode", "a mode", {"fast", "slow"}, "fast");
   Json ok = Json::object();
   ok.set("count", Json::integer(3));
   ok.set("rate", Json::number(0.5));
@@ -273,8 +275,30 @@ TEST(Campaign, VerifyFlagsStructuralMismatches) {
 }
 
 TEST(Campaign, RunNamesFailingScenario) {
-  // The yield adapter rejects rows == 0 at run time (the schema only
-  // checks the type), so the runner's error must name the instance.
+  // beta_hi < beta_lo passes the schema (each field is in range) but
+  // fails the margin sweep's cross-field rule at run time, so the
+  // runner's error must name the instance.
+  const CampaignSpec spec = parse_campaign_text(
+      R"({"schema_version": 1, "name": "x", "scenarios": [
+          {"name": "will_fail", "kind": "margin_sweep",
+           "params": {"beta_lo": 3.0, "beta_hi": 2.0}}]})");
+  register_builtin_kinds();
+  for (const ScenarioInstance& inst : expand_campaign(spec)) {
+    EXPECT_NO_THROW(validate_instance(inst));
+  }
+  try {
+    run_campaign(spec);
+    FAIL() << "expected run_campaign to throw";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("will_fail' failed"), std::string::npos) << what;
+    EXPECT_NE(what.find("beta_hi"), std::string::npos) << what;
+  }
+}
+
+TEST(Campaign, ValidationNamesFailingScenario) {
+  // rows == 0 is outside the yield schema's range: the campaign fails
+  // validation, before any instance runs, naming scenario and field.
   const CampaignSpec spec = parse_campaign_text(
       R"({"schema_version": 1, "name": "x", "scenarios": [
           {"name": "will_fail", "kind": "yield",
@@ -283,7 +307,222 @@ TEST(Campaign, RunNamesFailingScenario) {
     run_campaign(spec);
     FAIL() << "expected run_campaign to throw";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("will_fail"), std::string::npos)
-        << e.what();
+    const std::string what = e.what();
+    EXPECT_NE(what.find("scenario 'will_fail': parameter 'rows' wants"),
+              std::string::npos)
+        << what;
   }
+}
+
+/// One instance of `kind` with `params` (JSON text), seed 7.
+ScenarioInstance instance_of(const std::string& kind,
+                             const std::string& params) {
+  ScenarioInstance inst;
+  inst.name = kind + "_probe";
+  inst.kind = kind;
+  inst.seed = 7;
+  inst.params = Json::parse(params);
+  return inst;
+}
+
+TEST(Schema, RejectsOutOfRangeCampaignParams) {
+  register_builtin_kinds();
+  const struct {
+    const char* kind;
+    const char* params;
+    const char* field;
+  } probes[] = {
+      {"yield", R"({"rows": -1})", "rows"},
+      {"yield", R"({"sigma_common": -0.1})", "sigma_common"},
+      {"traffic", R"({"requests": -5})", "requests"},
+      {"traffic", R"({"faults_ber": -1})", "faults_ber"},
+      {"traffic", R"({"word_bits": 1e30})", "word_bits"},
+      {"traffic", R"({"rho": 1.5})", "rho"},
+      {"traffic", R"({"requests": 2.5})", "requests"},
+      {"traffic", R"({"policy": "lifo"})", "policy"},
+      {"tail", R"({"trials": -1})", "trials"},
+      {"controller", R"({"channels": -1})", "channels"},
+      {"march", R"({"density": -0.5})", "density"},
+      {"fault_overlay", R"({"retry": 4294967296})", "retry"},
+  };
+  for (const auto& probe : probes) {
+    const ScenarioInstance inst = instance_of(probe.kind, probe.params);
+    try {
+      validate_instance(inst);
+      ADD_FAILURE() << probe.kind << " " << probe.params << " validated";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(inst.name), std::string::npos) << what;
+      EXPECT_NE(what.find("parameter '" + std::string(probe.field) + "'"),
+                std::string::npos)
+          << what;
+    }
+  }
+  // The seed takes any int64: reseeded benchmarks write seeds near 2^62.
+  EXPECT_NO_THROW(validate_instance(
+      instance_of("yield", R"({"seed": 4611686018427387904})")));
+}
+
+TEST(Schema, EmptyParamsRunLikeEveryDefaultSpelledOut) {
+  register_builtin_kinds();
+  for (const ExperimentKind& kind : Registry::instance().kinds()) {
+    Json spelled = Json::object();
+    for (const ParamField& f : kind.schema.fields()) {
+      if (!f.fallback.is_null()) spelled.set(f.name, f.fallback);
+    }
+    ScenarioInstance bare = instance_of(kind.name, "{}");
+    ScenarioInstance full = bare;
+    full.params = spelled;
+    validate_instance(full);
+    EXPECT_EQ(kind.run(bare, nullptr).dump(), kind.run(full, nullptr).dump())
+        << kind.name;
+  }
+}
+
+TEST(Schema, CampaignListShowsEachDefaultAndRange) {
+  register_builtin_kinds();
+  for (const ExperimentKind& kind : Registry::instance().kinds()) {
+    const std::string listing = kind.schema.describe();
+    for (const ParamField& f : kind.schema.fields()) {
+      const std::size_t row = listing.find("  " + f.name + " ");
+      ASSERT_NE(row, std::string::npos) << kind.name << "." << f.name;
+      const std::string line =
+          listing.substr(row, listing.find('\n', row) - row);
+      EXPECT_NE(line.find(f.expects()), std::string::npos) << line;
+      if (f.type == ParamType::kInteger || f.type == ParamType::kNumber) {
+        EXPECT_NE(line.find(f.range.to_string()), std::string::npos) << line;
+      }
+      EXPECT_EQ(line.find(", default ") != std::string::npos,
+                !f.fallback.is_null())
+          << line;
+    }
+  }
+  const std::string traffic = Registry::instance().find("traffic")->schema
+                                  .describe();
+  EXPECT_NE(traffic.find("requests           an integer in [1, inf), "
+                         "default 100000"),
+            std::string::npos)
+      << traffic;
+  EXPECT_NE(traffic.find("rho                a number in (0, 1), "
+                         "default 0.6"),
+            std::string::npos)
+      << traffic;
+}
+
+TEST(Builders, CrossFieldRulesNameTheFields) {
+  Json ecc_only = Json::parse(R"({"ecc": true})");
+  try {
+    (void)build_traffic(ecc_only, 1);
+    FAIL() << "ecc without faults_ber built";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "'ecc' needs 'faults_ber'");
+  }
+  // The CLI passes its flag spellings.
+  try {
+    (void)build_controller(ecc_only, 1,
+                           {{"ecc", "--ecc"}, {"faults_ber", "--faults"}});
+    FAIL() << "ecc without faults_ber built";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "--ecc needs --faults");
+  }
+  EXPECT_THROW((void)build_controller(
+                   Json::parse(R"({"requests": 3, "channels": 4})"), 1),
+               InvalidArgument);
+  // An absent faults_ber is the fault-free path: no hook at all.
+  EXPECT_EQ(build_traffic(Json::object(), 1).config.faults, nullptr);
+  const auto hooked =
+      build_traffic(Json::parse(R"({"faults_ber": 0.001, "ecc": true})"), 9);
+  ASSERT_NE(hooked.faults, nullptr);
+  EXPECT_EQ(hooked.config.faults, hooked.faults.get());
+  EXPECT_EQ(hooked.faults->config().seed, 9u ^ 0x5717fa7ee1dULL);
+  EXPECT_EQ(hooked.faults->config().max_attempts, 3u);
+}
+
+TEST(Builders, ChoicesMapToLibraryEnums) {
+  // The schema's choice spellings are the only scheme, policy, workload
+  // and scheduler parsers; each must land on its enum value.
+  const auto traffic = [](const char* params) {
+    return build_traffic(Json::parse(params), 1).config;
+  };
+  EXPECT_EQ(traffic(R"({"scheme": "conventional"})").scheme,
+            engine::SensingScheme::kConventional);
+  EXPECT_EQ(traffic(R"({"scheme": "destructive"})").scheme,
+            engine::SensingScheme::kDestructive);
+  EXPECT_EQ(traffic("{}").scheme, engine::SensingScheme::kNondestructive);
+  EXPECT_EQ(traffic(R"({"policy": "read-priority"})").policy,
+            engine::SchedulingPolicy::kReadPriority);
+  EXPECT_EQ(traffic("{}").policy, engine::SchedulingPolicy::kFcfs);
+  EXPECT_EQ(traffic(R"({"workload": "closed"})").workload,
+            engine::WorkloadKind::kClosedLoop);
+  EXPECT_EQ(traffic("{}").workload, engine::WorkloadKind::kPoisson);
+  namespace ctrl = engine::controller;
+  const auto scheduler = [](const char* params) {
+    return build_controller(Json::parse(params), 1).config.scheduler;
+  };
+  EXPECT_EQ(scheduler(R"({"scheduler": "fcfs"})"),
+            ctrl::SchedulerPolicy::kFcfs);
+  EXPECT_EQ(scheduler("{}"), ctrl::SchedulerPolicy::kFrFcfs);
+  // Reports print the scheduler under the same name the schema reads.
+  EXPECT_STREQ(ctrl::to_string(ctrl::SchedulerPolicy::kFrFcfs), "frfcfs");
+  EXPECT_STREQ(ctrl::to_string(ctrl::SchedulerPolicy::kFcfs), "fcfs");
+  EXPECT_EQ(build_march(Json::parse(R"({"scheme": "destructive"})"), 1)
+                .scheme,
+            ReadScheme::kDestructive);
+  // Anything else is refused before a builder sees it.
+  register_builtin_kinds();
+  for (const auto& [kind, params] :
+       {std::pair{"traffic", R"({"scheme": "quantum"})"},
+        std::pair{"traffic", R"({"scheme": ""})"},
+        std::pair{"controller", R"({"scheduler": "lifo"})"},
+        std::pair{"traffic", R"({"workload": "trace"})"}}) {
+    EXPECT_THROW(validate_instance(instance_of(kind, params)), Error)
+        << params;
+  }
+}
+
+TEST(CliArgs, TableReadsFlagsSlotsAndSwitchesThroughTheSchema) {
+  ParamSchema s;
+  s.integer("count", "a count", 4, Range::at_least(1))
+      .number("rate", "a rate", 0.5, Range::open(0, 1))
+      .boolean("fast", "go fast", false)
+      .choice("mode", "a mode", {"a", "b"}, "a");
+  const std::vector<CliArg> table = {{"<count>", "count"},
+                                     {"--rate", "rate"},
+                                     {"--fast", "fast", "true"},
+                                     {"--mode", "mode", nullptr, "magic"},
+                                     {"--json", nullptr, ""},
+                                     {"--file", nullptr}};
+  const CliArgs a = parse_cli_args(
+      table, s, {"1e5", "--rate", "0.25", "--fast", "--json", "--file", "x"},
+      "demo");
+  EXPECT_EQ(a.params.at("count").as_integer(), 100000);
+  EXPECT_EQ(a.params.at("rate").as_number(), 0.25);
+  EXPECT_TRUE(a.params.at("fast").as_bool());
+  EXPECT_EQ(a.cli.at("--json"), "");
+  EXPECT_EQ(a.cli.at("--file"), "x");
+  EXPECT_EQ(parse_cli_args(table, s, {"--mode", "magic"}, "demo")
+                .cli.at("--mode"),
+            "magic");
+  const auto error_of = [&](const std::vector<std::string>& tokens) {
+    try {
+      (void)parse_cli_args(table, s, tokens, "demo");
+    } catch (const InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(error_of({"10x"}),
+            "<count> wants an integer in [1, inf), got '10x'");
+  EXPECT_EQ(error_of({"--rate", "1"}),
+            "--rate wants a number in (0, 1), got '1'");
+  EXPECT_EQ(error_of({"--rate", "nan"}),
+            "--rate wants a number in (0, 1), got 'nan'");
+  EXPECT_EQ(error_of({"--mode", "c"}), "--mode wants one of {a, b}, got 'c'");
+  EXPECT_EQ(error_of({"--rate"}), "--rate requires a value");
+  EXPECT_EQ(error_of({"--bogus"}), "unknown flag '--bogus' for 'demo'");
+  EXPECT_EQ(error_of({"1", "2"}), "unexpected argument '2' for 'demo'");
+  const std::vector<CliArg> foreign = {{"--other", "other"}};
+  EXPECT_THROW((void)parse_cli_args(foreign, s, {"--other", "1"}, "demo"),
+               InvalidArgument);
+  EXPECT_EQ(cli_names(table).at("rate"), "--rate");
 }
