@@ -4,14 +4,16 @@
 // Usage: transient_read [state 0|1] [out_path]
 //   Runs the Fig. 5 netlist (MTJ + access NMOS + SLT switches + divider
 //   + 127 leaking unselected cells) through the MNA transient engine.
-//   An out_path ending in .vcd produces a GTKWave-compatible dump;
-//   anything else produces time,V(BL),V(C1),V_BO CSV rows.
+//   The stored state defaults to 1 (anti-parallel); any other token than
+//   0 or 1 exits 2.  An out_path ending in .vcd produces a
+//   GTKWave-compatible dump; anything else produces time,V(BL),V(C1),V_BO
+//   CSV rows.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
 #include "sttram/common/format.hpp"
+#include "sttram/common/token.hpp"
 #include "sttram/io/csv.hpp"
 #include "sttram/io/vcd.hpp"
 #include "sttram/sim/spice_read.hpp"
@@ -20,9 +22,16 @@ using namespace sttram;
 
 int main(int argc, char** argv) {
   SpiceReadConfig cfg;
-  cfg.state = (argc > 1 && std::atoi(argv[1]) == 0)
-                  ? MtjState::kParallel
-                  : MtjState::kAntiParallel;
+  if (argc > 1) {
+    const auto state = parse_integer(argv[1]);
+    if (!state || (*state != 0 && *state != 1)) {
+      std::fprintf(stderr,
+                   "transient_read: state must be 0 or 1, got '%s'\n",
+                   argv[1]);
+      return 2;
+    }
+    cfg.state = *state == 0 ? MtjState::kParallel : MtjState::kAntiParallel;
+  }
 
   const SpiceReadResult r = simulate_nondestructive_read(cfg);
   std::printf("stored %s -> sensed %d, margin %s, decision at %s\n",

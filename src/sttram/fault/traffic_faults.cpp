@@ -1,7 +1,6 @@
 #include "sttram/fault/traffic_faults.hpp"
 
 #include "sttram/common/error.hpp"
-#include "sttram/obs/profile.hpp"
 
 namespace sttram::fault {
 
@@ -20,7 +19,6 @@ TrafficFaultModel::TrafficFaultModel(const TrafficFaultConfig& config)
 
 engine::ReadFaultOutcome TrafficFaultModel::read_outcome(
     std::uint64_t request_id) {
-  STTRAM_PROFILE_SCOPE("fault.ecc_retry");
   engine::ReadFaultOutcome outcome;
   if (config_.raw_ber <= 0.0) {
     if (config_.ecc) {

@@ -1,6 +1,7 @@
 #include "sttram/sim/spice_read.hpp"
 
 #include <cmath>
+#include <span>
 
 #include "sttram/cell/access_transistor.hpp"
 #include "sttram/common/error.hpp"
@@ -210,6 +211,12 @@ void append_segment(spice::TransientResult& merged,
   }
 }
 
+/// The last sample of `waves`, as the start of the next segment.
+spice::Solution final_solution(const spice::TransientResult& waves) {
+  const std::span<const double> last = waves.sample(waves.sample_count() - 1);
+  return spice::Solution{{last.begin(), last.end()}};
+}
+
 }  // namespace
 
 DestructiveSpiceResult simulate_destructive_read(
@@ -324,7 +331,7 @@ DestructiveSpiceResult simulate_destructive_read(
   // Segment 2: erase pulse + second read, up to the sense instant.
   opt.t_start = cfg.t_erase_on;
   opt.t_stop = cfg.t_sense;
-  Solution carry{waves.sample(waves.sample_count() - 1)};
+  const Solution carry = final_solution(waves);
   const TransientResult seg2 = run_transient(circuit, opt, &carry);
   append_segment(waves, seg2);
 
@@ -352,7 +359,7 @@ DestructiveSpiceResult simulate_destructive_read(
   }
   opt.t_start = cfg.t_sense;
   opt.t_stop = cfg.t_stop;
-  Solution carry2{waves.sample(waves.sample_count() - 1)};
+  const Solution carry2 = final_solution(waves);
   const TransientResult seg3 = run_transient(circuit, opt, &carry2);
   append_segment(waves, seg3);
 

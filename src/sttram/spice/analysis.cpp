@@ -15,31 +15,50 @@
 namespace sttram::spice {
 namespace {
 
-/// Assembles the MNA system at the given context and returns the Newton
-/// update target x_new (solution of the linearized system).
-std::vector<double> assemble_and_solve(Circuit& circuit,
-                                       const StampContext& ctx,
-                                       double gmin) {
-  const std::size_t n = circuit.unknown_count();
-  const std::size_t nodes = circuit.node_count();
-  Matrix a(n, n);
-  std::vector<double> b(n, 0.0);
-  MnaStamper stamper(a, b, nodes);
-  for (std::size_t k = 0; k < nodes; ++k) {
-    a(k, k) += gmin;  // keep every node weakly grounded
-  }
-  for (const auto& e : circuit.elements()) {
-    e->stamp(stamper, ctx);
-  }
-  STTRAM_OBS_COUNT("spice.newton.factorizations");
-  return solve_linear_system(std::move(a), std::move(b));
-}
-
 bool any_nonlinear(const Circuit& circuit) {
   for (const auto& e : circuit.elements()) {
     if (e->is_nonlinear()) return true;
   }
   return false;
+}
+
+/// Storage one analysis call reuses for every Newton iteration and time
+/// step: the MNA matrix (factorized in place), its right-hand side, the
+/// linearized system's solution and the LU row permutation.  It lives on
+/// the caller's stack, never in the Circuit, so analyses of different
+/// circuits on different threads share nothing.
+struct Workspace {
+  explicit Workspace(const Circuit& circuit)
+      : nonlinear(any_nonlinear(circuit)),
+        a(circuit.unknown_count(), circuit.unknown_count()),
+        b(circuit.unknown_count()),
+        x_new(circuit.unknown_count()),
+        perm(circuit.unknown_count()) {}
+
+  bool nonlinear;  ///< any element's stamp depends on the iterate
+  Matrix a;
+  std::vector<double> b;
+  std::vector<double> x_new;
+  std::vector<std::size_t> perm;
+};
+
+/// Assembles the MNA system at the given context and solves it into
+/// ws.x_new (the Newton update target).
+void assemble_and_solve(Circuit& circuit, const StampContext& ctx,
+                        double gmin, Workspace& ws) {
+  const std::size_t nodes = circuit.node_count();
+  ws.a.clear();
+  std::fill(ws.b.begin(), ws.b.end(), 0.0);
+  MnaStamper stamper(ws.a, ws.b, nodes);
+  for (std::size_t k = 0; k < nodes; ++k) {
+    ws.a(k, k) += gmin;  // keep every node weakly grounded
+  }
+  for (const auto& e : circuit.elements()) {
+    e->stamp(stamper, ctx);
+  }
+  STTRAM_OBS_COUNT("spice.newton.factorizations");
+  lu_factor_in_place(ws.a, ws.perm);
+  lu_solve_in_place(ws.a, ws.perm, ws.b, ws.x_new);
 }
 
 /// Outcome of one Newton solve, kept for solver telemetry and for
@@ -55,14 +74,14 @@ struct NewtonReport {
 /// iterate whether or not the solve converged.
 NewtonReport newton_solve(Circuit& circuit, StampContext ctx,
                           const NewtonOptions& opt, double gmin,
-                          std::vector<double>& x) {
-  STTRAM_PROFILE_SCOPE("spice.newton");
+                          std::vector<double>& x, Workspace& ws) {
   NewtonReport report;
-  const bool nonlinear = any_nonlinear(circuit);
+  const bool nonlinear = ws.nonlinear;
   ctx.x = &x;
   for (int iter = 0; iter < opt.max_iterations; ++iter) {
     ++report.iterations;
-    std::vector<double> x_new = assemble_and_solve(circuit, ctx, gmin);
+    assemble_and_solve(circuit, ctx, gmin, ws);
+    std::vector<double>& x_new = ws.x_new;
     double max_delta = 0.0;
     NodeId worst = kGround;
     const std::size_t nodes = circuit.node_count();
@@ -84,7 +103,7 @@ NewtonReport newton_solve(Circuit& circuit, StampContext ctx,
     const bool converged =
         max_delta <= opt.v_abstol ||
         max_delta <= opt.reltol * std::max(1.0, std::fabs(x_new[0]));
-    x = std::move(x_new);
+    x.swap(x_new);
     if (!nonlinear) {  // linear circuits converge in one solve
       report.converged = true;
       break;
@@ -112,11 +131,9 @@ std::string newton_context(const Circuit& circuit,
          "' (|dV| = " + format_double(report.max_delta, 3) + " V)";
 }
 
-}  // namespace
-
-Solution solve_dc(Circuit& circuit, const NewtonOptions& options,
-                  double time) {
-  if (!circuit.finalized()) circuit.finalize();
+/// solve_dc on a finalized circuit, in the caller's workspace.
+Solution solve_dc_in(Circuit& circuit, const NewtonOptions& options,
+                     double time, Workspace& ws) {
   STTRAM_OBS_COUNT("spice.dc.solves");
   StampContext ctx;
   ctx.time = time;
@@ -125,7 +142,7 @@ Solution solve_dc(Circuit& circuit, const NewtonOptions& options,
   std::vector<double> x(circuit.unknown_count(), 0.0);
   ctx.x_prev = nullptr;
   const NewtonReport direct =
-      newton_solve(circuit, ctx, options, options.gmin, x);
+      newton_solve(circuit, ctx, options, options.gmin, x, ws);
   if (direct.converged) {
     return Solution{std::move(x)};
   }
@@ -136,7 +153,7 @@ Solution solve_dc(Circuit& circuit, const NewtonOptions& options,
   std::fill(x.begin(), x.end(), 0.0);
   NewtonReport last = direct;
   for (int decade = 0; decade <= options.gmin_ramp_decades; ++decade) {
-    last = newton_solve(circuit, ctx, options, gmin, x);
+    last = newton_solve(circuit, ctx, options, gmin, x, ws);
     STTRAM_OBS_COUNT("spice.dc.gmin_decades");
     if (!last.converged) {
       throw CircuitError(
@@ -157,6 +174,15 @@ Solution solve_dc(Circuit& circuit, const NewtonOptions& options,
       newton_context(circuit, last) + ")");
 }
 
+}  // namespace
+
+Solution solve_dc(Circuit& circuit, const NewtonOptions& options,
+                  double time) {
+  if (!circuit.finalized()) circuit.finalize();
+  Workspace ws(circuit);
+  return solve_dc_in(circuit, options, time, ws);
+}
+
 std::vector<Solution> dc_sweep(Circuit& circuit,
                                const std::string& source_name,
                                const std::vector<double>& values,
@@ -171,6 +197,8 @@ std::vector<Solution> dc_sweep(Circuit& circuit,
     throw CircuitError("dc_sweep: '" + source_name +
                        "' is not a voltage or current source");
   }
+  if (!circuit.finalized()) circuit.finalize();
+  Workspace ws(circuit);
   std::vector<Solution> out;
   out.reserve(values.size());
   for (const double v : values) {
@@ -179,7 +207,7 @@ std::vector<Solution> dc_sweep(Circuit& circuit,
     } else {
       isrc->set_waveform(std::make_unique<DcWaveform>(v));
     }
-    out.push_back(solve_dc(circuit, options));
+    out.push_back(solve_dc_in(circuit, options, 0.0, ws));
   }
   return out;
 }
@@ -188,19 +216,26 @@ TransientResult::TransientResult(std::vector<std::string> node_names,
                                  std::size_t node_count)
     : node_names_(std::move(node_names)), node_count_(node_count) {}
 
-void TransientResult::append(double time, std::vector<double> x) {
+void TransientResult::append(double time, std::span<const double> x) {
   require(times_.empty() || time > times_.back(),
           "TransientResult: samples must be appended in time order");
+  if (times_.empty()) width_ = x.size();
+  require(x.size() == width_, "TransientResult: sample width mismatch");
   times_.push_back(time);
-  samples_.push_back(std::move(x));
+  samples_.insert(samples_.end(), x.begin(), x.end());
+}
+
+std::span<const double> TransientResult::sample(std::size_t k) const {
+  require(k < times_.size(), "TransientResult: sample index out of range");
+  return {samples_.data() + k * width_, width_};
 }
 
 double TransientResult::voltage(NodeId n, std::size_t k) const {
-  require(k < samples_.size(), "TransientResult: sample index out of range");
+  require(k < times_.size(), "TransientResult: sample index out of range");
   if (n == kGround) return 0.0;
   require(n >= 0 && static_cast<std::size_t>(n) < node_count_,
           "TransientResult: node id out of range");
-  return samples_[k][static_cast<std::size_t>(n)];
+  return samples_[k * width_ + static_cast<std::size_t>(n)];
 }
 
 double TransientResult::voltage_at(NodeId n, double t) const {
@@ -214,8 +249,8 @@ double TransientResult::voltage_at(NodeId n, double t) const {
 }
 
 double TransientResult::final_voltage(NodeId n) const {
-  require(!samples_.empty(), "TransientResult: empty result");
-  return voltage(n, samples_.size() - 1);
+  require(!times_.empty(), "TransientResult: empty result");
+  return voltage(n, times_.size() - 1);
 }
 
 double TransientResult::crossing_time(NodeId n, double level,
@@ -281,13 +316,14 @@ TransientResult run_transient(Circuit& circuit,
   }
   TransientResult result(std::move(names), circuit.node_count());
 
+  Workspace ws(circuit);
   std::vector<double> x_prev;
   if (initial != nullptr) {
     require(initial->x.size() == circuit.unknown_count(),
             "run_transient: initial solution size mismatch");
     x_prev = initial->x;
   } else {
-    x_prev = solve_dc(circuit, options.newton, options.t_start).x;
+    x_prev = solve_dc_in(circuit, options.newton, options.t_start, ws).x;
   }
   result.append(options.t_start, x_prev);
 
@@ -337,8 +373,8 @@ TransientResult run_transient(Circuit& circuit,
     ctx.integrator = options.integrator;
     ctx.x_prev = &x_prev;
     x = x_prev;  // warm start
-    const NewtonReport rep =
-        newton_solve(circuit, ctx, options.newton, options.newton.gmin, x);
+    const NewtonReport rep = newton_solve(circuit, ctx, options.newton,
+                                          options.newton.gmin, x, ws);
     if (!rep.converged) {
       throw CircuitError("run_transient: Newton failed at t=" +
                          std::to_string(t_new) +
@@ -376,7 +412,7 @@ TransientResult run_transient(Circuit& circuit,
       e->commit_step(ctx);
     }
     result.append(t_new, x);
-    x_prev2 = x_prev;
+    x_prev2.swap(x_prev);
     x_prev = x;
     t_prev_accepted = t;
     t = t_new;

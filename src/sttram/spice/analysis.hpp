@@ -2,6 +2,8 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "sttram/spice/circuit.hpp"
@@ -61,7 +63,8 @@ struct TransientOptions {
   double dt_max = 0.0;     ///< 0 = 8 * dt
 };
 
-/// Stored transient waveforms.
+/// Stored transient waveforms: one row per accepted time point, each the
+/// full solution vector, packed row-major in one buffer.
 class TransientResult {
  public:
   /// Empty result (no samples); useful as a default member.
@@ -69,7 +72,10 @@ class TransientResult {
   TransientResult(std::vector<std::string> node_names,
                   std::size_t node_count);
 
-  void append(double time, std::vector<double> x);
+  /// Copies the solution `x` (nodes + branches) in as the sample at
+  /// `time`.  Times must increase; every row has the first row's width.
+  /// `x` must not view this result's own samples.
+  void append(double time, std::span<const double> x);
 
   [[nodiscard]] std::size_t sample_count() const { return times_.size(); }
   [[nodiscard]] const std::vector<double>& times() const { return times_; }
@@ -80,10 +86,9 @@ class TransientResult {
   [[nodiscard]] double voltage_at(NodeId n, double t) const;
   /// Voltage of node `n` at the last sample.
   [[nodiscard]] double final_voltage(NodeId n) const;
-  /// Full solution vector at sample `k` (nodes + branches).
-  [[nodiscard]] const std::vector<double>& sample(std::size_t k) const {
-    return samples_[k];
-  }
+  /// Full solution vector at sample `k` (nodes + branches); valid until
+  /// the next append.
+  [[nodiscard]] std::span<const double> sample(std::size_t k) const;
   [[nodiscard]] const std::vector<std::string>& node_names() const {
     return node_names_;
   }
@@ -96,20 +101,25 @@ class TransientResult {
  private:
   std::vector<std::string> node_names_;
   std::size_t node_count_ = 0;
+  std::size_t width_ = 0;  ///< unknowns per sample
   std::vector<double> times_;
-  std::vector<std::vector<double>> samples_;
+  std::vector<double> samples_;  ///< sample k at [k * width_, (k+1) * width_)
 };
 
-/// Runs a fixed-step backward-Euler transient from `initial` (or from a
-/// DC operating point at t=0 when `initial` is null).
+/// Runs a transient from `initial` (or from a DC operating point at
+/// options.t_start when `initial` is null), integrating with
+/// options.integrator (backward Euler or trapezoidal) at the fixed step
+/// options.dt, or under local-truncation-error step control when
+/// options.adaptive is set.  Every accepted step is stored.
 TransientResult run_transient(Circuit& circuit,
                               const TransientOptions& options,
                               const Solution* initial = nullptr);
 
 /// DC sweep: sets the named V/I source to each value in turn and solves
-/// the operating point, warm-starting each solve from the previous one.
-/// Returns one Solution per value.  Throws CircuitError when the element
-/// is missing or not a source.
+/// the operating point from a zero start, as solve_dc does, so each
+/// point is independent of the sweep order.  Returns one Solution per
+/// value.  Throws CircuitError when the element is missing or not a
+/// source.
 std::vector<Solution> dc_sweep(Circuit& circuit,
                                const std::string& source_name,
                                const std::vector<double>& values,

@@ -310,21 +310,28 @@ void Pmos::stamp(MnaStamper& mna, const StampContext& ctx) const {
 MtjElement::MtjElement(std::string name, NodeId a, NodeId b,
                        const RiModel& model, MtjState state)
     : Element(std::move(name)), a_(a), b_(b), model_(model.clone()),
-      state_(state) {}
+      state_(state),
+      r_zero_bias_(model_->resistance(state, Ampere(0.0)).value()) {}
 
 MtjElement::MtjElement(const MtjElement& other)
     : Element(other.name()),
       a_(other.a_),
       b_(other.b_),
       model_(other.model_->clone()),
-      state_(other.state_) {}
+      state_(other.state_),
+      r_zero_bias_(other.r_zero_bias_) {}
+
+void MtjElement::set_state(MtjState s) {
+  state_ = s;
+  r_zero_bias_ = model_->resistance(s, Ampere(0.0)).value();
+}
 
 double MtjElement::current_for_voltage(double v) const {
   const double v_mag = std::fabs(v);
   if (v_mag == 0.0) return 0.0;
   // Solve i * R(i) = v_mag for i >= 0 by damped Newton; v(i) is strictly
   // increasing for all physical R-I models (droop < R).
-  double i = v_mag / model_->resistance(state_, Ampere(0.0)).value();
+  double i = v_mag / r_zero_bias_;
   for (int iter = 0; iter < 80; ++iter) {
     const double r = model_->resistance(state_, Ampere(i)).value();
     const double f = i * r - v_mag;
@@ -349,7 +356,7 @@ void MtjElement::stamp(MnaStamper& mna, const StampContext& ctx) const {
   const double i1 = current_for_voltage(v0 + dv);
   double g = (i1 - i0) / dv;
   if (!(g > 0.0) || !std::isfinite(g)) {
-    g = 1.0 / model_->resistance(state_, Ampere(0.0)).value();
+    g = 1.0 / r_zero_bias_;
   }
   const double ieq = i0 - g * v0;  // current leaving a at zero excursion
   mna.conductance(a_, b_, g);

@@ -195,7 +195,7 @@ class MtjElement final : public Element {
   [[nodiscard]] bool is_nonlinear() const override { return true; }
 
   [[nodiscard]] MtjState state() const { return state_; }
-  void set_state(MtjState s) { state_ = s; }
+  void set_state(MtjState s);
 
   /// Branch current at a given element voltage (solves i*R(|i|) = v).
   [[nodiscard]] double current_for_voltage(double v) const;
@@ -204,6 +204,7 @@ class MtjElement final : public Element {
   NodeId a_, b_;
   std::unique_ptr<RiModel> model_;
   MtjState state_;
+  double r_zero_bias_;  ///< model_->resistance(state_, 0) [Ohm]
 };
 
 }  // namespace sttram::spice

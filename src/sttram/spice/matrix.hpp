@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace sttram::spice {
@@ -15,10 +16,15 @@ class Matrix {
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
 
-  double& operator()(std::size_t r, std::size_t c);
-  double operator()(std::size_t r, std::size_t c) const;
+  // Inline: every element stamp writes through these.
+  double& operator()(std::size_t r, std::size_t c) {
+    return data_[r * cols_ + c];
+  }
+  double operator()(std::size_t r, std::size_t c) const {
+    return data_[r * cols_ + c];
+  }
 
-  /// Sets every entry to zero (keeps dimensions).
+  /// Sets every entry to zero (keeps dimensions and storage).
   void clear();
 
  private:
@@ -27,16 +33,31 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// LU factorization with partial pivoting of a square matrix.
-/// Throws CircuitError when the matrix is numerically singular.
+/// LU factorization with partial pivoting of the square matrix `a`, in
+/// place: afterwards the strict lower triangle of `a` holds L (unit
+/// diagonal implied) and the rest U, both of the row-permuted matrix, and
+/// `perm[i]` is the original row now at row i.  `perm` is resized to the
+/// matrix order (no allocation once it has that capacity).  Returns the
+/// smallest pivot magnitude met, a crude condition indicator.  Throws
+/// CircuitError when the matrix is numerically singular.
+double lu_factor_in_place(Matrix& a, std::vector<std::size_t>& perm);
+
+/// Solves A x = b into `x` from the factors lu_factor_in_place left in
+/// `lu` and `perm`.  `b` and `x` have the matrix order and must not
+/// overlap.
+void lu_solve_in_place(const Matrix& lu, std::span<const std::size_t> perm,
+                       std::span<const double> b, std::span<double> x);
+
+/// Owning LU factorization over lu_factor_in_place / lu_solve_in_place.
 class LuFactorization {
  public:
   explicit LuFactorization(Matrix a);
 
   /// Solves A x = b.
-  [[nodiscard]] std::vector<double> solve(std::vector<double> b) const;
+  [[nodiscard]] std::vector<double> solve(const std::vector<double>& b) const;
 
-  /// Largest |pivot| ratio encountered — a crude condition indicator.
+  /// Smallest |pivot| met during elimination — a crude condition
+  /// indicator.
   [[nodiscard]] double min_pivot() const { return min_pivot_; }
 
  private:
@@ -46,6 +67,7 @@ class LuFactorization {
 };
 
 /// One-shot solve of A x = b.
-std::vector<double> solve_linear_system(Matrix a, std::vector<double> b);
+std::vector<double> solve_linear_system(Matrix a,
+                                        const std::vector<double>& b);
 
 }  // namespace sttram::spice

@@ -3,12 +3,22 @@
 // injection (Sec. V), timing diagram (Fig. 9).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "sttram/common/error.hpp"
+#include "sttram/device/variation.hpp"
+#include "sttram/obs/metrics.hpp"
 #include "sttram/sim/spice_read.hpp"
 #include "sttram/sim/throughput.hpp"
 #include "sttram/sim/timing_diagram.hpp"
 #include "sttram/sim/timing_energy.hpp"
 #include "sttram/sim/yield.hpp"
+#include "sttram/stats/rng.hpp"
 
 namespace sttram {
 namespace {
@@ -265,6 +275,149 @@ TEST(SpiceRead, DecisionsCorrectAroundCircuitTunedBeta) {
           << "beta=" << cfg.beta << " state=" << to_string(s);
     }
   }
+}
+
+// Exact circuit-level read outputs, recorded as hex floats.  Every other
+// SPICE test checks within a tolerance; this one pins each bit of the
+// Fig. 10 and Fig. 3 reads, so a solver change that claims to keep the
+// results (workspace reuse, LU loop order, waveform storage) must keep
+// these.  A change that moves them on purpose re-records the table in a
+// reviewed diff.  Rows: {nominal, two MtjVariationModel draws} x
+// {nondestructive, destructive} x {P, AP}.
+struct PinnedRead {
+  double v_c1;
+  double v_ref;  ///< V_BO (nondestructive) or V_C2 (destructive)
+  double margin;
+  double settle_read1;  ///< nondestructive only, 0 otherwise
+  double settle_read2;  ///< nondestructive only, 0 otherwise
+  std::size_t samples;
+  std::vector<double> final_sample;
+  std::array<std::uint64_t, 5> counters;  ///< kSolverCounters deltas
+};
+
+constexpr const char* kSolverCounters[5] = {
+    "spice.newton.iterations", "spice.newton.solves",
+    "spice.newton.factorizations", "spice.transient.steps_accepted",
+    "spice.transient.steps_rejected"};
+
+const PinnedRead kPinnedReads[] = {
+    {0x1.e50299efa8af4p-3, 0x1.013da97a17a86p-2, 0x1.d78b90486a18p-7, 0x1.79bc1dd53ab01p-28, 0x1.23492348de9dp-29, 609,
+     {0x1.8c2dc04cf7b14p-3, 0x1.628f3a8c5b444p-3, 0x1.39b9ec7577513p-4, 0x1.3333333333333p+0, 0x1.e50299e9bba8ap-3, 0x1.8c28ae227b55ep-3, 0x1.8c282c526e1f6p-4, -0x1.51c51ce3718e1p-40},
+     {1530, 609, 1530, 608, 0}},
+    {0x1.50f8d7300bde8p-2, 0x1.474d0f335e0b9p-2, 0x1.3578ff95ba5ep-7, 0x1.a5c82e4519dc7p-28, 0x1.2ee89d66e5a74p-29, 609,
+     {0x1.425f4a3ed87eep-2, 0x1.2a7d5b91dcde7p-2, 0x1.6b09b2282fe2fp-4, 0x1.3333333333333p+0, 0x1.50f8d727fe62bp-2, 0x1.425b29ec2eb0ep-2, 0x1.425ac04b20961p-3, -0x1.51c51ce3718e1p-40},
+     {1654, 609, 1654, 608, 0}},
+    {0x1.bc886e084c534p-2, 0x1.feb78a8de913ep-2, 0x1.08bc721673028p-4, 0x0p+0, 0x0p+0, 1022,
+     {0x1.2fdb7a3e95e52p-23, 0x1.0f59e0154d34ap-23, 0x1.d1c0f5d1a3df8p-25, 0x1.3333333333333p+0, 0x1.bc886cc5cb805p-2, 0x1.feb7891a8ce28p-2, -0x1.51c51ce3718e1p-40},
+     {2735, 1022, 2735, 1021, 0}},
+    {0x1.20924437a3c83p-1, 0x1.feb78ae93ee7dp-2, 0x1.09b3f61822a24p-4, 0x0p+0, 0x0p+0, 1024,
+     {0x1.7222b87b8b257p-2, 0x1.5672be6573dd1p-2, 0x1.a954b47c16e86p-4, 0x1.3333333333333p+0, 0x1.20924450487cdp-1, 0x1.feb78b4b9159cp-2, -0x1.51c51ce3718e1p-40},
+     {2942, 1024, 2942, 1023, 0}},
+    {0x1.eaaec96fad031p-3, 0x1.04873257803fbp-2, 0x1.e5f9b3f537c5p-7, 0x1.7c36572337ee3p-28, 0x1.26a17c3388cecp-29, 609,
+     {0x1.962bd039b1ca2p-3, 0x1.6c13bb6eca705p-3, 0x1.3d816d3f1b8a7p-4, 0x1.3333333333333p+0, 0x1.eaaec969e404bp-3, 0x1.96269d5128f88p-3, 0x1.9626183aedbfbp-4, -0x1.51c51ce3718e1p-40},
+     {1532, 609, 1532, 608, 0}},
+    {0x1.564c91f6728f1p-2, 0x1.4caa0c440c6dbp-2, 0x1.3450b64cc42cp-7, 0x1.a7e781b0aed6ap-28, 0x1.32b14d4ec80dcp-29, 609,
+     {0x1.4b78fb44465d2p-2, 0x1.33569e31e5a7ep-2, 0x1.6f1d88e618ad9p-4, 0x1.3333333333333p+0, 0x1.564c91ee61a82p-2, 0x1.4b74bd1fde8cdp-2, 0x1.4b7450837681dp-3, -0x1.51c51ce3718e1p-40},
+     {1662, 609, 1662, 608, 0}},
+    {0x1.c0fee98fa9dc9p-2, 0x1.0290238a3923dp-1, 0x1.1085761321ac4p-4, 0x0p+0, 0x0p+0, 1022,
+     {0x1.85001b5df4121p-23, 0x1.5bf2e410b18f8p-23, 0x1.2618aefabf5acp-24, 0x1.3333333333333p+0, 0x1.c0fee84a15dc9p-2, 0x1.029022ce498e2p-1, -0x1.51c51ce3718e1p-40},
+     {2739, 1022, 2739, 1021, 0}},
+    {0x1.249e2568a3472p-1, 0x1.029023c4c6d9p-1, 0x1.10700d1ee371p-4, 0x0p+0, 0x0p+0, 1024,
+     {0x1.82241ee1dda0dp-2, 0x1.65b63926230bap-2, 0x1.b5a4c21f951f1p-4, 0x1.3333333333333p+0, 0x1.249e2582b9f64p-1, 0x1.029023f801259p-1, -0x1.51c51ce3718e1p-40},
+     {2945, 1024, 2945, 1023, 0}},
+    {0x1.df726d1ea81aap-3, 0x1.fb82f58919956p-3, 0x1.c10886a717acp-7, 0x1.770cc561a3693p-28, 0x1.1fadf5f1184e8p-29, 609,
+     {0x1.81a5e7288395bp-3, 0x1.588a3318a95a5p-3, 0x1.35aa27250af0ep-4, 0x1.3333333333333p+0, 0x1.df726d187dde8p-3, 0x1.81a0f77f90148p-3, 0x1.81a07922d6918p-4, -0x1.51c51ce3718e1p-40},
+     {1528, 609, 1528, 608, 0}},
+    {0x1.49e44107931c6p-2, 0x1.40559c5148071p-2, 0x1.31d496c962aap-7, 0x1.a2cbe0da78b4p-28, 0x1.2a94c32f79f1p-29, 609,
+     {0x1.367595eb075b2p-2, 0x1.1ee5c031431c3p-2, 0x1.65d9db95224f2p-4, 0x1.3333333333333p+0, 0x1.49e440ff91fabp-2, 0x1.36719ca16311fp-2, 0x1.367136e79aa49p-3, -0x1.51c51ce3718e1p-40},
+     {1644, 609, 1644, 608, 0}},
+    {0x1.b8f8fbfea4c9bp-2, 0x1.f7eb5383d5e6bp-2, 0x1.f792bc2988e8p-5, 0x0p+0, 0x0p+0, 1022,
+     {0x1.d01c514923ba3p-24, 0x1.9dba6516614d4p-24, 0x1.68f186b5e84e8p-25, 0x1.3333333333333p+0, 0x1.b8f8fabe8a861p-2, 0x1.f7eb5215440c5p-2, -0x1.51c51ce3718e1p-40},
+     {2729, 1022, 2729, 1021, 0}},
+    {0x1.1bb4f437ad718p-1, 0x1.f7eb53c86b9c8p-2, 0x1.fbf4a5377a34p-5, 0x0p+0, 0x0p+0, 1024,
+     {0x1.5e5447063e824p-2, 0x1.4387e8a73616fp-2, 0x1.9aa5d5cc914ffp-4, 0x1.3333333333333p+0, 0x1.1bb4f44e78b75p-1, 0x1.f7eb5424e13d7p-2, -0x1.51c51ce3718e1p-40},
+     {2937, 1024, 2937, 1023, 0}}
+};
+
+void expect_bits(double got, double want, const std::string& what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+            std::bit_cast<std::uint64_t>(want))
+      << what << ": got " << std::hexfloat << got << ", want " << want;
+}
+
+TEST(SpiceRead, OutputsAreBitPinned) {
+  const MtjVariationModel model(MtjParams::paper_calibrated(),
+                                VariationParams{});
+  Xoshiro256 rng(2010);
+  std::vector<MtjParams> devices{model.nominal()};
+  devices.push_back(model.sample(rng));
+  devices.push_back(model.sample(rng));
+
+  auto& registry = obs::Registry::instance();
+  obs::set_metrics_enabled(true);
+  std::size_t row = 0;
+  for (std::size_t d = 0; d < devices.size(); ++d) {
+    for (const bool destructive : {false, true}) {
+      for (const MtjState state :
+           {MtjState::kParallel, MtjState::kAntiParallel}) {
+        const PinnedRead& want = kPinnedReads[row++];
+        const std::string what =
+            "device " + std::to_string(d) +
+            (destructive ? " destructive " : " nondestructive ") +
+            std::string(to_string(state));
+        std::array<std::uint64_t, 5> before{};
+        for (std::size_t k = 0; k < 5; ++k) {
+          before[k] = registry.counter(kSolverCounters[k]).value();
+        }
+        PinnedRead got{};
+        const spice::TransientResult* waves = nullptr;
+        SpiceReadResult nd;
+        DestructiveSpiceResult de;
+        if (destructive) {
+          DestructiveSpiceConfig cfg;
+          cfg.mtj = devices[d];
+          cfg.state = state;
+          de = simulate_destructive_read(cfg);
+          got.v_c1 = de.v_c1.value();
+          got.v_ref = de.v_c2.value();
+          got.margin = de.margin.value();
+          waves = &de.waves;
+        } else {
+          SpiceReadConfig cfg;
+          cfg.mtj = devices[d];
+          cfg.state = state;
+          nd = simulate_nondestructive_read(cfg);
+          got.v_c1 = nd.v_c1.value();
+          got.v_ref = nd.v_bo.value();
+          got.margin = nd.margin.value();
+          got.settle_read1 = nd.settle_read1.value();
+          got.settle_read2 = nd.settle_read2.value();
+          waves = &nd.waves;
+        }
+        for (std::size_t k = 0; k < 5; ++k) {
+          got.counters[k] =
+              registry.counter(kSolverCounters[k]).value() - before[k];
+        }
+        expect_bits(got.v_c1, want.v_c1, what + " v_c1");
+        expect_bits(got.v_ref, want.v_ref, what + " v_ref");
+        expect_bits(got.margin, want.margin, what + " margin");
+        expect_bits(got.settle_read1, want.settle_read1,
+                    what + " settle_read1");
+        expect_bits(got.settle_read2, want.settle_read2,
+                    what + " settle_read2");
+        ASSERT_EQ(waves->sample_count(), want.samples) << what;
+        const auto last = waves->sample(waves->sample_count() - 1);
+        ASSERT_EQ(last.size(), want.final_sample.size()) << what;
+        for (std::size_t k = 0; k < last.size(); ++k) {
+          expect_bits(last[k], want.final_sample[k],
+                      what + " final sample [" + std::to_string(k) + "]");
+        }
+        EXPECT_EQ(got.counters, want.counters) << what;
+      }
+    }
+  }
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(row, std::size(kPinnedReads));
 }
 
 TEST(Yield, ReferenceCellSitsBetweenConventionalAndSelfRef) {

@@ -383,13 +383,13 @@ TEST(SpiceWaveform, PwlClampsAndInterpolates) {
 
 TEST(SpiceTransient, ResultInterpolationAndBounds) {
   spice::TransientResult r({"n0"}, 1);
-  r.append(0.0, {0.0});
-  r.append(1.0, {2.0});
+  r.append(0.0, std::vector<double>{0.0});
+  r.append(1.0, std::vector<double>{2.0});
   EXPECT_DOUBLE_EQ(r.voltage_at(0, 0.5), 1.0);
   EXPECT_DOUBLE_EQ(r.voltage_at(0, -1.0), 0.0);
   EXPECT_DOUBLE_EQ(r.voltage_at(0, 2.0), 2.0);
   EXPECT_DOUBLE_EQ(r.voltage(spice::kGround, 0), 0.0);
-  EXPECT_THROW(r.append(0.5, {1.0}), InvalidArgument);
+  EXPECT_THROW(r.append(0.5, std::vector<double>{1.0}), InvalidArgument);
   EXPECT_LT(r.crossing_time(0, 5.0, +1), 0.0);  // never crosses
 }
 

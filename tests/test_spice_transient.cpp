@@ -1,12 +1,31 @@
 // Tests of the transient integrators: trapezoidal accuracy order,
-// adaptive step control, breakpoint handling, and history consistency.
+// adaptive step control, breakpoint handling, and history consistency;
+// and of the per-analysis solver workspace: reuse across analyses on one
+// thread, recovery after a mid-analysis CircuitError, DC sweeps and
+// concurrent analyses on several threads.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <fstream>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "sttram/common/error.hpp"
+#include "sttram/device/variation.hpp"
+#include "sttram/sim/spice_read.hpp"
 #include "sttram/spice/analysis.hpp"
 #include "sttram/spice/circuit.hpp"
 #include "sttram/spice/elements.hpp"
+#include "sttram/spice/parser.hpp"
+#include "sttram/stats/rng.hpp"
+
+#ifndef STTRAM_DECK_DIR
+#define STTRAM_DECK_DIR "tests/decks"
+#endif
 
 namespace sttram {
 namespace {
@@ -149,6 +168,162 @@ TEST(TransientIntegrators, TrapezoidalMatchesBackwardEulerSteadyState) {
   const auto tr = run_transient(tr_f.c, opt);
   EXPECT_NEAR(be.final_voltage(be_f.out), tr.final_voltage(tr_f.out), 5e-5);
   EXPECT_NEAR(tr.final_voltage(tr_f.out), 1.0, 1e-4);
+}
+
+// ------------------------------------------------------ solver workspace
+
+spice::ParsedDeck load_deck(const std::string& name) {
+  const std::string path = std::string(STTRAM_DECK_DIR) + "/" + name;
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "missing deck " << path;
+  return spice::parse_spice_deck(in);
+}
+
+/// Every time and every solution value of a waveform, as bit patterns.
+std::vector<std::uint64_t> bits_of(const spice::TransientResult& w) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t k = 0; k < w.sample_count(); ++k) {
+    out.push_back(std::bit_cast<std::uint64_t>(w.time(k)));
+    for (const double v : w.sample(k)) {
+      out.push_back(std::bit_cast<std::uint64_t>(v));
+    }
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> bits_of(const std::vector<double>& x) {
+  std::vector<std::uint64_t> out;
+  for (const double v : x) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+/// Read i of a fixed mix: even reads nondestructive, odd destructive,
+/// stored state alternating in pairs.  Returns the full waveform bits.
+std::vector<std::uint64_t> read_bits(const MtjParams& mtj, std::size_t i) {
+  const MtjState state = (i / 2) % 2 == 1 ? MtjState::kAntiParallel
+                                          : MtjState::kParallel;
+  if (i % 2 == 1) {
+    DestructiveSpiceConfig cfg;
+    cfg.mtj = mtj;
+    cfg.state = state;
+    return bits_of(simulate_destructive_read(cfg).waves);
+  }
+  SpiceReadConfig cfg;
+  cfg.mtj = mtj;
+  cfg.state = state;
+  return bits_of(simulate_nondestructive_read(cfg).waves);
+}
+
+TEST(SolverWorkspace, AlternatingAnalysesRepeatBitForBit) {
+  // A parsed deck, a nondestructive and a destructive read, twice over on
+  // one thread: no analysis may leave state behind for the next.
+  const auto pass = [] {
+    std::vector<std::vector<std::uint64_t>> out;
+    spice::ParsedDeck deck = load_deck("read_phase2.sp");
+    EXPECT_TRUE(deck.tran.has_value());
+    out.push_back(bits_of(run_transient(deck.circuit, *deck.tran)));
+    out.push_back(read_bits(MtjParams::paper_calibrated(), 2));
+    out.push_back(read_bits(MtjParams::paper_calibrated(), 3));
+    return out;
+  };
+  const auto first = pass();
+  const auto second = pass();
+  ASSERT_EQ(first.size(), 3u);
+  for (const auto& w : first) EXPECT_GT(w.size(), 100u);
+  EXPECT_EQ(first, second);
+}
+
+/// A DC voltage source that drops out of the MNA system at `t_fail`: its
+/// branch row and column stay empty from then on, so the matrix turns
+/// singular part-way through a transient.
+class VanishingSource final : public spice::Element {
+ public:
+  VanishingSource(NodeId pos, double volts, double t_fail)
+      : Element("Vgone"), pos_(pos), volts_(volts), t_fail_(t_fail) {}
+
+  void stamp(spice::MnaStamper& mna,
+             const spice::StampContext& ctx) const override {
+    if (ctx.time < t_fail_) {
+      mna.voltage_source(branch_base(), pos_, spice::kGround, volts_);
+    }
+  }
+  [[nodiscard]] int branch_count() const override { return 1; }
+
+ private:
+  NodeId pos_;
+  double volts_;
+  double t_fail_;
+};
+
+TEST(SolverWorkspace, SingularMidAnalysisLeavesNextRunIntact) {
+  const auto reference = read_bits(MtjParams::paper_calibrated(), 0);
+
+  Circuit bad;
+  const NodeId in = bad.node("in");
+  const NodeId out = bad.node("out");
+  bad.add<VanishingSource>(in, 1.0, 1e-9);
+  bad.add<Resistor>("R", in, out, 1000.0);
+  bad.add<Capacitor>("C", out, Circuit::ground(), 1e-12);
+  EXPECT_NO_THROW(solve_dc(bad));  // sound at t = 0
+  TransientOptions opt;
+  opt.t_stop = 2e-9;
+  opt.dt = 0.05e-9;
+  EXPECT_THROW(run_transient(bad, opt), CircuitError);
+
+  EXPECT_EQ(read_bits(MtjParams::paper_calibrated(), 0), reference);
+}
+
+TEST(SolverWorkspace, DcSweepMatchesPointSolves) {
+  // One workspace serves the whole sweep; each point must equal a solve
+  // of its own.
+  spice::ParsedDeck sweep = load_deck("read_phase2.sp");
+  const std::vector<double> amps{20e-6, 80e-6, 140e-6, 200e-6};
+  const std::vector<spice::Solution> swept =
+      dc_sweep(sweep.circuit, "I1", amps);
+  ASSERT_EQ(swept.size(), amps.size());
+  for (std::size_t k = 0; k < amps.size(); ++k) {
+    spice::ParsedDeck point = load_deck("read_phase2.sp");
+    auto* source = dynamic_cast<spice::CurrentSource*>(point.circuit.find("I1"));
+    ASSERT_NE(source, nullptr);
+    source->set_waveform(std::make_unique<spice::DcWaveform>(amps[k]));
+    EXPECT_EQ(bits_of(swept[k].x), bits_of(solve_dc(point.circuit).x))
+        << "I1 = " << amps[k];
+  }
+  // The bias moves the operating point.
+  const NodeId bl = sweep.circuit.node("bl");
+  EXPECT_LT(swept.front().voltage(bl), swept.back().voltage(bl));
+}
+
+TEST(SolverWorkspace, ConcurrentReadsMatchSerial) {
+  const MtjVariationModel model(MtjParams::paper_calibrated(),
+                                VariationParams{});
+  Xoshiro256 rng(7);
+  std::vector<MtjParams> devices;
+  for (int i = 0; i < 8; ++i) devices.push_back(model.sample(rng));
+
+  std::vector<std::vector<std::uint64_t>> serial(devices.size());
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    serial[i] = read_bits(devices[i], i);
+  }
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<std::uint64_t>> parallel(devices.size());
+  std::vector<std::string> errors(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      try {
+        for (std::size_t i = t; i < devices.size(); i += kThreads) {
+          parallel[i] = read_bits(devices[i], i);
+        }
+      } catch (const std::exception& e) {
+        errors[t] = e.what();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (const std::string& e : errors) EXPECT_EQ(e, "");
+  EXPECT_EQ(parallel, serial);
 }
 
 }  // namespace
