@@ -7,12 +7,15 @@
 // and prints a design card.
 //
 // Usage: design_explorer [r_low] [r_high] [droop_high] [i_max_uA]
-//   defaults: 1220 2500 600 200  (the paper's device)
+//   defaults: 1220 2500 600 200  (the paper's device); an argument that
+//   is not one finite number exits 2.
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "sttram/common/error.hpp"
 #include "sttram/common/format.hpp"
+#include "sttram/common/token.hpp"
 #include "sttram/device/switching.hpp"
 #include "sttram/sense/design.hpp"
 #include "sttram/io/table.hpp"
@@ -21,13 +24,29 @@
 
 using namespace sttram;
 
+namespace {
+
+/// `token` as a number; anything but one finite number exits 2, naming
+/// the argument.
+double number_arg(const char* token, const char* name) {
+  const std::optional<double> v = parse_number(token);
+  if (!v) {
+    std::fprintf(stderr, "design_explorer: %s must be a number, got '%s'\n",
+                 name, token);
+    std::exit(2);
+  }
+  return *v;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   MtjParams mtj = MtjParams::paper_calibrated();
-  if (argc > 1) mtj.r_low0 = Ohm(std::atof(argv[1]));
-  if (argc > 2) mtj.r_high0 = Ohm(std::atof(argv[2]));
-  if (argc > 3) mtj.droop_high = Ohm(std::atof(argv[3]));
+  if (argc > 1) mtj.r_low0 = Ohm(number_arg(argv[1], "r_low"));
+  if (argc > 2) mtj.r_high0 = Ohm(number_arg(argv[2], "r_high"));
+  if (argc > 3) mtj.droop_high = Ohm(number_arg(argv[3], "droop_high"));
   SelfRefConfig config;
-  if (argc > 4) config.i_max = Ampere(std::atof(argv[4]) * 1e-6);
+  if (argc > 4) config.i_max = Ampere(number_arg(argv[4], "i_max_uA") * 1e-6);
 
   const Ohm r_t(917.0);
   const LinearRiModel model(mtj);

@@ -8,16 +8,29 @@
 // (stuck-at / transition) defects.
 //
 // Usage: march_test [sigma_common]
+//   sigma_common must be a number >= 0 (default 0.09); else exits 2.
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
+#include "sttram/common/token.hpp"
 #include "sttram/io/table.hpp"
 #include "sttram/sim/march.hpp"
 
 using namespace sttram;
 
 int main(int argc, char** argv) {
-  const double sigma = argc > 1 ? std::atof(argv[1]) : 0.09;
+  double sigma = 0.09;
+  if (argc > 1) {
+    const std::optional<double> v = parse_number(argv[1]);
+    if (!v || *v < 0.0) {
+      std::fprintf(stderr,
+                   "march_test: sigma_common must be a number >= 0, got "
+                   "'%s'\n",
+                   argv[1]);
+      return 2;
+    }
+    sigma = *v;
+  }
   const MtjVariationModel variation(MtjParams::paper_calibrated(),
                                     VariationParams{sigma, 0.02, 0.0});
   const ArrayGeometry geometry{64, 64};  // 4 kb keeps the demo snappy

@@ -9,11 +9,12 @@
 // Usage: yield_analysis [sigma_angstrom]
 //   sigma_angstrom — oxide-barrier thickness sigma in angstroms
 //                    (default 0.08 A; the paper quotes +8 % resistance
-//                    per 0.1 A).
+//                    per 0.1 A); a number >= 0, else exits 2.
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "sttram/common/format.hpp"
+#include "sttram/common/token.hpp"
 #include "sttram/device/variation.hpp"
 #include "sttram/io/table.hpp"
 #include "sttram/sim/yield.hpp"
@@ -21,7 +22,18 @@
 using namespace sttram;
 
 int main(int argc, char** argv) {
-  const double sigma_angstrom = argc > 1 ? std::atof(argv[1]) : 0.08;
+  double sigma_angstrom = 0.08;
+  if (argc > 1) {
+    const std::optional<double> v = parse_number(argv[1]);
+    if (!v || *v < 0.0) {
+      std::fprintf(stderr,
+                   "yield_analysis: sigma_angstrom must be a number >= 0, "
+                   "got '%s'\n",
+                   argv[1]);
+      return 2;
+    }
+    sigma_angstrom = *v;
+  }
   const double sigma_common = sigma_common_from_thickness(sigma_angstrom);
   std::printf("barrier thickness sigma %.3f A -> lognormal resistance "
               "sigma %.3f\n\n",

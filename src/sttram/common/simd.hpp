@@ -9,7 +9,15 @@
 //
 // `Vec<W>` wraps GCC vector extensions (explicit specializations because
 // vector_size cannot depend on a template parameter); `Vec<1>` is a plain
-// double.  Each kernel is written once as `template <int W>`.  Its W = 1
+// double.  `U64<W>` holds W unsigned 64-bit integer lanes (a plain
+// std::uint64_t at W = 1): integer shifts, xors, adds and multiplies wrap
+// modulo 2^64 the same way in every lane, so integer lane code (the RNG
+// streams of stats/batch_simd.hpp) gives the same bits at every width.
+// Compares yield 0 / -1 lane masks; mask_any() tests them (one
+// instruction where the ISA has one), and `select` (or `m ? a : b` on
+// integer lanes) blends by them, which is how a rejection loop keeps each
+// lane's accepted draws apart from the others'.  Each kernel is written once as
+// `template <int W>`.  Its W = 1
 // instantiation is the `scalar` target and also runs the remainder lanes
 // of every wider width; W = 2/4/8 are instantiated in per-width
 // translation units compiled with the matching -m flags (w2 = baseline
@@ -27,6 +35,10 @@
 #include <new>
 #include <string_view>
 #include <vector>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 namespace sttram {
 
@@ -95,17 +107,32 @@ template <>
 struct LaneTraits<2> {
   typedef double vd __attribute__((vector_size(16)));
   typedef long long vm __attribute__((vector_size(16)));
+  typedef unsigned long long vu __attribute__((vector_size(16)));
 };
 template <>
 struct LaneTraits<4> {
   typedef double vd __attribute__((vector_size(32)));
   typedef long long vm __attribute__((vector_size(32)));
+  typedef unsigned long long vu __attribute__((vector_size(32)));
 };
 template <>
 struct LaneTraits<8> {
   typedef double vd __attribute__((vector_size(64)));
   typedef long long vm __attribute__((vector_size(64)));
+  typedef unsigned long long vu __attribute__((vector_size(64)));
 };
+template <>
+struct LaneTraits<1> {
+  typedef double vd;
+  typedef long long vm;
+  typedef std::uint64_t vu;
+};
+
+/// W unsigned 64-bit integer lanes (std::uint64_t at W = 1).  GCC's
+/// vector extensions broadcast a scalar operand, so one expression such
+/// as `(z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL` serves every width.
+template <int W>
+using U64 = typename LaneTraits<W>::vu;
 
 /// W double lanes.  Arithmetic is element-wise IEEE-754; min/max/abs are
 /// expressed as compare+select so every lane reproduces the scalar
@@ -203,15 +230,70 @@ struct Vec<1> {
   friend Vec vabs(Vec a) { return Vec{__builtin_fabs(a.v)}; }
 };
 
-/// True when any lane of a compare-result mask is set.
+/// True when any lane of a compare-result mask is set: one test
+/// instruction where the TU's ISA has one (a rejection loop tests its
+/// mask every pass), else an OR over the lanes.
 template <int W>
 inline bool mask_any(typename Vec<W>::M m) {
   if constexpr (W == 1) {
     return m != 0;
   } else {
+#if defined(__AVX512F__)
+    if constexpr (W == 8) {
+      return _mm512_test_epi64_mask(reinterpret_cast<__m512i>(m),
+                                    reinterpret_cast<__m512i>(m)) != 0;
+    }
+#endif
+#if defined(__AVX__)
+    if constexpr (W == 4) {
+      return _mm256_testz_si256(reinterpret_cast<__m256i>(m),
+                                reinterpret_cast<__m256i>(m)) == 0;
+    }
+#endif
+#if defined(__SSE2__)
+    if constexpr (W == 2) {
+      return _mm_movemask_pd(reinterpret_cast<__m128d>(m)) != 0;
+    }
+#endif
     bool any = false;
     for (int i = 0; i < W; ++i) any |= (m[i] != 0);
     return any;
+  }
+}
+
+/// Lanes first, first + 1, ..., first + W - 1.
+template <int W>
+inline U64<W> iota_u64(std::uint64_t first) {
+  if constexpr (W == 1) {
+    return first;
+  } else {
+    U64<W> r;
+    for (int i = 0; i < W; ++i) r[i] = first + static_cast<std::uint64_t>(i);
+    return r;
+  }
+}
+
+/// `static_cast<double>(x)` per lane, correctly rounded.  x86 has no
+/// packed 64-bit integer conversion below AVX-512DQ, so narrower lanes
+/// split x = hi * 2^32 + lo and OR each half into the mantissa of a
+/// power of two (2^84, 2^52): subtracting that power is exact, and the
+/// one rounding left is the final add of hi * 2^32 and lo, the same
+/// rounding the scalar conversion does.
+template <int W>
+inline Vec<W> u64_to_double(U64<W> x) {
+  if constexpr (W == 1) {
+    return Vec<1>{static_cast<double>(x)};
+  } else {
+    using D = typename Vec<W>::D;
+#if defined(__AVX512DQ__)
+    if constexpr (W == 8) return Vec<W>{__builtin_convertvector(x, D)};
+#endif
+    const U64<W> hi = (x >> 32) | 0x4530000000000000ULL;
+    const U64<W> lo = (x & 0xffffffffULL) | 0x4330000000000000ULL;
+    D dh, dl;
+    __builtin_memcpy(&dh, &hi, sizeof(D));
+    __builtin_memcpy(&dl, &lo, sizeof(D));
+    return Vec<W>{(dh - 0x1.0p84) + (dl - 0x1.0p52)};
   }
 }
 

@@ -1,9 +1,9 @@
 #include "sttram/device/variation.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "sttram/common/error.hpp"
-#include "sttram/obs/profile.hpp"
 #include "sttram/stats/distributions.hpp"
 
 namespace sttram {
@@ -17,19 +17,19 @@ MtjVariationModel::MtjVariationModel(MtjParams nominal,
 }
 
 MtjVariationDraw MtjVariationModel::draw(Xoshiro256& rng) const {
-  STTRAM_PROFILE_SCOPE("variation.sample");
   MtjVariationDraw d;
   d.common = sample_lognormal_median(rng, 1.0, variation_.sigma_common);
   d.tmr_scale = sample_lognormal_median(rng, 1.0, variation_.sigma_tmr);
-  // Truncate the (rarely relevant) critical-current normal at +-4 sigma
-  // to keep it positive.
   if (variation_.sigma_icrit > 0.0) {
-    d.icrit_scale = sample_truncated_normal(
-        rng, 1.0, variation_.sigma_icrit,
-        std::max(0.05, 1.0 - 4.0 * variation_.sigma_icrit),
-        1.0 + 4.0 * variation_.sigma_icrit);
+    const TruncatedNormal f = icrit_factor();
+    d.icrit_scale = sample_truncated_normal(rng, f.mean, f.stddev, f.lo, f.hi);
   }
   return d;
+}
+
+TruncatedNormal MtjVariationModel::icrit_factor() const {
+  const double sigma = variation_.sigma_icrit;
+  return {1.0, sigma, std::max(0.05, 1.0 - 4.0 * sigma), 1.0 + 4.0 * sigma};
 }
 
 MtjParams MtjVariationModel::apply(const MtjVariationDraw& d) const {

@@ -13,6 +13,7 @@
 
 #include "sttram/device/mtj_params.hpp"
 #include "sttram/stats/batch.hpp"
+#include "sttram/stats/distributions.hpp"
 #include "sttram/stats/rng.hpp"
 
 namespace sttram {
@@ -49,6 +50,10 @@ class MtjVariationModel {
   /// Draws the raw variation factors.
   [[nodiscard]] MtjVariationDraw draw(Xoshiro256& rng) const;
 
+  /// The critical-current factor's normal N(1, sigma_icrit), truncated at
+  /// +-4 sigma with the lower bound held at >= 0.05 to keep it positive.
+  [[nodiscard]] TruncatedNormal icrit_factor() const;
+
   /// Draws a complete device parameter set.
   [[nodiscard]] MtjParams sample(Xoshiro256& rng) const;
 
@@ -81,10 +86,11 @@ double sigma_common_from_thickness(double sigma_angstrom,
 /// Samples lanes [first, first + count) of the cell population into
 /// `out`, replicating MemoryArray's per-cell draw sequence exactly:
 /// fork the cell's stream, draw the MTJ variation, then the lognormal
-/// access-device factor around `r_access_nominal`.  The normal deviates
-/// behind the lognormals go through the staged polar fill
-/// (stats/batch.hpp), so the value tail runs on the active SIMD ISA
-/// while every lane consumes its stream in the exact scalar order.
+/// access-device factor around `r_access_nominal`.  The streams are
+/// forked and their polar rejection loops run W lanes at a time on the
+/// active SIMD ISA (stage_polar_rows, stats/batch.hpp), each lane in its
+/// exact scalar order; the dropped critical-current draw is a rejection
+/// slot there.  log and exp stay scalar libm calls per lane.
 void sample_variation_block(const Xoshiro256& master,
                             const MtjVariationModel& variation,
                             double r_access_nominal, double sigma_access,

@@ -8,6 +8,7 @@
 #include <limits>
 
 #include "sttram/common/error.hpp"
+#include "sttram/common/simd.hpp"
 #include "sttram/obs/metrics.hpp"
 #include "sttram/obs/profile.hpp"
 #include "sttram/obs/trace.hpp"
@@ -23,12 +24,17 @@ namespace {
 /// holds 8 doubles per cell: 1 MiB at this size, whatever the array.
 constexpr std::size_t kWindowCells = 16384;
 
-/// Serial accumulation of one window, cell by cell in row-major order.
-/// RunningStats and the scatter subsampling are order-sensitive; every
-/// accumulator sees its values in the same order for any window split or
-/// thread count, which is what keeps the result bit-identical.
-void record_window(YieldResult& result, const YieldMarginsSoA& window,
-                   const YieldConfig& config, std::size_t keep_every) {
+/// The record's margin moments, kept across windows: group s holds
+/// scheme s's SM0 accumulator in lane 0 and its SM1 accumulator in lane 1.
+using MarginLanes = std::array<WelfordLanes<2>, 4>;
+
+/// Serial accumulation of one window.  The moments and the scatter
+/// subsampling are order-sensitive; every accumulator sees its values in
+/// row-major cell order for any window split or thread count, which is
+/// what keeps the result bit-identical.
+void record_window(YieldResult& result, MarginLanes& moments,
+                   const YieldMarginsSoA& window, const YieldConfig& config,
+                   std::size_t keep_every) {
   SchemeYield* const schemes[4] = {&result.conventional,
                                    &result.reference_cell,
                                    &result.destructive,
@@ -39,27 +45,33 @@ void record_window(YieldResult& result, const YieldMarginsSoA& window,
   const auto min_margin = [](double sm0, double sm1) {
     return sm0 < sm1 ? sm0 : sm1;
   };
-  std::size_t failures = 0;
+  // Each lane runs RunningStats::add's operations in its order, so it
+  // holds the bits a RunningStats fed its values would.  The four
+  // groups' update chains are independent, which lets a cell's divisions
+  // overlap; the local copy keeps them in registers across the window.
+  MarginLanes lanes = moments;
+  const double* rows[8];
+  for (std::size_t r = 0; r < 8; ++r) rows[r] = window.row(r);
   for (std::size_t i = 0; i < window.cells; ++i) {
     for (std::size_t s = 0; s < 4; ++s) {
-      SchemeYield& y = *schemes[s];
-      const double sm0 = window.row(2 * s)[i];
-      const double sm1 = window.row(2 * s + 1)[i];
-      y.sm0_stats.add(sm0);
-      y.sm1_stats.add(sm1);
-      if (min_margin(sm0, sm1) < required) {
-        ++y.failures;
-        ++failures;
-      }
+      lanes[s].add(simd::Vec<2>{{rows[2 * s][i], rows[2 * s + 1][i]}});
     }
   }
+  moments = lanes;
   // Scatter points sit at every keep_every-th row-major index.
   const std::size_t first_kept =
       (keep_every - window.origin % keep_every) % keep_every;
+  std::size_t failures = 0;
   for (std::size_t s = 0; s < 4; ++s) {
     SchemeYield& y = *schemes[s];
     const double* sm0 = window.row(2 * s);
     const double* sm1 = window.row(2 * s + 1);
+    std::size_t scheme_failures = 0;
+    for (std::size_t i = 0; i < window.cells; ++i) {
+      scheme_failures += min_margin(sm0[i], sm1[i]) < required ? 1 : 0;
+    }
+    y.failures += scheme_failures;
+    failures += scheme_failures;
     y.bits += window.cells;
     for (std::size_t i = first_kept; i < window.cells; i += keep_every) {
       y.scatter.emplace_back(sm0[i], sm1[i]);
@@ -182,11 +194,12 @@ YieldResult run_yield_batched(const YieldConfig& config,
           ? &obs::Registry::instance().histogram("mc.block_seconds")
           : nullptr;
   STTRAM_OBS_SET_GAUGE("mc.batch_size", kMcBlockSize);
+  MarginLanes moments;
   std::size_t window = 0;
   const std::function<void(std::size_t, std::size_t, std::size_t)> step =
       [&](std::size_t chunk, std::size_t, std::size_t) {
         if (chunk == 0 && window > 0) {
-          record_window(result, buffers[(window - 1) % 2], config,
+          record_window(result, moments, buffers[(window - 1) % 2], config,
                         keep_every);
         }
         YieldMarginsSoA& out = buffers[window % 2];
@@ -225,7 +238,16 @@ YieldResult run_yield_batched(const YieldConfig& config,
     exec.for_chunks(exec.thread_count(), step);
   }
   if (windows > 0) {
-    record_window(result, buffers[(windows - 1) % 2], config, keep_every);
+    record_window(result, moments, buffers[(windows - 1) % 2], config,
+                  keep_every);
+  }
+  SchemeYield* const schemes[4] = {&result.conventional,
+                                   &result.reference_cell,
+                                   &result.destructive,
+                                   &result.nondestructive};
+  for (std::size_t s = 0; s < 4; ++s) {
+    schemes[s]->sm0_stats = RunningStats(moments[s], 0);
+    schemes[s]->sm1_stats = RunningStats(moments[s], 1);
   }
   double max_low = -kInf;
   double min_high = kInf;

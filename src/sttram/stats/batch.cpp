@@ -1,5 +1,6 @@
 #include "sttram/stats/batch.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "sttram/common/error.hpp"
@@ -9,25 +10,42 @@ namespace sttram {
 namespace {
 
 const StatsSimdKernels& stats_kernels() {
-  static const StatsSimdKernels kW1{&simd_detail::polar_tail_simd<1>,
+  static const StatsSimdKernels kW1{&simd_detail::stage_polar_simd<1>,
+                                    &simd_detail::polar_tail_simd<1>,
                                     &simd_detail::gaussian_axis_simd<1>};
   return pick_simd_table(active_simd_isa(), &kW1, stats_simd_kernels_w2(),
                          stats_simd_kernels_w4(), stats_simd_kernels_w8());
 }
 
+/// The polar `s` above which a draw of `d` lands inside its window
+/// whatever its u: u^2 <= s gives |n| <= sqrt(-2 ln s), below k once
+/// s > exp(-k^2 / 2), with k 0.99 x the nearer bound in sigma units.  The
+/// 1 % slack dwarfs the rounding of n, x, log and exp, so the scalar
+/// window test accepts every such draw too (DESIGN.md §15.2).
+double safe_polar_s(const TruncatedNormal& d) {
+  const double k = 0.99 * std::min(d.mean - d.lo, d.hi - d.mean) / d.stddev;
+  return k > 0.0 ? std::exp(-0.5 * k * k) : 1.0;
+}
+
 }  // namespace
 
-void stage_polar_pair(Xoshiro256& rng, double* u_out, double* s_out) {
-  for (;;) {
-    const double u = 2.0 * rng.next_double() - 1.0;
-    const double v = 2.0 * rng.next_double() - 1.0;
-    const double s = u * u + v * v;
-    if (s > 0.0 && s < 1.0) {
-      *u_out = u;
-      *s_out = s;
-      return;
-    }
+void simd_detail::throw_truncated_normal_hopeless() {
+  throw NumericError(
+      "sample_truncated_normal: rejection sampling failed (window too far "
+      "in the tail)");
+}
+
+void stage_polar_rows(const Xoshiro256& master, std::size_t first,
+                      std::size_t count, const PolarPlan& plan,
+                      double* u_rows, double* s_rows, std::size_t stride) {
+  double s_safe = 1.0;
+  if (plan.drop_at < plan.pairs) {
+    require(plan.dropped.stddev > 0.0 && plan.dropped.lo < plan.dropped.hi,
+            "stage_polar_rows: dropped normal needs stddev > 0, lo < hi");
+    s_safe = safe_polar_s(plan.dropped);
   }
+  stats_kernels().stage_polar(master, first, count, plan, s_safe, u_rows,
+                              s_rows, stride);
 }
 
 void polar_tail(const double* u, const double* s, const double* t,
@@ -42,20 +60,16 @@ void fill_shifted_gaussian_block(const Xoshiro256& master,
   require(out.dim == shift.size() && out.capacity >= count,
           "fill_shifted_gaussian_block: block not sized for this fill");
   out.size = count;
-  // Stage the rejection draws lane-major — each lane's stream is forked
-  // once and walked through all dims in order, exactly the scalar
-  // sequence — into dimension-major (u, s) rows the vector tail sweeps.
+  // Stage every lane's dim polar pairs into dimension-major (u, s) rows
+  // the vector tail sweeps.
   thread_local aligned_vector<double> u_rows, s_rows, t_rows;
   u_rows.resize(out.dim * out.capacity);
   s_rows.resize(out.dim * out.capacity);
   t_rows.resize(out.capacity);
-  for (std::size_t lane = 0; lane < count; ++lane) {
-    Xoshiro256 stream = master.fork(first + lane);
-    for (std::size_t d = 0; d < out.dim; ++d) {
-      stage_polar_pair(stream, &u_rows[d * out.capacity + lane],
-                       &s_rows[d * out.capacity + lane]);
-    }
-  }
+  PolarPlan plan;
+  plan.pairs = out.dim;
+  stage_polar_rows(master, first, count, plan, u_rows.data(), s_rows.data(),
+                   out.capacity);
   const GaussianAxisFn axis_fn = stats_kernels().gaussian_axis;
   for (std::size_t lane = 0; lane < count; ++lane) out.dot[lane] = 0.0;
   for (std::size_t d = 0; d < out.dim; ++d) {

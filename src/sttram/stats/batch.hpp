@@ -14,8 +14,11 @@
 // lane)`), drawn in exactly the scalar draw order — so the SoA arrays
 // hold the *same doubles* the scalar path consumed, and any batch
 // split of [0, trials) produces identical values lane by lane.  The
-// Gaussian fills below vectorize only the polar sampler's value tail
-// (batch_simd.hpp); the rejection draws stay scalar per lane.
+// staging (stage_polar_rows) forks W streams at once and runs the polar
+// rejection under per-lane masks on the active SIMD ISA: the RNG is
+// integer arithmetic, exact at every width, and each lane keeps exactly
+// the draws its scalar sampler keeps.  Only the libm calls (log, exp)
+// stay scalar per lane (batch_simd.hpp).
 //
 // (Sampling *device* variation into a VariationBlock lives in
 // device/variation.hpp — the distribution parameters are the device
@@ -28,6 +31,7 @@
 #include <vector>
 
 #include "sttram/common/simd.hpp"
+#include "sttram/stats/distributions.hpp"
 #include "sttram/stats/rng.hpp"
 
 namespace sttram {
@@ -78,12 +82,26 @@ struct GaussianBlock {
   }
 };
 
-/// Runs the Marsaglia polar rejection loop of sample_standard_normal
-/// (consuming exactly the same rng draws) but stops before the value
-/// tail: stores the accepted (u, s) pair instead of returning
-/// u * sqrt(-2 log(s) / s).  Staging building block for the batched
-/// Gaussian fills here and in device/variation.hpp.
-void stage_polar_pair(Xoshiro256& rng, double* u_out, double* s_out);
+/// What every lane draws from its stream, in order: `pairs` Marsaglia
+/// polar pairs (sample_standard_normal's rejection loop, stopped before
+/// its value), kept as (u, s) rows, plus one truncated normal drawn
+/// before pair `drop_at` (none when drop_at >= pairs) whose value is
+/// dropped: only the stream position after it matters.
+struct PolarPlan {
+  std::size_t pairs = 0;
+  std::size_t drop_at = SIZE_MAX;
+  /// The dropped draw, as sample_truncated_normal(stream, mean, stddev,
+  /// lo, hi) makes it; needs stddev > 0 and lo < hi.
+  TruncatedNormal dropped{};
+};
+
+/// Forks lanes [first, first + count) of `master` (lane i draws from
+/// master.fork(first + i)) and stages each lane's `plan` in its stream's
+/// scalar order: pair p of lane i lands in u_rows[p * stride + i] and
+/// s_rows[p * stride + i].  Dispatches on active_simd_isa().
+void stage_polar_rows(const Xoshiro256& master, std::size_t first,
+                      std::size_t count, const PolarPlan& plan,
+                      double* u_rows, double* s_rows, std::size_t stride);
 
 /// Value tail over staged rows: out[i] = u[i] * sqrt(-2 log(s[i]) / s[i]),
 /// bit-identical per lane to sample_standard_normal's return.  The

@@ -1,4 +1,5 @@
-// Width-4 Gaussian tails, compiled with -mavx2 -ffp-contract=off.
+// Width-4 Gaussian staging and tails, compiled with -mavx2
+// -ffp-contract=off.
 #include "sttram/stats/batch_simd.hpp"
 
 namespace sttram {
@@ -6,6 +7,7 @@ namespace sttram {
 const StatsSimdKernels* stats_simd_kernels_w4() {
 #if defined(__x86_64__)
   static const StatsSimdKernels kernels{
+      &simd_detail::stage_polar_simd<4>,
       &simd_detail::polar_tail_simd<4>,
       &simd_detail::gaussian_axis_simd<4>};
   return &kernels;

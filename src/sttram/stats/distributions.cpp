@@ -48,8 +48,7 @@ double sample_truncated_normal(Xoshiro256& rng, double mean, double stddev,
             "sample_truncated_normal: degenerate mean outside [lo, hi]");
     return mean;
   }
-  constexpr int kMaxTries = 100000;
-  for (int i = 0; i < kMaxTries; ++i) {
+  for (int i = 0; i < kTruncatedNormalMaxTries; ++i) {
     const double x = sample_normal(rng, mean, stddev);
     if (x >= lo && x <= hi) return x;
   }

@@ -26,8 +26,19 @@ double sample_lognormal_median(Xoshiro256& rng, double median,
 /// Uniform deviate in [lo, hi).
 double sample_uniform(Xoshiro256& rng, double lo, double hi);
 
+/// A normal N(mean, stddev) truncated to [lo, hi].
+struct TruncatedNormal {
+  double mean = 0.0;
+  double stddev = 0.0;
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
+/// Draws sample_truncated_normal makes before it gives up.
+inline constexpr int kTruncatedNormalMaxTries = 100000;
+
 /// Normal deviate truncated to [lo, hi] by rejection (lo < hi required;
-/// throws NumericError if acceptance is hopeless).
+/// throws NumericError after kTruncatedNormalMaxTries rejected draws).
 double sample_truncated_normal(Xoshiro256& rng, double mean, double stddev,
                                double lo, double hi);
 

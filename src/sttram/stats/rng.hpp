@@ -3,11 +3,56 @@
 // Every stochastic experiment in this library takes an explicit 64-bit
 // seed and derives independent sub-streams from it, so results reproduce
 // bit-for-bit across runs and machines.
+//
+// The generator steps are written once over an integer type `U`: either
+// std::uint64_t (the classes below) or a vector of W uint64 lanes
+// (simd::U64<W>, the lane streams of stats/batch_simd.hpp).  They use
+// only shifts, xors, adds and multiplies modulo 2^64, so a lane computes
+// exactly the bits the scalar class does.
 #pragma once
 
 #include <cstdint>
 
 namespace sttram {
+
+namespace rng_detail {
+
+inline constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+
+/// splitmix64's output mix of one state value.
+template <class U>
+constexpr U splitmix64_mix(U z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+template <class U>
+constexpr U rotl(U x, int k) {
+  return (x << k) | (x >> (64 - k));
+}
+
+/// xoshiro256**'s state for `seed`: four splitmix64 outputs from it.
+template <class U>
+constexpr void xoshiro256_seed(U seed, U* s) {
+  for (int i = 0; i < 4; ++i) s[i] = splitmix64_mix(seed += kGolden);
+}
+
+/// One xoshiro256** step on state `s`; returns the output word.
+template <class U>
+constexpr U xoshiro256_next(U* s) {
+  const U result = rotl(s[1] * 5, 7) * 9;
+  const U t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
+
+}  // namespace rng_detail
 
 /// Counter-based 64-bit mixer (splitmix64).  Used both as a fast PRNG and
 /// to derive decorrelated child seeds from a master seed.
@@ -17,10 +62,7 @@ class SplitMix64 {
 
   /// Next 64 uniformly distributed bits.
   constexpr std::uint64_t next_u64() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    return rng_detail::splitmix64_mix(state_ += rng_detail::kGolden);
   }
 
  private:
@@ -34,8 +76,7 @@ class Xoshiro256 {
   using result_type = std::uint64_t;
 
   explicit Xoshiro256(std::uint64_t seed) {
-    SplitMix64 sm(seed);
-    for (auto& s : s_) s = sm.next_u64();
+    rng_detail::xoshiro256_seed(seed, s_);
   }
 
   static constexpr result_type min() { return 0; }
@@ -43,17 +84,7 @@ class Xoshiro256 {
 
   result_type operator()() { return next_u64(); }
 
-  std::uint64_t next_u64() {
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-  }
+  std::uint64_t next_u64() { return rng_detail::xoshiro256_next(s_); }
 
   /// Uniform double in [0, 1) with 53 random bits.
   double next_double() {
@@ -63,14 +94,19 @@ class Xoshiro256 {
   /// Derives a decorrelated child generator; `stream` distinguishes
   /// siblings derived from the same parent.
   [[nodiscard]] Xoshiro256 fork(std::uint64_t stream) const {
-    SplitMix64 sm(s_[0] ^ (s_[3] + 0x9e3779b97f4a7c15ULL * (stream + 1)));
-    return Xoshiro256(sm.next_u64());
+    return Xoshiro256(fork_seed(stream));
+  }
+
+  /// The seed fork(stream) builds its child from.  `U` may hold one
+  /// stream index per lane, so W children are seeded at once.
+  template <class U>
+  [[nodiscard]] U fork_seed(U stream) const {
+    return rng_detail::splitmix64_mix(
+        (s_[0] ^ (s_[3] + rng_detail::kGolden * (stream + 1))) +
+        rng_detail::kGolden);
   }
 
  private:
-  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-    return (x << k) | (x >> (64 - k));
-  }
   std::uint64_t s_[4] = {};
 };
 

@@ -4,6 +4,8 @@
 // §14-§15), plus the operating-point cache's correctness contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -21,7 +23,9 @@
 #include "sttram/sim/tail.hpp"
 #include "sttram/sim/yield.hpp"
 #include "sttram/stats/batch.hpp"
+#include "sttram/stats/distributions.hpp"
 #include "sttram/stats/importance.hpp"
+#include "sttram/stats/summary.hpp"
 
 namespace sttram {
 namespace {
@@ -542,30 +546,303 @@ TEST(McSimd, ForcedIsaMatrixBitIdenticalToScalar) {
 
 // --------------------------------------------------- sampling fidelity
 
+/// Lanes of sample_variation_block(first, count) that differ from the
+/// per-cell draws of `array` (built from the same model, sigma and seed);
+/// the first difference is reported.
+std::size_t variation_block_mismatches(const MemoryArray& array,
+                                       const MtjVariationModel& variation,
+                                       double sigma_access,
+                                       std::uint64_t seed, std::size_t first,
+                                       std::size_t count) {
+  VariationBlock block;
+  sample_variation_block(Xoshiro256(seed), variation, 917.0, sigma_access,
+                         first, count, block);
+  const std::size_t cols = array.geometry().cols;
+  std::size_t mismatches = 0;
+  for (std::size_t lane = 0; lane < count; ++lane) {
+    const std::size_t idx = first + lane;
+    const ArrayCell& cell = array.cell(idx / cols, idx % cols);
+    const bool same =
+        block.r_low0[lane] == cell.params.r_low0.value() &&
+        block.r_high0[lane] == cell.params.r_high0.value() &&
+        block.droop_low[lane] == cell.params.droop_low.value() &&
+        block.droop_high[lane] == cell.params.droop_high.value() &&
+        block.r_access[lane] == cell.r_access.value();
+    if (!same && mismatches++ == 0) {
+      ADD_FAILURE() << "cell " << idx << " differs from MemoryArray";
+    }
+  }
+  return mismatches;
+}
+
+/// Cells of [0, cells) whose critical-current draw rejected at least once:
+/// the stream after sample_truncated_normal stands elsewhere than after a
+/// single normal, which is all an accepted first draw consumes.
+std::size_t icrit_rejections(const MtjVariationModel& variation,
+                             std::uint64_t seed, std::size_t cells) {
+  const Xoshiro256 master(seed);
+  const TruncatedNormal f = variation.icrit_factor();
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < cells; ++i) {
+    Xoshiro256 stream = master.fork(i);
+    (void)sample_standard_normal(stream);  // common factor
+    (void)sample_standard_normal(stream);  // TMR factor
+    Xoshiro256 once = stream;
+    (void)sample_truncated_normal(stream, f.mean, f.stddev, f.lo, f.hi);
+    (void)sample_standard_normal(once);
+    if (stream.next_u64() != once.next_u64()) ++rejected;
+  }
+  return rejected;
+}
+
 TEST(McBatchSampling, VariationBlockMatchesMemoryArrayDraws) {
+  // Every host ISA, so the W = 1/2/4/8 staging and the remainder lanes
+  // all run.  sigma_icrit 0 has no dropped draw; 0.05 is the default;
+  // at 0.3 the lower truncation bound clamps to 0.05 (3.17 sigma, ~0.08 %
+  // of first draws reject), checked over 16 Ki cells; at 1.5 the window
+  // sits 0.63 sigma below the mean, so most rejections run the value
+  // tail.  Besides whole blocks, a block that starts off a strip
+  // boundary and ends mid-strip (first 3, count 61).
   const MtjParams nominal = MtjParams::paper_calibrated();
-  const VariationParams vp;
-  const MtjVariationModel variation(nominal, vp);
-  const ArrayGeometry geometry{8, 16};
   const double sigma_access = 0.02;
   const std::uint64_t seed = 20100308;
-  const MemoryArray array(geometry, variation, sigma_access, seed);
-  const Xoshiro256 master(seed);
-  const std::size_t cells = geometry.cell_count();
-  VariationBlock block;
-  for (std::size_t first = 0; first < cells; first += kMcBlockSize) {
-    const std::size_t count = std::min(cells - first, kMcBlockSize);
-    sample_variation_block(master, variation, 917.0, sigma_access, first,
-                           count, block);
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      const std::size_t idx = first + lane;
-      const ArrayCell& cell =
-          array.cell(idx / geometry.cols, idx % geometry.cols);
-      EXPECT_EQ(block.r_low0[lane], cell.params.r_low0.value());
-      EXPECT_EQ(block.r_high0[lane], cell.params.r_high0.value());
-      EXPECT_EQ(block.droop_low[lane], cell.params.droop_low.value());
-      EXPECT_EQ(block.droop_high[lane], cell.params.droop_high.value());
-      EXPECT_EQ(block.r_access[lane], cell.r_access.value());
+  for (const double sigma_icrit : {0.0, 0.05, 0.3, 1.5}) {
+    SCOPED_TRACE(sigma_icrit);
+    VariationParams vp;
+    vp.sigma_icrit = sigma_icrit;
+    const MtjVariationModel variation(nominal, vp);
+    const ArrayGeometry geometry =
+        sigma_icrit == 0.3 ? ArrayGeometry{128, 128} : ArrayGeometry{8, 16};
+    const std::size_t cells = geometry.cell_count();
+    const MemoryArray array(geometry, variation, sigma_access, seed);
+    if (sigma_icrit == 0.3) {
+      EXPECT_GE(icrit_rejections(variation, seed, cells), 1u);
+    }
+    for (const SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kSse2,
+                              SimdIsa::kNeon, SimdIsa::kAvx2,
+                              SimdIsa::kAvx512}) {
+      if (!simd_isa_supported(isa)) continue;
+      SCOPED_TRACE(simd_isa_name(isa));
+      ScopedSimdIsa forced(isa);
+      for (std::size_t first = 0; first < cells; first += kMcBlockSize) {
+        const std::size_t count = std::min(cells - first, kMcBlockSize);
+        EXPECT_EQ(variation_block_mismatches(array, variation, sigma_access,
+                                             seed, first, count),
+                  0u)
+            << "block at " << first;
+      }
+      EXPECT_EQ(variation_block_mismatches(array, variation, sigma_access,
+                                           seed, 3, 61),
+                0u);
+    }
+  }
+}
+
+/// sample_standard_normal's rejection loop, stopped before its value.
+void scalar_polar_pair(Xoshiro256& rng, double* u, double* s) {
+  for (;;) {
+    const double pu = 2.0 * rng.next_double() - 1.0;
+    const double pv = 2.0 * rng.next_double() - 1.0;
+    const double ps = pu * pu + pv * pv;
+    if (ps > 0.0 && ps < 1.0) {
+      *u = pu;
+      *s = ps;
+      return;
+    }
+  }
+}
+
+TEST(McBatchSampling, StagedPolarRowsMatchScalarDraws) {
+  // Plans the two production callers do not reach: more pairs than one
+  // rejection loop fills (4 at W > 1), a dropped draw first, last and in
+  // a later loop, a window far off the mean (every accepted pair runs the
+  // value tail) and one that rejects most draws.  Every lane must hold
+  // the scalar sampler's pairs, for every host ISA and a lane range that
+  // starts and ends off strip boundaries, and the row slots past the
+  // last lane must stay as they were.
+  const TruncatedNormal windows[] = {
+      {1.0, 0.05, 0.8, 1.2}, {0.0, 1.0, 0.5, 3.0}, {0.0, 1.0, -0.1, 0.1}};
+  const std::size_t first = 5;
+  const std::size_t count = 45;
+  const std::size_t stride = 48;
+  const Xoshiro256 master(31337);
+  for (const std::size_t pairs : {1u, 4u, 5u, 9u}) {
+    for (const std::size_t drop_at : {std::size_t{0}, std::size_t{3},
+                                      std::size_t{4}, std::size_t{8},
+                                      std::size_t{SIZE_MAX}}) {
+      for (const TruncatedNormal& window : windows) {
+        PolarPlan plan;
+        plan.pairs = pairs;
+        plan.drop_at = drop_at;
+        plan.dropped = window;
+        std::vector<double> u_want(pairs * stride), s_want(pairs * stride);
+        for (std::size_t lane = 0; lane < count; ++lane) {
+          Xoshiro256 stream = master.fork(first + lane);
+          for (std::size_t p = 0; p < pairs; ++p) {
+            if (p == drop_at) {
+              (void)sample_truncated_normal(stream, window.mean,
+                                            window.stddev, window.lo,
+                                            window.hi);
+            }
+            scalar_polar_pair(stream, &u_want[p * stride + lane],
+                              &s_want[p * stride + lane]);
+          }
+        }
+        for (const SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kSse2,
+                                  SimdIsa::kNeon, SimdIsa::kAvx2,
+                                  SimdIsa::kAvx512}) {
+          if (!simd_isa_supported(isa)) continue;
+          ScopedSimdIsa forced(isa);
+          std::vector<double> u(pairs * stride, -7.0);
+          std::vector<double> s(pairs * stride, -7.0);
+          stage_polar_rows(master, first, count, plan, u.data(), s.data(),
+                           stride);
+          std::size_t mismatches = 0;
+          for (std::size_t p = 0; p < pairs; ++p) {
+            for (std::size_t lane = 0; lane < stride; ++lane) {
+              const std::size_t i = p * stride + lane;
+              const bool ok = lane < count
+                                  ? u[i] == u_want[i] && s[i] == s_want[i]
+                                  : u[i] == -7.0 && s[i] == -7.0;
+              if (!ok) ++mismatches;
+            }
+          }
+          EXPECT_EQ(mismatches, 0u)
+              << simd_isa_name(isa) << ": pairs " << pairs << ", drop at "
+              << drop_at << ", window [" << window.lo << ", " << window.hi
+              << "]";
+        }
+      }
+    }
+  }
+}
+
+TEST(McBatchSampling, HopelessDroppedWindowThrowsLikeTheScalarSampler) {
+  // 20 to 21 sigma: sample_truncated_normal gives up after
+  // kTruncatedNormalMaxTries draws, and so must every width.
+  const TruncatedNormal hopeless{0.0, 1.0, 20.0, 21.0};
+  Xoshiro256 scalar_stream(5);
+  EXPECT_THROW((void)sample_truncated_normal(scalar_stream, hopeless.mean,
+                                             hopeless.stddev, hopeless.lo,
+                                             hopeless.hi),
+               NumericError);
+  PolarPlan plan;
+  plan.pairs = 1;
+  plan.drop_at = 0;
+  plan.dropped = hopeless;
+  std::vector<double> u(16), s(16);
+  for (const SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kSse2, SimdIsa::kNeon,
+                            SimdIsa::kAvx2, SimdIsa::kAvx512}) {
+    if (!simd_isa_supported(isa)) continue;
+    SCOPED_TRACE(simd_isa_name(isa));
+    ScopedSimdIsa forced(isa);
+    EXPECT_THROW(stage_polar_rows(Xoshiro256(5), 0, 9, plan, u.data(),
+                                  s.data(), 16),
+                 NumericError);
+  }
+  plan.dropped = {0.0, 1.0, 1.0, 1.0};  // lo == hi, as sample_truncated_normal
+  EXPECT_THROW(
+      stage_polar_rows(Xoshiro256(5), 0, 9, plan, u.data(), s.data(), 16),
+      InvalidArgument);
+}
+
+// ------------------------------------------------ lane-parallel record
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// The scalar Welford update, written out apart from the shared body
+/// RunningStats and the lane record run, so a slip there shows.
+struct ReferenceWelford {
+  std::size_t n = 0;
+  double mean = 0.0, m2 = 0.0, min = 0.0, max = 0.0;
+
+  void add(double x) {
+    if (n == 0) {
+      min = max = x;
+    } else {
+      min = std::min(min, x);
+      max = std::max(max, x);
+    }
+    ++n;
+    const double delta = x - mean;
+    mean += delta / static_cast<double>(n);
+    m2 += delta * (x - mean);
+  }
+  [[nodiscard]] double variance() const {
+    return n < 2 ? 0.0 : m2 / static_cast<double>(n - 1);
+  }
+};
+
+void expect_same_bits(const RunningStats& got, const ReferenceWelford& want) {
+  ASSERT_EQ(got.count(), want.n);
+  EXPECT_EQ(bits(got.mean()), bits(want.mean));
+  EXPECT_EQ(bits(got.variance()), bits(want.variance()));
+  EXPECT_EQ(bits(got.min()), bits(want.min));
+  EXPECT_EQ(bits(got.max()), bits(want.max));
+}
+
+/// Feeds lane j of WelfordLanes<W> the sequence xs rotated by j, and the
+/// same values to a RunningStats and to the written-out update; every
+/// moment must match bitwise after every step.
+template <int W>
+void expect_lanes_match_running_stats(const std::vector<double>& xs) {
+  using V = simd::Vec<W>;
+  WelfordLanes<W> lanes;
+  RunningStats stats[W];
+  ReferenceWelford want[W];
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "W " << W << " after " << i + 1);
+    alignas(64) double x[W];
+    for (int j = 0; j < W; ++j) {
+      x[j] = xs[(i + static_cast<std::size_t>(j)) % xs.size()];
+      stats[j].add(x[j]);
+      want[j].add(x[j]);
+    }
+    lanes.add(V::load(x));
+    for (int j = 0; j < W; ++j) {
+      expect_same_bits(RunningStats(lanes, j), want[j]);
+      expect_same_bits(stats[j], want[j]);
+    }
+  }
+}
+
+TEST(McBatchRecord, WelfordLanesMatchRunningStatsBitwise) {
+  // Signed-zero ties (std::min/std::max keep the first of equal
+  // operands), long runs of one repeated value, a lone first value, and
+  // margins spanning the failure threshold with subnormal and huge
+  // magnitudes mixed in.
+  const std::vector<std::vector<double>> sequences = {
+      {0.0, -0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0},
+      {-0.0, 0.0, 1e-3, -1e-3, 0.0, -0.0},
+      {7e-3, 7e-3, 7e-3, 7e-3, 7e-3, 7e-3, 7e-3, 7e-3, 7e-3},
+      {0.0125},
+      {8e-3, 7.9999999999999996e-3, 0.031, -0.004, 4.9e-324, 1e300,
+       -1e300, 0.015, 0.015, -2.2e-308, 8e-3},
+  };
+  for (const std::vector<double>& xs : sequences) {
+    expect_lanes_match_running_stats<1>(xs);
+    expect_lanes_match_running_stats<2>(xs);
+  }
+}
+
+TEST(McBatchRecord, OneCellAndThreeWindowArraysMatchTheOracle) {
+  // A one-cell array is a one-cell first (and last) window; 129 x 257 is
+  // three windows, the last partial.  The record's two-lane groups are
+  // the same under every ISA; the staging in front of them is not.
+  std::vector<YieldConfig> cfgs(2);
+  cfgs[0].geometry = {1, 1};
+  cfgs[1].geometry = {129, 257};
+  for (const YieldConfig& cfg : cfgs) {
+    const YieldResult want = oracle::run_yield(cfg);
+    for (const SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kSse2,
+                              SimdIsa::kNeon, SimdIsa::kAvx2,
+                              SimdIsa::kAvx512}) {
+      if (!simd_isa_supported(isa)) continue;
+      SCOPED_TRACE(simd_isa_name(isa));
+      ScopedSimdIsa forced(isa);
+      expect_yield_equal(want, run_yield_experiment(cfg));
+      ThreadPool pool(3);
+      expect_yield_equal(want, run_yield_experiment(cfg, &pool));
     }
   }
 }

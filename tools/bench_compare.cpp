@@ -19,13 +19,16 @@
 #include <exception>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "sttram/common/token.hpp"
 #include "sttram/io/table.hpp"
 #include "sttram/obs/snapshot.hpp"
 
 namespace fs = std::filesystem;
+using sttram::parse_number;
 using sttram::TextTable;
 using sttram::obs::BenchHistogram;
 using sttram::obs::BenchMetric;
@@ -120,11 +123,15 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--threshold") {
       if (i + 1 >= argc) return usage();
-      try {
-        threshold = std::stod(argv[++i]);
-      } catch (const std::exception&) {
-        return usage();
+      const std::optional<double> v = parse_number(argv[++i]);
+      if (!v || *v < 0.0) {
+        std::fprintf(stderr,
+                     "bench_compare: --threshold must be a number >= 0, "
+                     "got '%s'\n",
+                     argv[i]);
+        return 2;
       }
+      threshold = *v;
     } else if (arg == "--help" || arg == "-h") {
       return usage();
     } else {
