@@ -51,7 +51,7 @@ BankTiming scheme_bank_timing(SensingScheme scheme,
 
 BankController::BankController(std::size_t banks, SchedulingPolicy policy,
                                const BankTiming& timing,
-                               ReadFaultModel* faults)
+                               const ReadFaultModel* faults)
     : timing_(timing), faults_(faults) {
   require(banks > 0, "BankController: need at least one bank");
   require(timing.read_service.value() > 0.0 &&
@@ -69,7 +69,8 @@ void BankController::start_service(Bank& bank, const Request& request,
     // One hook call per read (requests enter service exactly once); the
     // outcome depends only on the request id, so stats and schedules are
     // reproducible regardless of bank interleaving.
-    const ReadFaultOutcome outcome = faults_->read_outcome(request.id);
+    const ReadFaultOutcome outcome =
+        faults_->hinted_outcome(request.id, request.fault_hint);
     service += outcome.extra_latency;
     if (outcome.raw_bit_errors > 0) ++fault_stats_.faulty_reads;
     fault_stats_.retries += outcome.attempts - 1;
@@ -315,6 +316,11 @@ TrafficReport run_traffic(const TrafficConfig& config) {
         require(r.bank < config.banks,
                 "run_traffic: trace bank index out of range");
       }
+    }
+    // The hook's batch pass over the open-loop stream; it rewrites every
+    // read's hint, so none of a caller-built trace's bytes survives.
+    if (config.faults != nullptr) {
+      hint_reads(*config.faults, requests.data(), requests.size());
     }
   }
 

@@ -52,13 +52,13 @@ BankTiming scheme_bank_timing(SensingScheme scheme,
 /// submit a request whose arrival precedes next_completion_time().
 class BankController {
  public:
-  /// `faults`, when non-null, is consulted once per read request; its
-  /// extra latency extends the bank occupancy and its activity is
-  /// aggregated into fault_stats().  Null (the default) is the exact
-  /// fault-free code path.
+  /// `faults`, when non-null, is consulted once per read request (with
+  /// the request's fault_hint); its extra latency extends the bank
+  /// occupancy and its activity is aggregated into fault_stats().  Null
+  /// (the default) is the exact fault-free code path.
   BankController(std::size_t banks, SchedulingPolicy policy,
                  const BankTiming& timing,
-                 ReadFaultModel* faults = nullptr);
+                 const ReadFaultModel* faults = nullptr);
 
   /// Admits one request; starts service immediately if its bank is idle.
   void submit(const Request& request);
@@ -105,7 +105,7 @@ class BankController {
 
   BankTiming timing_;
   std::vector<Bank> banks_;
-  ReadFaultModel* faults_ = nullptr;
+  const ReadFaultModel* faults_ = nullptr;
   TrafficFaultStats fault_stats_;
   std::size_t in_flight_ = 0;
   std::size_t pending_ = 0;
@@ -142,7 +142,10 @@ struct TrafficConfig {
   bool keep_completions = false;
   /// Optional fault hook (not owned).  Null keeps the exact fault-free
   /// code path — reports are bit-identical to a run without the field.
-  ReadFaultModel* faults = nullptr;
+  /// The open-loop workloads (Poisson, trace) hand the hook their reads
+  /// in one batch pass before the simulation; closed-loop reads, drawn
+  /// as the loop runs, reach it by id alone.
+  const ReadFaultModel* faults = nullptr;
 };
 
 /// Measured figures of merit of one traffic run.

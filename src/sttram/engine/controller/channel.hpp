@@ -57,9 +57,14 @@ struct MemRequest {
   std::uint64_t id = 0;   ///< globally unique, monotonic per channel
   double arrival = 0.0;   ///< seconds
   Op op = Op::kRead;
+  /// Engine-internal, in what was padding: the fault hook's hint for a
+  /// read (engine/fault_hook.hpp), written by the controller's
+  /// generation blocks.  Direct ChannelSim callers leave it 0 (no hint).
+  std::uint8_t fault_hint = 0;
   std::uint32_t bank = 0;
   std::uint32_t row = 0;
 };
+static_assert(sizeof(MemRequest) == 32, "the hint byte must stay in padding");
 
 struct ChannelConfig {
   std::size_t banks = 16;  ///< flat bank count (ranks * banks_per_rank)
@@ -72,7 +77,7 @@ struct ChannelConfig {
   /// Optional per-read fault hook (not owned); null is the exact
   /// fault-free path.  Coalesced reads share the host access's data and
   /// draw no separate outcome.
-  ReadFaultModel* faults = nullptr;
+  const ReadFaultModel* faults = nullptr;
 };
 
 /// Aggregated figures of one channel's run, accumulated online so the
@@ -254,7 +259,8 @@ inline void ChannelSim::start_service(std::size_t b, Entry&& entry,
   if (config_.faults != nullptr && is_read) {
     // One outcome per host read; the result depends only on the request
     // id, so schedules reproduce regardless of bank interleaving.
-    const ReadFaultOutcome outcome = config_.faults->read_outcome(r.id);
+    const ReadFaultOutcome outcome =
+        config_.faults->hinted_outcome(r.id, r.fault_hint);
     service += outcome.extra_latency.value();
     if (outcome.raw_bit_errors > 0) ++stats_.faults.faulty_reads;
     stats_.faults.retries += outcome.attempts - 1;

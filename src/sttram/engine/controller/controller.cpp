@@ -88,24 +88,36 @@ std::uint32_t bounded32(std::uint64_t draw32, std::uint64_t n) {
   return static_cast<std::uint32_t>((draw32 * n) >> 32);
 }
 
+/// Requests one generation block holds: a block's reads are the fault
+/// hook's batch, so it holds enough of them to fill the counting
+/// kernel's lane strips, and stays in L1.
+constexpr std::size_t kGenerationBlock = kFaultHintBatch;
+
 /// Lazy per-channel workload: open-loop Poisson arrivals spread
 /// uniformly over the channel's banks, with per-bank row reuse.  One
-/// request is materialized at a time, so the driving loop never holds a
-/// pre-generated stream — the chip-scale runs would otherwise spend
-/// most of their footprint on workload vectors.
+/// block of kGenerationBlock requests is materialized at a time, so the
+/// driving loop never holds a pre-generated stream — the chip-scale runs
+/// would otherwise spend most of their footprint on workload vectors.
 class ChannelWorkload {
  public:
   ChannelWorkload(const ControllerConfig& config, std::size_t channel,
                   std::size_t banks_in_channel, double mean_interarrival)
       : rng_(Xoshiro256(config.seed).fork(channel)),
         zig_(&ziggurat_exp()),
-        read_threshold_(threshold32(config.read_fraction)),
-        locality_threshold_(threshold32(config.row_locality)),
+        read_threshold_(bernoulli_threshold32(config.read_fraction)),
+        locality_threshold_(bernoulli_threshold32(config.row_locality)),
         rows_(config.rows),
         banks_(banks_in_channel),
         mean_interarrival_(mean_interarrival),
         last_row_(banks_in_channel, 0) {}
 
+  /// Draws the next `count` requests, ids first, first + 1, ..., into
+  /// `out`.
+  void fill(std::uint64_t first, std::size_t count, MemRequest* out) {
+    for (std::size_t i = 0; i < count; ++i) out[i] = next(first + i);
+  }
+
+ private:
   MemRequest next(std::uint64_t id) {
     clock_ += sample_exponential(rng_, mean_interarrival_, *zig_);
     MemRequest r;
@@ -130,17 +142,10 @@ class ChannelWorkload {
     return r;
   }
 
- private:
-  /// Probability p as a 32-bit threshold: draw < p * 2^32.
-  static std::uint32_t threshold32(double p) {
-    return static_cast<std::uint32_t>(
-        std::min(p, 1.0) * 4294967296.0 - (p >= 1.0 ? 1.0 : 0.0));
-  }
-
   Xoshiro256 rng_;
   const ZigguratExp* zig_;
-  std::uint32_t read_threshold_;
-  std::uint32_t locality_threshold_;
+  std::uint64_t read_threshold_;
+  std::uint64_t locality_threshold_;
   std::size_t rows_;
   std::size_t banks_;
   double mean_interarrival_;
@@ -170,18 +175,27 @@ void run_channel(const ControllerConfig& config, const CommandTiming& timing,
 
   std::size_t issued = 0;
   std::size_t completed = 0;
-  MemRequest next;
-  if (n > 0) next = gen.next(ids.begin);
+  MemRequest block[kGenerationBlock];
+  std::size_t at = 0;  // block[at] is the next request to submit
+  // Each block's reads are the fault hook's batch: they leave it with
+  // their hints before the first of them reaches a bank.
+  const auto refill = [&] {
+    const std::size_t count = std::min(kGenerationBlock, n - issued);
+    gen.fill(ids.begin + issued, count, block);
+    if (config.faults != nullptr) hint_reads(*config.faults, block, count);
+    at = 0;
+  };
+  if (n > 0) refill();
   while (completed < n) {
     // Completions at the same instant run first so a same-time arrival
     // sees the freed bank (the bank_sim merge-order convention).
     if (!sim.idle() &&
-        (issued == n || sim.next_completion_time() <= next.arrival)) {
+        (issued == n || sim.next_completion_time() <= block[at].arrival)) {
       completed += sim.step();
     } else {
-      sim.submit(next);
+      sim.submit(block[at]);
       ++issued;
-      if (issued < n) next = gen.next(ids.begin + issued);
+      if (++at == kGenerationBlock && issued < n) refill();
     }
   }
   out = sim.stats();
@@ -200,6 +214,11 @@ void merge_fault_stats(TrafficFaultStats& into,
 }
 
 }  // namespace
+
+std::uint64_t bernoulli_threshold32(double p) {
+  return p >= 1.0 ? std::uint64_t{1} << 32
+                  : static_cast<std::uint64_t>(p * 4294967296.0);
+}
 
 ControllerReport run_controller_traffic(const ControllerConfig& config,
                                         ParallelExecutor* executor) {

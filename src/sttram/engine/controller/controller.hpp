@@ -52,8 +52,10 @@ struct ControllerConfig {
   std::uint64_t seed = 1;
   /// Optional fault hook (not owned, shared by all channels — it must
   /// be a pure function of the request id, which the engine's hook
-  /// contract already demands).  Null is the exact fault-free path.
-  ReadFaultModel* faults = nullptr;
+  /// contract already demands, and its calls are const).  Each channel
+  /// hands it the reads of every generation block in one batch.  Null
+  /// is the exact fault-free path.
+  const ReadFaultModel* faults = nullptr;
 };
 
 /// Per-channel figures of merit (percentiles from the channel's own
@@ -113,6 +115,12 @@ struct ControllerReport {
   bool faults_enabled = false;
   TrafficFaultStats faults;
 };
+
+/// The channel workload's Bernoulli threshold: a uniform 32-bit draw d
+/// takes an event of probability p exactly when d < the threshold, which
+/// is p * 2^32 rounded down for p < 1 and 2^32 at p = 1, so p = 0 never
+/// and p = 1 always takes it.
+[[nodiscard]] std::uint64_t bernoulli_threshold32(double p);
 
 /// Runs the experiment; `executor` fans channels over worker threads
 /// (null = serial).  Deterministic: the report is a pure function of

@@ -16,8 +16,13 @@ struct Request {
   std::uint64_t id = 0;     ///< issue order (unique, monotonic)
   Second arrival{0.0};      ///< when the request enters the controller
   Op op = Op::kRead;
+  /// Engine-internal, in what was padding: the fault hook's hint for a
+  /// read (engine/fault_hook.hpp), written by run_traffic over every read
+  /// it is given.  Direct BankController callers leave it 0 (no hint).
+  std::uint8_t fault_hint = 0;
   std::uint32_t bank = 0;
 };
+static_assert(sizeof(Request) == 24, "the hint byte must stay in padding");
 
 /// A serviced request with its measured schedule.
 struct CompletedRequest {

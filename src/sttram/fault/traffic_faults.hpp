@@ -6,6 +6,15 @@
 // of a request depends only on (config, request id) — each request
 // forks its own RNG stream — so traffic runs are bit-identical across
 // scheduling policies, workload generators and thread counts.
+//
+// Attempt a of a read draws codeword bits [a * n, (a + 1) * n) of its
+// stream, bit b in error when next_double() < raw_ber.  Both paths count
+// them with stats' Bernoulli kernel (count_bernoulli_hits) against the
+// exact integer threshold bernoulli_threshold(raw_ber): the engine's
+// batch pass counts every read's first attempt W ids at a time, and the
+// per-id path (read_outcome, and any read the hint cannot settle) walks
+// the id's stream through the same kernel at W = 1.  One attempt loop
+// turns the counts into the outcome.
 #pragma once
 
 #include <cstdint>
@@ -51,25 +60,44 @@ class TrafficFaultModel final : public engine::ReadFaultModel {
   explicit TrafficFaultModel(const TrafficFaultConfig& config);
 
   [[nodiscard]] engine::ReadFaultOutcome read_outcome(
-      std::uint64_t request_id) override;
+      std::uint64_t request_id) const override;
+
+  /// hints[i] = 1 + the first attempt's raw error count of read ids[i],
+  /// 255 for a count past 253 (a hint that settles nothing).
+  void first_attempt_hints(const std::uint64_t* ids, std::size_t n,
+                           std::uint8_t* hints) const override;
+
+  /// Finishes from the hint when the first attempt settles the read (no
+  /// error, one corrected error, no ECC, or no retry allowed); replays
+  /// the id through read_outcome when a retry follows or the hint holds
+  /// no count.
+  [[nodiscard]] engine::ReadFaultOutcome hinted_outcome(
+      std::uint64_t request_id, std::uint8_t hint) const override;
 
   [[nodiscard]] const TrafficFaultConfig& config() const { return config_; }
 
  private:
+  /// The attempt loop: `next_errors()` yields each attempt's raw error
+  /// count in turn.
+  template <class NextErrors>
+  engine::ReadFaultOutcome attempt_loop(NextErrors next_errors) const;
+
   TrafficFaultConfig config_;
   Xoshiro256 master_;
   std::size_t codeword_bits_;
+  std::uint64_t threshold_ = 0;  ///< bernoulli_threshold(raw_ber)
 };
 
 /// The fault hook of a traffic run over banks of `scheme`: per-bit read
-/// error rate `raw_ber`, optional SECDED, `max_attempts` reads in all.
+/// error rate `raw_ber`, optional SECDED, `max_attempts` reads in all,
+/// and `word_bits` data bits per access (the word read when ECC is off).
 /// A retry re-runs the whole read, so it costs the scheme's read service
 /// time and energy (engine::scheme_bank_timing).  The hook draws from
 /// its own stream, seeded `workload_seed ^ 0x5717fa7ee1d`.  Both the
 /// traffic engine and the chip-scale controller take this hook.
 [[nodiscard]] std::unique_ptr<TrafficFaultModel> make_traffic_fault_model(
     double raw_ber, bool ecc, std::uint32_t max_attempts,
-    engine::SensingScheme scheme, const CostComparisonConfig& cost,
-    std::uint64_t workload_seed);
+    std::size_t word_bits, engine::SensingScheme scheme,
+    const CostComparisonConfig& cost, std::uint64_t workload_seed);
 
 }  // namespace sttram::fault

@@ -272,8 +272,8 @@ TrafficSetup<Config> build_traffic_common(const Params& p,
   if (p.has("faults_ber")) {
     out.faults = fault::make_traffic_fault_model(
         p.number("faults_ber"), p.boolean("ecc"),
-        static_cast<std::uint32_t>(p.count("retry")), cfg.scheme, cfg.cost,
-        seed);
+        static_cast<std::uint32_t>(p.count("retry")), cfg.word_bits,
+        cfg.scheme, cfg.cost, seed);
     cfg.faults = out.faults.get();
   }
   return out;

@@ -12,7 +12,8 @@ namespace {
 const StatsSimdKernels& stats_kernels() {
   static const StatsSimdKernels kW1{&simd_detail::stage_polar_simd<1>,
                                     &simd_detail::polar_tail_simd<1>,
-                                    &simd_detail::gaussian_axis_simd<1>};
+                                    &simd_detail::gaussian_axis_simd<1>,
+                                    &simd_detail::count_hits_simd<1>};
   return pick_simd_table(active_simd_isa(), &kW1, stats_simd_kernels_w2(),
                          stats_simd_kernels_w4(), stats_simd_kernels_w8());
 }
@@ -51,6 +52,22 @@ void stage_polar_rows(const Xoshiro256& master, std::size_t first,
 void polar_tail(const double* u, const double* s, const double* t,
                 std::size_t n, double* out) {
   stats_kernels().polar_tail(u, s, t, n, out);
+}
+
+void count_bernoulli_hits(const Xoshiro256& master, const std::uint64_t* ids,
+                          std::size_t n, std::size_t draws,
+                          std::uint64_t threshold, std::uint32_t* counts) {
+  stats_kernels().count_hits(master, ids, n, draws, threshold, counts);
+}
+
+BernoulliStream::BernoulliStream(const Xoshiro256& master, std::uint64_t id) {
+  rng_detail::xoshiro256_seed(master.fork_seed(id), s_);
+}
+
+std::uint32_t BernoulliStream::count(std::size_t draws,
+                                     std::uint64_t threshold) {
+  return static_cast<std::uint32_t>(
+      simd_detail::count_hits<1>(s_, draws, threshold));
 }
 
 void fill_shifted_gaussian_block(const Xoshiro256& master,

@@ -20,12 +20,18 @@
 // the draws its scalar sampler keeps.  Only the libm calls (log, exp)
 // stay scalar per lane (batch_simd.hpp).
 //
+// Bernoulli counts (count_bernoulli_hits) follow the same contract with
+// no floating point at all: a trial `next_double() < p` is the integer
+// compare `(x >> 11) < bernoulli_threshold(p)` on the draw's bits, so a
+// lane counts exactly the hits its scalar stream would.
+//
 // (Sampling *device* variation into a VariationBlock lives in
 // device/variation.hpp — the distribution parameters are the device
 // layer's, and stats must not depend on device.)
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -119,5 +125,41 @@ void fill_shifted_gaussian_block(const Xoshiro256& master,
                                  const std::vector<double>& shift,
                                  std::size_t first, std::size_t count,
                                  GaussianBlock& out);
+
+/// The integer threshold of a Bernoulli(p) trial drawn as
+/// Xoshiro256::next_double() < p, for p in [0, 1]: with x the draw's 64
+/// bits, the trial hits exactly when (x >> 11) < bernoulli_threshold(p).
+/// next_double() is m * 2^-53 for the integer m = x >> 11, and p * 2^53
+/// is exact (a power-of-two scale, no overflow or underflow for p in
+/// [0, 1]), so m * 2^-53 < p <=> m < p * 2^53 <=> m < ceil(p * 2^53).
+/// ceil is exact too; p = 0 gives 0 (never) and p = 1 gives 2^53
+/// (always).
+[[nodiscard]] inline std::uint64_t bernoulli_threshold(double p) {
+  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+}
+
+/// counts[i] = how many of the first `draws` trials of master.fork(ids[i])
+/// hit, a trial hitting when (next_u64() >> 11) < threshold (see
+/// bernoulli_threshold).  Forks W streams at once and counts them in
+/// lanes; dispatches on active_simd_isa().
+void count_bernoulli_hits(const Xoshiro256& master, const std::uint64_t* ids,
+                          std::size_t n, std::size_t draws,
+                          std::uint64_t threshold, std::uint32_t* counts);
+
+/// One lane of count_bernoulli_hits kept across calls: master.fork(id)'s
+/// stream, counted `draws` trials at a time where the last count left
+/// off.  It runs the same kernel at W = 1, so its first count equals the
+/// batch's for that id.
+class BernoulliStream {
+ public:
+  BernoulliStream(const Xoshiro256& master, std::uint64_t id);
+
+  /// Hits among the next `draws` trials.
+  [[nodiscard]] std::uint32_t count(std::size_t draws,
+                                    std::uint64_t threshold);
+
+ private:
+  std::uint64_t s_[4];
+};
 
 }  // namespace sttram

@@ -20,11 +20,17 @@
 // and the fused importance-sampling axis fill (z = shift + n,
 // dot += shift * z) implement it over staged rows.
 //
+// The Bernoulli counter (count_hits) is integer lane code only: it forks
+// W streams at once and counts each lane's hits with a signed 64-bit
+// compare against the exact threshold of batch.hpp's
+// bernoulli_threshold, so every width gives the scalar counts.
+//
 // Instantiated at W = 1 in batch.cpp (the `scalar` target) and at
 // W = 2/4/8 in batch_w{2,4,8}.cpp, compiled with the matching -m flags
 // (see DESIGN.md §15).  The value tails run their remainder lanes through
-// the same body at W = 1 (simd::for_each_strip); the staging runs a
-// block's last, partial strip at W with the extra lanes masked off.
+// the same body at W = 1 (simd::for_each_strip); the staging and the
+// counter run a batch's last, partial strip at W with the extra lanes
+// masked off or dropped.
 #pragma once
 
 #include <algorithm>
@@ -54,10 +60,17 @@ using GaussianAxisFn = void (*)(const double* u, const double* s,
                                 const double* t, double shift,
                                 std::size_t n, double* z_row, double* dot);
 
+/// count_bernoulli_hits (batch.hpp).
+using CountHitsFn = void (*)(const Xoshiro256& master,
+                             const std::uint64_t* ids, std::size_t n,
+                             std::size_t draws, std::uint64_t threshold,
+                             std::uint32_t* counts);
+
 struct StatsSimdKernels {
   StagePolarFn stage_polar = nullptr;
   PolarTailFn polar_tail = nullptr;
   GaussianAxisFn gaussian_axis = nullptr;
+  CountHitsFn count_hits = nullptr;
 };
 
 /// nullptr when the width is not compiled in on this target.
@@ -74,14 +87,13 @@ namespace simd_detail {
 [[noreturn]] void throw_truncated_normal_hopeless();
 
 /// W xoshiro256** streams stepped together; lane i starts as
-/// master.fork(first + i).
+/// master.fork(streams[i]).
 template <int W>
 struct LaneStreams {
   simd::U64<W> s[4];
 
-  LaneStreams(const Xoshiro256& master, std::uint64_t first) {
-    rng_detail::xoshiro256_seed(master.fork_seed(simd::iota_u64<W>(first)),
-                                s);
+  LaneStreams(const Xoshiro256& master, simd::U64<W> streams) {
+    rng_detail::xoshiro256_seed(master.fork_seed(streams), s);
   }
 
   /// 2 * Xoshiro256::next_double() - 1 in every lane: one polar
@@ -228,12 +240,60 @@ void stage_polar_simd(const Xoshiro256& master, std::size_t first,
                       std::size_t count, const PolarPlan& plan, double s_safe,
                       double* u_rows, double* s_rows, std::size_t stride) {
   if (count == 0) return;
-  LaneStreams<W> next(master, first);
+  LaneStreams<W> next(master, simd::iota_u64<W>(first));
   for (std::size_t k = 0; k < count; k += W) {
     const LaneStreams<W> rng = next;
-    if (k + W < count) next = LaneStreams<W>(master, first + k + W);
+    if (k + W < count) {
+      next = LaneStreams<W>(master, simd::iota_u64<W>(first + k + W));
+    }
     stage_strip<W>(rng, plan, s_safe, std::min<std::size_t>(W, count - k),
                    u_rows + k, s_rows + k, stride);
+  }
+}
+
+/// Hits among each lane's next `draws` trials of the streams in `s`: a
+/// trial hits when (x >> 11) < threshold.  x >> 11 and the threshold
+/// (at most 2^53) both fit a signed lane, where every ISA has the
+/// compare; a set lane is -1 (0 / 1 at W = 1), so `& 1` counts it.
+template <int W>
+simd::U64<W> count_hits(simd::U64<W>* s, std::size_t draws,
+                        std::uint64_t threshold) {
+  using M = typename simd::Vec<W>::M;
+  const M t = M{} + static_cast<long long>(threshold);
+  M hits{};
+  for (std::size_t k = 0; k < draws; ++k) {
+    const M x = (M)(rng_detail::xoshiro256_next(s) >> 11);
+    hits += (x < t) & 1;
+  }
+  return (simd::U64<W>)hits;
+}
+
+/// count_bernoulli_hits over ids[0, n) in W-lane strips.  The last,
+/// partial strip runs at W too (its spare lanes repeat the strip's first
+/// id and are not stored), so a wider TU never instantiates W = 1.
+template <int W>
+void count_hits_simd(const Xoshiro256& master, const std::uint64_t* ids,
+                     std::size_t n, std::size_t draws,
+                     std::uint64_t threshold, std::uint32_t* counts) {
+  for (std::size_t k = 0; k < n; k += W) {
+    const std::size_t lanes = std::min<std::size_t>(W, n - k);
+    simd::U64<W> streams;
+    if constexpr (W == 1) {
+      streams = ids[k];
+    } else {
+      for (std::size_t i = 0; i < W; ++i) {
+        streams[i] = ids[k + (i < lanes ? i : 0)];
+      }
+    }
+    LaneStreams<W> rng(master, streams);
+    const simd::U64<W> hits = count_hits<W>(rng.s, draws, threshold);
+    if constexpr (W == 1) {
+      counts[k] = static_cast<std::uint32_t>(hits);
+    } else {
+      for (std::size_t i = 0; i < lanes; ++i) {
+        counts[k + i] = static_cast<std::uint32_t>(hits[i]);
+      }
+    }
   }
 }
 

@@ -9,7 +9,8 @@ const StatsSimdKernels* stats_simd_kernels_w4() {
   static const StatsSimdKernels kernels{
       &simd_detail::stage_polar_simd<4>,
       &simd_detail::polar_tail_simd<4>,
-      &simd_detail::gaussian_axis_simd<4>};
+      &simd_detail::gaussian_axis_simd<4>,
+      &simd_detail::count_hits_simd<4>};
   return &kernels;
 #else
   return nullptr;

@@ -9,7 +9,8 @@ const StatsSimdKernels* stats_simd_kernels_w8() {
   static const StatsSimdKernels kernels{
       &simd_detail::stage_polar_simd<8>,
       &simd_detail::polar_tail_simd<8>,
-      &simd_detail::gaussian_axis_simd<8>};
+      &simd_detail::gaussian_axis_simd<8>,
+      &simd_detail::count_hits_simd<8>};
   return &kernels;
 #else
   return nullptr;

@@ -317,6 +317,30 @@ TEST(RunControllerTest, NullFaultHookKeepsFaultStatsZero) {
 
 // ------------------------------------- degenerate config vs the bank sim
 
+TEST(RunControllerTest, BernoulliThresholdTakesProbabilityOneAlways) {
+  // A 32-bit draw d takes the event when d < threshold: p = 0 never,
+  // p = 1 always (read_fraction 1 keeps every read a read, row_locality
+  // 1 keeps every row), p * 2^32 rounded down in between.
+  const std::uint64_t draws[] = {0, (1ULL << 31) - 1, 1ULL << 31,
+                                 (1ULL << 32) - 1};
+  const struct {
+    double p;
+    bool takes[4];
+  } cases[] = {{0.0, {false, false, false, false}},
+               {0.5, {true, true, false, false}},
+               {std::nextafter(1.0, 0.0), {true, true, true, false}},
+               {1.0, {true, true, true, true}}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.p);
+    const std::uint64_t t = bernoulli_threshold32(c.p);
+    for (int d = 0; d < 4; ++d) {
+      EXPECT_EQ(draws[d] < t, c.takes[d]) << "draw " << draws[d];
+    }
+  }
+  EXPECT_EQ(bernoulli_threshold32(0.5), 1ULL << 31);
+  EXPECT_EQ(bernoulli_threshold32(1.0), 1ULL << 32);
+}
+
 TEST(RunControllerTest, DegenerateChipMatchesBankSimWithinTolerance) {
   // 1 channel x 1 rank, rows = 1: every access after each bank's first
   // is a row hit, so the command path charges exactly the bank_sim

@@ -438,6 +438,20 @@ TEST(Builders, CrossFieldRulesNameTheFields) {
   EXPECT_EQ(hooked.faults->config().max_attempts, 3u);
 }
 
+TEST(Builders, FaultHookReadsTheAccessWidth) {
+  // Without ECC a read is the bare word, so the hook draws word_bits
+  // bits per read, not the 64 of a TrafficFaultConfig{}.
+  const char* params = R"({"faults_ber": 0.001, "word_bits": 32})";
+  const auto traffic = build_traffic(Json::parse(params), 1);
+  ASSERT_NE(traffic.faults, nullptr);
+  EXPECT_FALSE(traffic.faults->config().ecc);
+  EXPECT_EQ(traffic.faults->config().word_bits, 32u);
+  const auto controller = build_controller(
+      Json::parse(R"({"faults_ber": 0.001, "word_bits": 13})"), 1);
+  ASSERT_NE(controller.faults, nullptr);
+  EXPECT_EQ(controller.faults->config().word_bits, 13u);
+}
+
 TEST(Builders, ChoicesMapToLibraryEnums) {
   // The schema's choice spellings are the only scheme, policy, workload
   // and scheduler parsers; each must land on its enum value.
