@@ -75,5 +75,5 @@ int main() {
       best_alpha == 0.50);
   bench::claim("worst-case margin at alpha = 0.5 stays positive",
                metric_at_half > 0.0);
-  return 0;
+  return bench::exit_code();
 }

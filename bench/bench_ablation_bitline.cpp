@@ -70,5 +70,5 @@ int main() {
                    with_c2.settling_time(source, tol));
   bench::claim("divider leakage error is negligible (< 1 %)",
                line.leakage_error(Ampere(200e-6), Volt(0.563)) < 0.01);
-  return 0;
+  return bench::exit_code();
 }

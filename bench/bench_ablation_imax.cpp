@@ -63,5 +63,5 @@ int main() {
   bench::claim("paper's I_max=200 uA keeps read disturb negligible (<1e-6)",
                switching.read_disturb_probability(Ampere(200e-6),
                                                   read_dwell) < 1e-6);
-  return 0;
+  return bench::exit_code();
 }

@@ -79,5 +79,5 @@ int main() {
                                                Second(0.5e-9)) >
                    latch.metastability_probability(Volt(12.6e-3),
                                                    Second(0.5e-9)));
-  return 0;
+  return bench::exit_code();
 }

@@ -74,5 +74,5 @@ int main() {
                *std::min_element(margins.begin(), margins.end()) > 8e-3);
   bench::claim("table model reproduces its source model's optimum",
                std::fabs(betas[2] - betas[1]) < 0.05);
-  return 0;
+  return bench::exit_code();
 }

@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "snapshot.hpp"
 #include "sttram/common/format.hpp"
 #include "sttram/engine/controller/controller.hpp"
 #include "sttram/engine/thread_pool.hpp"
@@ -36,11 +35,7 @@ bool reports_identical(const ctrl::ControllerReport& a,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  argc = bench::apply_bench_dir_flag(argc, argv);
-  (void)argc;
-  (void)argv;
-  obs::BenchSnapshot snap = bench::make_snapshot("controller", /*threads=*/8);
+int main() {
   bench::heading("Controller",
                  "chip-scale channels x ranks x banks, FR-FCFS scheduling");
 
@@ -131,8 +126,8 @@ int main(int argc, char** argv) {
   std::printf("Reproduction / extension claims:\n");
   bench::claim("sharded channels bit-identical across 1/2/8 threads",
                all_identical);
-  bench::claim("sustains >= 10M simulated requests/s on 8 threads",
-               threads8_rate >= 10e6);
+  bench::wall_clock_claim("sustains >= 10M simulated requests/s on 8 threads",
+                          threads8_rate >= 10e6);
   bench::claim("FR-FCFS lifts the row-hit rate over FCFS",
                frfcfs.row_hit_rate > fcfs.row_hit_rate);
   bench::claim("nondestructive beats destructive chip bandwidth",
@@ -144,22 +139,5 @@ int main(int argc, char** argv) {
                per_scheme[1].energy_per_bit_pj >
                    4.0 * per_scheme[2].energy_per_bit_pj);
 
-  snap.add_metric("simulated_requests_per_second", threads8_rate, "req/s",
-                  /*higher_is_better=*/true);
-  snap.add_metric("serial_requests_per_second",
-                  static_cast<double>(cfg.requests) / serial_s, "req/s",
-                  /*higher_is_better=*/true);
-  snap.add_metric("row_hit_rate", serial.row_hit_rate, "fraction",
-                  /*higher_is_better=*/true);
-  snap.add_metric("nondestructive_chip_bandwidth",
-                  per_scheme[2].total_bandwidth_mbps, "Mbit/s",
-                  /*higher_is_better=*/true);
-  snap.add_metric("nondestructive_chip_p99_latency",
-                  per_scheme[2].p99_latency.value(), "s",
-                  /*higher_is_better=*/false);
-  // Simulated-time distribution: deterministic for the config, so any
-  // drift is a behavior change, not noise.
-  snap.add_histogram("chip_latency", serial.latency_hist, "s");
-  bench::write_snapshot(snap);
-  return 0;
+  return bench::exit_code();
 }

@@ -73,5 +73,5 @@ int main() {
                selfref_always_pass);
   bench::claim("nondestructive worst corner is the low-TMR one",
                nondes_worst_tmr == -1);
-  return 0;
+  return bench::exit_code();
 }

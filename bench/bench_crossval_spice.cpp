@@ -77,5 +77,5 @@ int main() {
                corr > 0.9);
   bench::claim("max analytic-vs-circuit deviation below 3 mV",
                max_abs_delta < 3e-3);
-  return 0;
+  return bench::exit_code();
 }

@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "snapshot.hpp"
 #include "sttram/common/format.hpp"
 #include "sttram/engine/thread_pool.hpp"
 #include "sttram/fault/fault.hpp"
@@ -25,14 +24,8 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  argc = bench::apply_bench_dir_flag(argc, argv);
-  (void)argc;
-  (void)argv;
-  // threads=4: the fault-map generation section drives a 4-wide pool.
-  obs::BenchSnapshot snap = bench::make_snapshot("fault", 4);
+int main() {
   bench::heading("Fault", "injection, SECDED recovery and march coverage");
-  const auto wall0 = std::chrono::steady_clock::now();
 
   // --- SECDED(72,64) kernel throughput ------------------------------
   constexpr int kWords = 1 << 20;
@@ -85,13 +78,11 @@ int main(int argc, char** argv) {
   fault::TrafficFaultModel model(tfc);
   constexpr std::uint64_t kAccesses = 200000;
   std::uint64_t corrected = 0, uncorrectable = 0;
-  obs::Histogram recovery_latency;  // simulated extra occupancy per access
   t0 = std::chrono::steady_clock::now();
   for (std::uint64_t id = 0; id < kAccesses; ++id) {
     const engine::ReadFaultOutcome outcome = model.read_outcome(id);
     corrected += outcome.corrected ? 1 : 0;
     uncorrectable += outcome.uncorrectable ? 1 : 0;
-    recovery_latency.record(outcome.extra_latency.value());
   }
   const double access_ns = seconds_since(t0) / kAccesses * 1e9;
   std::printf("recovery model @ BER 1e-3: %.0f ns/access "
@@ -173,18 +164,5 @@ int main(int argc, char** argv) {
                raw.conventional.hard_bit_fraction >
                    raw.nondestructive.hard_bit_fraction);
 
-  // --- perf snapshot -------------------------------------------------
-  const double wall_s = seconds_since(wall0);
-  snap.add_metric("wall_seconds", wall_s, "s", /*higher_is_better=*/false);
-  snap.add_metric("ecc_words_per_second", 1e9 / ecc_ns, "word/s",
-                  /*higher_is_better=*/true);
-  snap.add_metric("fault_map_serial_ms", serial_ms, "ms",
-                  /*higher_is_better=*/false);
-  snap.add_metric("fault_map_threaded_ms", threaded_ms, "ms",
-                  /*higher_is_better=*/false);
-  snap.add_metric("recovery_accesses_per_second", 1e9 / access_ns,
-                  "access/s", /*higher_is_better=*/true);
-  snap.add_histogram("recovery_extra_latency", recovery_latency, "s");
-  bench::write_snapshot(snap);
-  return 0;
+  return bench::exit_code();
 }

@@ -92,5 +92,5 @@ int main() {
   const SpiceReadResult rl = simulate_nondestructive_read(leaky);
   bench::claim("4x unselected-cell leakage does not flip the decision",
                rl.value);
-  return 0;
+  return bench::exit_code();
 }

@@ -109,5 +109,5 @@ int main() {
                "(cv(SM) << cv for conventional)",
                r.nondestructive.sm1_stats.cv() <
                    r.conventional.sm1_stats.cv());
-  return 0;
+  return bench::exit_code();
 }

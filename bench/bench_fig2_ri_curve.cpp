@@ -83,5 +83,5 @@ int main() {
                             linear.resistance(MtjState::kAntiParallel, i_max)
                                 .value(),
                             1e-6));
-  return 0;
+  return bench::exit_code();
 }

@@ -71,5 +71,5 @@ int main() {
                                 model.droop(MtjState::kParallel, Ampere(0),
                                             i2),
                             60.0, 1e-9));
-  return 0;
+  return bench::exit_code();
 }

@@ -79,5 +79,5 @@ int main() {
                conv.margins(wc.lo + 0.01).sm1 > conv.margins(wc.lo + 0.01).sm0 &&
                    conv.margins(wc.hi - 0.01).sm0 >
                        conv.margins(wc.hi - 0.01).sm1);
-  return 0;
+  return bench::exit_code();
 }

@@ -75,5 +75,5 @@ int main() {
                exact_c.width() > 2.0 * exact_n.width());
   bench::claim("margins are linear in dR (SM1 falling, SM0 rising)",
                s1n.ys.front() > s1n.ys.back() && s0n.ys.front() < s0n.ys.back());
-  return 0;
+  return bench::exit_code();
 }

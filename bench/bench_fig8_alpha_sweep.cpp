@@ -54,5 +54,5 @@ int main() {
   // The designed alpha = 0.5 symmetric divider sits inside the window.
   bench::claim("designed alpha (0 % deviation) is inside the window",
                w.contains(0.0));
-  return 0;
+  return bench::exit_code();
 }

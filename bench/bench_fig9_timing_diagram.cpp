@@ -59,5 +59,5 @@ int main() {
                probe.mtj().write_pulse_count() == 0);
   bench::claim("destructive flow shows erase + write-back pulses",
                cell.mtj().write_pulse_count() == 2);
-  return 0;
+  return bench::exit_code();
 }

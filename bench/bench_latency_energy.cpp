@@ -72,5 +72,5 @@ int main() {
   bench::claim("nondestructive scheme preserves the bit through any "
                "power failure",
                nondes_always_safe);
-  return 0;
+  return bench::exit_code();
 }

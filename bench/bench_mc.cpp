@@ -11,8 +11,8 @@
 // The batched kernels dispatch on active_simd_isa(); this bench times
 // every ISA the host supports (forced via set_simd_isa_override, bitwise
 // gated against the oracle first; `scalar` is the kernels' W = 1
-// instantiation) and claims >= 2x for the widest SIMD width over the
-// scalar ISA on AVX2-class hardware.
+// instantiation) and reports >= 2x for the widest SIMD width over the
+// scalar ISA on AVX2-class hardware as a wall-clock claim.
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "snapshot.hpp"
+#include "sttram/obs/metrics.hpp"
 #include "sttram/cell/array.hpp"
 #include "sttram/common/simd.hpp"
 #include "sttram/device/op_cache.hpp"
@@ -64,11 +64,10 @@ bool margins_equal(const std::array<SenseMargins, 4>& a,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::apply_bench_dir_flag(argc, argv);
-  obs::BenchSnapshot snap = bench::make_snapshot("mc");
+int main() {
+  // Telemetry on for the op-cache hit/miss counters printed at the end.
+  obs::set_metrics_enabled(true);
   bench::heading("MC kernels", "batched SoA margin kernels (16-kb Fig. 11)");
-  const auto wall0 = std::chrono::steady_clock::now();
 
   // --- the Fig. 11 population (exactly what sim/yield samples) --------
   YieldConfig cfg;  // 128 x 128 = 16 kb
@@ -201,7 +200,6 @@ int main(int argc, char** argv) {
   });
   (void)sink;
   const double scalar_rate = static_cast<double>(cells) / scalar_s;
-  const double batched_rate = static_cast<double>(cells) / batched_s;
   const double speedup = scalar_s / batched_s;
   const double simd_speedup =
       batched_s > 0.0 ? scalar_isa_s / batched_s : 1.0;
@@ -260,8 +258,6 @@ int main(int argc, char** argv) {
               simmons_rate);
 
   // --- claims ---------------------------------------------------------
-  const bool avx2_class = simd_isa_supported(SimdIsa::kAvx2);
-  bool simd_ok = true;
   std::printf("Claims:\n");
   bench::claim("batched margins bit-identical to the per-cell oracle "
                "(every supported ISA x 4 schemes x 16 kb)",
@@ -269,21 +265,18 @@ int main(int argc, char** argv) {
   bench::claim("end-to-end yield failure counts equal the per-cell "
                "oracle's (4 schemes x 16 kb)",
                e2e_identical);
-  bench::claim("margin-solve kernel >= 10x the per-cell oracle",
-               speedup >= 10.0);
-  if (avx2_class) {
-    simd_ok = simd_speedup >= 2.0;
-    bench::claim("SIMD margin kernel >= 2x the scalar ISA (AVX2-class host)",
-                 simd_ok);
+  bench::wall_clock_claim("margin-solve kernel >= 10x the per-cell oracle",
+                          speedup >= 10.0);
+  if (simd_isa_supported(SimdIsa::kAvx2)) {
+    bench::wall_clock_claim(
+        "SIMD margin kernel >= 2x the scalar ISA (AVX2-class host)",
+        simd_speedup >= 2.0);
   }
 
-  // --- perf snapshot ---------------------------------------------------
-  const auto& registry = obs::Registry::instance();
-  std::uint64_t op_hits = 0, op_misses = 0;
-  for (const auto& c : registry.counters()) {
-    if (c.name == "mc.opcache.hits") op_hits = c.value;
-    if (c.name == "mc.opcache.misses") op_misses = c.value;
-  }
+  auto& registry = obs::Registry::instance();
+  const std::uint64_t op_hits = registry.counter("mc.opcache.hits").value();
+  const std::uint64_t op_misses =
+      registry.counter("mc.opcache.misses").value();
   const double hit_rate =
       op_hits + op_misses > 0
           ? static_cast<double>(op_hits) /
@@ -293,27 +286,5 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(op_hits),
               static_cast<unsigned long long>(op_misses), 100.0 * hit_rate);
 
-  snap.add_metric("wall_seconds", seconds_since(wall0), "s",
-                  /*higher_is_better=*/false);
-  snap.add_metric("margin_trials_per_second", batched_rate, "trial/s",
-                  /*higher_is_better=*/true);
-  snap.add_metric("margin_kernel_speedup_vs_scalar", speedup, "x",
-                  /*higher_is_better=*/true);
-  snap.add_metric("simd_kernel_speedup_vs_scalar_isa", simd_speedup, "x",
-                  /*higher_is_better=*/true);
-  snap.add_metric("yield_cells_per_second",
-                  static_cast<double>(cells) / yield_s, "cell/s",
-                  /*higher_is_better=*/true);
-  snap.add_metric("mc.trials_per_sec",
-                  static_cast<double>(cells) / yield_s, "trial/s",
-                  /*higher_is_better=*/true);
-  snap.add_metric("tail_trials_per_second",
-                  static_cast<double>(tail_trials) / tail_s, "trial/s",
-                  /*higher_is_better=*/true);
-  snap.add_metric("simmons_newton_solves_per_second", simmons_rate,
-                  "solve/s", /*higher_is_better=*/true);
-  snap.add_metric("opcache_hit_rate", hit_rate, "ratio",
-                  /*higher_is_better=*/true);
-  bench::write_snapshot(snap);
-  return identical && e2e_identical && simd_ok ? 0 : 1;
+  return bench::exit_code();
 }

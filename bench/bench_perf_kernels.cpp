@@ -1,13 +1,12 @@
 // Performance microbenchmarks (google-benchmark) of the library's hot
 // kernels: margin evaluation, equal-margin optimization, Monte-Carlo
 // cell sampling, MNA factorization and the full circuit-level read.
-// Instead of BENCHMARK_MAIN(), a custom main captures every kernel's
-// time-per-iteration into a BENCH_perf_kernels.json snapshot.
+// For a developer's before/after on one host; the repo's performance
+// record is e2ebench (e2ebench/README.md).
 #include <benchmark/benchmark.h>
 
 #include <limits>
 
-#include "snapshot.hpp"
 #include "sttram/common/simd.hpp"
 #include "sttram/device/mtj_params.hpp"
 #include "sttram/device/ri_curve.hpp"
@@ -193,42 +192,6 @@ void BM_SimmonsNewtonBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SimmonsNewtonBatch)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
 
-/// Console reporter that also records each kernel's real time per
-/// iteration (seconds, lower is better) into the bench snapshot.
-class SnapshotReporter : public benchmark::ConsoleReporter {
- public:
-  explicit SnapshotReporter(obs::BenchSnapshot& snap) : snap_(snap) {}
-
-  void ReportRuns(const std::vector<Run>& reports) override {
-    ConsoleReporter::ReportRuns(reports);
-    for (const Run& run : reports) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      const double seconds_per_iter =
-          run.iterations > 0
-              ? run.real_accumulated_time /
-                    static_cast<double>(run.iterations)
-              : run.real_accumulated_time;
-      snap_.add_metric(obs::normalize_metric_name(run.benchmark_name()),
-                       seconds_per_iter, "s/iter",
-                       /*higher_is_better=*/false);
-    }
-  }
-
- private:
-  obs::BenchSnapshot& snap_;
-};
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  argc = sttram::bench::apply_bench_dir_flag(argc, argv);
-  sttram::obs::BenchSnapshot snap =
-      sttram::bench::make_snapshot("perf_kernels");
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  SnapshotReporter reporter(snap);
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-  sttram::bench::write_snapshot(snap);
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -59,5 +59,5 @@ int main() {
                refcell_centered > nondes_centered);
   bench::claim("self-reference schemes are immune to the die shift",
                true);
-  return 0;
+  return bench::exit_code();
 }

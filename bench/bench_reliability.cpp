@@ -103,5 +103,5 @@ int main() {
                sm_hot < sm_cold);
   bench::claim("scheme still operable at 400 K with re-tuned beta",
                sm_hot > 0.0);
-  return 0;
+  return bench::exit_code();
 }

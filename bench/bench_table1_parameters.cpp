@@ -95,5 +95,5 @@ int main() {
                    3.0 * nondes.margins(beta_nondes).max());
   bench::claim("nondestructive needs a larger read-current ratio",
                beta_nondes > 1.5 * beta_conv);
-  return 0;
+  return bench::exit_code();
 }

@@ -70,5 +70,5 @@ int main() {
       rn.delta_r.width() < rc.delta_r.width() &&
           rn.beta.width() < rc.beta.width() * 3.0);
   bench::claim("capacitor variation does not enter either analysis", true);
-  return 0;
+  return bench::exit_code();
 }

@@ -55,5 +55,5 @@ int main() {
                    sim.value() > nondes.avg_queue_latency.value() * 0.85);
   bench::claim("destructive scheme pays write energy on every read",
                banks[1].energy_per_bit_pj > 5.0 * banks[2].energy_per_bit_pj);
-  return 0;
+  return bench::exit_code();
 }

@@ -2,11 +2,9 @@
 // memory — discrete-event latency percentiles, sustained bandwidth and
 // energy per bit, cross-checked against the analytic M/D/1 model and
 // compared across scheduling policies.
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "snapshot.hpp"
 #include "sttram/common/format.hpp"
 #include "sttram/engine/bank_sim.hpp"
 #include "sttram/io/table.hpp"
@@ -18,13 +16,8 @@ using engine::SensingScheme;
 using engine::TrafficConfig;
 using engine::TrafficReport;
 
-int main(int argc, char** argv) {
-  argc = bench::apply_bench_dir_flag(argc, argv);
-  (void)argc;
-  (void)argv;
-  obs::BenchSnapshot snap = bench::make_snapshot("traffic");
+int main() {
   bench::heading("Traffic", "discrete-event bank traffic by sensing scheme");
-  const auto wall0 = std::chrono::steady_clock::now();
 
   const CostComparisonConfig cost;
   const SensingScheme schemes[] = {SensingScheme::kConventional,
@@ -121,34 +114,5 @@ int main(int argc, char** argv) {
                reports[1].energy_per_bit_pj >
                    5.0 * reports[2].energy_per_bit_pj);
 
-  // --- perf snapshot -------------------------------------------------
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-          .count();
-  std::size_t total_requests = 0;
-  for (int s = 0; s < 3; ++s) {
-    total_requests += reports[s].requests + saturated[s].requests;
-  }
-  total_requests += fcfs.requests + prio.requests + des.requests;
-  snap.add_metric("wall_seconds", wall_s, "s", /*higher_is_better=*/false);
-  snap.add_metric("simulated_requests_per_second",
-                  static_cast<double>(total_requests) / wall_s, "req/s",
-                  /*higher_is_better=*/true);
-  snap.add_metric("nondestructive_open_loop_bandwidth",
-                  reports[2].sustained_bandwidth_mbps, "Mbit/s",
-                  /*higher_is_better=*/true);
-  snap.add_metric("nondestructive_saturated_bandwidth",
-                  saturated[2].sustained_bandwidth_mbps, "Mbit/s",
-                  /*higher_is_better=*/true);
-  snap.add_metric("nondestructive_p99_latency",
-                  reports[2].p99_latency.value(), "s",
-                  /*higher_is_better=*/false);
-  // Simulated-time latency distributions: deterministic for a given
-  // config, so any drift here is a behavior change, not noise.
-  snap.add_histogram("conventional_latency", reports[0].latency_hist, "s");
-  snap.add_histogram("destructive_latency", reports[1].latency_hist, "s");
-  snap.add_histogram("nondestructive_latency", reports[2].latency_hist, "s");
-  snap.add_histogram("md1_crosscheck_latency", des.latency_hist, "s");
-  bench::write_snapshot(snap);
-  return 0;
+  return bench::exit_code();
 }

@@ -1,53 +1,19 @@
 // Shared helpers for the reproduction benches: every bench prints its
-// figure/table and a "paper vs measured" summary block, and drops a
-// telemetry sidecar (BENCH_<id>.metrics.json) into the bench output
-// directory (bench_paths.hpp) so the result trajectories carry
-// solver-health data.
+// figure/table, a "paper vs measured" summary block and its claims, and
+// exits non-zero after a missed claim, so ctest (label `paper`) fails
+// when the reproduction drifts from the paper.
 #pragma once
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
-#include "bench_paths.hpp"
-#include "sttram/obs/metrics.hpp"
-
 namespace sttram::bench {
 
-/// Enables telemetry for this bench process and arranges for the metrics
-/// registry to be dumped to BENCH_<id>.metrics.json at exit (the first
-/// heading of the run names the sidecar).  Set STTRAM_BENCH_METRICS=0 to
-/// opt out; STTRAM_BENCH_METRICS_DIR (then STTRAM_BENCH_DIR, default
-/// bench_out/) picks the output directory.
-inline void enable_metrics_sidecar(const std::string& id) {
-  static bool armed = false;
-  if (armed) return;
-  armed = true;
-  if (const char* flag = std::getenv("STTRAM_BENCH_METRICS");
-      flag != nullptr && std::string(flag) == "0") {
-    return;
-  }
-  std::string stem;
-  for (const char ch : id) {
-    stem += std::isalnum(static_cast<unsigned char>(ch)) != 0 ? ch : '_';
-  }
-  static std::string path;
-  path = output_dir("STTRAM_BENCH_METRICS_DIR") + "/BENCH_" + stem +
-         ".metrics.json";
-  sttram::obs::set_metrics_enabled(true);
-  std::atexit(+[] {
-    try {
-      sttram::obs::write_metrics_json(path);
-    } catch (...) {
-      // A bench must never fail because its sidecar is unwritable.
-    }
-  });
-}
+/// Set by the first claim() that misses; main returns exit_code().
+inline bool g_claim_missed = false;
 
 inline void heading(const std::string& id, const std::string& title) {
-  enable_metrics_sidecar(id);
   std::cout << "\n================================================================\n"
             << id << " — " << title << '\n'
             << "================================================================\n";
@@ -63,9 +29,21 @@ inline void compare(const std::string& what, double paper, double measured,
               rel);
 }
 
-/// A qualitative reproduction claim.
+/// A reproduction claim on a simulated quantity: a miss fails the bench.
 inline void claim(const std::string& what, bool holds) {
   std::printf("  %-60s [%s]\n", what.c_str(), holds ? "REPRODUCED" : "MISS");
+  if (!holds) g_claim_missed = true;
 }
+
+/// A claim on host wall-clock time.  Its outcome is printed, marked, but
+/// never fails the bench: timings depend on the host, the build type and
+/// sanitizers, while simulated quantities do not.
+inline void wall_clock_claim(const std::string& what, bool holds) {
+  std::printf("  %-60s [%s] (wall clock)\n", what.c_str(),
+              holds ? "REPRODUCED" : "MISS");
+}
+
+/// The bench's exit status: 1 once a claim() missed, else 0.
+inline int exit_code() { return g_claim_missed ? 1 : 0; }
 
 }  // namespace sttram::bench

@@ -3,25 +3,18 @@
 // Importance sampling at the variation design point resolves the per-bit
 // failure probability that naive sampling cannot, and shows how it moves
 // with the sense-amp requirement and the process sigma.
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "snapshot.hpp"
 #include "sttram/io/table.hpp"
 #include "sttram/sim/tail.hpp"
 #include "sttram/sim/yield.hpp"
 
 using namespace sttram;
 
-int main(int argc, char** argv) {
-  argc = bench::apply_bench_dir_flag(argc, argv);
-  (void)argc;
-  (void)argv;
-  obs::BenchSnapshot snap = bench::make_snapshot("yield_tail");
+int main() {
   bench::heading("Fig. 11 tail",
                  "importance-sampled per-bit failure probability");
-  const auto wall0 = std::chrono::steady_clock::now();
 
   // Baseline: the default (calibrated) variation at the 8 mV threshold.
   TailConfig base;
@@ -90,25 +83,5 @@ int main(int argc, char** argv) {
                    sigma_probs[1] < sigma_probs[2] &&
                    sigma_probs[2] < sigma_probs[3]);
 
-  // --- perf snapshot -------------------------------------------------
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-          .count();
-  auto& registry = obs::Registry::instance();
-  const double evaluations = static_cast<double>(
-      registry.counter("tail.margin_evaluations").value());
-  snap.add_metric("wall_seconds", wall_s, "s", /*higher_is_better=*/false);
-  snap.add_metric("tail_searches",
-                  static_cast<double>(
-                      registry.counter("tail.searches").value()),
-                  "count", /*higher_is_better=*/true);
-  snap.add_metric("margin_evaluations_per_second", evaluations / wall_s,
-                  "eval/s", /*higher_is_better=*/true);
-  const obs::Histogram trials =
-      registry.histogram("mc.trial_seconds").snapshot();
-  if (trials.count() > 0) {
-    snap.add_histogram("mc_trial_seconds", trials, "s");
-  }
-  bench::write_snapshot(snap);
-  return 0;
+  return bench::exit_code();
 }

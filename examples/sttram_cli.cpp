@@ -14,7 +14,9 @@
 //   sttram_cli stats                  telemetry snapshot of a demo workload
 //
 // Run `sttram_cli --help` for the full command and flag reference (the
-// same text is printed for -h, --help and the help command).
+// same text is printed for -h, --help and the help command), and
+// `sttram_cli <command> --help` for one command's arguments with the
+// type, range and default of the field each one sets.
 //
 // The yield, tail, traffic and fault commands run experiment kinds of the
 // scenario registry.  Each declares one table mapping its flags and
@@ -24,11 +26,14 @@
 // A bad token, value or flag combination is a usage error (exit 2).
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sttram/common/format.hpp"
@@ -182,15 +187,17 @@ void print_help() {
       "                               --golden <report> golden report to "
       "diff against\n"
       "  stats                    telemetry snapshot of a demo workload:\n"
-      "                           counters, timers, latency-histogram\n"
-      "                           percentiles and the phase profile\n"
+      "                           counters, gauges, histogram percentiles\n"
+      "                           and the phase profile\n"
       "  help                     print this help (same as -h / --help)\n"
+      "\n"
+      "<command> --help lists a command's arguments with the type, range\n"
+      "and default of the field each one sets.\n"
       "\n"
       "Global flags (before or after the command):\n"
       "  --metrics <file>   enable telemetry + phase profiling; dump the\n"
-      "                     registry (histogram percentiles, profile "
-      "included)\n"
-      "                     as JSON\n"
+      "                     registry (histogram percentiles, profile and\n"
+      "                     the run's provenance included) as JSON\n"
       "  --trace <file>     record scoped spans; dump chrome://tracing "
       "JSON\n"
       "  --threads <n>      thread pool for the Monte-Carlo drivers "
@@ -237,17 +244,14 @@ CliArgs read_args(const std::vector<CliArg>& table, const char* kind,
   });
 }
 
-/// The arguments of a command without a kind: at most one positional
-/// `slot` (nullptr: none) and no flags.  Returns the argument or "".
-std::string lone_arg(const Tokens& tokens, const char* command,
-                     const char* slot = nullptr) {
-  std::vector<CliArg> table;
-  if (slot != nullptr) table.push_back({slot, nullptr});
+/// The arguments of a command without a kind: `table` holds at most one
+/// positional slot and no flags.  Returns the slot's argument or "".
+std::string lone_arg(const Tokens& tokens, const std::vector<CliArg>& table,
+                     const char* command) {
   const CliArgs args = from_args([&] {
     return scenario::parse_cli_args(table, {}, tokens, command);
   });
-  return slot != nullptr && args.cli.count(slot) > 0 ? args.cli.at(slot)
-                                                     : "";
+  return args.cli.empty() ? "" : args.cli.begin()->second;
 }
 
 /// `token` read strictly as a value of `type` inside `valid`, like a
@@ -269,6 +273,12 @@ std::uint64_t seed_arg(const CliArgs& args, std::int64_t fallback) {
 // Each table maps a flag, or a positional slot ("<rows>"), to a field of
 // the kind its command runs; rows without a field are CLI-only.  Flags
 // stay string literals here: tests/cli_help_test.sh scrapes them.
+
+/// design, robustness, stats and campaign list take no argument.
+const std::vector<CliArg> kNoArgs = {};
+const std::vector<CliArg> kMarginsArgs = {{"<beta>", nullptr}};
+/// read and transient take the stored bit.
+const std::vector<CliArg> kBitArgs = {{"<bit>", nullptr}};
 
 /// yield runs `yield`, or `fault_overlay` when --faults is given.
 const std::vector<CliArg> kYieldArgs = {
@@ -319,10 +329,126 @@ const std::vector<CliArg> kFaultArgs = {
     {"--density", "density"},
     {"--json", nullptr, ""}};
 
+/// campaign run, expand and verify read one campaign file and flags.
+const std::vector<CliArg> kCampaignRunArgs = {
+    {"<file>", nullptr}, {"--out", nullptr}, {"--json", nullptr, ""}};
+const std::vector<CliArg> kCampaignExpandArgs = {{"<file>", nullptr},
+                                                 {"--json", nullptr, ""}};
+const std::vector<CliArg> kCampaignVerifyArgs = {{"<file>", nullptr},
+                                                 {"--golden", nullptr}};
+
+// ------------------------------------------------------ per-command help
+
+/// What a CLI-only row does; rows that set a field print the field's
+/// schema entry instead.  A row tied to a kind shows only in the help
+/// section of that kind.
+struct CliOnlyHelp {
+  const char* kind;  ///< nullptr: every section
+  const char* text;
+};
+const std::map<std::string, CliOnlyHelp> kCliOnlyHelp = {
+    {"<beta>",
+     {nullptr, "a number in (0, inf), default the paper's - "
+               "nondestructive read-current ratio"}},
+    {"<bit>", {nullptr, "0 or 1, default 1 - the stored bit"}},
+    {"--json", {nullptr, "print machine-readable JSON"}},
+    {"--controller",
+     {"controller", "run the chip-scale controller, not the bank model"}},
+    {"--trace-file",
+     {"traffic", "replay a request-trace CSV (arrival_s,op,bank)"}},
+    {"<file>", {nullptr, "the campaign JSON file"}},
+    {"--out", {nullptr, "write the campaign report JSON to this file"}},
+    {"--golden", {nullptr, "the golden report to diff against"}},
+};
+
+/// One command's `--help` page.
+struct CommandHelp {
+  const char* usage;  ///< after "usage: sttram_cli "
+  const std::vector<CliArg>* table;
+  /// The kinds the command runs and when, one help section each; empty
+  /// when the command runs no kind.
+  std::vector<std::pair<const char*, const char*>> kinds;
+};
+
+const std::map<std::string, CommandHelp> kCommandHelp = {
+    {"margins", {"margins [<beta>]", &kMarginsArgs, {}}},
+    {"design", {"design", &kNoArgs, {}}},
+    {"robustness", {"robustness", &kNoArgs, {}}},
+    {"yield",
+     {"yield [<rows> <cols> [<sigma>]] [flags]",
+      &kYieldArgs,
+      {{"yield", "without --faults"}, {"fault_overlay", "with --faults"}}}},
+    {"tail", {"tail [<margin_mv>]", &kTailArgs, {{"tail", ""}}}},
+    {"read", {"read [<bit>]", &kBitArgs, {}}},
+    {"transient", {"transient [<bit>]", &kBitArgs, {}}},
+    {"traffic",
+     {"traffic [flags]",
+      &kTrafficArgs,
+      {{"traffic", "without --controller"},
+       {"controller", "with --controller"}}}},
+    {"fault", {"fault [flags]", &kFaultArgs, {{"march", ""}}}},
+    {"campaign",
+     {"campaign {run|list|expand|verify} ...  (campaign <verb> --help)",
+      &kNoArgs,
+      {}}},
+    {"campaign run", {"campaign run <file> [flags]", &kCampaignRunArgs, {}}},
+    {"campaign list", {"campaign list", &kNoArgs, {}}},
+    {"campaign expand",
+     {"campaign expand <file> [flags]", &kCampaignExpandArgs, {}}},
+    {"campaign verify",
+     {"campaign verify <file> --golden <report>", &kCampaignVerifyArgs, {}}},
+    {"stats", {"stats", &kNoArgs, {}}},
+};
+
+/// The rows of `table` that apply to `kind` (nullptr: the command runs
+/// no kind), one line each: the flag, then the schema entry of the field
+/// it sets as `campaign list` prints it, or what a CLI-only row does.
+std::string help_rows(const std::vector<CliArg>& table, const char* kind) {
+  std::string out;
+  for (const CliArg& row : table) {
+    const bool takes_value = row.bare == nullptr && row.flag[0] == '-';
+    std::string text;
+    if (row.field == nullptr) {
+      const CliOnlyHelp& only = kCliOnlyHelp.at(row.flag);
+      if (only.kind != nullptr &&
+          (kind == nullptr || std::strcmp(only.kind, kind) != 0)) {
+        continue;
+      }
+      text = only.text;
+    } else {
+      const scenario::ParamField* field = schema_of(kind).find(row.field);
+      if (field == nullptr) continue;  // the command's other kind
+      text = std::string(row.field) + ": " + field->summary();
+      if (row.bare != nullptr) {
+        text = std::string(row.field) + " = " + row.bare + "; " + text;
+      }
+      if (row.cli_token != nullptr) {
+        text += "; or '" + std::string(row.cli_token) + "' (CLI only)";
+      }
+    }
+    std::string lead =
+        std::string("  ") + row.flag + (takes_value ? " <value>" : "");
+    lead.resize(std::max<std::size_t>(lead.size() + 1, 28), ' ');
+    out += lead + text + "\n";
+  }
+  return out;
+}
+
+void print_command_help(const CommandHelp& help) {
+  std::printf("usage: sttram_cli %s\n", help.usage);
+  if (help.kinds.empty()) {
+    std::printf("%s", help_rows(*help.table, nullptr).c_str());
+  }
+  for (const auto& [kind, when] : help.kinds) {
+    std::printf("\nkind %s%s%s:\n%s", kind, when[0] != '\0' ? ", " : "",
+                when, help_rows(*help.table, kind).c_str());
+  }
+}
+
 // --------------------------------------------------------------- commands
 
 int cmd_margins(const Tokens& tokens) {
-  const std::string beta_arg = lone_arg(tokens, "margins", "<beta>");
+  const std::string beta_arg = lone_arg(tokens, kMarginsArgs, "margins");
   const MtjParams mtj = MtjParams::paper_calibrated();
   const Ohm r_t(917.0);
   const SelfRefConfig config;
@@ -356,7 +482,7 @@ int cmd_margins(const Tokens& tokens) {
 }
 
 int cmd_design(const Tokens& tokens) {
-  (void)lone_arg(tokens, "design");
+  (void)lone_arg(tokens, kNoArgs, "design");
   const SchemeDesign d = design_nondestructive_read(
       MtjParams::paper_calibrated(), Ohm(917.0), DesignConstraints{});
   std::printf("%s\n", d.feasible ? "FEASIBLE" : "INFEASIBLE");
@@ -370,7 +496,7 @@ int cmd_design(const Tokens& tokens) {
 }
 
 int cmd_robustness(const Tokens& tokens) {
-  (void)lone_arg(tokens, "robustness");
+  (void)lone_arg(tokens, kNoArgs, "robustness");
   const MtjParams mtj = MtjParams::paper_calibrated();
   const Ohm r_t(917.0);
   const SelfRefConfig config;
@@ -518,7 +644,7 @@ int cmd_tail(const Tokens& tokens) {
 
 /// The optional stored-bit argument of read and transient (default 1).
 bool bit_arg(const Tokens& tokens, const char* command) {
-  const std::string bit = lone_arg(tokens, command, "<bit>");
+  const std::string bit = lone_arg(tokens, kBitArgs, command);
   return bit.empty() || arg_value(command, bit, scenario::ParamType::kInteger,
                                   Range::closed(0, 1))
                                 .as_integer() == 1;
@@ -834,10 +960,8 @@ int cmd_campaign(const Tokens& tokens) {
   const std::string& verb = tokens[0];
 
   if (verb == "list") {
-    if (tokens.size() > 1) {
-      throw UsageError("unknown flag '" + tokens[1] +
-                       "' for 'campaign list'");
-    }
+    (void)lone_arg({tokens.begin() + 1, tokens.end()}, kNoArgs,
+                   "campaign list");
     scenario::register_builtin_kinds();
     for (const scenario::ExperimentKind& kind :
          scenario::Registry::instance().kinds()) {
@@ -852,15 +976,9 @@ int cmd_campaign(const Tokens& tokens) {
                      "' (try one of run, list, expand, verify)");
   }
 
-  // run/expand/verify read one campaign file plus the verb's flags.
-  const std::vector<CliArg> table =
-      verb == "run"      ? std::vector<CliArg>{{"<file>", nullptr},
-                                               {"--out", nullptr},
-                                               {"--json", nullptr, ""}}
-      : verb == "expand" ? std::vector<CliArg>{{"<file>", nullptr},
-                                               {"--json", nullptr, ""}}
-                         : std::vector<CliArg>{{"<file>", nullptr},
-                                               {"--golden", nullptr}};
+  const std::vector<CliArg>& table = verb == "run"      ? kCampaignRunArgs
+                                     : verb == "expand" ? kCampaignExpandArgs
+                                                        : kCampaignVerifyArgs;
   const CliArgs args = from_args([&] {
     return scenario::parse_cli_args(table, {}, {tokens.begin() + 1,
                                                 tokens.end()},
@@ -985,7 +1103,7 @@ int cmd_campaign(const Tokens& tokens) {
 }
 
 int cmd_stats(const Tokens& tokens) {
-  (void)lone_arg(tokens, "stats");
+  (void)lone_arg(tokens, kNoArgs, "stats");
   // Self-profiling snapshot: run one representative workload from each
   // instrumented subsystem with telemetry and phase profiling forced
   // on, then print the registry.  Shows which solver/MC counters a
@@ -1016,23 +1134,16 @@ int cmd_stats(const Tokens& tokens) {
   std::printf("simd isa: %s\n\n", simd_isa_name(isa));
 
   const auto& registry = obs::Registry::instance();
-  TextTable t({"metric", "count", "value | mean", "min", "max"});
+  TextTable t({"metric", "value"});
   for (const auto& c : registry.counters()) {
-    t.add_row({c.name, std::to_string(c.value), "", "", ""});
+    t.add_row({c.name, std::to_string(c.value)});
   }
   for (const auto& g : registry.gauges()) {
-    t.add_row({g.name, "", format_double(g.value, 4), "", ""});
-  }
-  for (const auto& tm : registry.timers()) {
-    const bool empty = tm.stats.count() == 0;
-    t.add_row({tm.name, std::to_string(tm.stats.count()),
-               empty ? "" : format_double(tm.stats.mean(), 4),
-               empty ? "" : format_double(tm.stats.min(), 4),
-               empty ? "" : format_double(tm.stats.max(), 4)});
+    t.add_row({g.name, format_double(g.value, 4)});
   }
   std::printf("%s", t.to_string().c_str());
 
-  // Latency distributions with the full percentile set.
+  // Distributions, durations included, with the full percentile set.
   TextTable h({"histogram", "count", "mean", "p50", "p90", "p99", "p999",
                "max"});
   for (const auto& hs : registry.histograms()) {
@@ -1072,6 +1183,36 @@ int cmd_stats(const Tokens& tokens) {
   }
   if (p.row_count() > 0) std::printf("\n%s", p.to_string().c_str());
   return 0;
+}
+
+/// The first "model name" of /proc/cpuinfo, else "unknown".
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    const std::size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      const std::size_t start = line.find_first_not_of(" \t", colon + 1);
+      if (start != std::string::npos) return line.substr(start);
+    }
+  }
+  return "unknown";
+}
+
+/// Where a metrics file's numbers came from (build, host, run), so files
+/// from two builds or machines are never compared unawares.
+Json provenance(int argc, char** argv, std::int64_t threads) {
+  std::string command_line = argv[0];
+  for (int k = 1; k < argc; ++k) command_line += std::string(" ") + argv[k];
+  Json p = Json::object();
+  p.set("git_sha", Json::string(STTRAM_GIT_SHA));
+  p.set("build_type", Json::string(STTRAM_BUILD_TYPE));
+  p.set("compiler", Json::string(STTRAM_COMPILER_ID));
+  p.set("simd_isa", Json::string(simd_isa_name(active_simd_isa())));
+  p.set("threads", Json::integer(threads));
+  p.set("host_cores", Json::integer(std::thread::hardware_concurrency()));
+  p.set("cpu_model", Json::string(cpu_model()));
+  p.set("command_line", Json::string(command_line));
+  return p;
 }
 
 }  // namespace
@@ -1144,8 +1285,19 @@ int main(int argc, char** argv) {
 
   const std::string& cmd = args[0];
   const Tokens rest(args.begin() + 1, args.end());
+  // `<command> --help` and `campaign <verb> --help` print the command's
+  // help page instead of running it.
+  const auto help = kCommandHelp.find(
+      rest.size() == 1 && rest[0] == "--help" ? cmd
+      : cmd == "campaign" && rest.size() == 2 && rest[1] == "--help"
+          ? "campaign " + rest[0]
+          : "");
   int rc = 2;
   try {
+    if (help != kCommandHelp.end()) {
+      print_command_help(help->second);
+      return 0;
+    }
     if (cmd == "margins") rc = cmd_margins(rest);
     else if (cmd == "design") rc = cmd_design(rest);
     else if (cmd == "robustness") rc = cmd_robustness(rest);
@@ -1175,7 +1327,9 @@ int main(int argc, char** argv) {
   }
 
   try {
-    if (!metrics_path.empty()) obs::write_metrics_json(metrics_path);
+    if (!metrics_path.empty()) {
+      obs::write_metrics_json(metrics_path, provenance(argc, argv, threads));
+    }
     if (!trace_path.empty()) {
       obs::TraceRecorder::instance().stop();
       obs::write_trace_json(trace_path);

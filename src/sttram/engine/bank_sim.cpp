@@ -346,7 +346,7 @@ TrafficReport run_traffic(const TrafficConfig& config) {
     }
   }
   if (metered) {
-    obs::Registry::instance().timer("engine.sim_seconds")
+    obs::Registry::instance().histogram("engine.sim_seconds")
         .record(std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - t_begin)
                     .count());

@@ -273,7 +273,7 @@ ControllerReport run_controller_traffic(const ControllerConfig& config,
     }
   }
   if (metered) {
-    obs::Registry::instance().timer("controller.sim_seconds")
+    obs::Registry::instance().histogram("controller.sim_seconds")
         .record(std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - t_begin)
                     .count());

@@ -1,6 +1,7 @@
 // Minimal JSON value builder + emitter + parser, for exporting
 // experiment results to downstream tooling (plotting scripts,
-// dashboards) and for reading them back (bench snapshot comparison).
+// dashboards) and for reading them back (campaign files and golden
+// reports).
 #pragma once
 
 #include <cstdint>

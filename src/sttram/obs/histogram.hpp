@@ -7,9 +7,9 @@
 // free bucket array.  Two variants share the layout:
 //
 //  - Histogram: plain value-semantics accumulator.  This is the one the
-//    engine and the bench snapshot harness use to *compute results*
-//    (percentile sets), so it is deterministic and always on — it is a
-//    data structure, not telemetry.
+//    engines use to *compute results* (percentile sets), so it is
+//    deterministic and always on — it is a data structure, not
+//    telemetry.
 //  - HistogramMetric: the registry-resident variant with a lock-free
 //    record path (relaxed atomic adds / CAS min-max), safe to hit from
 //    any thread.  snapshot() copies it into a plain Histogram.
@@ -77,8 +77,8 @@ struct HistogramLayout {
   [[nodiscard]] static double bucket_mid(std::size_t index);
 };
 
-/// Summary row of one histogram: the full percentile set the exports and
-/// bench snapshots carry (schema: see DESIGN.md §11).
+/// Summary row of one histogram: the full percentile set the metrics
+/// exports carry (schema: see DESIGN.md §11).
 struct HistogramSummary {
   std::uint64_t count = 0;
   double mean = 0.0;

@@ -49,9 +49,11 @@ std::string normalize_metric_name(const std::string& raw) {
 }
 
 Registry& Registry::instance() {
-  // Leaked on purpose: exporters registered with std::atexit (e.g. the
-  // bench metrics sidecar) may run after function-local statics are
-  // destroyed, so the registry must outlive every atexit handler.
+  // Leaked on purpose: the STTRAM_OBS_* macros cache metric handles in
+  // function-local statics, which the header promises stay valid for
+  // the whole process.  A plain static would die at exit before the
+  // statics built ahead of it, whose destructors (or a pool joining its
+  // workers) may still record through such a handle.
   static Registry* registry = new Registry;
   return *registry;
 }
@@ -81,15 +83,11 @@ Registry::Registry() {
                            "fault.march_coverage"}) {
     gauges_.emplace(name, std::make_unique<Gauge>());
   }
+  // Distributions, durations included, exported with the full
+  // percentile set (DESIGN.md §11).
   for (const char* name :
-       {"yield.experiment_seconds", "engine.sim_seconds"}) {
-    timers_.emplace(name, std::make_unique<Timer>());
-  }
-  // Distributions exported with the full percentile set.  mc.trial_seconds
-  // moved here from the timers when per-trial solve times became
-  // histograms (the scalar mean hid the tail; see DESIGN.md §11).
-  for (const char* name :
-       {"mc.trial_seconds", "mc.block_seconds", "engine.latency_seconds",
+       {"mc.trial_seconds", "mc.block_seconds", "yield.experiment_seconds",
+        "engine.sim_seconds", "engine.latency_seconds",
         "engine.read_latency_seconds", "engine.write_latency_seconds"}) {
     histograms_.emplace(name, std::make_unique<HistogramMetric>());
   }
@@ -108,8 +106,6 @@ void Registry::check_name(const std::string& name, const char* kind) const {
     existing = "counter";
   } else if (gauges_.count(name) > 0) {
     existing = "gauge";
-  } else if (timers_.count(name) > 0) {
-    existing = "timer";
   } else if (histograms_.count(name) > 0) {
     existing = "histogram";
   }
@@ -132,14 +128,6 @@ Gauge& Registry::gauge(const std::string& name) {
   check_name(name, "gauge");
   auto& slot = gauges_[name];
   if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
-Timer& Registry::timer(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  check_name(name, "timer");
-  auto& slot = timers_[name];
-  if (slot == nullptr) slot = std::make_unique<Timer>();
   return *slot;
 }
 
@@ -171,16 +159,6 @@ std::vector<GaugeSnapshot> Registry::gauges() const {
   return out;
 }
 
-std::vector<TimerSnapshot> Registry::timers() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TimerSnapshot> out;
-  out.reserve(timers_.size());
-  for (const auto& [name, t] : timers_) {
-    out.push_back({name, t->snapshot()});
-  }
-  return out;
-}
-
 std::vector<HistogramSnapshot> Registry::histograms() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::vector<HistogramSnapshot> out;
@@ -201,19 +179,6 @@ Json Registry::to_json() const {
   for (const auto& g : this->gauges()) {
     gauges.set(g.name, Json::number(g.value));
   }
-  Json timers = Json::object();
-  for (const auto& t : this->timers()) {
-    Json entry = Json::object();
-    const std::size_t n = t.stats.count();
-    entry.set("count", Json::integer(static_cast<std::int64_t>(n)));
-    entry.set("mean", Json::number(n > 0 ? t.stats.mean() : 0.0));
-    entry.set("stddev", Json::number(t.stats.stddev()));
-    entry.set("min", Json::number(n > 0 ? t.stats.min() : 0.0));
-    entry.set("max", Json::number(n > 0 ? t.stats.max() : 0.0));
-    entry.set("total",
-              Json::number(t.stats.mean() * static_cast<double>(n)));
-    timers.set(t.name, std::move(entry));
-  }
   Json histograms = Json::object();
   for (const auto& h : this->histograms()) {
     histograms.set(h.name, h.hist.summary().to_json());
@@ -221,7 +186,6 @@ Json Registry::to_json() const {
   Json out = Json::object();
   out.set("counters", std::move(counters));
   out.set("gauges", std::move(gauges));
-  out.set("timers", std::move(timers));
   out.set("histograms", std::move(histograms));
   return out;
 }
@@ -241,16 +205,6 @@ void Registry::write_csv(std::ostream& out) const {
                                            format_full(g.value), "", "", "",
                                            "", "", "", "", ""});
   }
-  for (const auto& t : timers()) {
-    const std::size_t n = t.stats.count();
-    csv.write_row(std::vector<std::string>{
-        "timer", t.name, std::to_string(n),
-        format_full(t.stats.mean() * static_cast<double>(n)),
-        format_full(n > 0 ? t.stats.mean() : 0.0),
-        format_full(t.stats.stddev()),
-        format_full(n > 0 ? t.stats.min() : 0.0),
-        format_full(n > 0 ? t.stats.max() : 0.0), "", "", "", ""});
-  }
   for (const auto& h : histograms()) {
     const HistogramSummary s = h.hist.summary();
     csv.write_row(std::vector<std::string>{
@@ -265,17 +219,17 @@ void Registry::reset() {
   const std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, t] : timers_) t->reset();
   for (auto& [name, h] : histograms_) h->reset();
 }
 
-void write_metrics_json(const std::string& path) {
+void write_metrics_json(const std::string& path, const Json& provenance) {
   std::ofstream out(path);
   if (!out) throw Error("write_metrics_json: cannot open '" + path + "'");
   // The phase profile rides along with the metrics so one file carries
   // the whole performance picture of the run.
   Json doc = Registry::instance().to_json();
   doc.set("profile", Profiler::instance().to_json());
+  doc.set("provenance", provenance);
   out << doc.dump(2) << '\n';
 }
 

@@ -1,6 +1,6 @@
-// Process-wide telemetry registry: monotonic counters, gauges,
-// RunningStats-backed timers and log-bucketed histograms with JSON/CSV
-// export.
+// Process-wide telemetry registry: monotonic counters, gauges and
+// log-bucketed histograms with JSON/CSV export.  Durations are
+// histograms too: one lock-free primitive carries every distribution.
 //
 // Design goals (see DESIGN.md §8 and §11):
 //  - Zero overhead when disabled: every instrumentation macro starts
@@ -10,17 +10,16 @@
 //    never consumes RNG state or changes control flow, so results are
 //    bit-identical with telemetry on or off.
 //  - Stable handles: references returned by Registry::counter()/gauge()/
-//    timer()/histogram() stay valid for the process lifetime; reset()
+//    histogram() stay valid for the process lifetime; reset()
 //    zeroes values but never invalidates a handle, so call sites may
 //    cache them.
 //  - Name hygiene: a metric name must be non-empty and match
 //    [a-z0-9_.]+, and one name refers to exactly one metric kind —
-//    asking for an existing counter as a gauge/timer/histogram (or any
-//    other cross-kind reuse) throws instead of silently shadowing.
+//    asking for an existing counter as a gauge/histogram (or any other
+//    cross-kind reuse) throws instead of silently shadowing.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -30,7 +29,6 @@
 #include <vector>
 
 #include "sttram/obs/histogram.hpp"
-#include "sttram/stats/summary.hpp"
 
 namespace sttram {
 class Json;
@@ -79,27 +77,6 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Duration (or any scalar sample) accumulator backed by RunningStats.
-class Timer {
- public:
-  void record(double seconds) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    stats_.add(seconds);
-  }
-  [[nodiscard]] RunningStats snapshot() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-  }
-  void reset() {
-    const std::lock_guard<std::mutex> lock(mu_);
-    stats_ = RunningStats{};
-  }
-
- private:
-  mutable std::mutex mu_;
-  RunningStats stats_;
-};
-
 struct CounterSnapshot {
   std::string name;
   std::uint64_t value = 0;
@@ -107,10 +84,6 @@ struct CounterSnapshot {
 struct GaugeSnapshot {
   std::string name;
   double value = 0.0;
-};
-struct TimerSnapshot {
-  std::string name;
-  RunningStats stats;
 };
 struct HistogramSnapshot {
   std::string name;
@@ -133,22 +106,20 @@ class Registry {
   /// outside [a-z0-9_.], or is already registered as a different kind.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  Timer& timer(const std::string& name);
   HistogramMetric& histogram(const std::string& name);
 
   [[nodiscard]] std::vector<CounterSnapshot> counters() const;
   [[nodiscard]] std::vector<GaugeSnapshot> gauges() const;
-  [[nodiscard]] std::vector<TimerSnapshot> timers() const;
   [[nodiscard]] std::vector<HistogramSnapshot> histograms() const;
 
-  /// {"counters": {...}, "gauges": {...}, "timers": {name: {count, mean,
-  /// stddev, min, max, total}}, "histograms": {name: {count, mean, min,
-  /// max, p50, p90, p99, p999}}}.
+  /// {"counters": {...}, "gauges": {...}, "histograms": {name: {count,
+  /// mean, min, max, p50, p90, p99, p999}}}.
   [[nodiscard]] Json to_json() const;
 
   /// One row per metric:
   /// kind,name,count,value,mean,stddev,min,max,p50,p90,p99,p999
-  /// (percentile columns empty except for histograms).
+  /// (stddev, kept for the column layout, is always empty; the columns
+  /// after value are empty except for histograms).
   void write_csv(std::ostream& out) const;
 
   /// Zeroes every metric; handles stay valid.
@@ -164,46 +135,17 @@ class Registry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Timer>> timers_;
   std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_;
 };
 
-/// Dumps the registry to `path` (pretty-printed JSON / CSV).  Throws
+/// Dumps the registry and the phase profile to `path` (pretty-printed
+/// JSON / CSV); the JSON carries `provenance` (where the numbers came
+/// from: build, host, command line) under that key.  Throws
 /// sttram::Error when the file cannot be written.
-void write_metrics_json(const std::string& path);
+void write_metrics_json(const std::string& path, const Json& provenance);
 void write_metrics_csv(const std::string& path);
 
-/// RAII wall-clock timer feeding the named Timer metric.  Inert (no
-/// clock read) when metrics are disabled at construction.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const char* name) {
-    if (metrics_enabled()) {
-      timer_ = &Registry::instance().timer(name);
-      start_ = std::chrono::steady_clock::now();
-    }
-  }
-  ~ScopedTimer() {
-    if (timer_ != nullptr) {
-      timer_->record(std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start_)
-                         .count());
-    }
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Timer* timer_ = nullptr;
-  std::chrono::steady_clock::time_point start_{};
-};
-
 }  // namespace sttram::obs
-
-#ifndef STTRAM_OBS_CONCAT
-#define STTRAM_OBS_CONCAT_INNER(a, b) a##b
-#define STTRAM_OBS_CONCAT(a, b) STTRAM_OBS_CONCAT_INNER(a, b)
-#endif
 
 /// Adds `delta` to the counter `name` (a string literal).  The handle is
 /// resolved once per call site and cached in a function-local static, so
@@ -228,21 +170,6 @@ class ScopedTimer {
       sttram_obs_gauge_.set(static_cast<double>(value));                  \
     }                                                                     \
   } while (0)
-
-/// Records `seconds` into the timer `name`.
-#define STTRAM_OBS_RECORD(name, seconds)                                  \
-  do {                                                                    \
-    if (::sttram::obs::metrics_enabled()) {                               \
-      static ::sttram::obs::Timer& sttram_obs_timer_ =                    \
-          ::sttram::obs::Registry::instance().timer(name);                \
-      sttram_obs_timer_.record(static_cast<double>(seconds));             \
-    }                                                                     \
-  } while (0)
-
-/// Times the enclosing scope (wall clock) into the timer `name`.
-#define STTRAM_OBS_SCOPED_TIMER(name)                                     \
-  ::sttram::obs::ScopedTimer STTRAM_OBS_CONCAT(sttram_obs_scoped_timer_,  \
-                                               __LINE__)(name)
 
 /// Records `value` into the histogram `name` (lock-free, full percentile
 /// set in the exports).

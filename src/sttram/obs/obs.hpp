@@ -1,12 +1,10 @@
 // Umbrella header for the observability layer: the metrics registry
-// (counters / gauges / timers / histograms + JSON/CSV export), the
-// scoped phase profiler, the Chrome trace-event span recorder and the
-// bench snapshot schema.  See DESIGN.md §8, §11 and the "Telemetry &
-// profiling" section of the README.
+// (counters / gauges / histograms + JSON/CSV export), the scoped phase
+// profiler and the Chrome trace-event span recorder.  See DESIGN.md §8,
+// §11 and the "Telemetry & profiling" section of the README.
 #pragma once
 
 #include "sttram/obs/histogram.hpp"  // IWYU pragma: export
 #include "sttram/obs/metrics.hpp"    // IWYU pragma: export
 #include "sttram/obs/profile.hpp"    // IWYU pragma: export
-#include "sttram/obs/snapshot.hpp"   // IWYU pragma: export
 #include "sttram/obs/trace.hpp"      // IWYU pragma: export

@@ -24,8 +24,8 @@ void set_profiling_enabled(bool on) {
 }
 
 Profiler& Profiler::instance() {
-  // Leaked on purpose (same rule as the metrics Registry): atexit
-  // exporters may fold in scopes during static destruction.
+  // Leaked on purpose (same reason as Registry::instance): a scope may
+  // close during static destruction, after a plain static had died.
   static Profiler* profiler = new Profiler;
   return *profiler;
 }

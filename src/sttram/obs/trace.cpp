@@ -21,8 +21,8 @@ std::uint64_t current_tid() {
 }  // namespace
 
 TraceRecorder& TraceRecorder::instance() {
-  // Leaked on purpose (same reason as Registry::instance): atexit-based
-  // exporters must be able to read the recorder after static destruction.
+  // Leaked on purpose (same reason as Registry::instance): a span may
+  // close during static destruction, after a plain static had died.
   static TraceRecorder* recorder = new TraceRecorder;
   return *recorder;
 }

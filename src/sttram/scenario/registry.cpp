@@ -5,8 +5,8 @@
 namespace sttram::scenario {
 
 Registry& Registry::instance() {
-  // Leaked like the obs singletons: adapters may be registered from
-  // static initializers and looked up from atexit hooks.
+  // Leaked like the obs singletons: never destroyed, so no lookup can
+  // outlive it, whatever the order of static destruction.
   static Registry* registry = new Registry();
   return *registry;
 }

@@ -122,19 +122,23 @@ const ParamField* ParamSchema::find(const std::string& name) const {
   return nullptr;
 }
 
+std::string ParamField::summary() const {
+  std::string out = expects();
+  if (fallback.is_number()) {
+    out += ", default " + format_double(fallback.as_number(), 12);
+  } else if (!fallback.is_null()) {
+    out += ", default " +
+           (fallback.is_string() ? fallback.as_string() : fallback.dump());
+  }
+  return out + " - " + description;
+}
+
 std::string ParamSchema::describe() const {
   std::string out;
   for (const ParamField& f : fields_) {
     std::string row = "  " + f.name + " ";
     row.resize(std::max<std::size_t>(row.size(), 21), ' ');
-    row += f.expects();
-    if (f.fallback.is_number()) {
-      row += ", default " + format_double(f.fallback.as_number(), 12);
-    } else if (!f.fallback.is_null()) {
-      row += ", default " + (f.fallback.is_string() ? f.fallback.as_string()
-                                                    : f.fallback.dump());
-    }
-    out += row + " - " + f.description + "\n";
+    out += row + f.summary() + "\n";
   }
   return out;
 }

@@ -65,6 +65,9 @@ struct ParamField {
   [[nodiscard]] bool accepts(const Json& value) const;
   /// What the field accepts: "an integer in [1, inf)", "one of {a, b}".
   [[nodiscard]] std::string expects() const;
+  /// expects(), the default when there is one and the description, as
+  /// `sttram_cli campaign list` prints them after the field's name.
+  [[nodiscard]] std::string summary() const;
   /// A command-line token as the field's value, read with the strict
   /// token parser (common/token.hpp).  Throws InvalidArgument
   /// "<what> wants <expects()>, got '<token>'" unless it is accepted.

@@ -48,10 +48,13 @@ void add_phase(ReadResult& result, const std::string& name, Second duration,
     auto& registry = obs::Registry::instance();
     registry.counter("read.phases").increment();
     // Phase labels are free-form ("read1(I1,SLT1)"); normalize them into
-    // the registry's metric-name alphabet.
+    // the registry's metric-name alphabet.  Energies go in pJ: a phase's
+    // 0.2-0.4 pJ in joules would sit below the histogram's 2^-40 floor.
     const std::string phase = obs::normalize_metric_name(name);
-    registry.timer("read.phase_latency_s." + phase).record(duration.value());
-    registry.timer("read.phase_energy_j." + phase).record(energy.value());
+    registry.histogram("read.phase_latency_s." + phase)
+        .record(duration.value());
+    registry.histogram("read.phase_energy_pj." + phase)
+        .record(energy.value() * 1e12);
   }
 }
 

@@ -275,7 +275,7 @@ YieldResult run_yield_experiment(const YieldConfig& config,
                                       t_begin)
             .count();
     auto& registry = obs::Registry::instance();
-    registry.timer("yield.experiment_seconds").record(elapsed);
+    registry.histogram("yield.experiment_seconds").record(elapsed);
     if (elapsed > 0.0) {
       registry.gauge("yield.cells_per_second")
           .set(static_cast<double>(config.geometry.cell_count()) / elapsed);

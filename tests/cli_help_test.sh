@@ -11,6 +11,9 @@
 # 3. Usage errors exit 2: unknown commands, unknown campaign verbs,
 #    unknown campaign flags, malformed subcommand arguments and campaign
 #    params outside their schema all refuse with the documented status.
+# 4. `<command> --help` and `campaign <verb> --help` exit 0 with a usage
+#    line and a row for every argument of the command's table, and each
+#    row that sets a schema field shows it as `campaign list` does.
 set -eu
 
 cli="$1"
@@ -169,6 +172,71 @@ for case in 'yield|"rows": -1' 'yield|"sigma_common": -0.1' \
   expect_exit2 "$cli" campaign verify "$file" --golden "$golden"
 done
 
+# Per-command help: exit 0 without running, a usage line, one row per
+# table argument, and schema rows that match `campaign list` line for
+# line ("  <field padded to 18> <type, range, default - description>").
+"$cli" campaign list > "$workdir/list.txt"
+expect_help() {
+  words="$1"
+  shift
+  rc=0
+  # shellcheck disable=SC2086  # $words is the command and its verb
+  "$cli" $words --help > "$workdir/cmd_help.txt" 2>&1 || rc=$?
+  if [ "$rc" -ne 0 ]; then
+    echo "FAIL: '$words --help' exited $rc, want 0" >&2
+    status=1
+    return 0
+  fi
+  if ! grep -q "^usage: sttram_cli $words" "$workdir/cmd_help.txt"; then
+    echo "FAIL: '$words --help' prints no usage line" >&2
+    status=1
+  fi
+  for arg in "$@"; do
+    if ! grep -q -- "^  $arg " "$workdir/cmd_help.txt"; then
+      echo "FAIL: '$words --help' has no row for '$arg'" >&2
+      status=1
+    fi
+  done
+  sed -n -e "s/; or '[^']*' (CLI only)\$//" \
+      -e 's/^  [^ ]*\( <value>\)* *\([a-z_]*\): \(.*\)$/\2 \3/p' \
+      "$workdir/cmd_help.txt" > "$workdir/rows.txt"
+  while read -r field summary; do
+    if ! grep -qxF -- "$(printf '  %-18s %s' "$field" "$summary")" \
+        "$workdir/list.txt"; then
+      echo "FAIL: '$words --help' row for $field differs from campaign list" >&2
+      status=1
+    fi
+  done < "$workdir/rows.txt"
+}
+expect_help margins '<beta>'
+expect_help design
+expect_help robustness
+expect_help yield '<rows>' '<cols>' '<sigma>' --faults --ecc --retry --json
+expect_help tail '<margin_mv>'
+expect_help read '<bit>'
+expect_help transient '<bit>'
+expect_help traffic --controller --scheme --requests --banks --policy \
+    --workload --rho --read-fraction --clients --think-ns --seed \
+    --word-bits --trace-file --faults --ecc --retry --channels --ranks \
+    --rows --row-locality --scheduler --starvation-cap --no-coalesce
+for section in 'kind traffic, without --controller:' \
+               'kind controller, with --controller:'; do
+  if ! grep -qxF -- "$section" "$workdir/cmd_help.txt"; then
+    echo "FAIL: 'traffic --help' lacks the section '$section'" >&2
+    status=1
+  fi
+done
+expect_help fault --seed --rows --cols --density --json
+expect_help stats
+expect_help campaign
+expect_help "campaign run" '<file>' --out --json
+expect_help "campaign list"
+expect_help "campaign expand" '<file>' --json
+expect_help "campaign verify" '<file>' --golden
+# --help is a command's only argument; anywhere else it is an unknown flag.
+expect_exit2 "$cli" tail 8 --help
+expect_exit2 "$cli" campaign run --help extra
+
 count="$(echo "$flags" | wc -l)"
-[ "$status" -eq 0 ] && echo "OK: help texts identical, $count flags documented, usage errors exit 2"
+[ "$status" -eq 0 ] && echo "OK: help texts identical, $count flags documented, usage errors exit 2, per-command help complete"
 exit "$status"

@@ -511,6 +511,31 @@ TEST(RunTrafficTest, FasterSchemeDeliversMoreBandwidth) {
   EXPECT_LT(nondes.mean_latency.value(), des.mean_latency.value());
 }
 
+TEST(RunTrafficTest, SaturatedClosedLoopNearsAnalyticPeakBandwidth) {
+  // Eight clients with a 10 ns think time keep two banks busy, so each
+  // scheme's delivered bandwidth approaches, from below, the analytic
+  // peak of its banks: word_bits over the read/write-weighted service
+  // time (analyze_bank_performance at the same 70 % reads).
+  const auto analytic =
+      analyze_bank_performance(CostComparisonConfig{}, WorkloadParams{});
+  const SensingScheme schemes[] = {SensingScheme::kConventional,
+                                   SensingScheme::kDestructive,
+                                   SensingScheme::kNondestructive};
+  for (std::size_t s = 0; s < 3; ++s) {
+    TrafficConfig cfg;
+    cfg.scheme = schemes[s];
+    cfg.banks = 2;
+    cfg.requests = 60000;
+    cfg.workload = WorkloadKind::kClosedLoop;
+    cfg.clients = 8;
+    cfg.think_time = Second(10e-9);
+    const TrafficReport r = engine::run_traffic(cfg);
+    const double peak = 2.0 * analytic[s].peak_bandwidth_mbps;
+    EXPECT_LE(r.sustained_bandwidth_mbps, peak) << r.scheme;
+    EXPECT_GT(r.sustained_bandwidth_mbps, 0.85 * peak) << r.scheme;
+  }
+}
+
 TEST(RunTrafficTest, ClosedLoopBoundsOutstandingRequests) {
   TrafficConfig cfg;
   cfg.banks = 2;

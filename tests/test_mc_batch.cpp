@@ -335,12 +335,16 @@ TEST(OpCache, ColdVsWarmCacheDeterminism) {
   const YieldResult warm = run_yield_experiment(cfg);
   const OpCacheStats after_warm = OpCache::local_shard().stats();
   EXPECT_GT(after_warm.hits, after_cold.hits);
+  // The warm run finds every operating point in the cache.
+  EXPECT_EQ(after_warm.misses, after_cold.misses);
   expect_yield_equal(cold, warm);
 
   TailConfig tail;
   OpCache::local_shard().clear();
   const TailEstimate tail_cold = estimate_margin_tail(tail, 5, 2000);
+  const std::uint64_t tail_misses = OpCache::local_shard().stats().misses;
   const TailEstimate tail_warm = estimate_margin_tail(tail, 5, 2000);
+  EXPECT_EQ(OpCache::local_shard().stats().misses, tail_misses);
   expect_tail_equal(tail_cold, tail_warm);
 }
 

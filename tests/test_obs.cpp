@@ -1,8 +1,7 @@
 // Tests of the observability layer: registry semantics, histogram
 // correctness vs a sorted-vector oracle, phase profiling, JSON/CSV
-// export, trace-event output, bench snapshot schema round-trip, and —
-// critically — that instrumentation never changes numerical results
-// (same seed => identical samples).
+// export, trace-event output, and — critically — that instrumentation
+// never changes numerical results (same seed => identical samples).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +16,9 @@
 #include "sttram/engine/thread_pool.hpp"
 #include "sttram/io/json.hpp"
 #include "sttram/obs/obs.hpp"
+#include "sttram/sense/margins.hpp"
+#include "sttram/sense/read_operation.hpp"
+#include "sttram/sim/tail.hpp"
 #include "sttram/sim/yield.hpp"
 #include "sttram/spice/analysis.hpp"
 #include "sttram/spice/parser.hpp"
@@ -77,12 +79,13 @@ TEST_F(ObsTest, MacrosAreInertWhenDisabled) {
   EXPECT_EQ(registry.counter("test.macro_counter").value(), 3u);
 }
 
+// A duration ("timer") is a HistogramMetric like any distribution.
 TEST_F(ObsTest, TimerAndGauge) {
   auto& registry = obs::Registry::instance();
-  obs::Timer& t = registry.timer("test.timer");
+  obs::HistogramMetric& t = registry.histogram("test.timer_seconds");
   t.record(1.0);
   t.record(3.0);
-  const RunningStats s = t.snapshot();
+  const obs::Histogram s = t.snapshot();
   EXPECT_EQ(s.count(), 2u);
   EXPECT_DOUBLE_EQ(s.mean(), 2.0);
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
@@ -110,18 +113,21 @@ TEST_F(ObsTest, CountersAreThreadSafe) {
 TEST_F(ObsTest, JsonExportCarriesSchemaAndValues) {
   auto& registry = obs::Registry::instance();
   registry.counter("test.json_counter").add(7);
-  registry.timer("test.json_timer").record(0.5);
+  registry.histogram("test.json_seconds").record(0.5);
   const std::string dump = registry.to_json().dump(2);
   // Live values.
   EXPECT_NE(dump.find("\"test.json_counter\": 7"), std::string::npos);
-  EXPECT_NE(dump.find("\"test.json_timer\""), std::string::npos);
+  EXPECT_NE(dump.find("\"test.json_seconds\""), std::string::npos);
   // Pre-registered solver/MC schema is always present, even untouched.
   EXPECT_NE(dump.find("\"spice.newton.iterations\": 0"), std::string::npos);
   EXPECT_NE(dump.find("\"mc.trials\": 0"), std::string::npos);
   EXPECT_NE(dump.find("\"engine.requests\": 0"), std::string::npos);
   EXPECT_NE(dump.find("\"counters\""), std::string::npos);
   EXPECT_NE(dump.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(dump.find("\"timers\""), std::string::npos);
+  EXPECT_NE(dump.find("\"histograms\""), std::string::npos);
+  // The pre-registered run durations are histograms.
+  EXPECT_NE(dump.find("\"yield.experiment_seconds\": {"), std::string::npos);
+  EXPECT_NE(dump.find("\"engine.sim_seconds\": {"), std::string::npos);
 }
 
 TEST_F(ObsTest, CsvExportRoundTrip) {
@@ -148,7 +154,6 @@ TEST_F(ObsTest, CsvExportRoundTrip) {
   EXPECT_TRUE(found_histogram);
   // One row per registered metric (pre-registered schema included).
   EXPECT_EQ(rows, registry.counters().size() + registry.gauges().size() +
-                      registry.timers().size() +
                       registry.histograms().size());
 }
 
@@ -297,7 +302,7 @@ TEST_F(ObsTest, TrafficRunIsInvariantUnderInstrumentation) {
   EXPECT_EQ(registry.counter("engine.requests").value(), 5000u);
   EXPECT_EQ(registry.counter("engine.reads").value(), on.reads);
   EXPECT_EQ(registry.counter("engine.writes").value(), on.writes);
-  EXPECT_EQ(registry.timer("engine.sim_seconds").snapshot().count(), 1u);
+  EXPECT_EQ(registry.histogram("engine.sim_seconds").count(), 1u);
   EXPECT_EQ(registry.histogram("engine.latency_seconds").count(), 5000u);
   EXPECT_EQ(registry.histogram("engine.read_latency_seconds").count(),
             on.reads);
@@ -435,7 +440,7 @@ TEST_F(ObsTest, RegistryRejectsBadMetricNames) {
   EXPECT_THROW(registry.counter(""), InvalidArgument);
   EXPECT_THROW(registry.counter("Bad.Name"), InvalidArgument);
   EXPECT_THROW(registry.gauge("has space"), InvalidArgument);
-  EXPECT_THROW(registry.timer("dash-name"), InvalidArgument);
+  EXPECT_THROW(registry.histogram("dash-name"), InvalidArgument);
   EXPECT_THROW(registry.histogram("semi;colon"), InvalidArgument);
   // Valid character set passes.
   EXPECT_NO_THROW(registry.counter("ok.name_09"));
@@ -445,20 +450,21 @@ TEST_F(ObsTest, RegistryRejectsBadMetricNames) {
             "sense_latch_senen");
   EXPECT_EQ(obs::normalize_metric_name("__weird--Name__"), "weird_name");
   EXPECT_NO_THROW(
-      registry.timer(obs::normalize_metric_name("Write-Back Phase")));
+      registry.histogram(obs::normalize_metric_name("Write-Back Phase")));
 }
 
 TEST_F(ObsTest, RegistryRejectsCrossKindNameReuse) {
   auto& registry = obs::Registry::instance();
   registry.counter("test.kind_clash");
   EXPECT_THROW(registry.gauge("test.kind_clash"), InvalidArgument);
-  EXPECT_THROW(registry.timer("test.kind_clash"), InvalidArgument);
   EXPECT_THROW(registry.histogram("test.kind_clash"), InvalidArgument);
   // Same kind is fine (it is the same metric).
   EXPECT_NO_THROW(registry.counter("test.kind_clash"));
-  // The pre-registered mc.trial_seconds histogram cannot be shadowed by
-  // a timer of the same name.
-  EXPECT_THROW(registry.timer("mc.trial_seconds"), InvalidArgument);
+  // The pre-registered duration histograms cannot be shadowed by a
+  // metric of another kind.
+  EXPECT_THROW(registry.gauge("mc.trial_seconds"), InvalidArgument);
+  EXPECT_THROW(registry.counter("yield.experiment_seconds"),
+               InvalidArgument);
 }
 
 TEST_F(ObsTest, ProfileScopeIsInertWhenDisabled) {
@@ -563,57 +569,6 @@ TEST_F(ObsTest, TrafficRunIsInvariantUnderProfiling) {
   EXPECT_TRUE(saw_simulate);
 }
 
-TEST_F(ObsTest, BenchSnapshotJsonRoundTrip) {
-  obs::set_profiling_enabled(true);
-  {
-    STTRAM_PROFILE_SCOPE("test.snapshot_phase");
-  }
-  obs::set_profiling_enabled(false);
-
-  obs::BenchSnapshot snap;
-  snap.bench = "unit";
-  snap.git_sha = "abc1234";
-  snap.build_type = "Release";
-  snap.compiler = "GNU 13";
-  snap.threads = 8;
-  snap.add_metric("throughput", 1.25e6, "req/s", true);
-  snap.add_metric("wall_seconds", 0.75, "s", false);
-  obs::Histogram hist;
-  Xoshiro256 rng(3);
-  for (int k = 0; k < 1000; ++k) {
-    hist.record(1e-8 * (1.0 + rng.next_double()));
-  }
-  snap.add_histogram("latency_seconds", hist, "s");
-  snap.capture_profile();
-  ASSERT_FALSE(snap.profile.empty());
-
-  const std::string text = snap.to_json().dump(2);
-  const obs::BenchSnapshot back =
-      obs::BenchSnapshot::from_json(Json::parse(text));
-  EXPECT_EQ(back.bench, snap.bench);
-  EXPECT_EQ(back.git_sha, snap.git_sha);
-  EXPECT_EQ(back.build_type, snap.build_type);
-  EXPECT_EQ(back.compiler, snap.compiler);
-  EXPECT_EQ(back.threads, snap.threads);
-  ASSERT_EQ(back.metrics.size(), 2u);
-  EXPECT_EQ(back.metrics[0].name, "throughput");
-  EXPECT_DOUBLE_EQ(back.metrics[0].value, 1.25e6);
-  EXPECT_TRUE(back.metrics[0].higher_is_better);
-  EXPECT_FALSE(back.metrics[1].higher_is_better);
-  ASSERT_EQ(back.histograms.size(), 1u);
-  EXPECT_EQ(back.histograms[0].summary.count, 1000u);
-  EXPECT_DOUBLE_EQ(back.histograms[0].summary.p99,
-                   hist.summary().p99);
-  ASSERT_EQ(back.profile.size(), snap.profile.size());
-  EXPECT_EQ(back.profile[0].name, "test.snapshot_phase");
-  EXPECT_EQ(back.profile[0].calls, 1u);
-
-  // A future schema version is refused, not misread.
-  Json stale = Json::parse(text);
-  stale.set("schema_version", Json::integer(99));
-  EXPECT_THROW(obs::BenchSnapshot::from_json(stale), Error);
-}
-
 TEST_F(ObsTest, MetricsJsonExportIncludesHistogramsAndProfile) {
   obs::set_metrics_enabled(true);
   obs::set_profiling_enabled(true);
@@ -623,7 +578,9 @@ TEST_F(ObsTest, MetricsJsonExportIncludesHistogramsAndProfile) {
   STTRAM_OBS_OBSERVE("mc.trial_seconds", 1e-6);
   obs::set_profiling_enabled(false);
   const std::string path = ::testing::TempDir() + "obs_metrics.json";
-  obs::write_metrics_json(path);
+  Json provenance = Json::object();
+  provenance.set("git_sha", Json::string("abc1234"));
+  obs::write_metrics_json(path, provenance);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::ostringstream buf;
@@ -637,6 +594,56 @@ TEST_F(ObsTest, MetricsJsonExportIncludesHistogramsAndProfile) {
   ASSERT_GE(doc.at("profile").size(), 1u);
   EXPECT_EQ(doc.at("profile").at(0).at("phase").as_string(),
             "test.export_phase");
+  EXPECT_EQ(doc.at("provenance").at("git_sha").as_string(), "abc1234");
+  EXPECT_FALSE(doc.contains("timers"));
+}
+
+// The Fig. 9 phases record latency in seconds and energy in pJ: a
+// phase's ~0.3 pJ in joules would sit below the histogram's 2^-40 floor
+// and land in its underflow bucket.
+TEST_F(ObsTest, ReadPhasesRecordLatencyAndEnergyHistograms) {
+  OneT1JCell cell;
+  const SelfRefConfig config;
+  const double beta =
+      NondestructiveSelfReference(cell.mtj().params(), Ohm(917.0), config)
+          .paper_beta();
+  obs::set_metrics_enabled(true);
+  const ReadResult r = NondestructiveReadOperation(config, beta).execute(cell);
+  auto& registry = obs::Registry::instance();
+  EXPECT_EQ(registry.counter("read.phases").value(), r.phases.size());
+  double energy_pj = 0.0;
+  for (const ReadPhase& phase : r.phases) {
+    const std::string name = obs::normalize_metric_name(phase.name);
+    const obs::Histogram latency =
+        registry.histogram("read.phase_latency_s." + name).snapshot();
+    const obs::Histogram energy =
+        registry.histogram("read.phase_energy_pj." + name).snapshot();
+    ASSERT_EQ(latency.count(), 1u);
+    ASSERT_EQ(energy.count(), 1u);
+    EXPECT_EQ(latency.max(), phase.duration.value());
+    EXPECT_EQ(energy.max(), phase.energy.value() * 1e12);
+    // A phase that draws energy is resolved, not underflowed.
+    if (phase.energy.value() > 0.0) {
+      EXPECT_EQ(energy.bucket_count_at(0), 0u);
+    }
+    energy_pj += energy.max();
+  }
+  EXPECT_GT(energy_pj, 0.1);
+}
+
+TEST_F(ObsTest, TailEstimateIsInvariantUnderInstrumentation) {
+  const TailConfig cfg;
+  const TailEstimate off = estimate_margin_tail(cfg, 3, 2000);
+  obs::set_metrics_enabled(true);
+  const TailEstimate on = estimate_margin_tail(cfg, 3, 2000);
+  EXPECT_EQ(off.estimate.probability, on.estimate.probability);
+  EXPECT_EQ(off.estimate.std_error, on.estimate.std_error);
+  EXPECT_EQ(off.design_radius, on.design_radius);
+  // One design-point search per estimate, and every sampled trial
+  // evaluated on top of the search's own margin evaluations.
+  auto& registry = obs::Registry::instance();
+  EXPECT_EQ(registry.counter("tail.searches").value(), 1u);
+  EXPECT_GT(registry.counter("tail.margin_evaluations").value(), 2000u);
 }
 
 TEST_F(ObsTest, TransientSolverFeedsNewtonCounters) {
