@@ -87,9 +87,8 @@ int main() {
   // the full hierarchy).
   TextTable schemes({"scheme", "mean", "p99", "BW [Mbit/s]", "E/bit [pJ]"});
   ctrl::ControllerReport per_scheme[3];
-  const engine::SensingScheme kinds[] = {engine::SensingScheme::kConventional,
-                                         engine::SensingScheme::kDestructive,
-                                         engine::SensingScheme::kNondestructive};
+  const SchemeId kinds[] = {SchemeId::kConventional, SchemeId::kDestructive,
+                            SchemeId::kNondestructive};
   for (int s = 0; s < 3; ++s) {
     ctrl::ControllerConfig c = cfg;
     c.scheme = kinds[s];

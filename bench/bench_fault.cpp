@@ -97,14 +97,14 @@ int main() {
   const MtjVariationModel variation(MtjParams::paper_calibrated(),
                                     VariationParams::none());
   fault::MarchCoverageReport reports[3];
-  const ReadScheme schemes[] = {ReadScheme::kConventional,
-                                ReadScheme::kDestructive,
-                                ReadScheme::kNondestructive};
+  const SchemeId schemes[] = {SchemeId::kConventional,
+                              SchemeId::kDestructive,
+                              SchemeId::kNondestructive};
   TextTable t({"scheme", "injected", "detected", "coverage", "extra"});
   for (int s = 0; s < 3; ++s) {
     TestableArray array(small, variation, 11, SelfRefConfig{}, Volt(0.0));
     reports[s] = fault::run_march_with_faults(array, map, schemes[s]);
-    t.add_row({std::string(to_string(schemes[s])),
+    t.add_row({scheme_row(schemes[s]).label,
                std::to_string(reports[s].injected_cells),
                std::to_string(reports[s].detected_cells),
                format_percent(reports[s].coverage()),
@@ -130,10 +130,13 @@ int main() {
       fault::run_yield_with_faults(yc, campaign, no_ecc);
   const fault::FaultYieldResult recovered =
       fault::run_yield_with_faults(yc, campaign, ecc_retry);
+  const fault::SchemeBer& raw_nd = raw.scheme(SchemeId::kNondestructive);
+  const fault::SchemeBer& recovered_nd =
+      recovered.scheme(SchemeId::kNondestructive);
   std::printf("nondestructive raw BER %.3g -> post-ECC+retry BER %.3g "
               "(WER %.3g)\n\n",
-              raw.nondestructive.raw_ber, recovered.nondestructive.post_ecc_ber,
-              recovered.nondestructive.post_ecc_wer);
+              raw_nd.raw_ber, recovered_nd.post_ecc_ber,
+              recovered_nd.post_ecc_wer);
 
   std::printf("Reproduction / extension claims:\n");
   bench::claim("threaded fault map is bit-identical to serial", identical);
@@ -158,11 +161,10 @@ int main() {
                    class_coverage(reports[2], FaultType::kDriftOutlier) ==
                        0.0);
   bench::claim("ECC + retry cut the residual BER",
-               recovered.nondestructive.post_ecc_ber <
-                   raw.nondestructive.post_ecc_ber);
+               recovered_nd.post_ecc_ber < raw_nd.post_ecc_ber);
   bench::claim("drift gives conventional the larger hard-error fraction",
-               raw.conventional.hard_bit_fraction >
-                   raw.nondestructive.hard_bit_fraction);
+               raw.scheme(SchemeId::kConventional).hard_bit_fraction >
+                   raw_nd.hard_bit_fraction);
 
   return bench::exit_code();
 }

@@ -50,17 +50,16 @@ int main() {
 
   TextTable t({"scheme", "bits", "failures", "rate", "SM0 mean [mV]",
                "SM0 min [mV]", "SM1 mean [mV]", "SM1 min [mV]"});
-  for (const SchemeYield* y :
-       {&r.conventional, &r.reference_cell, &r.destructive,
-        &r.nondestructive}) {
+  for (const SchemeRow& row : kSchemeTable) {
+    const SchemeYield& y = r.scheme(row.id);
     char rate[16], m0[16], mn0[16], m1[16], mn1[16];
-    std::snprintf(rate, sizeof(rate), "%.3f %%", y->failure_rate() * 100.0);
-    std::snprintf(m0, sizeof(m0), "%.2f", y->sm0_stats.mean() * 1e3);
-    std::snprintf(mn0, sizeof(mn0), "%.2f", y->sm0_stats.min() * 1e3);
-    std::snprintf(m1, sizeof(m1), "%.2f", y->sm1_stats.mean() * 1e3);
-    std::snprintf(mn1, sizeof(mn1), "%.2f", y->sm1_stats.min() * 1e3);
-    t.add_row({y->scheme, std::to_string(y->bits),
-               std::to_string(y->failures), rate, m0, mn0, m1, mn1});
+    std::snprintf(rate, sizeof(rate), "%.3f %%", y.failure_rate() * 100.0);
+    std::snprintf(m0, sizeof(m0), "%.2f", y.sm0_stats.mean() * 1e3);
+    std::snprintf(mn0, sizeof(mn0), "%.2f", y.sm0_stats.min() * 1e3);
+    std::snprintf(m1, sizeof(m1), "%.2f", y.sm1_stats.mean() * 1e3);
+    std::snprintf(mn1, sizeof(mn1), "%.2f", y.sm1_stats.min() * 1e3);
+    t.add_row({y.scheme, std::to_string(y.bits),
+               std::to_string(y.failures), rate, m0, mn0, m1, mn1});
   }
   std::printf("%s\n", t.to_string().c_str());
 
@@ -80,12 +79,12 @@ int main() {
        sweep_variation(sweep_cfg, {0.02, 0.04, 0.07, 0.10, 0.14})) {
     char s[16], a[16], b[16], c[16];
     std::snprintf(s, sizeof(s), "%.2f", p.sigma_common);
-    std::snprintf(a, sizeof(a), "%.2f %%",
-                  p.conventional_failure_rate * 100.0);
-    std::snprintf(b, sizeof(b), "%.2f %%",
-                  p.destructive_failure_rate * 100.0);
-    std::snprintf(c, sizeof(c), "%.2f %%",
-                  p.nondestructive_failure_rate * 100.0);
+    const auto rate = [&](SchemeId id) {
+      return p.failure_rate[scheme_index(id)] * 100.0;
+    };
+    std::snprintf(a, sizeof(a), "%.2f %%", rate(SchemeId::kConventional));
+    std::snprintf(b, sizeof(b), "%.2f %%", rate(SchemeId::kDestructive));
+    std::snprintf(c, sizeof(c), "%.2f %%", rate(SchemeId::kNondestructive));
     sw.add_row({s, a, b, c});
   }
   std::printf("%s\n", sw.to_string().c_str());

@@ -222,11 +222,11 @@ int main() {
       if (m[s].min() < cfg.required_margin) ++oracle_failures[s];
     }
   }
-  const bool e2e_identical =
-      yr.conventional.failures == oracle_failures[0] &&
-      yr.reference_cell.failures == oracle_failures[1] &&
-      yr.destructive.failures == oracle_failures[2] &&
-      yr.nondestructive.failures == oracle_failures[3];
+  bool e2e_identical = true;
+  for (const SchemeRow& row : kSchemeTable) {
+    e2e_identical = e2e_identical && yr.scheme(row.id).failures ==
+                                         oracle_failures[scheme_index(row.id)];
+  }
   std::printf("end-to-end yield: %.3f s (%.3g cells/sec)\n", yield_s,
               static_cast<double>(cells) / yield_s);
 

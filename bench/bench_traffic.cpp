@@ -12,7 +12,6 @@
 
 using namespace sttram;
 using engine::SchedulingPolicy;
-using engine::SensingScheme;
 using engine::TrafficConfig;
 using engine::TrafficReport;
 
@@ -20,9 +19,9 @@ int main() {
   bench::heading("Traffic", "discrete-event bank traffic by sensing scheme");
 
   const CostComparisonConfig cost;
-  const SensingScheme schemes[] = {SensingScheme::kConventional,
-                                   SensingScheme::kDestructive,
-                                   SensingScheme::kNondestructive};
+  const SchemeId schemes[] = {SchemeId::kConventional,
+                              SchemeId::kDestructive,
+                              SchemeId::kNondestructive};
 
   std::printf("open loop: 4 banks, rho = 0.6, 70 %% reads, 100k requests\n");
   TextTable t({"scheme", "p50", "p99", "BW [Mbit/s]", "util", "E/bit [pJ]"});
@@ -85,7 +84,7 @@ int main() {
   wl.read_fraction = 1.0;
   const auto analytic = analyze_bank_performance(cost, wl);
   TrafficConfig md1;
-  md1.scheme = SensingScheme::kNondestructive;
+  md1.scheme = SchemeId::kNondestructive;
   md1.cost = cost;
   md1.banks = 1;
   md1.requests = 150000;

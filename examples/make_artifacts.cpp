@@ -141,11 +141,10 @@ int main(int argc, char** argv) {
     CsvWriter csv(out);
     csv.write_row(
         std::vector<std::string>{"scheme", "sm0_volts", "sm1_volts"});
-    for (const SchemeYield* y :
-         {&yield_result.conventional, &yield_result.reference_cell,
-          &yield_result.destructive, &yield_result.nondestructive}) {
-      for (const auto& [sm0, sm1] : y->scatter) {
-        out << y->scheme << ',';
+    for (const SchemeRow& row : kSchemeTable) {
+      const SchemeYield& y = yield_result.scheme(row.id);
+      for (const auto& [sm0, sm1] : y.scatter) {
+        out << y.scheme << ',';
         csv.write_row(std::vector<double>{sm0, sm1});
       }
     }

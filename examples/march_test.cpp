@@ -39,12 +39,12 @@ int main(int argc, char** argv) {
               geometry.rows, geometry.cols, sigma);
 
   TextTable t({"read scheme", "ops", "failing bits", "verdict"});
-  for (const ReadScheme scheme :
-       {ReadScheme::kConventional, ReadScheme::kDestructive,
-        ReadScheme::kNondestructive}) {
+  for (const SchemeId scheme :
+       {SchemeId::kConventional, SchemeId::kDestructive,
+        SchemeId::kNondestructive}) {
     TestableArray array(geometry, variation, 11);
     const MarchResult r = run_march_c_minus(array, scheme);
-    t.add_row({std::string(to_string(scheme)),
+    t.add_row({scheme_row(scheme).label,
                std::to_string(r.operations),
                std::to_string(r.failing_cells.size()),
                r.passed() ? "PASS" : "FAIL (bits would be discarded)"});
@@ -54,8 +54,8 @@ int main(int argc, char** argv) {
   std::printf("now with three injected hard defects "
               "(SA0 @ (3,7), SA1 @ (40,12), TF @ (20,20)):\n\n");
   TextTable t2({"read scheme", "failing bits", "defects caught"});
-  for (const ReadScheme scheme :
-       {ReadScheme::kConventional, ReadScheme::kNondestructive}) {
+  for (const SchemeId scheme :
+       {SchemeId::kConventional, SchemeId::kNondestructive}) {
     TestableArray array(geometry, variation, 11);
     array.inject(3, 7, FaultType::kStuckAtZero);
     array.inject(40, 12, FaultType::kStuckAtOne);
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
         ++caught;
       }
     }
-    t2.add_row({std::string(to_string(scheme)),
+    t2.add_row({scheme_row(scheme).label,
                 std::to_string(r.failing_cells.size()),
                 std::to_string(caught) + "/3"});
   }

@@ -56,6 +56,7 @@
 #include "sttram/sim/tail.hpp"
 #include "sttram/sim/timing_diagram.hpp"
 #include "sttram/sim/yield.hpp"
+#include "sttram_git_sha.hpp"
 
 using namespace sttram;
 
@@ -544,8 +545,6 @@ int cmd_yield(const Tokens& tokens) {
     const long retry = f.ber.read_attempts;
     const fault::FaultYieldResult r =
         fault::run_yield_with_faults(cfg, f.faults, f.ber, g_executor);
-    const auto schemes = {&r.conventional, &r.reference_cell,
-                          &r.destructive, &r.nondestructive};
     if (as_json) {
       Json out = Json::object();
       out.set("bits", Json::integer(static_cast<std::int64_t>(
@@ -556,13 +555,13 @@ int cmd_yield(const Tokens& tokens) {
       out.set("ecc", Json::boolean(ecc));
       out.set("read_attempts", Json::integer(retry));
       Json arr = Json::array();
-      for (const fault::SchemeBer* s : schemes) {
+      for (const fault::SchemeBer& s : r.schemes) {
         Json j = Json::object();
-        j.set("scheme", Json::string(s->scheme));
-        j.set("raw_ber", Json::number(s->raw_ber));
-        j.set("hard_bit_fraction", Json::number(s->hard_bit_fraction));
-        j.set("post_ecc_wer", Json::number(s->post_ecc_wer));
-        j.set("post_ecc_ber", Json::number(s->post_ecc_ber));
+        j.set("scheme", Json::string(s.scheme));
+        j.set("raw_ber", Json::number(s.raw_ber));
+        j.set("hard_bit_fraction", Json::number(s.hard_bit_fraction));
+        j.set("post_ecc_wer", Json::number(s.post_ecc_wer));
+        j.set("post_ecc_ber", Json::number(s.post_ecc_ber));
         arr.push_back(std::move(j));
       }
       out.set("schemes", std::move(arr));
@@ -575,11 +574,11 @@ int cmd_yield(const Tokens& tokens) {
                 ecc ? "on" : "off", retry, retry == 1 ? "" : "s");
     TextTable t({"scheme", "raw BER", "hard bits", "post-ECC WER",
                  "post-ECC BER"});
-    for (const fault::SchemeBer* s : schemes) {
-      t.add_row({s->scheme, format_double(s->raw_ber, 4),
-                 format_double(s->hard_bit_fraction, 4),
-                 format_double(s->post_ecc_wer, 4),
-                 format_double(s->post_ecc_ber, 6)});
+    for (const fault::SchemeBer& s : r.schemes) {
+      t.add_row({s.scheme, format_double(s.raw_ber, 4),
+                 format_double(s.hard_bit_fraction, 4),
+                 format_double(s.post_ecc_wer, 4),
+                 format_double(s.post_ecc_ber, 6)});
     }
     std::printf("%s", t.to_string().c_str());
     return 0;
@@ -595,16 +594,15 @@ int cmd_yield(const Tokens& tokens) {
                         cfg.geometry.cell_count())));
     out.set("sigma_common", Json::number(cfg.variation.sigma_common));
     Json schemes = Json::array();
-    for (const SchemeYield* y :
-         {&r.conventional, &r.reference_cell, &r.destructive,
-          &r.nondestructive}) {
+    for (const SchemeRow& row : kSchemeTable) {
+      const SchemeYield& y = r.scheme(row.id);
       Json s = Json::object();
-      s.set("scheme", Json::string(y->scheme));
+      s.set("scheme", Json::string(y.scheme));
       s.set("failures",
-            Json::integer(static_cast<std::int64_t>(y->failures)));
-      s.set("failure_rate", Json::number(y->failure_rate()));
+            Json::integer(static_cast<std::int64_t>(y.failures)));
+      s.set("failure_rate", Json::number(y.failure_rate()));
       s.set("sm_min_volts",
-            Json::number(std::min(y->sm0_stats.min(), y->sm1_stats.min())));
+            Json::number(std::min(y.sm0_stats.min(), y.sm1_stats.min())));
       schemes.push_back(std::move(s));
     }
     out.set("schemes", std::move(schemes));
@@ -612,12 +610,10 @@ int cmd_yield(const Tokens& tokens) {
     return 0;
   }
   TextTable t({"scheme", "bits", "failures", "rate"});
-  for (const SchemeYield* y :
-       {&r.conventional, &r.reference_cell, &r.destructive,
-        &r.nondestructive}) {
-    t.add_row({y->scheme, std::to_string(y->bits),
-               std::to_string(y->failures),
-               format_percent(y->failure_rate())});
+  for (const SchemeRow& row : kSchemeTable) {
+    const SchemeYield& y = r.scheme(row.id);
+    t.add_row({y.scheme, std::to_string(y.bits), std::to_string(y.failures),
+               format_percent(y.failure_rate())});
   }
   std::printf("%s", t.to_string().c_str());
   return 0;
@@ -849,18 +845,13 @@ int cmd_fault(const Tokens& tokens) {
   const MtjVariationModel variation(MtjParams::paper_calibrated(),
                                     VariationParams::none());
 
-  struct Run {
-    ReadScheme scheme;
-    fault::MarchCoverageReport report;
-  };
-  std::vector<Run> runs;
-  for (const ReadScheme scheme :
-       {ReadScheme::kConventional, ReadScheme::kDestructive,
-        ReadScheme::kNondestructive}) {
+  // One March C- run per scheme with a read flow, in SchemeId order.
+  std::vector<fault::MarchCoverageReport> runs;
+  for (const SchemeRow& row : kSchemeTable) {
+    if (!row.has_read_flow) continue;
     TestableArray array(geometry, variation, seed, SelfRefConfig{},
                         Volt(0.0));
-    runs.push_back(
-        {scheme, fault::run_march_with_faults(array, map, scheme)});
+    runs.push_back(fault::run_march_with_faults(array, map, row.id));
   }
 
   if (as_json) {
@@ -872,18 +863,18 @@ int cmd_fault(const Tokens& tokens) {
     out.set("injected",
             Json::integer(static_cast<std::int64_t>(map.total())));
     Json schemes = Json::array();
-    for (const Run& run : runs) {
+    for (const fault::MarchCoverageReport& run : runs) {
       Json s = Json::object();
-      s.set("scheme", Json::string(std::string(to_string(run.scheme))));
-      s.set("operations", Json::integer(static_cast<std::int64_t>(
-                              run.report.operations)));
-      s.set("detected", Json::integer(static_cast<std::int64_t>(
-                            run.report.detected_cells)));
-      s.set("coverage", Json::number(run.report.coverage()));
-      s.set("extra_flags", Json::integer(static_cast<std::int64_t>(
-                               run.report.extra_flags)));
+      s.set("scheme", Json::string(scheme_row(run.scheme).label));
+      s.set("operations",
+            Json::integer(static_cast<std::int64_t>(run.operations)));
+      s.set("detected",
+            Json::integer(static_cast<std::int64_t>(run.detected_cells)));
+      s.set("coverage", Json::number(run.coverage()));
+      s.set("extra_flags",
+            Json::integer(static_cast<std::int64_t>(run.extra_flags)));
       Json classes = Json::array();
-      for (const fault::FaultClassCoverage& c : run.report.classes) {
+      for (const fault::FaultClassCoverage& c : run.classes) {
         Json j = Json::object();
         j.set("fault", Json::string(std::string(to_string(c.type))));
         j.set("injected",
@@ -905,35 +896,41 @@ int cmd_fault(const Tokens& tokens) {
               "(density %.4g, seed %llu), March C-\n",
               map.total(), rows, cols, density,
               static_cast<unsigned long long>(seed));
-  TextTable t({"fault class", "injected", "conventional", "destructive",
-               "nondestructive"});
-  const auto coverage_cell = [](const fault::MarchCoverageReport& report,
-                                FaultType type) {
-    for (const fault::FaultClassCoverage& c : report.classes) {
-      if (c.type == type) {
-        return std::to_string(c.detected) + " (" +
-               format_percent(c.coverage()) + ")";
-      }
-    }
-    return std::string("-");
-  };
-  for (const fault::FaultClassCoverage& c : runs[0].report.classes) {
-    t.add_row({std::string(to_string(c.type)), std::to_string(c.injected),
-               coverage_cell(runs[0].report, c.type),
-               coverage_cell(runs[1].report, c.type),
-               coverage_cell(runs[2].report, c.type)});
+  // One column per scheme: a row's first two cells, then `cell(run)`
+  // for every run.
+  std::vector<std::string> header = {"fault class", "injected"};
+  for (const fault::MarchCoverageReport& run : runs) {
+    header.emplace_back(scheme_row(run.scheme).key);
   }
-  const auto totals = [](const fault::MarchCoverageReport& report) {
-    return std::to_string(report.detected_cells) + " (" +
-           format_percent(report.coverage()) + ")";
+  TextTable t(header);
+  const auto add_row = [&](std::string first, std::string second,
+                           const auto& cell) {
+    std::vector<std::string> row = {std::move(first), std::move(second)};
+    for (const fault::MarchCoverageReport& run : runs) {
+      row.push_back(cell(run));
+    }
+    t.add_row(row);
   };
-  t.add_row({"total", std::to_string(runs[0].report.injected_cells),
-             totals(runs[0].report), totals(runs[1].report),
-             totals(runs[2].report)});
-  t.add_row({"extra flags", "-",
-             std::to_string(runs[0].report.extra_flags),
-             std::to_string(runs[1].report.extra_flags),
-             std::to_string(runs[2].report.extra_flags)});
+  for (const fault::FaultClassCoverage& c : runs[0].classes) {
+    add_row(std::string(to_string(c.type)), std::to_string(c.injected),
+            [&](const fault::MarchCoverageReport& run) {
+              for (const fault::FaultClassCoverage& rc : run.classes) {
+                if (rc.type == c.type) {
+                  return std::to_string(rc.detected) + " (" +
+                         format_percent(rc.coverage()) + ")";
+                }
+              }
+              return std::string("-");
+            });
+  }
+  add_row("total", std::to_string(runs[0].injected_cells),
+          [](const fault::MarchCoverageReport& run) {
+            return std::to_string(run.detected_cells) + " (" +
+                   format_percent(run.coverage()) + ")";
+          });
+  add_row("extra flags", "-", [](const fault::MarchCoverageReport& run) {
+    return std::to_string(run.extra_flags);
+  });
   std::printf("%s", t.to_string().c_str());
   return 0;
 }

@@ -165,6 +165,8 @@ struct Vec {
   friend Vec operator*(Vec a, Vec b) { return Vec{a.v * b.v}; }
   friend Vec operator/(Vec a, Vec b) { return Vec{a.v / b.v}; }
   friend Vec operator-(Vec a) { return Vec{-a.v}; }
+  /// `splat(s) * a`: a constant factor, as the closed forms write it.
+  friend Vec operator*(double s, Vec a) { return splat(s) * a; }
 
   friend M operator<(Vec a, Vec b) { return a.v < b.v; }
   friend M operator<=(Vec a, Vec b) { return a.v <= b.v; }
@@ -218,6 +220,7 @@ struct Vec<1> {
   friend Vec operator*(Vec a, Vec b) { return Vec{a.v * b.v}; }
   friend Vec operator/(Vec a, Vec b) { return Vec{a.v / b.v}; }
   friend Vec operator-(Vec a) { return Vec{-a.v}; }
+  friend Vec operator*(double s, Vec a) { return Vec{s * a.v}; }
 
   friend M operator<(Vec a, Vec b) { return a.v < b.v ? -1 : 0; }
   friend M operator<=(Vec a, Vec b) { return a.v <= b.v ? -1 : 0; }

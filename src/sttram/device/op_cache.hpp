@@ -1,12 +1,12 @@
 // Operating-point cache for the Monte-Carlo hot paths.
 //
 // The designed read operating point of a sensing scheme — the
-// equal-margin current ratio beta, the shared reference voltage, the
-// first-read current — is a pure function of (scheme, corner parameters,
-// read current).  The yield and tail drivers used to re-derive it per
-// experiment (and, in the tail sampler, per *trial*) even though
-// variation only perturbs the sampled device, never the designed point.
-// This cache memoizes those solves.
+// equal-margin current ratio beta or the shared reference voltage — is
+// a pure function of (scheme, corner parameters, read current).  The
+// yield and tail drivers used to re-derive it per experiment (and, in
+// the tail sampler, per *trial*) even though variation only perturbs
+// the sampled device, never the designed point.  This cache memoizes
+// those solves.
 //
 // Determinism contract (DESIGN.md §14): cached values are pure functions
 // of their key, and a lookup either computes exactly the expression the
@@ -34,7 +34,6 @@ namespace sttram {
 struct OperatingPoint {
   double beta = 0.0;   ///< designed equal-margin current ratio I2/I1
   double v_ref = 0.0;  ///< shared/midpoint reference voltage [V]
-  double i1 = 0.0;     ///< first-read current [A]
 };
 
 /// Scheme tag that seeds an operating-point key.  Values are part of the
@@ -88,23 +87,10 @@ class OpCache {
         STTRAM_OBS_COUNT("mc.opcache.hits");
         return slot.value;
       }
-      if (!slot.used) {
-        ++stats_.misses;
-        STTRAM_OBS_COUNT("mc.opcache.misses");
-        slot.used = true;
-        slot.key = key;
-        slot.value = solve();
-        return slot.value;
-      }
+      if (!slot.used) return fill(slot, key, solve);
     }
     // Probe window exhausted: evict the home slot.
-    ++stats_.misses;
-    STTRAM_OBS_COUNT("mc.opcache.misses");
-    Slot& slot = slots_[home];
-    slot.used = true;
-    slot.key = key;
-    slot.value = solve();
-    return slot.value;
+    return fill(slots_[home], key, solve);
   }
 
   [[nodiscard]] const OpCacheStats& stats() const { return stats_; }
@@ -128,6 +114,18 @@ class OpCache {
     bool used = false;
     OperatingPoint value;
   };
+
+  /// A miss: solves before claiming the slot, so a solve that throws
+  /// leaves no entry behind for the next lookup of `key` to return.
+  template <typename Solve>
+  const OperatingPoint& fill(Slot& slot, std::uint64_t key, Solve& solve) {
+    ++stats_.misses;
+    STTRAM_OBS_COUNT("mc.opcache.misses");
+    slot.value = solve();
+    slot.used = true;
+    slot.key = key;
+    return slot.value;
+  }
   std::array<Slot, kSlots> slots_{};
   OpCacheStats stats_;
 };

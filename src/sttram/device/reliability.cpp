@@ -74,11 +74,10 @@ double DisturbAccumulator::pulses_to_budget(double budget) const {
 }
 
 double accesses_to_disturb_budget(const DisturbAccumulator& acc,
-                                  const SchemeDisturbProfile& profile,
-                                  double budget) {
-  require(profile.read_pulses_per_access > 0.0,
-          "accesses_to_disturb_budget: profile must read at least once");
-  return acc.pulses_to_budget(budget) / profile.read_pulses_per_access;
+                                  double reads_per_access, double budget) {
+  require(reads_per_access > 0.0,
+          "accesses_to_disturb_budget: an access must read at least once");
+  return acc.pulses_to_budget(budget) / reads_per_access;
 }
 
 double write_error_rate(const SwitchingModel& model, Ampere amplitude,

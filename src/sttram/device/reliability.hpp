@@ -79,27 +79,12 @@ class DisturbAccumulator {
   double p_pulse_;
 };
 
-/// Scheme-level disturb exposure: pulses issued per logical read access.
-struct SchemeDisturbProfile {
-  const char* scheme;
-  double read_pulses_per_access;   ///< 1 conventional, 2 self-reference
-  double write_pulses_per_access;  ///< 2 destructive, else 0
-};
-
-/// The three schemes' per-access pulse profiles.
-inline constexpr SchemeDisturbProfile kConventionalProfile{
-    "conventional", 1.0, 0.0};
-inline constexpr SchemeDisturbProfile kDestructiveProfile{
-    "destructive self-ref", 2.0, 2.0};
-inline constexpr SchemeDisturbProfile kNondestructiveProfile{
-    "nondestructive self-ref", 2.0, 0.0};
-
 /// Accesses until the accumulated *read-disturb* probability reaches
-/// `budget` for a scheme profile (write pulses switch intentionally and
+/// `budget` when each access reads the cell `reads_per_access` times (a
+/// scheme's scheme_read_currents; write pulses switch intentionally and
 /// do not count as disturb).
 double accesses_to_disturb_budget(const DisturbAccumulator& acc,
-                                  const SchemeDisturbProfile& profile,
-                                  double budget);
+                                  double reads_per_access, double budget);
 
 /// Write error rate of one write pulse (1 - switching probability).
 double write_error_rate(const SwitchingModel& model, Ampere amplitude,

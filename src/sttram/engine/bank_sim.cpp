@@ -21,29 +21,12 @@ double sample_exponential(Xoshiro256& rng, double mean) {
 
 }  // namespace
 
-const char* to_string(SensingScheme scheme) {
-  switch (scheme) {
-    case SensingScheme::kConventional:
-      return "conventional";
-    case SensingScheme::kDestructive:
-      return "destructive self-ref";
-    case SensingScheme::kNondestructive:
-      return "nondestructive self-ref";
-  }
-  return "?";
-}
-
-BankTiming scheme_bank_timing(SensingScheme scheme,
+BankTiming scheme_bank_timing(SchemeId scheme,
                               const CostComparisonConfig& cost) {
-  const auto costs = compare_scheme_costs(cost);
-  // compare_scheme_costs rows: conventional, destructive, nondestructive.
-  const std::size_t row = scheme == SensingScheme::kConventional ? 0
-                          : scheme == SensingScheme::kDestructive ? 1
-                                                                  : 2;
-  require(row < costs.size(), "scheme_bank_timing: missing scheme row");
+  const SchemeCost read = scheme_cost(scheme, cost);
   BankTiming t;
-  t.read_service = costs[row].worst_latency();
-  t.read_energy = costs[row].worst_energy();
+  t.read_service = read.worst_latency();
+  t.read_energy = read.worst_energy();
   t.write_service = write_service_time(cost.timing);
   t.write_energy = write_access_energy(cost);
   return t;
@@ -355,7 +338,7 @@ TrafficReport run_traffic(const TrafficConfig& config) {
   obs::TraceSpan reduce_phase("traffic.reduce", "engine");
   STTRAM_PROFILE_SCOPE("traffic.reduce");
   TrafficReport report;
-  report.scheme = to_string(config.scheme);
+  report.scheme = scheme_row(config.scheme).label;
   report.requests = acc.reads + acc.writes;
   report.reads = acc.reads;
   report.writes = acc.writes;

@@ -25,15 +25,6 @@
 
 namespace sttram::engine {
 
-/// The three read schemes a bank can be built around.
-enum class SensingScheme : std::uint8_t {
-  kConventional,          ///< externally referenced (fastest, variation-fragile)
-  kDestructive,           ///< Jeong-2003 self-reference (two write pulses)
-  kNondestructive,        ///< the paper's scheme (no writes)
-};
-
-[[nodiscard]] const char* to_string(SensingScheme scheme);
-
 /// Per-request bank occupancy and energy of one scheme, taken from the
 /// calibrated executable read operations (worst case over the stored
 /// value) plus the scheme-independent write path.
@@ -44,7 +35,8 @@ struct BankTiming {
   Joule write_energy{0.0};
 };
 
-BankTiming scheme_bank_timing(SensingScheme scheme,
+/// Throws InvalidArgument for a scheme without a read flow.
+BankTiming scheme_bank_timing(SchemeId scheme,
                               const CostComparisonConfig& cost);
 
 /// N banks of one scheme driven by an external event loop.  The caller
@@ -121,7 +113,7 @@ enum class WorkloadKind : std::uint8_t {
 
 /// Full description of one traffic experiment.
 struct TrafficConfig {
-  SensingScheme scheme = SensingScheme::kNondestructive;
+  SchemeId scheme = SchemeId::kNondestructive;  ///< one with a read flow
   CostComparisonConfig cost{};
   std::size_t banks = 4;
   SchedulingPolicy policy = SchedulingPolicy::kFcfs;

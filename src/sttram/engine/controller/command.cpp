@@ -4,8 +4,6 @@
 
 #include "sttram/cell/cell.hpp"
 #include "sttram/common/error.hpp"
-#include "sttram/sense/margins.hpp"
-#include "sttram/sense/read_operation.hpp"
 #include "sttram/sim/throughput.hpp"
 
 namespace sttram::engine::controller {
@@ -24,7 +22,7 @@ const char* to_string(CommandKind kind) {
   return "?";
 }
 
-CommandTiming scheme_command_timing(SensingScheme scheme,
+CommandTiming scheme_command_timing(SchemeId scheme,
                                     const CostComparisonConfig& cost) {
   const BankTiming bank = scheme_bank_timing(scheme, cost);
   CommandTiming t;
@@ -67,44 +65,15 @@ Command phase_to_command(const ReadPhase& phase, std::size_t read_index) {
 
 }  // namespace
 
-std::vector<Command> read_command_sequence(SensingScheme scheme,
+std::vector<Command> read_command_sequence(SchemeId scheme,
                                            const CostComparisonConfig& cost,
                                            bool bit) {
-  // Execute the scheme's calibrated read on a nominal cell — the same
-  // construction compare_scheme_costs() uses — so the sequence carries
-  // the real phase durations, not a re-derivation.
-  const MtjParams nominal = MtjParams::paper_calibrated();
-  const Ohm r_t(917.0);
+  // Execute the scheme's calibrated read on a nominal cell — the read
+  // compare_scheme_costs() runs — so the sequence carries the real phase
+  // durations, not a re-derivation.
   OneT1JCell cell;
   cell.mtj().force_state(from_bit(bit));
-  ReadResult result;
-  if (scheme == SensingScheme::kConventional) {
-    const Volt v_ref =
-        cost.v_ref_conventional.value() != 0.0
-            ? cost.v_ref_conventional
-            : ConventionalSensing(nominal, r_t, cost.selfref.i_max)
-                  .midpoint_reference();
-    result = ConventionalReadOperation(cost.selfref.i_max, v_ref,
-                                       cost.timing)
-                 .execute(cell);
-  } else if (scheme == SensingScheme::kDestructive) {
-    const double beta =
-        cost.beta_destructive > 0.0
-            ? cost.beta_destructive
-            : DestructiveSelfReference(nominal, r_t, cost.selfref)
-                  .paper_beta();
-    result = DestructiveReadOperation(cost.selfref, beta,
-                                      cost.write_current, cost.timing)
-                 .execute(cell);
-  } else {
-    const double beta =
-        cost.beta_nondestructive > 0.0
-            ? cost.beta_nondestructive
-            : NondestructiveSelfReference(nominal, r_t, cost.selfref)
-                  .paper_beta();
-    result = NondestructiveReadOperation(cost.selfref, beta, cost.timing)
-                 .execute(cell);
-  }
+  const ReadResult result = execute_scheme_read(scheme, cost, cell);
 
   std::vector<Command> sequence;
   sequence.reserve(result.phases.size() + 1);

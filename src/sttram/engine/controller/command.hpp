@@ -90,14 +90,15 @@ struct CommandTiming {
 /// run whose accesses are all row hits reproduces the flat bank
 /// simulator's service times; t_rcd and t_rp are the calibrated
 /// bit-line precharge time.
-CommandTiming scheme_command_timing(SensingScheme scheme,
+CommandTiming scheme_command_timing(SchemeId scheme,
                                     const CostComparisonConfig& cost);
 
 /// Expands one read access (row initially closed, closed again after)
 /// into its labelled command sequence by executing the scheme's read
-/// operation on a nominal cell storing `bit`.  Deterministic: pure
-/// function of (scheme, cost, bit).
-std::vector<Command> read_command_sequence(SensingScheme scheme,
+/// operation on a nominal cell storing `bit` (execute_scheme_read).
+/// Deterministic: pure function of (scheme, cost, bit).  Throws
+/// InvalidArgument for a scheme without a read flow.
+std::vector<Command> read_command_sequence(SchemeId scheme,
                                            const CostComparisonConfig& cost,
                                            bool bit = true);
 

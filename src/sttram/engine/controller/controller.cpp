@@ -285,7 +285,7 @@ ControllerReport run_controller_traffic(const ControllerConfig& config,
   obs::TraceSpan reduce_phase("controller.reduce", "engine");
   STTRAM_PROFILE_SCOPE("controller.reduce");
   ControllerReport report;
-  report.scheme = to_string(config.scheme);
+  report.scheme = scheme_row(config.scheme).label;
   report.scheduler = to_string(config.scheduler);
   report.channels = config.channels;
   report.ranks = config.ranks;

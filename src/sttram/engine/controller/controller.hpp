@@ -32,7 +32,7 @@ namespace sttram::engine::controller {
 
 /// Full description of one chip-scale traffic experiment.
 struct ControllerConfig {
-  SensingScheme scheme = SensingScheme::kNondestructive;
+  SchemeId scheme = SchemeId::kNondestructive;  ///< one with a read flow
   CostComparisonConfig cost{};
   std::size_t channels = 4;
   std::size_t ranks = 2;

@@ -24,7 +24,7 @@ std::size_t class_index(FaultType type) {
 }  // namespace
 
 MarchCoverageReport run_march_with_faults(
-    TestableArray& array, const FaultMap& map, ReadScheme scheme,
+    TestableArray& array, const FaultMap& map, SchemeId scheme,
     const std::vector<MarchElement>& algorithm) {
   map.apply_to(array);
   const MarchResult result = run_march(array, scheme, algorithm);
@@ -58,7 +58,7 @@ MarchCoverageReport run_march_with_faults(
 
 MarchCoverageReport run_march_with_faults(TestableArray& array,
                                           const FaultMap& map,
-                                          ReadScheme scheme) {
+                                          SchemeId scheme) {
   return run_march_with_faults(array, map, scheme, march_c_minus());
 }
 

@@ -32,7 +32,7 @@ struct FaultClassCoverage {
 
 /// Full coverage report of one march run over an injected array.
 struct MarchCoverageReport {
-  ReadScheme scheme = ReadScheme::kNondestructive;
+  SchemeId scheme = SchemeId::kNondestructive;
   std::size_t operations = 0;      ///< march operations issued
   std::size_t injected_cells = 0;  ///< faulty cells in the map
   std::size_t detected_cells = 0;  ///< faulty cells the march flagged
@@ -53,12 +53,12 @@ struct MarchCoverageReport {
 /// Applies `map` to `array`, runs `algorithm` with `scheme` and
 /// classifies every flagged cell against the map.  Deterministic.
 MarchCoverageReport run_march_with_faults(
-    TestableArray& array, const FaultMap& map, ReadScheme scheme,
+    TestableArray& array, const FaultMap& map, SchemeId scheme,
     const std::vector<MarchElement>& algorithm);
 
 /// March C- convenience overload.
 MarchCoverageReport run_march_with_faults(TestableArray& array,
                                           const FaultMap& map,
-                                          ReadScheme scheme);
+                                          SchemeId scheme);
 
 }  // namespace sttram::fault

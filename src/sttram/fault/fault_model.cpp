@@ -83,41 +83,22 @@ void FaultMap::apply_to(TestableArray& array) const {
   STTRAM_OBS_ADD("fault.injected", applied);
 }
 
-double scheme_read_disturb_probability(ReadScheme scheme,
+double scheme_read_disturb_probability(SchemeId scheme,
                                        const MtjParams& params,
                                        const SelfRefConfig& selfref,
                                        const ReadTimingParams& timing) {
   // Each sensing phase holds its read current for precharge + sense.
   const Second duration = timing.t_precharge + timing.t_sense;
   const SwitchingModel switching(params);
-  const Ohm r_t(917.0);
-  const Ampere i2 = selfref.i_max;
-
-  const auto disturb = [&](Ampere i) {
-    return switching.read_disturb_probability(i, duration);
-  };
-
-  switch (scheme) {
-    case ReadScheme::kConventional:
-      // A single referenced read at I_max.
-      return disturb(i2);
-    case ReadScheme::kDestructive: {
-      // Two reads at I1 = I_max/beta and I2 = I_max.  The erase and
-      // write-back pulses switch the cell on purpose; they are not
-      // disturb events.
-      const double beta =
-          DestructiveSelfReference(params, r_t, selfref).paper_beta();
-      const Ampere i1 = i2 / beta;
-      return 1.0 - (1.0 - disturb(i1)) * (1.0 - disturb(i2));
-    }
-    case ReadScheme::kNondestructive: {
-      const double beta =
-          NondestructiveSelfReference(params, r_t, selfref).paper_beta();
-      const Ampere i1 = i2 / beta;
-      return 1.0 - (1.0 - disturb(i1)) * (1.0 - disturb(i2));
-    }
+  const std::vector<Ampere> currents =
+      scheme_read_currents(scheme, params, Ohm(917.0), selfref);
+  // P(some read flips the cell), reads independent.
+  double p = switching.read_disturb_probability(currents[0], duration);
+  for (std::size_t k = 1; k < currents.size(); ++k) {
+    p = 1.0 - (1.0 - p) * (1.0 - switching.read_disturb_probability(
+                                     currents[k], duration));
   }
-  return 0.0;
+  return p;
 }
 
 FaultMap generate_fault_map(ArrayGeometry geometry, const FaultConfig& config,

@@ -56,7 +56,7 @@ struct FaultConfig {
   std::uint64_t exposure_reads = 10;
 
   /// Sensing scheme whose read currents drive the disturb physics.
-  ReadScheme scheme = ReadScheme::kNondestructive;
+  SchemeId scheme = SchemeId::kNondestructive;
   SelfRefConfig selfref{};     ///< I_max and divider ratio
   ReadTimingParams timing{};   ///< read duration = t_precharge + t_sense
   MtjParams nominal = MtjParams::paper_calibrated();
@@ -108,9 +108,10 @@ class FaultMap {
 /// Probability that one read access with `scheme` flips a cell with the
 /// given device parameters: the thermal-activation disturb probability
 /// of device/switching, evaluated at every read current the scheme
-/// applies for a duration of t_precharge + t_sense each.
+/// applies (scheme_read_currents) for a duration of t_precharge +
+/// t_sense each.
 [[nodiscard]] double scheme_read_disturb_probability(
-    ReadScheme scheme, const MtjParams& params, const SelfRefConfig& selfref,
+    SchemeId scheme, const MtjParams& params, const SelfRefConfig& selfref,
     const ReadTimingParams& timing);
 
 /// Generates a fault map.  Cell i draws from `fork(i)` of a master

@@ -107,7 +107,7 @@ engine::ReadFaultOutcome TrafficFaultModel::hinted_outcome(
 
 std::unique_ptr<TrafficFaultModel> make_traffic_fault_model(
     double raw_ber, bool ecc, std::uint32_t max_attempts,
-    std::size_t word_bits, engine::SensingScheme scheme,
+    std::size_t word_bits, SchemeId scheme,
     const CostComparisonConfig& cost, std::uint64_t workload_seed) {
   TrafficFaultConfig fc;
   fc.raw_ber = raw_ber;

@@ -97,7 +97,7 @@ class TrafficFaultModel final : public engine::ReadFaultModel {
 /// traffic engine and the chip-scale controller take this hook.
 [[nodiscard]] std::unique_ptr<TrafficFaultModel> make_traffic_fault_model(
     double raw_ber, bool ecc, std::uint32_t max_attempts,
-    std::size_t word_bits, engine::SensingScheme scheme,
+    std::size_t word_bits, SchemeId scheme,
     const CostComparisonConfig& cost, std::uint64_t workload_seed);
 
 }  // namespace sttram::fault

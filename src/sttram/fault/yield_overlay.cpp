@@ -158,24 +158,15 @@ FaultYieldResult run_yield_with_faults(const YieldConfig& config,
   // exposure, from the switching model at that scheme's read currents.
   MtjParams weak = faults.nominal;
   weak.i_critical = faults.weak_icrit_factor * weak.i_critical;
-  const auto weak_disturb = [&](ReadScheme scheme) {
+  for (const SchemeRow& row : kSchemeTable) {
     const double p = scheme_read_disturb_probability(
-        scheme, weak, faults.selfref, faults.timing);
-    return 1.0 -
-           std::pow(1.0 - p, static_cast<double>(faults.exposure_reads));
-  };
-  const double p_conv = weak_disturb(ReadScheme::kConventional);
-  const double p_dest = weak_disturb(ReadScheme::kDestructive);
-  const double p_nond = weak_disturb(ReadScheme::kNondestructive);
-
-  result.conventional = evaluate_scheme(result.yield.conventional, map,
-                                        p_conv, /*external=*/true, ber);
-  result.reference_cell = evaluate_scheme(result.yield.reference_cell, map,
-                                          p_conv, /*external=*/true, ber);
-  result.destructive = evaluate_scheme(result.yield.destructive, map, p_dest,
-                                       /*external=*/false, ber);
-  result.nondestructive = evaluate_scheme(result.yield.nondestructive, map,
-                                          p_nond, /*external=*/false, ber);
+        row.id, weak, faults.selfref, faults.timing);
+    const double p_weak =
+        1.0 - std::pow(1.0 - p, static_cast<double>(faults.exposure_reads));
+    result.schemes[scheme_index(row.id)] =
+        evaluate_scheme(result.yield.scheme(row.id), map, p_weak,
+                        row.externally_referenced, ber);
+  }
   return result;
 }
 

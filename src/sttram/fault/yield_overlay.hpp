@@ -13,6 +13,7 @@
 // so those are the only quantities the word-error rate needs.
 #pragma once
 
+#include <array>
 #include <string>
 
 #include "sttram/common/parallel.hpp"
@@ -49,10 +50,11 @@ struct FaultYieldResult {
   YieldResult yield;
   FaultConfig faults;         ///< the campaign that was overlaid
   std::size_t faulty_bits = 0;
-  SchemeBer conventional;
-  SchemeBer reference_cell;
-  SchemeBer destructive;
-  SchemeBer nondestructive;
+  std::array<SchemeBer, kSchemeCount> schemes;  ///< by SchemeId
+
+  [[nodiscard]] const SchemeBer& scheme(SchemeId id) const {
+    return schemes[scheme_index(id)];
+  }
 };
 
 /// Runs the yield experiment with per-bit margins retained, generates a

@@ -1,10 +1,8 @@
 #include "sttram/obs/metrics.hpp"
 
-#include <cstdio>
 #include <fstream>
 
 #include "sttram/common/error.hpp"
-#include "sttram/io/csv.hpp"
 #include "sttram/io/json.hpp"
 #include "sttram/obs/profile.hpp"
 
@@ -12,12 +10,6 @@ namespace sttram::obs {
 namespace {
 
 std::atomic<bool> g_metrics_enabled{false};
-
-std::string format_full(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -190,31 +182,6 @@ Json Registry::to_json() const {
   return out;
 }
 
-void Registry::write_csv(std::ostream& out) const {
-  CsvWriter csv(out);
-  csv.write_row(std::vector<std::string>{"kind", "name", "count", "value",
-                                         "mean", "stddev", "min", "max",
-                                         "p50", "p90", "p99", "p999"});
-  for (const auto& c : counters()) {
-    csv.write_row(std::vector<std::string>{
-        "counter", c.name, std::to_string(c.value),
-        std::to_string(c.value), "", "", "", "", "", "", "", ""});
-  }
-  for (const auto& g : gauges()) {
-    csv.write_row(std::vector<std::string>{"gauge", g.name, "",
-                                           format_full(g.value), "", "", "",
-                                           "", "", "", "", ""});
-  }
-  for (const auto& h : histograms()) {
-    const HistogramSummary s = h.hist.summary();
-    csv.write_row(std::vector<std::string>{
-        "histogram", h.name, std::to_string(s.count),
-        format_full(h.hist.sum()), format_full(s.mean), "",
-        format_full(s.min), format_full(s.max), format_full(s.p50),
-        format_full(s.p90), format_full(s.p99), format_full(s.p999)});
-  }
-}
-
 void Registry::reset() {
   const std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->reset();
@@ -231,21 +198,6 @@ void write_metrics_json(const std::string& path, const Json& provenance) {
   doc.set("profile", Profiler::instance().to_json());
   doc.set("provenance", provenance);
   out << doc.dump(2) << '\n';
-}
-
-void write_metrics_csv(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw Error("write_metrics_csv: cannot open '" + path + "'");
-  Registry::instance().write_csv(out);
-  // Phase-profile rows reuse the schema: count=calls,
-  // value=total_seconds, mean=self_seconds.
-  CsvWriter csv(out);
-  for (const auto& row : Profiler::instance().report()) {
-    csv.write_row(std::vector<std::string>{
-        "phase", row.name, std::to_string(row.calls),
-        format_full(row.total_seconds), format_full(row.self_seconds), "",
-        "", "", "", "", "", ""});
-  }
 }
 
 }  // namespace sttram::obs

@@ -1,5 +1,5 @@
 // Process-wide telemetry registry: monotonic counters, gauges and
-// log-bucketed histograms with JSON/CSV export.  Durations are
+// log-bucketed histograms with JSON export.  Durations are
 // histograms too: one lock-free primitive carries every distribution.
 //
 // Design goals (see DESIGN.md §8 and §11):
@@ -24,7 +24,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -116,12 +115,6 @@ class Registry {
   /// mean, min, max, p50, p90, p99, p999}}}.
   [[nodiscard]] Json to_json() const;
 
-  /// One row per metric:
-  /// kind,name,count,value,mean,stddev,min,max,p50,p90,p99,p999
-  /// (stddev, kept for the column layout, is always empty; the columns
-  /// after value are empty except for histograms).
-  void write_csv(std::ostream& out) const;
-
   /// Zeroes every metric; handles stay valid.
   void reset();
 
@@ -138,12 +131,11 @@ class Registry {
   std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_;
 };
 
-/// Dumps the registry and the phase profile to `path` (pretty-printed
-/// JSON / CSV); the JSON carries `provenance` (where the numbers came
-/// from: build, host, command line) under that key.  Throws
-/// sttram::Error when the file cannot be written.
+/// Dumps the registry and the phase profile to `path` as pretty-printed
+/// JSON, with `provenance` (where the numbers came from: build, host,
+/// command line) under that key.  Throws sttram::Error when the file
+/// cannot be written.
 void write_metrics_json(const std::string& path, const Json& provenance);
-void write_metrics_csv(const std::string& path);
 
 }  // namespace sttram::obs
 

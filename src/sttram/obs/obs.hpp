@@ -1,5 +1,5 @@
 // Umbrella header for the observability layer: the metrics registry
-// (counters / gauges / histograms + JSON/CSV export), the scoped phase
+// (counters / gauges / histograms + JSON export), the scoped phase
 // profiler and the Chrome trace-event span recorder.  See DESIGN.md §8,
 // §11 and the "Telemetry & profiling" section of the README.
 #pragma once

@@ -15,7 +15,7 @@
 #include "sttram/fault/coverage.hpp"
 #include "sttram/scenario/builders.hpp"
 #include "sttram/scenario/registry.hpp"
-#include "sttram/sense/margins.hpp"
+#include "sttram/sense/scheme.hpp"
 
 namespace sttram::scenario {
 
@@ -28,10 +28,6 @@ struct Choice {
   E value;
 };
 
-constexpr Choice<engine::SensingScheme> kSchemes[] = {
-    {"conventional", engine::SensingScheme::kConventional},
-    {"destructive", engine::SensingScheme::kDestructive},
-    {"nondestructive", engine::SensingScheme::kNondestructive}};
 constexpr Choice<engine::SchedulingPolicy> kPolicies[] = {
     {"fcfs", engine::SchedulingPolicy::kFcfs},
     {"read-priority", engine::SchedulingPolicy::kReadPriority}};
@@ -41,10 +37,15 @@ constexpr Choice<engine::WorkloadKind> kWorkloads[] = {
 constexpr Choice<engine::controller::SchedulerPolicy> kSchedulers[] = {
     {"fcfs", engine::controller::SchedulerPolicy::kFcfs},
     {"frfcfs", engine::controller::SchedulerPolicy::kFrFcfs}};
-constexpr Choice<ReadScheme> kReadSchemes[] = {
-    {"conventional", ReadScheme::kConventional},
-    {"destructive", ReadScheme::kDestructive},
-    {"nondestructive", ReadScheme::kNondestructive}};
+
+/// The keys of the schemes whose row has `flag` equal to `value`.
+std::vector<std::string> scheme_keys(bool SchemeRow::*flag, bool value) {
+  std::vector<std::string> out;
+  for (const SchemeRow& row : kSchemeTable) {
+    if (row.*flag == value) out.emplace_back(row.key);
+  }
+  return out;
+}
 
 template <class E, std::size_t N>
 std::vector<std::string> names_of(const Choice<E> (&choices)[N]) {
@@ -178,10 +179,9 @@ Json run_yield_kind(const ScenarioInstance& inst,
   const YieldResult r =
       run_yield_experiment(build_yield(inst.params, inst.seed), executor);
   Json metrics = Json::object();
-  add_scheme_yield(metrics, r.conventional, "conventional");
-  add_scheme_yield(metrics, r.reference_cell, "reference_cell");
-  add_scheme_yield(metrics, r.destructive, "destructive");
-  add_scheme_yield(metrics, r.nondestructive, "nondestructive");
+  for (const SchemeRow& row : kSchemeTable) {
+    add_scheme_yield(metrics, r.scheme(row.id), row.key);
+  }
   metrics.set("shared_reference_window_volts",
               Json::number(r.shared_reference_window.value()));
   return metrics;
@@ -235,8 +235,9 @@ Json run_tail_kind(const ScenarioInstance& inst,
 template <class Config, class AddOwn>
 ParamSchema traffic_kind_schema(const Config& d, AddOwn add_own) {
   ParamSchema s;
-  s.choice("scheme", "sensing scheme of every bank", names_of(kSchemes),
-           name_of(kSchemes, d.scheme))
+  s.choice("scheme", "sensing scheme of every bank",
+           scheme_keys(&SchemeRow::has_read_flow, true),
+           scheme_row(d.scheme).key)
       .integer("requests", "total request count", d.requests, kCount)
       .number("rho", "per-bank offered load", d.utilization, Range::open(0, 1))
       .number("read_fraction", "fraction of reads", d.read_fraction, kFraction)
@@ -263,7 +264,7 @@ TrafficSetup<Config> build_traffic_common(const Params& p,
   }
   TrafficSetup<Config> out;
   Config& cfg = out.config;
-  cfg.scheme = value_of(kSchemes, p.choice("scheme"));
+  cfg.scheme = scheme_from_key(p.choice("scheme"));
   cfg.requests = p.count("requests");
   cfg.utilization = p.number("rho");
   cfg.read_fraction = p.number("read_fraction");
@@ -483,10 +484,9 @@ Json run_fault_overlay_kind(const ScenarioInstance& inst,
   Json metrics = Json::object();
   metrics.set("faulty_bits",
               Json::integer(static_cast<std::int64_t>(r.faulty_bits)));
-  add_scheme_ber(metrics, r.conventional, "conventional");
-  add_scheme_ber(metrics, r.reference_cell, "reference_cell");
-  add_scheme_ber(metrics, r.destructive, "destructive");
-  add_scheme_ber(metrics, r.nondestructive, "nondestructive");
+  for (const SchemeRow& row : kSchemeTable) {
+    add_scheme_ber(metrics, r.schemes[scheme_index(row.id)], row.key);
+  }
   return metrics;
 }
 
@@ -497,7 +497,8 @@ const ParamSchema& margin_sweep_schema() {
     const SelfRefConfig d;
     return ParamSchema()
         .choice("scheme", "self-reference scheme under sweep",
-                {"destructive", "nondestructive"}, "nondestructive")
+                scheme_keys(&SchemeRow::externally_referenced, false),
+                scheme_row(SchemeId::kNondestructive).key)
         .number("beta_lo", "lowest current ratio", 1.05, Range::above(0))
         .number("beta_hi", "highest current ratio (> beta_lo)", 4.0,
                 Range::above(0))
@@ -526,15 +527,13 @@ Json run_margin_sweep_kind(const ScenarioInstance& inst,
   config.i_max = Ampere(p.number("i_max_ua") * 1e-6);
   const MtjParams mtj = MtjParams::paper_calibrated();
   const Ohm r_t(917.0);
-  const bool destructive = p.choice("scheme") == "destructive";
-  std::unique_ptr<SelfReferenceScheme> scheme;
-  if (destructive) {
-    scheme =
-        std::make_unique<DestructiveSelfReference>(mtj, r_t, config);
-  } else {
-    scheme =
-        std::make_unique<NondestructiveSelfReference>(mtj, r_t, config);
-  }
+  const SchemeId id = scheme_from_key(p.choice("scheme"));
+  const auto margins_at = [&](double beta) {
+    OperatingPoint point;
+    point.beta = beta;
+    return read_margins(id, LinearRiModel(mtj), FixedAccessResistor(r_t),
+                        config, point);
+  };
 
   double best_beta = beta_lo;
   double best_min = -1e30;
@@ -543,7 +542,7 @@ Json run_margin_sweep_kind(const ScenarioInstance& inst,
     const double beta =
         beta_lo + (beta_hi - beta_lo) * static_cast<double>(i) /
                       static_cast<double>(steps - 1);
-    const SenseMargins m = scheme->margins(beta);
+    const SenseMargins m = margins_at(beta);
     const double lo = m.min().value();
     if (m.positive()) ++positive_points;
     if (lo > best_min) {
@@ -551,11 +550,8 @@ Json run_margin_sweep_kind(const ScenarioInstance& inst,
       best_beta = beta;
     }
   }
-  const double paper_beta =
-      destructive
-          ? static_cast<DestructiveSelfReference&>(*scheme).paper_beta()
-          : static_cast<NondestructiveSelfReference&>(*scheme).paper_beta();
-  const SenseMargins at_paper = scheme->margins(paper_beta);
+  const double paper_beta = designed_point(id, mtj, r_t, config).beta;
+  const SenseMargins at_paper = margins_at(paper_beta);
   Json metrics = Json::object();
   metrics.set("paper_beta", Json::number(paper_beta));
   metrics.set("sm0_at_paper_beta_mv",
@@ -580,7 +576,8 @@ const ParamSchema& march_schema() {
           .integer("cols", "array columns", kMarchSide, kCount)
           .number("density", "total fault density", kFaultDensity, kFraction)
           .choice("scheme", "read scheme of the tester",
-                  names_of(kReadSchemes), "nondestructive")
+                  scheme_keys(&SchemeRow::has_read_flow, true),
+                  scheme_row(SchemeId::kNondestructive).key)
           .integer("seed",
                    "fault-map seed; absent: forked from the campaign seed",
                    std::nullopt);
@@ -595,7 +592,7 @@ MarchSetup build_march(const Json& params, std::uint64_t seed,
   MarchSetup out;
   out.geometry = {p.count("rows"), p.count("cols")};
   out.faults = fault::FaultConfig::with_total_density(p.number("density"));
-  out.scheme = value_of(kReadSchemes, p.choice("scheme"));
+  out.scheme = scheme_from_key(p.choice("scheme"));
   out.seed = seed;
   return out;
 }

@@ -65,7 +65,7 @@ struct FaultOverlaySetup {
 struct MarchSetup {
   ArrayGeometry geometry;
   fault::FaultConfig faults;
-  ReadScheme scheme = ReadScheme::kNondestructive;
+  SchemeId scheme = SchemeId::kNondestructive;
   std::uint64_t seed = 1;
 };
 [[nodiscard]] MarchSetup build_march(const Json& params, std::uint64_t seed,

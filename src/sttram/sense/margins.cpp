@@ -4,6 +4,7 @@
 
 #include "sttram/common/error.hpp"
 #include "sttram/common/numeric.hpp"
+#include "sttram/sense/scheme.hpp"
 
 namespace sttram {
 namespace {
@@ -13,6 +14,8 @@ namespace {
 double effective_beta(double beta, const SchemeMismatch& mm) {
   return beta * (1.0 + mm.beta_deviation);
 }
+
+SenseMargins volts(MarginPair<Volt> m) { return {m.sm0, m.sm1}; }
 
 }  // namespace
 
@@ -82,11 +85,10 @@ Volt DestructiveSelfReference::reference_voltage(
 SenseMargins DestructiveSelfReference::margins(
     double beta, const SchemeMismatch& mm) const {
   const double beta_eff = effective_beta(beta, mm);
-  const Volt v_ref = reference_voltage(mm);
-  SenseMargins m;
-  m.sm1 = first_read_voltage(MtjState::kAntiParallel, beta_eff) - v_ref;
-  m.sm0 = v_ref - first_read_voltage(MtjState::kParallel, beta_eff);
-  return m;
+  return volts(destructive_margins(
+      first_read_voltage(MtjState::kParallel, beta_eff),
+      first_read_voltage(MtjState::kAntiParallel, beta_eff),
+      reference_voltage(mm)));
 }
 
 double DestructiveSelfReference::paper_beta() const {
@@ -127,26 +129,31 @@ NondestructiveSelfReference::NondestructiveSelfReference(
     : NondestructiveSelfReference(LinearRiModel(mtj),
                                   FixedAccessResistor(r_access), config) {}
 
-Volt NondestructiveSelfReference::divider_voltage(
+Volt NondestructiveSelfReference::second_read_voltage(
     MtjState s, const SchemeMismatch& mm) const {
   const Ampere i2 = second_read_current();
-  const Volt v_bl2 = i2 * path_resistance(s, i2, mm.delta_r_t);
-  const double alpha_eff = config_.alpha * (1.0 + mm.alpha_deviation);
-  return alpha_eff * v_bl2;
+  return i2 * path_resistance(s, i2, mm.delta_r_t);
+}
+
+double NondestructiveSelfReference::effective_alpha(
+    const SchemeMismatch& mm) const {
+  return config_.alpha * (1.0 + mm.alpha_deviation);
+}
+
+Volt NondestructiveSelfReference::divider_voltage(
+    MtjState s, const SchemeMismatch& mm) const {
+  return effective_alpha(mm) * second_read_voltage(s, mm);
 }
 
 SenseMargins NondestructiveSelfReference::margins(
     double beta, const SchemeMismatch& mm) const {
   const double beta_eff = effective_beta(beta, mm);
-  SenseMargins m;
-  // Stored 1: the first-read voltage must exceed the scaled second-read
-  // voltage (the high state's roll-off makes V_BL1 relatively large).
-  m.sm1 = first_read_voltage(MtjState::kAntiParallel, beta_eff) -
-          divider_voltage(MtjState::kAntiParallel, mm);
-  // Stored 0: the scaled second read must exceed the first read.
-  m.sm0 = divider_voltage(MtjState::kParallel, mm) -
-          first_read_voltage(MtjState::kParallel, beta_eff);
-  return m;
+  return volts(nondestructive_margins(
+      first_read_voltage(MtjState::kParallel, beta_eff),
+      first_read_voltage(MtjState::kAntiParallel, beta_eff),
+      second_read_voltage(MtjState::kParallel, mm),
+      second_read_voltage(MtjState::kAntiParallel, mm),
+      effective_alpha(mm)));
 }
 
 double NondestructiveSelfReference::paper_beta() const {
@@ -224,27 +231,24 @@ ReferenceCellSensing::ReferenceCellSensing(const MtjParams& data,
 
 ReferenceCellSensing::~ReferenceCellSensing() = default;
 
+Volt ReferenceCellSensing::bitline_voltage(const RiModel& model,
+                                           MtjState s) const {
+  return i_read_ * (model.resistance(s, i_read_) +
+                    access_->resistance(i_read_));
+}
+
 Volt ReferenceCellSensing::reference_voltage() const {
-  const Ohm r_t = access_->resistance(i_read_);
-  const Volt v_p =
-      i_read_ * (ref_p_->resistance(MtjState::kParallel, i_read_) + r_t);
-  const Volt v_ap =
-      i_read_ *
-      (ref_ap_->resistance(MtjState::kAntiParallel, i_read_) + r_t);
-  return 0.5 * (v_p + v_ap);
+  return reference_midpoint(
+      bitline_voltage(*ref_p_, MtjState::kParallel),
+      bitline_voltage(*ref_ap_, MtjState::kAntiParallel));
 }
 
 SenseMargins ReferenceCellSensing::margins() const {
-  const Volt v_ref = reference_voltage();
-  const Ohm r_t = access_->resistance(i_read_);
-  SenseMargins m;
-  m.sm0 = v_ref - i_read_ * (data_->resistance(MtjState::kParallel,
-                                               i_read_) +
-                             r_t);
-  m.sm1 = i_read_ * (data_->resistance(MtjState::kAntiParallel, i_read_) +
-                     r_t) -
-          v_ref;
-  return m;
+  return volts(reference_cell_margins(
+      bitline_voltage(*data_, MtjState::kParallel),
+      bitline_voltage(*data_, MtjState::kAntiParallel),
+      bitline_voltage(*ref_p_, MtjState::kParallel),
+      bitline_voltage(*ref_ap_, MtjState::kAntiParallel)));
 }
 
 // ----------------------------------------------------- ConventionalSensing
@@ -270,15 +274,14 @@ Volt ConventionalSensing::bitline_voltage(MtjState s) const {
 }
 
 Volt ConventionalSensing::midpoint_reference() const {
-  return 0.5 * (bitline_voltage(MtjState::kParallel) +
-                bitline_voltage(MtjState::kAntiParallel));
+  return reference_midpoint(bitline_voltage(MtjState::kParallel),
+                            bitline_voltage(MtjState::kAntiParallel));
 }
 
 SenseMargins ConventionalSensing::margins(Volt v_ref) const {
-  SenseMargins m;
-  m.sm0 = v_ref - bitline_voltage(MtjState::kParallel);
-  m.sm1 = bitline_voltage(MtjState::kAntiParallel) - v_ref;
-  return m;
+  return volts(conventional_margins(bitline_voltage(MtjState::kParallel),
+                                    bitline_voltage(MtjState::kAntiParallel),
+                                    v_ref));
 }
 
 }  // namespace sttram

@@ -1,8 +1,10 @@
-// Analytic sense-margin math of the three sensing schemes.
+// Analytic sense-margin math of the four sensing schemes.
 //
 // All expressions evaluate against abstract RiModel / AccessDeviceModel
 // instances, so the same code runs on the calibrated linear law, the
-// Simmons law, table models, or process-varied device instances.
+// Simmons law, table models, or process-varied device instances.  The
+// classes compute the bit-line voltages; each scheme's SM0/SM1 closed
+// form over them is the one body in scheme.hpp the batch kernels run.
 #pragma once
 
 #include <memory>
@@ -94,9 +96,6 @@ class SelfReferenceScheme {
     return margins(beta, SchemeMismatch{});
   }
 
-  /// Whether this scheme overwrites the stored bit during the read.
-  [[nodiscard]] virtual bool is_destructive() const = 0;
-
   /// Equal-margin optimum: the beta where SM0(beta) == SM1(beta)
   /// (numeric root; throws NumericError when no crossing exists in
   /// [beta_lo, beta_hi]).
@@ -130,7 +129,6 @@ class DestructiveSelfReference final : public SelfReferenceScheme {
   using SelfReferenceScheme::margins;
   [[nodiscard]] SenseMargins margins(double beta,
                                      const SchemeMismatch& mm) const override;
-  [[nodiscard]] bool is_destructive() const override { return true; }
 
   /// Second-read (erased-cell) voltage at I2 with mismatch applied.
   [[nodiscard]] Volt reference_voltage(const SchemeMismatch& mm) const;
@@ -162,7 +160,6 @@ class NondestructiveSelfReference final : public SelfReferenceScheme {
   using SelfReferenceScheme::margins;
   [[nodiscard]] SenseMargins margins(double beta,
                                      const SchemeMismatch& mm) const override;
-  [[nodiscard]] bool is_destructive() const override { return false; }
 
   /// Divider output alpha * V_BL2 for a stored state, with mismatch.
   [[nodiscard]] Volt divider_voltage(MtjState s,
@@ -184,6 +181,13 @@ class NondestructiveSelfReference final : public SelfReferenceScheme {
   /// alpha-deviation range with positive margins, in relative units
   /// (evaluates to about -5.7 % .. +4.1 % at beta = 2.13).
   [[nodiscard]] Window alpha_deviation_window(double beta) const;
+
+ private:
+  /// Undivided second-read voltage V_BL2 at I2, with mismatch.
+  [[nodiscard]] Volt second_read_voltage(MtjState s,
+                                         const SchemeMismatch& mm) const;
+  /// alpha * (1 + alpha_deviation).
+  [[nodiscard]] double effective_alpha(const SchemeMismatch& mm) const;
 };
 
 /// Reference-cell sensing: the industry middle ground between a fixed
@@ -217,6 +221,9 @@ class ReferenceCellSensing {
   [[nodiscard]] SenseMargins margins() const;
 
  private:
+  /// I_read (R(s, I_read) + R_T(I_read)) of a cell with law `model`.
+  [[nodiscard]] Volt bitline_voltage(const RiModel& model, MtjState s) const;
+
   std::unique_ptr<RiModel> data_;
   std::unique_ptr<AccessDeviceModel> access_;
   std::unique_ptr<RiModel> ref_p_;

@@ -3,30 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sttram/cell/access_transistor.hpp"
 #include "sttram/common/error.hpp"
 #include "sttram/common/simd.hpp"
-#include "sttram/device/op_cache.hpp"
-#include "sttram/device/ri_curve.hpp"
 #include "sttram/sense/margins_batch_simd.hpp"
 
 namespace sttram {
 namespace {
-
-/// Folds every double a linear-law operating-point solve consumes.
-std::uint64_t scheme_key(OpKind kind, const MtjParams& nominal, Ohm r_access,
-                         Ampere i_read, double alpha) {
-  std::uint64_t key = op_key(kind);
-  key = op_key_mix(key, nominal.r_low0.value());
-  key = op_key_mix(key, nominal.r_high0.value());
-  key = op_key_mix(key, nominal.droop_low.value());
-  key = op_key_mix(key, nominal.droop_high.value());
-  key = op_key_mix(key, nominal.i_droop_ref.value());
-  key = op_key_mix(key, r_access.value());
-  key = op_key_mix(key, i_read.value());
-  key = op_key_mix(key, alpha);
-  return key;
-}
 
 const SenseSimdKernels& sense_kernels() {
   static const SenseSimdKernels kW1{&simd_detail::yield_solve_simd<1>,
@@ -36,59 +18,6 @@ const SenseSimdKernels& sense_kernels() {
 }
 
 }  // namespace
-
-double cached_destructive_beta(const MtjParams& nominal, Ohm r_access,
-                               const SelfRefConfig& config) {
-  const std::uint64_t key =
-      scheme_key(OpKind::kDestructiveBeta, nominal, r_access, config.i_max,
-                 config.alpha);
-  return OpCache::local_shard()
-      .get_or_compute(key,
-                      [&] {
-                        const DestructiveSelfReference scheme(
-                            nominal, r_access, config);
-                        OperatingPoint op;
-                        op.beta = scheme.paper_beta();
-                        op.i1 = config.i_max.value() / op.beta;
-                        return op;
-                      })
-      .beta;
-}
-
-double cached_nondestructive_beta(const MtjParams& nominal, Ohm r_access,
-                                  const SelfRefConfig& config) {
-  const std::uint64_t key =
-      scheme_key(OpKind::kNondestructiveBeta, nominal, r_access, config.i_max,
-                 config.alpha);
-  return OpCache::local_shard()
-      .get_or_compute(key,
-                      [&] {
-                        const NondestructiveSelfReference scheme(
-                            nominal, r_access, config);
-                        OperatingPoint op;
-                        op.beta = scheme.paper_beta();
-                        op.i1 = config.i_max.value() / op.beta;
-                        return op;
-                      })
-      .beta;
-}
-
-Volt cached_shared_v_ref(const MtjParams& nominal, Ohm r_access,
-                         Ampere i_read) {
-  const std::uint64_t key =
-      scheme_key(OpKind::kSharedVRef, nominal, r_access, i_read, 0.0);
-  return Volt(OpCache::local_shard()
-                  .get_or_compute(key,
-                                  [&] {
-                                    const ConventionalSensing scheme(
-                                        nominal, r_access, i_read);
-                                    OperatingPoint op;
-                                    op.v_ref =
-                                        scheme.midpoint_reference().value();
-                                    return op;
-                                  })
-                  .v_ref);
-}
 
 // -------------------------------------------------------- YieldBatchKernel
 

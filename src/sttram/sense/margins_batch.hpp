@@ -1,5 +1,4 @@
-// Batched (SoA) evaluators of the sense-margin closed forms, plus the
-// memoized per-scheme operating points they start from.
+// Batched (SoA) evaluators of the sense-margin closed forms.
 //
 // The scalar classes in margins.hpp build heap-allocated model objects
 // per evaluation; these kernels precompute everything that is constant
@@ -7,17 +6,18 @@
 // arithmetic over a VariationBlock — contiguous doubles a SIMD kernel
 // can sweep lane-parallel.
 //
-// Bit-identity: every per-lane expression below is the scalar class's
-// expression with per-experiment subterms folded into precomputed
-// constants.  No algebraic rewrites are applied: additions keep their
-// association, libm calls hit the same functions on the same inputs, and
-// `x + Ohm(0.0)` no-ops (the scalar path's unused delta_r_t / extra_r
-// hooks) are dropped, which is exact in IEEE-754 for every x except
-// -0.0 (whose value is unchanged).  The solve itself dispatches on
-// active_simd_isa() to a per-width instantiation of one template
-// (margins_batch_simd.hpp; W = 1 is the `scalar` target); every vector
-// op is correctly rounded and lane-parallel, so each ISA reproduces the
-// scalar classes bitwise.  tests/test_mc_batch.cpp holds the
+// Bit-identity: the kernels compute each read's bit-line voltages with
+// the scalar classes' expressions, per-experiment subterms folded into
+// precomputed constants, and hand them to the same margin bodies
+// (scheme.hpp) the classes run.  No algebraic rewrites are applied:
+// additions keep their association, libm calls hit the same functions on
+// the same inputs, and `x + Ohm(0.0)` no-ops (the scalar path's unused
+// delta_r_t / extra_r hooks) are dropped, which is exact in IEEE-754 for
+// every x except -0.0 (whose value is unchanged).  The solve itself
+// dispatches on active_simd_isa() to a per-width instantiation of one
+// template (margins_batch_simd.hpp; W = 1 is the `scalar` target); every
+// vector op is correctly rounded and lane-parallel, so each ISA
+// reproduces the scalar classes bitwise.  tests/test_mc_batch.cpp holds the
 // differential proof against the per-cell oracle (tests/mc_oracle.cpp)
 // across schemes, corners, thread counts, and every host-supported ISA.
 #pragma once
@@ -31,23 +31,10 @@
 #include "sttram/common/units.hpp"
 #include "sttram/device/mtj_params.hpp"
 #include "sttram/sense/margins.hpp"
+#include "sttram/sense/scheme.hpp"
 #include "sttram/stats/batch.hpp"
 
 namespace sttram {
-
-// Memoized operating points (device/op_cache.hpp, thread-shard-local).
-// Each returns exactly the value the corresponding scalar construction
-// computes — DestructiveSelfReference::paper_beta(),
-// NondestructiveSelfReference::paper_beta(), and
-// ConventionalSensing::midpoint_reference() on (nominal, r_access) — and
-// memoizes it keyed on every double the solve consumes.
-
-double cached_destructive_beta(const MtjParams& nominal, Ohm r_access,
-                               const SelfRefConfig& config);
-double cached_nondestructive_beta(const MtjParams& nominal, Ohm r_access,
-                                  const SelfRefConfig& config);
-Volt cached_shared_v_ref(const MtjParams& nominal, Ohm r_access,
-                         Ampere i_read);
 
 /// Everything the yield kernel needs: the experiment's operating points
 /// plus the per-column mismatch samples (sim/yield draws these; the
@@ -84,15 +71,15 @@ struct YieldKernelTables {
 };
 
 /// SoA margin storage for the yield sweep: row r holds output r (scheme
-/// s, bit b at r = 2*s + b; scheme order conventional, reference-cell,
-/// destructive, nondestructive) contiguous across cells, so a W-lane
-/// kernel retires each output with one contiguous vector store instead
-/// of an 8x8 in-register transpose.  Slot i holds the cell at row-major
-/// index `origin + i`: a whole array (origin 0) or one window of it.
+/// s, bit b at r = 2*s + b, s in SchemeId order) contiguous across
+/// cells, so a W-lane kernel retires each output with one contiguous
+/// vector store instead of an 8x8 in-register transpose.  Slot i holds
+/// the cell at row-major index `origin + i`: a whole array (origin 0) or
+/// one window of it.
 struct YieldMarginsSoA {
   std::size_t cells = 0;
   std::size_t origin = 0;  ///< row-major index of the cell in slot 0
-  std::array<aligned_vector<double>, 8> rows;
+  std::array<aligned_vector<double>, 2 * kSchemeCount> rows;
 
   void resize(std::size_t n) {
     cells = n;
@@ -102,10 +89,11 @@ struct YieldMarginsSoA {
   [[nodiscard]] const double* row(std::size_t r) const {
     return rows[r].data();
   }
-  /// The four schemes' margins of the cell in slot i, in record order.
-  [[nodiscard]] std::array<SenseMargins, 4> cell(std::size_t i) const {
-    std::array<SenseMargins, 4> m;
-    for (std::size_t s = 0; s < 4; ++s) {
+  /// The schemes' margins of the cell in slot i, indexed by SchemeId.
+  [[nodiscard]] std::array<SenseMargins, kSchemeCount> cell(
+      std::size_t i) const {
+    std::array<SenseMargins, kSchemeCount> m;
+    for (std::size_t s = 0; s < kSchemeCount; ++s) {
       m[s].sm0 = Volt(rows[2 * s][i]);
       m[s].sm1 = Volt(rows[2 * s + 1][i]);
     }
@@ -113,8 +101,8 @@ struct YieldMarginsSoA {
   }
 };
 
-/// Signature of a yield-solve kernel instantiation.  `out_rows` holds the
-/// 8 output-row pointers, already offset to lane 0 of this block.
+/// Signature of a yield-solve kernel instantiation.  `out_rows` holds
+/// the 2 * kSchemeCount output-row pointers, offset to the block's lane 0.
 using YieldSolveFn = void (*)(const YieldKernelTables&, const VariationBlock&,
                               std::size_t first_cell,
                               double* const* out_rows, double* max_low,
@@ -137,8 +125,8 @@ class YieldBatchKernel {
                 first_cell - out->origin + block.size <= out->cells,
             "YieldBatchKernel: block exceeds the margin frame");
     const std::size_t slot = first_cell - out->origin;
-    double* out_rows[8];
-    for (std::size_t r = 0; r < 8; ++r) {
+    double* out_rows[2 * kSchemeCount];
+    for (std::size_t r = 0; r < 2 * kSchemeCount; ++r) {
       out_rows[r] = out->row(r) + slot;
     }
     fn_(tables_, block, first_cell, out_rows, max_low, min_high);

@@ -6,9 +6,11 @@
 // with wider -m flags, instantiate the vector widths, whose remainder
 // lanes run the same body at W = 1.  Everything here is lane-parallel
 // IEEE arithmetic (+, -, *, /, compare/select/abs, min/max in
-// scalar-predicate form) in the association of the margins.cpp closed
-// forms; the only libm calls (exp in the tail kernel) run scalar per
-// lane, so every width reproduces the class-based schemes bitwise.
+// scalar-predicate form): the kernels form each read's bit-line voltages
+// in the association of the margins.cpp classes and take SM0/SM1 from
+// the classes' own margin bodies (scheme.hpp); the only libm calls (exp
+// in the tail kernel) run scalar per lane, so every width reproduces
+// the class-based schemes bitwise.
 //
 // The yield kernel's outputs are SoA (YieldMarginsSoA: one row per
 // scheme/bit, contiguous across cells), so the vector path retires each
@@ -22,6 +24,7 @@
 
 #include "sttram/common/simd.hpp"
 #include "sttram/sense/margins_batch.hpp"
+#include "sttram/sense/scheme.hpp"
 #include "sttram/stats/batch.hpp"
 
 namespace sttram {
@@ -58,6 +61,11 @@ void yield_solve_simd(const YieldKernelTables& k, const VariationBlock& block,
     const V vdh = V::load(block.droop_high.data() + lane);
     const V r_t = V::load(block.r_access.data() + lane);
     const V vi_max = V::splat(k.i_max);
+    // Scheme s's margins go to output rows 2s (SM0) and 2s + 1 (SM1).
+    const auto put = [&](SchemeId s, const MarginPair<V>& m) {
+      m.sm0.store(out_rows[2 * scheme_index(s)] + lane);
+      m.sm1.store(out_rows[2 * scheme_index(s) + 1] + lane);
+    };
     // Second-read (I2 = I_max) path resistances and bit-line voltages —
     // shared by all four schemes.
     const V r_p2 = vrl - vdl * V::splat(k.frac2);
@@ -67,35 +75,30 @@ void yield_solve_simd(const YieldKernelTables& k, const VariationBlock& block,
     ml = vmax(ml, v_p2);
     mh = vmin(mh, v_ap2);
     // Conventional sensing against the shared V_REF (+ column error).
-    const V vref = V::load(k.v_ref_conv.data() + c);
-    (vref - v_p2).store(out_rows[0] + lane);
-    (v_ap2 - vref).store(out_rows[1] + lane);
-    // Reference-cell sensing: the column pair's midpoint sees the same
-    // per-cell access device as the data read.
-    const V v_rp = vi_max * (V::load(k.r_ref_p2.data() + c) + r_t);
-    const V v_rap = vi_max * (V::load(k.r_ref_ap2.data() + c) + r_t);
-    const V v_ref_rc = V::splat(0.5) * (v_rp + v_rap);
-    (v_ref_rc - v_p2).store(out_rows[2] + lane);
-    (v_ap2 - v_ref_rc).store(out_rows[3] + lane);
+    put(SchemeId::kConventional,
+        conventional_margins(v_p2, v_ap2, V::load(k.v_ref_conv.data() + c)));
+    // Reference-cell sensing: the column pair sees the same per-cell
+    // access device as the data read.
+    put(SchemeId::kReferenceCell,
+        reference_cell_margins(
+            v_p2, v_ap2, vi_max * (V::load(k.r_ref_p2.data() + c) + r_t),
+            vi_max * (V::load(k.r_ref_ap2.data() + c) + r_t)));
+    // A self-reference first read at the column's I1: I1 (R0 - dR f1 + R_T).
+    const auto first_read = [&](const aligned_vector<double>& i1,
+                                const aligned_vector<double>& frac1, V r0,
+                                V droop) {
+      return V::load(i1.data() + c) *
+             ((r0 - droop * V::load(frac1.data() + c)) + r_t);
+    };
     // Destructive self-reference: the erased-cell second read IS v_p2.
-    {
-      const V i1 = V::load(k.i1_d.data() + c);
-      const V f1 = V::load(k.frac1_d.data() + c);
-      const V r_p1 = vrl - vdl * f1;
-      const V r_ap1 = vrh - vdh * f1;
-      (i1 * (r_ap1 + r_t) - v_p2).store(out_rows[5] + lane);
-      (v_p2 - i1 * (r_p1 + r_t)).store(out_rows[4] + lane);
-    }
+    put(SchemeId::kDestructive,
+        destructive_margins(first_read(k.i1_d, k.frac1_d, vrl, vdl),
+                            first_read(k.i1_d, k.frac1_d, vrh, vdh), v_p2));
     // Nondestructive self-reference: first read vs divided second read.
-    {
-      const V i1 = V::load(k.i1_n.data() + c);
-      const V f1 = V::load(k.frac1_n.data() + c);
-      const V r_p1 = vrl - vdl * f1;
-      const V r_ap1 = vrh - vdh * f1;
-      const V ae = V::load(k.alpha_eff.data() + c);
-      (i1 * (r_ap1 + r_t) - ae * v_ap2).store(out_rows[7] + lane);
-      (ae * v_p2 - i1 * (r_p1 + r_t)).store(out_rows[6] + lane);
-    }
+    put(SchemeId::kNondestructive,
+        nondestructive_margins(first_read(k.i1_n, k.frac1_n, vrl, vdl),
+                               first_read(k.i1_n, k.frac1_n, vrh, vdh), v_p2,
+                               v_ap2, V::load(k.alpha_eff.data() + c)));
   };
 
   simd::Vec<W> vml = simd::Vec<W>::splat(*max_low);
@@ -174,9 +177,10 @@ void tail_margins_simd(const TailKernelTables& k, const GaussianBlock& block,
     const V r_ap1 = r_h0 - d_h * frac1;
     const V r_p2 = r_l0 - d_l * V::splat(k.frac2);
     const V r_ap2 = r_h0 - d_h * V::splat(k.frac2);
-    const V sm1 = i1 * (r_ap1 + r_t) - alpha_eff * (i_max * (r_ap2 + r_t));
-    const V sm0 = alpha_eff * (i_max * (r_p2 + r_t)) - i1 * (r_p1 + r_t);
-    vmin(sm0, sm1).store(out + lane);
+    const MarginPair<V> m = nondestructive_margins(
+        i1 * (r_p1 + r_t), i1 * (r_ap1 + r_t), i_max * (r_p2 + r_t),
+        i_max * (r_ap2 + r_t), alpha_eff);
+    vmin(m.sm0, m.sm1).store(out + lane);
   });
 }
 

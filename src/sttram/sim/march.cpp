@@ -6,18 +6,6 @@
 
 namespace sttram {
 
-std::string_view to_string(ReadScheme s) {
-  switch (s) {
-    case ReadScheme::kConventional:
-      return "conventional";
-    case ReadScheme::kDestructive:
-      return "destructive self-ref";
-    case ReadScheme::kNondestructive:
-      return "nondestructive self-ref";
-  }
-  return "?";
-}
-
 std::string_view to_string(FaultType f) {
   switch (f) {
     case FaultType::kNone:
@@ -50,14 +38,10 @@ TestableArray::TestableArray(ArrayGeometry geometry,
       last_write_(geometry.cell_count(), 0),
       selfref_(selfref),
       required_margin_(required_margin) {
-  const MtjParams nominal = MtjParams::paper_calibrated();
-  const Ohm r_t(917.0);
-  shared_v_ref_ =
-      ConventionalSensing(nominal, r_t, selfref.i_max).midpoint_reference();
-  beta_destructive_ =
-      DestructiveSelfReference(nominal, r_t, selfref).paper_beta();
-  beta_nondestructive_ =
-      NondestructiveSelfReference(nominal, r_t, selfref).paper_beta();
+  for (const SchemeRow& row : kSchemeTable) {
+    points_[scheme_index(row.id)] = designed_point(
+        row.id, MtjParams::paper_calibrated(), Ohm(917.0), selfref);
+  }
 }
 
 std::size_t TestableArray::index(std::size_t row, std::size_t col) const {
@@ -137,7 +121,7 @@ void TestableArray::write(std::size_t row, std::size_t col, bool bit) {
 }
 
 bool TestableArray::sense(std::size_t row, std::size_t col,
-                          ReadScheme scheme) {
+                          SchemeId scheme) {
   ++ops_;
   const std::size_t idx = index(row, col);
   maybe_decay(row, col, idx);
@@ -154,38 +138,19 @@ bool TestableArray::stored(std::size_t row, std::size_t col) const {
 }
 
 bool TestableArray::read(std::size_t row, std::size_t col,
-                         ReadScheme scheme) const {
+                         SchemeId scheme) const {
   const bool value = array_.stored(row, col);
   const ArrayCell& cell = array_.cell(row, col);
-  const LinearRiModel model(cell.params);
-  const FixedAccessResistor access(cell.r_access);
-  Volt margin{0.0};
-  switch (scheme) {
-    case ReadScheme::kConventional: {
-      const ConventionalSensing conv(model, access, selfref_.i_max);
-      const SenseMargins m = conv.margins(shared_v_ref_);
-      margin = value ? m.sm1 : m.sm0;
-      break;
-    }
-    case ReadScheme::kDestructive: {
-      const DestructiveSelfReference s(model, access, selfref_);
-      const SenseMargins m = s.margins(beta_destructive_);
-      margin = value ? m.sm1 : m.sm0;
-      break;
-    }
-    case ReadScheme::kNondestructive: {
-      const NondestructiveSelfReference s(model, access, selfref_);
-      const SenseMargins m = s.margins(beta_nondestructive_);
-      margin = value ? m.sm1 : m.sm0;
-      break;
-    }
-  }
+  const SenseMargins m = read_margins(
+      scheme, LinearRiModel(cell.params), FixedAccessResistor(cell.r_access),
+      selfref_, points_[scheme_index(scheme)]);
+  const Volt margin = value ? m.sm1 : m.sm0;
   // A margin below the amplifier requirement misreads the bit.
   if (margin < required_margin_) return !value;
   return value;
 }
 
-MarchResult run_march(TestableArray& array, ReadScheme scheme,
+MarchResult run_march(TestableArray& array, SchemeId scheme,
                       const std::vector<MarchElement>& algorithm) {
   MarchResult result;
   const std::size_t rows = array.geometry().rows;
@@ -242,7 +207,7 @@ std::vector<MarchElement> mats_plus() {
   };
 }
 
-MarchResult run_march_c_minus(TestableArray& array, ReadScheme scheme) {
+MarchResult run_march_c_minus(TestableArray& array, SchemeId scheme) {
   return run_march(array, scheme, march_c_minus());
 }
 

@@ -9,12 +9,13 @@
 // every scheme.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "sttram/cell/array.hpp"
-#include "sttram/sense/margins.hpp"
+#include "sttram/sense/scheme.hpp"
 
 namespace sttram {
 
@@ -48,17 +49,10 @@ enum class FaultType {
 
 [[nodiscard]] std::string_view to_string(FaultType f);
 
-/// Read scheme used by the tester.
-enum class ReadScheme {
-  kConventional,    ///< shared V_REF (nominal midpoint)
-  kDestructive,     ///< destructive self-reference
-  kNondestructive,  ///< the paper's nondestructive self-reference
-};
-
-[[nodiscard]] std::string_view to_string(ReadScheme s);
-
 /// An array under test: process-varied cells + injected faults +
-/// scheme-accurate reads.
+/// scheme-accurate reads.  A read runs at its scheme's designed point on
+/// the nominal device (designed_point); a scheme without a read flow is
+/// refused with InvalidArgument.
 class TestableArray {
  public:
   /// `required_margin` models the sense amplifier: a read whose margin
@@ -89,13 +83,13 @@ class TestableArray {
   /// state is what gets sensed.  This is the operation March algorithms
   /// issue; counts as one operation for the retention clock.
   [[nodiscard]] bool sense(std::size_t row, std::size_t col,
-                           ReadScheme scheme);
+                           SchemeId scheme);
 
   /// Pure margin-model read of the current state: no state change, no
   /// operation counted.  The scheme's margin math decides whether the
   /// stored value is recovered or misread.
   [[nodiscard]] bool read(std::size_t row, std::size_t col,
-                          ReadScheme scheme) const;
+                          SchemeId scheme) const;
 
   /// The value physically stored (ground truth, test oracle).
   [[nodiscard]] bool stored(std::size_t row, std::size_t col) const;
@@ -115,9 +109,7 @@ class TestableArray {
   std::uint64_t ops_ = 0;
   SelfRefConfig selfref_;
   Volt required_margin_;
-  Volt shared_v_ref_{0.0};
-  double beta_destructive_ = 0.0;
-  double beta_nondestructive_ = 0.0;
+  std::array<OperatingPoint, kSchemeCount> points_;  ///< by SchemeId
 };
 
 /// One March element: a sweep direction and a sequence of operations.
@@ -139,7 +131,7 @@ struct MarchResult {
 };
 
 /// Runs an arbitrary March algorithm with the given read scheme.
-MarchResult run_march(TestableArray& array, ReadScheme scheme,
+MarchResult run_march(TestableArray& array, SchemeId scheme,
                       const std::vector<MarchElement>& algorithm);
 
 /// March C-: {up(w0); up(r0,w1); up(r1,w0); down(r0,w1); down(r1,w0);
@@ -149,6 +141,6 @@ std::vector<MarchElement> march_c_minus();
 /// MATS+ (shorter): {up(w0); up(r0,w1); down(r1,w0)}.
 std::vector<MarchElement> mats_plus();
 
-MarchResult run_march_c_minus(TestableArray& array, ReadScheme scheme);
+MarchResult run_march_c_minus(TestableArray& array, SchemeId scheme);
 
 }  // namespace sttram

@@ -22,12 +22,11 @@ double nondestructive_margin_at(const TailConfig& config,
   const LinearRiModel model(params);
   const FixedAccessResistor access(r_access);
   const NondestructiveSelfReference scheme(model, access, config.selfref);
-  double beta = config.beta;
-  if (beta <= 0.0) {
-    // Designed ratio of the nominal device: invariant across calls, so
-    // the op cache answers every call after the first.
-    beta = cached_nondestructive_beta(nominal, Ohm(917.0), config.selfref);
-  }
+  // Designed ratio of the nominal device: invariant across calls, so
+  // the op cache answers every call after the first.
+  const double beta = designed_point(SchemeId::kNondestructive, nominal,
+                                     Ohm(917.0), config.selfref, config.beta)
+                          .beta;
   SchemeMismatch mm;
   mm.beta_deviation = config.sigma_beta * z[3];
   mm.alpha_deviation = config.sigma_alpha * z[4];
@@ -44,10 +43,10 @@ TailEstimate estimate_margin_tail(const TailConfig& config,
   // experiment, so resolve it once here instead of re-deriving it inside
   // every margin evaluation of the design-point search.
   TailConfig solved = config;
-  if (solved.beta <= 0.0) {
-    solved.beta = cached_nondestructive_beta(MtjParams::paper_calibrated(),
-                                             Ohm(917.0), config.selfref);
-  }
+  solved.beta = designed_point(SchemeId::kNondestructive,
+                               MtjParams::paper_calibrated(), Ohm(917.0),
+                               config.selfref, config.beta)
+                    .beta;
   // The design-point search runs on the calling thread only.
   std::size_t margin_evals = 0;
   const auto g = [&](const std::vector<double>& z) {

@@ -1,12 +1,14 @@
-// Latency / energy / reliability comparison of the three read schemes
-// (the paper's Sec. V discussion: the nondestructive scheme removes two
-// write pulses and shortens the second read).
+// Latency / energy / reliability comparison of the schemes with a read
+// flow (the paper's Sec. V discussion: the nondestructive scheme removes
+// two write pulses and shortens the second read).  execute_scheme_read
+// is the one dispatch from a SchemeId to its read operation.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "sttram/sense/read_operation.hpp"
+#include "sttram/sense/scheme.hpp"
 
 namespace sttram {
 
@@ -19,7 +21,6 @@ struct SchemeCost {
   Joule energy_read1{0.0};
   std::uint64_t write_pulses_read0 = 0;
   std::uint64_t write_pulses_read1 = 0;
-  bool nondestructive = false;
 
   [[nodiscard]] Second worst_latency() const {
     return max(latency_read0, latency_read1);
@@ -32,19 +33,28 @@ struct SchemeCost {
 /// Configuration shared by the comparison.
 struct CostComparisonConfig {
   SelfRefConfig selfref{};
-  double beta_destructive = 0.0;     ///< 0 = paper_beta()
-  double beta_nondestructive = 0.0;  ///< 0 = paper_beta()
   Ampere write_current{750e-6};      ///< 1.5x critical for deterministic writes
   ReadTimingParams timing{};
-  Volt v_ref_conventional{0.0};      ///< 0 = nominal midpoint
 };
 
-/// Runs each scheme on a nominal cell storing 0 and storing 1.
+/// Executes scheme `id`'s calibrated read operation once on `cell`,
+/// with the supply dropping as `failure` says; a flow that never writes
+/// cannot lose the stored value and runs to the end.  Throws
+/// InvalidArgument for a scheme without a read flow.
+ReadResult execute_scheme_read(SchemeId id, const CostComparisonConfig& config,
+                               OneT1JCell& cell,
+                               const PowerFailure& failure = {});
+
+/// Scheme `id` read once on a nominal cell storing 0 and once on one
+/// storing 1.  Throws InvalidArgument for a scheme without a read flow.
+SchemeCost scheme_cost(SchemeId id, const CostComparisonConfig& config);
+
+/// scheme_cost of every scheme with a read flow, in SchemeId order.
 std::vector<SchemeCost> compare_scheme_costs(
     const CostComparisonConfig& config);
 
 /// Power-failure experiment: injects a supply drop after every phase of
-/// both self-reference reads and reports whether the stored value
+/// each self-reference read and reports whether the stored value
 /// survived (the paper's non-volatility argument for the nondestructive
 /// scheme).
 struct PowerFailureOutcome {

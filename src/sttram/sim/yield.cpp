@@ -26,7 +26,7 @@ constexpr std::size_t kWindowCells = 16384;
 
 /// The record's margin moments, kept across windows: group s holds
 /// scheme s's SM0 accumulator in lane 0 and its SM1 accumulator in lane 1.
-using MarginLanes = std::array<WelfordLanes<2>, 4>;
+using MarginLanes = std::array<WelfordLanes<2>, kSchemeCount>;
 
 /// Serial accumulation of one window.  The moments and the scatter
 /// subsampling are order-sensitive; every accumulator sees its values in
@@ -35,10 +35,6 @@ using MarginLanes = std::array<WelfordLanes<2>, 4>;
 void record_window(YieldResult& result, MarginLanes& moments,
                    const YieldMarginsSoA& window, const YieldConfig& config,
                    std::size_t keep_every) {
-  SchemeYield* const schemes[4] = {&result.conventional,
-                                   &result.reference_cell,
-                                   &result.destructive,
-                                   &result.nondestructive};
   const double required = config.required_margin.value();
   // SenseMargins::min(), operand order included (it fixes which zero a
   // -0.0 / +0.0 pair yields).
@@ -46,14 +42,14 @@ void record_window(YieldResult& result, MarginLanes& moments,
     return sm0 < sm1 ? sm0 : sm1;
   };
   // Each lane runs RunningStats::add's operations in its order, so it
-  // holds the bits a RunningStats fed its values would.  The four
-  // groups' update chains are independent, which lets a cell's divisions
+  // holds the bits a RunningStats fed its values would.  The schemes'
+  // update chains are independent, which lets a cell's divisions
   // overlap; the local copy keeps them in registers across the window.
   MarginLanes lanes = moments;
-  const double* rows[8];
-  for (std::size_t r = 0; r < 8; ++r) rows[r] = window.row(r);
+  const double* rows[2 * kSchemeCount];
+  for (std::size_t r = 0; r < 2 * kSchemeCount; ++r) rows[r] = window.row(r);
   for (std::size_t i = 0; i < window.cells; ++i) {
-    for (std::size_t s = 0; s < 4; ++s) {
+    for (std::size_t s = 0; s < kSchemeCount; ++s) {
       lanes[s].add(simd::Vec<2>{{rows[2 * s][i], rows[2 * s + 1][i]}});
     }
   }
@@ -62,8 +58,8 @@ void record_window(YieldResult& result, MarginLanes& moments,
   const std::size_t first_kept =
       (keep_every - window.origin % keep_every) % keep_every;
   std::size_t failures = 0;
-  for (std::size_t s = 0; s < 4; ++s) {
-    SchemeYield& y = *schemes[s];
+  for (std::size_t s = 0; s < kSchemeCount; ++s) {
+    SchemeYield& y = result.scheme(kSchemeTable[s].id);
     const double* sm0 = window.row(2 * s);
     const double* sm1 = window.row(2 * s + 1);
     std::size_t scheme_failures = 0;
@@ -83,7 +79,7 @@ void record_window(YieldResult& result, MarginLanes& moments,
       }
     }
   }
-  STTRAM_OBS_ADD("yield.margin_evaluations", 4 * window.cells);
+  STTRAM_OBS_ADD("yield.margin_evaluations", kSchemeCount * window.cells);
   STTRAM_OBS_ADD("yield.margin_failures", failures);
 }
 
@@ -114,27 +110,23 @@ YieldResult run_yield_batched(const YieldConfig& config,
   const MtjParams die_nominal = nominal.scaled(result.die_factor, 1.0);
   const MtjVariationModel variation(die_nominal, config.variation);
 
-  result.conventional.scheme = "conventional";
-  result.reference_cell.scheme = "reference-cell";
-  result.destructive.scheme = "destructive self-ref";
-  result.nondestructive.scheme = "nondestructive self-ref";
+  for (const SchemeRow& row : kSchemeTable) {
+    result.scheme(row.id).scheme = row.label;
+  }
 
   // Designed operating points from the thread-shard-local op cache —
   // pure functions of the nominal device and read setup, so a hit
   // returns exactly the value the scheme classes derive.
   const Ohm r_access_nominal(917.0);
+  const auto designed = [&](SchemeId id, double beta = 0.0) {
+    return designed_point(id, nominal, r_access_nominal, config.selfref,
+                          beta);
+  };
   result.beta_destructive =
-      config.beta_destructive > 0.0
-          ? config.beta_destructive
-          : cached_destructive_beta(nominal, r_access_nominal,
-                                    config.selfref);
+      designed(SchemeId::kDestructive, config.beta_destructive).beta;
   result.beta_nondestructive =
-      config.beta_nondestructive > 0.0
-          ? config.beta_nondestructive
-          : cached_nondestructive_beta(nominal, r_access_nominal,
-                                       config.selfref);
-  result.shared_v_ref =
-      cached_shared_v_ref(nominal, r_access_nominal, config.selfref.i_max);
+      designed(SchemeId::kNondestructive, config.beta_nondestructive).beta;
+  result.shared_v_ref = Volt(designed(SchemeId::kConventional).v_ref);
 
   const std::size_t cells = config.geometry.cell_count();
   const std::size_t keep_every = scatter_keep_every(config, cells);
@@ -241,13 +233,10 @@ YieldResult run_yield_batched(const YieldConfig& config,
     record_window(result, moments, buffers[(windows - 1) % 2], config,
                   keep_every);
   }
-  SchemeYield* const schemes[4] = {&result.conventional,
-                                   &result.reference_cell,
-                                   &result.destructive,
-                                   &result.nondestructive};
-  for (std::size_t s = 0; s < 4; ++s) {
-    schemes[s]->sm0_stats = RunningStats(moments[s], 0);
-    schemes[s]->sm1_stats = RunningStats(moments[s], 1);
+  for (std::size_t s = 0; s < kSchemeCount; ++s) {
+    SchemeYield& y = result.scheme(kSchemeTable[s].id);
+    y.sm0_stats = RunningStats(moments[s], 0);
+    y.sm1_stats = RunningStats(moments[s], 1);
   }
   double max_low = -kInf;
   double min_high = kInf;
@@ -295,9 +284,9 @@ std::vector<YieldSweepPoint> sweep_variation(
     const YieldResult r = run_yield_experiment(cfg, executor);
     YieldSweepPoint p;
     p.sigma_common = sigma;
-    p.conventional_failure_rate = r.conventional.failure_rate();
-    p.destructive_failure_rate = r.destructive.failure_rate();
-    p.nondestructive_failure_rate = r.nondestructive.failure_rate();
+    for (const SchemeRow& row : kSchemeTable) {
+      p.failure_rate[scheme_index(row.id)] = r.scheme(row.id).failure_rate();
+    }
     out.push_back(p);
   }
   return out;

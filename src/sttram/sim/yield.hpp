@@ -1,10 +1,11 @@
 // Array-level yield experiment: the paper's Fig. 11 (16-kb test chip).
 //
 // For every cell of a process-varied array, computes the per-bit sense
-// margins of the three sensing schemes and classifies the bit against
+// margins of the four sensing schemes and classifies the bit against
 // the auto-zero sense amplifier's required margin (8 mV).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "sttram/cell/array.hpp"
 #include "sttram/common/parallel.hpp"
 #include "sttram/sense/margins.hpp"
+#include "sttram/sense/scheme.hpp"
 #include "sttram/stats/summary.hpp"
 
 namespace sttram {
@@ -74,7 +76,8 @@ struct YieldConfig {
   bool keep_per_bit_margins = false;
 };
 
-/// Result across the four schemes.
+/// Result across the four schemes.  Code that walks the schemes reads
+/// them through scheme(SchemeId).
 struct YieldResult {
   SchemeYield conventional;
   /// Per-column reference-cell sensing (one P + one AP reference pair
@@ -89,6 +92,16 @@ struct YieldResult {
   Volt shared_v_ref{0.0};  ///< the midpoint V_REF actually used
   double beta_destructive = 0.0;
   double beta_nondestructive = 0.0;
+
+  /// The member that holds scheme `id`.
+  [[nodiscard]] SchemeYield& scheme(SchemeId id) {
+    SchemeYield* const members[kSchemeCount] = {
+        &conventional, &reference_cell, &destructive, &nondestructive};
+    return *members[scheme_index(id)];
+  }
+  [[nodiscard]] const SchemeYield& scheme(SchemeId id) const {
+    return const_cast<YieldResult&>(*this).scheme(id);
+  }
 };
 
 /// Runs the full experiment.  Deterministic for a given config.  The
@@ -106,9 +119,7 @@ YieldResult run_yield_experiment(const YieldConfig& config,
 /// failure rate and to show the self-reference schemes' immunity.
 struct YieldSweepPoint {
   double sigma_common = 0.0;
-  double conventional_failure_rate = 0.0;
-  double destructive_failure_rate = 0.0;
-  double nondestructive_failure_rate = 0.0;
+  std::array<double, kSchemeCount> failure_rate{};  ///< by SchemeId
 };
 std::vector<YieldSweepPoint> sweep_variation(
     const YieldConfig& base, const std::vector<double>& sigmas,

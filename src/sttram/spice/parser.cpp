@@ -164,7 +164,7 @@ ParsedDeck parse_spice_deck(const std::string& text) {
     if (raw.empty()) continue;
     if (raw[0] == '+') {
       if (cards.empty()) fail(line_no, "continuation with no prior card");
-      cards.back().second += " " + raw.substr(1);
+      cards.back().second.append(" ").append(raw, 1);
     } else {
       cards.emplace_back(line_no, raw);
     }

@@ -13,6 +13,37 @@
 namespace sttram::oracle {
 namespace {
 
+/// V_BL,s = I (R(s, I) + R_T(I)).
+Volt bitline(const RiModel& model, const AccessDeviceModel& access,
+             MtjState s, Ampere i) {
+  return i * (model.resistance(s, i) + access.resistance(i));
+}
+
+/// A second read with the access device shifted by dR_T.
+Volt shifted_bitline(const RiModel& model, const AccessDeviceModel& access,
+                     MtjState s, Ampere i, Ohm delta_r_t) {
+  return i * (model.resistance(s, i) + access.resistance(i) + delta_r_t);
+}
+
+constexpr MtjState kL = MtjState::kParallel;
+constexpr MtjState kH = MtjState::kAntiParallel;
+
+/// nondestructive() on TailConfig's variation space at coordinates z.
+double tail_margin_at(const TailConfig& config, const std::vector<double>& z) {
+  const MtjParams params = MtjParams::paper_calibrated().scaled(
+      std::exp(config.variation.sigma_common * z[0]),
+      std::exp(config.variation.sigma_tmr * z[1]));
+  const LinearRiModel model(params);
+  const FixedAccessResistor access(
+      Ohm(917.0 * std::exp(config.sigma_access * z[2])));
+  SchemeMismatch mm;
+  mm.beta_deviation = config.sigma_beta * z[3];
+  mm.alpha_deviation = config.sigma_alpha * z[4];
+  return nondestructive(model, access, config.selfref, config.beta, mm)
+      .min()
+      .value();
+}
+
 void record(SchemeYield& y, const SenseMargins& m, const YieldConfig& config,
             std::size_t keep_every) {
   y.bits += 1;
@@ -28,6 +59,52 @@ void record(SchemeYield& y, const SenseMargins& m, const YieldConfig& config,
 }
 
 }  // namespace
+
+SenseMargins conventional(const RiModel& model,
+                          const AccessDeviceModel& access, Ampere i_read,
+                          Volt v_ref) {
+  SenseMargins m;
+  m.sm0 = v_ref - bitline(model, access, kL, i_read);
+  m.sm1 = bitline(model, access, kH, i_read) - v_ref;
+  return m;
+}
+
+SenseMargins reference_cell(const RiModel& data,
+                            const AccessDeviceModel& access,
+                            const RiModel& ref_p, const RiModel& ref_ap,
+                            Ampere i_read) {
+  const Volt v_ref = 0.5 * (bitline(ref_p, access, kL, i_read) +
+                            bitline(ref_ap, access, kH, i_read));
+  return conventional(data, access, i_read, v_ref);
+}
+
+SenseMargins destructive(const RiModel& model,
+                         const AccessDeviceModel& access,
+                         const SelfRefConfig& config, double beta,
+                         const SchemeMismatch& mm) {
+  const Ampere i2 = config.i_max;
+  const Ampere i1 = i2 / (beta * (1.0 + mm.beta_deviation));
+  const Volt v_bl2 = shifted_bitline(model, access, kL, i2, mm.delta_r_t);
+  SenseMargins m;
+  m.sm0 = v_bl2 - bitline(model, access, kL, i1);
+  m.sm1 = bitline(model, access, kH, i1) - v_bl2;
+  return m;
+}
+
+SenseMargins nondestructive(const RiModel& model,
+                            const AccessDeviceModel& access,
+                            const SelfRefConfig& config, double beta,
+                            const SchemeMismatch& mm) {
+  const Ampere i2 = config.i_max;
+  const Ampere i1 = i2 / (beta * (1.0 + mm.beta_deviation));
+  const double alpha = config.alpha * (1.0 + mm.alpha_deviation);
+  SenseMargins m;
+  m.sm0 = alpha * shifted_bitline(model, access, kL, i2, mm.delta_r_t) -
+          bitline(model, access, kL, i1);
+  m.sm1 = bitline(model, access, kH, i1) -
+          alpha * shifted_bitline(model, access, kH, i2, mm.delta_r_t);
+  return m;
+}
 
 YieldResult run_yield(const YieldConfig& config, ParallelExecutor* executor) {
   const MtjParams nominal = MtjParams::paper_calibrated();
@@ -62,9 +139,9 @@ YieldResult run_yield(const YieldConfig& config, ParallelExecutor* executor) {
           : NondestructiveSelfReference(nominal_model, nominal_access,
                                         config.selfref)
                 .paper_beta();
-  result.shared_v_ref = ConventionalSensing(nominal_model, nominal_access,
-                                            config.selfref.i_max)
-                            .midpoint_reference();
+  result.shared_v_ref =
+      0.5 * (bitline(nominal_model, nominal_access, kL, config.selfref.i_max) +
+             bitline(nominal_model, nominal_access, kH, config.selfref.i_max));
   result.shared_reference_window =
       array.shared_reference_window(config.selfref.i_max);
 
@@ -88,20 +165,18 @@ YieldResult run_yield(const YieldConfig& config, ParallelExecutor* executor) {
     const LinearRiModel model(cell.params);
     const FixedAccessResistor access(cell.r_access);
     std::array<SenseMargins, 4> m;
-    m[0] = ConventionalSensing(model, access, config.selfref.i_max)
-               .margins(result.shared_v_ref + Volt(col_vref_err[col]));
+    m[0] = conventional(model, access, config.selfref.i_max,
+                        result.shared_v_ref + Volt(col_vref_err[col]));
     const LinearRiModel ref_p(col_ref_p[col]);
     const LinearRiModel ref_ap(col_ref_ap[col]);
-    m[1] = ReferenceCellSensing(model, access, ref_p, ref_ap,
-                                config.selfref.i_max)
-               .margins();
+    m[1] = reference_cell(model, access, ref_p, ref_ap, config.selfref.i_max);
     SchemeMismatch mm;
     mm.beta_deviation = col_beta_dev[col];
-    m[2] = DestructiveSelfReference(model, access, config.selfref)
-               .margins(result.beta_destructive, mm);
+    m[2] = destructive(model, access, config.selfref,
+                       result.beta_destructive, mm);
     mm.alpha_deviation = col_alpha_dev[col];
-    m[3] = NondestructiveSelfReference(model, access, config.selfref)
-               .margins(result.beta_nondestructive, mm);
+    m[3] = nondestructive(model, access, config.selfref,
+                          result.beta_nondestructive, mm);
     return m;
   };
 
@@ -142,7 +217,7 @@ TailEstimate estimate_tail(const TailConfig& config, std::uint64_t seed,
                       .paper_beta();
   }
   const auto g = [&](const std::vector<double>& z) {
-    return nondestructive_margin_at(solved, z) - config.threshold.value();
+    return tail_margin_at(solved, z) - config.threshold.value();
   };
   TailEstimate out;
   out.design_point = design_point_on_gradient(g, kTailDimensions);

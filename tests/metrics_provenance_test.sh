@@ -1,12 +1,16 @@
 #!/bin/sh
 # Metrics-file provenance check (wired into ctest as
 # `cli_metrics_provenance`): the "provenance" object of a
-# `sttram_cli --metrics` file holds every key, none of them empty.
+# `sttram_cli --metrics` file holds every key, none of them empty, and
+# its git_sha names the source tree as git reports it now: `git
+# rev-parse --short HEAD`, plus "-dirty" when `git diff --quiet HEAD --`
+# finds changed tracked files, or "unknown" outside a git checkout.
 #
-#   metrics_provenance_test.sh <sttram_cli binary>
+#   metrics_provenance_test.sh <sttram_cli binary> <source tree>
 set -eu
 
 cli="$1"
+src="$2"
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
 
@@ -32,6 +36,19 @@ fi
 if ! grep -q '^    "command_line": ".* --metrics .* read 1"' \
     "$workdir/provenance.json"; then
   echo "FAIL: provenance.command_line is not the invocation" >&2
+  status=1
+fi
+expected="unknown"
+if head="$(git -C "$src" rev-parse --short HEAD 2> /dev/null)"; then
+  expected="$head"
+  diff_status=0
+  git -C "$src" diff --quiet HEAD -- 2> /dev/null || diff_status=$?
+  [ "$diff_status" -eq 1 ] && expected="$head-dirty"
+fi
+if ! grep -qE "^    \"git_sha\": \"$expected\",?\$" \
+    "$workdir/provenance.json"; then
+  echo "FAIL: provenance.git_sha is not '$expected':" >&2
+  grep '"git_sha"' "$workdir/provenance.json" >&2 || true
   status=1
 fi
 [ "$status" -eq 0 ] && echo "OK: metrics provenance complete"

@@ -17,7 +17,7 @@ namespace {
 // ----------------------------------------------------- command sequences
 
 TEST(CommandSequence, NondestructiveHasTwoReadsAndNoWrites) {
-  const auto seq = read_command_sequence(SensingScheme::kNondestructive,
+  const auto seq = read_command_sequence(SchemeId::kNondestructive,
                                          CostComparisonConfig{});
   ASSERT_GE(seq.size(), 4u);
   EXPECT_EQ(seq.front().kind, CommandKind::kActivate);
@@ -32,7 +32,7 @@ TEST(CommandSequence, NondestructiveHasTwoReadsAndNoWrites) {
 }
 
 TEST(CommandSequence, DestructiveEmbedsEraseAndRestoreWrites) {
-  const auto seq = read_command_sequence(SensingScheme::kDestructive,
+  const auto seq = read_command_sequence(SchemeId::kDestructive,
                                          CostComparisonConfig{});
   std::size_t writes = 0;
   for (const Command& c : seq) {
@@ -42,9 +42,9 @@ TEST(CommandSequence, DestructiveEmbedsEraseAndRestoreWrites) {
 }
 
 TEST(CommandSequence, PhasesTileTheLatencyContiguously) {
-  for (const SensingScheme scheme :
-       {SensingScheme::kConventional, SensingScheme::kDestructive,
-        SensingScheme::kNondestructive}) {
+  for (const SchemeId scheme :
+       {SchemeId::kConventional, SchemeId::kDestructive,
+        SchemeId::kNondestructive}) {
     const auto seq = read_command_sequence(scheme, CostComparisonConfig{});
     double cursor = 0.0;
     // All but the trailing PRE abut back-to-back.
@@ -57,7 +57,7 @@ TEST(CommandSequence, PhasesTileTheLatencyContiguously) {
 }
 
 TEST(CommandSequence, RendersOneRowPerCommand) {
-  const auto seq = read_command_sequence(SensingScheme::kNondestructive,
+  const auto seq = read_command_sequence(SchemeId::kNondestructive,
                                          CostComparisonConfig{});
   const std::string diagram = render_command_sequence(seq);
   std::size_t rows = 0;
@@ -73,9 +73,9 @@ TEST(CommandSequence, RendersOneRowPerCommand) {
 
 TEST(CommandTimingTest, RowHitCostsExactlyTheBankSimService) {
   const CostComparisonConfig cost;
-  for (const SensingScheme scheme :
-       {SensingScheme::kConventional, SensingScheme::kDestructive,
-        SensingScheme::kNondestructive}) {
+  for (const SchemeId scheme :
+       {SchemeId::kConventional, SchemeId::kDestructive,
+        SchemeId::kNondestructive}) {
     const CommandTiming t = scheme_command_timing(scheme, cost);
     const BankTiming bank = scheme_bank_timing(scheme, cost);
     EXPECT_EQ(t.occupancy(true, true, true).value(),

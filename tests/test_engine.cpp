@@ -31,7 +31,6 @@ using engine::CompletedRequest;
 using engine::Op;
 using engine::Request;
 using engine::SchedulingPolicy;
-using engine::SensingScheme;
 using engine::ThreadPool;
 using engine::TrafficConfig;
 using engine::TrafficReport;
@@ -256,20 +255,16 @@ TEST(ParallelDrivers, YieldExperimentBitIdenticalAcrossThreadCounts) {
   for (const std::size_t threads : {2u, 8u}) {
     ThreadPool pool(threads);
     const YieldResult parallel = run_yield_experiment(cfg, &pool);
-    const SchemeYield* lhs[] = {&serial.conventional, &serial.reference_cell,
-                                &serial.destructive, &serial.nondestructive};
-    const SchemeYield* rhs[] = {&parallel.conventional,
-                                &parallel.reference_cell,
-                                &parallel.destructive,
-                                &parallel.nondestructive};
-    for (int s = 0; s < 4; ++s) {
-      EXPECT_EQ(rhs[s]->bits, lhs[s]->bits);
-      EXPECT_EQ(rhs[s]->failures, lhs[s]->failures);
-      EXPECT_EQ(rhs[s]->sm0_stats.mean(), lhs[s]->sm0_stats.mean());
-      EXPECT_EQ(rhs[s]->sm1_stats.variance(), lhs[s]->sm1_stats.variance());
-      ASSERT_EQ(rhs[s]->scatter.size(), lhs[s]->scatter.size());
-      for (std::size_t i = 0; i < lhs[s]->scatter.size(); ++i) {
-        EXPECT_EQ(rhs[s]->scatter[i], lhs[s]->scatter[i]);
+    for (const SchemeRow& row : kSchemeTable) {
+      const SchemeYield& lhs = serial.scheme(row.id);
+      const SchemeYield& rhs = parallel.scheme(row.id);
+      EXPECT_EQ(rhs.bits, lhs.bits);
+      EXPECT_EQ(rhs.failures, lhs.failures);
+      EXPECT_EQ(rhs.sm0_stats.mean(), lhs.sm0_stats.mean());
+      EXPECT_EQ(rhs.sm1_stats.variance(), lhs.sm1_stats.variance());
+      ASSERT_EQ(rhs.scatter.size(), lhs.scatter.size());
+      for (std::size_t i = 0; i < lhs.scatter.size(); ++i) {
+        EXPECT_EQ(rhs.scatter[i], lhs.scatter[i]);
       }
     }
   }
@@ -330,11 +325,11 @@ TEST(RequestQueueTest, ReadPriorityDrainsOldestReadFirst) {
 TEST(SchemeTiming, NondestructiveReadsFasterThanDestructive) {
   const CostComparisonConfig cost;
   const BankTiming conv =
-      engine::scheme_bank_timing(SensingScheme::kConventional, cost);
+      engine::scheme_bank_timing(SchemeId::kConventional, cost);
   const BankTiming des =
-      engine::scheme_bank_timing(SensingScheme::kDestructive, cost);
+      engine::scheme_bank_timing(SchemeId::kDestructive, cost);
   const BankTiming nondes =
-      engine::scheme_bank_timing(SensingScheme::kNondestructive, cost);
+      engine::scheme_bank_timing(SchemeId::kNondestructive, cost);
   // The paper's ordering: conventional fastest, destructive slowest
   // (its two restore writes are on the read critical path).
   EXPECT_LT(conv.read_service.value(), nondes.read_service.value());
@@ -446,7 +441,7 @@ TEST(RunTrafficTest, MatchesAnalyticMD1AtRho06) {
   ASSERT_EQ(nondes.scheme, "nondestructive self-ref");
 
   TrafficConfig cfg;
-  cfg.scheme = SensingScheme::kNondestructive;
+  cfg.scheme = SchemeId::kNondestructive;
   cfg.cost = cost;
   cfg.banks = 1;
   cfg.requests = 150000;
@@ -501,9 +496,9 @@ TEST(RunTrafficTest, FasterSchemeDeliversMoreBandwidth) {
   cfg.workload = WorkloadKind::kClosedLoop;
   cfg.clients = 8;
   cfg.think_time = Second(10e-9);
-  cfg.scheme = SensingScheme::kNondestructive;
+  cfg.scheme = SchemeId::kNondestructive;
   const TrafficReport nondes = engine::run_traffic(cfg);
-  cfg.scheme = SensingScheme::kDestructive;
+  cfg.scheme = SchemeId::kDestructive;
   const TrafficReport des = engine::run_traffic(cfg);
   // Closed loop saturates the banks; the faster read path must win on
   // both bandwidth and loaded latency.
@@ -518,9 +513,9 @@ TEST(RunTrafficTest, SaturatedClosedLoopNearsAnalyticPeakBandwidth) {
   // time (analyze_bank_performance at the same 70 % reads).
   const auto analytic =
       analyze_bank_performance(CostComparisonConfig{}, WorkloadParams{});
-  const SensingScheme schemes[] = {SensingScheme::kConventional,
-                                   SensingScheme::kDestructive,
-                                   SensingScheme::kNondestructive};
+  const SchemeId schemes[] = {SchemeId::kConventional,
+                              SchemeId::kDestructive,
+                              SchemeId::kNondestructive};
   for (std::size_t s = 0; s < 3; ++s) {
     TrafficConfig cfg;
     cfg.scheme = schemes[s];
@@ -670,7 +665,9 @@ TEST(TraceWorkload, GeneratorIsDeterministicAndSorted) {
     EXPECT_EQ(a[i].arrival.value(), b[i].arrival.value());
     EXPECT_EQ(a[i].op, b[i].op);
     EXPECT_EQ(a[i].bank, b[i].bank);
-    if (i > 0) EXPECT_GE(a[i].arrival.value(), a[i - 1].arrival.value());
+    if (i > 0) {
+      EXPECT_GE(a[i].arrival.value(), a[i - 1].arrival.value());
+    }
     EXPECT_LT(a[i].bank, 4u);
   }
 }

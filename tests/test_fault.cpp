@@ -133,14 +133,14 @@ TEST(FaultPhysics, WeakCellsDisturbMoreAndTwoReadsBeatOne) {
   const SelfRefConfig selfref;
   const ReadTimingParams timing;
   const double p_nominal = scheme_read_disturb_probability(
-      ReadScheme::kNondestructive, nominal, selfref, timing);
+      SchemeId::kNondestructive, nominal, selfref, timing);
   const double p_weak = scheme_read_disturb_probability(
-      ReadScheme::kNondestructive, weak, selfref, timing);
+      SchemeId::kNondestructive, weak, selfref, timing);
   EXPECT_GT(p_weak, p_nominal);
   // The self-reference schemes apply two read currents; conventional
   // sensing reads once at I_max, so it disturbs a weak cell less.
   const double p_conv = scheme_read_disturb_probability(
-      ReadScheme::kConventional, weak, selfref, timing);
+      SchemeId::kConventional, weak, selfref, timing);
   EXPECT_GE(p_weak, p_conv);
 }
 
@@ -164,15 +164,15 @@ TEST(Coverage, StaticFaultsAreFullyDetectedByEveryScheme) {
   map.set(7, 7, FaultType::kTransitionUp);
   map.set(9, 2, FaultType::kTransitionDown);
   map.set(12, 12, FaultType::kReadDisturb, 1.0);
-  for (const ReadScheme scheme :
-       {ReadScheme::kConventional, ReadScheme::kDestructive,
-        ReadScheme::kNondestructive}) {
+  for (const SchemeId scheme :
+       {SchemeId::kConventional, SchemeId::kDestructive,
+        SchemeId::kNondestructive}) {
     TestableArray array = make_clean_array({16, 16}, 21);
     const MarchCoverageReport report =
         run_march_with_faults(array, map, scheme);
     EXPECT_EQ(report.injected_cells, 5u);
-    EXPECT_EQ(report.detected_cells, 5u) << to_string(scheme);
-    EXPECT_EQ(report.extra_flags, 0u) << to_string(scheme);
+    EXPECT_EQ(report.detected_cells, 5u) << scheme_row(scheme).label;
+    EXPECT_EQ(report.extra_flags, 0u) << scheme_row(scheme).label;
     EXPECT_DOUBLE_EQ(report.coverage(), 1.0);
     for (const FaultClassCoverage& c : report.classes) {
       EXPECT_DOUBLE_EQ(c.coverage(), 1.0) << to_string(c.type);
@@ -189,15 +189,15 @@ TEST(Coverage, DriftOutlierIsSchemeDependent) {
   {
     TestableArray array = make_clean_array({8, 8}, 33);
     const MarchCoverageReport conventional =
-        run_march_with_faults(array, map, ReadScheme::kConventional);
+        run_march_with_faults(array, map, SchemeId::kConventional);
     EXPECT_EQ(conventional.detected_cells, 1u);
   }
-  for (const ReadScheme scheme :
-       {ReadScheme::kDestructive, ReadScheme::kNondestructive}) {
+  for (const SchemeId scheme :
+       {SchemeId::kDestructive, SchemeId::kNondestructive}) {
     TestableArray array = make_clean_array({8, 8}, 33);
     const MarchCoverageReport report =
         run_march_with_faults(array, map, scheme);
-    EXPECT_EQ(report.detected_cells, 0u) << to_string(scheme);
+    EXPECT_EQ(report.detected_cells, 0u) << scheme_row(scheme).label;
   }
 }
 
@@ -206,7 +206,7 @@ TEST(Coverage, RetentionDecayIsCaught) {
   map.set(0, 0, FaultType::kRetention);  // decay after one array sweep
   TestableArray array = make_clean_array({8, 8}, 41);
   const MarchCoverageReport report =
-      run_march_with_faults(array, map, ReadScheme::kNondestructive);
+      run_march_with_faults(array, map, SchemeId::kNondestructive);
   EXPECT_EQ(report.detected_cells, 1u);
 }
 
@@ -216,7 +216,7 @@ TEST(Coverage, GeneratedMapCoverageIsReported) {
   ASSERT_GT(map.total(), 0u);
   TestableArray array = make_clean_array({32, 32}, 13);
   const MarchCoverageReport report =
-      run_march_with_faults(array, map, ReadScheme::kNondestructive);
+      run_march_with_faults(array, map, SchemeId::kNondestructive);
   EXPECT_EQ(report.operations, 10u * 32u * 32u);  // March C-
   EXPECT_GT(report.coverage(), 0.5);
   std::size_t classes_injected = 0;
@@ -345,11 +345,11 @@ TEST(YieldOverlay, ZeroFaultsStillReportsTransientNoiseFloor) {
   const FaultYieldResult r = run_yield_with_faults(
       cfg, FaultConfig{}, BerConfig{});
   EXPECT_EQ(r.faulty_bits, 0u);
-  EXPECT_EQ(r.nondestructive.hard_bit_fraction, 0.0);
+  EXPECT_EQ(r.scheme(SchemeId::kNondestructive).hard_bit_fraction, 0.0);
   // Margins are tens of millivolts against 2 mV noise: tiny but
   // positive error probability.
-  EXPECT_GT(r.nondestructive.raw_ber, 0.0);
-  EXPECT_LT(r.nondestructive.raw_ber, 1e-6);
+  EXPECT_GT(r.scheme(SchemeId::kNondestructive).raw_ber, 0.0);
+  EXPECT_LT(r.scheme(SchemeId::kNondestructive).raw_ber, 1e-6);
 }
 
 TEST(YieldOverlay, EccAndRetriesReduceWordErrors) {
@@ -378,15 +378,15 @@ TEST(YieldOverlay, EccAndRetriesReduceWordErrors) {
   const FaultYieldResult retried = run_yield_with_faults(cfg, faults, ecc3);
 
   // Same injection: the raw BER is an ECC-independent property.
-  EXPECT_DOUBLE_EQ(raw.nondestructive.raw_ber,
-                   corrected.nondestructive.raw_ber);
-  EXPECT_GT(raw.nondestructive.raw_ber, 0.0);
+  EXPECT_DOUBLE_EQ(raw.scheme(SchemeId::kNondestructive).raw_ber,
+                   corrected.scheme(SchemeId::kNondestructive).raw_ber);
+  EXPECT_GT(raw.scheme(SchemeId::kNondestructive).raw_ber, 0.0);
   // ECC strictly improves the residual BER; retries improve the WER
   // further (they scrub the transient component).
-  EXPECT_LT(corrected.nondestructive.post_ecc_ber,
-            raw.nondestructive.post_ecc_ber);
-  EXPECT_LE(retried.nondestructive.post_ecc_wer,
-            corrected.nondestructive.post_ecc_wer);
+  EXPECT_LT(corrected.scheme(SchemeId::kNondestructive).post_ecc_ber,
+            raw.scheme(SchemeId::kNondestructive).post_ecc_ber);
+  EXPECT_LE(retried.scheme(SchemeId::kNondestructive).post_ecc_wer,
+            corrected.scheme(SchemeId::kNondestructive).post_ecc_wer);
 }
 
 TEST(YieldOverlay, DriftHitsOnlyExternallyReferencedSchemes) {
@@ -398,11 +398,12 @@ TEST(YieldOverlay, DriftHitsOnlyExternallyReferencedSchemes) {
   faults.drift_density = 0.05;
   const FaultYieldResult r =
       run_yield_with_faults(cfg, faults, BerConfig{});
-  EXPECT_GT(r.conventional.hard_bit_fraction, 0.0);
-  EXPECT_GT(r.reference_cell.hard_bit_fraction, 0.0);
-  EXPECT_EQ(r.destructive.hard_bit_fraction, 0.0);
-  EXPECT_EQ(r.nondestructive.hard_bit_fraction, 0.0);
-  EXPECT_GT(r.conventional.raw_ber, r.nondestructive.raw_ber);
+  EXPECT_GT(r.scheme(SchemeId::kConventional).hard_bit_fraction, 0.0);
+  EXPECT_GT(r.scheme(SchemeId::kReferenceCell).hard_bit_fraction, 0.0);
+  EXPECT_EQ(r.scheme(SchemeId::kDestructive).hard_bit_fraction, 0.0);
+  EXPECT_EQ(r.scheme(SchemeId::kNondestructive).hard_bit_fraction, 0.0);
+  EXPECT_GT(r.scheme(SchemeId::kConventional).raw_ber,
+            r.scheme(SchemeId::kNondestructive).raw_ber);
 }
 
 TEST(YieldOverlay, ThreadCountInvariant) {
@@ -416,10 +417,10 @@ TEST(YieldOverlay, ThreadCountInvariant) {
   const FaultYieldResult parallel =
       run_yield_with_faults(cfg, faults, ber, &pool);
   EXPECT_EQ(serial.faulty_bits, parallel.faulty_bits);
-  EXPECT_EQ(serial.nondestructive.raw_ber,
-            parallel.nondestructive.raw_ber);
-  EXPECT_EQ(serial.conventional.post_ecc_wer,
-            parallel.conventional.post_ecc_wer);
+  EXPECT_EQ(serial.scheme(SchemeId::kNondestructive).raw_ber,
+            parallel.scheme(SchemeId::kNondestructive).raw_ber);
+  EXPECT_EQ(serial.scheme(SchemeId::kConventional).post_ecc_wer,
+            parallel.scheme(SchemeId::kConventional).post_ecc_wer);
 }
 
 // --------------------------------------------- TestableArray dynamics
@@ -428,34 +429,34 @@ TEST(TestableArrayFaults, ReadDisturbFlipsOnEverySense) {
   TestableArray array = make_clean_array({4, 4}, 5);
   array.inject(1, 1, FaultType::kReadDisturb);
   array.write(1, 1, false);
-  EXPECT_TRUE(array.sense(1, 1, ReadScheme::kNondestructive));
-  EXPECT_FALSE(array.sense(1, 1, ReadScheme::kNondestructive));
-  EXPECT_TRUE(array.sense(1, 1, ReadScheme::kNondestructive));
+  EXPECT_TRUE(array.sense(1, 1, SchemeId::kNondestructive));
+  EXPECT_FALSE(array.sense(1, 1, SchemeId::kNondestructive));
+  EXPECT_TRUE(array.sense(1, 1, SchemeId::kNondestructive));
 }
 
 TEST(TestableArrayFaults, RetentionDecaysAfterHorizon) {
   TestableArray array = make_clean_array({4, 4}, 6);
   array.inject(0, 0, FaultType::kRetention, /*param=*/3.0);
   array.write(0, 0, true);
-  EXPECT_TRUE(array.sense(0, 0, ReadScheme::kNondestructive));  // op +1
-  EXPECT_TRUE(array.sense(0, 0, ReadScheme::kNondestructive));  // op +2
+  EXPECT_TRUE(array.sense(0, 0, SchemeId::kNondestructive));  // op +1
+  EXPECT_TRUE(array.sense(0, 0, SchemeId::kNondestructive));  // op +2
   // Third operation since the write: the horizon (3 ops) elapses.
-  EXPECT_FALSE(array.sense(0, 0, ReadScheme::kNondestructive));
+  EXPECT_FALSE(array.sense(0, 0, SchemeId::kNondestructive));
 }
 
 TEST(TestableArrayFaults, DriftOutlierMisreadsConventionalOnly) {
   TestableArray array = make_clean_array({4, 4}, 7);
   array.inject(2, 2, FaultType::kDriftOutlier, 1.8);
   array.write(2, 2, false);
-  EXPECT_TRUE(array.read(2, 2, ReadScheme::kConventional));  // misread
-  EXPECT_FALSE(array.read(2, 2, ReadScheme::kDestructive));
-  EXPECT_FALSE(array.read(2, 2, ReadScheme::kNondestructive));
+  EXPECT_TRUE(array.read(2, 2, SchemeId::kConventional));  // misread
+  EXPECT_FALSE(array.read(2, 2, SchemeId::kDestructive));
+  EXPECT_FALSE(array.read(2, 2, SchemeId::kNondestructive));
 }
 
 TEST(TestableArrayFaults, OperationsCountReadsAndWrites) {
   TestableArray array = make_clean_array({4, 4}, 8);
   EXPECT_EQ(array.operations(), 0u);
   array.write(0, 0, true);
-  (void)array.sense(0, 0, ReadScheme::kNondestructive);
+  (void)array.sense(0, 0, SchemeId::kNondestructive);
   EXPECT_EQ(array.operations(), 2u);
 }

@@ -209,8 +209,12 @@ TEST(BernoulliThreshold, IsTheExactIntegerFormOfTheDoubleCompare) {
       return static_cast<double>(m) * 0x1.0p-53 < p;
     };
     ASSERT_LE(t, two53);
-    if (t > 0) EXPECT_TRUE(hits(t - 1));
-    if (t < two53) EXPECT_FALSE(hits(t));
+    if (t > 0) {
+      EXPECT_TRUE(hits(t - 1));
+    }
+    if (t < two53) {
+      EXPECT_FALSE(hits(t));
+    }
   }
   EXPECT_EQ(bernoulli_threshold(0.0), 0u);
   EXPECT_EQ(bernoulli_threshold(std::numeric_limits<double>::denorm_min()),

@@ -14,12 +14,12 @@ MtjVariationModel no_variation() {
 }
 
 TEST(March, CleanArrayPassesEveryScheme) {
-  for (const ReadScheme scheme :
-       {ReadScheme::kConventional, ReadScheme::kDestructive,
-        ReadScheme::kNondestructive}) {
+  for (const SchemeId scheme :
+       {SchemeId::kConventional, SchemeId::kDestructive,
+        SchemeId::kNondestructive}) {
     TestableArray array({8, 8}, no_variation(), 1);
     const MarchResult r = run_march_c_minus(array, scheme);
-    EXPECT_TRUE(r.passed()) << to_string(scheme);
+    EXPECT_TRUE(r.passed()) << scheme_row(scheme).label;
     // March C-: 6 elements, 10 ops per cell total.
     EXPECT_EQ(r.operations, 8u * 8u * 10u);
   }
@@ -30,7 +30,7 @@ TEST(March, DetectsStuckAtFaults) {
   array.inject(2, 3, FaultType::kStuckAtZero);
   array.inject(5, 6, FaultType::kStuckAtOne);
   const MarchResult r =
-      run_march_c_minus(array, ReadScheme::kNondestructive);
+      run_march_c_minus(array, SchemeId::kNondestructive);
   ASSERT_EQ(r.failing_cells.size(), 2u);
   EXPECT_EQ(r.failing_cells[0], (std::pair<std::size_t, std::size_t>{2, 3}));
   EXPECT_EQ(r.failing_cells[1], (std::pair<std::size_t, std::size_t>{5, 6}));
@@ -42,7 +42,7 @@ TEST(March, DetectsTransitionFaults) {
     TestableArray array({6, 6}, no_variation(), 2);
     array.inject(1, 1, f);
     const MarchResult r =
-        run_march_c_minus(array, ReadScheme::kNondestructive);
+        run_march_c_minus(array, SchemeId::kNondestructive);
     ASSERT_EQ(r.failing_cells.size(), 1u)
         << "fault type " << static_cast<int>(f);
     EXPECT_EQ(r.failing_cells[0],
@@ -54,7 +54,7 @@ TEST(March, MatsPlusAlsoCatchesStuckAt) {
   TestableArray array({6, 6}, no_variation(), 3);
   array.inject(0, 5, FaultType::kStuckAtOne);
   const MarchResult r =
-      run_march(array, ReadScheme::kNondestructive, mats_plus());
+      run_march(array, SchemeId::kNondestructive, mats_plus());
   ASSERT_EQ(r.failing_cells.size(), 1u);
   EXPECT_EQ(r.operations, 6u * 6u * 5u);
 }
@@ -84,14 +84,14 @@ TEST(March, VariationVictimsFailOnlyWithConventionalRead) {
                                VariationParams{0.12, 0.02, 0.0});
   TestableArray array({24, 24}, wide, 7, SelfRefConfig{}, Volt(0.0));
   const MarchResult conv =
-      run_march_c_minus(array, ReadScheme::kConventional);
+      run_march_c_minus(array, SchemeId::kConventional);
   EXPECT_GT(conv.failing_cells.size(), 0u);
   TestableArray array2({24, 24}, wide, 7, SelfRefConfig{}, Volt(0.0));
   const MarchResult nondes =
-      run_march_c_minus(array2, ReadScheme::kNondestructive);
+      run_march_c_minus(array2, SchemeId::kNondestructive);
   EXPECT_TRUE(nondes.passed());
   const MarchResult destr =
-      run_march_c_minus(array2, ReadScheme::kDestructive);
+      run_march_c_minus(array2, SchemeId::kDestructive);
   EXPECT_TRUE(destr.passed());
 }
 
@@ -102,8 +102,8 @@ TEST(March, ReadSchemeDoesNotDependOnMarchState) {
   const TestableArray array({8, 8}, wide, 9);
   for (std::size_t rw = 0; rw < 8; ++rw) {
     for (std::size_t c = 0; c < 8; ++c) {
-      EXPECT_EQ(array.read(rw, c, ReadScheme::kConventional),
-                array.read(rw, c, ReadScheme::kConventional));
+      EXPECT_EQ(array.read(rw, c, SchemeId::kConventional),
+                array.read(rw, c, SchemeId::kConventional));
     }
   }
 }

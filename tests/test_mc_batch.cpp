@@ -59,10 +59,9 @@ void expect_scheme_equal(const SchemeYield& a, const SchemeYield& b) {
 }
 
 void expect_yield_equal(const YieldResult& a, const YieldResult& b) {
-  expect_scheme_equal(a.conventional, b.conventional);
-  expect_scheme_equal(a.reference_cell, b.reference_cell);
-  expect_scheme_equal(a.destructive, b.destructive);
-  expect_scheme_equal(a.nondestructive, b.nondestructive);
+  for (const SchemeRow& row : kSchemeTable) {
+    expect_scheme_equal(a.scheme(row.id), b.scheme(row.id));
+  }
   EXPECT_EQ(a.die_factor, b.die_factor);
   EXPECT_EQ(a.shared_reference_window.value(),
             b.shared_reference_window.value());
@@ -167,14 +166,14 @@ TEST(McBatchYield, EmptyArrayGivesEmptyResult) {
   for (ParallelExecutor* executor : {static_cast<ParallelExecutor*>(nullptr),
                                      static_cast<ParallelExecutor*>(&pool)}) {
     const YieldResult r = run_yield_experiment(cfg, executor);
-    for (const SchemeYield* y : {&r.conventional, &r.reference_cell,
-                                 &r.destructive, &r.nondestructive}) {
-      EXPECT_EQ(y->bits, 0u);
-      EXPECT_EQ(y->failures, 0u);
-      EXPECT_EQ(y->sm0_stats.count(), 0u);
-      EXPECT_EQ(y->sm1_stats.count(), 0u);
-      EXPECT_TRUE(y->scatter.empty());
-      EXPECT_TRUE(y->per_bit_min_margin.empty());
+    for (const SchemeRow& row : kSchemeTable) {
+      const SchemeYield& y = r.scheme(row.id);
+      EXPECT_EQ(y.bits, 0u);
+      EXPECT_EQ(y.failures, 0u);
+      EXPECT_EQ(y.sm0_stats.count(), 0u);
+      EXPECT_EQ(y.sm1_stats.count(), 0u);
+      EXPECT_TRUE(y.scatter.empty());
+      EXPECT_TRUE(y.per_bit_min_margin.empty());
     }
     EXPECT_EQ(r.shared_reference_window.value(),
               std::numeric_limits<double>::infinity());
@@ -309,6 +308,32 @@ TEST(OpCache, HitMissAndEvictionCorrectness) {
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().misses, 0u);
   EXPECT_EQ(lookup(k1), value_of(k1).beta);  // cold again
+}
+
+TEST(OpCache, ThrowingSolveLeavesNoEntry) {
+  // A solve that throws (say, an out-of-range divider ratio) must not
+  // leave its key behind: the next lookup solves again instead of
+  // returning a zeroed point.
+  OpCache cache;
+  const std::uint64_t key = op_key(OpKind::kNondestructiveBeta);
+  EXPECT_THROW((void)cache.get_or_compute(
+                   key,
+                   []() -> OperatingPoint {
+                     throw InvalidArgument("solve failed");
+                   }),
+               InvalidArgument);
+  std::size_t solves = 0;
+  const double beta = cache
+                          .get_or_compute(key,
+                                          [&] {
+                                            ++solves;
+                                            OperatingPoint op;
+                                            op.beta = 2.0;
+                                            return op;
+                                          })
+                          .beta;
+  EXPECT_EQ(solves, 1u);
+  EXPECT_EQ(beta, 2.0);
 }
 
 TEST(OpCache, CachedOperatingPointsMatchDirectConstruction) {

@@ -8,6 +8,7 @@
 #include "sttram/common/error.hpp"
 #include "sttram/device/reliability.hpp"
 #include "sttram/sense/margins.hpp"
+#include "sttram/sense/scheme.hpp"
 
 namespace sttram {
 namespace {
@@ -72,10 +73,15 @@ TEST(Disturb, SelfReferenceHalvesTheAccessBudget) {
   // same disturb budget — the cost side of the paper's scheme.
   const SwitchingModel sw(MtjParams::paper_calibrated());
   const DisturbAccumulator acc(sw, Ampere(200e-6), Second(5e-9));
-  const double conv =
-      accesses_to_disturb_budget(acc, kConventionalProfile, 1e-3);
-  const double nondes =
-      accesses_to_disturb_budget(acc, kNondestructiveProfile, 1e-3);
+  const auto budget = [&](SchemeId id) {
+    const double reads = static_cast<double>(
+        scheme_read_currents(id, MtjParams::paper_calibrated(), Ohm(917.0),
+                             SelfRefConfig{})
+            .size());
+    return accesses_to_disturb_budget(acc, reads, 1e-3);
+  };
+  const double conv = budget(SchemeId::kConventional);
+  const double nondes = budget(SchemeId::kNondestructive);
   EXPECT_NEAR(nondes, conv / 2.0, conv * 1e-9);
   // Even halved, tens of thousands of back-to-back reads of the same
   // cell fit the budget (the paper's aggressive 40 %-of-I_c read level).

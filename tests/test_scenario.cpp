@@ -459,10 +459,10 @@ TEST(Builders, ChoicesMapToLibraryEnums) {
     return build_traffic(Json::parse(params), 1).config;
   };
   EXPECT_EQ(traffic(R"({"scheme": "conventional"})").scheme,
-            engine::SensingScheme::kConventional);
+            SchemeId::kConventional);
   EXPECT_EQ(traffic(R"({"scheme": "destructive"})").scheme,
-            engine::SensingScheme::kDestructive);
-  EXPECT_EQ(traffic("{}").scheme, engine::SensingScheme::kNondestructive);
+            SchemeId::kDestructive);
+  EXPECT_EQ(traffic("{}").scheme, SchemeId::kNondestructive);
   EXPECT_EQ(traffic(R"({"policy": "read-priority"})").policy,
             engine::SchedulingPolicy::kReadPriority);
   EXPECT_EQ(traffic("{}").policy, engine::SchedulingPolicy::kFcfs);
@@ -481,7 +481,7 @@ TEST(Builders, ChoicesMapToLibraryEnums) {
   EXPECT_STREQ(ctrl::to_string(ctrl::SchedulerPolicy::kFcfs), "fcfs");
   EXPECT_EQ(build_march(Json::parse(R"({"scheme": "destructive"})"), 1)
                 .scheme,
-            ReadScheme::kDestructive);
+            SchemeId::kDestructive);
   // Anything else is refused before a builder sees it.
   register_builtin_kinds();
   for (const auto& [kind, params] :

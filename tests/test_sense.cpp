@@ -1,19 +1,33 @@
-// Tests for sttram/sense: the sense amplifier, the three sensing
-// schemes' margin math, the robustness analyzers, and the executable
-// read operations — including the core paper invariants as property
-// tests over parameter sweeps.
+// Tests for sttram/sense: the sense amplifier, the sensing schemes'
+// margin math (against the written-out closed forms of mc_oracle.cpp),
+// the scheme table, the robustness analyzers, and the executable read
+// operations — including the core paper invariants as property tests
+// over parameter sweeps.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include <string>
+#include <vector>
+
+#include "mc_oracle.hpp"
 #include "sttram/common/error.hpp"
+#include "sttram/device/variation.hpp"
+#include "sttram/engine/bank_sim.hpp"
+#include "sttram/engine/controller/controller.hpp"
+#include "sttram/fault/yield_overlay.hpp"
+#include "sttram/scenario/registry.hpp"
 #include "sttram/sense/design.hpp"
 #include "sttram/sense/latch.hpp"
 #include "sttram/sense/margins.hpp"
 #include "sttram/sense/noise.hpp"
 #include "sttram/sense/read_operation.hpp"
 #include "sttram/sense/robustness.hpp"
+#include "sttram/sense/scheme.hpp"
 #include "sttram/sense/sense_amp.hpp"
+#include "sttram/sim/march.hpp"
+#include "sttram/sim/timing_energy.hpp"
+#include "sttram/sim/yield.hpp"
 #include "sttram/stats/rng.hpp"
 
 namespace sttram {
@@ -578,6 +592,214 @@ TEST_F(ReadOpFixture, SenseAmpOffsetCanFlipMarginalRead) {
   cell.mtj().force_state(MtjState::kAntiParallel);
   const ReadResult r = op.execute(cell);
   EXPECT_FALSE(r.correct);
+}
+
+// ---------------------------------------------------------- ClosedForms
+
+void expect_bitwise(const SenseMargins& got, const SenseMargins& want,
+                    const std::string& where) {
+  EXPECT_EQ(got.sm0.value(), want.sm0.value()) << where << " SM0";
+  EXPECT_EQ(got.sm1.value(), want.sm1.value()) << where << " SM1";
+}
+
+TEST(ClosedForms, ClassMarginsMatchTheWrittenOutForms) {
+  // Devices: nominal, common-scaled, TMR-scaled and varied, on the
+  // linear law plus one Simmons device; fixed and NMOS access devices.
+  const MtjParams nominal = MtjParams::paper_calibrated();
+  std::vector<MtjParams> devices = {nominal, nominal.scaled(0.9, 1.0),
+                                    nominal.scaled(1.12, 1.0),
+                                    nominal.scaled(1.0, 0.85),
+                                    nominal.scaled(1.07, 1.1)};
+  VariationParams vp;
+  vp.sigma_common = 0.08;
+  vp.sigma_tmr = 0.05;
+  const MtjVariationModel variation(nominal, vp);
+  Xoshiro256 stream(2010);
+  for (int k = 0; k < 6; ++k) devices.push_back(variation.sample(stream));
+  std::vector<std::unique_ptr<RiModel>> models;
+  for (const MtjParams& d : devices) {
+    models.push_back(std::make_unique<LinearRiModel>(d));
+  }
+  models.push_back(std::make_unique<SimmonsRiModel>(
+      SimmonsRiModel::calibrated_to(nominal)));
+  std::vector<std::unique_ptr<AccessDeviceModel>> accesses;
+  for (const double r : {917.0, 861.5, 990.0}) {
+    accesses.push_back(std::make_unique<FixedAccessResistor>(Ohm(r)));
+  }
+  accesses.push_back(std::make_unique<LinearRegionNmos>(
+      LinearRegionNmos::with_on_resistance(Ohm(917.0))));
+
+  std::vector<SchemeMismatch> mismatches(7);
+  mismatches[1].delta_r_t = Ohm(40.0);
+  mismatches[2].delta_r_t = Ohm(-130.0);
+  mismatches[3].alpha_deviation = 0.03;
+  mismatches[4].alpha_deviation = -0.057;
+  mismatches[5].beta_deviation = 0.02;
+  mismatches[6] = {Ohm(25.0), -0.02, -0.013};
+  const LinearRiModel ref_p(devices[6]);
+  const LinearRiModel ref_ap(devices[7]);
+
+  std::size_t checked = 0;
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    for (std::size_t a = 0; a < accesses.size(); ++a) {
+      const RiModel& model = *models[m];
+      const AccessDeviceModel& access = *accesses[a];
+      const std::string where =
+          "device " + std::to_string(m) + ", access " + std::to_string(a);
+      for (const double i_ua : {150.0, 200.0}) {
+        const Ampere i_read(i_ua * 1e-6);
+        const ConventionalSensing conv(model, access, i_read);
+        for (const double dv : {0.0, 4e-3, -13.5e-3}) {
+          const Volt v_ref = conv.midpoint_reference() + Volt(dv);
+          expect_bitwise(conv.margins(v_ref),
+                         oracle::conventional(model, access, i_read, v_ref),
+                         where + ", conventional");
+        }
+        expect_bitwise(
+            ReferenceCellSensing(model, access, ref_p, ref_ap, i_read)
+                .margins(),
+            oracle::reference_cell(model, access, ref_p, ref_ap, i_read),
+            where + ", reference cell");
+      }
+      for (const double alpha : {0.5, 0.45}) {
+        SelfRefConfig config;
+        config.alpha = alpha;
+        const DestructiveSelfReference d(model, access, config);
+        const NondestructiveSelfReference n(model, access, config);
+        for (const double beta : {1.22, 1.6, 2.131, 3.0}) {
+          for (const SchemeMismatch& mm : mismatches) {
+            expect_bitwise(d.margins(beta, mm),
+                           oracle::destructive(model, access, config, beta,
+                                               mm),
+                           where + ", destructive");
+            expect_bitwise(n.margins(beta, mm),
+                           oracle::nondestructive(model, access, config,
+                                                  beta, mm),
+                           where + ", nondestructive");
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 12u * 4u * 2u * 4u * 7u);
+}
+
+// -------------------------------------------------------------- Schemes
+
+TEST(Schemes, TableFollowsSchemeIdOrder) {
+  for (std::size_t i = 0; i < kSchemeCount; ++i) {
+    const SchemeRow& row = kSchemeTable[i];
+    EXPECT_EQ(scheme_index(row.id), i);
+    EXPECT_EQ(&scheme_row(row.id), &row);
+    EXPECT_EQ(scheme_from_key(row.key), row.id);
+  }
+  // A label is not a key.
+  EXPECT_THROW((void)scheme_from_key("reference-cell"), InvalidArgument);
+}
+
+TEST(Schemes, KeysAndLabelsAreTheSpellingsReportsUse) {
+  scenario::register_builtin_kinds();
+  const auto choices = [](const char* kind) {
+    return scenario::Registry::instance()
+        .find(kind)
+        ->schema.find("scheme")
+        ->choices;
+  };
+  const auto run_kind = [](const char* kind, const char* params) {
+    scenario::ScenarioInstance inst;
+    inst.kind = kind;
+    inst.params = Json::parse(params);
+    return scenario::Registry::instance().find(kind)->run(inst, nullptr);
+  };
+  // `campaign list` and `--scheme` offer the keys: every scheme with a
+  // read flow to the read-flow kinds, the self-reference schemes to
+  // margin_sweep.
+  std::vector<std::string> read_flow;
+  std::vector<std::string> self_reference;
+  for (const SchemeRow& row : kSchemeTable) {
+    if (row.has_read_flow) read_flow.emplace_back(row.key);
+    if (!row.externally_referenced) self_reference.emplace_back(row.key);
+  }
+  EXPECT_EQ(choices("traffic"), read_flow);
+  EXPECT_EQ(choices("controller"), read_flow);
+  EXPECT_EQ(choices("march"), read_flow);
+  EXPECT_EQ(choices("margin_sweep"), self_reference);
+
+  // Yield and fault-overlay reports: labels in the records, keys as the
+  // metric prefixes.
+  YieldConfig yc;
+  yc.geometry = {8, 8};
+  const YieldResult y = run_yield_experiment(yc);
+  const fault::FaultYieldResult f = fault::run_yield_with_faults(
+      yc, fault::FaultConfig::with_total_density(0.05), fault::BerConfig{});
+  const Json yield_metrics = run_kind("yield", R"({"rows": 8, "cols": 8})");
+  const Json overlay_metrics =
+      run_kind("fault_overlay", R"({"rows": 8, "cols": 8})");
+  for (const SchemeRow& row : kSchemeTable) {
+    EXPECT_EQ(y.scheme(row.id).scheme, row.label);
+    EXPECT_EQ(f.scheme(row.id).scheme, row.label);
+    EXPECT_TRUE(yield_metrics.contains(std::string(row.key) + ".failures"))
+        << row.key;
+    EXPECT_TRUE(overlay_metrics.contains(std::string(row.key) + ".raw_ber"))
+        << row.key;
+  }
+
+  // Read-flow reports: the cost table (one row per scheme with a read
+  // flow, in table order), traffic, the controller and march coverage.
+  const CostComparisonConfig cost;
+  const std::vector<SchemeCost> costs = compare_scheme_costs(cost);
+  ASSERT_EQ(costs.size(), read_flow.size());
+  std::size_t k = 0;
+  for (const SchemeRow& row : kSchemeTable) {
+    if (!row.has_read_flow) continue;
+    EXPECT_EQ(costs[k].scheme, row.label);
+    EXPECT_EQ(costs[k].write_pulses_read1 > 0, row.writes_cell);
+    ++k;
+    engine::TrafficConfig traffic;
+    traffic.scheme = row.id;
+    traffic.requests = 64;
+    EXPECT_EQ(engine::run_traffic(traffic).scheme, row.label);
+    engine::controller::ControllerConfig controller;
+    controller.scheme = row.id;
+    controller.requests = 64;
+    EXPECT_EQ(engine::controller::run_controller_traffic(controller).scheme,
+              row.label);
+  }
+}
+
+TEST(Schemes, ReadFlowEntryPointsRefuseASchemeWithoutOne) {
+  const CostComparisonConfig cost;
+  const MtjVariationModel variation(MtjParams::paper_calibrated(),
+                                    VariationParams::none());
+  std::size_t refused = 0;
+  for (const SchemeRow& row : kSchemeTable) {
+    if (row.has_read_flow) continue;
+    ++refused;
+    OneT1JCell cell;
+    EXPECT_THROW((void)execute_scheme_read(row.id, cost, cell),
+                 InvalidArgument);
+    EXPECT_THROW((void)scheme_cost(row.id, cost), InvalidArgument);
+    EXPECT_THROW((void)engine::scheme_bank_timing(row.id, cost),
+                 InvalidArgument);
+    engine::TrafficConfig traffic;
+    traffic.scheme = row.id;
+    traffic.requests = 64;
+    EXPECT_THROW((void)engine::run_traffic(traffic), InvalidArgument);
+    engine::controller::ControllerConfig controller;
+    controller.scheme = row.id;
+    controller.requests = 64;
+    EXPECT_THROW(
+        (void)engine::controller::run_controller_traffic(controller),
+        InvalidArgument);
+    EXPECT_THROW(
+        (void)engine::controller::read_command_sequence(row.id, cost),
+        InvalidArgument);
+    TestableArray array({4, 4}, variation, 1);
+    EXPECT_THROW((void)array.read(0, 0, row.id), InvalidArgument);
+    EXPECT_THROW((void)run_march_c_minus(array, row.id), InvalidArgument);
+  }
+  EXPECT_EQ(refused, 1u);  // reference-cell sensing
 }
 
 }  // namespace

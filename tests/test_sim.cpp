@@ -163,10 +163,12 @@ TEST(Yield, ScatterKeepsAtMostMaxPoints) {
     cfg.geometry = c.geometry;
     cfg.max_scatter_points = c.max;
     const YieldResult r = run_yield_experiment(cfg);
-    for (const SchemeYield* y : {&r.conventional, &r.reference_cell,
-                                 &r.destructive, &r.nondestructive}) {
-      if (c.max > 0) EXPECT_LE(y->scatter.size(), c.max);
-      EXPECT_EQ(y->scatter.size(), c.expected)
+    for (const SchemeRow& row : kSchemeTable) {
+      const SchemeYield& y = r.scheme(row.id);
+      if (c.max > 0) {
+        EXPECT_LE(y.scatter.size(), c.max);
+      }
+      EXPECT_EQ(y.scatter.size(), c.expected)
           << c.geometry.rows << "x" << c.geometry.cols << " max " << c.max;
     }
   }
@@ -203,13 +205,13 @@ TEST(Yield, FailureRateGrowsWithVariation) {
   cfg.geometry = {48, 48};
   const auto sweep = sweep_variation(cfg, {0.02, 0.08, 0.16});
   ASSERT_EQ(sweep.size(), 3u);
-  EXPECT_LE(sweep[0].conventional_failure_rate,
-            sweep[1].conventional_failure_rate);
-  EXPECT_LE(sweep[1].conventional_failure_rate,
-            sweep[2].conventional_failure_rate);
+  const std::size_t conv = scheme_index(SchemeId::kConventional);
+  EXPECT_LE(sweep[0].failure_rate[conv], sweep[1].failure_rate[conv]);
+  EXPECT_LE(sweep[1].failure_rate[conv], sweep[2].failure_rate[conv]);
   // Self-reference stays clean far beyond the conventional breaking
   // point.
-  EXPECT_EQ(sweep[1].destructive_failure_rate, 0.0);
+  EXPECT_EQ(sweep[1].failure_rate[scheme_index(SchemeId::kDestructive)],
+            0.0);
 }
 
 TEST(CostComparison, NondestructiveFasterAndNoWrites) {

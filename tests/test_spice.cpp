@@ -342,7 +342,7 @@ TEST(SpiceLeakage, LumpedModelMatchesExplicitUnselectedCells) {
     c.add<CurrentSource>("I", Circuit::ground(), sense, 200e-6);
     NodeId prev = sense;
     for (int k = 0; k < kCells; ++k) {
-      const NodeId node = c.node("n" + std::to_string(k));
+      const NodeId node = c.node(std::string("n").append(std::to_string(k)));
       c.add<Resistor>("Rw" + std::to_string(k), prev, node, kWirePerSeg);
       if (explicit_cells) {
         // Unselected cell: its MTJ in series with the off transistor.
