@@ -15,26 +15,6 @@ std::unique_ptr<AccessDeviceModel> FixedAccessResistor::clone() const {
   return std::make_unique<FixedAccessResistor>(*this);
 }
 
-ShiftedAccessResistor::ShiftedAccessResistor(Ohm r0, Ohm dr_at_ref,
-                                             Ampere i_ref)
-    : r0_(r0), dr_at_ref_(dr_at_ref), i_ref_(i_ref) {
-  require(r0.value() >= 0.0, "ShiftedAccessResistor: r0 must be >= 0");
-  require(i_ref.value() > 0.0, "ShiftedAccessResistor: i_ref must be > 0");
-}
-
-ShiftedAccessResistor ShiftedAccessResistor::with_shift(Ohm r0, Ohm dr_at_ref,
-                                                        Ampere i_ref) {
-  return ShiftedAccessResistor(r0, dr_at_ref, i_ref);
-}
-
-Ohm ShiftedAccessResistor::resistance(Ampere i) const {
-  return r0_ + dr_at_ref_ * (abs(i) / i_ref_);
-}
-
-std::unique_ptr<AccessDeviceModel> ShiftedAccessResistor::clone() const {
-  return std::make_unique<ShiftedAccessResistor>(*this);
-}
-
 LinearRegionNmos::LinearRegionNmos(Params p) : params_(p) {
   require(p.beta > 0.0, "LinearRegionNmos: beta must be > 0");
   require(p.vgs > p.vth, "LinearRegionNmos: device must be on (vgs > vth)");

@@ -42,26 +42,6 @@ class FixedAccessResistor final : public AccessDeviceModel {
   Ohm r_;
 };
 
-/// Resistor with an explicit linear current dependence:
-/// R(i) = r0 + slope * |i|.  This is the parameterization the robustness
-/// sweeps (Fig. 7) drive directly: choosing `slope` sets dR between the
-/// two scheme read currents.
-class ShiftedAccessResistor final : public AccessDeviceModel {
- public:
-  ShiftedAccessResistor(Ohm r0, Ohm slope_per_amp_times_amp, Ampere i_ref);
-  /// Convenience: R(0) = r0 and R(i_ref) = r0 + dr_at_ref.
-  static ShiftedAccessResistor with_shift(Ohm r0, Ohm dr_at_ref,
-                                          Ampere i_ref);
-
-  [[nodiscard]] Ohm resistance(Ampere i) const override;
-  [[nodiscard]] std::unique_ptr<AccessDeviceModel> clone() const override;
-
- private:
-  Ohm r0_;
-  Ohm dr_at_ref_;
-  Ampere i_ref_;
-};
-
 /// Physical level-1 NMOS in the linear/triode region: solves
 ///   I = beta * ((Vgs - Vt) * Vds - Vds^2 / 2)
 /// for Vds and reports Vds / I.  As I -> 0 this tends to

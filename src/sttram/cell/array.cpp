@@ -1,7 +1,5 @@
 #include "sttram/cell/array.hpp"
 
-#include <limits>
-
 #include "sttram/common/error.hpp"
 #include "sttram/stats/distributions.hpp"
 
@@ -51,54 +49,6 @@ void MemoryArray::store(std::size_t row, std::size_t col, bool bit) {
 
 bool MemoryArray::stored(std::size_t row, std::size_t col) const {
   return to_bit(cells_[index(row, col)].state);
-}
-
-Ohm MemoryArray::mtj_resistance(std::size_t row, std::size_t col, MtjState s,
-                                Ampere i) const {
-  const ArrayCell& c = cells_[index(row, col)];
-  return LinearRiModel(c.params).resistance(s, i);
-}
-
-Ohm MemoryArray::path_resistance(std::size_t row, std::size_t col,
-                                 Ampere i) const {
-  const ArrayCell& c = cells_[index(row, col)];
-  return mtj_resistance(row, col, c.state, i) + c.r_access;
-}
-
-Volt MemoryArray::bitline_voltage(std::size_t row, std::size_t col,
-                                  Ampere i) const {
-  return i * path_resistance(row, col, i);
-}
-
-MemoryArray::ResistanceSpread MemoryArray::resistance_spread(Ampere i) const {
-  ResistanceSpread s;
-  s.min_low = s.min_high = Ohm(std::numeric_limits<double>::infinity());
-  s.max_low = s.max_high = Ohm(-std::numeric_limits<double>::infinity());
-  for (const ArrayCell& c : cells_) {
-    const LinearRiModel m(c.params);
-    const Ohm lo = m.resistance(MtjState::kParallel, i);
-    const Ohm hi = m.resistance(MtjState::kAntiParallel, i);
-    s.min_low = min(s.min_low, lo);
-    s.max_low = max(s.max_low, lo);
-    s.min_high = min(s.min_high, hi);
-    s.max_high = max(s.max_high, hi);
-  }
-  return s;
-}
-
-Volt MemoryArray::shared_reference_window(Ampere i) const {
-  Volt max_low(-std::numeric_limits<double>::infinity());
-  Volt min_high(std::numeric_limits<double>::infinity());
-  for (const ArrayCell& c : cells_) {
-    const LinearRiModel m(c.params);
-    const Volt v_low =
-        i * (m.resistance(MtjState::kParallel, i) + c.r_access);
-    const Volt v_high =
-        i * (m.resistance(MtjState::kAntiParallel, i) + c.r_access);
-    max_low = max(max_low, v_low);
-    min_high = min(min_high, v_high);
-  }
-  return min_high - max_low;
 }
 
 }  // namespace sttram

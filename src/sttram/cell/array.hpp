@@ -52,30 +52,6 @@ class MemoryArray {
   void store(std::size_t row, std::size_t col, bool bit);
   [[nodiscard]] bool stored(std::size_t row, std::size_t col) const;
 
-  /// Resistance of the cell's MTJ in a given state at read current `i`.
-  [[nodiscard]] Ohm mtj_resistance(std::size_t row, std::size_t col,
-                                   MtjState s, Ampere i) const;
-
-  /// Series path resistance (MTJ in stored state + access device) at `i`.
-  [[nodiscard]] Ohm path_resistance(std::size_t row, std::size_t col,
-                                    Ampere i) const;
-
-  /// Bit-line voltage developed when the selected cell carries `i`.
-  [[nodiscard]] Volt bitline_voltage(std::size_t row, std::size_t col,
-                                     Ampere i) const;
-
-  /// Population statistics of R_low / R_high at a read current (used to
-  /// reason about shared-reference feasibility, Eq. (2)).
-  struct ResistanceSpread {
-    Ohm min_low{0.0}, max_low{0.0};
-    Ohm min_high{0.0}, max_high{0.0};
-  };
-  [[nodiscard]] ResistanceSpread resistance_spread(Ampere i) const;
-
-  /// The shared-reference window Max(V_BL,L) < V_REF < Min(V_BL,H) is
-  /// non-empty iff this returns a positive voltage (window width).
-  [[nodiscard]] Volt shared_reference_window(Ampere i) const;
-
  private:
   [[nodiscard]] std::size_t index(std::size_t row, std::size_t col) const;
 

@@ -6,26 +6,8 @@ OneT1JCell::OneT1JCell()
     : mtj_(MtjParams::paper_calibrated()),
       access_(std::make_unique<FixedAccessResistor>(Ohm(917.0))) {}
 
-OneT1JCell::OneT1JCell(MtjDevice mtj, const AccessDeviceModel& access)
-    : mtj_(std::move(mtj)), access_(access.clone()) {}
-
-OneT1JCell::OneT1JCell(const OneT1JCell& other)
-    : mtj_(other.mtj_), access_(other.access_->clone()) {}
-
-OneT1JCell& OneT1JCell::operator=(const OneT1JCell& other) {
-  if (this == &other) return *this;
-  mtj_ = other.mtj_;
-  access_ = other.access_->clone();
-  return *this;
-}
-
 Volt OneT1JCell::read_bitline_voltage(Ampere i) {
   const Ohm r = mtj_.read_resistance(i) + access_->resistance(i);
-  return i * r;
-}
-
-Volt OneT1JCell::bitline_voltage(MtjState s, Ampere i) const {
-  const Ohm r = mtj_.resistance(s, i) + access_->resistance(i);
   return i * r;
 }
 

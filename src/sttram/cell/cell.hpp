@@ -18,13 +18,6 @@ class OneT1JCell {
   /// resistance (the paper's Table I values).
   OneT1JCell();
 
-  OneT1JCell(MtjDevice mtj, const AccessDeviceModel& access);
-
-  OneT1JCell(const OneT1JCell& other);
-  OneT1JCell& operator=(const OneT1JCell& other);
-  OneT1JCell(OneT1JCell&&) noexcept = default;
-  OneT1JCell& operator=(OneT1JCell&&) noexcept = default;
-
   [[nodiscard]] MtjDevice& mtj() { return mtj_; }
   [[nodiscard]] const MtjDevice& mtj() const { return mtj_; }
   [[nodiscard]] const AccessDeviceModel& access() const { return *access_; }
@@ -35,10 +28,6 @@ class OneT1JCell {
   /// Bit-line voltage when the selected cell carries read current `i`
   /// (counts a read access on the MTJ).
   Volt read_bitline_voltage(Ampere i);
-
-  /// Bit-line voltage for a hypothetical state (no access counted) —
-  /// used by the analytic scheme math.
-  [[nodiscard]] Volt bitline_voltage(MtjState s, Ampere i) const;
 
   /// Total series resistance seen from the bit line at current `i` for
   /// the stored state.

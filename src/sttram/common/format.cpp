@@ -52,7 +52,6 @@ std::string format(Ohm r, int digits) { return format_si(r.value(), "Ohm", digit
 std::string format(Ampere i, int digits) { return format_si(i.value(), "A", digits); }
 std::string format(Volt v, int digits) { return format_si(v.value(), "V", digits); }
 std::string format(Second t, int digits) { return format_si(t.value(), "s", digits); }
-std::string format(Farad c, int digits) { return format_si(c.value(), "F", digits); }
 std::string format(Joule e, int digits) { return format_si(e.value(), "J", digits); }
 
 std::string format_percent(double ratio, int digits) {

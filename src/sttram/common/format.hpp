@@ -17,7 +17,6 @@ std::string format(Ohm r, int digits = 4);
 std::string format(Ampere i, int digits = 4);
 std::string format(Volt v, int digits = 4);
 std::string format(Second t, int digits = 4);
-std::string format(Farad c, int digits = 4);
 std::string format(Joule e, int digits = 4);
 
 /// Formats a plain double with `digits` significant digits.

@@ -37,31 +37,6 @@ QuadraticRoots solve_quadratic(double a, double b, double c) {
   return r;
 }
 
-double bisect(const std::function<double(double)>& f, double lo, double hi,
-              double tol, int max_iter) {
-  require(lo < hi, "bisect: lo must be < hi");
-  double flo = f(lo);
-  double fhi = f(hi);
-  if (flo == 0.0) return lo;
-  if (fhi == 0.0) return hi;
-  if (flo * fhi > 0.0) {
-    throw NumericError("bisect: f(lo) and f(hi) have the same sign");
-  }
-  for (int i = 0; i < max_iter && (hi - lo) > tol; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    const double fm = f(mid);
-    if (fm == 0.0) return mid;
-    if (flo * fm < 0.0) {
-      hi = mid;
-      fhi = fm;
-    } else {
-      lo = mid;
-      flo = fm;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
-
 double brent(const std::function<double(double)>& f, double lo, double hi,
              double tol, int max_iter) {
   require(lo < hi, "brent: lo must be < hi");
@@ -133,29 +108,6 @@ double brent(const std::function<double(double)>& f, double lo, double hi,
   return b;
 }
 
-std::vector<double> find_all_roots(const std::function<double(double)>& f,
-                                   double lo, double hi, int steps,
-                                   double tol) {
-  require(steps >= 1, "find_all_roots: steps must be >= 1");
-  require(lo < hi, "find_all_roots: lo must be < hi");
-  std::vector<double> roots;
-  double x_prev = lo;
-  double f_prev = f(lo);
-  if (f_prev == 0.0) roots.push_back(lo);
-  for (int i = 1; i <= steps; ++i) {
-    const double x = lo + (hi - lo) * static_cast<double>(i) / steps;
-    const double fx = f(x);
-    if (fx == 0.0) {
-      roots.push_back(x);
-    } else if (f_prev != 0.0 && f_prev * fx < 0.0) {
-      roots.push_back(brent(f, x_prev, x, tol));
-    }
-    x_prev = x;
-    f_prev = fx;
-  }
-  return roots;
-}
-
 bool approx_equal(double a, double b, double rtol, double atol) {
   return std::fabs(a - b) <=
          atol + rtol * std::max(std::fabs(a), std::fabs(b));
@@ -181,16 +133,6 @@ double PiecewiseLinear::operator()(double x) const {
   const std::size_t i = static_cast<std::size_t>(it - xs_.begin());
   const double t = (x - xs_[i - 1]) / (xs_[i] - xs_[i - 1]);
   return ys_[i - 1] + t * (ys_[i] - ys_[i - 1]);
-}
-
-double PiecewiseLinear::derivative(double x) const {
-  require(!xs_.empty(), "PiecewiseLinear: empty table");
-  if (x < xs_.front() || x > xs_.back()) return 0.0;
-  auto it = std::upper_bound(xs_.begin(), xs_.end(), x);
-  if (it == xs_.end()) --it;  // x == xs_.back(): use last segment
-  std::size_t i = static_cast<std::size_t>(it - xs_.begin());
-  if (i == 0) i = 1;
-  return (ys_[i] - ys_[i - 1]) / (xs_[i] - xs_[i - 1]);
 }
 
 std::vector<double> linspace(double lo, double hi, int steps) {

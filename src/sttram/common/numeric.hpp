@@ -21,23 +21,11 @@ struct QuadraticRoots {
 /// avoid cancellation for small roots.
 QuadraticRoots solve_quadratic(double a, double b, double c);
 
-/// Finds a root of `f` in [lo, hi] by bisection.  Requires f(lo) and
-/// f(hi) to have opposite signs (throws NumericError otherwise).
-/// Terminates when the bracket is narrower than `tol` (absolute).
-double bisect(const std::function<double(double)>& f, double lo, double hi,
-              double tol = 1e-12, int max_iter = 200);
-
-/// Brent's method root finder on [lo, hi]; same bracketing contract as
-/// bisect() but converges superlinearly on smooth functions.
+/// Brent's method root finder on [lo, hi].  Requires f(lo) and f(hi) to
+/// have opposite signs (throws NumericError otherwise); converges
+/// superlinearly on smooth functions.
 double brent(const std::function<double(double)>& f, double lo, double hi,
              double tol = 1e-12, int max_iter = 200);
-
-/// Scans [lo, hi] in `steps` uniform intervals and returns every bracket
-/// [x_i, x_{i+1}] where `f` changes sign, refined with brent().  Useful for
-/// finding all boundary points of a validity window.
-std::vector<double> find_all_roots(const std::function<double(double)>& f,
-                                   double lo, double hi, int steps = 400,
-                                   double tol = 1e-10);
 
 /// True when |a - b| <= atol + rtol * max(|a|, |b|).
 bool approx_equal(double a, double b, double rtol = 1e-9, double atol = 0.0);
@@ -54,10 +42,6 @@ class PiecewiseLinear {
 
   /// Interpolated value at `x` (clamped outside the range).
   [[nodiscard]] double operator()(double x) const;
-
-  /// Derivative dy/dx of the segment containing `x` (one-sided at knots,
-  /// zero outside the range).
-  [[nodiscard]] double derivative(double x) const;
 
   [[nodiscard]] std::size_t size() const { return xs_.size(); }
   [[nodiscard]] double x_min() const { return xs_.front(); }

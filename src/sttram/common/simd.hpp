@@ -26,6 +26,13 @@
 // (contraction changes rounding).  pick_simd_table() picks the table for
 // `active_simd_isa()` at kernel-build time.
 //
+// Every helper here is [[gnu::always_inline]], and the kernel bodies
+// call no std function: an object built with wider -m flags must define
+// no function another object defines, or the linker could hand its copy of
+// a shared inline helper (AVX code) to every caller.  Only always_inline
+// guarantees that at -O0; the `simd_symbols` ctest checks it
+// (DESIGN.md §15.3).
+//
 // ISA selection order: programmatic override (`--simd`, tests) >
 // STTRAM_SIMD environment variable > cpuid autodetection.
 #pragma once
@@ -147,48 +154,70 @@ struct Vec {
 
   D v;
 
-  static Vec load(const double* p) {
+  [[gnu::always_inline]] static Vec load(const double* p) {
     Vec r;
     __builtin_memcpy(&r.v, p, sizeof(D));
     return r;
   }
-  void store(double* p) const { __builtin_memcpy(p, &v, sizeof(D)); }
-  static Vec splat(double x) {
+  [[gnu::always_inline]] void store(double* p) const {
+    __builtin_memcpy(p, &v, sizeof(D));
+  }
+  [[gnu::always_inline]] static Vec splat(double x) {
     Vec r;
     r.v = D{} + x;
     return r;
   }
-  double operator[](int i) const { return v[i]; }
+  [[gnu::always_inline]] double operator[](int i) const { return v[i]; }
 
-  friend Vec operator+(Vec a, Vec b) { return Vec{a.v + b.v}; }
-  friend Vec operator-(Vec a, Vec b) { return Vec{a.v - b.v}; }
-  friend Vec operator*(Vec a, Vec b) { return Vec{a.v * b.v}; }
-  friend Vec operator/(Vec a, Vec b) { return Vec{a.v / b.v}; }
-  friend Vec operator-(Vec a) { return Vec{-a.v}; }
+  [[gnu::always_inline]] friend Vec operator+(Vec a, Vec b) {
+    return Vec{a.v + b.v};
+  }
+  [[gnu::always_inline]] friend Vec operator-(Vec a, Vec b) {
+    return Vec{a.v - b.v};
+  }
+  [[gnu::always_inline]] friend Vec operator*(Vec a, Vec b) {
+    return Vec{a.v * b.v};
+  }
+  [[gnu::always_inline]] friend Vec operator/(Vec a, Vec b) {
+    return Vec{a.v / b.v};
+  }
+  [[gnu::always_inline]] friend Vec operator-(Vec a) { return Vec{-a.v}; }
   /// `splat(s) * a`: a constant factor, as the closed forms write it.
-  friend Vec operator*(double s, Vec a) { return splat(s) * a; }
+  [[gnu::always_inline]] friend Vec operator*(double s, Vec a) {
+    return splat(s) * a;
+  }
 
-  friend M operator<(Vec a, Vec b) { return a.v < b.v; }
-  friend M operator<=(Vec a, Vec b) { return a.v <= b.v; }
-  friend M operator==(Vec a, Vec b) { return a.v == b.v; }
+  [[gnu::always_inline]] friend M operator<(Vec a, Vec b) { return a.v < b.v; }
+  [[gnu::always_inline]] friend M operator<=(Vec a, Vec b) {
+    return a.v <= b.v;
+  }
+  [[gnu::always_inline]] friend M operator==(Vec a, Vec b) {
+    return a.v == b.v;
+  }
 
   /// Per-lane `m ? a : b`.
-  static Vec select(M m, Vec a, Vec b) { return Vec{m ? a.v : b.v}; }
+  [[gnu::always_inline]] static Vec select(M m, Vec a, Vec b) {
+    return Vec{m ? a.v : b.v};
+  }
 
   /// `std::max` per lane: (a < b) ? b : a.
-  friend Vec vmax(Vec a, Vec b) { return Vec{(a.v < b.v) ? b.v : a.v}; }
+  [[gnu::always_inline]] friend Vec vmax(Vec a, Vec b) {
+    return Vec{(a.v < b.v) ? b.v : a.v};
+  }
   /// `std::min` per lane: (b < a) ? b : a.
-  friend Vec vmin(Vec a, Vec b) { return Vec{(b.v < a.v) ? b.v : a.v}; }
+  [[gnu::always_inline]] friend Vec vmin(Vec a, Vec b) {
+    return Vec{(b.v < a.v) ? b.v : a.v};
+  }
   /// `std::sqrt` per lane.  sqrt is IEEE-754 correctly rounded, so the
   /// per-element loop and the packed instruction GCC turns it into under
   /// -fno-math-errno produce the same bits as scalar std::sqrt.
-  friend Vec vsqrt(Vec a) {
+  [[gnu::always_inline]] friend Vec vsqrt(Vec a) {
     Vec r;
     for (int i = 0; i < W; ++i) r.v[i] = __builtin_sqrt(a.v[i]);
     return r;
   }
   /// `std::fabs` per lane (clears the sign bit, so -0.0 -> +0.0).
-  friend Vec vabs(Vec a) {
+  [[gnu::always_inline]] friend Vec vabs(Vec a) {
     M bits;
     __builtin_memcpy(&bits, &a.v, sizeof(D));
     bits &= 0x7fffffffffffffffLL;
@@ -210,34 +239,60 @@ struct Vec<1> {
 
   double v;
 
-  static Vec load(const double* p) { return Vec{*p}; }
-  void store(double* p) const { *p = v; }
-  static Vec splat(double x) { return Vec{x}; }
-  double operator[](int) const { return v; }
+  [[gnu::always_inline]] static Vec load(const double* p) { return Vec{*p}; }
+  [[gnu::always_inline]] void store(double* p) const { *p = v; }
+  [[gnu::always_inline]] static Vec splat(double x) { return Vec{x}; }
+  [[gnu::always_inline]] double operator[](int) const { return v; }
 
-  friend Vec operator+(Vec a, Vec b) { return Vec{a.v + b.v}; }
-  friend Vec operator-(Vec a, Vec b) { return Vec{a.v - b.v}; }
-  friend Vec operator*(Vec a, Vec b) { return Vec{a.v * b.v}; }
-  friend Vec operator/(Vec a, Vec b) { return Vec{a.v / b.v}; }
-  friend Vec operator-(Vec a) { return Vec{-a.v}; }
-  friend Vec operator*(double s, Vec a) { return Vec{s * a.v}; }
+  [[gnu::always_inline]] friend Vec operator+(Vec a, Vec b) {
+    return Vec{a.v + b.v};
+  }
+  [[gnu::always_inline]] friend Vec operator-(Vec a, Vec b) {
+    return Vec{a.v - b.v};
+  }
+  [[gnu::always_inline]] friend Vec operator*(Vec a, Vec b) {
+    return Vec{a.v * b.v};
+  }
+  [[gnu::always_inline]] friend Vec operator/(Vec a, Vec b) {
+    return Vec{a.v / b.v};
+  }
+  [[gnu::always_inline]] friend Vec operator-(Vec a) { return Vec{-a.v}; }
+  [[gnu::always_inline]] friend Vec operator*(double s, Vec a) {
+    return Vec{s * a.v};
+  }
 
-  friend M operator<(Vec a, Vec b) { return a.v < b.v ? -1 : 0; }
-  friend M operator<=(Vec a, Vec b) { return a.v <= b.v ? -1 : 0; }
-  friend M operator==(Vec a, Vec b) { return a.v == b.v ? -1 : 0; }
+  [[gnu::always_inline]] friend M operator<(Vec a, Vec b) {
+    return a.v < b.v ? -1 : 0;
+  }
+  [[gnu::always_inline]] friend M operator<=(Vec a, Vec b) {
+    return a.v <= b.v ? -1 : 0;
+  }
+  [[gnu::always_inline]] friend M operator==(Vec a, Vec b) {
+    return a.v == b.v ? -1 : 0;
+  }
 
-  static Vec select(M m, Vec a, Vec b) { return Vec{m ? a.v : b.v}; }
-  friend Vec vmax(Vec a, Vec b) { return Vec{(a.v < b.v) ? b.v : a.v}; }
-  friend Vec vmin(Vec a, Vec b) { return Vec{(b.v < a.v) ? b.v : a.v}; }
-  friend Vec vsqrt(Vec a) { return Vec{__builtin_sqrt(a.v)}; }
-  friend Vec vabs(Vec a) { return Vec{__builtin_fabs(a.v)}; }
+  [[gnu::always_inline]] static Vec select(M m, Vec a, Vec b) {
+    return Vec{m ? a.v : b.v};
+  }
+  [[gnu::always_inline]] friend Vec vmax(Vec a, Vec b) {
+    return Vec{(a.v < b.v) ? b.v : a.v};
+  }
+  [[gnu::always_inline]] friend Vec vmin(Vec a, Vec b) {
+    return Vec{(b.v < a.v) ? b.v : a.v};
+  }
+  [[gnu::always_inline]] friend Vec vsqrt(Vec a) {
+    return Vec{__builtin_sqrt(a.v)};
+  }
+  [[gnu::always_inline]] friend Vec vabs(Vec a) {
+    return Vec{__builtin_fabs(a.v)};
+  }
 };
 
 /// True when any lane of a compare-result mask is set: one test
 /// instruction where the TU's ISA has one (a rejection loop tests its
 /// mask every pass), else an OR over the lanes.
 template <int W>
-inline bool mask_any(typename Vec<W>::M m) {
+[[gnu::always_inline]] inline bool mask_any(typename Vec<W>::M m) {
   if constexpr (W == 1) {
     return m != 0;
   } else {
@@ -266,7 +321,7 @@ inline bool mask_any(typename Vec<W>::M m) {
 
 /// Lanes first, first + 1, ..., first + W - 1.
 template <int W>
-inline U64<W> iota_u64(std::uint64_t first) {
+[[gnu::always_inline]] inline U64<W> iota_u64(std::uint64_t first) {
   if constexpr (W == 1) {
     return first;
   } else {
@@ -283,7 +338,7 @@ inline U64<W> iota_u64(std::uint64_t first) {
 /// one rounding left is the final add of hi * 2^32 and lo, the same
 /// rounding the scalar conversion does.
 template <int W>
-inline Vec<W> u64_to_double(U64<W> x) {
+[[gnu::always_inline]] inline Vec<W> u64_to_double(U64<W> x) {
   if constexpr (W == 1) {
     return Vec<1>{static_cast<double>(x)};
   } else {

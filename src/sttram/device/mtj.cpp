@@ -10,33 +10,6 @@ MtjDevice::MtjDevice(MtjParams params, MtjState initial)
       switching_(params),
       state_(initial) {}
 
-MtjDevice::MtjDevice(MtjParams params, const RiModel& model, MtjState initial)
-    : params_(params),
-      model_(model.clone()),
-      switching_(params),
-      state_(initial) {}
-
-MtjDevice::MtjDevice(const MtjDevice& other)
-    : params_(other.params_),
-      model_(other.model_->clone()),
-      switching_(other.switching_),
-      state_(other.state_),
-      reads_(other.reads_),
-      writes_(other.writes_),
-      switches_(other.switches_) {}
-
-MtjDevice& MtjDevice::operator=(const MtjDevice& other) {
-  if (this == &other) return *this;
-  params_ = other.params_;
-  model_ = other.model_->clone();
-  switching_ = other.switching_;
-  state_ = other.state_;
-  reads_ = other.reads_;
-  writes_ = other.writes_;
-  switches_ = other.switches_;
-  return *this;
-}
-
 Ohm MtjDevice::read_resistance(Ampere i) {
   ++reads_;
   return model_->resistance(state_, i);

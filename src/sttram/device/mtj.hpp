@@ -30,20 +30,12 @@ constexpr WritePolarity polarity_for(MtjState target) {
                                        : WritePolarity::kToAntiParallel;
 }
 
-/// One magnetic tunnel junction.  Copyable (deep-copies its R-I model).
+/// One magnetic tunnel junction.  Move-only: it owns its R-I model.
 class MtjDevice {
  public:
   /// Builds a device with the calibrated linear R-I law.
   explicit MtjDevice(MtjParams params = MtjParams::paper_calibrated(),
                      MtjState initial = MtjState::kParallel);
-
-  /// Builds a device with an explicit R-I model (cloned).
-  MtjDevice(MtjParams params, const RiModel& model, MtjState initial);
-
-  MtjDevice(const MtjDevice& other);
-  MtjDevice& operator=(const MtjDevice& other);
-  MtjDevice(MtjDevice&&) noexcept = default;
-  MtjDevice& operator=(MtjDevice&&) noexcept = default;
 
   [[nodiscard]] MtjState state() const { return state_; }
   [[nodiscard]] bool stored_bit() const { return to_bit(state_); }

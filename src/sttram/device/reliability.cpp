@@ -58,13 +58,6 @@ DisturbAccumulator::DisturbAccumulator(const SwitchingModel& model,
                                        Second read_dwell)
     : p_pulse_(model.read_disturb_probability(read_current, read_dwell)) {}
 
-double DisturbAccumulator::after_pulses(double n) const {
-  require(n >= 0.0, "after_pulses: n must be >= 0");
-  // 1 - (1-p)^n computed as -expm1(n * log1p(-p)) for tiny p stability.
-  if (p_pulse_ >= 1.0) return 1.0;
-  return -std::expm1(n * std::log1p(-p_pulse_));
-}
-
 double DisturbAccumulator::pulses_to_budget(double budget) const {
   require(budget > 0.0 && budget < 1.0,
           "pulses_to_budget: budget must be in (0, 1)");

@@ -67,12 +67,8 @@ class DisturbAccumulator {
   /// Disturb probability of one read pulse.
   [[nodiscard]] double per_pulse() const { return p_pulse_; }
 
-  /// Probability that N pulses flip the cell: 1 - (1 - p)^N, evaluated
-  /// stably for tiny p.
-  [[nodiscard]] double after_pulses(double n) const;
-
-  /// Number of pulses until the accumulated disturb probability reaches
-  /// `budget`.
+  /// Number of pulses until the accumulated disturb probability
+  /// 1 - (1 - p)^N reaches `budget`.
   [[nodiscard]] double pulses_to_budget(double budget) const;
 
  private:

@@ -56,21 +56,6 @@ std::unique_ptr<RiModel> LinearRiModel::clone() const {
   return std::make_unique<LinearRiModel>(*this);
 }
 
-void LinearRiModel::resistance_batch(MtjState state, const double* i_amps,
-                                     std::size_t n, double* r_out) const {
-  const double r0 = (state == MtjState::kParallel ? params_.r_low0
-                                                  : params_.r_high0)
-                        .value();
-  const double droop = (state == MtjState::kParallel ? params_.droop_low
-                                                     : params_.droop_high)
-                           .value();
-  const double i_ref = params_.i_droop_ref.value();
-  for (std::size_t k = 0; k < n; ++k) {
-    const double frac = std::min(std::fabs(i_amps[k]) / i_ref, 1.5);
-    r_out[k] = r0 - droop * frac;
-  }
-}
-
 // --------------------------------------------------------------- Simmons
 
 SimmonsRiModel::SimmonsRiModel(Params params) : params_(params) {
@@ -129,18 +114,6 @@ void SimmonsRiModel::bias_voltage_batch(MtjState state, const double* i_amps,
                                                   : params_.v_half_high)
                         .value();
   device_kernels().simmons_newton(r0, vh, i_amps, n, v_out);
-}
-
-void SimmonsRiModel::resistance_batch(MtjState state, const double* i_amps,
-                                      std::size_t n, double* r_out) const {
-  const double r0 = (state == MtjState::kParallel ? params_.r_low0
-                                                  : params_.r_high0)
-                        .value();
-  bias_voltage_batch(state, i_amps, n, r_out);
-  for (std::size_t k = 0; k < n; ++k) {
-    const double current = std::fabs(i_amps[k]);
-    r_out[k] = current == 0.0 ? r0 : r_out[k] / current;
-  }
 }
 
 SimmonsRiModel SimmonsRiModel::calibrated_to(const MtjParams& calib) {

@@ -48,12 +48,6 @@ class LinearRiModel final : public RiModel {
   [[nodiscard]] Ohm resistance(MtjState state, Ampere i) const override;
   [[nodiscard]] std::unique_ptr<RiModel> clone() const override;
 
-  /// Batched closed form: resistance of `state` at each of the `n` read
-  /// currents `i_amps` [A] into `r_out` [Ohm].  Straight-line arithmetic
-  /// over contiguous lanes, bit-identical to resistance() per lane.
-  void resistance_batch(MtjState state, const double* i_amps, std::size_t n,
-                        double* r_out) const;
-
   [[nodiscard]] const MtjParams& params() const { return params_; }
 
  private:
@@ -97,10 +91,6 @@ class SimmonsRiModel final : public RiModel {
   /// stopping test), so results are bit-identical per lane.
   void bias_voltage_batch(MtjState state, const double* i_amps,
                           std::size_t n, double* v_out) const;
-
-  /// Batched resistance(): bias_voltage_batch + the zero-current limit.
-  void resistance_batch(MtjState state, const double* i_amps, std::size_t n,
-                        double* r_out) const;
 
  private:
   Params params_;

@@ -62,7 +62,7 @@ void sample_variation_block(const Xoshiro256& master,
   alignas(64) std::array<double, kMcBlockSize> common, tmr;
   lognormal_row(0, 1.0, vp.sigma_common, common.data());
   lognormal_row(1, 1.0, vp.sigma_tmr, tmr.data());
-  lognormal_row(2, r_access_nominal, sigma_access, out.r_access.data());
+  lognormal_row(2, r_access_nominal, sigma_access, out.r_access);
 
   for (std::size_t lane = 0; lane < count; ++lane) {
     const MtjParams p = nominal.scaled(common[lane], tmr[lane]);

@@ -9,17 +9,11 @@
 #include "sttram/obs/profile.hpp"
 #include "sttram/obs/trace.hpp"
 #include "sttram/sim/throughput.hpp"
+#include "sttram/stats/distributions.hpp"
 #include "sttram/stats/rng.hpp"
 #include "sttram/stats/summary.hpp"
 
 namespace sttram::engine {
-namespace {
-
-double sample_exponential(Xoshiro256& rng, double mean) {
-  return -mean * std::log1p(-rng.next_double());
-}
-
-}  // namespace
 
 BankTiming scheme_bank_timing(SchemeId scheme,
                               const CostComparisonConfig& cost) {
@@ -113,7 +107,6 @@ CompletedRequest BankController::step() {
   done.start = bank.current_start;
   done.finish = bank.current_finish;
   bank.busy = false;
-  bank.served += 1;
   --in_flight_;
   --pending_;
   if (!bank.queue.empty()) {
@@ -127,11 +120,6 @@ CompletedRequest BankController::step() {
 Second BankController::busy_time(std::size_t bank) const {
   require(bank < banks_.size(), "BankController::busy_time: bad bank");
   return banks_[bank].busy_time;
-}
-
-std::size_t BankController::served(std::size_t bank) const {
-  require(bank < banks_.size(), "BankController::served: bad bank");
-  return banks_[bank].served;
 }
 
 namespace {

@@ -70,8 +70,6 @@ class BankController {
   [[nodiscard]] std::size_t peak_queue_depth() const { return peak_depth_; }
   /// Total service time a bank has accumulated.
   [[nodiscard]] Second busy_time(std::size_t bank) const;
-  /// Requests a bank has finished.
-  [[nodiscard]] std::size_t served(std::size_t bank) const;
   /// Accumulated fault/recovery activity (all zeros without a hook).
   [[nodiscard]] const TrafficFaultStats& fault_stats() const {
     return fault_stats_;
@@ -85,7 +83,6 @@ class BankController {
     Second current_start{0.0};
     Second current_finish{0.0};
     Second busy_time{0.0};
-    std::size_t served = 0;
 
     explicit Bank(SchedulingPolicy policy) : queue(policy) {}
   };

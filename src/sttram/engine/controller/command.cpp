@@ -8,20 +8,6 @@
 
 namespace sttram::engine::controller {
 
-const char* to_string(CommandKind kind) {
-  switch (kind) {
-    case CommandKind::kActivate:
-      return "ACT";
-    case CommandKind::kRead:
-      return "RD";
-    case CommandKind::kWrite:
-      return "WR";
-    case CommandKind::kPrecharge:
-      return "PRE";
-  }
-  return "?";
-}
-
 CommandTiming scheme_command_timing(SchemeId scheme,
                                     const CostComparisonConfig& cost) {
   const BankTiming bank = scheme_bank_timing(scheme, cost);

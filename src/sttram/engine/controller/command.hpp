@@ -44,8 +44,6 @@ enum class CommandKind : std::uint8_t {
   kPrecharge,  ///< PRE: close the row (bit-line restore)
 };
 
-[[nodiscard]] const char* to_string(CommandKind kind);
-
 /// One timed command of a decomposed access (reporting/test granularity;
 /// the scheduler itself uses the collapsed CommandTiming sums).
 struct Command {

@@ -1,25 +1,19 @@
 #include "sttram/engine/workload.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <istream>
 #include <limits>
 #include <optional>
-#include <ostream>
 #include <string>
 
 #include "sttram/common/error.hpp"
 #include "sttram/common/token.hpp"
 #include "sttram/io/csv.hpp"
+#include "sttram/stats/distributions.hpp"
 #include "sttram/stats/rng.hpp"
 
 namespace sttram::engine {
 namespace {
-
-double sample_exponential(Xoshiro256& rng, double mean) {
-  return -mean * std::log1p(-rng.next_double());
-}
 
 bool parse_op(const std::string& field, Op& op) {
   if (field == "read" || field == "r" || field == "R") {
@@ -100,19 +94,6 @@ std::vector<Request> load_trace_csv(std::istream& in) {
                    });
   for (std::size_t k = 0; k < out.size(); ++k) out[k].id = k;
   return out;
-}
-
-void write_trace_csv(std::ostream& out,
-                     const std::vector<Request>& requests) {
-  CsvWriter writer(out);
-  writer.write_row(std::vector<std::string>{"arrival_s", "op", "bank"});
-  for (const Request& r : requests) {
-    char arrival[40];
-    std::snprintf(arrival, sizeof(arrival), "%.17g", r.arrival.value());
-    writer.write_row(std::vector<std::string>{
-        arrival, r.op == Op::kRead ? "read" : "write",
-        std::to_string(r.bank)});
-  }
 }
 
 }  // namespace sttram::engine

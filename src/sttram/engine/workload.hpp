@@ -35,8 +35,4 @@ std::vector<Request> generate_poisson_workload(
 /// naming the row on a malformed one.
 std::vector<Request> load_trace_csv(std::istream& in);
 
-/// Writes `requests` in the load_trace_csv format (with header).
-void write_trace_csv(std::ostream& out,
-                     const std::vector<Request>& requests);
-
 }  // namespace sttram::engine

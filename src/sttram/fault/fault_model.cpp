@@ -59,16 +59,6 @@ std::size_t FaultMap::total() const {
   return types_.size() - count(FaultType::kNone);
 }
 
-std::vector<InjectedFault> FaultMap::injected() const {
-  std::vector<InjectedFault> out;
-  for (std::size_t idx = 0; idx < types_.size(); ++idx) {
-    if (types_[idx] == FaultType::kNone) continue;
-    out.push_back({idx / geometry_.cols, idx % geometry_.cols, types_[idx],
-                   params_[idx]});
-  }
-  return out;
-}
-
 void FaultMap::apply_to(TestableArray& array) const {
   require(array.geometry().rows == geometry_.rows &&
               array.geometry().cols == geometry_.cols,

@@ -67,14 +67,6 @@ struct FaultConfig {
   static FaultConfig with_total_density(double total);
 };
 
-/// One placed fault (row-major order in FaultMap::injected()).
-struct InjectedFault {
-  std::size_t row = 0;
-  std::size_t col = 0;
-  FaultType type = FaultType::kNone;
-  double param = 0.0;  ///< the `param` forwarded to TestableArray::inject
-};
-
 /// The outcome of an injection campaign: which cell has which fault.
 class FaultMap {
  public:
@@ -91,8 +83,6 @@ class FaultMap {
   [[nodiscard]] std::size_t count(FaultType type) const;
   /// Number of faulty (non-kNone) cells.
   [[nodiscard]] std::size_t total() const;
-  /// Every placed fault in row-major order.
-  [[nodiscard]] std::vector<InjectedFault> injected() const;
 
   /// Injects every fault into the array (counts toward fault.injected).
   void apply_to(TestableArray& array) const;

@@ -45,19 +45,4 @@ std::string TextTable::to_string() const {
   return os.str();
 }
 
-std::string TextTable::to_markdown() const {
-  std::ostringstream os;
-  os << '|';
-  for (const auto& h : headers_) os << ' ' << h << " |";
-  os << "\n|";
-  for (std::size_t c = 0; c < headers_.size(); ++c) os << "---|";
-  os << '\n';
-  for (const auto& row : rows_) {
-    os << '|';
-    for (const auto& cell : row) os << ' ' << cell << " |";
-    os << '\n';
-  }
-  return os.str();
-}
-
 }  // namespace sttram

@@ -20,9 +20,6 @@ class TextTable {
   /// Renders with aligned columns and a header underline.
   [[nodiscard]] std::string to_string() const;
 
-  /// Renders as a GitHub-flavored Markdown table.
-  [[nodiscard]] std::string to_markdown() const;
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

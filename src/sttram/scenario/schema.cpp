@@ -219,11 +219,6 @@ FieldNames cli_names(const std::vector<CliArg>& table) {
   return names;
 }
 
-bool param_bool(const Json& params, const std::string& key, bool fallback) {
-  if (!params.contains(key)) return fallback;
-  return params.at(key).as_bool();
-}
-
 std::int64_t param_int(const Json& params, const std::string& key,
                        std::int64_t fallback) {
   if (!params.contains(key)) return fallback;
@@ -234,12 +229,6 @@ double param_number(const Json& params, const std::string& key,
                     double fallback) {
   if (!params.contains(key)) return fallback;
   return params.at(key).as_number();
-}
-
-std::string param_string(const Json& params, const std::string& key,
-                         const std::string& fallback) {
-  if (!params.contains(key)) return fallback;
-  return params.at(key).as_string();
 }
 
 }  // namespace sttram::scenario

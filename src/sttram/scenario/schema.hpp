@@ -143,15 +143,10 @@ struct CliArgs {
 
 /// Typed lookups with an explicit fallback, for callers outside a
 /// builder.  Each throws sttram::Error on a type mismatch.
-[[nodiscard]] bool param_bool(const Json& params, const std::string& key,
-                              bool fallback);
 [[nodiscard]] std::int64_t param_int(const Json& params,
                                      const std::string& key,
                                      std::int64_t fallback);
 [[nodiscard]] double param_number(const Json& params, const std::string& key,
                                   double fallback);
-[[nodiscard]] std::string param_string(const Json& params,
-                                       const std::string& key,
-                                       const std::string& fallback);
 
 }  // namespace sttram::scenario

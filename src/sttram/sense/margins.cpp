@@ -237,12 +237,6 @@ Volt ReferenceCellSensing::bitline_voltage(const RiModel& model,
                     access_->resistance(i_read_));
 }
 
-Volt ReferenceCellSensing::reference_voltage() const {
-  return reference_midpoint(
-      bitline_voltage(*ref_p_, MtjState::kParallel),
-      bitline_voltage(*ref_ap_, MtjState::kAntiParallel));
-}
-
 SenseMargins ReferenceCellSensing::margins() const {
   return volts(reference_cell_margins(
       bitline_voltage(*data_, MtjState::kParallel),

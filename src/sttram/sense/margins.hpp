@@ -213,10 +213,6 @@ class ReferenceCellSensing {
   ReferenceCellSensing(const ReferenceCellSensing&) = delete;
   ReferenceCellSensing& operator=(const ReferenceCellSensing&) = delete;
 
-  /// The generated reference: midpoint of the two reference cells'
-  /// bit-line voltages.
-  [[nodiscard]] Volt reference_voltage() const;
-
   /// Margins of the data cell against the generated reference.
   [[nodiscard]] SenseMargins margins() const;
 

@@ -35,29 +35,27 @@ YieldBatchKernel YieldBatchKernel::build(const YieldKernelInputs& in) {
   k.i_max = in.selfref.i_max.value();
   k.frac2 = std::min(std::fabs(k.i_max) / in.i_droop_ref, 1.5);
   k.cols = cols;
-  k.v_ref_conv.resize(cols);
-  k.r_ref_p2.resize(cols);
-  k.r_ref_ap2.resize(cols);
-  k.i1_d.resize(cols);
-  k.frac1_d.resize(cols);
-  k.i1_n.resize(cols);
-  k.frac1_n.resize(cols);
-  k.alpha_eff.resize(cols);
+  for (auto& column : k.columns) column.resize(cols);
+  auto& col = k.columns;
+  using T = YieldKernelTables;
   for (std::size_t c = 0; c < cols; ++c) {
-    k.v_ref_conv[c] = in.shared_v_ref.value() + in.col_vref_err[c];
+    col[T::kVRefConv][c] = in.shared_v_ref.value() + in.col_vref_err[c];
     const MtjParams& rp = in.col_ref_p[c];
     const MtjParams& rap = in.col_ref_ap[c];
-    k.r_ref_p2[c] = rp.r_low0.value() - rp.droop_low.value() * k.frac2;
-    k.r_ref_ap2[c] = rap.r_high0.value() - rap.droop_high.value() * k.frac2;
+    col[T::kRRefP2][c] = rp.r_low0.value() - rp.droop_low.value() * k.frac2;
+    col[T::kRRefAp2][c] =
+        rap.r_high0.value() - rap.droop_high.value() * k.frac2;
     const double beta_eff_d =
         in.beta_destructive * (1.0 + in.col_beta_dev[c]);
-    k.i1_d[c] = k.i_max / beta_eff_d;
-    k.frac1_d[c] = std::min(std::fabs(k.i1_d[c]) / in.i_droop_ref, 1.5);
+    col[T::kI1D][c] = k.i_max / beta_eff_d;
+    col[T::kFrac1D][c] =
+        std::min(std::fabs(col[T::kI1D][c]) / in.i_droop_ref, 1.5);
     const double beta_eff_n =
         in.beta_nondestructive * (1.0 + in.col_beta_dev[c]);
-    k.i1_n[c] = k.i_max / beta_eff_n;
-    k.frac1_n[c] = std::min(std::fabs(k.i1_n[c]) / in.i_droop_ref, 1.5);
-    k.alpha_eff[c] = in.selfref.alpha * (1.0 + in.col_alpha_dev[c]);
+    col[T::kI1N][c] = k.i_max / beta_eff_n;
+    col[T::kFrac1N][c] =
+        std::min(std::fabs(col[T::kI1N][c]) / in.i_droop_ref, 1.5);
+    col[T::kAlphaEff][c] = in.selfref.alpha * (1.0 + in.col_alpha_dev[c]);
   }
   kernel.fn_ = sense_kernels().yield_solve;
   return kernel;

@@ -54,20 +54,35 @@ struct YieldKernelInputs {
 
 /// Precomputed constants the yield solve reads: globals plus per-column
 /// tables (contiguous so a W-lane kernel loads W consecutive columns with
-/// one vector load).  Public so the per-ISA kernel instantiations can
-/// consume it directly.
+/// one vector load).
 struct YieldKernelTables {
+  /// The per-column tables, one row each.
+  enum Column : std::size_t {
+    kVRefConv,  ///< shared V_REF + column error
+    kRRefP2,    ///< reference-pair R at I2
+    kRRefAp2,
+    kI1D,       ///< destructive I1 = I2 / beta_eff
+    kFrac1D,
+    kI1N,       ///< nondestructive I1
+    kFrac1N,
+    kAlphaEff,  ///< alpha * (1 + alpha_deviation)
+    kColumnCount,
+  };
+
   double i_max = 0.0;
   double frac2 = 0.0;  ///< min(I2 / I_ref, 1.5), global constant
   std::size_t cols = 0;
-  aligned_vector<double> v_ref_conv;  ///< shared V_REF + column error
-  aligned_vector<double> r_ref_p2;    ///< reference-pair R at I2
-  aligned_vector<double> r_ref_ap2;
-  aligned_vector<double> i1_d;        ///< destructive I1 = I2 / beta_eff
-  aligned_vector<double> frac1_d;
-  aligned_vector<double> i1_n;        ///< nondestructive I1
-  aligned_vector<double> frac1_n;
-  aligned_vector<double> alpha_eff;   ///< alpha * (1 + alpha_deviation)
+  std::array<aligned_vector<double>, kColumnCount> columns;
+};
+
+/// What a yield kernel reads: the tables' constants and their column
+/// rows as plain pointers, so the per-ISA instantiations call no
+/// std::vector member (DESIGN.md §15.3).
+struct YieldKernelView {
+  double i_max = 0.0;
+  double frac2 = 0.0;
+  std::size_t cols = 0;
+  const double* column[YieldKernelTables::kColumnCount] = {};
 };
 
 /// SoA margin storage for the yield sweep: row r holds output r (scheme
@@ -103,7 +118,7 @@ struct YieldMarginsSoA {
 
 /// Signature of a yield-solve kernel instantiation.  `out_rows` holds
 /// the 2 * kSchemeCount output-row pointers, offset to the block's lane 0.
-using YieldSolveFn = void (*)(const YieldKernelTables&, const VariationBlock&,
+using YieldSolveFn = void (*)(const YieldKernelView&, const VariationBlock&,
                               std::size_t first_cell,
                               double* const* out_rows, double* max_low,
                               double* min_high);
@@ -129,7 +144,11 @@ class YieldBatchKernel {
     for (std::size_t r = 0; r < 2 * kSchemeCount; ++r) {
       out_rows[r] = out->row(r) + slot;
     }
-    fn_(tables_, block, first_cell, out_rows, max_low, min_high);
+    YieldKernelView view{tables_.i_max, tables_.frac2, tables_.cols};
+    for (std::size_t c = 0; c < YieldKernelTables::kColumnCount; ++c) {
+      view.column[c] = tables_.columns[c].data();
+    }
+    fn_(view, block, first_cell, out_rows, max_low, min_high);
   }
 
   [[nodiscard]] std::size_t cols() const { return tables_.cols; }
@@ -152,8 +171,7 @@ struct TailKernelConfig {
   double beta = 0.0;  ///< resolved designed ratio (> 0)
 };
 
-/// Flattened constants the tail kernel reads per lane (public for the
-/// per-ISA instantiations, like YieldKernelTables).
+/// Flattened constants the tail kernel reads per lane.
 struct TailKernelTables {
   double sigma_common = 0.0;
   double sigma_tmr = 0.0;
@@ -172,8 +190,11 @@ struct TailKernelTables {
   double excess_droop_base = 0.0;  ///< droop_high - droop_low
 };
 
-/// Signature of a tail margins-min kernel instantiation.
-using TailMarginsFn = void (*)(const TailKernelTables&, const GaussianBlock&,
+/// Signature of a tail margins-min kernel instantiation: coordinate d of
+/// lane i is z[d * stride + i] (a GaussianBlock's axes, passed as plain
+/// pointers like YieldKernelView), for lanes [0, n).
+using TailMarginsFn = void (*)(const TailKernelTables&, const double* z,
+                               std::size_t stride, std::size_t n,
                                double* out);
 
 /// Batched nondestructive_margin_at: min(SM0, SM1) of the nondestructive
@@ -186,7 +207,7 @@ class TailBatchKernel {
   /// Writes min-margin [V] per lane to `out[0..block.size)`.
   void margins_min(const GaussianBlock& block, double* out) const {
     require(block.dim == 5, "TailBatchKernel: expected 5 variation axes");
-    fn_(tables_, block, out);
+    fn_(tables_, block.axis(0), block.capacity, block.size, out);
   }
 
  private:

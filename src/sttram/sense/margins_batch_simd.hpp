@@ -18,7 +18,6 @@
 // cross-lane shuffles anywhere in the hot loop.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 
@@ -48,18 +47,19 @@ namespace simd_detail {
 /// window bounds accumulate per vector slot and fold at the end — exact,
 /// because max/min over positive finite voltages is order-independent.
 template <int W>
-void yield_solve_simd(const YieldKernelTables& k, const VariationBlock& block,
+void yield_solve_simd(const YieldKernelView& k, const VariationBlock& block,
                       std::size_t first_cell, double* const* out_rows,
                       double* max_low, double* min_high) {
+  using T = YieldKernelTables;
   // L cells from `lane`, whose columns c .. c + L - 1 are contiguous.
   const auto strip = [&]<int L>(std::size_t lane, std::size_t c,
                                 simd::Vec<L>& ml, simd::Vec<L>& mh) {
     using V = simd::Vec<L>;
-    const V vrl = V::load(block.r_low0.data() + lane);
-    const V vrh = V::load(block.r_high0.data() + lane);
-    const V vdl = V::load(block.droop_low.data() + lane);
-    const V vdh = V::load(block.droop_high.data() + lane);
-    const V r_t = V::load(block.r_access.data() + lane);
+    const V vrl = V::load(block.r_low0 + lane);
+    const V vrh = V::load(block.r_high0 + lane);
+    const V vdl = V::load(block.droop_low + lane);
+    const V vdh = V::load(block.droop_high + lane);
+    const V r_t = V::load(block.r_access + lane);
     const V vi_max = V::splat(k.i_max);
     // Scheme s's margins go to output rows 2s (SM0) and 2s + 1 (SM1).
     const auto put = [&](SchemeId s, const MarginPair<V>& m) {
@@ -76,29 +76,32 @@ void yield_solve_simd(const YieldKernelTables& k, const VariationBlock& block,
     mh = vmin(mh, v_ap2);
     // Conventional sensing against the shared V_REF (+ column error).
     put(SchemeId::kConventional,
-        conventional_margins(v_p2, v_ap2, V::load(k.v_ref_conv.data() + c)));
+        conventional_margins(v_p2, v_ap2,
+                             V::load(k.column[T::kVRefConv] + c)));
     // Reference-cell sensing: the column pair sees the same per-cell
     // access device as the data read.
     put(SchemeId::kReferenceCell,
         reference_cell_margins(
-            v_p2, v_ap2, vi_max * (V::load(k.r_ref_p2.data() + c) + r_t),
-            vi_max * (V::load(k.r_ref_ap2.data() + c) + r_t)));
+            v_p2, v_ap2, vi_max * (V::load(k.column[T::kRRefP2] + c) + r_t),
+            vi_max * (V::load(k.column[T::kRRefAp2] + c) + r_t)));
     // A self-reference first read at the column's I1: I1 (R0 - dR f1 + R_T).
-    const auto first_read = [&](const aligned_vector<double>& i1,
-                                const aligned_vector<double>& frac1, V r0,
+    const auto first_read = [&](const double* i1, const double* frac1, V r0,
                                 V droop) {
-      return V::load(i1.data() + c) *
-             ((r0 - droop * V::load(frac1.data() + c)) + r_t);
+      return V::load(i1 + c) * ((r0 - droop * V::load(frac1 + c)) + r_t);
     };
+    const double* const i1_d = k.column[T::kI1D];
+    const double* const frac1_d = k.column[T::kFrac1D];
+    const double* const i1_n = k.column[T::kI1N];
+    const double* const frac1_n = k.column[T::kFrac1N];
     // Destructive self-reference: the erased-cell second read IS v_p2.
     put(SchemeId::kDestructive,
-        destructive_margins(first_read(k.i1_d, k.frac1_d, vrl, vdl),
-                            first_read(k.i1_d, k.frac1_d, vrh, vdh), v_p2));
+        destructive_margins(first_read(i1_d, frac1_d, vrl, vdl),
+                            first_read(i1_d, frac1_d, vrh, vdh), v_p2));
     // Nondestructive self-reference: first read vs divided second read.
     put(SchemeId::kNondestructive,
-        nondestructive_margins(first_read(k.i1_n, k.frac1_n, vrl, vdl),
-                               first_read(k.i1_n, k.frac1_n, vrh, vdh), v_p2,
-                               v_ap2, V::load(k.alpha_eff.data() + c)));
+        nondestructive_margins(first_read(i1_n, frac1_n, vrl, vdl),
+                               first_read(i1_n, frac1_n, vrh, vdh), v_p2,
+                               v_ap2, V::load(k.column[T::kAlphaEff] + c)));
   };
 
   simd::Vec<W> vml = simd::Vec<W>::splat(*max_low);
@@ -109,7 +112,9 @@ void yield_solve_simd(const YieldKernelTables& k, const VariationBlock& block,
   std::size_t lane = 0;
   while (lane < block.size) {
     // The cells up to the block end or the column wrap, whichever is first.
-    const std::size_t run = std::min(block.size - lane, k.cols - c);
+    const std::size_t to_end = block.size - lane;
+    const std::size_t to_wrap = k.cols - c;
+    const std::size_t run = to_wrap < to_end ? to_wrap : to_end;
     std::size_t i = 0;
     for (; i + W <= run; i += W) strip(lane + i, c + i, vml, vmh);
     if constexpr (W > 1) {
@@ -121,9 +126,10 @@ void yield_solve_simd(const YieldKernelTables& k, const VariationBlock& block,
   }
   double lo = ml[0];
   double hi = mh[0];
+  // std::max / std::min, written out: a wide TU calls no std template.
   for (int i = 0; i < W; ++i) {
-    lo = std::max(lo, vml[i]);
-    hi = std::min(hi, vmh[i]);
+    lo = lo < vml[i] ? vml[i] : lo;
+    hi = vmh[i] < hi ? vmh[i] : hi;
   }
   *max_low = lo;
   *min_high = hi;
@@ -135,15 +141,14 @@ void yield_solve_simd(const YieldKernelTables& k, const VariationBlock& block,
 /// libraries are not bit-identical to libm); the surrounding arithmetic
 /// runs on vectors.
 template <int W>
-void tail_margins_simd(const TailKernelTables& k, const GaussianBlock& block,
-                       double* out) {
-  const double* const z0 = block.axis(0);
-  const double* const z1 = block.axis(1);
-  const double* const z2 = block.axis(2);
-  const double* const z3 = block.axis(3);
-  const double* const z4 = block.axis(4);
-  simd::for_each_strip<W>(block.size, [&]<int L>(std::size_t lane,
-                                                 simd::Lanes<L>) {
+void tail_margins_simd(const TailKernelTables& k, const double* z,
+                       std::size_t stride, std::size_t n, double* out) {
+  const double* const z0 = z;
+  const double* const z1 = z + stride;
+  const double* const z2 = z + 2 * stride;
+  const double* const z3 = z + 3 * stride;
+  const double* const z4 = z + 4 * stride;
+  simd::for_each_strip<W>(n, [&]<int L>(std::size_t lane, simd::Lanes<L>) {
     using V = simd::Vec<L>;
     const V one = V::splat(1.0);
     const V i_max = V::splat(k.i_max);

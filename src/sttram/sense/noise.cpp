@@ -14,16 +14,6 @@ Volt ktc_noise(Farad capacitance, double kelvin) {
                         capacitance.value()));
 }
 
-Volt resistor_noise(Ohm resistance, Hertz bandwidth, double kelvin) {
-  require(resistance.value() >= 0.0,
-          "resistor_noise: resistance must be >= 0");
-  require(bandwidth.value() > 0.0, "resistor_noise: bandwidth must be > 0");
-  // Single-pole equivalent noise bandwidth = (pi/2) f_3dB.
-  const double enb = 0.5 * M_PI * bandwidth.value();
-  return Volt(std::sqrt(4.0 * constants::kBoltzmann * kelvin *
-                        resistance.value() * enb));
-}
-
 ReadNoiseBudget read_noise_budget(Farad c_storage, Farad c_bitline,
                                   Farad c_comparator_input, double alpha,
                                   double kelvin) {

@@ -12,11 +12,6 @@ namespace sttram {
 /// opens) is sqrt(kT/C), independent of R.
 Volt ktc_noise(Farad capacitance, double kelvin = 300.0);
 
-/// Thermal (Johnson) noise of a resistance over an explicit single-pole
-/// bandwidth f_3dB (equivalent noise bandwidth pi/2 * f_3dB) — for paths
-/// whose band is set elsewhere than their own RC.
-Volt resistor_noise(Ohm resistance, Hertz bandwidth, double kelvin = 300.0);
-
 /// Input-referred RMS noise of the nondestructive comparison at the
 /// sense instant:
 ///  * kT/C1 frozen onto the sampling capacitor when SLT1 opens,

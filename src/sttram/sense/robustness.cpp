@@ -116,17 +116,6 @@ Window alpha_window(const SelfReferenceScheme& scheme, double beta,
   return window_around_seed(min_margin, lo, hi, 0.0);
 }
 
-Window beta_deviation_window(const SelfReferenceScheme& scheme, double beta,
-                             double lo, double hi) {
-  const auto min_margin = [&](double dev) {
-    SchemeMismatch mm;
-    mm.beta_deviation = dev;
-    return scheme.margins(beta, mm).min().value();
-  };
-  if (min_margin(0.0) <= 0.0) return Window{};
-  return window_around_seed(min_margin, lo, hi, 0.0);
-}
-
 RobustnessSummary analyze_robustness(const SelfReferenceScheme& scheme,
                                      double designed_beta) {
   RobustnessSummary s;

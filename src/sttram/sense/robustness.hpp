@@ -26,11 +26,6 @@ Window delta_r_window(const SelfReferenceScheme& scheme, double beta);
 Window alpha_window(const SelfReferenceScheme& scheme, double beta,
                     double lo = -0.5, double hi = 0.5);
 
-/// Range of relative beta-driver error keeping both margins positive at
-/// the designed `beta` (process variation of the read-current driver).
-Window beta_deviation_window(const SelfReferenceScheme& scheme, double beta,
-                             double lo = -0.9, double hi = 4.0);
-
 /// Summary row for Table II.
 struct RobustnessSummary {
   Window beta;       ///< absolute valid beta range

@@ -56,7 +56,8 @@ inline constexpr std::array<SchemeRow, kSchemeCount> kSchemeTable{{
      false, false, true},
 }};
 
-[[nodiscard]] constexpr std::size_t scheme_index(SchemeId id) {
+[[gnu::always_inline]] [[nodiscard]] constexpr std::size_t scheme_index(
+    SchemeId id) {
   return static_cast<std::size_t>(id);
 }
 [[nodiscard]] constexpr const SchemeRow& scheme_row(SchemeId id) {

@@ -82,10 +82,6 @@ void TestableArray::inject(std::size_t row, std::size_t col,
   }
 }
 
-FaultType TestableArray::fault(std::size_t row, std::size_t col) const {
-  return faults_[index(row, col)];
-}
-
 void TestableArray::maybe_decay(std::size_t row, std::size_t col,
                                 std::size_t idx) {
   if (faults_[idx] != FaultType::kRetention) return;
@@ -131,10 +127,6 @@ bool TestableArray::sense(std::size_t row, std::size_t col,
     array_.store(row, col, !array_.stored(row, col));
   }
   return read(row, col, scheme);
-}
-
-bool TestableArray::stored(std::size_t row, std::size_t col) const {
-  return array_.stored(row, col);
 }
 
 bool TestableArray::read(std::size_t row, std::size_t col,
@@ -196,14 +188,6 @@ std::vector<MarchElement> march_c_minus() {
       {false, {r(false), w(true)}},
       {false, {r(true), w(false)}},
       {false, {r(false)}},
-  };
-}
-
-std::vector<MarchElement> mats_plus() {
-  return {
-      {true, {w(false)}},
-      {true, {r(false), w(true)}},
-      {false, {r(true), w(false)}},
   };
 }
 

@@ -71,7 +71,6 @@ class TestableArray {
   /// (0 = 1.8); ignored by the static classes.
   void inject(std::size_t row, std::size_t col, FaultType fault,
               double param = 0.0);
-  [[nodiscard]] FaultType fault(std::size_t row, std::size_t col) const;
 
   /// Writes a bit, honoring stuck-at / transition faults.  Counts as one
   /// operation for the retention clock.
@@ -90,9 +89,6 @@ class TestableArray {
   /// stored value is recovered or misread.
   [[nodiscard]] bool read(std::size_t row, std::size_t col,
                           SchemeId scheme) const;
-
-  /// The value physically stored (ground truth, test oracle).
-  [[nodiscard]] bool stored(std::size_t row, std::size_t col) const;
 
   /// Operations (reads + writes) issued so far — the retention clock.
   [[nodiscard]] std::uint64_t operations() const { return ops_; }
@@ -137,9 +133,6 @@ MarchResult run_march(TestableArray& array, SchemeId scheme,
 /// March C-: {up(w0); up(r0,w1); up(r1,w0); down(r0,w1); down(r1,w0);
 /// down(r0)} — detects stuck-at, transition and coupling faults.
 std::vector<MarchElement> march_c_minus();
-
-/// MATS+ (shorter): {up(w0); up(r0,w1); down(r1,w0)}.
-std::vector<MarchElement> mats_plus();
 
 MarchResult run_march_c_minus(TestableArray& array, SchemeId scheme);
 

@@ -1,8 +1,7 @@
 #include "sttram/sim/throughput.hpp"
 
-#include <cmath>
-
 #include "sttram/common/error.hpp"
+#include "sttram/stats/distributions.hpp"
 #include "sttram/stats/rng.hpp"
 
 namespace sttram {
@@ -17,15 +16,6 @@ Joule write_access_energy(const CostComparisonConfig& cost_config) {
   return probe.pulse_energy(cost_config.write_current,
                             cost_config.timing.t_write_pulse);
 }
-
-namespace {
-
-/// Exponential deviate with the given mean.
-double sample_exponential(Xoshiro256& rng, double mean) {
-  return -mean * std::log1p(-rng.next_double());
-}
-
-}  // namespace
 
 std::vector<BankPerformance> analyze_bank_performance(
     const CostComparisonConfig& cost_config,

@@ -59,11 +59,6 @@ Resistor::Resistor(std::string name, NodeId a, NodeId b, double ohms)
   require(ohms > 0.0, "Resistor: resistance must be > 0");
 }
 
-void Resistor::set_resistance(double ohms) {
-  require(ohms > 0.0, "Resistor: resistance must be > 0");
-  ohms_ = ohms;
-}
-
 void Resistor::stamp(MnaStamper& mna, const StampContext&) const {
   mna.conductance(a_, b_, 1.0 / ohms_);
 }
@@ -113,11 +108,6 @@ VoltageSource::VoltageSource(std::string name, NodeId pos, NodeId neg,
   require(wave_ != nullptr, "VoltageSource: waveform required");
 }
 
-VoltageSource::VoltageSource(std::string name, NodeId pos, NodeId neg,
-                             double dc_volts)
-    : VoltageSource(std::move(name), pos, neg,
-                    std::make_unique<DcWaveform>(dc_volts)) {}
-
 void VoltageSource::set_waveform(std::unique_ptr<Waveform> wave) {
   require(wave != nullptr, "VoltageSource::set_waveform: waveform required");
   wave_ = std::move(wave);
@@ -134,11 +124,6 @@ CurrentSource::CurrentSource(std::string name, NodeId from, NodeId to,
     : Element(std::move(name)), from_(from), to_(to), wave_(std::move(wave)) {
   require(wave_ != nullptr, "CurrentSource: waveform required");
 }
-
-CurrentSource::CurrentSource(std::string name, NodeId from, NodeId to,
-                             double dc_amps)
-    : CurrentSource(std::move(name), from, to,
-                    std::make_unique<DcWaveform>(dc_amps)) {}
 
 void CurrentSource::set_waveform(std::unique_ptr<Waveform> wave) {
   require(wave != nullptr, "CurrentSource::set_waveform: waveform required");
@@ -192,12 +177,6 @@ std::vector<double> TimedSwitch::breakpoints() const {
     out.push_back(t);
   }
   return out;
-}
-
-void TimedSwitch::schedule(double time, bool closed) {
-  require(events_.empty() || time > events_.back().first,
-          "TimedSwitch::schedule: events must be appended in time order");
-  events_.emplace_back(time, closed);
 }
 
 void TimedSwitch::stamp(MnaStamper& mna, const StampContext& ctx) const {
@@ -268,43 +247,6 @@ void Mosfet::stamp(MnaStamper& mna, const StampContext& ctx) const {
   mna.current_into(s, ieq);
 }
 
-// ------------------------------------------------------------------ Pmos
-
-Pmos::Pmos(std::string name, NodeId drain, NodeId gate, NodeId source,
-           Params params)
-    : Element(std::move(name)),
-      d_(drain),
-      g_(gate),
-      s_(source),
-      params_(params),
-      mirror_("", kGround, kGround, kGround,
-              Mosfet::Params{params.beta, params.vth, params.lambda}) {
-  require(params.beta > 0.0, "Pmos: beta must be > 0");
-  require(params.lambda >= 0.0, "Pmos: lambda must be >= 0");
-}
-
-void Pmos::stamp(MnaStamper& mna, const StampContext& ctx) const {
-  // PMOS conducts when the gate sits below the source; evaluate the
-  // mirrored NMOS on source-referenced, sign-flipped voltages.
-  double vs = ctx.v(s_);
-  double vd = ctx.v(d_);
-  const double vg = ctx.v(g_);
-  NodeId s = s_, d = d_;
-  if (vs < vd) {  // symmetric device: the higher terminal acts as source
-    std::swap(vs, vd);
-    std::swap(s, d);
-  }
-  const double vsg = vs - vg;
-  const double vsd = vs - vd;
-  const Mosfet::Operating op = mirror_.evaluate(vsg, vsd);
-  // Current i_sd flows from s to d: i = Ieq + gm (vs - vg) + gds (vs - vd).
-  const double ieq = op.ids - op.gm * vsg - op.gds * vsd;
-  mna.conductance(s, d, op.gds);
-  mna.vccs(s, d, s, g_, op.gm);
-  mna.current_into(s, -ieq);
-  mna.current_into(d, ieq);
-}
-
 // ------------------------------------------------------------ MtjElement
 
 MtjElement::MtjElement(std::string name, NodeId a, NodeId b,
@@ -312,14 +254,6 @@ MtjElement::MtjElement(std::string name, NodeId a, NodeId b,
     : Element(std::move(name)), a_(a), b_(b), model_(model.clone()),
       state_(state),
       r_zero_bias_(model_->resistance(state, Ampere(0.0)).value()) {}
-
-MtjElement::MtjElement(const MtjElement& other)
-    : Element(other.name()),
-      a_(other.a_),
-      b_(other.b_),
-      model_(other.model_->clone()),
-      state_(other.state_),
-      r_zero_bias_(other.r_zero_bias_) {}
 
 void MtjElement::set_state(MtjState s) {
   state_ = s;

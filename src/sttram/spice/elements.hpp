@@ -20,7 +20,6 @@ class Resistor final : public Element {
   void stamp(MnaStamper& mna, const StampContext& ctx) const override;
 
   [[nodiscard]] double resistance() const { return ohms_; }
-  void set_resistance(double ohms);
   [[nodiscard]] NodeId node_a() const { return a_; }
   [[nodiscard]] NodeId node_b() const { return b_; }
 
@@ -55,7 +54,6 @@ class VoltageSource final : public Element {
  public:
   VoltageSource(std::string name, NodeId pos, NodeId neg,
                 std::unique_ptr<Waveform> wave);
-  VoltageSource(std::string name, NodeId pos, NodeId neg, double dc_volts);
 
   void stamp(MnaStamper& mna, const StampContext& ctx) const override;
   [[nodiscard]] int branch_count() const override { return 1; }
@@ -79,7 +77,6 @@ class CurrentSource final : public Element {
  public:
   CurrentSource(std::string name, NodeId from, NodeId to,
                 std::unique_ptr<Waveform> wave);
-  CurrentSource(std::string name, NodeId from, NodeId to, double dc_amps);
 
   void stamp(MnaStamper& mna, const StampContext& ctx) const override;
   [[nodiscard]] std::vector<double> breakpoints() const override {
@@ -113,8 +110,6 @@ class TimedSwitch final : public Element {
   [[nodiscard]] std::vector<double> breakpoints() const override;
 
   [[nodiscard]] bool closed_at(double time) const;
-  /// Appends a state change (must be later than all existing events).
-  void schedule(double time, bool closed);
 
  private:
   NodeId a_, b_;
@@ -155,32 +150,6 @@ class Mosfet final : public Element {
   Params params_;
 };
 
-/// Level-1 PMOS transistor, body tied to source.  Mirrors the NMOS
-/// model: conducts when vgs < -vth_magnitude, current flows source ->
-/// drain.  Used by the peripheral circuits (read-current mirrors, write
-/// drivers).
-class Pmos final : public Element {
- public:
-  struct Params {
-    double beta = 2e-3;   ///< uCox * W/L [A/V^2]
-    double vth = 0.45;    ///< threshold voltage magnitude [V]
-    double lambda = 0.05; ///< channel-length modulation [1/V]
-  };
-
-  Pmos(std::string name, NodeId drain, NodeId gate, NodeId source,
-       Params params);
-
-  void stamp(MnaStamper& mna, const StampContext& ctx) const override;
-  [[nodiscard]] bool is_nonlinear() const override { return true; }
-
-  [[nodiscard]] const Params& params() const { return params_; }
-
- private:
-  NodeId d_, g_, s_;
-  Params params_;
-  Mosfet mirror_;  ///< equivalent NMOS evaluated on negated voltages
-};
-
 /// Nonlinear MTJ resistor: resistance follows the RiModel of the given
 /// magnetization state at the element's own current.  The state is fixed
 /// for the duration of an analysis (reads never disturb the cell at the
@@ -189,7 +158,6 @@ class MtjElement final : public Element {
  public:
   MtjElement(std::string name, NodeId a, NodeId b, const RiModel& model,
              MtjState state);
-  MtjElement(const MtjElement& other);
 
   void stamp(MnaStamper& mna, const StampContext& ctx) const override;
   [[nodiscard]] bool is_nonlinear() const override { return true; }

@@ -86,19 +86,4 @@ void lu_solve_in_place(const Matrix& lu, std::span<const std::size_t> perm,
   }
 }
 
-LuFactorization::LuFactorization(Matrix a)
-    : lu_(std::move(a)), min_pivot_(lu_factor_in_place(lu_, perm_)) {}
-
-std::vector<double> LuFactorization::solve(
-    const std::vector<double>& b) const {
-  std::vector<double> x(b.size());
-  lu_solve_in_place(lu_, perm_, b, x);
-  return x;
-}
-
-std::vector<double> solve_linear_system(Matrix a,
-                                        const std::vector<double>& b) {
-  return LuFactorization(std::move(a)).solve(b);
-}
-
 }  // namespace sttram::spice

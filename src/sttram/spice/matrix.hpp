@@ -48,26 +48,4 @@ double lu_factor_in_place(Matrix& a, std::vector<std::size_t>& perm);
 void lu_solve_in_place(const Matrix& lu, std::span<const std::size_t> perm,
                        std::span<const double> b, std::span<double> x);
 
-/// Owning LU factorization over lu_factor_in_place / lu_solve_in_place.
-class LuFactorization {
- public:
-  explicit LuFactorization(Matrix a);
-
-  /// Solves A x = b.
-  [[nodiscard]] std::vector<double> solve(const std::vector<double>& b) const;
-
-  /// Smallest |pivot| met during elimination — a crude condition
-  /// indicator.
-  [[nodiscard]] double min_pivot() const { return min_pivot_; }
-
- private:
-  Matrix lu_;
-  std::vector<std::size_t> perm_;
-  double min_pivot_ = 0.0;
-};
-
-/// One-shot solve of A x = b.
-std::vector<double> solve_linear_system(Matrix a,
-                                        const std::vector<double>& b);
-
 }  // namespace sttram::spice

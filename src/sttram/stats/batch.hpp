@@ -30,7 +30,6 @@
 // layer's, and stats must not depend on device.)
 #pragma once
 
-#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -48,14 +47,16 @@ inline constexpr std::size_t kMcBlockSize = 64;
 
 /// One block of sampled per-cell device variation, SoA across lanes.
 /// Field order mirrors what the margin kernels consume: the four linear
-/// R-I law parameters plus the access-device resistance.
+/// R-I law parameters plus the access-device resistance.  Plain arrays,
+/// so a kernel built with wider -m flags reads them without calling a
+/// std::array member (DESIGN.md §15.3).
 struct VariationBlock {
   std::size_t size = 0;  ///< valid lanes (<= kMcBlockSize)
-  alignas(64) std::array<double, kMcBlockSize> r_low0;
-  alignas(64) std::array<double, kMcBlockSize> r_high0;
-  alignas(64) std::array<double, kMcBlockSize> droop_low;
-  alignas(64) std::array<double, kMcBlockSize> droop_high;
-  alignas(64) std::array<double, kMcBlockSize> r_access;
+  alignas(64) double r_low0[kMcBlockSize];
+  alignas(64) double r_high0[kMcBlockSize];
+  alignas(64) double droop_low[kMcBlockSize];
+  alignas(64) double droop_high[kMcBlockSize];
+  alignas(64) double r_access[kMcBlockSize];
 };
 
 /// One block of shifted standard-normal draws for importance sampling,

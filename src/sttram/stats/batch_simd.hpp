@@ -33,7 +33,6 @@
 // masked off or dropped.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -163,7 +162,7 @@ void stage_strip(LaneStreams<W> rng, const PolarPlan& plan, double s_safe,
   const auto live = simd::u64_to_double<W>(simd::iota_u64<W>(0)) <
                     V::splat(static_cast<double>(lanes));
   for (std::size_t base = 0; base < slots; base += kPass) {
-    const std::size_t end = std::min(base + kPass, slots);
+    const std::size_t end = base + kPass < slots ? base + kPass : slots;
     const bool more = end < slots;
     const bool drops = drop >= base && drop < end;
     V u_out[kPass];
@@ -246,8 +245,8 @@ void stage_polar_simd(const Xoshiro256& master, std::size_t first,
     if (k + W < count) {
       next = LaneStreams<W>(master, simd::iota_u64<W>(first + k + W));
     }
-    stage_strip<W>(rng, plan, s_safe, std::min<std::size_t>(W, count - k),
-                   u_rows + k, s_rows + k, stride);
+    const std::size_t lanes = count - k < W ? count - k : W;
+    stage_strip<W>(rng, plan, s_safe, lanes, u_rows + k, s_rows + k, stride);
   }
 }
 
@@ -276,7 +275,7 @@ void count_hits_simd(const Xoshiro256& master, const std::uint64_t* ids,
                      std::size_t n, std::size_t draws,
                      std::uint64_t threshold, std::uint32_t* counts) {
   for (std::size_t k = 0; k < n; k += W) {
-    const std::size_t lanes = std::min<std::size_t>(W, n - k);
+    const std::size_t lanes = n - k < W ? n - k : W;
     simd::U64<W> streams;
     if constexpr (W == 1) {
       streams = ids[k];

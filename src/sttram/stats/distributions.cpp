@@ -35,9 +35,8 @@ double sample_lognormal_median(Xoshiro256& rng, double median,
   return sample_lognormal(rng, std::log(median), sigma_rel);
 }
 
-double sample_uniform(Xoshiro256& rng, double lo, double hi) {
-  require(lo <= hi, "sample_uniform: lo must be <= hi");
-  return lo + (hi - lo) * rng.next_double();
+double sample_exponential(Xoshiro256& rng, double mean) {
+  return -mean * std::log1p(-rng.next_double());
 }
 
 double sample_truncated_normal(Xoshiro256& rng, double mean, double stddev,

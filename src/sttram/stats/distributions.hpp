@@ -23,8 +23,10 @@ double sample_lognormal(Xoshiro256& rng, double mu, double sigma);
 double sample_lognormal_median(Xoshiro256& rng, double median,
                                double sigma_rel);
 
-/// Uniform deviate in [lo, hi).
-double sample_uniform(Xoshiro256& rng, double lo, double hi);
+/// Exponential deviate with the given mean, by inversion of one uniform
+/// draw: -mean * log1p(-u).  The traffic workloads' interarrival and
+/// think times.
+double sample_exponential(Xoshiro256& rng, double mean);
 
 /// A normal N(mean, stddev) truncated to [lo, hi].
 struct TruncatedNormal {

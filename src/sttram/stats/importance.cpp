@@ -7,88 +7,9 @@
 #include "sttram/common/numeric.hpp"
 #include "sttram/obs/metrics.hpp"
 #include "sttram/obs/trace.hpp"
-#include "sttram/stats/distributions.hpp"
 #include "sttram/stats/monte_carlo.hpp"
 
 namespace sttram {
-
-ImportanceEstimate importance_sample(
-    std::uint64_t seed, std::size_t trials, const std::vector<double>& shift,
-    const std::function<bool(const std::vector<double>&)>& fails,
-    ParallelExecutor* executor) {
-  require(trials > 0, "importance_sample: trials must be > 0");
-  obs::TraceSpan span("importance_sample", "mc");
-  require(!shift.empty(), "importance_sample: shift vector required");
-  const std::size_t dim = shift.size();
-  double shift_sq = 0.0;
-  for (const double s : shift) shift_sq += s * s;
-
-  const Xoshiro256 master(seed);
-  // One trial: draw z from the shifted proposal, test it, and return the
-  // likelihood-ratio weight (0 on a pass).
-  const auto run_trial = [&](std::size_t k, std::vector<double>& z,
-                             double& w) -> bool {
-    Xoshiro256 stream = master.fork(k);
-    double dot = 0.0;
-    for (std::size_t i = 0; i < dim; ++i) {
-      z[i] = shift[i] + sample_standard_normal(stream);
-      dot += shift[i] * z[i];
-    }
-    if (!fails(z)) return false;
-    w = std::exp(-dot + 0.5 * shift_sq);
-    return true;
-  };
-
-  double sum_w = 0.0;
-  double sum_w2 = 0.0;
-  std::size_t hits = 0;
-  if (executor != nullptr && executor->thread_count() > 1) {
-    // Sample in parallel, storing each trial's outcome, then reduce the
-    // weight sums serially in trial order — floating-point addition is
-    // order-sensitive, so this keeps the estimate bit-identical to the
-    // serial run.
-    struct TrialOutcome {
-      bool hit = false;
-      double w = 0.0;
-    };
-    std::vector<TrialOutcome> outcomes(trials);
-    executor->for_chunks(
-        trials, [&](std::size_t, std::size_t begin, std::size_t end) {
-          std::vector<double> z(dim);
-          for (std::size_t k = begin; k < end; ++k) {
-            outcomes[k].hit = run_trial(k, z, outcomes[k].w);
-          }
-        });
-    for (const TrialOutcome& o : outcomes) {
-      if (!o.hit) continue;
-      ++hits;
-      sum_w += o.w;
-      sum_w2 += o.w * o.w;
-    }
-  } else {
-    std::vector<double> z(dim);
-    for (std::size_t k = 0; k < trials; ++k) {
-      double w = 0.0;
-      if (run_trial(k, z, w)) {
-        ++hits;
-        sum_w += w;
-        sum_w2 += w * w;
-      }
-    }
-  }
-  STTRAM_OBS_ADD("is.trials", trials);
-  STTRAM_OBS_ADD("is.hits", hits);
-  ImportanceEstimate e;
-  e.trials = trials;
-  e.hits = hits;
-  const double n = static_cast<double>(trials);
-  e.probability = sum_w / n;
-  const double var = std::max(0.0, sum_w2 / n - e.probability * e.probability);
-  e.std_error = std::sqrt(var / n);
-  e.relative_error =
-      e.probability > 0.0 ? e.std_error / e.probability : 0.0;
-  return e;
-}
 
 ImportanceEstimate importance_sample_blocked(
     std::uint64_t seed, std::size_t trials, const std::vector<double>& shift,

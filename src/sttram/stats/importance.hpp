@@ -29,27 +29,16 @@ struct ImportanceEstimate {
 };
 
 /// Estimates P(fails(z)) for z ~ N(0, I)^d by drawing from the shifted
-/// proposal N(shift, I)^d and reweighting each sample with
-/// w = exp(-shift . z + |shift|^2 / 2).
-///
-/// With `executor` set, trial chunks run concurrently; per-trial weights
-/// are stored and reduced serially in trial order afterwards, so the
-/// estimate is bit-identical for any thread count.  `fails` must then be
-/// safe to call concurrently.
-ImportanceEstimate importance_sample(
-    std::uint64_t seed, std::size_t trials, const std::vector<double>& shift,
-    const std::function<bool(const std::vector<double>&)>& fails,
-    ParallelExecutor* executor = nullptr);
-
-/// Batched variant of importance_sample for SoA failure kernels: instead
-/// of one predicate call per trial, `fails_block(block, first, fails)`
-/// classifies a whole block of proposal draws at once, writing a nonzero
-/// byte to `fails[lane]` for each failing lane (`first` is the trial
-/// index of lane 0; the buffer arrives zeroed).  The proposal block is
-/// filled from the same per-trial streams the scalar path forks and the
-/// weight reduction runs serially in trial order, so the estimate is
-/// bit-identical to importance_sample for any thread count and invariant
-/// under `block_size` (0 = one block per executor chunk).
+/// proposal N(shift, I)^d and reweighting each failing sample with
+/// w = exp(-shift . z + |shift|^2 / 2).  `fails_block(block, first,
+/// fails)` classifies a whole block of proposal draws at once, writing a
+/// nonzero byte to `fails[lane]` for each failing lane (`first` is the
+/// trial index of lane 0; the buffer arrives zeroed).  Trial k draws from
+/// master.fork(k) and the weight reduction runs serially in trial order,
+/// so the estimate equals a per-trial loop over the same streams (the
+/// reference in tests/mc_oracle.cpp) bit for bit, for any thread count,
+/// and is invariant under `block_size` (0 = one block per executor
+/// chunk).
 ImportanceEstimate importance_sample_blocked(
     std::uint64_t seed, std::size_t trials, const std::vector<double>& shift,
     const std::function<void(const GaussianBlock& block, std::size_t first,

@@ -1,9 +1,5 @@
 #include "sttram/stats/monte_carlo.hpp"
 
-#include <cmath>
-
-#include "sttram/common/error.hpp"
-
 namespace sttram {
 
 RunningStats monte_carlo_stats(
@@ -65,69 +61,6 @@ RunningStats monte_carlo_stats(
                     .count());
   }
   return stats;
-}
-
-ProbabilityEstimate wilson_interval(std::size_t hits, std::size_t trials,
-                                    double z) {
-  require(trials > 0, "wilson_interval: trials must be > 0");
-  require(hits <= trials, "wilson_interval: hits must be <= trials");
-  ProbabilityEstimate e;
-  e.trials = trials;
-  e.hits = hits;
-  const double n = static_cast<double>(trials);
-  const double p = static_cast<double>(hits) / n;
-  e.p = p;
-  const double z2 = z * z;
-  const double denom = 1.0 + z2 / n;
-  const double center = (p + z2 / (2.0 * n)) / denom;
-  const double half =
-      z * std::sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom;
-  e.ci_lo = std::max(0.0, center - half);
-  e.ci_hi = std::min(1.0, center + half);
-  return e;
-}
-
-ProbabilityEstimate estimate_probability(
-    std::uint64_t seed, std::size_t trials,
-    const std::function<bool(Xoshiro256&)>& predicate,
-    const MonteCarloOptions& options) {
-  require(trials > 0, "estimate_probability: trials must be > 0");
-  obs::TraceSpan span("estimate_probability", "mc");
-  std::size_t hits = 0;
-  const Xoshiro256 master(seed);
-  const bool metered = obs::metrics_enabled();
-  const std::size_t stride = detail::progress_stride(options, trials);
-  const auto t_begin = std::chrono::steady_clock::now();
-  if (detail::parallel_requested(options)) {
-    // Hit counts are integers, so per-chunk tallies sum exactly.
-    std::vector<std::size_t> chunk_hits(options.executor->thread_count(), 0);
-    options.executor->for_chunks(
-        trials, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          std::size_t local = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            Xoshiro256 stream = master.fork(i);
-            if (predicate(stream)) ++local;
-          }
-          chunk_hits[chunk] = local;
-        });
-    for (const std::size_t h : chunk_hits) hits += h;
-    if (options.progress) options.progress(trials, trials);
-  } else {
-    for (std::size_t i = 0; i < trials; ++i) {
-      Xoshiro256 stream = master.fork(i);
-      if (predicate(stream)) ++hits;
-      if (options.progress && ((i + 1) % stride == 0 || i + 1 == trials)) {
-        options.progress(i + 1, trials);
-      }
-    }
-  }
-  if (metered) {
-    detail::publish_mc_throughput(
-        trials, std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t_begin)
-                    .count());
-  }
-  return wilson_interval(hits, trials);
 }
 
 }  // namespace sttram

@@ -205,22 +205,4 @@ RunningStats monte_carlo_stats(
     const std::function<double(Xoshiro256&)>& trial_fn,
     const MonteCarloOptions& options = {});
 
-/// Estimates P(predicate) with a Wilson 95% confidence interval.
-struct ProbabilityEstimate {
-  std::size_t trials = 0;
-  std::size_t hits = 0;
-  double p = 0.0;        ///< point estimate hits/trials
-  double ci_lo = 0.0;    ///< Wilson 95% lower bound
-  double ci_hi = 0.0;    ///< Wilson 95% upper bound
-};
-
-ProbabilityEstimate estimate_probability(
-    std::uint64_t seed, std::size_t trials,
-    const std::function<bool(Xoshiro256&)>& predicate,
-    const MonteCarloOptions& options = {});
-
-/// Wilson score interval for `hits` successes in `trials` Bernoulli draws.
-ProbabilityEstimate wilson_interval(std::size_t hits, std::size_t trials,
-                                    double z = 1.959963984540054);
-
 }  // namespace sttram

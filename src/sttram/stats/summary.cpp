@@ -1,89 +1,10 @@
 #include "sttram/stats/summary.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "sttram/common/error.hpp"
 
 namespace sttram {
-
-double percentile_inplace(std::vector<double>& sample, double q) {
-  require(!sample.empty(), "percentile: empty sample");
-  require(q >= 0.0 && q <= 1.0, "percentile: q must be in [0, 1]");
-  const double pos = q * static_cast<double>(sample.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  std::nth_element(sample.begin(),
-                   sample.begin() + static_cast<std::ptrdiff_t>(lo),
-                   sample.end());
-  const double v_lo = sample[lo];
-  if (frac == 0.0 || lo + 1 >= sample.size()) return v_lo;
-  const double v_hi = *std::min_element(
-      sample.begin() + static_cast<std::ptrdiff_t>(lo) + 1, sample.end());
-  return v_lo + frac * (v_hi - v_lo);
-}
-
-double percentile(std::vector<double> sample, double q) {
-  return percentile_inplace(sample, q);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  require(lo < hi, "Histogram: lo must be < hi");
-  require(bins >= 1, "Histogram: need at least one bin");
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    // hi_ itself lands in the last bin; strictly above overflows.
-    if (x == hi_) {
-      ++counts_.back();
-      return;
-    }
-    ++overflow_;
-    return;
-  }
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto bin = static_cast<std::size_t>(t * static_cast<double>(counts_.size()));
-  if (bin >= counts_.size()) bin = counts_.size() - 1;
-  ++counts_[bin];
-}
-
-std::size_t Histogram::count(std::size_t bin) const {
-  require(bin < counts_.size(), "Histogram: bin out of range");
-  return counts_[bin];
-}
-
-double Histogram::bin_center(std::size_t bin) const {
-  require(bin < counts_.size(), "Histogram: bin out of range");
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + (static_cast<double>(bin) + 0.5) * w;
-}
-
-std::string Histogram::to_ascii(int width) const {
-  std::size_t peak = 1;
-  for (const auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const int bar = static_cast<int>(
-        static_cast<double>(counts_[b]) / static_cast<double>(peak) * width);
-    os << "  ";
-    char head[48];
-    std::snprintf(head, sizeof(head), "%12.4g | ", bin_center(b));
-    os << head;
-    for (int i = 0; i < bar; ++i) os << '#';
-    os << ' ' << counts_[b] << '\n';
-  }
-  if (underflow_ > 0) os << "  underflow: " << underflow_ << '\n';
-  if (overflow_ > 0) os << "  overflow:  " << overflow_ << '\n';
-  return os.str();
-}
 
 double pearson_correlation(const std::vector<double>& xs,
                            const std::vector<double>& ys) {

@@ -1,10 +1,9 @@
-// Streaming summary statistics, percentiles and histograms.
+// Streaming summary statistics and sample correlation.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "sttram/common/simd.hpp"
@@ -99,43 +98,6 @@ class RunningStats {
 
  private:
   WelfordLanes<1> w_;
-};
-
-/// Percentile of a sample using linear interpolation between order
-/// statistics (the "linear" / type-7 definition).  `q` in [0, 1].
-/// The input vector is copied; use percentile_inplace to avoid the copy.
-double percentile(std::vector<double> sample, double q);
-
-/// As percentile(), but partially sorts `sample` in place.
-double percentile_inplace(std::vector<double>& sample, double q);
-
-/// Fixed-width histogram over [lo, hi] with out-of-range counters.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  [[nodiscard]] double lo() const { return lo_; }
-  [[nodiscard]] double hi() const { return hi_; }
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bin) const;
-  [[nodiscard]] std::size_t underflow() const { return underflow_; }
-  [[nodiscard]] std::size_t overflow() const { return overflow_; }
-  [[nodiscard]] std::size_t total() const { return total_; }
-  /// Center x-value of a bin.
-  [[nodiscard]] double bin_center(std::size_t bin) const;
-
-  /// Renders an ASCII bar chart, `width` characters for the tallest bin.
-  [[nodiscard]] std::string to_ascii(int width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
 };
 
 /// Pearson correlation of two equal-length samples; 0 for degenerate input.

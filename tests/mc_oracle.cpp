@@ -1,13 +1,18 @@
 #include "mc_oracle.hpp"
 
+#include <algorithm>
 #include <array>
+#include <chrono>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "sttram/cell/array.hpp"
+#include "sttram/common/error.hpp"
+#include "sttram/obs/metrics.hpp"
+#include "sttram/obs/trace.hpp"
 #include "sttram/sense/margins.hpp"
 #include "sttram/stats/distributions.hpp"
-#include "sttram/stats/importance.hpp"
 #include "sttram/stats/rng.hpp"
 
 namespace sttram::oracle {
@@ -143,7 +148,7 @@ YieldResult run_yield(const YieldConfig& config, ParallelExecutor* executor) {
       0.5 * (bitline(nominal_model, nominal_access, kL, config.selfref.i_max) +
              bitline(nominal_model, nominal_access, kH, config.selfref.i_max));
   result.shared_reference_window =
-      array.shared_reference_window(config.selfref.i_max);
+      shared_reference_window(array, config.selfref.i_max);
 
   const std::size_t cols = config.geometry.cols;
   const Xoshiro256 column_master(config.seed ^ 0x5741524d5454536bULL);
@@ -206,6 +211,163 @@ YieldResult run_yield(const YieldConfig& config, ParallelExecutor* executor) {
     record(result.nondestructive, m[3], config, keep_every);
   }
   return result;
+}
+
+ImportanceEstimate importance_sample(
+    std::uint64_t seed, std::size_t trials, const std::vector<double>& shift,
+    const std::function<bool(const std::vector<double>&)>& fails,
+    ParallelExecutor* executor) {
+  require(trials > 0, "importance_sample: trials must be > 0");
+  obs::TraceSpan span("importance_sample", "mc");
+  require(!shift.empty(), "importance_sample: shift vector required");
+  const std::size_t dim = shift.size();
+  double shift_sq = 0.0;
+  for (const double s : shift) shift_sq += s * s;
+
+  const Xoshiro256 master(seed);
+  // One trial: draw z from the shifted proposal, test it, and return the
+  // likelihood-ratio weight (0 on a pass).
+  const auto run_trial = [&](std::size_t k, std::vector<double>& z,
+                             double& w) -> bool {
+    Xoshiro256 stream = master.fork(k);
+    double dot = 0.0;
+    for (std::size_t i = 0; i < dim; ++i) {
+      z[i] = shift[i] + sample_standard_normal(stream);
+      dot += shift[i] * z[i];
+    }
+    if (!fails(z)) return false;
+    w = std::exp(-dot + 0.5 * shift_sq);
+    return true;
+  };
+
+  double sum_w = 0.0;
+  double sum_w2 = 0.0;
+  std::size_t hits = 0;
+  if (executor != nullptr && executor->thread_count() > 1) {
+    // Sample in parallel, storing each trial's outcome, then reduce the
+    // weight sums serially in trial order — floating-point addition is
+    // order-sensitive, so this keeps the estimate bit-identical to the
+    // serial run.
+    struct TrialOutcome {
+      bool hit = false;
+      double w = 0.0;
+    };
+    std::vector<TrialOutcome> outcomes(trials);
+    executor->for_chunks(
+        trials, [&](std::size_t, std::size_t begin, std::size_t end) {
+          std::vector<double> z(dim);
+          for (std::size_t k = begin; k < end; ++k) {
+            outcomes[k].hit = run_trial(k, z, outcomes[k].w);
+          }
+        });
+    for (const TrialOutcome& o : outcomes) {
+      if (!o.hit) continue;
+      ++hits;
+      sum_w += o.w;
+      sum_w2 += o.w * o.w;
+    }
+  } else {
+    std::vector<double> z(dim);
+    for (std::size_t k = 0; k < trials; ++k) {
+      double w = 0.0;
+      if (run_trial(k, z, w)) {
+        ++hits;
+        sum_w += w;
+        sum_w2 += w * w;
+      }
+    }
+  }
+  STTRAM_OBS_ADD("is.trials", trials);
+  STTRAM_OBS_ADD("is.hits", hits);
+  ImportanceEstimate e;
+  e.trials = trials;
+  e.hits = hits;
+  const double n = static_cast<double>(trials);
+  e.probability = sum_w / n;
+  const double var = std::max(0.0, sum_w2 / n - e.probability * e.probability);
+  e.std_error = std::sqrt(var / n);
+  e.relative_error =
+      e.probability > 0.0 ? e.std_error / e.probability : 0.0;
+  return e;
+}
+
+ProbabilityEstimate wilson_interval(std::size_t hits, std::size_t trials,
+                                    double z) {
+  require(trials > 0, "wilson_interval: trials must be > 0");
+  require(hits <= trials, "wilson_interval: hits must be <= trials");
+  ProbabilityEstimate e;
+  e.trials = trials;
+  e.hits = hits;
+  const double n = static_cast<double>(trials);
+  const double p = static_cast<double>(hits) / n;
+  e.p = p;
+  const double z2 = z * z;
+  const double denom = 1.0 + z2 / n;
+  const double center = (p + z2 / (2.0 * n)) / denom;
+  const double half =
+      z * std::sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom;
+  e.ci_lo = std::max(0.0, center - half);
+  e.ci_hi = std::min(1.0, center + half);
+  return e;
+}
+
+ProbabilityEstimate estimate_probability(
+    std::uint64_t seed, std::size_t trials,
+    const std::function<bool(Xoshiro256&)>& predicate,
+    const MonteCarloOptions& options) {
+  require(trials > 0, "estimate_probability: trials must be > 0");
+  obs::TraceSpan span("estimate_probability", "mc");
+  std::size_t hits = 0;
+  const Xoshiro256 master(seed);
+  const bool metered = obs::metrics_enabled();
+  const std::size_t stride = detail::progress_stride(options, trials);
+  const auto t_begin = std::chrono::steady_clock::now();
+  if (detail::parallel_requested(options)) {
+    // Hit counts are integers, so per-chunk tallies sum exactly.
+    std::vector<std::size_t> chunk_hits(options.executor->thread_count(), 0);
+    options.executor->for_chunks(
+        trials, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+          std::size_t local = 0;
+          for (std::size_t i = begin; i < end; ++i) {
+            Xoshiro256 stream = master.fork(i);
+            if (predicate(stream)) ++local;
+          }
+          chunk_hits[chunk] = local;
+        });
+    for (const std::size_t h : chunk_hits) hits += h;
+    if (options.progress) options.progress(trials, trials);
+  } else {
+    for (std::size_t i = 0; i < trials; ++i) {
+      Xoshiro256 stream = master.fork(i);
+      if (predicate(stream)) ++hits;
+      if (options.progress && ((i + 1) % stride == 0 || i + 1 == trials)) {
+        options.progress(i + 1, trials);
+      }
+    }
+  }
+  if (metered) {
+    detail::publish_mc_throughput(
+        trials, std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t_begin)
+                    .count());
+  }
+  return wilson_interval(hits, trials);
+}
+
+Volt shared_reference_window(const MemoryArray& a, Ampere i) {
+  Volt max_low(-std::numeric_limits<double>::infinity());
+  Volt min_high(std::numeric_limits<double>::infinity());
+  for (std::size_t r = 0; r < a.geometry().rows; ++r) {
+    for (std::size_t col = 0; col < a.geometry().cols; ++col) {
+      const ArrayCell& c = a.cell(r, col);
+      const LinearRiModel m(c.params);
+      max_low = max(max_low,
+                    i * (m.resistance(MtjState::kParallel, i) + c.r_access));
+      min_high = min(min_high, i * (m.resistance(MtjState::kAntiParallel, i) +
+                                    c.r_access));
+    }
+  }
+  return min_high - max_low;
 }
 
 TailEstimate estimate_tail(const TailConfig& config, std::uint64_t seed,

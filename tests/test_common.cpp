@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <vector>
 
 #include "sttram/common/error.hpp"
 #include "sttram/common/format.hpp"
@@ -16,6 +18,59 @@ namespace sttram {
 namespace {
 
 using namespace sttram::literals;
+
+/// Root of `f` in [lo, hi] by bisection, for a bracket f(lo) f(hi) <= 0
+/// (throws NumericError otherwise); stops when the bracket is narrower
+/// than `tol`.
+double bisect(const std::function<double(double)>& f, double lo, double hi,
+              double tol = 1e-12, int max_iter = 200) {
+  require(lo < hi, "bisect: lo must be < hi");
+  double flo = f(lo);
+  double fhi = f(hi);
+  if (flo == 0.0) return lo;
+  if (fhi == 0.0) return hi;
+  if (flo * fhi > 0.0) {
+    throw NumericError("bisect: f(lo) and f(hi) have the same sign");
+  }
+  for (int i = 0; i < max_iter && (hi - lo) > tol; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    const double fm = f(mid);
+    if (fm == 0.0) return mid;
+    if (flo * fm < 0.0) {
+      hi = mid;
+      fhi = fm;
+    } else {
+      lo = mid;
+      flo = fm;
+    }
+  }
+  return 0.5 * (lo + hi);
+}
+
+/// Every sign change of `f` over `steps` uniform intervals of [lo, hi],
+/// refined with brent().
+std::vector<double> find_all_roots(const std::function<double(double)>& f,
+                                   double lo, double hi, int steps = 400,
+                                   double tol = 1e-10) {
+  require(steps >= 1, "find_all_roots: steps must be >= 1");
+  require(lo < hi, "find_all_roots: lo must be < hi");
+  std::vector<double> roots;
+  double x_prev = lo;
+  double f_prev = f(lo);
+  if (f_prev == 0.0) roots.push_back(lo);
+  for (int i = 1; i <= steps; ++i) {
+    const double x = lo + (hi - lo) * static_cast<double>(i) / steps;
+    const double fx = f(x);
+    if (fx == 0.0) {
+      roots.push_back(x);
+    } else if (f_prev != 0.0 && f_prev * fx < 0.0) {
+      roots.push_back(brent(f, x_prev, x, tol));
+    }
+    x_prev = x;
+    f_prev = fx;
+  }
+  return roots;
+}
 
 TEST(Units, OhmsLawDimensions) {
   const Ampere i = 200.0_uA;
@@ -112,9 +167,6 @@ TEST(PiecewiseLinear, InterpolatesAndClamps) {
   EXPECT_DOUBLE_EQ(f(1.5), 5.0);
   EXPECT_DOUBLE_EQ(f(-1.0), 0.0);   // clamped
   EXPECT_DOUBLE_EQ(f(3.0), 0.0);    // clamped
-  EXPECT_DOUBLE_EQ(f.derivative(0.5), 10.0);
-  EXPECT_DOUBLE_EQ(f.derivative(1.5), -10.0);
-  EXPECT_DOUBLE_EQ(f.derivative(5.0), 0.0);
 }
 
 TEST(PiecewiseLinear, RejectsBadInput) {

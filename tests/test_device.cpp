@@ -243,14 +243,6 @@ TEST(MtjDevice, SubcriticalWriteWithoutRngDoesNotSwitch) {
   EXPECT_EQ(d.state(), MtjState::kParallel);
 }
 
-TEST(MtjDevice, CopyIsDeep) {
-  MtjDevice a(MtjParams::paper_calibrated(), MtjState::kAntiParallel);
-  MtjDevice b = a;
-  b.force_state(MtjState::kParallel);
-  EXPECT_EQ(a.state(), MtjState::kAntiParallel);
-  EXPECT_EQ(b.state(), MtjState::kParallel);
-}
-
 TEST(MtjDevice, RejectsNegativeAmplitude) {
   MtjDevice d;
   EXPECT_THROW(d.apply_write_pulse(WritePolarity::kToParallel,

@@ -5,17 +5,20 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "mc_oracle.hpp"
 #include "sttram/common/error.hpp"
 #include "sttram/common/parallel.hpp"
 #include "sttram/engine/bank_sim.hpp"
 #include "sttram/engine/request.hpp"
 #include "sttram/engine/thread_pool.hpp"
 #include "sttram/engine/workload.hpp"
+#include "sttram/io/csv.hpp"
 #include "sttram/sim/tail.hpp"
 #include "sttram/sim/throughput.hpp"
 #include "sttram/sim/yield.hpp"
@@ -35,6 +38,22 @@ using engine::ThreadPool;
 using engine::TrafficConfig;
 using engine::TrafficReport;
 using engine::WorkloadKind;
+using oracle::estimate_probability;
+using oracle::importance_sample;
+using oracle::ProbabilityEstimate;
+
+/// Writes `requests` in engine::load_trace_csv's format (with header).
+void write_trace_csv(std::ostream& out, const std::vector<Request>& requests) {
+  CsvWriter writer(out);
+  writer.write_row(std::vector<std::string>{"arrival_s", "op", "bank"});
+  for (const Request& r : requests) {
+    char arrival[40];
+    std::snprintf(arrival, sizeof(arrival), "%.17g", r.arrival.value());
+    writer.write_row(std::vector<std::string>{
+        arrival, r.op == Op::kRead ? "read" : "write",
+        std::to_string(r.bank)});
+  }
+}
 
 // ---------------------------------------------------------------------
 // chunk_range partition
@@ -384,12 +403,10 @@ TEST(BankControllerTest, TracksBusyTimeAndServed) {
   BankController ctrl(2, SchedulingPolicy::kFcfs, simple_timing());
   ctrl.submit(make_request(0, 0.0, Op::kRead, 0));
   ctrl.submit(make_request(1, 0.0, Op::kWrite, 1));
-  ctrl.step();
-  ctrl.step();
+  EXPECT_EQ(ctrl.step().request.bank, 0u);
+  EXPECT_EQ(ctrl.step().request.bank, 1u);
   EXPECT_DOUBLE_EQ(ctrl.busy_time(0).value(), 1e-9);
   EXPECT_DOUBLE_EQ(ctrl.busy_time(1).value(), 2e-9);
-  EXPECT_EQ(ctrl.served(0), 1u);
-  EXPECT_EQ(ctrl.served(1), 1u);
   EXPECT_EQ(ctrl.pending(), 0u);
 }
 
@@ -571,7 +588,7 @@ TEST(TraceWorkload, CsvRoundTripReplaysExactly) {
       engine::generate_poisson_workload(gen);
 
   std::stringstream csv;
-  engine::write_trace_csv(csv, original);
+  write_trace_csv(csv, original);
   const std::vector<Request> loaded = engine::load_trace_csv(csv);
   ASSERT_EQ(loaded.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {

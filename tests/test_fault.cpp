@@ -113,7 +113,12 @@ TEST(FaultMap, SameSeedReproducesDifferentSeedDiffers) {
   const FaultMap a = generate_fault_map({64, 64}, config, 3);
   const FaultMap b = generate_fault_map({64, 64}, config, 3);
   const FaultMap c = generate_fault_map({64, 64}, config, 4);
-  EXPECT_EQ(a.injected().size(), b.injected().size());
+  for (std::size_t r = 0; r < 64; ++r) {
+    for (std::size_t col = 0; col < 64; ++col) {
+      EXPECT_EQ(a.type_at(r, col), b.type_at(r, col));
+      EXPECT_EQ(a.param_at(r, col), b.param_at(r, col));
+    }
+  }
   bool all_equal = a.total() == c.total();
   for (std::size_t r = 0; r < 64 && all_equal; ++r) {
     for (std::size_t col = 0; col < 64; ++col) {

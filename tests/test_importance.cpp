@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "mc_oracle.hpp"
 #include "sttram/common/error.hpp"
 #include "sttram/sim/tail.hpp"
 #include "sttram/stats/distributions.hpp"
@@ -10,6 +11,8 @@
 
 namespace sttram {
 namespace {
+
+using oracle::importance_sample;
 
 TEST(ImportanceSampling, RecoversKnownGaussianTail) {
   // P(z > 4) in 1-D is Phi(-4) = 3.167e-5; estimate it with a shift to

@@ -31,15 +31,6 @@ TEST(TextTable, RejectsBadArity) {
   EXPECT_THROW(TextTable{std::vector<std::string>{}}, InvalidArgument);
 }
 
-TEST(TextTable, MarkdownFormat) {
-  TextTable t({"x", "y"});
-  t.add_row({"1", "2"});
-  const std::string md = t.to_markdown();
-  EXPECT_NE(md.find("| x | y |"), std::string::npos);
-  EXPECT_NE(md.find("|---|---|"), std::string::npos);
-  EXPECT_NE(md.find("| 1 | 2 |"), std::string::npos);
-}
-
 TEST(Csv, PlainRow) {
   std::ostringstream os;
   CsvWriter w(os);

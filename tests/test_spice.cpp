@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "sttram/common/error.hpp"
 #include "sttram/device/mtj_params.hpp"
@@ -28,11 +30,16 @@ using spice::Solution;
 using spice::TimedSwitch;
 using spice::VoltageSource;
 
+/// A DC drive for a source element.
+std::unique_ptr<spice::Waveform> dc(double value) {
+  return std::make_unique<spice::DcWaveform>(value);
+}
+
 TEST(SpiceDc, VoltageDivider) {
   Circuit c;
   const NodeId top = c.node("top");
   const NodeId mid = c.node("mid");
-  c.add<VoltageSource>("V1", top, Circuit::ground(), 10.0);
+  c.add<VoltageSource>("V1", top, Circuit::ground(), dc(10.0));
   c.add<Resistor>("R1", top, mid, 6000.0);
   c.add<Resistor>("R2", mid, Circuit::ground(), 4000.0);
   const Solution s = solve_dc(c);
@@ -44,7 +51,7 @@ TEST(SpiceDc, VoltageDivider) {
 TEST(SpiceDc, VoltageSourceBranchCurrent) {
   Circuit c;
   const NodeId top = c.node("top");
-  c.add<VoltageSource>("V1", top, Circuit::ground(), 5.0);
+  c.add<VoltageSource>("V1", top, Circuit::ground(), dc(5.0));
   c.add<Resistor>("R1", top, Circuit::ground(), 1000.0);
   const Solution s = solve_dc(c);
   // Convention: branch current flows + -> - through the source, so a
@@ -55,7 +62,7 @@ TEST(SpiceDc, VoltageSourceBranchCurrent) {
 TEST(SpiceDc, CurrentSourceIntoResistor) {
   Circuit c;
   const NodeId n = c.node("n");
-  c.add<CurrentSource>("I1", Circuit::ground(), n, 200e-6);
+  c.add<CurrentSource>("I1", Circuit::ground(), n, dc(200e-6));
   c.add<Resistor>("R1", n, Circuit::ground(), 2500.0);
   const Solution s = solve_dc(c);
   EXPECT_NEAR(s.voltage(n), 0.5, 1e-8);
@@ -67,8 +74,8 @@ TEST(SpiceDc, SuperpositionOfTwoSources) {
   Circuit c;
   const NodeId a = c.node("a");
   const NodeId b = c.node("b");
-  c.add<CurrentSource>("I1", Circuit::ground(), a, 1e-3);
-  c.add<CurrentSource>("I2", Circuit::ground(), b, 2e-3);
+  c.add<CurrentSource>("I1", Circuit::ground(), a, dc(1e-3));
+  c.add<CurrentSource>("I2", Circuit::ground(), b, dc(2e-3));
   c.add<Resistor>("Ra", a, Circuit::ground(), 1000.0);
   c.add<Resistor>("Rab", a, b, 1000.0);
   c.add<Resistor>("Rb", b, Circuit::ground(), 1000.0);
@@ -91,7 +98,7 @@ TEST(SpiceDc, SeriesResistorsThevenin) {
   Circuit c;
   const NodeId a = c.node("a");
   const NodeId b = c.node("b");
-  c.add<VoltageSource>("V", a, Circuit::ground(), 1.2);
+  c.add<VoltageSource>("V", a, Circuit::ground(), dc(1.2));
   c.add<Resistor>("R1", a, b, 917.0);
   c.add<Resistor>("R2", b, Circuit::ground(), 2500.0);
   const Solution s = solve_dc(c);
@@ -129,7 +136,7 @@ TEST(SpiceTransient, CapacitorHoldsChargeWhenIsolated) {
   Circuit c;
   const NodeId src = c.node("src");
   const NodeId cap = c.node("cap");
-  c.add<VoltageSource>("V", src, Circuit::ground(), 1.0);
+  c.add<VoltageSource>("V", src, Circuit::ground(), dc(1.0));
   c.add<TimedSwitch>("S", src, cap, true,
                      std::vector<std::pair<double, bool>>{{5e-9, false}},
                      100.0);
@@ -162,8 +169,8 @@ TEST(SpiceMosfet, TriodeRegionResistance) {
   Circuit c;
   const NodeId d = c.node("d");
   const NodeId g = c.node("g");
-  c.add<VoltageSource>("Vg", g, Circuit::ground(), 1.2);
-  c.add<CurrentSource>("Id", Circuit::ground(), d, 200e-6);
+  c.add<VoltageSource>("Vg", g, Circuit::ground(), dc(1.2));
+  c.add<CurrentSource>("Id", Circuit::ground(), d, dc(200e-6));
   c.add<Mosfet>("M1", d, g, Circuit::ground(), p);
   const Solution s = solve_dc(c);
   // v_ds ~= I * R_on with a small triode correction upward.
@@ -179,7 +186,7 @@ TEST(SpiceMosfet, CutoffBlocksCurrent) {
   Circuit c;
   const NodeId d = c.node("d");
   c.add<Resistor>("Rload", c.node("vdd"), d, 1000.0);
-  c.add<VoltageSource>("Vdd", c.node("vdd"), Circuit::ground(), 1.2);
+  c.add<VoltageSource>("Vdd", c.node("vdd"), Circuit::ground(), dc(1.2));
   c.add<Mosfet>("M1", d, Circuit::ground(), Circuit::ground(), p);
   const Solution s = solve_dc(c);
   // Gate grounded -> cutoff -> drain pulled to VDD.
@@ -218,7 +225,7 @@ TEST(SpiceMtj, NonlinearResistanceMatchesModel) {
        {MtjState::kParallel, MtjState::kAntiParallel}) {
     Circuit c;
     const NodeId n = c.node("n");
-    c.add<CurrentSource>("I", Circuit::ground(), n, 200e-6);
+    c.add<CurrentSource>("I", Circuit::ground(), n, dc(200e-6));
     c.add<MtjElement>("MTJ", n, Circuit::ground(), model, state);
     const Solution s = solve_dc(c);
     const double expected =
@@ -250,7 +257,6 @@ TEST(SpiceSwitch, ScheduleAndResistance) {
   EXPECT_TRUE(s.closed_at(3e-9));
   EXPECT_FALSE(s.closed_at(5.5e-9));
   EXPECT_TRUE(s.closed_at(8e-9));
-  EXPECT_THROW(s.schedule(2e-9, true), InvalidArgument);
 }
 
 TEST(SpiceCircuit, NodeNamesAndGroundAliases) {
@@ -277,7 +283,8 @@ TEST(SpiceMatrix, SingularMatrixThrows) {
   a(0, 1) = 2.0;
   a(1, 0) = 2.0;
   a(1, 1) = 4.0;  // rank 1
-  EXPECT_THROW(spice::LuFactorization{a}, CircuitError);
+  std::vector<std::size_t> perm;
+  EXPECT_THROW(spice::lu_factor_in_place(a, perm), CircuitError);
 }
 
 TEST(SpiceMatrix, SolvesKnownSystem) {
@@ -285,7 +292,11 @@ TEST(SpiceMatrix, SolvesKnownSystem) {
   // A = [[4,1,0],[1,3,1],[0,1,2]]; x = [1,2,3]; b = A x = [6, 10, 8].
   a(0, 0) = 4; a(0, 1) = 1; a(1, 0) = 1; a(1, 1) = 3; a(1, 2) = 1;
   a(2, 1) = 1; a(2, 2) = 2;
-  const auto x = spice::solve_linear_system(a, {6.0, 10.0, 8.0});
+  std::vector<std::size_t> perm;
+  spice::lu_factor_in_place(a, perm);
+  const std::vector<double> b = {6.0, 10.0, 8.0};
+  std::vector<double> x(3);
+  spice::lu_solve_in_place(a, perm, b, x);
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
   EXPECT_NEAR(x[2], 3.0, 1e-12);
@@ -298,7 +309,7 @@ TEST(SpiceDcSweep, ReproducesMtjRiCurve) {
   const LinearRiModel model(params);
   Circuit c;
   const NodeId bl = c.node("bl");
-  c.add<CurrentSource>("Iread", Circuit::ground(), bl, 0.0);
+  c.add<CurrentSource>("Iread", Circuit::ground(), bl, dc(0.0));
   c.add<MtjElement>("J", bl, Circuit::ground(), model,
                     MtjState::kAntiParallel);
   const std::vector<double> currents = {10e-6, 50e-6, 100e-6, 200e-6};
@@ -316,7 +327,7 @@ TEST(SpiceDcSweep, ReproducesMtjRiCurve) {
 TEST(SpiceDcSweep, SweepsVoltageSourcesAndValidates) {
   Circuit c;
   const NodeId a = c.node("a");
-  c.add<VoltageSource>("V1", a, Circuit::ground(), 1.0);
+  c.add<VoltageSource>("V1", a, Circuit::ground(), dc(1.0));
   c.add<Resistor>("R1", a, Circuit::ground(), 1000.0);
   const auto pts = dc_sweep(c, "V1", {0.5, 1.5});
   EXPECT_NEAR(pts[0].voltage(a), 0.5, 1e-9);
@@ -339,7 +350,7 @@ TEST(SpiceLeakage, LumpedModelMatchesExplicitUnselectedCells) {
   const auto build = [&](bool explicit_cells) {
     Circuit c;
     const NodeId sense = c.node("sense");
-    c.add<CurrentSource>("I", Circuit::ground(), sense, 200e-6);
+    c.add<CurrentSource>("I", Circuit::ground(), sense, dc(200e-6));
     NodeId prev = sense;
     for (int k = 0; k < kCells; ++k) {
       const NodeId node = c.node(std::string("n").append(std::to_string(k)));

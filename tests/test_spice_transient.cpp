@@ -130,7 +130,8 @@ TEST(TransientIntegrators, BreakpointsAreHitExactly) {
   // with a coarse step, so the event is not smeared.
   Circuit c;
   const NodeId a = c.node("a");
-  c.add<VoltageSource>("V", a, Circuit::ground(), 1.0);
+  c.add<VoltageSource>("V", a, Circuit::ground(),
+                       std::make_unique<spice::DcWaveform>(1.0));
   const NodeId b = c.node("b");
   c.add<TimedSwitch>("S", a, b, false,
                      std::vector<std::pair<double, bool>>{{1.37e-9, true}},

@@ -1,10 +1,12 @@
 // Tests for sttram/stats: RNG determinism, distribution moments,
-// summary statistics, percentiles, histograms, Monte-Carlo driver.
+// summary statistics, percentiles, Monte-Carlo driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
+#include "mc_oracle.hpp"
 #include "sttram/common/error.hpp"
 #include "sttram/stats/distributions.hpp"
 #include "sttram/stats/monte_carlo.hpp"
@@ -13,6 +15,34 @@
 
 namespace sttram {
 namespace {
+
+using oracle::estimate_probability;
+using oracle::ProbabilityEstimate;
+using oracle::wilson_interval;
+
+/// Percentile of a sample by linear interpolation between order
+/// statistics (the type-7 definition), `q` in [0, 1].
+double percentile(std::vector<double> sample, double q) {
+  require(!sample.empty(), "percentile: empty sample");
+  require(q >= 0.0 && q <= 1.0, "percentile: q must be in [0, 1]");
+  const double pos = q * static_cast<double>(sample.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  std::nth_element(sample.begin(),
+                   sample.begin() + static_cast<std::ptrdiff_t>(lo),
+                   sample.end());
+  const double v_lo = sample[lo];
+  if (frac == 0.0 || lo + 1 >= sample.size()) return v_lo;
+  const double v_hi = *std::min_element(
+      sample.begin() + static_cast<std::ptrdiff_t>(lo) + 1, sample.end());
+  return v_lo + frac * (v_hi - v_lo);
+}
+
+/// Uniform deviate in [lo, hi).
+double sample_uniform(Xoshiro256& rng, double lo, double hi) {
+  require(lo <= hi, "sample_uniform: lo must be <= hi");
+  return lo + (hi - lo) * rng.next_double();
+}
 
 TEST(Rng, DeterministicForSeed) {
   Xoshiro256 a(1234);
@@ -160,20 +190,6 @@ TEST(Percentile, OrderStatistics) {
   EXPECT_DOUBLE_EQ(percentile(xs, 0.125), 1.5);  // interpolated
   EXPECT_THROW(percentile(std::vector<double>{}, 0.5), InvalidArgument);
   EXPECT_THROW(percentile(xs, 1.5), InvalidArgument);
-}
-
-TEST(Histogram, BinningAndEdges) {
-  Histogram h(0.0, 10.0, 10);
-  for (const double x : {0.0, 0.5, 9.99, 10.0, -1.0, 11.0, 5.0}) h.add(x);
-  EXPECT_EQ(h.total(), 7u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.count(0), 2u);   // 0.0 and 0.5
-  EXPECT_EQ(h.count(9), 2u);   // 9.99 and the inclusive 10.0 edge
-  EXPECT_EQ(h.count(5), 1u);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 0.5);
-  EXPECT_THROW((void)h.count(10), InvalidArgument);
-  EXPECT_FALSE(h.to_ascii().empty());
 }
 
 TEST(MonteCarlo, TrialStreamsAreStable) {
