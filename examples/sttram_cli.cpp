@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -1248,8 +1249,17 @@ int main(int argc, char** argv) {
         if (is_auto) clear_simd_isa_override();
         else set_simd_isa_override(isa);
       } else {
+        if (value.empty()) throw UsageError(flag + " requires a file path");
         (is_metrics ? metrics_path : trace_path) = value;
       }
+    }
+    // One file cannot hold both documents: the second write would
+    // replace the first.
+    if (!metrics_path.empty() && !trace_path.empty() &&
+        std::filesystem::absolute(metrics_path).lexically_normal() ==
+            std::filesystem::absolute(trace_path).lexically_normal()) {
+      throw UsageError("--metrics and --trace name the same file '" +
+                       trace_path + "'");
     }
     // Resolve the kernel ISA up front so a bogus STTRAM_SIMD value is a
     // usage error (exit 2) before any command output, not a mid-run

@@ -1,13 +1,11 @@
 #include "sttram/engine/bank_sim.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "sttram/common/error.hpp"
 #include "sttram/engine/workload.hpp"
 #include "sttram/obs/metrics.hpp"
 #include "sttram/obs/profile.hpp"
-#include "sttram/obs/trace.hpp"
 #include "sttram/sim/throughput.hpp"
 #include "sttram/stats/distributions.hpp"
 #include "sttram/stats/rng.hpp"
@@ -246,7 +244,6 @@ void simulate_closed_loop(const TrafficConfig& config,
 }  // namespace
 
 TrafficReport run_traffic(const TrafficConfig& config) {
-  obs::TraceSpan span("run_traffic", "engine");
   require(config.requests > 0, "run_traffic: need at least one request");
   require(config.banks > 0, "run_traffic: need at least one bank");
   require(config.word_bits > 0, "run_traffic: word_bits must be > 0");
@@ -256,8 +253,7 @@ TrafficReport run_traffic(const TrafficConfig& config) {
   BankTiming timing;
   std::vector<Request> requests;
   {
-    obs::TraceSpan phase("traffic.workload", "engine");
-    STTRAM_PROFILE_SCOPE("traffic.workload");
+    STTRAM_OBS_SCOPE("traffic.workload");
     timing = scheme_bank_timing(config.scheme, config.cost);
     if (config.workload == WorkloadKind::kPoisson) {
       require(config.utilization > 0.0 && config.utilization < 1.0,
@@ -305,26 +301,16 @@ TrafficReport run_traffic(const TrafficConfig& config) {
                                 : config.requests);
   }
 
-  const bool metered = obs::metrics_enabled();
-  const auto t_begin = std::chrono::steady_clock::now();
   {
-    obs::TraceSpan phase("traffic.simulate", "engine");
-    STTRAM_PROFILE_SCOPE("traffic.simulate");
+    STTRAM_OBS_SCOPE("traffic.simulate");
     if (config.workload == WorkloadKind::kClosedLoop) {
       simulate_closed_loop(config, controller, acc);
     } else {
       simulate_open_loop(requests, controller, acc);
     }
   }
-  if (metered) {
-    obs::Registry::instance().histogram("engine.sim_seconds")
-        .record(std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t_begin)
-                    .count());
-  }
 
-  obs::TraceSpan reduce_phase("traffic.reduce", "engine");
-  STTRAM_PROFILE_SCOPE("traffic.reduce");
+  STTRAM_OBS_SCOPE("traffic.reduce");
   TrafficReport report;
   report.scheme = scheme_row(config.scheme).label;
   report.requests = acc.reads + acc.writes;
@@ -375,7 +361,7 @@ TrafficReport run_traffic(const TrafficConfig& config) {
   report.write_latency_hist = std::move(acc.write_latency_hist);
   report.completions = std::move(acc.completions);
 
-  if (metered) {
+  if (obs::metrics_enabled()) {
     obs::Registry& reg = obs::Registry::instance();
     reg.histogram("engine.latency_seconds").merge(report.latency_hist);
     reg.histogram("engine.read_latency_seconds")

@@ -1,13 +1,11 @@
 #include "sttram/engine/controller/controller.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "sttram/common/error.hpp"
 #include "sttram/obs/metrics.hpp"
 #include "sttram/obs/profile.hpp"
-#include "sttram/obs/trace.hpp"
 #include "sttram/stats/rng.hpp"
 
 namespace sttram::engine::controller {
@@ -222,7 +220,6 @@ std::uint64_t bernoulli_threshold32(double p) {
 
 ControllerReport run_controller_traffic(const ControllerConfig& config,
                                         ParallelExecutor* executor) {
-  obs::TraceSpan span("run_controller_traffic", "engine");
   require(config.channels > 0, "run_controller_traffic: channels must be > 0");
   require(config.ranks > 0, "run_controller_traffic: ranks must be > 0");
   require(config.banks > 0, "run_controller_traffic: banks must be > 0");
@@ -255,11 +252,8 @@ ControllerReport run_controller_traffic(const ControllerConfig& config,
   // chunk body writes nothing else, so any thread count produces the
   // same shard contents.
   std::vector<ChannelStats> shards(config.channels);
-  const bool metered = obs::metrics_enabled();
-  const auto t_begin = std::chrono::steady_clock::now();
   {
-    obs::TraceSpan phase("controller.simulate", "engine");
-    STTRAM_PROFILE_SCOPE("controller.simulate");
+    STTRAM_OBS_SCOPE("controller.simulate");
     const auto body = [&](std::size_t, std::size_t begin, std::size_t end) {
       for (std::size_t c = begin; c < end; ++c) {
         run_channel(config, timing, c, banks_in_channel, mean_interarrival,
@@ -272,18 +266,11 @@ ControllerReport run_controller_traffic(const ControllerConfig& config,
       body(0, 0, config.channels);
     }
   }
-  if (metered) {
-    obs::Registry::instance().histogram("controller.sim_seconds")
-        .record(std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t_begin)
-                    .count());
-  }
 
   // Serial reduction, channel order — the floating-point sums below are
   // part of the bit-identity contract, so they never move into the
   // parallel region.
-  obs::TraceSpan reduce_phase("controller.reduce", "engine");
-  STTRAM_PROFILE_SCOPE("controller.reduce");
+  STTRAM_OBS_SCOPE("controller.reduce");
   ControllerReport report;
   report.scheme = scheme_row(config.scheme).label;
   report.scheduler = to_string(config.scheduler);
@@ -365,7 +352,7 @@ ControllerReport run_controller_traffic(const ControllerConfig& config,
     report.energy_per_bit_pj = report.total_energy.value() * 1e12 / bits;
   }
 
-  if (metered) {
+  if (obs::metrics_enabled()) {
     obs::Registry& reg = obs::Registry::instance();
     reg.histogram("controller.latency_seconds").merge(report.latency_hist);
     for (std::size_t c = 0; c < report.channel.size(); ++c) {

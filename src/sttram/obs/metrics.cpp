@@ -7,18 +7,14 @@
 #include "sttram/obs/profile.hpp"
 
 namespace sttram::obs {
-namespace {
-
-std::atomic<bool> g_metrics_enabled{false};
-
-}  // namespace
 
 bool metrics_enabled() {
-  return g_metrics_enabled.load(std::memory_order_relaxed);
+  return (detail::g_sinks.load(std::memory_order_relaxed) &
+          detail::kMetricsSink) != 0;
 }
 
 void set_metrics_enabled(bool on) {
-  g_metrics_enabled.store(on, std::memory_order_relaxed);
+  detail::set_sink(detail::kMetricsSink, on);
 }
 
 std::string normalize_metric_name(const std::string& raw) {
@@ -69,18 +65,18 @@ Registry::Registry() {
         "fault.ecc_uncorrectable", "fault.silent_corruptions"}) {
     counters_.emplace(name, std::make_unique<Counter>());
   }
-  for (const char* name : {"mc.trials_per_second", "mc.batch_size",
-                           "yield.cells_per_second", "engine.queue_depth",
+  for (const char* name : {"mc.batch_size", "engine.queue_depth",
                            "engine.bank_utilization",
                            "fault.march_coverage"}) {
     gauges_.emplace(name, std::make_unique<Gauge>());
   }
   // Distributions, durations included, exported with the full
-  // percentile set (DESIGN.md §11).
+  // percentile set (DESIGN.md §11).  The two run durations are the
+  // STTRAM_OBS_SCOPE histograms of the yield and traffic runs.
   for (const char* name :
-       {"mc.trial_seconds", "mc.block_seconds", "yield.experiment_seconds",
-        "engine.sim_seconds", "engine.latency_seconds",
-        "engine.read_latency_seconds", "engine.write_latency_seconds"}) {
+       {"yield.experiment_seconds", "traffic.simulate_seconds",
+        "engine.latency_seconds", "engine.read_latency_seconds",
+        "engine.write_latency_seconds"}) {
     histograms_.emplace(name, std::make_unique<HistogramMetric>());
   }
 }

@@ -1,6 +1,7 @@
 // Process-wide telemetry registry: monotonic counters, gauges and
 // log-bucketed histograms with JSON export.  Durations are
-// histograms too: one lock-free primitive carries every distribution.
+// histograms too: one lock-free primitive carries every distribution,
+// and STTRAM_OBS_SCOPE (profile.hpp) is what records a phase's.
 //
 // Design goals (see DESIGN.md §8 and §11):
 //  - Zero overhead when disabled: every instrumentation macro starts
@@ -160,16 +161,5 @@ void write_metrics_json(const std::string& path, const Json& provenance);
       static ::sttram::obs::Gauge& sttram_obs_gauge_ =                    \
           ::sttram::obs::Registry::instance().gauge(name);                \
       sttram_obs_gauge_.set(static_cast<double>(value));                  \
-    }                                                                     \
-  } while (0)
-
-/// Records `value` into the histogram `name` (lock-free, full percentile
-/// set in the exports).
-#define STTRAM_OBS_OBSERVE(name, value)                                   \
-  do {                                                                    \
-    if (::sttram::obs::metrics_enabled()) {                               \
-      static ::sttram::obs::HistogramMetric& sttram_obs_histogram_ =      \
-          ::sttram::obs::Registry::instance().histogram(name);            \
-      sttram_obs_histogram_.record(static_cast<double>(value));           \
     }                                                                     \
   } while (0)

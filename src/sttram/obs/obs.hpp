@@ -1,7 +1,8 @@
 // Umbrella header for the observability layer: the metrics registry
-// (counters / gauges / histograms + JSON export), the scoped phase
-// profiler and the Chrome trace-event span recorder.  See DESIGN.md §8,
-// §11 and the "Telemetry & profiling" section of the README.
+// (counters / gauges / histograms + JSON export), the one
+// instrumentation scope with its phase profiler, and the Chrome
+// trace-event recorder the scope feeds.  See DESIGN.md §8, §11 and the
+// "Telemetry & profiling" section of the README.
 #pragma once
 
 #include "sttram/obs/histogram.hpp"  // IWYU pragma: export

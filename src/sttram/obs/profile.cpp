@@ -3,24 +3,35 @@
 #include <algorithm>
 
 #include "sttram/io/json.hpp"
+#include "sttram/obs/metrics.hpp"
 #include "sttram/obs/trace.hpp"
 
 namespace sttram::obs {
 
 namespace detail {
-std::atomic<bool> g_profiling_enabled{false};
+
+std::atomic<unsigned> g_sinks{0};
+
+void set_sink(unsigned sink, bool on) {
+  if (on) {
+    g_sinks.fetch_or(sink, std::memory_order_relaxed);
+  } else {
+    g_sinks.fetch_and(~sink, std::memory_order_relaxed);
+  }
+}
+
 }  // namespace detail
 
 namespace {
 
-/// Top of the calling thread's scope stack (parent-pointer linked list;
-/// no allocation, push/pop are two pointer writes).
-thread_local ProfileScope* t_top = nullptr;
+/// Top of the calling thread's stack of running scopes (parent-pointer
+/// linked list; no allocation, push/pop are two pointer writes).
+thread_local Scope* t_top = nullptr;
 
 }  // namespace
 
 void set_profiling_enabled(bool on) {
-  detail::g_profiling_enabled.store(on, std::memory_order_relaxed);
+  detail::set_sink(detail::kProfileSink, on);
 }
 
 Profiler& Profiler::instance() {
@@ -81,36 +92,42 @@ void Profiler::reset() {
   phases_.clear();
 }
 
-void ProfileScope::enter(const char* name) {
-  name_ = name;
-  child_seconds_ = 0.0;
+HistogramMetric& ScopeSite::histogram() {
+  HistogramMetric* h = histogram_.load(std::memory_order_acquire);
+  if (h == nullptr) {
+    // Two threads may both resolve it; the registry hands both the same
+    // handle.
+    h = &Registry::instance().histogram(std::string(name_) + "_seconds");
+    histogram_.store(h, std::memory_order_release);
+  }
+  return *h;
+}
+
+void Scope::enter(ScopeSite& site, unsigned sinks) {
+  name_ = site.name();
+  // Resolved here, not in exit(): a bad name throws from a constructor,
+  // never from a destructor.
+  if ((sinks & detail::kMetricsSink) != 0) histogram_ = &site.histogram();
   parent_ = t_top;
   t_top = this;
-  active_ = true;
-  TraceRecorder& rec = TraceRecorder::instance();
-  trace_start_us_ = rec.active() ? rec.now_us() : -1.0;
+  sinks_ = sinks;
   start_ = std::chrono::steady_clock::now();  // last: exclude setup cost
 }
 
-void ProfileScope::exit() {
+void Scope::exit() {
   const auto end = std::chrono::steady_clock::now();
-  const double total =
-      std::chrono::duration<double>(end - start_).count();
-  double self = total - child_seconds_;
-  if (self < 0.0) self = 0.0;  // clock granularity can make this tiny-negative
+  const double total = std::chrono::duration<double>(end - start_).count();
   t_top = parent_;
-  if (parent_ != nullptr && parent_->active_) {
-    parent_->child_seconds_ += total;
+  if (parent_ != nullptr) parent_->child_seconds_ += total;
+  if ((sinks_ & detail::kProfileSink) != 0) {
+    // Clock granularity can make the difference tiny-negative.
+    Profiler::instance().record(name_, total,
+                                std::max(0.0, total - child_seconds_));
   }
-  Profiler::instance().record(name_, total, self);
-  if (trace_start_us_ >= 0.0) {
-    TraceRecorder& rec = TraceRecorder::instance();
-    if (rec.active()) {
-      rec.record_complete(name_, "profile", trace_start_us_,
-                          rec.now_us() - trace_start_us_);
-    }
+  if (histogram_ != nullptr) histogram_->record(total);
+  if ((sinks_ & detail::kTraceSink) != 0) {
+    TraceRecorder::instance().record(name_, start_, end);
   }
-  active_ = false;
 }
 
 }  // namespace sttram::obs

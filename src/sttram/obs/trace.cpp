@@ -6,6 +6,7 @@
 
 #include "sttram/common/error.hpp"
 #include "sttram/io/json.hpp"
+#include "sttram/obs/profile.hpp"
 
 namespace sttram::obs {
 namespace {
@@ -21,7 +22,7 @@ std::uint64_t current_tid() {
 }  // namespace
 
 TraceRecorder& TraceRecorder::instance() {
-  // Leaked on purpose (same reason as Registry::instance): a span may
+  // Leaked on purpose (same reason as Registry::instance): a scope may
   // close during static destruction, after a plain static had died.
   static TraceRecorder* recorder = new TraceRecorder;
   return *recorder;
@@ -31,10 +32,10 @@ void TraceRecorder::start() {
   const std::lock_guard<std::mutex> lock(mu_);
   events_.clear();
   epoch_ = std::chrono::steady_clock::now();
-  active_.store(true, std::memory_order_relaxed);
+  detail::set_sink(detail::kTraceSink, true);
 }
 
-void TraceRecorder::stop() { active_.store(false, std::memory_order_relaxed); }
+void TraceRecorder::stop() { detail::set_sink(detail::kTraceSink, false); }
 
 void TraceRecorder::clear() {
   const std::lock_guard<std::mutex> lock(mu_);
@@ -46,22 +47,21 @@ std::size_t TraceRecorder::event_count() const {
   return events_.size();
 }
 
-double TraceRecorder::now_us() const {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
-}
-
-void TraceRecorder::record_complete(std::string name, std::string category,
-                                    double ts_us, double dur_us) {
-  if (!active()) return;
+void TraceRecorder::record(const char* name,
+                           std::chrono::steady_clock::time_point start,
+                           std::chrono::steady_clock::time_point end) {
+  // A scope that started before stop() ends after it: drop its event.
+  if ((detail::g_sinks.load(std::memory_order_relaxed) &
+       detail::kTraceSink) == 0) {
+    return;
+  }
+  using Micros = std::chrono::duration<double, std::micro>;
   Event e;
-  e.name = std::move(name);
-  e.category = std::move(category);
-  e.ts_us = ts_us;
-  e.dur_us = dur_us;
+  e.name = name;
   e.tid = current_tid();
   const std::lock_guard<std::mutex> lock(mu_);
+  e.ts_us = Micros(start - epoch_).count();
+  e.dur_us = Micros(end - start).count();
   events_.push_back(std::move(e));
 }
 
@@ -72,7 +72,7 @@ Json TraceRecorder::to_json() const {
     for (const Event& e : events_) {
       Json ev = Json::object();
       ev.set("name", Json::string(e.name));
-      ev.set("cat", Json::string(e.category));
+      ev.set("cat", Json::string(e.name.substr(0, e.name.find('.'))));
       ev.set("ph", Json::string("X"));
       ev.set("ts", Json::number(e.ts_us));
       ev.set("dur", Json::number(e.dur_us));

@@ -1,13 +1,12 @@
-// Scoped tracing in Chrome trace-event format: spans recorded here are
-// written as "complete" ("ph": "X") events that chrome://tracing (or
+// Scoped tracing in Chrome trace-event format: every STTRAM_OBS_SCOPE
+// (profile.hpp) that runs while the recorder is active becomes one
+// "complete" ("ph": "X") event, which chrome://tracing (or
 // https://ui.perfetto.dev) renders as a flame graph of a whole run.
 //
 // Like the metrics registry, tracing is off by default and inert when
-// off: a TraceSpan constructed while the recorder is inactive performs
-// no clock read and no allocation.
+// off.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
@@ -39,17 +38,12 @@ class TraceRecorder {
   /// Drops all collected events.
   void clear();
 
-  [[nodiscard]] bool active() const {
-    return active_.load(std::memory_order_relaxed);
-  }
   [[nodiscard]] std::size_t event_count() const;
 
-  /// Microseconds since start() (0 when never started).
-  [[nodiscard]] double now_us() const;
-
-  /// Appends one complete event; no-op when inactive.
-  void record_complete(std::string name, std::string category, double ts_us,
-                       double dur_us);
+  /// Appends one complete event spanning [start, end], categorized by
+  /// the name's first '.'-separated segment; no-op when inactive.
+  void record(const char* name, std::chrono::steady_clock::time_point start,
+              std::chrono::steady_clock::time_point end);
 
   [[nodiscard]] Json to_json() const;
   void write(std::ostream& out) const;
@@ -59,42 +53,14 @@ class TraceRecorder {
 
   struct Event {
     std::string name;
-    std::string category;
     double ts_us = 0.0;
     double dur_us = 0.0;
     std::uint64_t tid = 0;
   };
 
-  std::atomic<bool> active_{false};
   mutable std::mutex mu_;
   std::chrono::steady_clock::time_point epoch_{};
   std::vector<Event> events_;
-};
-
-/// RAII span: records one complete event covering its own lifetime.
-/// Name/category must be string literals (or outlive the span); they are
-/// only copied at destruction, and only when the recorder is active.
-class TraceSpan {
- public:
-  explicit TraceSpan(const char* name, const char* category = "sttram")
-      : name_(name), category_(category) {
-    TraceRecorder& rec = TraceRecorder::instance();
-    if (rec.active()) start_us_ = rec.now_us();
-  }
-  ~TraceSpan() {
-    if (start_us_ < 0.0) return;
-    TraceRecorder& rec = TraceRecorder::instance();
-    if (!rec.active()) return;
-    const double end_us = rec.now_us();
-    rec.record_complete(name_, category_, start_us_, end_us - start_us_);
-  }
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  const char* name_;
-  const char* category_;
-  double start_us_ = -1.0;
 };
 
 /// Writes the collected trace to `path` (chrome://tracing JSON).  Throws
@@ -102,13 +68,3 @@ class TraceSpan {
 void write_trace_json(const std::string& path);
 
 }  // namespace sttram::obs
-
-#ifndef STTRAM_OBS_CONCAT
-#define STTRAM_OBS_CONCAT_INNER(a, b) a##b
-#define STTRAM_OBS_CONCAT(a, b) STTRAM_OBS_CONCAT_INNER(a, b)
-#endif
-
-/// Opens a trace span covering the rest of the enclosing scope.
-#define STTRAM_TRACE_SPAN(name, category)                            \
-  ::sttram::obs::TraceSpan STTRAM_OBS_CONCAT(sttram_trace_span_,     \
-                                             __LINE__)(name, category)

@@ -1,6 +1,5 @@
 #include "sttram/scenario/campaign.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 
@@ -66,7 +65,7 @@ CampaignReport CampaignReport::from_json(const Json& j) {
 
 CampaignReport run_campaign(const CampaignSpec& spec,
                             ParallelExecutor* executor) {
-  STTRAM_PROFILE_SCOPE("campaign.run");
+  STTRAM_OBS_SCOPE("campaign.run");
   register_builtin_kinds();
   const std::vector<ScenarioInstance> instances = expand_campaign(spec);
   // Fail fast: every instance validates before anything runs.
@@ -85,7 +84,8 @@ CampaignReport run_campaign(const CampaignSpec& spec,
   exec.for_chunks(instances.size(), [&](std::size_t, std::size_t begin,
                                         std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      const auto start = std::chrono::steady_clock::now();
+      STTRAM_OBS_COUNT("campaign.scenarios_run");
+      STTRAM_OBS_SCOPE("campaign.scenario");
       try {
         const ExperimentKind* kind =
             Registry::instance().find(instances[i].kind);
@@ -93,12 +93,6 @@ CampaignReport run_campaign(const CampaignSpec& spec,
       } catch (const std::exception& e) {
         errors[i] = e.what();
       }
-      STTRAM_OBS_COUNT("campaign.scenarios_run");
-      STTRAM_OBS_OBSERVE(
-          "campaign.scenario_seconds",
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count());
     }
   });
 

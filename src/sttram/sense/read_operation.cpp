@@ -4,7 +4,7 @@
 
 #include "sttram/common/error.hpp"
 #include "sttram/obs/metrics.hpp"
-#include "sttram/obs/trace.hpp"
+#include "sttram/obs/profile.hpp"
 
 namespace sttram {
 namespace {
@@ -78,7 +78,7 @@ NondestructiveReadOperation::NondestructiveReadOperation(
 
 ReadResult NondestructiveReadOperation::execute(OneT1JCell& cell) const {
   STTRAM_OBS_COUNT("read.ops.nondestructive");
-  STTRAM_TRACE_SPAN("NondestructiveReadOperation::execute", "read");
+  STTRAM_OBS_SCOPE("read.nondestructive");
   ReadResult result;
   const bool stored = cell.stored_bit();
   const Ampere i1 = config_.i_max / beta_;
@@ -136,7 +136,7 @@ DestructiveReadOperation::DestructiveReadOperation(SelfRefConfig config,
 ReadResult DestructiveReadOperation::execute(
     OneT1JCell& cell, const PowerFailure& failure) const {
   STTRAM_OBS_COUNT("read.ops.destructive");
-  STTRAM_TRACE_SPAN("DestructiveReadOperation::execute", "read");
+  STTRAM_OBS_SCOPE("read.destructive");
   ReadResult result;
   const bool stored = cell.stored_bit();
   const Ampere i1 = config_.i_max / beta_;
@@ -222,7 +222,7 @@ ConventionalReadOperation::ConventionalReadOperation(Ampere i_read,
 
 ReadResult ConventionalReadOperation::execute(OneT1JCell& cell) const {
   STTRAM_OBS_COUNT("read.ops.conventional");
-  STTRAM_TRACE_SPAN("ConventionalReadOperation::execute", "read");
+  STTRAM_OBS_SCOPE("read.conventional");
   ReadResult result;
   const bool stored = cell.stored_bit();
 

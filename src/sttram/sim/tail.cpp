@@ -5,7 +5,6 @@
 #include "sttram/common/error.hpp"
 #include "sttram/obs/metrics.hpp"
 #include "sttram/obs/profile.hpp"
-#include "sttram/obs/trace.hpp"
 #include "sttram/sense/margins_batch.hpp"
 
 namespace sttram {
@@ -37,8 +36,7 @@ TailEstimate estimate_margin_tail(const TailConfig& config,
                                   std::uint64_t seed, std::size_t trials,
                                   ParallelExecutor* executor) {
   STTRAM_OBS_COUNT("tail.searches");
-  obs::TraceSpan span("estimate_margin_tail", "tail");
-  STTRAM_PROFILE_SCOPE("tail.search");
+  STTRAM_OBS_SCOPE("tail.search");
   // Hoisted operating point: the designed beta is a constant of the
   // experiment, so resolve it once here instead of re-deriving it inside
   // every margin evaluation of the design-point search.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <limits>
 
@@ -11,7 +10,6 @@
 #include "sttram/common/simd.hpp"
 #include "sttram/obs/metrics.hpp"
 #include "sttram/obs/profile.hpp"
-#include "sttram/obs/trace.hpp"
 #include "sttram/sense/margins_batch.hpp"
 #include "sttram/stats/batch.hpp"
 #include "sttram/stats/distributions.hpp"
@@ -181,10 +179,6 @@ YieldResult run_yield_batched(const YieldConfig& config,
   struct alignas(64) BlockClaim {
     std::atomic<std::size_t> next{0};
   } claim;
-  obs::HistogramMetric* block_hist =
-      obs::metrics_enabled()
-          ? &obs::Registry::instance().histogram("mc.block_seconds")
-          : nullptr;
   STTRAM_OBS_SET_GAUGE("mc.batch_size", kMcBlockSize);
   MarginLanes moments;
   std::size_t window = 0;
@@ -206,19 +200,11 @@ YieldResult run_yield_batched(const YieldConfig& config,
           const std::size_t first = out.origin + b * kMcBlockSize;
           const std::size_t count =
               std::min(out.cells - b * kMcBlockSize, kMcBlockSize);
-          const auto t0 = block_hist != nullptr
-                              ? std::chrono::steady_clock::now()
-                              : std::chrono::steady_clock::time_point{};
           sample_variation_block(cell_master, variation,
                                  r_access_nominal.value(),
                                  config.sigma_access, first, count, block);
           kernel.solve(block, first, &out, &bounds.max_low,
                        &bounds.min_high);
-          if (block_hist != nullptr) {
-            block_hist->record(std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - t0)
-                                   .count());
-          }
         }
         chunk_bounds[chunk] = bounds;
       };
@@ -253,24 +239,8 @@ YieldResult run_yield_batched(const YieldConfig& config,
 YieldResult run_yield_experiment(const YieldConfig& config,
                                  ParallelExecutor* executor) {
   STTRAM_OBS_COUNT("yield.experiments");
-  obs::TraceSpan span("run_yield_experiment", "yield");
-  STTRAM_PROFILE_SCOPE("yield.experiment");
-  const bool metered = obs::metrics_enabled();
-  const auto t_begin = std::chrono::steady_clock::now();
-  YieldResult result = run_yield_batched(config, executor);
-  if (metered) {
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t_begin)
-            .count();
-    auto& registry = obs::Registry::instance();
-    registry.histogram("yield.experiment_seconds").record(elapsed);
-    if (elapsed > 0.0) {
-      registry.gauge("yield.cells_per_second")
-          .set(static_cast<double>(config.geometry.cell_count()) / elapsed);
-    }
-  }
-  return result;
+  STTRAM_OBS_SCOPE("yield.experiment");
+  return run_yield_batched(config, executor);
 }
 
 std::vector<YieldSweepPoint> sweep_variation(

@@ -8,7 +8,6 @@
 #include "sttram/common/format.hpp"
 #include "sttram/obs/metrics.hpp"
 #include "sttram/obs/profile.hpp"
-#include "sttram/obs/trace.hpp"
 #include "sttram/spice/elements.hpp"
 #include "sttram/spice/matrix.hpp"
 
@@ -306,8 +305,7 @@ TransientResult run_transient(Circuit& circuit,
           "run_transient: t_stop must exceed t_start");
   if (!circuit.finalized()) circuit.finalize();
   STTRAM_OBS_COUNT("spice.transient.runs");
-  obs::TraceSpan transient_span("run_transient", "spice");
-  STTRAM_PROFILE_SCOPE("spice.transient");
+  STTRAM_OBS_SCOPE("spice.transient");
 
   std::vector<std::string> names;
   names.reserve(circuit.node_count());

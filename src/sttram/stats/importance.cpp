@@ -1,13 +1,13 @@
 #include "sttram/stats/importance.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "sttram/common/error.hpp"
 #include "sttram/common/numeric.hpp"
 #include "sttram/obs/metrics.hpp"
-#include "sttram/obs/trace.hpp"
-#include "sttram/stats/monte_carlo.hpp"
+#include "sttram/obs/profile.hpp"
 
 namespace sttram {
 
@@ -15,48 +15,50 @@ ImportanceEstimate importance_sample_blocked(
     std::uint64_t seed, std::size_t trials, const std::vector<double>& shift,
     const std::function<void(const GaussianBlock& block, std::size_t first,
                              std::uint8_t* fails)>& fails_block,
-    ParallelExecutor* executor, std::size_t block_size) {
+    ParallelExecutor* executor) {
   require(trials > 0, "importance_sample_blocked: trials must be > 0");
-  obs::TraceSpan span("importance_sample_blocked", "mc");
   require(!shift.empty(), "importance_sample_blocked: shift vector required");
+  STTRAM_OBS_SCOPE("is.sample");
   const std::size_t dim = shift.size();
   double shift_sq = 0.0;
   for (const double s : shift) shift_sq += s * s;
 
+  // Each chunk classifies its trials in blocks of kMcBlockSize that never
+  // span a chunk boundary, writing only its own trials' slots; trial k
+  // draws from master.fork(k) whichever block holds it, so the slots are
+  // the same for any thread count.
   struct TrialOutcome {
     bool hit = false;
     double w = 0.0;
   };
-  MonteCarloOptions options;
-  options.executor = executor;
-  const std::vector<TrialOutcome> outcomes =
-      run_monte_carlo_blocked<TrialOutcome>(
-          seed, trials,
-          [&](const Xoshiro256& master, std::size_t begin, std::size_t end,
-              TrialOutcome* out) {
-            // Reused per thread: for_chunks runs each chunk on one pool
-            // thread, so these never race.
-            thread_local GaussianBlock block;
-            thread_local std::vector<std::uint8_t> fail;
-            const std::size_t count = end - begin;
-            if (block.dim != dim || block.capacity < count) {
-              block.reset(dim, count);
-            }
-            if (fail.size() < count) fail.resize(count);
-            fill_shifted_gaussian_block(master, shift, begin, count, block);
-            std::fill_n(fail.begin(), count, std::uint8_t{0});
-            fails_block(block, begin, fail.data());
-            for (std::size_t lane = 0; lane < count; ++lane) {
-              out[lane].hit = fail[lane] != 0;
-              // Same weight expression (and libm call) as the scalar
-              // path, evaluated only on failing lanes as it is there.
-              out[lane].w = out[lane].hit
-                                ? std::exp(-block.dot[lane] + 0.5 * shift_sq)
-                                : 0.0;
-            }
-          },
-          options, block_size);
+  std::vector<TrialOutcome> outcomes(trials);
+  const Xoshiro256 master(seed);
+  SerialExecutor serial;
+  ParallelExecutor& exec = executor != nullptr ? *executor : serial;
+  STTRAM_OBS_SET_GAUGE("mc.batch_size", kMcBlockSize);
+  exec.for_chunks(trials, [&](std::size_t, std::size_t begin,
+                              std::size_t end) {
+    GaussianBlock block;
+    block.reset(dim, kMcBlockSize);
+    std::array<std::uint8_t, kMcBlockSize> fail{};
+    for (std::size_t first = begin; first < end; first += kMcBlockSize) {
+      const std::size_t count = std::min(end - first, kMcBlockSize);
+      TrialOutcome* out = outcomes.data() + first;
+      fill_shifted_gaussian_block(master, shift, first, count, block);
+      std::fill_n(fail.begin(), count, std::uint8_t{0});
+      fails_block(block, first, fail.data());
+      for (std::size_t lane = 0; lane < count; ++lane) {
+        out[lane].hit = fail[lane] != 0;
+        // Same weight expression (and libm call) as the per-trial
+        // reference, evaluated only on failing lanes as it is there.
+        out[lane].w = out[lane].hit
+                          ? std::exp(-block.dot[lane] + 0.5 * shift_sq)
+                          : 0.0;
+      }
+    }
+  });
 
+  // Serial reduction in trial order.
   double sum_w = 0.0;
   double sum_w2 = 0.0;
   std::size_t hits = 0;
@@ -66,6 +68,7 @@ ImportanceEstimate importance_sample_blocked(
     sum_w += o.w;
     sum_w2 += o.w * o.w;
   }
+  STTRAM_OBS_ADD("mc.trials", trials);
   STTRAM_OBS_ADD("is.trials", trials);
   STTRAM_OBS_ADD("is.hits", hits);
   ImportanceEstimate e;

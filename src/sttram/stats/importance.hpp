@@ -36,15 +36,14 @@ struct ImportanceEstimate {
 /// trial index of lane 0; the buffer arrives zeroed).  Trial k draws from
 /// master.fork(k) and the weight reduction runs serially in trial order,
 /// so the estimate equals a per-trial loop over the same streams (the
-/// reference in tests/mc_oracle.cpp) bit for bit, for any thread count,
-/// and is invariant under `block_size` (0 = one block per executor
-/// chunk).
+/// reference in tests/mc_oracle.cpp) bit for bit, for any thread count.
+/// Blocks hold up to kMcBlockSize lanes and never span an executor
+/// chunk.
 ImportanceEstimate importance_sample_blocked(
     std::uint64_t seed, std::size_t trials, const std::vector<double>& shift,
     const std::function<void(const GaussianBlock& block, std::size_t first,
                              std::uint8_t* fails)>& fails_block,
-    ParallelExecutor* executor = nullptr,
-    std::size_t block_size = kMcBlockSize);
+    ParallelExecutor* executor = nullptr);
 
 /// Finds the failure design point for a smooth performance function
 /// g(z) (g >= 0 is a pass, g < 0 a failure, g(0) > 0 required): walks

@@ -90,6 +90,13 @@ expect_exit2 "$cli" campaign run --bogus-flag
 expect_exit2 "$cli" campaign run
 expect_exit2 "$cli" campaign verify /nonexistent.json
 
+# The telemetry output flags need a path each, and not the same one:
+# an empty path wrote nothing, and a shared one kept only the trace.
+expect_exit2 "$cli" --metrics "" yield 8 8
+expect_exit2 "$cli" --trace "" yield 8 8
+expect_exit2 "$cli" --metrics "$workdir/f.json" --trace "$workdir/f.json" \
+    yield 8 8
+
 # An unknown SIMD ISA is a usage error whether it arrives by flag or by
 # environment variable — both must refuse with status 2.
 expect_exit2 "$cli" --simd bogus stats

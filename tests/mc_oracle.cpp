@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <vector>
 
 #include "sttram/cell/array.hpp"
 #include "sttram/common/error.hpp"
-#include "sttram/obs/metrics.hpp"
-#include "sttram/obs/trace.hpp"
 #include "sttram/sense/margins.hpp"
 #include "sttram/stats/distributions.hpp"
 #include "sttram/stats/rng.hpp"
@@ -218,7 +215,6 @@ ImportanceEstimate importance_sample(
     const std::function<bool(const std::vector<double>&)>& fails,
     ParallelExecutor* executor) {
   require(trials > 0, "importance_sample: trials must be > 0");
-  obs::TraceSpan span("importance_sample", "mc");
   require(!shift.empty(), "importance_sample: shift vector required");
   const std::size_t dim = shift.size();
   double shift_sq = 0.0;
@@ -314,43 +310,24 @@ ProbabilityEstimate wilson_interval(std::size_t hits, std::size_t trials,
 ProbabilityEstimate estimate_probability(
     std::uint64_t seed, std::size_t trials,
     const std::function<bool(Xoshiro256&)>& predicate,
-    const MonteCarloOptions& options) {
+    ParallelExecutor* executor) {
   require(trials > 0, "estimate_probability: trials must be > 0");
-  obs::TraceSpan span("estimate_probability", "mc");
-  std::size_t hits = 0;
   const Xoshiro256 master(seed);
-  const bool metered = obs::metrics_enabled();
-  const std::size_t stride = detail::progress_stride(options, trials);
-  const auto t_begin = std::chrono::steady_clock::now();
-  if (detail::parallel_requested(options)) {
-    // Hit counts are integers, so per-chunk tallies sum exactly.
-    std::vector<std::size_t> chunk_hits(options.executor->thread_count(), 0);
-    options.executor->for_chunks(
-        trials, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          std::size_t local = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            Xoshiro256 stream = master.fork(i);
-            if (predicate(stream)) ++local;
-          }
-          chunk_hits[chunk] = local;
-        });
-    for (const std::size_t h : chunk_hits) hits += h;
-    if (options.progress) options.progress(trials, trials);
-  } else {
-    for (std::size_t i = 0; i < trials; ++i) {
+  SerialExecutor serial;
+  ParallelExecutor& exec = executor != nullptr ? *executor : serial;
+  // Hit counts are integers, so per-chunk tallies sum exactly.
+  std::vector<std::size_t> chunk_hits(exec.thread_count(), 0);
+  exec.for_chunks(trials, [&](std::size_t chunk, std::size_t begin,
+                              std::size_t end) {
+    std::size_t local = 0;
+    for (std::size_t i = begin; i < end; ++i) {
       Xoshiro256 stream = master.fork(i);
-      if (predicate(stream)) ++hits;
-      if (options.progress && ((i + 1) % stride == 0 || i + 1 == trials)) {
-        options.progress(i + 1, trials);
-      }
+      if (predicate(stream)) ++local;
     }
-  }
-  if (metered) {
-    detail::publish_mc_throughput(
-        trials, std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t_begin)
-                    .count());
-  }
+    chunk_hits[chunk] = local;
+  });
+  std::size_t hits = 0;
+  for (const std::size_t h : chunk_hits) hits += h;
   return wilson_interval(hits, trials);
 }
 

@@ -30,7 +30,6 @@
 #include "sttram/sim/tail.hpp"
 #include "sttram/sim/yield.hpp"
 #include "sttram/stats/importance.hpp"
-#include "sttram/stats/monte_carlo.hpp"
 #include "sttram/stats/rng.hpp"
 
 namespace sttram::oracle {
@@ -107,7 +106,7 @@ ProbabilityEstimate wilson_interval(std::size_t hits, std::size_t trials,
 ProbabilityEstimate estimate_probability(
     std::uint64_t seed, std::size_t trials,
     const std::function<bool(Xoshiro256&)>& predicate,
-    const MonteCarloOptions& options = {});
+    ParallelExecutor* executor = nullptr);
 
 /// estimate_margin_tail, per trial: importance_sample over the written-out
 /// nondestructive margin instead of the batched tail kernel.

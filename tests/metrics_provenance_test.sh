@@ -5,6 +5,8 @@
 # its git_sha names the source tree as git reports it now: `git
 # rev-parse --short HEAD`, plus "-dirty" when `git diff --quiet HEAD --`
 # finds changed tracked files, or "unknown" outside a git checkout.
+# Also: a `--trace` file written without `--metrics` holds the phases
+# (one scope feeds every sink, whichever are on).
 #
 #   metrics_provenance_test.sh <sttram_cli binary> <source tree>
 set -eu
@@ -49,6 +51,11 @@ if ! grep -qE "^    \"git_sha\": \"$expected\",?\$" \
     "$workdir/provenance.json"; then
   echo "FAIL: provenance.git_sha is not '$expected':" >&2
   grep '"git_sha"' "$workdir/provenance.json" >&2 || true
+  status=1
+fi
+"$cli" --trace "$workdir/t.json" yield 32 32 > /dev/null
+if ! grep -q '"name": "yield.experiment"' "$workdir/t.json"; then
+  echo "FAIL: a --trace-only yield run does not trace yield.experiment" >&2
   status=1
 fi
 [ "$status" -eq 0 ] && echo "OK: metrics provenance complete"

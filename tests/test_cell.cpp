@@ -17,33 +17,6 @@ namespace {
 
 using namespace sttram::literals;
 
-/// Resistor with an explicit linear current dependence: R(0) = r0 and
-/// R(i_ref) = r0 + dr_at_ref, even in current.
-class ShiftedAccessResistor final : public AccessDeviceModel {
- public:
-  ShiftedAccessResistor(Ohm r0, Ohm dr_at_ref, Ampere i_ref)
-      : r0_(r0), dr_at_ref_(dr_at_ref), i_ref_(i_ref) {
-    require(r0.value() >= 0.0, "ShiftedAccessResistor: r0 must be >= 0");
-    require(i_ref.value() > 0.0, "ShiftedAccessResistor: i_ref must be > 0");
-  }
-  static ShiftedAccessResistor with_shift(Ohm r0, Ohm dr_at_ref,
-                                          Ampere i_ref) {
-    return ShiftedAccessResistor(r0, dr_at_ref, i_ref);
-  }
-
-  [[nodiscard]] Ohm resistance(Ampere i) const override {
-    return r0_ + dr_at_ref_ * (abs(i) / i_ref_);
-  }
-  [[nodiscard]] std::unique_ptr<AccessDeviceModel> clone() const override {
-    return std::make_unique<ShiftedAccessResistor>(*this);
-  }
-
- private:
-  Ohm r0_;
-  Ohm dr_at_ref_;
-  Ampere i_ref_;
-};
-
 /// V_BL = I (R_MTJ(s, I) + R_T(I)) for a hypothetical state.
 Volt bitline_voltage(const OneT1JCell& cell, MtjState s, Ampere i) {
   return i * (cell.mtj().resistance(s, i) + cell.access().resistance(i));
@@ -87,16 +60,6 @@ TEST(AccessDevice, FixedResistorIsFlat) {
   EXPECT_EQ(r.resistance(Ampere(0)), 917.0_Ohm);
   EXPECT_EQ(r.resistance(Ampere(1e-3)), 917.0_Ohm);
   EXPECT_EQ(r.shift(Ampere(1e-6), Ampere(2e-4)), 0.0_Ohm);
-}
-
-TEST(AccessDevice, ShiftedResistorHitsTargetShift) {
-  const auto r = ShiftedAccessResistor::with_shift(917.0_Ohm, 130.0_Ohm,
-                                                   Ampere(200e-6));
-  EXPECT_DOUBLE_EQ(r.resistance(Ampere(0)).value(), 917.0);
-  EXPECT_DOUBLE_EQ(r.resistance(Ampere(200e-6)).value(), 1047.0);
-  EXPECT_DOUBLE_EQ(r.resistance(Ampere(100e-6)).value(), 982.0);
-  // Even in current.
-  EXPECT_EQ(r.resistance(Ampere(-100e-6)), r.resistance(Ampere(100e-6)));
 }
 
 TEST(AccessDevice, LinearRegionNmosRisesWithCurrent) {

@@ -4,9 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <vector>
 
 #include "sttram/common/error.hpp"
 #include "sttram/common/format.hpp"
@@ -18,59 +16,6 @@ namespace sttram {
 namespace {
 
 using namespace sttram::literals;
-
-/// Root of `f` in [lo, hi] by bisection, for a bracket f(lo) f(hi) <= 0
-/// (throws NumericError otherwise); stops when the bracket is narrower
-/// than `tol`.
-double bisect(const std::function<double(double)>& f, double lo, double hi,
-              double tol = 1e-12, int max_iter = 200) {
-  require(lo < hi, "bisect: lo must be < hi");
-  double flo = f(lo);
-  double fhi = f(hi);
-  if (flo == 0.0) return lo;
-  if (fhi == 0.0) return hi;
-  if (flo * fhi > 0.0) {
-    throw NumericError("bisect: f(lo) and f(hi) have the same sign");
-  }
-  for (int i = 0; i < max_iter && (hi - lo) > tol; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    const double fm = f(mid);
-    if (fm == 0.0) return mid;
-    if (flo * fm < 0.0) {
-      hi = mid;
-      fhi = fm;
-    } else {
-      lo = mid;
-      flo = fm;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
-
-/// Every sign change of `f` over `steps` uniform intervals of [lo, hi],
-/// refined with brent().
-std::vector<double> find_all_roots(const std::function<double(double)>& f,
-                                   double lo, double hi, int steps = 400,
-                                   double tol = 1e-10) {
-  require(steps >= 1, "find_all_roots: steps must be >= 1");
-  require(lo < hi, "find_all_roots: lo must be < hi");
-  std::vector<double> roots;
-  double x_prev = lo;
-  double f_prev = f(lo);
-  if (f_prev == 0.0) roots.push_back(lo);
-  for (int i = 1; i <= steps; ++i) {
-    const double x = lo + (hi - lo) * static_cast<double>(i) / steps;
-    const double fx = f(x);
-    if (fx == 0.0) {
-      roots.push_back(x);
-    } else if (f_prev != 0.0 && f_prev * fx < 0.0) {
-      roots.push_back(brent(f, x_prev, x, tol));
-    }
-    x_prev = x;
-    f_prev = fx;
-  }
-  return roots;
-}
 
 TEST(Units, OhmsLawDimensions) {
   const Ampere i = 200.0_uA;
@@ -131,17 +76,6 @@ TEST(Quadratic, StableForSmallRoot) {
   EXPECT_NEAR(r.hi, 1e8, 1.0);
 }
 
-TEST(Bisect, FindsRoot) {
-  const double root =
-      bisect([](double x) { return x * x - 2.0; }, 0.0, 2.0, 1e-12);
-  EXPECT_NEAR(root, std::sqrt(2.0), 1e-10);
-}
-
-TEST(Bisect, RejectsNonBracketing) {
-  EXPECT_THROW(bisect([](double x) { return x * x + 1.0; }, -1.0, 1.0),
-               NumericError);
-}
-
 TEST(Brent, FindsRootFasterThanTolerance) {
   const double root =
       brent([](double x) { return std::cos(x) - x; }, 0.0, 1.0, 1e-14);
@@ -150,15 +84,6 @@ TEST(Brent, FindsRootFasterThanTolerance) {
 
 TEST(Brent, EndpointRoot) {
   EXPECT_DOUBLE_EQ(brent([](double x) { return x; }, 0.0, 1.0), 0.0);
-}
-
-TEST(FindAllRoots, FindsEveryCrossing) {
-  const auto roots = find_all_roots(
-      [](double x) { return std::sin(x); }, 0.5, 10.0, 400);
-  ASSERT_EQ(roots.size(), 3u);
-  EXPECT_NEAR(roots[0], M_PI, 1e-8);
-  EXPECT_NEAR(roots[1], 2.0 * M_PI, 1e-8);
-  EXPECT_NEAR(roots[2], 3.0 * M_PI, 1e-8);
 }
 
 TEST(PiecewiseLinear, InterpolatesAndClamps) {

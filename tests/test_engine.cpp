@@ -176,27 +176,6 @@ TEST(ThreadPoolTest, PropagatesExceptionsFromCallerChunk) {
 // Bit-identical parallel Monte-Carlo drivers
 // ---------------------------------------------------------------------
 
-TEST(ParallelMonteCarlo, RunMonteCarloBitIdenticalAcrossThreadCounts) {
-  const std::function<double(Xoshiro256&)> trial = [](Xoshiro256& rng) {
-    double acc = 0.0;
-    for (int k = 0; k < 16; ++k) acc += rng.next_double();
-    return acc;
-  };
-  const std::vector<double> serial = run_monte_carlo(42, 1000, trial);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    MonteCarloOptions options;
-    options.executor = &pool;
-    const std::vector<double> parallel =
-        run_monte_carlo(42, 1000, trial, options);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(parallel[i], serial[i]) << "trial " << i << " with "
-                                        << threads << " threads";
-    }
-  }
-}
-
 TEST(ParallelMonteCarlo, StatsBitIdenticalAcrossThreadCounts) {
   const std::function<double(Xoshiro256&)> trial = [](Xoshiro256& rng) {
     return rng.next_double() - rng.next_double();
@@ -204,9 +183,7 @@ TEST(ParallelMonteCarlo, StatsBitIdenticalAcrossThreadCounts) {
   const RunningStats serial = monte_carlo_stats(7, 2000, trial);
   for (const std::size_t threads : {2u, 8u}) {
     ThreadPool pool(threads);
-    MonteCarloOptions options;
-    options.executor = &pool;
-    const RunningStats parallel = monte_carlo_stats(7, 2000, trial, options);
+    const RunningStats parallel = monte_carlo_stats(7, 2000, trial, &pool);
     EXPECT_EQ(parallel.count(), serial.count());
     EXPECT_EQ(parallel.mean(), serial.mean());
     EXPECT_EQ(parallel.variance(), serial.variance());
@@ -222,10 +199,8 @@ TEST(ParallelMonteCarlo, ProbabilityBitIdenticalAcrossThreadCounts) {
   const ProbabilityEstimate serial = estimate_probability(11, 5000, predicate);
   for (const std::size_t threads : {2u, 8u}) {
     ThreadPool pool(threads);
-    MonteCarloOptions options;
-    options.executor = &pool;
     const ProbabilityEstimate parallel =
-        estimate_probability(11, 5000, predicate, options);
+        estimate_probability(11, 5000, predicate, &pool);
     EXPECT_EQ(parallel.hits, serial.hits);
     EXPECT_EQ(parallel.p, serial.p);
     EXPECT_EQ(parallel.ci_lo, serial.ci_lo);
@@ -248,22 +223,6 @@ TEST(ParallelMonteCarlo, ImportanceSampleBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(parallel.probability, serial.probability);
     EXPECT_EQ(parallel.std_error, serial.std_error);
   }
-}
-
-TEST(ParallelMonteCarlo, ProgressFiresOnceUnderExecutor) {
-  ThreadPool pool(2);
-  MonteCarloOptions options;
-  options.executor = &pool;
-  std::size_t calls = 0;
-  std::size_t last_done = 0;
-  options.progress = [&](std::size_t done, std::size_t) {
-    ++calls;
-    last_done = done;
-  };
-  monte_carlo_stats(
-      1, 100, [](Xoshiro256& rng) { return rng.next_double(); }, options);
-  EXPECT_EQ(calls, 1u);
-  EXPECT_EQ(last_done, 100u);
 }
 
 TEST(ParallelDrivers, YieldExperimentBitIdenticalAcrossThreadCounts) {

@@ -1,14 +1,22 @@
 // Tests of the observability layer: registry semantics, histogram
-// correctness vs a sorted-vector oracle, phase profiling, JSON export,
-// trace-event output, and — critically — that instrumentation
-// never changes numerical results (same seed => identical samples).
+// correctness vs a sorted-vector oracle, the one instrumentation scope
+// (profile, `<phase>_seconds` histogram and trace event from one
+// line), JSON export, trace-event output, and — critically — that
+// instrumentation never changes numerical results (same seed =>
+// identical samples).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
+#include <map>
+#include <new>
+#include <set>
 #include <sstream>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "sttram/common/error.hpp"
@@ -16,6 +24,8 @@
 #include "sttram/engine/thread_pool.hpp"
 #include "sttram/io/json.hpp"
 #include "sttram/obs/obs.hpp"
+#include "sttram/scenario/campaign.hpp"
+#include "sttram/scenario/scenario.hpp"
 #include "sttram/sense/margins.hpp"
 #include "sttram/sense/read_operation.hpp"
 #include "sttram/sim/tail.hpp"
@@ -25,6 +35,24 @@
 #include "sttram/stats/distributions.hpp"
 #include "sttram/stats/monte_carlo.hpp"
 #include "sttram/stats/rng.hpp"
+
+// Counting replacement of the global operator new (forwarding to malloc,
+// so the binary also runs under ASan and TSan): an inert scope must not
+// allocate.  Kept out of line so GCC never pairs an inlined free() with
+// a new-expression's pointer (-Wmismatched-new-delete).
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace sttram {
 namespace {
@@ -127,21 +155,22 @@ TEST_F(ObsTest, JsonExportCarriesSchemaAndValues) {
   EXPECT_NE(dump.find("\"histograms\""), std::string::npos);
   // The pre-registered run durations are histograms.
   EXPECT_NE(dump.find("\"yield.experiment_seconds\": {"), std::string::npos);
-  EXPECT_NE(dump.find("\"engine.sim_seconds\": {"), std::string::npos);
+  EXPECT_NE(dump.find("\"traffic.simulate_seconds\": {"),
+            std::string::npos);
 }
 
 TEST_F(ObsTest, TraceSpansProduceValidChromeTraceJson) {
   auto& recorder = obs::TraceRecorder::instance();
   {
-    // Inactive recorder: spans are no-ops.
-    obs::TraceSpan span("ignored", "test");
+    // Inactive recorder: scopes are no-ops.
+    STTRAM_OBS_SCOPE("test.ignored");
   }
   EXPECT_EQ(recorder.event_count(), 0u);
 
   recorder.start();
   {
-    obs::TraceSpan outer("outer", "test");
-    { STTRAM_TRACE_SPAN("inner", "test"); }
+    STTRAM_OBS_SCOPE("outer.phase");
+    { STTRAM_OBS_SCOPE("inner.phase"); }
   }
   recorder.stop();
   EXPECT_EQ(recorder.event_count(), 2u);
@@ -152,8 +181,11 @@ TEST_F(ObsTest, TraceSpansProduceValidChromeTraceJson) {
   EXPECT_EQ(text.front(), '{');
   EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(text.find("\"name\": \"outer\""), std::string::npos);
-  EXPECT_NE(text.find("\"name\": \"inner\""), std::string::npos);
+  EXPECT_NE(text.find("\"name\": \"outer.phase\""), std::string::npos);
+  EXPECT_NE(text.find("\"name\": \"inner.phase\""), std::string::npos);
+  // The category is the name's first segment.
+  EXPECT_NE(text.find("\"cat\": \"outer\""), std::string::npos);
+  EXPECT_NE(text.find("\"cat\": \"inner\""), std::string::npos);
   EXPECT_NE(text.find("\"ts\""), std::string::npos);
   EXPECT_NE(text.find("\"dur\""), std::string::npos);
   // Events survive stop() until the next start()/clear().
@@ -161,42 +193,25 @@ TEST_F(ObsTest, TraceSpansProduceValidChromeTraceJson) {
   EXPECT_EQ(recorder.event_count(), 0u);
   recorder.stop();
 }
-
-TEST_F(ObsTest, RunMonteCarloIsInvariantUnderInstrumentation) {
-  const auto trial = std::function<double(Xoshiro256&)>(
-      [](Xoshiro256& rng) { return sample_normal(rng, 1.0, 0.25); });
-
-  const std::vector<double> baseline = run_monte_carlo(123, 500, trial);
-  obs::set_metrics_enabled(true);
-  obs::TraceRecorder::instance().start();
-  const std::vector<double> instrumented = run_monte_carlo(123, 500, trial);
-  obs::TraceRecorder::instance().stop();
-
-  ASSERT_EQ(baseline.size(), instrumented.size());
-  for (std::size_t k = 0; k < baseline.size(); ++k) {
-    EXPECT_EQ(baseline[k], instrumented[k]) << "trial " << k;
-  }
-  // ...and the run was actually measured: per-trial solve times land in
-  // the mc.trial_seconds histogram.
-  EXPECT_EQ(obs::Registry::instance().counter("mc.trials").value(), 500u);
-  EXPECT_EQ(
-      obs::Registry::instance().histogram("mc.trial_seconds").count(),
-      500u);
-}
-
 TEST_F(ObsTest, MonteCarloStatsMatchOnVsOff) {
   const auto trial = std::function<double(Xoshiro256&)>(
       [](Xoshiro256& rng) { return rng.next_double(); });
   const RunningStats off = monte_carlo_stats(7, 300, trial);
   obs::set_metrics_enabled(true);
+  obs::TraceRecorder::instance().start();
   const RunningStats on = monte_carlo_stats(7, 300, trial);
+  obs::TraceRecorder::instance().stop();
   EXPECT_EQ(off.count(), on.count());
   EXPECT_EQ(off.mean(), on.mean());
   EXPECT_EQ(off.variance(), on.variance());
   EXPECT_EQ(off.min(), on.min());
   EXPECT_EQ(off.max(), on.max());
+  // ...and the run was measured once, not per trial.
+  auto& registry = obs::Registry::instance();
+  EXPECT_EQ(registry.counter("mc.trials").value(), 300u);
+  EXPECT_EQ(registry.histogram("mc.stats_seconds").count(), 1u);
+  EXPECT_EQ(obs::TraceRecorder::instance().event_count(), 1u);
 }
-
 TEST_F(ObsTest, YieldExperimentIsInvariantUnderInstrumentation) {
   YieldConfig cfg;
   cfg.geometry = {8, 8};
@@ -274,7 +289,7 @@ TEST_F(ObsTest, TrafficRunIsInvariantUnderInstrumentation) {
   EXPECT_EQ(registry.counter("engine.requests").value(), 5000u);
   EXPECT_EQ(registry.counter("engine.reads").value(), on.reads);
   EXPECT_EQ(registry.counter("engine.writes").value(), on.writes);
-  EXPECT_EQ(registry.histogram("engine.sim_seconds").count(), 1u);
+  EXPECT_EQ(registry.histogram("traffic.simulate_seconds").count(), 1u);
   EXPECT_EQ(registry.histogram("engine.latency_seconds").count(), 5000u);
   EXPECT_EQ(registry.histogram("engine.read_latency_seconds").count(),
             on.reads);
@@ -282,23 +297,6 @@ TEST_F(ObsTest, TrafficRunIsInvariantUnderInstrumentation) {
             on.writes);
   EXPECT_EQ(registry.gauge("engine.queue_depth").value(),
             static_cast<double>(on.peak_queue_depth));
-}
-
-TEST_F(ObsTest, ProgressCallbackReportsCompletion) {
-  MonteCarloOptions options;
-  std::size_t calls = 0;
-  std::size_t last_done = 0;
-  options.progress_interval = 10;
-  options.progress = [&](std::size_t done, std::size_t total) {
-    ++calls;
-    last_done = done;
-    EXPECT_EQ(total, 95u);
-  };
-  const auto trial = std::function<double(Xoshiro256&)>(
-      [](Xoshiro256& rng) { return rng.next_double(); });
-  run_monte_carlo(1, 95, trial, options);
-  EXPECT_EQ(calls, 10u);  // 9 stride hits + the final trial
-  EXPECT_EQ(last_done, 95u);
 }
 
 TEST_F(ObsTest, HistogramQuantilesMatchSortedVectorOracle) {
@@ -434,24 +432,64 @@ TEST_F(ObsTest, RegistryRejectsCrossKindNameReuse) {
   EXPECT_NO_THROW(registry.counter("test.kind_clash"));
   // The pre-registered duration histograms cannot be shadowed by a
   // metric of another kind.
-  EXPECT_THROW(registry.gauge("mc.trial_seconds"), InvalidArgument);
+  EXPECT_THROW(registry.gauge("traffic.simulate_seconds"), InvalidArgument);
   EXPECT_THROW(registry.counter("yield.experiment_seconds"),
                InvalidArgument);
 }
 
 TEST_F(ObsTest, ProfileScopeIsInertWhenDisabled) {
-  {
-    STTRAM_PROFILE_SCOPE("test.disabled_phase");
+  // Every sink off: the scope feeds nothing, registers no histogram and
+  // allocates nothing.
+  const std::size_t allocations = g_allocations.load();
+  for (int k = 0; k < 1000; ++k) {
+    STTRAM_OBS_SCOPE("test.disabled_phase");
   }
+  EXPECT_EQ(g_allocations.load(), allocations);
   EXPECT_TRUE(obs::Profiler::instance().report().empty());
+  EXPECT_EQ(obs::TraceRecorder::instance().event_count(), 0u);
+  for (const auto& h : obs::Registry::instance().histograms()) {
+    EXPECT_NE(h.name, "test.disabled_phase_seconds");
+  }
 }
 
+// Each sink alone: a scope feeds exactly the sinks that are on.
+TEST_F(ObsTest, ScopeFeedsOnlyTheSinksThatAreOn) {
+  const auto run = [] { STTRAM_OBS_SCOPE("test.sink_phase"); };
+  auto& registry = obs::Registry::instance();
+  const auto histogram_count = [&registry] {
+    for (const auto& h : registry.histograms()) {
+      if (h.name == "test.sink_phase_seconds") return h.hist.count();
+    }
+    return std::uint64_t{0};
+  };
+  obs::set_metrics_enabled(true);
+  run();
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(histogram_count(), 1u);
+  EXPECT_TRUE(obs::Profiler::instance().report().empty());
+  EXPECT_EQ(obs::TraceRecorder::instance().event_count(), 0u);
+
+  obs::set_profiling_enabled(true);
+  run();
+  obs::set_profiling_enabled(false);
+  EXPECT_EQ(histogram_count(), 1u);
+  ASSERT_EQ(obs::Profiler::instance().report().size(), 1u);
+  EXPECT_EQ(obs::Profiler::instance().report()[0].calls, 1u);
+  EXPECT_EQ(obs::TraceRecorder::instance().event_count(), 0u);
+
+  obs::TraceRecorder::instance().start();
+  run();
+  obs::TraceRecorder::instance().stop();
+  EXPECT_EQ(histogram_count(), 1u);
+  EXPECT_EQ(obs::Profiler::instance().report()[0].calls, 1u);
+  EXPECT_EQ(obs::TraceRecorder::instance().event_count(), 1u);
+}
 TEST_F(ObsTest, ProfileScopeAttributesSelfAndTotalTime) {
   obs::set_profiling_enabled(true);
   {
-    obs::ProfileScope outer("test.outer");
+    STTRAM_OBS_SCOPE("test.outer");
     {
-      obs::ProfileScope inner("test.inner");
+      STTRAM_OBS_SCOPE("test.inner");
       volatile double sink = 0.0;
       for (int k = 0; k < 100000; ++k) sink = sink + 1.0;
     }
@@ -486,8 +524,8 @@ TEST_F(ObsTest, ProfileScopeNestsIndependentlyAcrossThreads) {
   for (int w = 0; w < kThreads; ++w) {
     workers.emplace_back([] {
       for (int k = 0; k < kIterations; ++k) {
-        obs::ProfileScope outer("test.thread_outer");
-        obs::ProfileScope inner("test.thread_inner");
+        STTRAM_OBS_SCOPE("test.thread_outer");
+        STTRAM_OBS_SCOPE("test.thread_inner");
       }
     });
   }
@@ -512,7 +550,7 @@ TEST_F(ObsTest, ProfileScopesEmitTraceSpansWhenRecorderActive) {
   obs::set_profiling_enabled(true);
   obs::TraceRecorder::instance().start();
   {
-    STTRAM_PROFILE_SCOPE("test.traced_phase");
+    STTRAM_OBS_SCOPE("test.traced_phase");
   }
   obs::TraceRecorder::instance().stop();
   obs::set_profiling_enabled(false);
@@ -545,9 +583,8 @@ TEST_F(ObsTest, MetricsJsonExportIncludesHistogramsAndProfile) {
   obs::set_metrics_enabled(true);
   obs::set_profiling_enabled(true);
   {
-    STTRAM_PROFILE_SCOPE("test.export_phase");
+    STTRAM_OBS_SCOPE("test.export_phase");
   }
-  STTRAM_OBS_OBSERVE("mc.trial_seconds", 1e-6);
   obs::set_profiling_enabled(false);
   const std::string path = ::testing::TempDir() + "obs_metrics.json";
   Json provenance = Json::object();
@@ -559,9 +596,11 @@ TEST_F(ObsTest, MetricsJsonExportIncludesHistogramsAndProfile) {
   buf << in.rdbuf();
   const Json doc = Json::parse(buf.str());
   ASSERT_TRUE(doc.contains("histograms"));
-  EXPECT_EQ(
-      doc.at("histograms").at("mc.trial_seconds").at("count").as_integer(),
-      1);
+  EXPECT_EQ(doc.at("histograms")
+                .at("test.export_phase_seconds")
+                .at("count")
+                .as_integer(),
+            1);
   ASSERT_TRUE(doc.contains("profile"));
   ASSERT_GE(doc.at("profile").size(), 1u);
   EXPECT_EQ(doc.at("profile").at(0).at("phase").as_string(),
@@ -636,6 +675,91 @@ TEST_F(ObsTest, TransientSolverFeedsNewtonCounters) {
   EXPECT_GT(registry.counter("spice.newton.factorizations").value(), 0u);
   EXPECT_GT(registry.counter("spice.transient.steps_accepted").value(), 0u);
   EXPECT_EQ(registry.counter("spice.newton.nonconverged").value(), 0u);
+}
+
+/// The smoke campaign (one instance of every experiment kind) at two
+/// threads, so instance scopes also run on a pool worker.
+void run_smoke_campaign() {
+  std::ifstream in(STTRAM_CAMPAIGN_DIR "/smoke.json");
+  std::ostringstream text;
+  text << in.rdbuf();
+  const scenario::CampaignSpec spec =
+      scenario::parse_campaign_text(text.str());
+  engine::ThreadPool pool(2);
+  (void)scenario::run_campaign(spec, &pool);
+}
+
+/// The recorder's events as (name, ts, tid) rows.
+std::vector<std::tuple<std::string, double, std::int64_t>> trace_events() {
+  const Json doc = obs::TraceRecorder::instance().to_json();
+  const Json& events = doc.at("traceEvents");
+  std::vector<std::tuple<std::string, double, std::int64_t>> rows;
+  for (std::size_t k = 0; k < events.size(); ++k) {
+    const Json& e = events.at(k);
+    rows.emplace_back(e.at("name").as_string(), e.at("ts").as_number(),
+                      e.at("tid").as_integer());
+  }
+  return rows;
+}
+
+// One scope, three sinks: with metrics, profiling and the recorder on,
+// every profile phase P with n calls has a P_seconds histogram of count
+// n and exactly n trace events named P, and no event restates another.
+TEST_F(ObsTest, EachPhaseFeedsProfileHistogramAndTraceOnce) {
+  obs::set_metrics_enabled(true);
+  obs::set_profiling_enabled(true);
+  obs::TraceRecorder::instance().start();
+  run_smoke_campaign();
+  obs::TraceRecorder::instance().stop();
+  obs::set_profiling_enabled(false);
+  obs::set_metrics_enabled(false);
+
+  const auto rows = trace_events();
+  std::map<std::string, std::uint64_t> events_per_name;
+  std::set<std::tuple<std::string, double, std::int64_t>> seen;
+  for (const auto& row : rows) {
+    ++events_per_name[std::get<0>(row)];
+    EXPECT_TRUE(seen.insert(row).second)
+        << "two events named " << std::get<0>(row) << " start at "
+        << std::get<1>(row) << " on one thread";
+  }
+  std::map<std::string, std::uint64_t> histogram_counts;
+  for (const auto& h : obs::Registry::instance().histograms()) {
+    histogram_counts[h.name] = h.hist.count();
+  }
+  const auto phases = obs::Profiler::instance().report();
+  ASSERT_GE(phases.size(), 8u);
+  std::uint64_t calls = 0;
+  for (const obs::PhaseStats& phase : phases) {
+    SCOPED_TRACE(phase.name);
+    EXPECT_EQ(histogram_counts[phase.name + "_seconds"], phase.calls);
+    EXPECT_EQ(events_per_name[phase.name], phase.calls);
+    calls += phase.calls;
+  }
+  // Every event is a phase's: nothing outside the profile is traced.
+  EXPECT_EQ(rows.size(), calls);
+  // One instance scope per scenario of the campaign, inside one run.
+  EXPECT_EQ(events_per_name["campaign.run"], 1u);
+  EXPECT_EQ(events_per_name["campaign.scenario"], 8u);
+}
+
+// The recorder alone sees every phase the profile sees.
+TEST_F(ObsTest, TraceOnlyRunHoldsEveryPhase) {
+  obs::set_profiling_enabled(true);
+  run_smoke_campaign();
+  obs::set_profiling_enabled(false);
+  obs::TraceRecorder::instance().start();
+  run_smoke_campaign();
+  obs::TraceRecorder::instance().stop();
+
+  std::set<std::string> traced;
+  for (const auto& row : trace_events()) traced.insert(std::get<0>(row));
+  const auto phases = obs::Profiler::instance().report();
+  ASSERT_FALSE(phases.empty());
+  for (const obs::PhaseStats& phase : phases) {
+    EXPECT_EQ(traced.count(phase.name), 1u) << phase.name;
+  }
+  EXPECT_EQ(traced.size(), phases.size());
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "mc_oracle.hpp"
-#include "sttram/common/constants.hpp"
 #include "sttram/common/error.hpp"
 #include "sttram/common/numeric.hpp"
 #include "sttram/device/variation.hpp"
@@ -52,14 +51,6 @@ Window beta_deviation_window(const SelfReferenceScheme& scheme, double beta) {
   w.hi = brent(min_margin, 0.0, 4.0, 1e-12);
   w.valid = true;
   return w;
-}
-
-/// Johnson noise sqrt(4 kT R B) of a resistance over a single-pole
-/// bandwidth f_3dB, whose equivalent noise bandwidth is (pi / 2) f_3dB.
-Volt resistor_noise(Ohm resistance, Hertz bandwidth, double kelvin = 300.0) {
-  const double enb = 0.5 * M_PI * bandwidth.value();
-  return Volt(std::sqrt(4.0 * constants::kBoltzmann * kelvin *
-                        resistance.value() * enb));
 }
 
 // --------------------------------------------------------------- SenseAmp
@@ -375,13 +366,6 @@ TEST(ReadNoise, KtcMatchesClosedForm) {
   EXPECT_NEAR(ktc_noise(Farad(1e-12)).value(),
               0.5 * ktc_noise(Farad(250e-15)).value(), 1e-9);
   EXPECT_THROW(ktc_noise(Farad(0.0)), InvalidArgument);
-}
-
-TEST(ReadNoise, ResistorNoiseScaling) {
-  const Volt v1 = resistor_noise(Ohm(1e3), Hertz(1e8));
-  const Volt v2 = resistor_noise(Ohm(4e3), Hertz(1e8));
-  EXPECT_NEAR(v2.value(), 2.0 * v1.value(), 1e-12);
-  EXPECT_GT(v1.value(), 0.0);
 }
 
 TEST(ReadNoise, BudgetStaysFarBelowMargin) {

@@ -38,12 +38,6 @@ double percentile(std::vector<double> sample, double q) {
   return v_lo + frac * (v_hi - v_lo);
 }
 
-/// Uniform deviate in [lo, hi).
-double sample_uniform(Xoshiro256& rng, double lo, double hi) {
-  require(lo <= hi, "sample_uniform: lo must be <= hi");
-  return lo + (hi - lo) * rng.next_double();
-}
-
 TEST(Rng, DeterministicForSeed) {
   Xoshiro256 a(1234);
   Xoshiro256 b(1234);
@@ -110,18 +104,6 @@ TEST(Distributions, LognormalMedian) {
   for (const double x : xs) EXPECT_GT(x, 0.0);
 }
 
-TEST(Distributions, UniformRange) {
-  Xoshiro256 rng(7);
-  RunningStats s;
-  for (int i = 0; i < 20000; ++i) {
-    const double u = sample_uniform(rng, -2.0, 4.0);
-    EXPECT_GE(u, -2.0);
-    EXPECT_LT(u, 4.0);
-    s.add(u);
-  }
-  EXPECT_NEAR(s.mean(), 1.0, 0.05);
-}
-
 TEST(Distributions, TruncatedNormalRespectsBounds) {
   Xoshiro256 rng(8);
   for (int i = 0; i < 5000; ++i) {
@@ -181,22 +163,21 @@ TEST(RunningStats, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
 }
 
-TEST(Percentile, OrderStatistics) {
-  std::vector<double> xs = {5.0, 1.0, 4.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 0.25), 2.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 0.125), 1.5);  // interpolated
-  EXPECT_THROW(percentile(std::vector<double>{}, 0.5), InvalidArgument);
-  EXPECT_THROW(percentile(xs, 1.5), InvalidArgument);
-}
-
 TEST(MonteCarlo, TrialStreamsAreStable) {
-  // Trial i must see the same stream no matter how many trials run.
-  const auto tenth = [](Xoshiro256& rng) { return rng.next_double(); };
-  const auto few = run_monte_carlo<double>(11, 10, tenth);
-  const auto many = run_monte_carlo<double>(11, 100, tenth);
+  // Trial i must see the same stream no matter how many trials run.  A
+  // serial run calls the trials in index order, so each records its
+  // draw at its own position.
+  const auto draws = [](std::size_t trials) {
+    std::vector<double> out;
+    monte_carlo_stats(11, trials, [&out](Xoshiro256& rng) {
+      out.push_back(rng.next_double());
+      return out.back();
+    });
+    return out;
+  };
+  const std::vector<double> few = draws(10);
+  const std::vector<double> many = draws(100);
+  ASSERT_EQ(few.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(few[i], many[i]);
 }
 
