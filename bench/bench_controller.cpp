@@ -20,8 +20,7 @@ double wall_run(const ctrl::ControllerConfig& cfg, ParallelExecutor* exec,
                 ctrl::ControllerReport& out) {
   const auto t0 = std::chrono::steady_clock::now();
   out = ctrl::run_controller_traffic(cfg, exec);
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
+  return bench::seconds_since(t0);
 }
 
 bool reports_identical(const ctrl::ControllerReport& a,

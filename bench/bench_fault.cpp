@@ -14,16 +14,6 @@
 
 using namespace sttram;
 
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-}  // namespace
-
 int main() {
   bench::heading("Fault", "injection, SECDED recovery and march coverage");
 
@@ -38,7 +28,7 @@ int main() {
     const fault::EccDecode decoded = fault::ecc_decode(cw);
     acc += decoded.data + (decoded.corrected ? 1 : 0);
   }
-  const double ecc_ns = seconds_since(t0) / kWords * 1e9;
+  const double ecc_ns = bench::seconds_since(t0) / kWords * 1e9;
   std::printf("SECDED encode + flip + decode: %.1f ns/word "
               "(%d words, checksum %llx)\n",
               ecc_ns, kWords, static_cast<unsigned long long>(acc & 0xffff));
@@ -50,12 +40,12 @@ int main() {
   t0 = std::chrono::steady_clock::now();
   const fault::FaultMap serial =
       fault::generate_fault_map(geometry, campaign, 7);
-  const double serial_ms = seconds_since(t0) * 1e3;
+  const double serial_ms = bench::seconds_since(t0) * 1e3;
   engine::ThreadPool pool(4);
   t0 = std::chrono::steady_clock::now();
   const fault::FaultMap threaded =
       fault::generate_fault_map(geometry, campaign, 7, &pool);
-  const double threaded_ms = seconds_since(t0) * 1e3;
+  const double threaded_ms = bench::seconds_since(t0) * 1e3;
   bool identical = true;
   for (std::size_t r = 0; r < geometry.rows && identical; ++r) {
     for (std::size_t c = 0; c < geometry.cols; ++c) {
@@ -84,7 +74,7 @@ int main() {
     corrected += outcome.corrected ? 1 : 0;
     uncorrectable += outcome.uncorrectable ? 1 : 0;
   }
-  const double access_ns = seconds_since(t0) / kAccesses * 1e9;
+  const double access_ns = bench::seconds_since(t0) / kAccesses * 1e9;
   std::printf("recovery model @ BER 1e-3: %.0f ns/access "
               "(%llu corrected, %llu uncorrectable of %llu)\n\n",
               access_ns, static_cast<unsigned long long>(corrected),

@@ -36,11 +36,6 @@ using namespace sttram;
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 /// Best-of-N wall time of `body()`.
 template <typename Body>
 double best_of(int reps, Body&& body) {
@@ -48,7 +43,7 @@ double best_of(int reps, Body&& body) {
   for (int r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
     body();
-    best = std::min(best, seconds_since(t0));
+    best = std::min(best, bench::seconds_since(t0));
   }
   return best;
 }
@@ -214,7 +209,7 @@ int main() {
   e2e.max_scatter_points = 1;
   const auto y0 = std::chrono::steady_clock::now();
   const YieldResult yr = run_yield_experiment(e2e, nullptr);
-  const double yield_s = seconds_since(y0);
+  const double yield_s = bench::seconds_since(y0);
   // The oracle's per-scheme failure counts over the same population.
   std::array<std::size_t, 4> oracle_failures{};
   for (const auto& m : scalar_m) {
@@ -234,7 +229,7 @@ int main() {
   const std::size_t tail_trials = 20000;
   const auto t0 = std::chrono::steady_clock::now();
   const TailEstimate te = estimate_margin_tail(tail, 1, tail_trials);
-  const double tail_s = seconds_since(t0);
+  const double tail_s = bench::seconds_since(t0);
   std::printf("tail sampling: %zu trials in %.3f s (%.3g trials/sec), "
               "P(fail)/bit = %.3e\n\n",
               tail_trials, tail_s,

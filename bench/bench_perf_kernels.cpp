@@ -90,7 +90,9 @@ void BM_LuFactorization(benchmark::State& state) {
     benchmark::DoNotOptimize(spice::lu_factor_in_place(lu, perm));
   }
 }
-BENCHMARK(BM_LuFactorization)->Arg(16)->Arg(64);
+// 7 and 8 are the orders of the destructive and nondestructive read
+// circuits (the unrolled LU); 16 and 64 run the run-time-order body.
+BENCHMARK(BM_LuFactorization)->Arg(7)->Arg(8)->Arg(16)->Arg(64);
 
 void BM_SpiceNondestructiveRead(benchmark::State& state) {
   SpiceReadConfig cfg;

@@ -4,6 +4,7 @@
 // when the reproduction drifts from the paper.
 #pragma once
 
+#include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -41,6 +42,13 @@ inline void claim(const std::string& what, bool holds) {
 inline void wall_clock_claim(const std::string& what, bool holds) {
   std::printf("  %-60s [%s] (wall clock)\n", what.c_str(),
               holds ? "REPRODUCED" : "MISS");
+}
+
+/// Host seconds since `start`, for the benches' throughput lines.
+inline double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
 }
 
 /// The bench's exit status: 1 once a claim() missed, else 0.

@@ -42,14 +42,7 @@ LinearRiModel::LinearRiModel(MtjParams params) : params_(params) {
 }
 
 Ohm LinearRiModel::resistance(MtjState state, Ampere i) const {
-  // The linear law is calibrated over the measured sweep [0, i_droop_ref]
-  // and extrapolated at most 50 % beyond it; past that (write-level
-  // currents) the resistance is held constant, keeping v(i) monotone.
-  const double frac = std::min(abs(i) / params_.i_droop_ref, 1.5);
-  if (state == MtjState::kParallel) {
-    return params_.r_low0 - params_.droop_low * frac;
-  }
-  return params_.r_high0 - params_.droop_high * frac;
+  return Ohm(ohms(state, i.value()));
 }
 
 std::unique_ptr<RiModel> LinearRiModel::clone() const {

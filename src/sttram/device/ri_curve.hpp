@@ -5,6 +5,8 @@
 // a physical Simmons-type tunneling law, or a measured table.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <memory>
 
@@ -49,6 +51,21 @@ class LinearRiModel final : public RiModel {
   [[nodiscard]] std::unique_ptr<RiModel> clone() const override;
 
   [[nodiscard]] const MtjParams& params() const { return params_; }
+
+  /// The law on plain doubles: R_s [Ohm] at read current `i` [A].  The
+  /// one body of the law; resistance() returns it, and the circuit
+  /// simulator's MTJ element runs it inline in its Newton loop.  The law
+  /// is calibrated over the measured sweep [0, i_droop_ref] and
+  /// extrapolated at most 50 % beyond it; past that (write-level
+  /// currents) the resistance is held constant, keeping v(i) monotone.
+  [[nodiscard]] double ohms(MtjState state, double i) const {
+    const double frac =
+        std::min(std::fabs(i) / params_.i_droop_ref.value(), 1.5);
+    if (state == MtjState::kParallel) {
+      return params_.r_low0.value() - params_.droop_low.value() * frac;
+    }
+    return params_.r_high0.value() - params_.droop_high.value() * frac;
+  }
 
  private:
   MtjParams params_;

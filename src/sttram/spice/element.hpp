@@ -48,29 +48,57 @@ struct StampContext {
   }
 };
 
-/// Accumulates element stamps into the MNA matrix and RHS.
+/// Accumulates element stamps into the MNA matrix and RHS.  Inline:
+/// every element's stamp, in every Newton iteration, writes through
+/// these.
 class MnaStamper {
  public:
   MnaStamper(Matrix& a, std::vector<double>& b, std::size_t node_count)
       : a_(a), b_(b), nodes_(node_count) {}
 
   /// Conductance g between nodes p and n.
-  void conductance(NodeId p, NodeId n, double g);
+  void conductance(NodeId p, NodeId n, double g) {
+    if (p != kGround) a_(index(p), index(p)) += g;
+    if (n != kGround) a_(index(n), index(n)) += g;
+    if (p != kGround && n != kGround) {
+      a_(index(p), index(n)) -= g;
+      a_(index(n), index(p)) -= g;
+    }
+  }
 
   /// Independent current I injected INTO node n.
-  void current_into(NodeId n, double i);
+  void current_into(NodeId n, double i) {
+    if (n != kGround) b_[index(n)] += i;
+  }
 
   /// Voltage-source stamp: branch `branch` (0-based among branches)
   /// enforces v(p) - v(n) = value.
-  void voltage_source(int branch, NodeId p, NodeId n, double value);
+  void voltage_source(int branch, NodeId p, NodeId n, double value) {
+    const std::size_t br = nodes_ + static_cast<std::size_t>(branch);
+    if (p != kGround) {
+      a_(index(p), br) += 1.0;
+      a_(br, index(p)) += 1.0;
+    }
+    if (n != kGround) {
+      a_(index(n), br) -= 1.0;
+      a_(br, index(n)) -= 1.0;
+    }
+    b_[br] += value;
+  }
 
   /// Voltage-controlled current source: current gm * (v(cp) - v(cn))
   /// flows from op through the source to on.
-  void vccs(NodeId op, NodeId on, NodeId cp, NodeId cn, double gm);
+  void vccs(NodeId op, NodeId on, NodeId cp, NodeId cn, double gm) {
+    add(op, cp, gm);
+    add(op, cn, -gm);
+    add(on, cp, -gm);
+    add(on, cn, gm);
+  }
 
  private:
-  [[nodiscard]] std::size_t branch_row(int branch) const {
-    return nodes_ + static_cast<std::size_t>(branch);
+  static std::size_t index(NodeId n) { return static_cast<std::size_t>(n); }
+  void add(NodeId row, NodeId col, double val) {
+    if (row != kGround && col != kGround) a_(index(row), index(col)) += val;
   }
   Matrix& a_;
   std::vector<double>& b_;

@@ -7,60 +7,15 @@
 
 namespace sttram::spice {
 
-// ------------------------------------------------------------ MnaStamper
-
-void MnaStamper::conductance(NodeId p, NodeId n, double g) {
-  if (p != kGround) {
-    a_(static_cast<std::size_t>(p), static_cast<std::size_t>(p)) += g;
-  }
-  if (n != kGround) {
-    a_(static_cast<std::size_t>(n), static_cast<std::size_t>(n)) += g;
-  }
-  if (p != kGround && n != kGround) {
-    a_(static_cast<std::size_t>(p), static_cast<std::size_t>(n)) -= g;
-    a_(static_cast<std::size_t>(n), static_cast<std::size_t>(p)) -= g;
-  }
-}
-
-void MnaStamper::current_into(NodeId n, double i) {
-  if (n != kGround) b_[static_cast<std::size_t>(n)] += i;
-}
-
-void MnaStamper::voltage_source(int branch, NodeId p, NodeId n,
-                                double value) {
-  const std::size_t br = branch_row(branch);
-  if (p != kGround) {
-    a_(static_cast<std::size_t>(p), br) += 1.0;
-    a_(br, static_cast<std::size_t>(p)) += 1.0;
-  }
-  if (n != kGround) {
-    a_(static_cast<std::size_t>(n), br) -= 1.0;
-    a_(br, static_cast<std::size_t>(n)) -= 1.0;
-  }
-  b_[br] += value;
-}
-
-void MnaStamper::vccs(NodeId op, NodeId on, NodeId cp, NodeId cn, double gm) {
-  const auto stamp = [&](NodeId row, NodeId col, double val) {
-    if (row != kGround && col != kGround) {
-      a_(static_cast<std::size_t>(row), static_cast<std::size_t>(col)) += val;
-    }
-  };
-  stamp(op, cp, gm);
-  stamp(op, cn, -gm);
-  stamp(on, cp, -gm);
-  stamp(on, cn, gm);
-}
-
 // -------------------------------------------------------------- Resistor
 
 Resistor::Resistor(std::string name, NodeId a, NodeId b, double ohms)
-    : Element(std::move(name)), a_(a), b_(b), ohms_(ohms) {
+    : Element(std::move(name)), a_(a), b_(b), g_(1.0 / ohms) {
   require(ohms > 0.0, "Resistor: resistance must be > 0");
 }
 
 void Resistor::stamp(MnaStamper& mna, const StampContext&) const {
-  mna.conductance(a_, b_, 1.0 / ohms_);
+  mna.conductance(a_, b_, g_);
 }
 
 // ------------------------------------------------------------- Capacitor
@@ -147,8 +102,8 @@ TimedSwitch::TimedSwitch(std::string name, NodeId a, NodeId b,
       b_(b),
       initially_closed_(initially_closed),
       events_(std::move(events)),
-      r_on_(r_on),
-      r_off_(r_off) {
+      g_on_(1.0 / r_on),
+      g_off_(1.0 / r_off) {
   require(r_on > 0.0 && r_off > r_on,
           "TimedSwitch: need 0 < r_on < r_off");
   for (std::size_t i = 1; i < events_.size(); ++i) {
@@ -180,8 +135,7 @@ std::vector<double> TimedSwitch::breakpoints() const {
 }
 
 void TimedSwitch::stamp(MnaStamper& mna, const StampContext& ctx) const {
-  const double r = closed_at(ctx.time) ? r_on_ : r_off_;
-  mna.conductance(a_, b_, 1.0 / r);
+  mna.conductance(a_, b_, closed_at(ctx.time) ? g_on_ : g_off_);
 }
 
 // ---------------------------------------------------------------- Mosfet
@@ -250,44 +204,59 @@ void Mosfet::stamp(MnaStamper& mna, const StampContext& ctx) const {
 // ------------------------------------------------------------ MtjElement
 
 MtjElement::MtjElement(std::string name, NodeId a, NodeId b,
-                       const RiModel& model, MtjState state)
-    : Element(std::move(name)), a_(a), b_(b), model_(model.clone()),
-      state_(state),
-      r_zero_bias_(model_->resistance(state, Ampere(0.0)).value()) {}
+                       const LinearRiModel& model, MtjState state)
+    : Element(std::move(name)), a_(a), b_(b), model_(model), state_(state),
+      r_zero_bias_(model_.ohms(state, 0.0)) {}
 
 void MtjElement::set_state(MtjState s) {
   state_ = s;
-  r_zero_bias_ = model_->resistance(s, Ampere(0.0)).value();
+  r_zero_bias_ = model_.ohms(s, 0.0);
 }
 
-double MtjElement::current_for_voltage(double v) const {
-  const double v_mag = std::fabs(v);
-  if (v_mag == 0.0) return 0.0;
-  // Solve i * R(i) = v_mag for i >= 0 by damped Newton; v(i) is strictly
-  // increasing for all physical R-I models (droop < R).
-  double i = v_mag / r_zero_bias_;
-  for (int iter = 0; iter < 80; ++iter) {
-    const double r = model_->resistance(state_, Ampere(i)).value();
-    const double f = i * r - v_mag;
-    // dv/di = R + i * dR/di, via a small relative finite difference.
-    const double h = std::max(1e-12, 1e-6 * i);
-    const double r2 = model_->resistance(state_, Ampere(i + h)).value();
-    const double dvdi = r + i * (r2 - r) / h;
-    if (dvdi <= 0.0) break;  // beyond model validity; stop refining
-    const double step = f / dvdi;
-    i -= step;
-    if (i < 0.0) i = 0.0;
-    if (std::fabs(step) < 1e-15 * (1.0 + i)) break;
+std::array<double, 2> MtjElement::currents_for_voltages(double v0,
+                                                        double v1) const {
+  // Lane k solves i * R(i) = |v_k| for i >= 0 by damped Newton; v(i) is
+  // strictly increasing for all physical R-I models (droop < R).  The
+  // lanes share no value: each runs the one-voltage iteration from the
+  // same start, with the same stopping tests, and freezes once it stops,
+  // so its result does not depend on the other lane.  Interleaving them
+  // lets the two dependency chains overlap.
+  const std::array<double, 2> v = {v0, v1};
+  std::array<double, 2> v_mag{};
+  std::array<double, 2> i{};
+  std::array<bool, 2> live{};
+  for (int k = 0; k < 2; ++k) {
+    v_mag[k] = std::fabs(v[k]);
+    live[k] = v_mag[k] != 0.0;
+    if (live[k]) i[k] = v_mag[k] / r_zero_bias_;
   }
-  return v >= 0.0 ? i : -i;
+  for (int iter = 0; iter < 80 && (live[0] || live[1]); ++iter) {
+    for (int k = 0; k < 2; ++k) {
+      if (!live[k]) continue;
+      const double r = model_.ohms(state_, i[k]);
+      const double f = i[k] * r - v_mag[k];
+      // dv/di = R + i * dR/di, via a small relative finite difference.
+      const double h = std::max(1e-12, 1e-6 * i[k]);
+      const double r2 = model_.ohms(state_, i[k] + h);
+      const double dvdi = r + i[k] * (r2 - r) / h;
+      if (dvdi <= 0.0) {  // beyond model validity; stop refining
+        live[k] = false;
+        continue;
+      }
+      const double step = f / dvdi;
+      i[k] -= step;
+      if (i[k] < 0.0) i[k] = 0.0;
+      if (std::fabs(step) < 1e-15 * (1.0 + i[k])) live[k] = false;
+    }
+  }
+  return {v0 >= 0.0 ? i[0] : -i[0], v1 >= 0.0 ? i[1] : -i[1]};
 }
 
 void MtjElement::stamp(MnaStamper& mna, const StampContext& ctx) const {
   const double v0 = ctx.v(a_) - ctx.v(b_);
-  const double i0 = current_for_voltage(v0);
   // Small-signal conductance at the iterate via finite difference.
   const double dv = std::max(1e-9, 1e-6 * std::fabs(v0));
-  const double i1 = current_for_voltage(v0 + dv);
+  const auto [i0, i1] = currents_for_voltages(v0, v0 + dv);
   double g = (i1 - i0) / dv;
   if (!(g > 0.0) || !std::isfinite(g)) {
     g = 1.0 / r_zero_bias_;

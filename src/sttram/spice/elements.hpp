@@ -1,6 +1,7 @@
 // Concrete circuit elements.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -19,13 +20,12 @@ class Resistor final : public Element {
 
   void stamp(MnaStamper& mna, const StampContext& ctx) const override;
 
-  [[nodiscard]] double resistance() const { return ohms_; }
   [[nodiscard]] NodeId node_a() const { return a_; }
   [[nodiscard]] NodeId node_b() const { return b_; }
 
  private:
   NodeId a_, b_;
-  double ohms_;
+  double g_;  ///< 1 / ohms [S]
 };
 
 /// Linear capacitor.  Open during DC; backward-Euler or trapezoidal
@@ -115,7 +115,7 @@ class TimedSwitch final : public Element {
   NodeId a_, b_;
   bool initially_closed_;
   std::vector<std::pair<double, bool>> events_;
-  double r_on_, r_off_;
+  double g_on_, g_off_;  ///< 1 / r_on and 1 / r_off [S]
 };
 
 /// Level-1 (Shichman-Hodges) NMOS transistor, body tied to source.
@@ -150,14 +150,15 @@ class Mosfet final : public Element {
   Params params_;
 };
 
-/// Nonlinear MTJ resistor: resistance follows the RiModel of the given
-/// magnetization state at the element's own current.  The state is fixed
-/// for the duration of an analysis (reads never disturb the cell at the
-/// currents the schemes use — that is the paper's I_max constraint).
+/// Nonlinear MTJ resistor: resistance follows the calibrated linear R-I
+/// law of the given magnetization state at the element's own current.
+/// The state is fixed for the duration of an analysis (reads never
+/// disturb the cell at the currents the schemes use — that is the
+/// paper's I_max constraint).
 class MtjElement final : public Element {
  public:
-  MtjElement(std::string name, NodeId a, NodeId b, const RiModel& model,
-             MtjState state);
+  MtjElement(std::string name, NodeId a, NodeId b,
+             const LinearRiModel& model, MtjState state);
 
   void stamp(MnaStamper& mna, const StampContext& ctx) const override;
   [[nodiscard]] bool is_nonlinear() const override { return true; }
@@ -165,14 +166,16 @@ class MtjElement final : public Element {
   [[nodiscard]] MtjState state() const { return state_; }
   void set_state(MtjState s);
 
-  /// Branch current at a given element voltage (solves i*R(|i|) = v).
-  [[nodiscard]] double current_for_voltage(double v) const;
+  /// Branch currents at two element voltages, each solving
+  /// i * R(|i|) = v; the stamp asks for I(v0) and I(v0 + dv) at once.
+  [[nodiscard]] std::array<double, 2> currents_for_voltages(double v0,
+                                                            double v1) const;
 
  private:
   NodeId a_, b_;
-  std::unique_ptr<RiModel> model_;
+  LinearRiModel model_;
   MtjState state_;
-  double r_zero_bias_;  ///< model_->resistance(state_, 0) [Ohm]
+  double r_zero_bias_;  ///< model_.ohms(state_, 0) [Ohm]
 };
 
 }  // namespace sttram::spice

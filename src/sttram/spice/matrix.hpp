@@ -24,6 +24,10 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
+  /// Row-major entries, rows() * cols() of them.
+  [[nodiscard]] double* data() { return data_.data(); }
+  [[nodiscard]] const double* data() const { return data_.data(); }
+
   /// Sets every entry to zero (keeps dimensions and storage).
   void clear();
 
@@ -40,6 +44,13 @@ class Matrix {
 /// matrix order (no allocation once it has that capacity).  Returns the
 /// smallest pivot magnitude met, a crude condition indicator.  Throws
 /// CircuitError when the matrix is numerically singular.
+///
+/// The factorization and the solve below are each one loop body over
+/// the matrix order.  At the orders the library's read circuits build
+/// (7 and 8 unknowns) it is instantiated at that order and unrolled
+/// completely; every other order runs the same body with a run-time
+/// order.  Both perform the same operations in the same order, so the
+/// results agree bit for bit.
 double lu_factor_in_place(Matrix& a, std::vector<std::size_t>& perm);
 
 /// Solves A x = b into `x` from the factors lu_factor_in_place left in

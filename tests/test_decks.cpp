@@ -4,11 +4,19 @@
 // might miss.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <iterator>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "sttram/device/mtj_params.hpp"
 #include "sttram/device/ri_curve.hpp"
+#include "sttram/obs/metrics.hpp"
 #include "sttram/spice/analysis.hpp"
 #include "sttram/spice/parser.hpp"
 
@@ -75,6 +83,93 @@ TEST(Decks, MtjIvSweep) {
         2.0)
         << "I=" << i;
   }
+}
+
+// Exact outputs of every deck's analysis, recorded as hex floats: the
+// .tran waveform's sample count and final sample, else the .dc sweep's
+// point count and last point, else the one DC operating point; and the
+// solver counters' deltas.  These decks run the LU at orders 1, 3 and 5
+// (the run-time-order body; the read circuits' orders 7 and 8 are
+// pinned by SpiceRead.OutputsAreBitPinned), and read_phase2.sp is the
+// one bundled adaptive transient (at its tolerance it grows its step
+// and rejects none).
+struct PinnedDeck {
+  const char* file;
+  std::size_t samples;
+  std::vector<double> final_sample;
+  std::array<std::uint64_t, 5> counters;  ///< kSolverCounters deltas
+};
+
+constexpr const char* kSolverCounters[5] = {
+    "spice.newton.iterations", "spice.newton.solves",
+    "spice.newton.factorizations", "spice.transient.steps_accepted",
+    "spice.transient.steps_rejected"};
+
+const PinnedDeck kPinnedDecks[] = {
+    {"divider.sp", 1,
+     {0x1.4p+3, 0x1.ffffffeb62582p+1, -0x1.0624dd621f101p-10},
+     {1, 1, 1, 0, 0}},
+    {"mtj_iv.sp", 20,
+     {0x1.851eb8496ee29p-2},
+     {102, 20, 102, 0, 0}},
+    {"rc_lowpass.sp", 804,
+     {0x1p+0, 0x1.ff886cc3b7c8fp-1, -0x1.e9c7c2092bp-21},
+     {804, 804, 804, 803, 0}},
+    {"read_phase2.sp", 56,
+     {0x1.300a63374091p-1, 0x1.b600595d5a3cep-3, 0x1.3333333333333p+0,
+      0x1.3009ff969b8cfp-2, -0x1.51c51ce3718e1p-40},
+     {119, 56, 119, 55, 0}},
+};
+
+TEST(Decks, OutputsAreBitPinned) {
+  auto& registry = obs::Registry::instance();
+  obs::set_metrics_enabled(true);
+  for (const PinnedDeck& want : kPinnedDecks) {
+    std::array<std::uint64_t, 5> before{};
+    for (std::size_t k = 0; k < 5; ++k) {
+      before[k] = registry.counter(kSolverCounters[k]).value();
+    }
+    auto deck = load(want.file);
+    std::size_t samples = 1;
+    std::vector<double> last;
+    if (deck.tran.has_value()) {
+      const auto waves = run_transient(deck.circuit, *deck.tran);
+      samples = waves.sample_count();
+      const auto x = waves.sample(samples - 1);
+      last.assign(x.begin(), x.end());
+    } else if (deck.dc.has_value()) {
+      const auto points =
+          dc_sweep(deck.circuit, deck.dc->source, deck.dc->values);
+      samples = points.size();
+      last = points.back().x;
+    } else {
+      last = solve_dc(deck.circuit).x;
+    }
+    std::array<std::uint64_t, 5> counters{};
+    for (std::size_t k = 0; k < 5; ++k) {
+      counters[k] = registry.counter(kSolverCounters[k]).value() - before[k];
+    }
+    bool same = samples == want.samples && counters == want.counters &&
+                last.size() == want.final_sample.size();
+    for (std::size_t k = 0; same && k < last.size(); ++k) {
+      same = std::bit_cast<std::uint64_t>(last[k]) ==
+             std::bit_cast<std::uint64_t>(want.final_sample[k]);
+    }
+    // On a mismatch, print the row as it reads now.
+    std::ostringstream row;
+    row << std::hexfloat << "{\"" << want.file << "\", " << samples << ",\n {";
+    for (std::size_t k = 0; k < last.size(); ++k) {
+      row << (k == 0 ? "" : ", ") << last[k];
+    }
+    row << "},\n {";
+    for (std::size_t k = 0; k < 5; ++k) {
+      row << (k == 0 ? "" : ", ") << counters[k];
+    }
+    row << "}},";
+    EXPECT_TRUE(same) << want.file << " now reads\n" << row.str();
+  }
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(std::size(kPinnedDecks), 4u);
 }
 
 }  // namespace

@@ -1,18 +1,25 @@
 // Validation of the MNA circuit simulator against closed-form circuit
 // theory: dividers, superposition, RC step response, level-1 MOSFET
-// regions, the nonlinear MTJ element, and switches.
+// regions, the nonlinear MTJ element, and switches; and of its dense LU
+// and MTJ Newton against the plain loops of spice_oracle, bit for bit.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "spice_oracle.hpp"
 #include "sttram/common/error.hpp"
 #include "sttram/device/mtj_params.hpp"
 #include "sttram/device/ri_curve.hpp"
 #include "sttram/spice/analysis.hpp"
 #include "sttram/spice/circuit.hpp"
 #include "sttram/spice/elements.hpp"
+#include "sttram/stats/rng.hpp"
 
 namespace sttram {
 namespace {
@@ -240,13 +247,92 @@ TEST(SpiceMtj, CurrentForVoltageInverts) {
   const LinearRiModel model(params);
   const MtjElement e("m", 0, 1, model, MtjState::kAntiParallel);
   const double v = 0.38;  // ~high-state voltage at I_max
-  const double i = e.current_for_voltage(v);
+  const auto [i, i_neg] = e.currents_for_voltages(v, -v);
   const double back = i * model.resistance(MtjState::kAntiParallel,
                                            Ampere(i))
                               .value();
   EXPECT_NEAR(back, v, 1e-9);
-  EXPECT_NEAR(e.current_for_voltage(-v), -i, 1e-12);
-  EXPECT_DOUBLE_EQ(e.current_for_voltage(0.0), 0.0);
+  EXPECT_NEAR(i_neg, -i, 1e-12);
+  EXPECT_DOUBLE_EQ(e.currents_for_voltages(0.0, v)[0], 0.0);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Element voltages for the MTJ oracle checks in state `s`: zero, the
+/// smallest finite-difference step, read-level biases, write-level
+/// biases past the law's clamp at 1.5 i_ref, and biases v0 whose
+/// v0 + dv crosses that clamp; each with both signs.
+std::vector<double> mtj_voltages(const LinearRiModel& model, MtjState s) {
+  const double i_clamp = 1.5 * model.params().i_droop_ref.value();
+  const double v_clamp = i_clamp * model.ohms(s, i_clamp);
+  std::vector<double> out;
+  for (const double v : {0.0, 1e-12, 0.05, 0.38, 1.5 * v_clamp, 4.0,
+                         v_clamp, v_clamp - 1e-7, v_clamp + 1e-7,
+                         v_clamp - 4e-7, std::nextafter(v_clamp, 0.0)}) {
+    out.push_back(v);
+    out.push_back(-v);
+  }
+  return out;
+}
+
+TEST(SpiceMtj, PairedCurrentsMatchScalarNewtonBitwise) {
+  const MtjParams nominal = MtjParams::paper_calibrated();
+  for (const MtjParams& params : {nominal, nominal.scaled(1.13, 0.87)}) {
+    const LinearRiModel model(params);
+    for (const MtjState state :
+         {MtjState::kParallel, MtjState::kAntiParallel}) {
+      const MtjElement e("m", 0, 1, model, state);
+      const std::vector<double> volts = mtj_voltages(model, state);
+      for (const double va : volts) {
+        for (const double vb : volts) {
+          const auto got = e.currents_for_voltages(va, vb);
+          const double want_a = oracle::mtj_current(model, state, va);
+          const double want_b = oracle::mtj_current(model, state, vb);
+          ASSERT_EQ(bits(got[0]), bits(want_a))
+              << to_string(state) << " v = " << std::hexfloat << va
+              << " beside " << vb;
+          ASSERT_EQ(bits(got[1]), bits(want_b))
+              << to_string(state) << " v = " << std::hexfloat << vb
+              << " beside " << va;
+        }
+      }
+    }
+  }
+}
+
+TEST(SpiceMtj, StampMatchesScalarFormulaBitwise) {
+  const MtjParams nominal = MtjParams::paper_calibrated();
+  for (const MtjParams& params : {nominal, nominal.scaled(1.13, 0.87)}) {
+    const LinearRiModel model(params);
+    for (const MtjState state :
+         {MtjState::kParallel, MtjState::kAntiParallel}) {
+      const MtjElement e("m", 0, 1, model, state);
+      for (const double v0 : mtj_voltages(model, state)) {
+        // The element between nodes 0 and 1 at v(0) = v0, v(1) = 0, and
+        // the oracle's g and ieq stamped the same way.
+        spice::Matrix a(2, 2), a_want(2, 2);
+        std::vector<double> b(2, 0.0), b_want(2, 0.0);
+        const std::vector<double> x = {v0, 0.0};
+        spice::StampContext ctx;
+        ctx.x = &x;
+        spice::MnaStamper mna(a, b, 2);
+        e.stamp(mna, ctx);
+        const oracle::MtjStamp want = oracle::mtj_stamp(model, state, v0);
+        spice::MnaStamper mna_want(a_want, b_want, 2);
+        mna_want.conductance(0, 1, want.g);
+        mna_want.current_into(0, -want.ieq);
+        mna_want.current_into(1, want.ieq);
+        for (std::size_t r = 0; r < 2; ++r) {
+          for (std::size_t c = 0; c < 2; ++c) {
+            EXPECT_EQ(bits(a(r, c)), bits(a_want(r, c)))
+                << to_string(state) << " v0 = " << std::hexfloat << v0;
+          }
+          EXPECT_EQ(bits(b[r]), bits(b_want[r]))
+              << to_string(state) << " v0 = " << std::hexfloat << v0;
+        }
+      }
+    }
+  }
 }
 
 TEST(SpiceSwitch, ScheduleAndResistance) {
@@ -277,14 +363,166 @@ TEST(SpiceCircuit, FindElementByName) {
   EXPECT_EQ(c.find("R2"), nullptr);
 }
 
+/// Runs lu_factor_in_place on `a` and expects the singular-matrix error,
+/// naming the function.
+void expect_singular(spice::Matrix a, const std::string& what) {
+  std::vector<std::size_t> perm;
+  try {
+    spice::lu_factor_in_place(a, perm);
+    ADD_FAILURE() << what << ": no error";
+  } catch (const CircuitError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "lu_factor_in_place: singular MNA matrix"),
+              std::string::npos)
+        << what << ": " << e.what();
+  }
+}
+
 TEST(SpiceMatrix, SingularMatrixThrows) {
   spice::Matrix a(2, 2);
   a(0, 0) = 1.0;
   a(0, 1) = 2.0;
   a(1, 0) = 2.0;
   a(1, 1) = 4.0;  // rank 1
-  std::vector<std::size_t> perm;
-  EXPECT_THROW(spice::lu_factor_in_place(a, perm), CircuitError);
+  expect_singular(a, "2x2");
+  // A floating node: a zero column, at the first, a middle and the last
+  // elimination step of the two unrolled orders.
+  for (const std::size_t n : {std::size_t{7}, std::size_t{8}}) {
+    for (const std::size_t dead : {std::size_t{0}, n / 2, n - 1}) {
+      spice::Matrix m(n, n);
+      Xoshiro256 rng(n * 31 + dead);
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < n; ++c) m(r, c) = rng.next_double();
+        m(r, r) += static_cast<double>(n);
+      }
+      for (std::size_t r = 0; r < n; ++r) m(r, dead) = 0.0;
+      expect_singular(m, std::to_string(n) + "x" + std::to_string(n) +
+                             ", column " + std::to_string(dead));
+    }
+  }
+}
+
+/// A random MNA-like matrix of the given order: `branches` voltage-source
+/// rows (zero diagonal) after the node rows, gmin on every node,
+/// conductances between random node pairs drawn half from a few fixed
+/// values (so magnitudes tie) and half at random, most entries zero.
+spice::Matrix random_mna(std::size_t order, std::size_t branches,
+                         Xoshiro256& rng) {
+  spice::Matrix a(order, order);
+  std::vector<double> rhs(order, 0.0);
+  const std::size_t nodes = order - branches;
+  spice::MnaStamper mna(a, rhs, nodes);
+  const auto pick = [&](std::size_t count) {
+    return static_cast<NodeId>(rng.next_u64() % count);
+  };
+  for (std::size_t k = 0; k < nodes; ++k) a(k, k) += 1e-12;
+  constexpr double kTied[] = {1e-3, 2e-3, 0.5};
+  for (std::size_t e = 0; e < 2 * order; ++e) {
+    const NodeId p = pick(nodes);
+    // One draw in nodes + 1 lands on ground.
+    NodeId q = pick(nodes + 1);
+    if (q == static_cast<NodeId>(nodes)) q = spice::kGround;
+    if (p == q) continue;
+    const double g = rng.next_double() < 0.5 ? kTied[rng.next_u64() % 3]
+                                             : 1e-4 + 1e-2 * rng.next_double();
+    mna.conductance(p, q, g);
+  }
+  // Branch j holds node nodes - 1 - j against ground.
+  for (std::size_t j = 0; j < branches; ++j) {
+    mna.voltage_source(static_cast<int>(j),
+                       static_cast<NodeId>(nodes - 1 - j), spice::kGround,
+                       1.0);
+  }
+  return a;
+}
+
+/// Factors and solves `a` with the library and with the oracle and
+/// compares factors, permutation, smallest pivot and solution bitwise.
+/// Returns true when the oracle swapped a row.
+bool expect_lu_matches_oracle(const spice::Matrix& a, Xoshiro256& rng,
+                              const std::string& what) {
+  const std::size_t n = a.rows();
+  spice::Matrix lu = a;
+  spice::Matrix want = a;
+  std::vector<std::size_t> perm, perm_want;
+  double min_want = 0.0;
+  try {
+    min_want = oracle::lu_factor(want, perm_want);
+  } catch (const CircuitError&) {
+    EXPECT_THROW(spice::lu_factor_in_place(lu, perm), CircuitError) << what;
+    return false;
+  }
+  const double min_pivot = spice::lu_factor_in_place(lu, perm);
+  EXPECT_EQ(bits(min_pivot), bits(min_want)) << what;
+  EXPECT_EQ(perm, perm_want) << what;
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      if (bits(lu(r, c)) != bits(want(r, c))) {
+        ADD_FAILURE() << what << ": factor (" << r << ", " << c << ") "
+                      << std::hexfloat << lu(r, c) << " vs " << want(r, c);
+        return false;
+      }
+    }
+  }
+  // A right-hand side with some exact zeros, as unstamped rows leave.
+  std::vector<double> b(n);
+  for (double& v : b) {
+    v = rng.next_double() < 0.3 ? 0.0 : rng.next_double() - 0.5;
+  }
+  std::vector<double> x(n), x_want(n);
+  spice::lu_solve_in_place(lu, perm, b, x);
+  oracle::lu_solve(want, perm_want, b, x_want);
+  for (std::size_t k = 0; k < n; ++k) {
+    EXPECT_EQ(bits(x[k]), bits(x_want[k]))
+        << what << ": x[" << k << "] " << std::hexfloat << x[k] << " vs "
+        << x_want[k];
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    if (perm_want[k] != k) return true;
+  }
+  return false;
+}
+
+TEST(SpiceMatrix, FactorAndSolveMatchOracleBitwise) {
+  for (const std::size_t n : {2, 5, 7, 8, 9, 16}) {
+    Xoshiro256 rng(1000 + n);
+    int swapped = 0;
+    for (int trial = 0; trial < 48; ++trial) {
+      const std::size_t branches = n < 3 ? 1 : 1 + trial % 2;
+      spice::Matrix a = random_mna(n, branches, rng);
+      const std::string what =
+          "order " + std::to_string(n) + " trial " + std::to_string(trial);
+      switch (trial % 4) {
+        case 1: {
+          // A zero diagonal first: move a row with no entry in column 0
+          // (the last branch row's, unless its branch holds node 0) to
+          // the top.
+          std::size_t r = n - 1;
+          while (r > 0 && a(r, 0) != 0.0) --r;
+          for (std::size_t c = 0; r > 0 && c < n; ++c) {
+            std::swap(a(0, c), a(r, c));
+          }
+          break;
+        }
+        case 2:
+          // A row below ties the diagonal's magnitude: the diagonal,
+          // the first maximum, must stay the pivot.
+          a(n - 1, 0) = -a(0, 0);
+          break;
+        case 3: {
+          // Two rows below tie above the diagonal: the upper one wins.
+          const double m = 2.0 * std::fabs(a(0, 0)) + 1.0;
+          a(n / 2, 0) = -m;
+          a(n - 1, 0) = m;
+          break;
+        }
+        default:
+          break;
+      }
+      if (expect_lu_matches_oracle(a, rng, what)) ++swapped;
+    }
+    EXPECT_GT(swapped, 0) << "order " << n << ": no pivot swap exercised";
+  }
 }
 
 TEST(SpiceMatrix, SolvesKnownSystem) {
