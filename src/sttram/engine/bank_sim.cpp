@@ -155,23 +155,39 @@ struct RunAccumulator {
   }
 };
 
-/// Replays a pre-generated, arrival-sorted request stream.
-void simulate_open_loop(const std::vector<Request>& requests,
+/// Replays an arrival-sorted stream of n > 0 requests, drawn
+/// kFaultHintBatch at a time by fill(first, count, block), as the
+/// controller's channels draw theirs: each block's reads are the fault
+/// hook's batch and leave it with their hints before the first of them
+/// reaches a bank.
+template <class Fill>
+void simulate_open_loop(std::size_t n, const Fill& fill,
+                        const ReadFaultModel* faults,
                         BankController& controller, RunAccumulator& acc) {
-  std::size_t next = 0;
+  Request block[kFaultHintBatch];
+  std::size_t issued = 0;
+  std::size_t at = 0;  // block[at] is the next request to submit
+  const auto refill = [&] {
+    const std::size_t count = std::min(kFaultHintBatch, n - issued);
+    fill(issued, count, block);
+    if (faults != nullptr) hint_reads(*faults, block, count);
+    at = 0;
+  };
+  refill();
   std::size_t completed = 0;
-  while (completed < requests.size()) {
+  while (completed < n) {
     // Completions at the same instant run first so a same-time arrival
     // sees the freed bank — and the order stays independent of how the
     // stream was produced.
     if (!controller.idle() &&
-        (next == requests.size() ||
-         controller.next_completion_time() <= requests[next].arrival)) {
+        (issued == n ||
+         controller.next_completion_time() <= block[at].arrival)) {
       acc.record(controller.step());
       ++completed;
     } else {
-      controller.submit(requests[next]);
-      ++next;
+      controller.submit(block[at]);
+      ++issued;
+      if (++at == kFaultHintBatch && issued < n) refill();
     }
   }
 }
@@ -251,7 +267,8 @@ TrafficReport run_traffic(const TrafficConfig& config) {
           "run_traffic: read_fraction must be in [0, 1]");
 
   BankTiming timing;
-  std::vector<Request> requests;
+  PoissonWorkloadConfig poisson;
+  std::vector<Request> sorted;  // an out-of-order trace, sorted
   {
     STTRAM_OBS_SCOPE("traffic.workload");
     timing = scheme_bank_timing(config.scheme, config.cost);
@@ -261,8 +278,6 @@ TrafficReport run_traffic(const TrafficConfig& config) {
       const Second avg_service =
           config.read_fraction * timing.read_service +
           (1.0 - config.read_fraction) * timing.write_service;
-      PoissonWorkloadConfig poisson;
-      poisson.requests = config.requests;
       // Per-bank offered load rho: the aggregate arrival rate is
       // banks * rho / avg_service (banks are picked uniformly).
       poisson.mean_interarrival =
@@ -271,25 +286,25 @@ TrafficReport run_traffic(const TrafficConfig& config) {
       poisson.read_fraction = config.read_fraction;
       poisson.banks = config.banks;
       poisson.seed = config.seed;
-      requests = generate_poisson_workload(poisson);
     } else if (config.workload == WorkloadKind::kTrace) {
       require(!config.trace.empty(), "run_traffic: trace workload is empty");
-      requests = config.trace;
-      std::stable_sort(requests.begin(), requests.end(),
-                       [](const Request& a, const Request& b) {
-                         return a.arrival < b.arrival;
-                       });
-      for (const Request& r : requests) {
+      for (const Request& r : config.trace) {
         require(r.bank < config.banks,
                 "run_traffic: trace bank index out of range");
       }
-    }
-    // The hook's batch pass over the open-loop stream; it rewrites every
-    // read's hint, so none of a caller-built trace's bytes survives.
-    if (config.faults != nullptr) {
-      hint_reads(*config.faults, requests.data(), requests.size());
+      // A trace already in arrival order (load_trace_csv's are) is
+      // replayed in place; stable-sorting it would change nothing.
+      const auto by_arrival = [](const Request& a, const Request& b) {
+        return a.arrival < b.arrival;
+      };
+      if (!std::is_sorted(config.trace.begin(), config.trace.end(),
+                          by_arrival)) {
+        sorted = config.trace;
+        std::stable_sort(sorted.begin(), sorted.end(), by_arrival);
+      }
     }
   }
+  const std::vector<Request>& trace = sorted.empty() ? config.trace : sorted;
 
   BankController controller(config.banks, config.policy, timing,
                             config.faults);
@@ -297,7 +312,7 @@ TrafficReport run_traffic(const TrafficConfig& config) {
   acc.keep = config.keep_completions;
   if (acc.keep) {
     acc.completions.reserve(config.workload == WorkloadKind::kTrace
-                                ? requests.size()
+                                ? trace.size()
                                 : config.requests);
   }
 
@@ -305,8 +320,23 @@ TrafficReport run_traffic(const TrafficConfig& config) {
     STTRAM_OBS_SCOPE("traffic.simulate");
     if (config.workload == WorkloadKind::kClosedLoop) {
       simulate_closed_loop(config, controller, acc);
+    } else if (config.workload == WorkloadKind::kTrace) {
+      // The hint pass rewrites every read's hint, so none of a
+      // caller-built trace's bytes survives.
+      simulate_open_loop(
+          trace.size(),
+          [&](std::size_t first, std::size_t count, Request* out) {
+            std::copy_n(trace.data() + first, count, out);
+          },
+          config.faults, controller, acc);
     } else {
-      simulate_open_loop(requests, controller, acc);
+      PoissonWorkload stream(poisson);
+      simulate_open_loop(
+          config.requests,
+          [&](std::size_t, std::size_t count, Request* out) {
+            stream.fill(count, out);
+          },
+          config.faults, controller, acc);
     }
   }
 

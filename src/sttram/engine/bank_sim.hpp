@@ -132,8 +132,9 @@ struct TrafficConfig {
   /// Optional fault hook (not owned).  Null keeps the exact fault-free
   /// code path — reports are bit-identical to a run without the field.
   /// The open-loop workloads (Poisson, trace) hand the hook their reads
-  /// in one batch pass before the simulation; closed-loop reads, drawn
-  /// as the loop runs, reach it by id alone.
+  /// one kFaultHintBatch-request block at a time as the loop draws the
+  /// stream; closed-loop reads, drawn as the loop runs, reach it by id
+  /// alone.
   const ReadFaultModel* faults = nullptr;
 };
 

@@ -14,14 +14,14 @@
 // stay bit-identical across scheduling policies, workload generators
 // and thread counts.  A null hook is the exact fault-free path.
 //
-// The engines' generation passes (the controller's 64-request blocks,
-// run_traffic's open-loop stream) hand their reads' ids to
-// first_attempt_hints in batches; each read carries its one-byte hint in
-// its request's padding, and at service time the engine calls
-// hinted_outcome(id, hint) once per (host) read, which must equal
-// read_outcome(id).  Only those passes write hints, and run_traffic
-// rewrites a trace's: a wrong hint would change an outcome silently
-// (DESIGN.md §10.3).
+// Both engines draw their open-loop streams in kFaultHintBatch-request
+// blocks (the controller's channels, run_traffic's Poisson and trace
+// streams) and hand each block's read ids to first_attempt_hints; each
+// read carries its one-byte hint in its request's padding, and at
+// service time the engine calls hinted_outcome(id, hint) once per
+// (host) read, which must equal read_outcome(id).  Only those block
+// passes write hints, and run_traffic rewrites a trace's: a wrong hint
+// would change an outcome silently (DESIGN.md §10.3).
 #pragma once
 
 #include <algorithm>

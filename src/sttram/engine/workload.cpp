@@ -10,7 +10,6 @@
 #include "sttram/common/token.hpp"
 #include "sttram/io/csv.hpp"
 #include "sttram/stats/distributions.hpp"
-#include "sttram/stats/rng.hpp"
 
 namespace sttram::engine {
 namespace {
@@ -29,27 +28,28 @@ bool parse_op(const std::string& field, Op& op) {
 
 }  // namespace
 
-std::vector<Request> generate_poisson_workload(
-    const PoissonWorkloadConfig& config) {
-  require(config.mean_interarrival.value() > 0.0,
-          "generate_poisson_workload: mean_interarrival must be > 0");
-  require(config.banks > 0, "generate_poisson_workload: banks must be > 0");
-  require(config.read_fraction >= 0.0 && config.read_fraction <= 1.0,
-          "generate_poisson_workload: read_fraction must be in [0, 1]");
-  Xoshiro256 rng(config.seed);
-  std::vector<Request> out;
-  out.reserve(config.requests);
-  double clock = 0.0;
-  for (std::size_t k = 0; k < config.requests; ++k) {
-    clock += sample_exponential(rng, config.mean_interarrival.value());
-    Request r;
-    r.id = k;
-    r.arrival = Second(clock);
-    r.op = rng.next_double() < config.read_fraction ? Op::kRead : Op::kWrite;
-    r.bank = static_cast<std::uint32_t>(rng.next_u64() % config.banks);
-    out.push_back(r);
+PoissonWorkload::PoissonWorkload(const PoissonWorkloadConfig& config)
+    : rng_(config.seed),
+      mean_interarrival_(config.mean_interarrival.value()),
+      read_fraction_(config.read_fraction),
+      banks_(config.banks) {
+  require(mean_interarrival_ > 0.0,
+          "PoissonWorkload: mean_interarrival must be > 0");
+  require(banks_ > 0, "PoissonWorkload: banks must be > 0");
+  require(read_fraction_ >= 0.0 && read_fraction_ <= 1.0,
+          "PoissonWorkload: read_fraction must be in [0, 1]");
+}
+
+void PoissonWorkload::fill(std::size_t count, Request* out) {
+  for (std::size_t k = 0; k < count; ++k) {
+    clock_ += sample_exponential(rng_, mean_interarrival_);
+    Request& r = out[k];
+    r = Request{};
+    r.id = next_id_++;
+    r.arrival = Second(clock_);
+    r.op = rng_.next_double() < read_fraction_ ? Op::kRead : Op::kWrite;
+    r.bank = static_cast<std::uint32_t>(rng_.next_u64() % banks_);
   }
-  return out;
 }
 
 std::vector<Request> load_trace_csv(std::istream& in) {

@@ -1,5 +1,7 @@
 #include "sttram/obs/metrics.hpp"
 
+#include <sys/resource.h>
+
 #include <fstream>
 
 #include "sttram/common/error.hpp"
@@ -185,6 +187,31 @@ void Registry::reset() {
   for (auto& [name, h] : histograms_) h->reset();
 }
 
+namespace {
+
+double seconds(const timeval& t) {
+  return static_cast<double>(t.tv_sec) + 1e-6 * static_cast<double>(t.tv_usec);
+}
+
+/// What the kernel did for the process so far, from one
+/// getrusage(RUSAGE_SELF) read: page faults served without I/O, waits
+/// that gave up the CPU, CPU time in user and kernel mode, and the
+/// resident-set high-water mark (Linux reports KiB).
+Json process_usage() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  Json j = Json::object();
+  j.set("minor_faults", Json::integer(usage.ru_minflt));
+  j.set("voluntary_switches", Json::integer(usage.ru_nvcsw));
+  j.set("user_seconds", Json::number(seconds(usage.ru_utime)));
+  j.set("system_seconds", Json::number(seconds(usage.ru_stime)));
+  j.set("peak_rss_mb",
+        Json::number(static_cast<double>(usage.ru_maxrss) / 1024.0));
+  return j;
+}
+
+}  // namespace
+
 void write_metrics_json(const std::string& path, const Json& provenance) {
   std::ofstream out(path);
   if (!out) throw Error("write_metrics_json: cannot open '" + path + "'");
@@ -193,6 +220,7 @@ void write_metrics_json(const std::string& path, const Json& provenance) {
   Json doc = Registry::instance().to_json();
   doc.set("profile", Profiler::instance().to_json());
   doc.set("provenance", provenance);
+  doc.set("process", process_usage());
   out << doc.dump(2) << '\n';
 }
 

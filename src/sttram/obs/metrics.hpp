@@ -134,8 +134,10 @@ class Registry {
 
 /// Dumps the registry and the phase profile to `path` as pretty-printed
 /// JSON, with `provenance` (where the numbers came from: build, host,
-/// command line) under that key.  Throws sttram::Error when the file
-/// cannot be written.
+/// command line) under that key and a `process` object (the process's
+/// minor faults, voluntary context switches, user and system CPU seconds
+/// and peak RSS so far).  Throws sttram::Error when the file cannot be
+/// written.
 void write_metrics_json(const std::string& path, const Json& provenance);
 
 }  // namespace sttram::obs

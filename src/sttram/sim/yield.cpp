@@ -22,6 +22,10 @@ namespace {
 /// holds 8 doubles per cell: 1 MiB at this size, whatever the array.
 constexpr std::size_t kWindowCells = 16384;
 
+/// The two window buffers, kept per calling thread across runs
+/// (DESIGN.md §9.3): at most 2 MiB a thread, freed when it exits.
+using WindowBuffers = std::array<YieldMarginsSoA, 2>;
+
 /// The record's margin moments, kept across windows: group s holds
 /// scheme s's SM0 accumulator in lane 0 and its SM1 accumulator in lane 1.
 using MarginLanes = std::array<WelfordLanes<2>, kSchemeCount>;
@@ -165,7 +169,10 @@ YieldResult run_yield_batched(const YieldConfig& config,
   // (common/parallel.hpp states both patterns).
   const Xoshiro256 cell_master(config.seed);
   const std::size_t windows = (cells + kWindowCells - 1) / kWindowCells;
-  std::array<YieldMarginsSoA, 2> buffers;
+  // Bound here, on the calling thread: a pool worker naming the
+  // thread_local inside `step` would get its own empty pair.
+  thread_local WindowBuffers t_buffers;
+  WindowBuffers& buffers = t_buffers;
   SerialExecutor serial;
   ParallelExecutor& exec = executor != nullptr ? *executor : serial;
   constexpr double kInf = std::numeric_limits<double>::infinity();

@@ -105,8 +105,9 @@ struct YieldResult {
 };
 
 /// Runs the full experiment.  Deterministic for a given config.  The
-/// array is swept in windows of 16 Ki cells through two reused margin
-/// buffers (at most 2 MiB, whatever the array size): every chunk of
+/// array is swept in windows of 16 Ki cells through two margin buffers
+/// kept per calling thread across runs (at most 2 MiB, whatever the
+/// array size, freed when the thread exits): every chunk of
 /// `executor` claims 64-cell blocks of the current window from a shared
 /// counter, while chunk 0 first records the previous window serially in
 /// row-major order.  The record overlaps sampling, and the result is

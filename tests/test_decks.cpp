@@ -90,9 +90,10 @@ TEST(Decks, MtjIvSweep) {
 // point count and last point, else the one DC operating point; and the
 // solver counters' deltas.  These decks run the LU at orders 1, 3 and 5
 // (the run-time-order body; the read circuits' orders 7 and 8 are
-// pinned by SpiceRead.OutputsAreBitPinned), and read_phase2.sp is the
-// one bundled adaptive transient (at its tolerance it grows its step
-// and rejects none).
+// pinned by SpiceRead.OutputsAreBitPinned).  Two are adaptive
+// transients: read_phase2.sp only grows its step, and rc_edge.sp's
+// ramp end breaks the linear predictor, so it rejects steps and pins
+// run_transient's halving of a rejected one.
 struct PinnedDeck {
   const char* file;
   std::size_t samples;
@@ -119,6 +120,9 @@ const PinnedDeck kPinnedDecks[] = {
      {0x1.300a63374091p-1, 0x1.b600595d5a3cep-3, 0x1.3333333333333p+0,
       0x1.3009ff969b8cfp-2, -0x1.51c51ce3718e1p-40},
      {119, 56, 119, 55, 0}},
+    {"rc_edge.sp", 365,
+     {0x1p+0, 0x1.e568b47aee348p-1, -0x1.b3aab931b765p-15},
+     {381, 381, 381, 364, 16}},
 };
 
 TEST(Decks, OutputsAreBitPinned) {
@@ -169,7 +173,7 @@ TEST(Decks, OutputsAreBitPinned) {
     EXPECT_TRUE(same) << want.file << " now reads\n" << row.str();
   }
   obs::set_metrics_enabled(false);
-  EXPECT_EQ(std::size(kPinnedDecks), 4u);
+  EXPECT_EQ(std::size(kPinnedDecks), 5u);
 }
 
 }  // namespace

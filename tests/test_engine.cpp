@@ -3,6 +3,7 @@
 // cross-validation against the analytic M/D/1 model in sim/throughput.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -539,12 +540,11 @@ TEST(RunTrafficTest, KeepCompletionsRecordsFullSchedule) {
 
 TEST(TraceWorkload, CsvRoundTripReplaysExactly) {
   engine::PoissonWorkloadConfig gen;
-  gen.requests = 200;
   gen.mean_interarrival = Second(5e-9);
   gen.banks = 3;
   gen.seed = 4;
-  const std::vector<Request> original =
-      engine::generate_poisson_workload(gen);
+  std::vector<Request> original(200);
+  engine::PoissonWorkload(gen).fill(original.size(), original.data());
 
   std::stringstream csv;
   write_trace_csv(csv, original);
@@ -562,6 +562,37 @@ TEST(TraceWorkload, CsvRoundTripReplaysExactly) {
   cfg.trace = loaded;
   const TrafficReport replayed = engine::run_traffic(cfg);
   EXPECT_EQ(replayed.requests, original.size());
+}
+
+TEST(TraceWorkload, OutOfOrderTraceReplaysAsItsSortedForm) {
+  // An arrival-sorted trace is replayed in place, any other through a
+  // sorted copy; both must reach the banks in the same order.
+  engine::PoissonWorkloadConfig gen;
+  gen.mean_interarrival = Second(5e-9);
+  gen.banks = 3;
+  gen.seed = 9;
+  std::vector<Request> in_order(300);
+  engine::PoissonWorkload(gen).fill(in_order.size(), in_order.data());
+  std::vector<Request> shuffled(in_order.rbegin(), in_order.rend());
+  std::rotate(shuffled.begin(), shuffled.begin() + 100, shuffled.end());
+
+  TrafficConfig cfg;
+  cfg.banks = 3;
+  cfg.workload = WorkloadKind::kTrace;
+  cfg.keep_completions = true;
+  cfg.trace = in_order;
+  const TrafficReport a = engine::run_traffic(cfg);
+  cfg.trace = shuffled;
+  const TrafficReport b = engine::run_traffic(cfg);
+  ASSERT_EQ(a.completions.size(), in_order.size());
+  ASSERT_EQ(b.completions.size(), in_order.size());
+  for (std::size_t i = 0; i < a.completions.size(); ++i) {
+    EXPECT_EQ(a.completions[i].request.id, b.completions[i].request.id);
+    EXPECT_EQ(a.completions[i].finish.value(),
+              b.completions[i].finish.value());
+  }
+  EXPECT_EQ(a.makespan.value(), b.makespan.value());
+  EXPECT_EQ(a.mean_latency.value(), b.mean_latency.value());
 }
 
 TEST(TraceWorkload, LoaderSkipsHeaderAndSortsByArrival) {
@@ -630,17 +661,28 @@ TEST(TraceWorkload, LoaderParsesNumbersStrictly) {
 
 TEST(TraceWorkload, GeneratorIsDeterministicAndSorted) {
   engine::PoissonWorkloadConfig gen;
-  gen.requests = 1000;
   gen.mean_interarrival = Second(2e-9);
   gen.banks = 4;
   gen.seed = 77;
-  const std::vector<Request> a = engine::generate_poisson_workload(gen);
-  const std::vector<Request> b = engine::generate_poisson_workload(gen);
-  ASSERT_EQ(a.size(), 1000u);
+  std::vector<Request> a(1000);
+  engine::PoissonWorkload(gen).fill(a.size(), a.data());
+  // Any block split draws the same stream: blocks of 1, 2, ..., with
+  // stale bytes in the buffer each fill overwrites.
+  std::vector<Request> b(a.size());
+  for (Request& r : b) r.fault_hint = 0xa5;
+  engine::PoissonWorkload blocks(gen);
+  for (std::size_t first = 0, count = 1; first < b.size(); ++count) {
+    count = std::min(count, b.size() - first);
+    blocks.fill(count, b.data() + first);
+    first += count;
+  }
   for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, i);
+    EXPECT_EQ(b[i].id, i);
     EXPECT_EQ(a[i].arrival.value(), b[i].arrival.value());
     EXPECT_EQ(a[i].op, b[i].op);
     EXPECT_EQ(a[i].bank, b[i].bank);
+    EXPECT_EQ(b[i].fault_hint, engine::kNoFaultHint);
     if (i > 0) {
       EXPECT_GE(a[i].arrival.value(), a[i - 1].arrival.value());
     }

@@ -121,12 +121,12 @@ std::vector<TrafficConfig> traffic_configs() {
     c.clients = 6;
     if (kind == WorkloadKind::kTrace) {
       PoissonWorkloadConfig gen;
-      gen.requests = 5000;
       gen.mean_interarrival = Second(4e-9);
       gen.read_fraction = 0.6;
       gen.banks = c.banks;
       gen.seed = 8;
-      c.trace = generate_poisson_workload(gen);
+      c.trace.resize(5000);
+      PoissonWorkload(gen).fill(c.trace.size(), c.trace.data());
     }
     out.push_back(c);
   }

@@ -353,12 +353,12 @@ TEST(TrafficFaultHook, TraceHintBytesAreNeverTrusted) {
   tc.seed = 5;
   tc.workload = engine::WorkloadKind::kTrace;
   engine::PoissonWorkloadConfig gen;
-  gen.requests = tc.requests;
   gen.mean_interarrival = Second(5e-9);
   gen.read_fraction = tc.read_fraction;
   gen.banks = tc.banks;
   gen.seed = 5;
-  tc.trace = engine::generate_poisson_workload(gen);
+  tc.trace.resize(tc.requests);
+  engine::PoissonWorkload(gen).fill(tc.trace.size(), tc.trace.data());
   SplitMix64 garbage(3);
   for (engine::Request& r : tc.trace) {
     r.fault_hint = static_cast<std::uint8_t>(garbage.next_u64());

@@ -607,6 +607,16 @@ TEST_F(ObsTest, MetricsJsonExportIncludesHistogramsAndProfile) {
             "test.export_phase");
   EXPECT_EQ(doc.at("provenance").at("git_sha").as_string(), "abc1234");
   EXPECT_FALSE(doc.contains("timers"));
+  // The kernel's share of the run, beside where the numbers came from.
+  ASSERT_TRUE(doc.contains("process"));
+  const Json& process = doc.at("process");
+  EXPECT_EQ(process.size(), 5u);
+  for (const char* key : {"minor_faults", "voluntary_switches",
+                          "user_seconds", "system_seconds", "peak_rss_mb"}) {
+    ASSERT_TRUE(process.contains(key)) << key;
+    EXPECT_GE(process.at(key).as_number(), 0.0) << key;
+  }
+  EXPECT_GT(process.at("peak_rss_mb").as_number(), 0.0);
 }
 
 // The Fig. 9 phases record latency in seconds and energy in pJ: a
