@@ -6,7 +6,7 @@
 // rebuilds heap-allocated scheme objects per cell), measured in-process
 // on the same pre-sampled 16-kb population so the ratio is
 // machine-independent.  End-to-end yield and tail throughput ride along,
-// plus the batched Simmons Newton and the operating-point cache hit rate.
+// plus the operating-point cache hit rate.
 //
 // The batched kernels dispatch on active_simd_isa(); this bench times
 // every ISA the host supports (forced via set_simd_isa_override, bitwise
@@ -235,22 +235,6 @@ int main() {
               tail_trials, tail_s,
               static_cast<double>(tail_trials) / tail_s,
               te.estimate.probability);
-
-  // --- batched Simmons Newton ----------------------------------------
-  const SimmonsRiModel simmons = SimmonsRiModel::calibrated_to(nominal);
-  std::vector<double> currents(4096);
-  for (std::size_t k = 0; k < currents.size(); ++k) {
-    currents[k] = 1e-7 + 1.5e-8 * static_cast<double>(k);
-  }
-  std::vector<double> v_out(currents.size());
-  const double simmons_s = best_of(5, [&] {
-    simmons.bias_voltage_batch(MtjState::kAntiParallel, currents.data(),
-                               currents.size(), v_out.data());
-  });
-  const double simmons_rate =
-      static_cast<double>(currents.size()) / simmons_s;
-  std::printf("Simmons Newton (batched): %.3g solves/sec\n\n",
-              simmons_rate);
 
   // --- claims ---------------------------------------------------------
   std::printf("Claims:\n");

@@ -9,7 +9,6 @@
 
 #include "sttram/common/simd.hpp"
 #include "sttram/device/mtj_params.hpp"
-#include "sttram/device/ri_curve.hpp"
 #include "sttram/device/variation.hpp"
 #include "sttram/sense/margins.hpp"
 #include "sttram/sense/margins_batch.hpp"
@@ -167,34 +166,6 @@ void BM_BatchedMarginSolve(benchmark::State& state) {
   state.SetLabel(simd_isa_name(isa));
 }
 BENCHMARK(BM_BatchedMarginSolve)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
-
-/// Batched Simmons Newton over 4096 currents, forced per ISA.
-void BM_SimmonsNewtonBatch(benchmark::State& state) {
-  const SimdIsa isa = static_cast<SimdIsa>(state.range(0));
-  if (!simd_isa_supported(isa)) {
-    state.SkipWithError("ISA not supported on this host");
-    return;
-  }
-  const SimmonsRiModel simmons =
-      SimmonsRiModel::calibrated_to(MtjParams::paper_calibrated());
-  std::vector<double> currents(4096);
-  for (std::size_t k = 0; k < currents.size(); ++k) {
-    currents[k] = 1e-7 + 1.5e-8 * static_cast<double>(k);
-  }
-  std::vector<double> v_out(currents.size());
-  set_simd_isa_override(isa);
-  for (auto _ : state) {
-    simmons.bias_voltage_batch(MtjState::kAntiParallel, currents.data(),
-                               currents.size(), v_out.data());
-    benchmark::DoNotOptimize(v_out.data());
-    benchmark::ClobberMemory();
-  }
-  clear_simd_isa_override();
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(currents.size()));
-  state.SetLabel(simd_isa_name(isa));
-}
-BENCHMARK(BM_SimmonsNewtonBatch)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
 
 }  // namespace
 

@@ -4,19 +4,8 @@
 #include <cmath>
 
 #include "sttram/common/error.hpp"
-#include "sttram/common/simd.hpp"
-#include "sttram/device/ri_curve_simd.hpp"
 
 namespace sttram {
-namespace {
-
-const DeviceSimdKernels& device_kernels() {
-  static const DeviceSimdKernels kW1{&simd_detail::simmons_newton_simd<1>};
-  return pick_simd_table(active_simd_isa(), &kW1, device_simd_kernels_w2(),
-                         device_simd_kernels_w4(), device_simd_kernels_w8());
-}
-
-}  // namespace
 
 double RiModel::tmr(Ampere i) const {
   const Ohm r_p = resistance(MtjState::kParallel, i);
@@ -96,17 +85,6 @@ Ohm SimmonsRiModel::resistance(MtjState state, Ampere i) const {
 
 std::unique_ptr<RiModel> SimmonsRiModel::clone() const {
   return std::make_unique<SimmonsRiModel>(*this);
-}
-
-void SimmonsRiModel::bias_voltage_batch(MtjState state, const double* i_amps,
-                                        std::size_t n, double* v_out) const {
-  const double r0 = (state == MtjState::kParallel ? params_.r_low0
-                                                  : params_.r_high0)
-                        .value();
-  const double vh = (state == MtjState::kParallel ? params_.v_half_low
-                                                  : params_.v_half_high)
-                        .value();
-  device_kernels().simmons_newton(r0, vh, i_amps, n, v_out);
 }
 
 SimmonsRiModel SimmonsRiModel::calibrated_to(const MtjParams& calib) {

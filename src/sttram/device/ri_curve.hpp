@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstddef>
 #include <memory>
 
 #include "sttram/common/numeric.hpp"
@@ -100,14 +99,6 @@ class SimmonsRiModel final : public RiModel {
 
   /// Bias voltage across the junction in `state` at forced current `i`.
   [[nodiscard]] Volt bias_voltage(MtjState state, Ampere i) const;
-
-  /// Batched Newton: solves all `n` lanes of `i_amps` [A] together, one
-  /// iteration across the still-unconverged lanes per pass with
-  /// per-lane convergence masks.  Each lane runs exactly the scalar
-  /// bias_voltage() iteration sequence (same start, same step, same
-  /// stopping test), so results are bit-identical per lane.
-  void bias_voltage_batch(MtjState state, const double* i_amps,
-                          std::size_t n, double* v_out) const;
 
  private:
   Params params_;

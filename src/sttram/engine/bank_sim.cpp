@@ -6,23 +6,11 @@
 #include "sttram/engine/workload.hpp"
 #include "sttram/obs/metrics.hpp"
 #include "sttram/obs/profile.hpp"
-#include "sttram/sim/throughput.hpp"
 #include "sttram/stats/distributions.hpp"
 #include "sttram/stats/rng.hpp"
 #include "sttram/stats/summary.hpp"
 
 namespace sttram::engine {
-
-BankTiming scheme_bank_timing(SchemeId scheme,
-                              const CostComparisonConfig& cost) {
-  const SchemeCost read = scheme_cost(scheme, cost);
-  BankTiming t;
-  t.read_service = read.worst_latency();
-  t.read_energy = read.worst_energy();
-  t.write_service = write_service_time(cost.timing);
-  t.write_energy = write_access_energy(cost);
-  return t;
-}
 
 BankController::BankController(std::size_t banks, SchedulingPolicy policy,
                                const BankTiming& timing,
@@ -47,14 +35,7 @@ void BankController::start_service(Bank& bank, const Request& request,
     const ReadFaultOutcome outcome =
         faults_->hinted_outcome(request.id, request.fault_hint);
     service += outcome.extra_latency;
-    if (outcome.raw_bit_errors > 0) ++fault_stats_.faulty_reads;
-    fault_stats_.retries += outcome.attempts - 1;
-    fault_stats_.raw_bit_errors += outcome.raw_bit_errors;
-    if (outcome.corrected) ++fault_stats_.corrected_words;
-    if (outcome.uncorrectable) ++fault_stats_.uncorrectable_words;
-    if (outcome.silent) ++fault_stats_.silent_corruptions;
-    fault_stats_.extra_latency += outcome.extra_latency;
-    fault_stats_.extra_energy += outcome.extra_energy;
+    fault_stats_.add(outcome);
   }
   bank.busy = true;
   bank.current = request;
@@ -202,16 +183,16 @@ void simulate_closed_loop(const TrafficConfig& config,
     Xoshiro256 rng;
     double next_issue = 0.0;
     bool blocked = false;
+    std::uint64_t outstanding = 0;  ///< id of its request while blocked
   };
   std::vector<Client> clients;
   clients.reserve(config.clients);
   for (std::size_t c = 0; c < config.clients; ++c) {
-    Client client{master.fork(c), 0.0, false};
+    Client client{master.fork(c), 0.0, false, 0};
     client.next_issue =
         sample_exponential(client.rng, config.think_time.value());
     clients.push_back(std::move(client));
   }
-  std::vector<std::uint32_t> client_of(config.requests, 0);
 
   std::size_t issued = 0;
   std::size_t completed = 0;
@@ -234,7 +215,14 @@ void simulate_closed_loop(const TrafficConfig& config,
       const CompletedRequest done = controller.step();
       acc.record(done);
       ++completed;
-      Client& owner = clients[client_of[done.request.id]];
+      // Each client has at most one request outstanding, so the blocked
+      // client holding this id is its owner.
+      std::size_t c = 0;
+      while (!clients[c].blocked ||
+             clients[c].outstanding != done.request.id) {
+        ++c;
+      }
+      Client& owner = clients[c];
       owner.blocked = false;
       owner.next_issue =
           done.finish.value() +
@@ -249,7 +237,7 @@ void simulate_closed_loop(const TrafficConfig& config,
                                                              : Op::kWrite;
       r.bank =
           static_cast<std::uint32_t>(client.rng.next_u64() % config.banks);
-      client_of[issued] = static_cast<std::uint32_t>(ready);
+      client.outstanding = r.id;
       client.blocked = true;
       controller.submit(r);
       ++issued;
@@ -268,7 +256,6 @@ TrafficReport run_traffic(const TrafficConfig& config) {
 
   BankTiming timing;
   PoissonWorkloadConfig poisson;
-  std::vector<Request> sorted;  // an out-of-order trace, sorted
   {
     STTRAM_OBS_SCOPE("traffic.workload");
     timing = scheme_bank_timing(config.scheme, config.cost);
@@ -288,23 +275,21 @@ TrafficReport run_traffic(const TrafficConfig& config) {
       poisson.seed = config.seed;
     } else if (config.workload == WorkloadKind::kTrace) {
       require(!config.trace.empty(), "run_traffic: trace workload is empty");
-      for (const Request& r : config.trace) {
-        require(r.bank < config.banks,
+      // The trace is replayed in place, so it must be in arrival order;
+      // load_trace_csv sorts the traces it reads.
+      const std::vector<Request>& trace = config.trace;
+      for (std::size_t k = 0; k < trace.size(); ++k) {
+        require(trace[k].bank < config.banks,
                 "run_traffic: trace bank index out of range");
-      }
-      // A trace already in arrival order (load_trace_csv's are) is
-      // replayed in place; stable-sorting it would change nothing.
-      const auto by_arrival = [](const Request& a, const Request& b) {
-        return a.arrival < b.arrival;
-      };
-      if (!std::is_sorted(config.trace.begin(), config.trace.end(),
-                          by_arrival)) {
-        sorted = config.trace;
-        std::stable_sort(sorted.begin(), sorted.end(), by_arrival);
+        if (k > 0 && trace[k].arrival < trace[k - 1].arrival) {
+          throw InvalidArgument(
+              "run_traffic: trace request " + std::to_string(k) +
+              " arrives before request " + std::to_string(k - 1) +
+              " (sort it by arrival, as load_trace_csv does)");
+        }
       }
     }
   }
-  const std::vector<Request>& trace = sorted.empty() ? config.trace : sorted;
 
   BankController controller(config.banks, config.policy, timing,
                             config.faults);
@@ -312,7 +297,7 @@ TrafficReport run_traffic(const TrafficConfig& config) {
   acc.keep = config.keep_completions;
   if (acc.keep) {
     acc.completions.reserve(config.workload == WorkloadKind::kTrace
-                                ? trace.size()
+                                ? config.trace.size()
                                 : config.requests);
   }
 
@@ -324,9 +309,9 @@ TrafficReport run_traffic(const TrafficConfig& config) {
       // The hint pass rewrites every read's hint, so none of a
       // caller-built trace's bytes survives.
       simulate_open_loop(
-          trace.size(),
+          config.trace.size(),
           [&](std::size_t first, std::size_t count, Request* out) {
-            std::copy_n(trace.data() + first, count, out);
+            std::copy_n(config.trace.data() + first, count, out);
           },
           config.faults, controller, acc);
     } else {
@@ -405,15 +390,7 @@ TrafficReport run_traffic(const TrafficConfig& config) {
   STTRAM_OBS_SET_GAUGE("engine.queue_depth", report.peak_queue_depth);
   STTRAM_OBS_SET_GAUGE("engine.bank_utilization",
                        report.avg_bank_utilization);
-  if (report.faults_enabled) {
-    STTRAM_OBS_ADD("fault.retries", report.faults.retries);
-    STTRAM_OBS_ADD("fault.raw_bit_errors", report.faults.raw_bit_errors);
-    STTRAM_OBS_ADD("fault.ecc_corrected", report.faults.corrected_words);
-    STTRAM_OBS_ADD("fault.ecc_uncorrectable",
-                   report.faults.uncorrectable_words);
-    STTRAM_OBS_ADD("fault.silent_corruptions",
-                   report.faults.silent_corruptions);
-  }
+  if (report.faults_enabled) publish_fault_counters(report.faults);
   return report;
 }
 

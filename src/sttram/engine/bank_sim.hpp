@@ -18,26 +18,13 @@
 #include <vector>
 
 #include "sttram/common/units.hpp"
+#include "sttram/engine/controller/command.hpp"
 #include "sttram/engine/fault_hook.hpp"
 #include "sttram/engine/request.hpp"
 #include "sttram/obs/histogram.hpp"
 #include "sttram/sim/timing_energy.hpp"
 
 namespace sttram::engine {
-
-/// Per-request bank occupancy and energy of one scheme, taken from the
-/// calibrated executable read operations (worst case over the stored
-/// value) plus the scheme-independent write path.
-struct BankTiming {
-  Second read_service{0.0};
-  Second write_service{0.0};
-  Joule read_energy{0.0};
-  Joule write_energy{0.0};
-};
-
-/// Throws InvalidArgument for a scheme without a read flow.
-BankTiming scheme_bank_timing(SchemeId scheme,
-                              const CostComparisonConfig& cost);
 
 /// N banks of one scheme driven by an external event loop.  The caller
 /// must interleave submit() and step() in global time order: only
@@ -125,7 +112,9 @@ struct TrafficConfig {
   /// Closed loop: client population and mean (exponential) think time.
   std::size_t clients = 8;
   Second think_time{50e-9};
-  /// Trace replay (workload == kTrace); see load_trace_csv().
+  /// Trace replay (workload == kTrace), in arrival order: run_traffic
+  /// replays it in place and refuses any other order.  load_trace_csv()
+  /// sorts what it reads.
   std::vector<Request> trace;
   /// Retain the per-request completion records in the report.
   bool keep_completions = false;

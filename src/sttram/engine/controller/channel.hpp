@@ -262,14 +262,7 @@ inline void ChannelSim::start_service(std::size_t b, Entry&& entry,
     const ReadFaultOutcome outcome =
         config_.faults->hinted_outcome(r.id, r.fault_hint);
     service += outcome.extra_latency.value();
-    if (outcome.raw_bit_errors > 0) ++stats_.faults.faulty_reads;
-    stats_.faults.retries += outcome.attempts - 1;
-    stats_.faults.raw_bit_errors += outcome.raw_bit_errors;
-    if (outcome.corrected) ++stats_.faults.corrected_words;
-    if (outcome.uncorrectable) ++stats_.faults.uncorrectable_words;
-    if (outcome.silent) ++stats_.faults.silent_corruptions;
-    stats_.faults.extra_latency += outcome.extra_latency;
-    stats_.faults.extra_energy += outcome.extra_energy;
+    stats_.faults.add(outcome);
     stats_.energy_j += outcome.extra_energy.value();
   }
   bank.open_row = static_cast<std::int64_t>(r.row);

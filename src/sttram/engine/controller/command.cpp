@@ -6,6 +6,21 @@
 #include "sttram/common/error.hpp"
 #include "sttram/sim/throughput.hpp"
 
+namespace sttram::engine {
+
+BankTiming scheme_bank_timing(SchemeId scheme,
+                              const CostComparisonConfig& cost) {
+  const SchemeCost read = scheme_cost(scheme, cost);
+  BankTiming t;
+  t.read_service = read.worst_latency();
+  t.read_energy = read.worst_energy();
+  t.write_service = write_service_time(cost.timing);
+  t.write_energy = write_access_energy(cost);
+  return t;
+}
+
+}  // namespace sttram::engine
+
 namespace sttram::engine::controller {
 
 CommandTiming scheme_command_timing(SchemeId scheme,

@@ -16,9 +16,11 @@
 //    bit-line precharge time.  A row hit skips both; a row miss pays
 //    ACT; a row conflict pays PRE + ACT.
 //
-// Two granularities share the derivation: CommandTiming is the
-// collapsed per-scheme table the hot scheduling loop uses (pure
-// arithmetic, no per-command event objects), while
+// Three granularities share the derivation: BankTiming is the flat
+// per-access occupancy and energy (what the bank simulator charges and
+// a fault retry costs), CommandTiming is the collapsed per-scheme table
+// the hot scheduling loop uses (pure arithmetic, no per-command event
+// objects), while
 // read_command_sequence() expands one access into labelled, offset
 // Commands by executing the scheme's read operation on a nominal cell —
 // the source of the DESIGN.md §13 timing diagrams and the
@@ -30,8 +32,26 @@
 #include <vector>
 
 #include "sttram/common/units.hpp"
-#include "sttram/engine/bank_sim.hpp"
 #include "sttram/sim/timing_energy.hpp"
+
+namespace sttram::engine {
+
+/// Per-request bank occupancy and energy of one scheme, taken from the
+/// calibrated executable read operations (worst case over the stored
+/// value) plus the scheme-independent write path: what a bank is
+/// charged per access when row management is not modelled.
+struct BankTiming {
+  Second read_service{0.0};
+  Second write_service{0.0};
+  Joule read_energy{0.0};
+  Joule write_energy{0.0};
+};
+
+/// Throws InvalidArgument for a scheme without a read flow.
+BankTiming scheme_bank_timing(SchemeId scheme,
+                              const CostComparisonConfig& cost);
+
+}  // namespace sttram::engine
 
 namespace sttram::engine::controller {
 

@@ -199,18 +199,6 @@ void run_channel(const ControllerConfig& config, const CommandTiming& timing,
   out = sim.stats();
 }
 
-void merge_fault_stats(TrafficFaultStats& into,
-                       const TrafficFaultStats& from) {
-  into.faulty_reads += from.faulty_reads;
-  into.retries += from.retries;
-  into.raw_bit_errors += from.raw_bit_errors;
-  into.corrected_words += from.corrected_words;
-  into.uncorrectable_words += from.uncorrectable_words;
-  into.silent_corruptions += from.silent_corruptions;
-  into.extra_latency += from.extra_latency;
-  into.extra_energy += from.extra_energy;
-}
-
 }  // namespace
 
 std::uint64_t bernoulli_threshold32(double p) {
@@ -330,7 +318,7 @@ ControllerReport run_controller_traffic(const ControllerConfig& config,
     latency_sum += s.latency_sum;
     queue_wait_sum += s.queue_wait_sum;
     report.latency_hist.merge(s.latency_hist);
-    merge_fault_stats(report.faults, s.faults);
+    report.faults += s.faults;
     report.channel.push_back(std::move(ch));
   }
 
@@ -378,15 +366,7 @@ ControllerReport run_controller_traffic(const ControllerConfig& config,
   STTRAM_OBS_SET_GAUGE("controller.row_hit_rate", report.row_hit_rate);
   STTRAM_OBS_SET_GAUGE("controller.bandwidth_mbps",
                        report.total_bandwidth_mbps);
-  if (report.faults_enabled) {
-    STTRAM_OBS_ADD("fault.retries", report.faults.retries);
-    STTRAM_OBS_ADD("fault.raw_bit_errors", report.faults.raw_bit_errors);
-    STTRAM_OBS_ADD("fault.ecc_corrected", report.faults.corrected_words);
-    STTRAM_OBS_ADD("fault.ecc_uncorrectable",
-                   report.faults.uncorrectable_words);
-    STTRAM_OBS_ADD("fault.silent_corruptions",
-                   report.faults.silent_corruptions);
-  }
+  if (report.faults_enabled) publish_fault_counters(report.faults);
   return report;
 }
 

@@ -106,6 +106,36 @@ struct TrafficFaultStats {
   std::uint64_t silent_corruptions = 0;   ///< undetected wrong data
   Second extra_latency{0.0};  ///< total retry + ECC bank occupancy
   Joule extra_energy{0.0};    ///< total retry + ECC energy
+
+  /// Tallies one read's outcome.
+  void add(const ReadFaultOutcome& outcome) {
+    if (outcome.raw_bit_errors > 0) ++faulty_reads;
+    retries += outcome.attempts - 1;
+    raw_bit_errors += outcome.raw_bit_errors;
+    if (outcome.corrected) ++corrected_words;
+    if (outcome.uncorrectable) ++uncorrectable_words;
+    if (outcome.silent) ++silent_corruptions;
+    extra_latency += outcome.extra_latency;
+    extra_energy += outcome.extra_energy;
+  }
+
+  TrafficFaultStats& operator+=(const TrafficFaultStats& other) {
+    faulty_reads += other.faulty_reads;
+    retries += other.retries;
+    raw_bit_errors += other.raw_bit_errors;
+    corrected_words += other.corrected_words;
+    uncorrectable_words += other.uncorrectable_words;
+    silent_corruptions += other.silent_corruptions;
+    extra_latency += other.extra_latency;
+    extra_energy += other.extra_energy;
+    return *this;
+  }
 };
+
+/// Adds a run's totals to the `fault.retries`, `fault.raw_bit_errors`,
+/// `fault.ecc_corrected`, `fault.ecc_uncorrectable` and
+/// `fault.silent_corruptions` counters (nothing while metrics are off).
+/// Both traffic engines publish through it.
+void publish_fault_counters(const TrafficFaultStats& stats);
 
 }  // namespace sttram::engine

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sttram/common/error.hpp"
+#include "sttram/engine/controller/command.hpp"
 #include "sttram/stats/batch.hpp"
 
 namespace sttram::fault {

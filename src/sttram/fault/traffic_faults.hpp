@@ -20,9 +20,9 @@
 #include <cstdint>
 #include <memory>
 
-#include "sttram/engine/bank_sim.hpp"
 #include "sttram/engine/fault_hook.hpp"
 #include "sttram/fault/ecc.hpp"
+#include "sttram/sim/timing_energy.hpp"
 #include "sttram/stats/rng.hpp"
 
 namespace sttram::fault {

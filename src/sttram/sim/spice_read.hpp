@@ -1,6 +1,10 @@
-// Circuit-level (MNA) simulation of the nondestructive self-reference
-// read — the paper's Fig. 10 experiment, including the unselected-cell
-// leakage and the high-impedance voltage divider.
+// Circuit-level (MNA) simulation of the two self-reference reads of one
+// 1T1J cell: the nondestructive read of Figs. 5 and 10, with its
+// high-impedance voltage divider, and the conventional destructive read
+// of Fig. 3.  Both run on one netlist builder for what they share (bit
+// line, cell, access NMOS, word line, unselected-cell leakage, C1
+// sampling path); each read adds only its own drive, word-line schedule
+// and comparator tail.
 #pragma once
 
 #include <cstddef>
@@ -13,32 +17,41 @@
 
 namespace sttram {
 
-/// Netlist + schedule parameters of the circuit-level read.
-struct SpiceReadConfig {
+/// The device and schedule fields both circuit-level reads share: one
+/// 1T1J cell at the far end of a lumped bit line, its access NMOS and
+/// word line, the unselected cells' leakage, and the switch SLT1 that
+/// samples the first read's bit-line voltage onto C1.
+struct SpiceCellConfig {
   MtjParams mtj = MtjParams::paper_calibrated();
   MtjState state = MtjState::kAntiParallel;  ///< stored value under test
   SelfRefConfig selfref{};
-  double beta = 0.0;              ///< 0 = paper_beta() of the nominal device
+  /// 0 = the scheme's equal-margin optimum against the circuit's access
+  /// path (level-1 NMOS + bit-line wire): the paper's testing-stage trim.
+  double beta = 0.0;
   // Schedule (times in seconds).
   double t_wl_on = 1e-9;          ///< word line asserted
   double t_read1_on = 1e-9;      ///< I1 + SLT1 on
   double t_read1_off = 8e-9;     ///< SLT1 opens (V_BL1 held on C1)
+  double dt = 2.5e-11;           ///< transient step
+  // Devices.
+  double c_storage = 250e-15;    ///< C1 (and the destructive read's C2)
+  double c_bitline = 192e-15;    ///< lumped BL capacitance (128 cells)
+  double r_bitline = 256.0;      ///< lumped BL wire resistance
+  double r_switch_on = 1e3;      ///< SLT1/SLT2 on-resistance
+  std::size_t unselected_cells = 127;  ///< must be > 0
+  double r_off_per_cell = 50e6;  ///< unselected-cell leakage path
+  double vdd = 1.2;
+  /// The access NMOS is sized for ~917 Ohm on-resistance at vdd gate
+  /// drive.
+  double nmos_vth = 0.45;
+};
+
+/// Netlist + schedule parameters of the nondestructive read (Fig. 5).
+struct SpiceReadConfig : SpiceCellConfig {
   double t_read2_on = 8.5e-9;    ///< I steps to I2, SLT2 closes
   double t_sense = 13.5e-9;      ///< SenEn: comparator decision instant
   double t_stop = 15e-9;         ///< end of simulation
-  double dt = 2.5e-11;           ///< transient step
-  // Devices.
-  double c_storage = 250e-15;    ///< C1
-  double c_bitline = 192e-15;    ///< lumped BL capacitance (128 cells)
-  double r_bitline = 256.0;      ///< lumped BL wire resistance
   double r_divider = 10e6;       ///< each half of the divider
-  double r_switch_on = 1e3;      ///< SLT1/SLT2 on-resistance
-  std::size_t unselected_cells = 127;
-  double r_off_per_cell = 50e6;  ///< unselected-cell leakage path
-  double vdd = 1.2;
-  double nmos_vth = 0.45;
-  /// NMOS beta sized for ~917 Ohm on-resistance at vdd gate drive.
-  double nmos_beta = 0.0;        ///< 0 = derive from 917 Ohm target
 };
 
 /// Outcome of the circuit-level read.
@@ -69,10 +82,9 @@ SpiceReadNodes build_nondestructive_read_circuit(spice::Circuit& circuit,
 /// Runs the transient and evaluates the comparator at t_sense.
 SpiceReadResult simulate_nondestructive_read(const SpiceReadConfig& cfg);
 
-/// The read-current ratio the circuit-level read will use: cfg.beta when
-/// set, otherwise the equal-margin optimum computed against the
-/// circuit's actual access path (level-1 NMOS + bit-line wire) — the
-/// paper's testing-stage trim.
+/// The read-current ratio the nondestructive circuit-level read will
+/// use: cfg.beta when set, otherwise the scheme's trim (SpiceCellConfig::
+/// beta).
 double circuit_tuned_beta(const SpiceReadConfig& cfg);
 
 /// Analytic sense margins of the nondestructive scheme evaluated with
@@ -85,16 +97,11 @@ SenseMargins analytic_margins_for_circuit(const SpiceReadConfig& cfg);
 /// cell with a write pulse, read the erased cell into C2, compare,
 /// write back on demand.  Implemented as segmented transients — the MTJ
 /// element's magnetization state changes at the write-pulse boundaries.
-struct DestructiveSpiceConfig {
-  MtjParams mtj = MtjParams::paper_calibrated();
-  MtjState state = MtjState::kAntiParallel;
-  SelfRefConfig selfref{};
-  double beta = 0.0;             ///< 0 = equal-margin optimum for circuit
+/// Its beta trim is the destructive scheme's against the same access
+/// path.
+struct DestructiveSpiceConfig : SpiceCellConfig {
   double i_write = 750e-6;       ///< erase / write-back pulse amplitude
   // Schedule.
-  double t_wl_on = 1e-9;
-  double t_read1_on = 1e-9;
-  double t_read1_off = 8e-9;     ///< SLT1 opens, V_BL1 held on C1
   double t_erase_on = 8.5e-9;    ///< erase pulse (write 0) begins
   double t_erase_off = 12.5e-9;  ///< 4 ns pulse
   double t_read2_on = 13e-9;     ///< I2 + SLT2, sampled onto C2
@@ -103,16 +110,6 @@ struct DestructiveSpiceConfig {
   double t_writeback_on = 20e-9; ///< conditional restore pulse begins
   double t_writeback_off = 24e-9;
   double t_stop = 25e-9;
-  double dt = 2.5e-11;
-  // Devices (mirrors SpiceReadConfig).
-  double c_storage = 250e-15;
-  double c_bitline = 192e-15;
-  double r_bitline = 256.0;
-  double r_switch_on = 1e3;
-  std::size_t unselected_cells = 127;
-  double r_off_per_cell = 50e6;
-  double vdd = 1.2;
-  double nmos_vth = 0.45;
   /// Boosted word-line level during the erase / write-back pulses — the
   /// access device must carry the ~750 uA write current, far beyond its
   /// read-mode saturation limit.

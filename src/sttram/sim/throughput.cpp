@@ -1,8 +1,6 @@
 #include "sttram/sim/throughput.hpp"
 
 #include "sttram/common/error.hpp"
-#include "sttram/stats/distributions.hpp"
-#include "sttram/stats/rng.hpp"
 
 namespace sttram {
 
@@ -53,29 +51,6 @@ std::vector<BankPerformance> analyze_bank_performance(
     out.push_back(b);
   }
   return out;
-}
-
-Second simulate_bank_latency(const BankPerformance& bank,
-                             const WorkloadParams& workload,
-                             std::size_t accesses, std::uint64_t seed) {
-  require(accesses > 0, "simulate_bank_latency: need at least one access");
-  Xoshiro256 rng(seed);
-  const double mean_interarrival =
-      bank.avg_service.value() / workload.utilization;
-  double now = 0.0;          // arrival clock
-  double bank_free = 0.0;    // when the server frees up
-  double total_latency = 0.0;
-  for (std::size_t k = 0; k < accesses; ++k) {
-    now += sample_exponential(rng, mean_interarrival);
-    const bool is_read = rng.next_double() < workload.read_fraction;
-    const double service = is_read ? bank.read_service.value()
-                                   : bank.write_service.value();
-    const double start = std::max(now, bank_free);
-    const double done = start + service;
-    total_latency += done - now;
-    bank_free = done;
-  }
-  return Second(total_latency / static_cast<double>(accesses));
 }
 
 }  // namespace sttram

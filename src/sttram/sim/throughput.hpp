@@ -8,7 +8,7 @@
 // to pick a sensing scheme.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -51,13 +51,5 @@ Joule write_access_energy(const CostComparisonConfig& cost_config);
 /// (compare_scheme_costs); the write path is common to all schemes.
 std::vector<BankPerformance> analyze_bank_performance(
     const CostComparisonConfig& cost_config, const WorkloadParams& workload);
-
-/// Discrete-event check of the analytic model: replays `accesses`
-/// pseudo-random accesses through a single-server bank with Poisson
-/// arrivals at the requested utilization and returns the measured mean
-/// latency (service + queueing) for the given scheme row.
-Second simulate_bank_latency(const BankPerformance& bank,
-                             const WorkloadParams& workload,
-                             std::size_t accesses, std::uint64_t seed);
 
 }  // namespace sttram

@@ -130,7 +130,15 @@ YieldResult run_yield_batched(const YieldConfig& config,
       designed(SchemeId::kNondestructive, config.beta_nondestructive).beta;
   result.shared_v_ref = Volt(designed(SchemeId::kConventional).v_ref);
 
+  // An array without cells has nothing to sample, solve or record, and
+  // no bit line bounds the shared reference: +inf - (-inf), whatever its
+  // shape (the kernel refuses a zero-column table).
   const std::size_t cells = config.geometry.cell_count();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (cells == 0) {
+    result.shared_reference_window = Volt(kInf);
+    return result;
+  }
   const std::size_t keep_every = scatter_keep_every(config, cells);
 
   // Per-column peripheral mismatch streams, staged directly into the
@@ -175,7 +183,6 @@ YieldResult run_yield_batched(const YieldConfig& config,
   WindowBuffers& buffers = t_buffers;
   SerialExecutor serial;
   ParallelExecutor& exec = executor != nullptr ? *executor : serial;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   // Window bounds are min/max, exact in any order.  Each chunk folds its
   // blocks in locals and stores its own cache line once per window.
   struct alignas(64) WindowBounds {
@@ -222,10 +229,8 @@ YieldResult run_yield_batched(const YieldConfig& config,
     claim.next.store(0, std::memory_order_relaxed);
     exec.for_chunks(exec.thread_count(), step);
   }
-  if (windows > 0) {
-    record_window(result, moments, buffers[(windows - 1) % 2], config,
-                  keep_every);
-  }
+  record_window(result, moments, buffers[(windows - 1) % 2], config,
+                keep_every);
   for (std::size_t s = 0; s < kSchemeCount; ++s) {
     SchemeYield& y = result.scheme(kSchemeTable[s].id);
     y.sm0_stats = RunningStats(moments[s], 0);

@@ -1,6 +1,6 @@
 // Batched SoA Monte-Carlo kernels vs the class-based per-cell oracle
 // (mc_oracle.hpp): the differential bit-identity proof behind the yield,
-// tail, Gaussian-fill and Simmons kernels for every SIMD ISA (DESIGN.md
+// tail and Gaussian-fill kernels for every SIMD ISA (DESIGN.md
 // §14-§15), plus the operating-point cache's correctness contract.
 #include <gtest/gtest.h>
 
@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "mc_oracle.hpp"
@@ -158,26 +160,40 @@ TEST(McBatchYield, MultiWindowPipelineMatchesOracle) {
 }
 
 TEST(McBatchYield, EmptyArrayGivesEmptyResult) {
-  // Zero rows: no window to sample or record, and no shared-reference
-  // bound, so the window is +inf - (-inf).
-  YieldConfig cfg;
-  cfg.geometry = {0, 8};
-  cfg.keep_per_bit_margins = true;
+  // Zero rows, zero columns or both: no window to sample or record, and
+  // no shared-reference bound, so the window is +inf - (-inf).  The
+  // designed operating points are the nominal device's, whatever the
+  // shape.
+  YieldConfig nominal;
+  nominal.geometry = {1, 1};
+  const YieldResult one_cell = run_yield_experiment(nominal);
   ThreadPool pool(4);
-  for (ParallelExecutor* executor : {static_cast<ParallelExecutor*>(nullptr),
-                                     static_cast<ParallelExecutor*>(&pool)}) {
-    const YieldResult r = run_yield_experiment(cfg, executor);
-    for (const SchemeRow& row : kSchemeTable) {
-      const SchemeYield& y = r.scheme(row.id);
-      EXPECT_EQ(y.bits, 0u);
-      EXPECT_EQ(y.failures, 0u);
-      EXPECT_EQ(y.sm0_stats.count(), 0u);
-      EXPECT_EQ(y.sm1_stats.count(), 0u);
-      EXPECT_TRUE(y.scatter.empty());
-      EXPECT_TRUE(y.per_bit_min_margin.empty());
+  for (const auto& [rows, cols] :
+       {std::pair<std::size_t, std::size_t>{0, 8}, {8, 0}, {0, 0}}) {
+    SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
+    YieldConfig cfg;
+    cfg.geometry = {rows, cols};
+    cfg.keep_per_bit_margins = true;
+    for (ParallelExecutor* executor :
+         {static_cast<ParallelExecutor*>(nullptr),
+          static_cast<ParallelExecutor*>(&pool)}) {
+      const YieldResult r = run_yield_experiment(cfg, executor);
+      for (const SchemeRow& row : kSchemeTable) {
+        const SchemeYield& y = r.scheme(row.id);
+        EXPECT_EQ(y.scheme, row.label);
+        EXPECT_EQ(y.bits, 0u);
+        EXPECT_EQ(y.failures, 0u);
+        EXPECT_EQ(y.sm0_stats.count(), 0u);
+        EXPECT_EQ(y.sm1_stats.count(), 0u);
+        EXPECT_TRUE(y.scatter.empty());
+        EXPECT_TRUE(y.per_bit_min_margin.empty());
+      }
+      EXPECT_EQ(r.shared_reference_window.value(),
+                std::numeric_limits<double>::infinity());
+      EXPECT_EQ(r.beta_destructive, one_cell.beta_destructive);
+      EXPECT_EQ(r.beta_nondestructive, one_cell.beta_nondestructive);
+      EXPECT_EQ(r.shared_v_ref.value(), one_cell.shared_v_ref.value());
     }
-    EXPECT_EQ(r.shared_reference_window.value(),
-              std::numeric_limits<double>::infinity());
   }
 }
 
@@ -375,25 +391,7 @@ TEST(OpCache, ColdVsWarmCacheDeterminism) {
   expect_tail_equal(tail_cold, tail_warm);
 }
 
-// ---------------------------------------------- batched Newton (Simmons)
-
-TEST(McBatchRiCurve, SimmonsBatchedNewtonBitIdentical) {
-  const SimmonsRiModel model =
-      SimmonsRiModel::calibrated_to(MtjParams::paper_calibrated());
-  // Mixed-convergence grid: zero current, tiny, nominal, and far beyond
-  // the calibration point (lanes retire at different iterations).
-  std::vector<double> grid = {0.0, 1e-9, 1e-7, 5e-6, 2e-5, 1e-4};
-  for (double i = 1e-6; i < 6e-5; i += 3.7e-6) grid.push_back(i);
-  std::vector<double> v_batch(grid.size());
-  for (const MtjState state : {MtjState::kParallel, MtjState::kAntiParallel}) {
-    model.bias_voltage_batch(state, grid.data(), grid.size(), v_batch.data());
-    for (std::size_t k = 0; k < grid.size(); ++k) {
-      EXPECT_EQ(v_batch[k],
-                model.bias_voltage(state, Ampere(grid[k])).value())
-          << "lane " << k;
-    }
-  }
-}
+// ------------------------------------------------------ linear R-I law
 
 TEST(McBatchRiCurve, LinearBatchedBitIdentical) {
   // The linear law over contiguous lanes, as the yield kernel forms each
@@ -512,11 +510,10 @@ TEST(McSimd, ParseAndOverrideValidation) {
 TEST(McSimd, ForcedIsaMatrixBitIdenticalToScalar) {
   // Every ISA the host can run, `scalar` (the W = 1 instantiation)
   // included, must reproduce the class-based oracle double for double:
-  // yield, tail, importance weights and the Simmons Newton, cold and warm
-  // op cache, serial and on 1/2/3/8 worker threads.  The sizes leave
-  // remainders at every width, so the W = 1 lanes inside the wider
-  // kernels run too: column counts that wrap mid-strip, 3001 trials (a
-  // partial last block) and a 29-point Simmons grid.
+  // yield, tail and importance weights, cold and warm op cache, serial
+  // and on 1/2/3/8 worker threads.  The sizes leave remainders at every
+  // width, so the W = 1 lanes inside the wider kernels run too: column
+  // counts that wrap mid-strip and 3001 trials (a partial last block).
   std::vector<YieldConfig> ycfgs(4);
   ycfgs[0].geometry = {16, 32};
   ycfgs[1].geometry = {7, 13};
@@ -532,11 +529,6 @@ TEST(McSimd, ForcedIsaMatrixBitIdenticalToScalar) {
   const std::vector<double> shift = {2.0, 1.0, 0.0};
   const ImportanceEstimate i_oracle =
       importance_sample(11, 3001, shift, linear_fails);
-  const SimmonsRiModel simmons =
-      SimmonsRiModel::calibrated_to(MtjParams::paper_calibrated());
-  std::vector<double> grid = {0.0, 1e-9, 1e-7};
-  for (int k = 1; k <= 26; ++k) grid.push_back(2.3e-6 * k);
-  std::vector<double> v_batch(grid.size());
 
   for (const SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kSse2, SimdIsa::kNeon,
                             SimdIsa::kAvx2, SimdIsa::kAvx512}) {
@@ -566,16 +558,6 @@ TEST(McSimd, ForcedIsaMatrixBitIdenticalToScalar) {
                             importance_sample_blocked(11, 3001, shift,
                                                       linear_block_fails,
                                                       &pool));
-    }
-    for (const MtjState state :
-         {MtjState::kParallel, MtjState::kAntiParallel}) {
-      simmons.bias_voltage_batch(state, grid.data(), grid.size(),
-                                 v_batch.data());
-      for (std::size_t k = 0; k < grid.size(); ++k) {
-        EXPECT_EQ(v_batch[k],
-                  simmons.bias_voltage(state, Ampere(grid[k])).value())
-            << "lane " << k;
-      }
     }
   }
 }

@@ -4,9 +4,10 @@
 // unmapped with a TLB shootdown, so a campaign of many small instances
 // would spend its pool threads' time in the kernel.  The yield window
 // buffers are kept per thread, the open-loop traffic stream is drawn in
-// blocks and an arrival-sorted trace is replayed in place; this binary
-// checks all three, and that the kept buffers carry no state from one
-// run into the next.
+// blocks, a trace is replayed in place and the closed loop's clients
+// each keep the id of their one outstanding request; this binary checks
+// all four, and that the kept buffers carry no state from one run into
+// the next.
 //
 // It replaces the global operator new (plain, array and aligned forms,
 // each with its matching delete) with one that counts large requests
@@ -151,9 +152,24 @@ TEST(RunScratch, PoissonTrafficMakesNoLargeRequest) {
   }
 }
 
+TEST(RunScratch, ClosedLoopTrafficMakesNoLargeRequest) {
+  // A completion finds its owner among the clients: no per-request owner
+  // table (400 KB at the default 100 000 requests).
+  engine::TrafficConfig cfg;
+  cfg.workload = engine::WorkloadKind::kClosedLoop;
+  for (int run = 0; run < 2; ++run) {
+    std::size_t requests = 0;
+    EXPECT_EQ(large_requests_during(
+                  [&] { requests = engine::run_traffic(cfg).requests; }),
+              0u)
+        << "run " << run;
+    EXPECT_EQ(requests, cfg.requests);
+  }
+}
+
 TEST(RunScratch, ArrivalSortedTraceMakesNoLargeRequest) {
-  // The caller's trace (480 KB) is the input, built before the marks;
-  // in arrival order it is replayed in place, not copied.
+  // The caller's trace (480 KB) is the input, built before the marks,
+  // and is replayed in place, not copied.
   engine::PoissonWorkloadConfig gen;
   gen.mean_interarrival = Second(5e-9);
   gen.banks = 4;
@@ -256,9 +272,9 @@ void expect_same_outcome(const YieldOutcome& a, const YieldOutcome& b) {
 TEST(RunScratch, KeptYieldBuffersCarryNoStateBetweenRuns) {
   // Every cell's margins reach the comparison: the scatter keeps all.
   // The buffers are first larger than the run needs (three windows,
-  // then one cell, then no cell), then exactly as large.  An empty
-  // array has no column tables, so its kernel refuses it before any
-  // buffer is touched, on either thread alike.
+  // then one cell, then no cell), then exactly as large.  An array
+  // without cells returns the empty result before any buffer is
+  // touched, on either thread alike.
   std::thread([] {
     for (const auto& [rows, cols] :
          {std::pair<std::size_t, std::size_t>{1024, 48}, {1, 1}, {0, 48},
@@ -267,7 +283,7 @@ TEST(RunScratch, KeptYieldBuffersCarryNoStateBetweenRuns) {
       cfg.geometry = {rows, cols};
       SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
       const YieldOutcome kept = run_caught(cfg, nullptr);
-      EXPECT_EQ(kept.error.empty(), cols > 0) << kept.error;
+      EXPECT_TRUE(kept.error.empty()) << kept.error;
       expect_same_outcome(kept, on_fresh_thread(cfg));
     }
   }).join();

@@ -126,6 +126,17 @@ TEST(DestructiveSpiceRead, SlowerThanNondestructive) {
   EXPECT_GT(rd.completion_time.value(), 1.5 * rn.decision_time.value());
 }
 
+TEST(SpiceRead, BothReadsRefuseABitLineWithoutUnselectedCells) {
+  // The leakage of the unselected cells is lumped into r_off_per_cell /
+  // unselected_cells: zero cells would divide by zero and drop the path.
+  SpiceReadConfig nd;
+  nd.unselected_cells = 0;
+  EXPECT_THROW((void)simulate_nondestructive_read(nd), InvalidArgument);
+  DestructiveSpiceConfig de;
+  de.unselected_cells = 0;
+  EXPECT_THROW((void)simulate_destructive_read(de), InvalidArgument);
+}
+
 TEST(DestructiveSpiceRead, StoredZeroSkipsWriteBack) {
   DestructiveSpiceConfig cfg;
   cfg.state = MtjState::kParallel;
@@ -465,17 +476,6 @@ TEST(Throughput, WriteFractionEqualizesSchemes) {
               1e-15);
   EXPECT_NEAR(banks[1].avg_service.value(), banks[2].avg_service.value(),
               1e-15);
-}
-
-TEST(Throughput, QueueingModelMatchesDiscreteEvent) {
-  const CostComparisonConfig cost;
-  WorkloadParams wl;
-  wl.read_fraction = 1.0;
-  wl.utilization = 0.5;
-  const auto banks = analyze_bank_performance(cost, wl);
-  const Second sim = simulate_bank_latency(banks[2], wl, 100000, 11);
-  EXPECT_NEAR(sim.value(), banks[2].avg_queue_latency.value(),
-              0.1 * banks[2].avg_queue_latency.value());
 }
 
 TEST(Throughput, ValidatesParameters) {
