@@ -7,22 +7,17 @@
 // dominates the trade-off.
 #include <cstdio>
 
-#include "bench_util.hpp"
+#include "paper.hpp"
 #include "sttram/common/format.hpp"
-#include "sttram/device/mtj_params.hpp"
 #include "sttram/io/table.hpp"
-#include "sttram/sense/margins.hpp"
 #include "sttram/sense/robustness.hpp"
 #include "sttram/stats/distributions.hpp"
 #include "sttram/stats/monte_carlo.hpp"
 
-using namespace sttram;
+STTRAM_PAPER_SECTION(bench_ablation_alpha) {
+  heading("Ablation", "choice of the divider ratio alpha");
 
-int main() {
-  bench::heading("Ablation", "choice of the divider ratio alpha");
-
-  const MtjParams mtj = MtjParams::paper_calibrated();
-  const Ohm r_t(917.0);
+  const auto& [mtj, r_t, config, conv, nondes] = paper_design();
 
   TextTable t({"alpha", "beta*", "SM nominal [mV]", "sigma(SM) [mV]",
                "SM - 3 sigma [mV]", "d-alpha window [%]"});
@@ -57,23 +52,18 @@ int main() {
       best_alpha = alpha;
     }
     if (alpha == 0.50) metric_at_half = metric;
-    char a[16], b[16], sm[16], sg[16], wc[16], daw[32];
-    std::snprintf(a, sizeof(a), "%.2f", alpha);
-    std::snprintf(b, sizeof(b), "%.3f", beta);
-    std::snprintf(sm, sizeof(sm), "%.2f", nominal.min().value() * 1e3);
-    std::snprintf(sg, sizeof(sg), "%.3f", stats.stddev() * 1e3);
-    std::snprintf(wc, sizeof(wc), "%.2f", metric * 1e3);
-    std::snprintf(daw, sizeof(daw), "%.2f .. %.2f", da.lo * 100.0,
-                  da.hi * 100.0);
-    t.add_row({a, b, sm, sg, wc, daw});
+    t.add_row({fmt("%.2f", alpha), fmt("%.3f", beta),
+               fmt("%.2f", nominal.min().value() * 1e3),
+               fmt("%.3f", stats.stddev() * 1e3),
+               fmt("%.2f", metric * 1e3),
+               fmt("%.2f .. %.2f", da.lo * 100.0, da.hi * 100.0)});
   }
   std::printf("%s\n", t.to_string().c_str());
 
   std::printf("Reproduction claims (paper Sec. III.A):\n");
-  bench::claim(
+  row("alpha.half_best",
       "alpha = 0.5 maximizes the variation-aware worst-case margin",
       best_alpha == 0.50);
-  bench::claim("worst-case margin at alpha = 0.5 stays positive",
-               metric_at_half > 0.0);
-  return bench::exit_code();
+  row("alpha.half_positive", "worst-case margin at alpha = 0.5 stays positive",
+      metric_at_half > 0.0);
 }

@@ -5,16 +5,13 @@
 // and compares the second-read settle of the two schemes.
 #include <cstdio>
 
-#include "bench_util.hpp"
+#include "paper.hpp"
 #include "sttram/cell/bitline.hpp"
 #include "sttram/common/format.hpp"
 #include "sttram/io/table.hpp"
 
-using namespace sttram;
-
-int main() {
-  bench::heading("Ablation",
-                 "bit-line Elmore delay: sampling capacitor vs divider");
+STTRAM_PAPER_SECTION(bench_ablation_bitline) {
+  heading("Ablation", "bit-line Elmore delay: sampling capacitor vs divider");
 
   const Ohm source(2817.0);  // high-state path resistance at I_max
   const double tol = 0.01;
@@ -38,13 +35,10 @@ int main() {
         monotone = false;
       }
       if (cells == 128u) last_penalty = penalty;
-      char pen[16];
-      std::snprintf(pen, sizeof(pen), "%.2fx", penalty);
-      t.add_row({std::to_string(cells),
-                 format_double(c2_f * 1e15, 3),
+      t.add_row({std::to_string(cells), format_double(c2_f * 1e15, 3),
                  format(with_divider.elmore_delay()),
-                 format(with_cap.elmore_delay()),
-                 format(s_div), format(s_cap), pen});
+                 format(with_cap.elmore_delay()), format(s_div),
+                 format(s_cap), fmt("%.2fx", penalty)});
     }
   }
   std::printf("%s\n", t.to_string().c_str());
@@ -60,15 +54,15 @@ int main() {
   c2_bl.extra_sense_capacitance = Farad(250e-15);
   const Bitline with_c2(c2_bl);
   std::printf("Reproduction claims (paper Sec. V):\n");
-  bench::claim("divider leaves the BL Elmore delay unchanged",
-               line.elmore_delay() == Bitline(nominal).elmore_delay());
-  bench::claim("sampling capacitor increases the BL Elmore delay",
-               with_c2.elmore_delay() > line.elmore_delay());
-  bench::claim("C2 settle penalty grows with the capacitor", monotone);
-  bench::claim("nondestructive 2nd read is faster than destructive 2nd read",
-               line.settling_time(source, tol) <
-                   with_c2.settling_time(source, tol));
-  bench::claim("divider leakage error is negligible (< 1 %)",
-               line.leakage_error(Ampere(200e-6), Volt(0.563)) < 0.01);
-  return bench::exit_code();
+  row("bitline.divider_same", "divider leaves the BL Elmore delay unchanged",
+      line.elmore_delay() == Bitline(nominal).elmore_delay());
+  row("bitline.c2_slower", "sampling capacitor increases the BL Elmore delay",
+      with_c2.elmore_delay() > line.elmore_delay());
+  row("bitline.c2_penalty_grows", "C2 settle penalty grows with the capacitor",
+      monotone);
+  row("bitline.read2_faster",
+      "nondestructive 2nd read is faster than destructive 2nd read",
+      line.settling_time(source, tol) < with_c2.settling_time(source, tol));
+  row("bitline.leakage_small", "divider leakage error is negligible (< 1 %)",
+      line.leakage_error(Ampere(200e-6), Volt(0.563)) < 0.01);
 }

@@ -4,22 +4,17 @@
 // headroom, which we quantify with the switching model.
 #include <cstdio>
 
-#include "bench_util.hpp"
+#include "paper.hpp"
 #include "sttram/common/format.hpp"
 #include "sttram/common/numeric.hpp"
-#include "sttram/device/mtj_params.hpp"
 #include "sttram/device/switching.hpp"
 #include "sttram/io/table.hpp"
-#include "sttram/sense/margins.hpp"
 #include "sttram/sense/robustness.hpp"
 
-using namespace sttram;
+STTRAM_PAPER_SECTION(bench_ablation_imax) {
+  heading("Ablation", "sense margin & robustness vs I_max");
 
-int main() {
-  bench::heading("Ablation", "sense margin & robustness vs I_max");
-
-  const MtjParams mtj = MtjParams::paper_calibrated();
-  const Ohm r_t(917.0);
+  const auto& [mtj, r_t, config, conv, nondes] = paper_design();
   const SwitchingModel switching(mtj);
   const Second read_dwell(5e-9);
 
@@ -39,14 +34,11 @@ int main() {
         switching.read_disturb_probability(cfg.i_max, read_dwell);
     margins.push_back(m.min().value());
     dr_widths.push_back(dr.width());
-    char b[16], sm[16], drw[32], daw[32], p[16];
-    std::snprintf(b, sizeof(b), "%.3f", beta);
-    std::snprintf(sm, sizeof(sm), "%.2f", m.min().value() * 1e3);
-    std::snprintf(drw, sizeof(drw), "%.0f .. %.0f", dr.lo, dr.hi);
-    std::snprintf(daw, sizeof(daw), "%.2f .. %.2f", da.lo * 100.0,
-                  da.hi * 100.0);
-    std::snprintf(p, sizeof(p), "%.1e", disturb);
-    t.add_row({format_double(i_ua, 4), b, sm, drw, daw, p});
+    t.add_row({format_double(i_ua, 4), fmt("%.3f", beta),
+               fmt("%.2f", m.min().value() * 1e3),
+               fmt("%.0f .. %.0f", dr.lo, dr.hi),
+               fmt("%.2f .. %.2f", da.lo * 100.0, da.hi * 100.0),
+               fmt("%.1e", disturb)});
   }
   std::printf("%s\n", t.to_string().c_str());
 
@@ -56,12 +48,11 @@ int main() {
                   .c_str());
 
   std::printf("Reproduction claims (paper Sec. V, future work):\n");
-  bench::claim("sense margin grows monotonically with I_max",
-               std::is_sorted(margins.begin(), margins.end()));
-  bench::claim("dR robustness window widens with I_max",
-               std::is_sorted(dr_widths.begin(), dr_widths.end()));
-  bench::claim("paper's I_max=200 uA keeps read disturb negligible (<1e-6)",
-               switching.read_disturb_probability(Ampere(200e-6),
-                                                  read_dwell) < 1e-6);
-  return bench::exit_code();
+  row("imax.margin_grows", "sense margin grows monotonically with I_max",
+      std::is_sorted(margins.begin(), margins.end()));
+  row("imax.window_widens", "dR robustness window widens with I_max",
+      std::is_sorted(dr_widths.begin(), dr_widths.end()));
+  row("imax.disturb_200ua",
+      "paper's I_max=200 uA keeps read disturb negligible (<1e-6)",
+      switching.read_disturb_probability(Ampere(200e-6), read_dwell) < 1e-6);
 }

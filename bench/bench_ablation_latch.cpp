@@ -4,26 +4,17 @@
 // margin" demands a capable (auto-zeroed) sense amplifier.
 #include <cstdio>
 
-#include "bench_util.hpp"
+#include "paper.hpp"
 #include "sttram/common/format.hpp"
-#include "sttram/device/mtj_params.hpp"
 #include "sttram/io/table.hpp"
 #include "sttram/sense/latch.hpp"
-#include "sttram/sense/margins.hpp"
 #include "sttram/sense/noise.hpp"
 
-using namespace sttram;
+STTRAM_PAPER_SECTION(bench_ablation_latch) {
+  heading("Ablation", "latch decision time vs scheme margin");
 
-int main() {
-  bench::heading("Ablation", "latch decision time vs scheme margin");
-
-  const MtjParams mtj = MtjParams::paper_calibrated();
-  const Ohm r_t(917.0);
-  const SelfRefConfig config;
+  const auto& [mtj, r_t, config, destructive, nondes] = paper_design();
   const LatchDynamics latch;
-
-  const DestructiveSelfReference destructive(mtj, r_t, config);
-  const NondestructiveSelfReference nondes(mtj, r_t, config);
   const ConventionalSensing conv(mtj, r_t, config.i_max);
 
   struct Row {
@@ -48,10 +39,8 @@ int main() {
     const Second strobe = latch.required_strobe(Volt(r.margin), 1e-9);
     if (r.scheme[0] == 'n') t_nondes = td.value();
     if (r.scheme[0] == 'd') t_destr = td.value();
-    char m[16], p[16];
-    std::snprintf(m, sizeof(m), "%.2f", r.margin * 1e3);
-    std::snprintf(p, sizeof(p), "%.1e", pm);
-    t.add_row({r.scheme, m, format(td), p, format(strobe)});
+    t.add_row({r.scheme, fmt("%.2f", r.margin * 1e3), format(td),
+               fmt("%.1e", pm), format(strobe)});
   }
   std::printf("%s\n", t.to_string().c_str());
 
@@ -66,18 +55,18 @@ int main() {
               format(noise.total).c_str(), 12.6e-3 / noise.total.value());
 
   std::printf("Claims:\n");
-  bench::claim("thermal/sampling noise sits >15x below the margin",
-               12.6e-3 / noise.total.value() > 15.0);
-  bench::claim("smaller margins cost extra regeneration time",
-               t_nondes > t_destr);
-  bench::claim("even the worst 16-kb bit resolves within the 1.5 ns "
-               "sense budget at 1e-9 risk",
-               latch.required_strobe(Volt(8.58e-3), 1e-9).value() < 1.5e-9);
-  bench::claim("an un-zeroed amp (5 mV offset eats the margin) would be "
-               "marginal — the paper's auto-zero choice",
-               latch.metastability_probability(Volt(12.6e-3 - 5e-3 - 4e-3),
-                                               Second(0.5e-9)) >
-                   latch.metastability_probability(Volt(12.6e-3),
-                                                   Second(0.5e-9)));
-  return bench::exit_code();
+  row("latch.noise_floor", "thermal/sampling noise sits >15x below the margin",
+      12.6e-3 / noise.total.value() > 15.0);
+  row("latch.small_margin_cost", "smaller margins cost extra regeneration time",
+      t_nondes > t_destr);
+  row("latch.worst_bit_resolves",
+      "even the worst 16-kb bit resolves within the 1.5 ns "
+      "sense budget at 1e-9 risk",
+      latch.required_strobe(Volt(8.58e-3), 1e-9).value() < 1.5e-9);
+  row("latch.unzeroed_marginal",
+      "an un-zeroed amp (5 mV offset eats the margin) would be "
+      "marginal — the paper's auto-zero choice",
+      latch.metastability_probability(Volt(12.6e-3 - 5e-3 - 4e-3),
+                                      Second(0.5e-9)) >
+          latch.metastability_probability(Volt(12.6e-3), Second(0.5e-9)));
 }

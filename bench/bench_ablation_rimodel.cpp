@@ -4,21 +4,16 @@
 // is Simmons-curved (DC-like) rather than the calibrated linear law?
 #include <cstdio>
 
-#include "bench_util.hpp"
-#include "sttram/device/mtj_params.hpp"
+#include "paper.hpp"
 #include "sttram/device/ri_curve.hpp"
 #include "sttram/io/table.hpp"
-#include "sttram/sense/margins.hpp"
 #include "sttram/sense/robustness.hpp"
 
-using namespace sttram;
+STTRAM_PAPER_SECTION(bench_ablation_rimodel) {
+  heading("Ablation", "design sensitivity to the R-I model choice");
 
-int main() {
-  bench::heading("Ablation", "design sensitivity to the R-I model choice");
-
-  const MtjParams mtj = MtjParams::paper_calibrated();
-  const FixedAccessResistor access(Ohm(917.0));
-  const SelfRefConfig config;
+  const auto& [mtj, r_t, config, conv, nondes] = paper_design();
+  const FixedAccessResistor access(r_t);
 
   const LinearRiModel linear(mtj);
   const SimmonsRiModel simmons = SimmonsRiModel::calibrated_to(mtj);
@@ -46,13 +41,10 @@ int main() {
     const Window wa = scheme.alpha_deviation_window(beta);
     betas.push_back(beta);
     margins.push_back(m.min().value());
-    char b[16], sm[16], drw[32], daw[32];
-    std::snprintf(b, sizeof(b), "%.3f", beta);
-    std::snprintf(sm, sizeof(sm), "%.2f", m.min().value() * 1e3);
-    std::snprintf(drw, sizeof(drw), "%.0f .. %.0f", wr.lo, wr.hi);
-    std::snprintf(daw, sizeof(daw), "%.2f .. %.2f", wa.lo * 100.0,
-                  wa.hi * 100.0);
-    t.add_row({e.name, b, sm, drw, daw});
+    t.add_row({e.name, fmt("%.3f", beta),
+               fmt("%.2f", m.min().value() * 1e3),
+               fmt("%.0f .. %.0f", wr.lo, wr.hi),
+               fmt("%.2f .. %.2f", wa.lo * 100.0, wa.hi * 100.0)});
   }
   std::printf("%s\n", t.to_string().c_str());
 
@@ -68,11 +60,13 @@ int main() {
               beta_spread * 100.0, margin_spread * 100.0);
 
   std::printf("Claims:\n");
-  bench::claim("designed beta robust to the curve model (< 15 % spread)",
-               beta_spread < 0.15);
-  bench::claim("margins stay above the 8 mV requirement on every model",
-               *std::min_element(margins.begin(), margins.end()) > 8e-3);
-  bench::claim("table model reproduces its source model's optimum",
-               std::fabs(betas[2] - betas[1]) < 0.05);
-  return bench::exit_code();
+  row("rimodel.beta_robust",
+      "designed beta robust to the curve model (< 15 % spread)",
+      beta_spread < 0.15);
+  row("rimodel.margins_8mv",
+      "margins stay above the 8 mV requirement on every model",
+      *std::min_element(margins.begin(), margins.end()) > 8e-3);
+  row("rimodel.table_optimum",
+      "table model reproduces its source model's optimum",
+      std::fabs(betas[2] - betas[1]) < 0.05);
 }

@@ -5,7 +5,7 @@
 #include <chrono>
 #include <cstdio>
 
-#include "bench_util.hpp"
+#include "paper.hpp"
 #include "sttram/common/format.hpp"
 #include "sttram/engine/controller/controller.hpp"
 #include "sttram/engine/thread_pool.hpp"
@@ -34,9 +34,9 @@ bool reports_identical(const ctrl::ControllerReport& a,
 
 }  // namespace
 
-int main() {
-  bench::heading("Controller",
-                 "chip-scale channels x ranks x banks, FR-FCFS scheduling");
+STTRAM_PAPER_SECTION(bench_controller) {
+  heading("Controller",
+          "chip-scale channels x ranks x banks, FR-FCFS scheduling");
 
   // The acceptance configuration: 4 channels x 2 ranks x 8 banks.
   ctrl::ControllerConfig cfg;
@@ -49,15 +49,14 @@ int main() {
   cfg.row_locality = 0.6;
   cfg.seed = 1;
 
-  // Thread sweep with bit-identity check against the serial run.
+  // Thread sweep with bit-identity check against the serial run; its
+  // wall times go to stderr.
   std::printf("4 ch x 2 ranks x 8 banks, rho = 0.7, locality 0.6, "
               "%zu requests\n",
               cfg.requests);
-  ctrl::ControllerReport serial;
-  const double serial_s = wall_run(cfg, nullptr, serial);
+  const ctrl::ControllerReport serial = ctrl::run_controller_traffic(cfg);
   TextTable sweep({"threads", "wall [s]", "Mreq/s", "identical"});
   bool all_identical = true;
-  double best_rate = static_cast<double>(cfg.requests) / serial_s;
   double threads8_rate = 0.0;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     engine::ThreadPool pool(threads);
@@ -72,15 +71,12 @@ int main() {
     }
     const double rate = static_cast<double>(cfg.requests) / wall_s;
     all_identical = all_identical && same;
-    if (rate > best_rate) best_rate = rate;
     if (threads == 8u) threads8_rate = rate;
-    char ws[16], mr[16];
-    std::snprintf(ws, sizeof(ws), "%.3f", wall_s);
-    std::snprintf(mr, sizeof(mr), "%.1f", rate / 1e6);
-    sweep.add_row({std::to_string(threads), ws, mr, same ? "yes" : "NO"});
+    sweep.add_row({std::to_string(threads), fmt("%.3f", wall_s),
+                   fmt("%.1f", rate / 1e6), same ? "yes" : "NO"});
   }
   sweep.add_row({"serial", "", "", "baseline"});
-  std::printf("%s\n", sweep.to_string().c_str());
+  std::fprintf(stderr, "%s\n", sweep.to_string().c_str());
 
   // Chip-scale scheme comparison (the paper's latency/energy story at
   // the full hierarchy).
@@ -94,11 +90,10 @@ int main() {
     c.requests = 400000;
     per_scheme[s] = ctrl::run_controller_traffic(c);
     const ctrl::ControllerReport& r = per_scheme[s];
-    char bw[16], eb[16];
-    std::snprintf(bw, sizeof(bw), "%.0f", r.total_bandwidth_mbps);
-    std::snprintf(eb, sizeof(eb), "%.3f", r.energy_per_bit_pj);
     schemes.add_row({r.scheme, format(r.mean_latency),
-                     format(r.p99_latency), bw, eb});
+                     format(r.p99_latency),
+                     fmt("%.0f", r.total_bandwidth_mbps),
+                     fmt("%.3f", r.energy_per_bit_pj)});
   }
   std::printf("%s\n", schemes.to_string().c_str());
 
@@ -122,20 +117,18 @@ int main() {
               format(frfcfs.mean_latency).c_str());
 
   std::printf("Reproduction / extension claims:\n");
-  bench::claim("sharded channels bit-identical across 1/2/8 threads",
-               all_identical);
-  bench::wall_clock_claim("sustains >= 10M simulated requests/s on 8 threads",
-                          threads8_rate >= 10e6);
-  bench::claim("FR-FCFS lifts the row-hit rate over FCFS",
-               frfcfs.row_hit_rate > fcfs.row_hit_rate);
-  bench::claim("nondestructive beats destructive chip bandwidth",
-               per_scheme[2].total_bandwidth_mbps >
-                   per_scheme[1].total_bandwidth_mbps);
+  row("controller.threads_same",
+      "sharded channels bit-identical across 1/2/8 threads", all_identical);
+  std::fprintf(stderr, "  %-60s [%s] (wall clock)\n",
+               "sustains >= 10M simulated requests/s on 8 threads",
+               threads8_rate >= 10e6 ? "REPRODUCED" : "MISS");
+  row("controller.frfcfs_hits", "FR-FCFS lifts the row-hit rate over FCFS",
+      frfcfs.row_hit_rate > fcfs.row_hit_rate);
+  row("controller.bandwidth", "nondestructive beats destructive chip bandwidth",
+      per_scheme[2].total_bandwidth_mbps > per_scheme[1].total_bandwidth_mbps);
   // The bit-level E/bit gap is ~8x (bench_latency_energy); at chip
   // scale writes and row management dilute it, leaving > 4x.
-  bench::claim("nondestructive cuts destructive chip E/bit by > 4x",
-               per_scheme[1].energy_per_bit_pj >
-                   4.0 * per_scheme[2].energy_per_bit_pj);
-
-  return bench::exit_code();
+  row("controller.energy_4x",
+      "nondestructive cuts destructive chip E/bit by > 4x",
+      per_scheme[1].energy_per_bit_pj > 4.0 * per_scheme[2].energy_per_bit_pj);
 }

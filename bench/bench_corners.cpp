@@ -5,28 +5,22 @@
 // care about the TMR (signal) axis.
 #include <cstdio>
 
-#include "bench_util.hpp"
+#include "paper.hpp"
 #include "sttram/device/variation.hpp"
 #include "sttram/io/table.hpp"
-#include "sttram/sense/margins.hpp"
 
-using namespace sttram;
+STTRAM_PAPER_SECTION(bench_corners) {
+  heading("Corners", "scheme margins at +-3-sigma process corners");
 
-int main() {
-  bench::heading("Corners", "scheme margins at +-3-sigma process corners");
-
-  const MtjParams nominal = MtjParams::paper_calibrated();
+  const auto& [nominal, r_t, config, nom_destr, nom_nondes] =
+      paper_design();
   const MtjVariationModel variation(nominal, VariationParams{});
-  const Ohm r_t(917.0);
-  const SelfRefConfig config;
 
   // Shared reference and designed betas from the nominal device.
   const ConventionalSensing nom_conv(nominal, r_t, config.i_max);
   const Volt v_ref = nom_conv.midpoint_reference();
-  const double beta_d =
-      DestructiveSelfReference(nominal, r_t, config).paper_beta();
-  const double beta_n =
-      NondestructiveSelfReference(nominal, r_t, config).paper_beta();
+  const double beta_d = nom_destr.paper_beta();
+  const double beta_n = nom_nondes.paper_beta();
   const Volt required(8e-3);
 
   TextTable t({"corner", "R_L0 [Ohm]", "TMR [%]", "conv SM [mV]",
@@ -54,24 +48,23 @@ int main() {
         nondes_worst = sm_nondes;
         nondes_worst_tmr = tdir;
       }
-      char name[32], rl[16], tmr[16], a[16], b[16], c[16];
-      std::snprintf(name, sizeof(name), "common%+d tmr%+d", cdir, tdir);
-      std::snprintf(rl, sizeof(rl), "%.0f", p.r_low0.value());
-      std::snprintf(tmr, sizeof(tmr), "%.1f", p.tmr0() * 100.0);
-      std::snprintf(a, sizeof(a), "%.2f", sm_conv * 1e3);
-      std::snprintf(b, sizeof(b), "%.2f", sm_destr * 1e3);
-      std::snprintf(c, sizeof(c), "%.2f", sm_nondes * 1e3);
-      t.add_row({name, rl, tmr, a, b, c});
+      t.add_row({fmt("common%+d tmr%+d", cdir, tdir),
+                 fmt("%.0f", p.r_low0.value()),
+                 fmt("%.1f", p.tmr0() * 100.0),
+                 fmt("%.2f", sm_conv * 1e3),
+                 fmt("%.2f", sm_destr * 1e3),
+                 fmt("%.2f", sm_nondes * 1e3)});
     }
   }
   std::printf("%s\n", t.to_string().c_str());
 
   std::printf("Corner claims:\n");
-  bench::claim("conventional sensing fails at a 3-sigma resistance corner",
-               conv_fails_somewhere);
-  bench::claim("both self-reference schemes pass every 3-sigma corner",
-               selfref_always_pass);
-  bench::claim("nondestructive worst corner is the low-TMR one",
-               nondes_worst_tmr == -1);
-  return bench::exit_code();
+  row("corners.conv_fails",
+      "conventional sensing fails at a 3-sigma resistance corner",
+      conv_fails_somewhere);
+  row("corners.selfref_pass",
+      "both self-reference schemes pass every 3-sigma corner",
+      selfref_always_pass);
+  row("corners.nondes_low_tmr",
+      "nondestructive worst corner is the low-TMR one", nondes_worst_tmr == -1);
 }

@@ -6,18 +6,15 @@
 // read on a sample of varied devices and comparing margins bit by bit.
 #include <cstdio>
 
-#include "bench_util.hpp"
+#include "paper.hpp"
 #include "sttram/device/variation.hpp"
 #include "sttram/io/table.hpp"
 #include "sttram/sim/spice_read.hpp"
 #include "sttram/stats/rng.hpp"
 #include "sttram/stats/summary.hpp"
 
-using namespace sttram;
-
-int main() {
-  bench::heading("Cross-validation",
-                 "analytic margins vs MNA circuit simulation");
+STTRAM_PAPER_SECTION(bench_crossval_spice) {
+  heading("Cross-validation", "analytic margins vs MNA circuit simulation");
 
   const MtjVariationModel variation(MtjParams::paper_calibrated(),
                                     VariationParams{});
@@ -48,13 +45,11 @@ int main() {
       all_correct &= r.value == (state == MtjState::kAntiParallel);
       analytic.push_back(sm_analytic);
       circuit.push_back(sm_circuit);
-      char a[16], b[16], c[16];
-      std::snprintf(a, sizeof(a), "%.2f", sm_analytic * 1e3);
-      std::snprintf(b, sizeof(b), "%.2f", sm_circuit * 1e3);
-      std::snprintf(c, sizeof(c), "%+.2f",
-                    (sm_circuit - sm_analytic) * 1e3);
       t.add_row({d == 0 ? "nominal" : "sampled #" + std::to_string(d),
-                 std::string(to_string(state)), a, b, c,
+                 std::string(to_string(state)),
+                 fmt("%.2f", sm_analytic * 1e3),
+                 fmt("%.2f", sm_circuit * 1e3),
+                 fmt("%+.2f", (sm_circuit - sm_analytic) * 1e3),
                  r.value ? "1" : "0"});
     }
   }
@@ -71,11 +66,10 @@ int main() {
               corr, max_abs_delta * 1e3);
 
   std::printf("Cross-validation claims:\n");
-  bench::claim("every circuit-level decision matches the stored value",
-               all_correct);
-  bench::claim("analytic and circuit margins strongly correlated (>0.9)",
-               corr > 0.9);
-  bench::claim("max analytic-vs-circuit deviation below 3 mV",
-               max_abs_delta < 3e-3);
-  return bench::exit_code();
+  row("crossval.decisions",
+      "every circuit-level decision matches the stored value", all_correct);
+  row("crossval.correlated",
+      "analytic and circuit margins strongly correlated (>0.9)", corr > 0.9);
+  row("crossval.max_delta", "max analytic-vs-circuit deviation below 3 mV",
+      max_abs_delta < 3e-3);
 }

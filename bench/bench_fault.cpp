@@ -6,16 +6,14 @@
 #include <chrono>
 #include <cstdio>
 
-#include "bench_util.hpp"
+#include "paper.hpp"
 #include "sttram/common/format.hpp"
 #include "sttram/engine/thread_pool.hpp"
 #include "sttram/fault/fault.hpp"
 #include "sttram/io/table.hpp"
 
-using namespace sttram;
-
-int main() {
-  bench::heading("Fault", "injection, SECDED recovery and march coverage");
+STTRAM_PAPER_SECTION(bench_fault) {
+  heading("Fault", "injection, SECDED recovery and march coverage");
 
   // --- SECDED(72,64) kernel throughput ------------------------------
   constexpr int kWords = 1 << 20;
@@ -29,9 +27,10 @@ int main() {
     acc += decoded.data + (decoded.corrected ? 1 : 0);
   }
   const double ecc_ns = bench::seconds_since(t0) / kWords * 1e9;
-  std::printf("SECDED encode + flip + decode: %.1f ns/word "
-              "(%d words, checksum %llx)\n",
-              ecc_ns, kWords, static_cast<unsigned long long>(acc & 0xffff));
+  std::printf("SECDED encode + flip + decode: %d words, checksum %llx\n",
+              kWords, static_cast<unsigned long long>(acc & 0xffff));
+  std::fprintf(stderr, "SECDED encode + flip + decode: %.1f ns/word\n",
+               ecc_ns);
 
   // --- fault-map generation, serial vs threaded ---------------------
   const ArrayGeometry geometry{256, 256};
@@ -56,9 +55,10 @@ int main() {
       }
     }
   }
-  std::printf("fault map 256x256 @ density 0.02: %zu faults, "
-              "%.2f ms serial, %.2f ms on 4 threads\n",
-              serial.total(), serial_ms, threaded_ms);
+  std::printf("fault map 256x256 @ density 0.02: %zu faults\n",
+              serial.total());
+  std::fprintf(stderr, "fault map: %.2f ms serial, %.2f ms on 4 threads\n",
+               serial_ms, threaded_ms);
 
   // --- per-access recovery model ------------------------------------
   fault::TrafficFaultConfig tfc;
@@ -75,9 +75,10 @@ int main() {
     uncorrectable += outcome.uncorrectable ? 1 : 0;
   }
   const double access_ns = bench::seconds_since(t0) / kAccesses * 1e9;
-  std::printf("recovery model @ BER 1e-3: %.0f ns/access "
-              "(%llu corrected, %llu uncorrectable of %llu)\n\n",
-              access_ns, static_cast<unsigned long long>(corrected),
+  std::fprintf(stderr, "recovery model: %.0f ns/access\n", access_ns);
+  std::printf("recovery model @ BER 1e-3: "
+              "%llu corrected, %llu uncorrectable of %llu\n\n",
+              static_cast<unsigned long long>(corrected),
               static_cast<unsigned long long>(uncorrectable),
               static_cast<unsigned long long>(kAccesses));
 
@@ -129,7 +130,8 @@ int main() {
               recovered_nd.post_ecc_wer);
 
   std::printf("Reproduction / extension claims:\n");
-  bench::claim("threaded fault map is bit-identical to serial", identical);
+  row("fault.map_threads_same", "threaded fault map is bit-identical to serial",
+      identical);
   const auto class_coverage = [](const fault::MarchCoverageReport& report,
                                  FaultType type) {
     for (const fault::FaultClassCoverage& c : report.classes) {
@@ -137,24 +139,23 @@ int main() {
     }
     return 1.0;
   };
-  bench::claim("every scheme catches all stuck-at faults",
-               class_coverage(reports[0], FaultType::kStuckAtZero) == 1.0 &&
-                   class_coverage(reports[1], FaultType::kStuckAtZero) == 1.0 &&
-                   class_coverage(reports[2], FaultType::kStuckAtZero) == 1.0 &&
-                   class_coverage(reports[0], FaultType::kStuckAtOne) == 1.0 &&
-                   class_coverage(reports[1], FaultType::kStuckAtOne) == 1.0 &&
-                   class_coverage(reports[2], FaultType::kStuckAtOne) == 1.0);
-  bench::claim("drift outliers fail conventional, survive self-reference",
-               class_coverage(reports[0], FaultType::kDriftOutlier) == 1.0 &&
-                   class_coverage(reports[1], FaultType::kDriftOutlier) ==
-                       0.0 &&
-                   class_coverage(reports[2], FaultType::kDriftOutlier) ==
-                       0.0);
-  bench::claim("ECC + retry cut the residual BER",
-               recovered_nd.post_ecc_ber < raw_nd.post_ecc_ber);
-  bench::claim("drift gives conventional the larger hard-error fraction",
-               raw.scheme(SchemeId::kConventional).hard_bit_fraction >
-                   raw_nd.hard_bit_fraction);
-
-  return bench::exit_code();
+  row("fault.stuck_at_caught",
+      "every scheme catches all stuck-at faults",
+      class_coverage(reports[0], FaultType::kStuckAtZero) == 1.0 &&
+          class_coverage(reports[1], FaultType::kStuckAtZero) == 1.0 &&
+          class_coverage(reports[2], FaultType::kStuckAtZero) == 1.0 &&
+          class_coverage(reports[0], FaultType::kStuckAtOne) == 1.0 &&
+          class_coverage(reports[1], FaultType::kStuckAtOne) == 1.0 &&
+          class_coverage(reports[2], FaultType::kStuckAtOne) == 1.0);
+  row("fault.drift_selfref",
+      "drift outliers fail conventional, survive self-reference",
+      class_coverage(reports[0], FaultType::kDriftOutlier) == 1.0 &&
+          class_coverage(reports[1], FaultType::kDriftOutlier) == 0.0 &&
+          class_coverage(reports[2], FaultType::kDriftOutlier) == 0.0);
+  row("fault.ecc_cuts_ber", "ECC + retry cut the residual BER",
+      recovered_nd.post_ecc_ber < raw_nd.post_ecc_ber);
+  row("fault.drift_hard_conv",
+      "drift gives conventional the larger hard-error fraction",
+      raw.scheme(SchemeId::kConventional).hard_bit_fraction >
+          raw_nd.hard_bit_fraction);
 }

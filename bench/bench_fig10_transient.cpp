@@ -3,7 +3,7 @@
 // 0.13 um SPICE run), including the leakage of the 127 unselected cells.
 #include <cstdio>
 
-#include "bench_util.hpp"
+#include "paper.hpp"
 #include "sttram/common/format.hpp"
 #include "sttram/io/ascii_plot.hpp"
 #include "sttram/sim/spice_read.hpp"
@@ -18,12 +18,9 @@ void plot_waves(const SpiceReadResult& r, double t_stop) {
   PlotSeries c1{"V(C1) - sampled first read", 'C', {}, {}};
   PlotSeries bo{"V_BO - divider output", 'D', {}, {}};
   for (double t = 0.0; t <= t_stop; t += t_stop / 150.0) {
-    bl.xs.push_back(t * 1e9);
-    bl.ys.push_back(r.waves.voltage_at(r.n_bl, t));
-    c1.xs.push_back(t * 1e9);
-    c1.ys.push_back(r.waves.voltage_at(r.n_c1, t));
-    bo.xs.push_back(t * 1e9);
-    bo.ys.push_back(r.waves.voltage_at(r.n_bo, t));
+    bench::add_point(bl, t * 1e9, r.waves.voltage_at(r.n_bl, t));
+    bench::add_point(c1, t * 1e9, r.waves.voltage_at(r.n_c1, t));
+    bench::add_point(bo, t * 1e9, r.waves.voltage_at(r.n_bo, t));
   }
   plot.add_series(bl);
   plot.add_series(c1);
@@ -33,9 +30,8 @@ void plot_waves(const SpiceReadResult& r, double t_stop) {
 
 }  // namespace
 
-int main() {
-  bench::heading("Fig. 10",
-                 "transient simulation of the nondestructive read");
+STTRAM_PAPER_SECTION(bench_fig10_transient) {
+  heading("Fig. 10", "transient simulation of the nondestructive read");
 
   SpiceReadConfig cfg;  // 127 leaking unselected cells included
   SpiceReadResult r_ap, r_p;
@@ -72,25 +68,24 @@ int main() {
               format(rd.completion_time).c_str());
 
   std::printf("Paper-vs-measured:\n");
-  bench::compare("whole read completes in ~15 ns", 15e-9,
-                 r_ap.decision_time.value() + 1.5e-9, "s");
-  bench::claim("destructive circuit read is much slower (2 writes)",
-               rd.completion_time.value() >
-                   1.5 * r_ap.decision_time.value());
-  bench::claim("destructive circuit margin matches analytic ~65 mV",
-               rd.margin.value() > 40e-3);
-  bench::claim("stored 1 sensed as 1 and stored 0 sensed as 0",
-               r_ap.value && !r_p.value);
-  bench::claim("margins exceed the 8 mV auto-zero requirement",
-               r_ap.margin.value() > 8e-3 && r_p.margin.value() > 8e-3);
-  bench::claim("second read settles faster than the first (no extra C)",
-               r_ap.settle_read2 < r_ap.settle_read1);
+  row("fig10.destructive_slower",
+      "destructive circuit read is much slower (2 writes)",
+      rd.completion_time.value() > 1.5 * r_ap.decision_time.value());
+  row("fig10.destructive_margin",
+      "destructive circuit margin matches analytic ~65 mV",
+      rd.margin.value() > 40e-3);
+  row("fig10.decisions", "stored 1 sensed as 1 and stored 0 sensed as 0",
+      r_ap.value && !r_p.value);
+  row("fig10.margins_8mv", "margins exceed the 8 mV auto-zero requirement",
+      r_ap.margin.value() > 8e-3 && r_p.margin.value() > 8e-3);
+  row("fig10.read2_faster",
+      "second read settles faster than the first (no extra C)",
+      r_ap.settle_read2 < r_ap.settle_read1);
   // Leakage sensitivity: quadruple leakage, decision unchanged.
   SpiceReadConfig leaky = cfg;
   leaky.state = MtjState::kAntiParallel;
   leaky.r_off_per_cell /= 4.0;
   const SpiceReadResult rl = simulate_nondestructive_read(leaky);
-  bench::claim("4x unselected-cell leakage does not flip the decision",
-               rl.value);
-  return bench::exit_code();
+  row("fig10.leakage_4x",
+      "4x unselected-cell leakage does not flip the decision", rl.value);
 }

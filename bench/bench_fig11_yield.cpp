@@ -4,7 +4,7 @@
 // auto-zero sense-amp requirement.
 #include <cstdio>
 
-#include "bench_util.hpp"
+#include "paper.hpp"
 #include "sttram/io/ascii_plot.hpp"
 #include "sttram/io/table.hpp"
 #include "sttram/sim/yield.hpp"
@@ -18,8 +18,7 @@ void scatter_plot(const SchemeYield& y, double required_mv) {
                  "SM for '0' [mV]", "SM1 [mV]", 64, 20);
   PlotSeries pts{"one point per sampled bit", '.', {}, {}};
   for (const auto& [sm0, sm1] : y.scatter) {
-    pts.xs.push_back(sm0 * 1e3);
-    pts.ys.push_back(sm1 * 1e3);
+    bench::add_point(pts, sm0 * 1e3, sm1 * 1e3);
   }
   plot.add_series(pts);
   plot.add_hline(required_mv);
@@ -29,9 +28,8 @@ void scatter_plot(const SchemeYield& y, double required_mv) {
 
 }  // namespace
 
-int main() {
-  bench::heading("Fig. 11",
-                 "sense margins of all sensing schemes on the 16-kb array");
+STTRAM_PAPER_SECTION(bench_fig11_yield) {
+  heading("Fig. 11", "sense margins of all sensing schemes on the 16-kb array");
 
   YieldConfig cfg;  // 128x128 = 16384 bits, calibrated variation
   cfg.max_scatter_points = 2048;
@@ -52,14 +50,12 @@ int main() {
                "SM0 min [mV]", "SM1 mean [mV]", "SM1 min [mV]"});
   for (const SchemeRow& row : kSchemeTable) {
     const SchemeYield& y = r.scheme(row.id);
-    char rate[16], m0[16], mn0[16], m1[16], mn1[16];
-    std::snprintf(rate, sizeof(rate), "%.3f %%", y.failure_rate() * 100.0);
-    std::snprintf(m0, sizeof(m0), "%.2f", y.sm0_stats.mean() * 1e3);
-    std::snprintf(mn0, sizeof(mn0), "%.2f", y.sm0_stats.min() * 1e3);
-    std::snprintf(m1, sizeof(m1), "%.2f", y.sm1_stats.mean() * 1e3);
-    std::snprintf(mn1, sizeof(mn1), "%.2f", y.sm1_stats.min() * 1e3);
-    t.add_row({y.scheme, std::to_string(y.bits),
-               std::to_string(y.failures), rate, m0, mn0, m1, mn1});
+    t.add_row({y.scheme, std::to_string(y.bits), std::to_string(y.failures),
+               fmt("%.3f %%", y.failure_rate() * 100.0),
+               fmt("%.2f", y.sm0_stats.mean() * 1e3),
+               fmt("%.2f", y.sm0_stats.min() * 1e3),
+               fmt("%.2f", y.sm1_stats.mean() * 1e3),
+               fmt("%.2f", y.sm1_stats.min() * 1e3)});
   }
   std::printf("%s\n", t.to_string().c_str());
 
@@ -77,36 +73,31 @@ int main() {
                 "nondestructive"});
   for (const auto& p :
        sweep_variation(sweep_cfg, {0.02, 0.04, 0.07, 0.10, 0.14})) {
-    char s[16], a[16], b[16], c[16];
-    std::snprintf(s, sizeof(s), "%.2f", p.sigma_common);
     const auto rate = [&](SchemeId id) {
-      return p.failure_rate[scheme_index(id)] * 100.0;
+      return fmt("%.2f %%", p.failure_rate[scheme_index(id)] * 100.0);
     };
-    std::snprintf(a, sizeof(a), "%.2f %%", rate(SchemeId::kConventional));
-    std::snprintf(b, sizeof(b), "%.2f %%", rate(SchemeId::kDestructive));
-    std::snprintf(c, sizeof(c), "%.2f %%", rate(SchemeId::kNondestructive));
-    sw.add_row({s, a, b, c});
+    sw.add_row({fmt("%.2f", p.sigma_common),
+                rate(SchemeId::kConventional), rate(SchemeId::kDestructive),
+                rate(SchemeId::kNondestructive)});
   }
   std::printf("%s\n", sw.to_string().c_str());
 
   std::printf("Paper-vs-measured:\n");
-  bench::compare("conventional failure rate (~1 %% of bits)", 1.0,
-                 r.conventional.failure_rate() * 100.0, "%");
-  bench::compare("destructive self-ref failures", 0.0,
-                 static_cast<double>(r.destructive.failures), "bits");
-  bench::compare("nondestructive self-ref failures", 0.0,
-                 static_cast<double>(r.nondestructive.failures), "bits");
-  bench::claim("both self-reference schemes sense every measured bit",
-               r.destructive.failures == 0 &&
-                   r.nondestructive.failures == 0);
-  bench::claim("conventional margins spread across the fail line",
-               r.conventional.sm0_stats.min() <
-                   cfg.required_margin.value() ||
-                   r.conventional.sm1_stats.min() <
-                       cfg.required_margin.value());
-  bench::claim("self-ref margins immune to bit-to-bit R variation "
-               "(cv(SM) << cv for conventional)",
-               r.nondestructive.sm1_stats.cv() <
-                   r.conventional.sm1_stats.cv());
-  return bench::exit_code();
+  // "About 1 %" on the paper's chip: sigma(barrier) is calibrated to it
+  // (DESIGN.md §7).  Zero self-reference failures is exact.
+  row("fig11.conv_fail_pct", "conventional failure rate (~1 % of bits)", 1.0,
+      r.conventional.failure_rate() * 100.0, "%", Tolerance::abs(0.5));
+  row("fig11.destructive_fails", "destructive self-ref failures", 0.0,
+      static_cast<double>(r.destructive.failures), "bits", Tolerance::abs(0.0));
+  row("fig11.nondes_fails", "nondestructive self-ref failures", 0.0,
+      static_cast<double>(r.nondestructive.failures), "bits",
+      Tolerance::abs(0.0));
+  row("fig11.conv_spread",
+      "conventional margins spread across the fail line",
+      r.conventional.sm0_stats.min() < cfg.required_margin.value() ||
+          r.conventional.sm1_stats.min() < cfg.required_margin.value());
+  row("fig11.selfref_tight",
+      "self-ref margins immune to bit-to-bit R variation "
+      "(cv(SM) << cv for conventional)",
+      r.nondestructive.sm1_stats.cv() < r.conventional.sm1_stats.cv());
 }

@@ -7,19 +7,16 @@
 // out: TMR > 100 % and a much steeper high-state roll-off.
 #include <cstdio>
 
-#include "bench_util.hpp"
+#include "paper.hpp"
 #include "sttram/common/numeric.hpp"
-#include "sttram/device/mtj_params.hpp"
 #include "sttram/device/ri_curve.hpp"
 #include "sttram/io/ascii_plot.hpp"
 #include "sttram/io/table.hpp"
 
-using namespace sttram;
+STTRAM_PAPER_SECTION(bench_fig2_ri_curve) {
+  heading("Fig. 2", "static R-I curve of the MgO MTJ (90x180 nm)");
 
-int main() {
-  bench::heading("Fig. 2", "static R-I curve of the MgO MTJ (90x180 nm)");
-
-  const MtjParams params = MtjParams::paper_calibrated();
+  const MtjParams& params = paper_design().mtj;
   const LinearRiModel linear(params);
   const SimmonsRiModel simmons = SimmonsRiModel::calibrated_to(params);
   const Ampere i_max = params.i_droop_ref;
@@ -44,12 +41,9 @@ int main() {
                    std::to_string(rl).substr(0, 7),
                    std::to_string(rls).substr(0, 7),
                    std::to_string(linear.tmr(i) * 100.0).substr(0, 6)});
-    h.xs.push_back(i.value() * 1e6);
-    h.ys.push_back(rh);
-    hs.xs.push_back(i.value() * 1e6);
-    hs.ys.push_back(rhs);
-    l.xs.push_back(i.value() * 1e6);
-    l.ys.push_back(rl);
+    add_point(h, i.value() * 1e6, rh);
+    add_point(hs, i.value() * 1e6, rhs);
+    add_point(l, i.value() * 1e6, rl);
   }
   plot.add_series(h);
   plot.add_series(hs);
@@ -57,31 +51,30 @@ int main() {
   std::printf("%s\n", plot.render().c_str());
   std::printf("%s\n", table.to_string().c_str());
 
-  bench::compare("R_H at I->0", 2500.0,
-                 linear.resistance(MtjState::kAntiParallel, Ampere(0)).value(),
-                 "Ohm");
-  bench::compare("R_L at I->0", 1220.0,
-                 linear.resistance(MtjState::kParallel, Ampere(0)).value(),
-                 "Ohm");
-  bench::compare("dR_Hmax (roll-off at I_max)", 600.0,
-                 linear.droop(MtjState::kAntiParallel, Ampere(0), i_max)
-                     .value(),
-                 "Ohm");
-  bench::compare("dR_Lmax", 10.0,
-                 linear.droop(MtjState::kParallel, Ampere(0), i_max).value(),
-                 "Ohm");
+  // The device is fitted to these four numbers (DESIGN.md §2).
+  constexpr auto kFitted = Tolerance::frac(1e-9);
+  row("fig2.r_h0", "R_H at I->0", 2500.0,
+      linear.resistance(MtjState::kAntiParallel, Ampere(0)).value(), "Ohm",
+      kFitted);
+  row("fig2.r_l0", "R_L at I->0", 1220.0,
+      linear.resistance(MtjState::kParallel, Ampere(0)).value(), "Ohm",
+      kFitted);
+  row("fig2.droop_h", "dR_Hmax (roll-off at I_max)", 600.0,
+      linear.droop(MtjState::kAntiParallel, Ampere(0), i_max).value(), "Ohm",
+      kFitted);
+  row("fig2.droop_l", "dR_Lmax", 10.0,
+      linear.droop(MtjState::kParallel, Ampere(0), i_max).value(), "Ohm",
+      kFitted);
   const double slope_ratio =
       linear.droop(MtjState::kAntiParallel, Ampere(0), i_max) /
       linear.droop(MtjState::kParallel, Ampere(0), i_max);
-  bench::claim("TMR > 100 % (MgO junction)", linear.tmr(Ampere(0)) > 1.0);
-  bench::claim("high-state roll-off much steeper than low-state (60x)",
-               slope_ratio > 10.0);
-  bench::claim("Simmons law matches linear-law endpoints at 0 and I_max",
-               approx_equal(simmons.resistance(MtjState::kAntiParallel,
-                                               i_max)
-                                .value(),
-                            linear.resistance(MtjState::kAntiParallel, i_max)
-                                .value(),
-                            1e-6));
-  return bench::exit_code();
+  row("fig2.tmr", "TMR > 100 % (MgO junction)", linear.tmr(Ampere(0)) > 1.0);
+  row("fig2.rolloff_ratio",
+      "high-state roll-off much steeper than low-state (60x)",
+      slope_ratio > 10.0);
+  row("fig2.simmons_endpoints",
+      "Simmons law matches linear-law endpoints at 0 and I_max",
+      approx_equal(simmons.resistance(MtjState::kAntiParallel, i_max).value(),
+                   linear.resistance(MtjState::kAntiParallel, i_max).value(),
+                   1e-6));
 }

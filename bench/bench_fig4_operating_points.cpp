@@ -3,24 +3,18 @@
 // total roll-offs dR_Hmax/dR_Lmax at I_max.
 #include <cstdio>
 
-#include "bench_util.hpp"
+#include "paper.hpp"
 #include "sttram/common/format.hpp"
 #include "sttram/common/numeric.hpp"
-#include "sttram/device/mtj_params.hpp"
 #include "sttram/device/ri_curve.hpp"
 #include "sttram/io/ascii_plot.hpp"
 #include "sttram/io/table.hpp"
-#include "sttram/sense/margins.hpp"
 
-using namespace sttram;
+STTRAM_PAPER_SECTION(bench_fig4_operating_points) {
+  heading("Fig. 4", "R-I curve with self-reference operating points");
 
-int main() {
-  bench::heading("Fig. 4", "R-I curve with self-reference operating points");
-
-  const MtjParams mtj = MtjParams::paper_calibrated();
+  const auto& [mtj, r_t, config, conv, nondes] = paper_design();
   const LinearRiModel model(mtj);
-  const SelfRefConfig config;
-  const NondestructiveSelfReference nondes(mtj, Ohm(917.0), config);
   const double beta = nondes.paper_beta();
   const Ampere i1 = nondes.first_read_current(beta);
   const Ampere i2 = config.i_max;
@@ -31,10 +25,10 @@ int main() {
   PlotSeries l{"R_L(I)", 'L', {}, {}};
   for (const double frac : linspace(0.0, 1.0, 60)) {
     const Ampere i = i2 * frac;
-    h.xs.push_back(i.value() * 1e6);
-    h.ys.push_back(model.resistance(MtjState::kAntiParallel, i).value());
-    l.xs.push_back(i.value() * 1e6);
-    l.ys.push_back(model.resistance(MtjState::kParallel, i).value());
+    add_point(h, i.value() * 1e6,
+              model.resistance(MtjState::kAntiParallel, i).value());
+    add_point(l, i.value() * 1e6,
+              model.resistance(MtjState::kParallel, i).value());
   }
   plot.add_series(h);
   plot.add_series(l);
@@ -60,16 +54,16 @@ int main() {
   std::printf("%s\n", t.to_string().c_str());
 
   std::printf("Paper-vs-measured:\n");
-  bench::compare("R_H1 at the nondestructive operating point", 2218.0,
-                 model.resistance(MtjState::kAntiParallel, i1).value(),
-                 "Ohm");
-  bench::compare("R_L1", 1215.3,
-                 model.resistance(MtjState::kParallel, i1).value(), "Ohm");
-  bench::claim("dR_Hmax/dR_Lmax = 60 (high state rolls off 60x steeper)",
-               approx_equal(model.droop(MtjState::kAntiParallel, Ampere(0),
-                                        i2) /
-                                model.droop(MtjState::kParallel, Ampere(0),
-                                            i2),
-                            60.0, 1e-9));
-  return bench::exit_code();
+  // The paper's figure labels them to 1 Ohm and 0.1 Ohm.
+  row("fig4.r_h1", "R_H1 at the nondestructive operating point", 2218.0,
+      model.resistance(MtjState::kAntiParallel, i1).value(), "Ohm",
+      Tolerance::abs(0.5));
+  row("fig4.r_l1", "R_L1", 1215.3,
+      model.resistance(MtjState::kParallel, i1).value(), "Ohm",
+      Tolerance::abs(0.05));
+  row("fig4.rolloff_ratio",
+      "dR_Hmax/dR_Lmax = 60 (high state rolls off 60x steeper)",
+      approx_equal(model.droop(MtjState::kAntiParallel, Ampere(0), i2) /
+                       model.droop(MtjState::kParallel, Ampere(0), i2),
+                   60.0, 1e-9));
 }

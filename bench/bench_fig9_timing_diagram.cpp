@@ -3,22 +3,16 @@
 // from the executable read operation.
 #include <cstdio>
 
-#include "bench_util.hpp"
+#include "paper.hpp"
 #include "sttram/common/format.hpp"
 #include "sttram/sim/timing_diagram.hpp"
 #include "sttram/sim/timing_energy.hpp"
 
-using namespace sttram;
+STTRAM_PAPER_SECTION(bench_fig9_timing_diagram) {
+  heading("Fig. 9", "timing diagram of the nondestructive self-reference read");
 
-int main() {
-  bench::heading("Fig. 9",
-                 "timing diagram of the nondestructive self-reference read");
-
-  const SelfRefConfig config;
-  const double beta =
-      NondestructiveSelfReference(MtjParams::paper_calibrated(), Ohm(917.0),
-                                  config)
-          .paper_beta();
+  const SelfRefConfig& config = paper_design().config;
+  const double beta = paper_design().nondestructive.paper_beta();
   const NondestructiveReadOperation op(config, beta);
 
   for (const bool bit : {true, false}) {
@@ -52,12 +46,25 @@ int main() {
   OneT1JCell probe;
   probe.mtj().force_state(MtjState::kAntiParallel);
   const ReadResult r = op.execute(probe);
-  bench::compare("whole read completes in ~15 ns", 15e-9,
-                 r.latency.value(), "s");
-  bench::claim("SLT1 and SLT2 never closed simultaneously", true);
-  bench::claim("no write-enable pulse anywhere in the nondestructive flow",
-               probe.mtj().write_pulse_count() == 0);
-  bench::claim("destructive flow shows erase + write-back pulses",
-               cell.mtj().write_pulse_count() == 2);
-  return bench::exit_code();
+  // Sec. V's latency row carries the ~15 ns read.  SLT1 and SLT2 each
+  // close, over half-open [start, end) intervals that never overlap.
+  std::vector<std::pair<Second, Second>> slt1, slt2;
+  for (const SignalTrace& s : build_timing_diagram(r).signals) {
+    if (s.name == "SLT1") slt1 = s.asserted;
+    if (s.name == "SLT2") slt2 = s.asserted;
+  }
+  bool exclusive = !slt1.empty() && !slt2.empty();
+  for (const auto& [a0, a1] : slt1) {
+    for (const auto& [b0, b1] : slt2) {
+      exclusive = exclusive && (a1 <= b0 || b1 <= a0);
+    }
+  }
+  row("fig9.slt_exclusive", "SLT1 and SLT2 never closed simultaneously",
+      exclusive);
+  row("fig9.no_write",
+      "no write-enable pulse anywhere in the nondestructive flow",
+      probe.mtj().write_pulse_count() == 0);
+  row("fig9.destructive_writes",
+      "destructive flow shows erase + write-back pulses",
+      cell.mtj().write_pulse_count() == 2);
 }

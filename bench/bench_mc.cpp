@@ -12,7 +12,8 @@
 // every ISA the host supports (forced via set_simd_isa_override, bitwise
 // gated against the oracle first; `scalar` is the kernels' W = 1
 // instantiation) and reports >= 2x for the widest SIMD width over the
-// scalar ISA on AVX2-class hardware as a wall-clock claim.
+// scalar ISA on AVX2-class hardware as a wall-clock verdict.  Timings
+// and verdicts go to stderr: they depend on the host.
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -20,7 +21,8 @@
 #include <limits>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "paper.hpp"
+#include "yield_kernel_inputs.hpp"
 #include "sttram/obs/metrics.hpp"
 #include "sttram/cell/array.hpp"
 #include "sttram/common/simd.hpp"
@@ -30,7 +32,6 @@
 #include "sttram/sim/tail.hpp"
 #include "sttram/sim/yield.hpp"
 #include "sttram/stats/batch.hpp"
-#include "sttram/stats/distributions.hpp"
 
 using namespace sttram;
 
@@ -59,10 +60,10 @@ bool margins_equal(const std::array<SenseMargins, 4>& a,
 
 }  // namespace
 
-int main() {
+STTRAM_PAPER_SECTION(bench_mc) {
   // Telemetry on for the op-cache hit/miss counters printed at the end.
   obs::set_metrics_enabled(true);
-  bench::heading("MC kernels", "batched SoA margin kernels (16-kb Fig. 11)");
+  heading("MC kernels", "batched SoA margin kernels (16-kb Fig. 11)");
 
   // --- the Fig. 11 population (exactly what sim/yield samples) --------
   YieldConfig cfg;  // 128 x 128 = 16 kb
@@ -72,34 +73,11 @@ int main() {
   const MemoryArray array(cfg.geometry, variation, cfg.sigma_access,
                           cfg.seed);
 
-  const double beta_d =
-      cached_destructive_beta(nominal, Ohm(917.0), cfg.selfref);
-  const double beta_n =
-      cached_nondestructive_beta(nominal, Ohm(917.0), cfg.selfref);
-  const Volt shared_v_ref =
-      cached_shared_v_ref(nominal, Ohm(917.0), cfg.selfref.i_max);
+  const YieldKernelInputs inputs = bench::yield_kernel_inputs(cfg);
+  const double beta_d = inputs.beta_destructive;
+  const double beta_n = inputs.beta_nondestructive;
+  const Volt shared_v_ref = inputs.shared_v_ref;
 
-  const Xoshiro256 column_master(cfg.seed ^ 0x5741524d5454536bULL);
-  YieldKernelInputs inputs;
-  inputs.selfref = cfg.selfref;
-  inputs.i_droop_ref = nominal.i_droop_ref.value();
-  inputs.beta_destructive = beta_d;
-  inputs.beta_nondestructive = beta_n;
-  inputs.shared_v_ref = shared_v_ref;
-  inputs.col_vref_err.resize(cfg.geometry.cols);
-  inputs.col_beta_dev.resize(cfg.geometry.cols);
-  inputs.col_alpha_dev.resize(cfg.geometry.cols);
-  inputs.col_ref_p.resize(cfg.geometry.cols);
-  inputs.col_ref_ap.resize(cfg.geometry.cols);
-  for (std::size_t c = 0; c < cfg.geometry.cols; ++c) {
-    Xoshiro256 stream = column_master.fork(c);
-    inputs.col_beta_dev[c] = sample_normal(stream, 0.0, cfg.sigma_beta);
-    inputs.col_alpha_dev[c] = sample_normal(stream, 0.0, cfg.sigma_alpha);
-    inputs.col_vref_err[c] =
-        sample_normal(stream, 0.0, cfg.sigma_vref.value());
-    inputs.col_ref_p[c] = variation.sample(stream);
-    inputs.col_ref_ap[c] = variation.sample(stream);
-  }
   // Oracle: the class-based per-cell solve (fresh scheme objects per
   // cell), as tests/mc_oracle.cpp runs it.
   const auto scalar_cell = [&](std::size_t idx,
@@ -160,7 +138,8 @@ int main() {
   bool identical = true;
   double batched_s = 0.0;     // active-ISA solve time
   double scalar_isa_s = 0.0;  // forced-kScalar (W = 1) solve time
-  std::printf("margin solve (4 schemes/cell, %zu cells):\n", cells);
+  std::fprintf(stderr, "margin solve (4 schemes/cell, %zu cells):\n",
+               cells);
   for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kSse2, SimdIsa::kNeon,
                       SimdIsa::kAvx2, SimdIsa::kAvx512}) {
     if (!simd_isa_supported(isa)) continue;
@@ -175,11 +154,11 @@ int main() {
     const double s = best_of(20, [&] { solve_all(k); });
     if (isa == SimdIsa::kScalar) scalar_isa_s = s;
     if (isa == active_isa) batched_s = s;
-    std::printf("  %-7s %8.2f ns/cell  (%.3g trials/sec)%s%s\n",
-                simd_isa_name(isa), 1e9 * s / static_cast<double>(cells),
-                static_cast<double>(cells) / s,
-                isa == active_isa ? "  [active]" : "",
-                isa_ok ? "" : "  MISMATCH vs oracle");
+    std::fprintf(stderr, "  %-7s %8.2f ns/cell  (%.3g trials/sec)%s%s\n",
+                 simd_isa_name(isa), 1e9 * s / static_cast<double>(cells),
+                 static_cast<double>(cells) / s,
+                 isa == active_isa ? "  [active]" : "",
+                 isa_ok ? "" : "  MISMATCH vs oracle");
   }
   clear_simd_isa_override();
 
@@ -198,11 +177,11 @@ int main() {
   const double speedup = scalar_s / batched_s;
   const double simd_speedup =
       batched_s > 0.0 ? scalar_isa_s / batched_s : 1.0;
-  std::printf("  oracle  %8.2f ns/cell  (%.3g trials/sec)  "
-              "[per-cell scheme objects]\n",
-              1e9 * scalar_s / static_cast<double>(cells), scalar_rate);
-  std::printf("  speedup  %7.1fx vs oracle, %.2fx vs the scalar ISA\n\n",
-              speedup, simd_speedup);
+  std::fprintf(stderr, "  oracle  %8.2f ns/cell  (%.3g trials/sec)  "
+               "[per-cell scheme objects]\n",
+               1e9 * scalar_s / static_cast<double>(cells), scalar_rate);
+  std::fprintf(stderr, "  speedup  %7.1fx vs oracle, %.2fx vs the scalar ISA\n",
+               speedup, simd_speedup);
 
   // --- end-to-end yield + tail ---------------------------------------
   YieldConfig e2e = cfg;
@@ -222,34 +201,38 @@ int main() {
     e2e_identical = e2e_identical && yr.scheme(row.id).failures ==
                                          oracle_failures[scheme_index(row.id)];
   }
-  std::printf("end-to-end yield: %.3f s (%.3g cells/sec)\n", yield_s,
-              static_cast<double>(cells) / yield_s);
+  std::fprintf(stderr, "end-to-end yield: %.3f s (%.3g cells/sec)\n",
+               yield_s, static_cast<double>(cells) / yield_s);
 
   TailConfig tail;
   const std::size_t tail_trials = 20000;
   const auto t0 = std::chrono::steady_clock::now();
   const TailEstimate te = estimate_margin_tail(tail, 1, tail_trials);
   const double tail_s = bench::seconds_since(t0);
-  std::printf("tail sampling: %zu trials in %.3f s (%.3g trials/sec), "
-              "P(fail)/bit = %.3e\n\n",
-              tail_trials, tail_s,
-              static_cast<double>(tail_trials) / tail_s,
-              te.estimate.probability);
+  std::fprintf(stderr, "tail sampling: %.3f s (%.3g trials/sec)\n", tail_s,
+               static_cast<double>(tail_trials) / tail_s);
+  std::printf("tail sampling: %zu trials, P(fail)/bit = %.3e\n\n",
+              tail_trials, te.estimate.probability);
 
   // --- claims ---------------------------------------------------------
   std::printf("Claims:\n");
-  bench::claim("batched margins bit-identical to the per-cell oracle "
-               "(every supported ISA x 4 schemes x 16 kb)",
-               identical);
-  bench::claim("end-to-end yield failure counts equal the per-cell "
-               "oracle's (4 schemes x 16 kb)",
-               e2e_identical);
-  bench::wall_clock_claim("margin-solve kernel >= 10x the per-cell oracle",
-                          speedup >= 10.0);
+  row("mc.kernel_identical",
+      "batched margins bit-identical to the per-cell oracle "
+      "(every supported ISA x 4 schemes x 16 kb)",
+      identical);
+  row("mc.yield_identical",
+      "end-to-end yield failure counts equal the per-cell "
+      "oracle's (4 schemes x 16 kb)",
+      e2e_identical);
+  const auto wall_clock = [](const char* text, bool holds) {
+    std::fprintf(stderr, "  %-60s [%s] (wall clock)\n", text,
+                 holds ? "REPRODUCED" : "MISS");
+  };
+  wall_clock("margin-solve kernel >= 10x the per-cell oracle",
+             speedup >= 10.0);
   if (simd_isa_supported(SimdIsa::kAvx2)) {
-    bench::wall_clock_claim(
-        "SIMD margin kernel >= 2x the scalar ISA (AVX2-class host)",
-        simd_speedup >= 2.0);
+    wall_clock("SIMD margin kernel >= 2x the scalar ISA (AVX2-class host)",
+               simd_speedup >= 2.0);
   }
 
   auto& registry = obs::Registry::instance();
@@ -264,6 +247,4 @@ int main() {
   std::printf("\nop-cache: %llu hits / %llu misses (hit rate %.1f %%)\n",
               static_cast<unsigned long long>(op_hits),
               static_cast<unsigned long long>(op_misses), 100.0 * hit_rate);
-
-  return bench::exit_code();
 }

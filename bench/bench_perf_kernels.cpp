@@ -7,6 +7,7 @@
 
 #include <limits>
 
+#include "yield_kernel_inputs.hpp"
 #include "sttram/common/simd.hpp"
 #include "sttram/device/mtj_params.hpp"
 #include "sttram/device/variation.hpp"
@@ -17,7 +18,6 @@
 #include "sttram/sim/yield.hpp"
 #include "sttram/spice/matrix.hpp"
 #include "sttram/stats/batch.hpp"
-#include "sttram/stats/distributions.hpp"
 #include "sttram/stats/rng.hpp"
 
 namespace {
@@ -101,39 +101,6 @@ void BM_SpiceNondestructiveRead(benchmark::State& state) {
 }
 BENCHMARK(BM_SpiceNondestructiveRead);
 
-/// Kernel inputs of the Fig. 11 yield population (what bench_mc builds),
-/// shared by the per-ISA margin-solve micro timings below.
-YieldKernelInputs make_yield_kernel_inputs() {
-  YieldConfig cfg;
-  const MtjParams nominal = MtjParams::paper_calibrated();
-  const MtjVariationModel variation(nominal, cfg.variation);
-  YieldKernelInputs in;
-  in.selfref = cfg.selfref;
-  in.i_droop_ref = nominal.i_droop_ref.value();
-  in.beta_destructive =
-      cached_destructive_beta(nominal, Ohm(917.0), cfg.selfref);
-  in.beta_nondestructive =
-      cached_nondestructive_beta(nominal, Ohm(917.0), cfg.selfref);
-  in.shared_v_ref = cached_shared_v_ref(nominal, Ohm(917.0),
-                                        cfg.selfref.i_max);
-  const Xoshiro256 column_master(cfg.seed ^ 0x5741524d5454536bULL);
-  const std::size_t cols = cfg.geometry.cols;
-  in.col_vref_err.resize(cols);
-  in.col_beta_dev.resize(cols);
-  in.col_alpha_dev.resize(cols);
-  in.col_ref_p.resize(cols);
-  in.col_ref_ap.resize(cols);
-  for (std::size_t c = 0; c < cols; ++c) {
-    Xoshiro256 stream = column_master.fork(c);
-    in.col_beta_dev[c] = sample_normal(stream, 0.0, cfg.sigma_beta);
-    in.col_alpha_dev[c] = sample_normal(stream, 0.0, cfg.sigma_alpha);
-    in.col_vref_err[c] = sample_normal(stream, 0.0, cfg.sigma_vref.value());
-    in.col_ref_p[c] = variation.sample(stream);
-    in.col_ref_ap[c] = variation.sample(stream);
-  }
-  return in;
-}
-
 /// Batched four-scheme margin solve, one 64-lane block, forced to the
 /// ISA in range(0) (skipped when the host can't run it).
 void BM_BatchedMarginSolve(benchmark::State& state) {
@@ -142,7 +109,8 @@ void BM_BatchedMarginSolve(benchmark::State& state) {
     state.SkipWithError("ISA not supported on this host");
     return;
   }
-  static const YieldKernelInputs inputs = make_yield_kernel_inputs();
+  static const YieldKernelInputs inputs =
+      bench::yield_kernel_inputs(YieldConfig{});
   set_simd_isa_override(isa);
   const YieldBatchKernel kernel = YieldBatchKernel::build(inputs);
   clear_simd_isa_override();

@@ -6,20 +6,22 @@
 // eliminates entirely.
 #include <cstdio>
 
-#include "bench_util.hpp"
+#include "paper.hpp"
 #include "sttram/io/table.hpp"
 #include "sttram/sim/yield.hpp"
 
-using namespace sttram;
-
-int main() {
-  bench::heading("Extension",
-                 "reference-cell sensing vs fixed V_REF vs self-reference");
+STTRAM_PAPER_SECTION(bench_refcell) {
+  heading("Extension",
+          "reference-cell sensing vs fixed V_REF vs self-reference");
 
   TextTable t({"die sigma", "die factor", "conventional", "reference-cell",
                "destructive", "nondestructive"});
   double conv_at_big_die = 0.0, refcell_at_big_die = 0.0;
   double refcell_centered = 0.0, nondes_centered = 0.0;
+  bool selfref_clean = true;  // no self-reference failure at any die sigma
+  const auto rate = [](const SchemeYield& y) {
+    return fmt("%.2f %%", y.failure_rate() * 100.0);
+  };
   for (const double die_sigma : {0.0, 0.05, 0.10}) {
     YieldConfig cfg;
     cfg.geometry = {64, 64};
@@ -31,33 +33,26 @@ int main() {
       conv_at_big_die = r.conventional.failure_rate();
       refcell_at_big_die = r.reference_cell.failure_rate();
     }
+    selfref_clean = selfref_clean && r.destructive.failures == 0 &&
+                    r.nondestructive.failures == 0;
     if (die_sigma == 0.0) {
       refcell_centered = r.reference_cell.failure_rate();
       nondes_centered = r.nondestructive.failure_rate();
     }
-    char a[16], d[16], c1[16], c2[16], c3[16], c4[16];
-    std::snprintf(a, sizeof(a), "%.2f", die_sigma);
-    std::snprintf(d, sizeof(d), "%.3f", r.die_factor);
-    std::snprintf(c1, sizeof(c1), "%.2f %%",
-                  r.conventional.failure_rate() * 100.0);
-    std::snprintf(c2, sizeof(c2), "%.2f %%",
-                  r.reference_cell.failure_rate() * 100.0);
-    std::snprintf(c3, sizeof(c3), "%.2f %%",
-                  r.destructive.failure_rate() * 100.0);
-    std::snprintf(c4, sizeof(c4), "%.2f %%",
-                  r.nondestructive.failure_rate() * 100.0);
-    t.add_row({a, d, c1, c2, c3, c4});
+    t.add_row({fmt("%.2f", die_sigma), fmt("%.3f", r.die_factor),
+               rate(r.conventional), rate(r.reference_cell),
+               rate(r.destructive), rate(r.nondestructive)});
   }
   std::printf("%s\n", t.to_string().c_str());
 
   std::printf("Claims:\n");
-  bench::claim("reference cells track die-level shifts that break the "
-               "fixed reference",
-               refcell_at_big_die < conv_at_big_die);
-  bench::claim("but local mismatch still costs reference-cell sensing "
-               "bits that self-reference recovers",
-               refcell_centered > nondes_centered);
-  bench::claim("self-reference schemes are immune to the die shift",
-               true);
-  return bench::exit_code();
+  row("refcell.tracks_die",
+      "reference cells track die-level shifts that break the fixed reference",
+      refcell_at_big_die < conv_at_big_die);
+  row("refcell.local_mismatch",
+      "but local mismatch still costs reference-cell sensing "
+      "bits that self-reference recovers",
+      refcell_centered > nondes_centered);
+  row("refcell.selfref_immune",
+      "self-reference schemes are immune to the die shift", selfref_clean);
 }

@@ -8,23 +8,22 @@
 // write-error failure mode to every read).
 #include <cstdio>
 
-#include "bench_util.hpp"
+#include "paper.hpp"
 #include "sttram/common/format.hpp"
 #include "sttram/device/reliability.hpp"
 #include "sttram/io/table.hpp"
-#include "sttram/sense/margins.hpp"
 #include "sttram/sense/scheme.hpp"
 #include "sttram/sim/timing_energy.hpp"
 
-using namespace sttram;
+STTRAM_PAPER_SECTION(bench_reliability) {
+  heading("Reliability",
+          "retention / read disturb / write errors / temperature");
 
-int main() {
-  bench::heading("Reliability",
-                 "retention / read disturb / write errors / temperature");
-
-  const MtjParams mtj = MtjParams::paper_calibrated();
+  const auto& [mtj, r_t, config, conv, nondes_nominal] =
+      paper_design();
   const SwitchingModel sw(mtj);
   const Second dwell(5e-9);
+  const Second ten_years(10 * 365.25 * 86400.0);
 
   // Retention.
   const RetentionModel retention(mtj);
@@ -32,10 +31,9 @@ int main() {
               "10-year flip probability %.2e\n",
               mtj.thermal_stability,
               format(retention.mean_retention_time()).c_str(),
-              retention.flip_probability(Second(10 * 365.25 * 86400.0)));
+              retention.flip_probability(ten_years));
   std::printf("Delta required for 1e-9 flips over 10 years: %.1f\n\n",
-              RetentionModel::required_stability(
-                  Second(10 * 365.25 * 86400.0), 1e-9));
+              RetentionModel::required_stability(ten_years, 1e-9));
 
   // Read disturb per scheme.
   const DisturbAccumulator acc(sw, Ampere(200e-6), dwell);
@@ -43,20 +41,19 @@ int main() {
               acc.per_pulse());
   TextTable t({"scheme", "read pulses/access", "write pulses/access",
                "accesses to 0.1% disturb budget"});
+  // Pulses per access: the scheme's read currents, and the writes its
+  // read of a stored 1 issues (erase + write-back when destructive).
+  const auto read_pulses = [&](SchemeId id) {
+    return scheme_read_currents(id, mtj, r_t, config).size();
+  };
   for (const SchemeRow& row : kSchemeTable) {
     if (!row.has_read_flow) continue;
-    // Pulses per access: the scheme's read currents, and the writes its
-    // read of a stored 1 issues (erase + write-back when destructive).
-    const double reads = static_cast<double>(
-        scheme_read_currents(row.id, mtj, Ohm(917.0), SelfRefConfig{})
-            .size());
+    const double reads = static_cast<double>(read_pulses(row.id));
     const double writes = static_cast<double>(
         scheme_cost(row.id, CostComparisonConfig{}).write_pulses_read1);
-    char n[32];
-    std::snprintf(n, sizeof(n), "%.3g",
-                  accesses_to_disturb_budget(acc, reads, 1e-3));
     t.add_row({row.label, format_double(reads, 2), format_double(writes, 2),
-               n});
+               fmt("%.3g",
+                          accesses_to_disturb_budget(acc, reads, 1e-3))});
   }
   std::printf("%s\n", t.to_string().c_str());
 
@@ -66,11 +63,8 @@ int main() {
                 "per-read failure (2 pulses)"});
   for (const double i : {500e-6, 600e-6, 700e-6, 800e-6}) {
     const double wer = write_error_rate(sw, Ampere(i), Second(4e-9));
-    char a[16], b[16], c[16];
-    std::snprintf(a, sizeof(a), "%.0f", i * 1e6);
-    std::snprintf(b, sizeof(b), "%.2e", wer);
-    std::snprintf(c, sizeof(c), "%.2e", 2.0 * wer);
-    wt.add_row({a, b, c});
+    wt.add_row({fmt("%.0f", i * 1e6), fmt("%.2e", wer),
+                fmt("%.2e", 2.0 * wer)});
   }
   std::printf("%s\n", wt.to_string().c_str());
 
@@ -78,39 +72,37 @@ int main() {
   // as a real chip's test trim would).
   TextTable tt({"T [K]", "TMR [%]", "beta*", "SM nondes [mV]",
                 "SM destructive [mV]", "retention flip/10y"});
-  const SelfRefConfig config;
   double sm_hot = 0.0, sm_cold = 0.0;
   for (const double kelvin : {250.0, 300.0, 350.0, 400.0}) {
     const MtjParams p = mtj_at_temperature(mtj, kelvin);
-    const NondestructiveSelfReference nondes(p, Ohm(917.0), config);
-    const DestructiveSelfReference destructive(p, Ohm(917.0), config);
+    const NondestructiveSelfReference nondes(p, r_t, config);
+    const DestructiveSelfReference destructive(p, r_t, config);
     const double beta = nondes.paper_beta();
     const double sm = nondes.margins(beta).min().value();
     if (kelvin == 250.0) sm_cold = sm;
     if (kelvin == 400.0) sm_hot = sm;
     const RetentionModel ret(p);
-    char a[16], b[16], c[16], d[16], e[16], f[16];
-    std::snprintf(a, sizeof(a), "%.0f", kelvin);
-    std::snprintf(b, sizeof(b), "%.1f", LinearRiModel(p).tmr(Ampere(0)) * 100);
-    std::snprintf(c, sizeof(c), "%.3f", beta);
-    std::snprintf(d, sizeof(d), "%.2f", sm * 1e3);
-    std::snprintf(e, sizeof(e), "%.2f",
-                  destructive.margins(destructive.paper_beta()).min().value() *
-                      1e3);
-    std::snprintf(f, sizeof(f), "%.1e",
-                  ret.flip_probability(Second(10 * 365.25 * 86400.0)));
-    tt.add_row({a, b, c, d, e, f});
+    const double sm_destr =
+        destructive.margins(destructive.paper_beta()).min().value();
+    tt.add_row({fmt("%.0f", kelvin),
+                fmt("%.1f", LinearRiModel(p).tmr(Ampere(0)) * 100),
+                fmt("%.3f", beta), fmt("%.2f", sm * 1e3),
+                fmt("%.2f", sm_destr * 1e3),
+                fmt("%.1e", ret.flip_probability(ten_years))});
   }
   std::printf("%s\n", tt.to_string().c_str());
 
   std::printf("Reproduction / extension claims:\n");
-  bench::claim("read disturb negligible at I_max = 40 % of I_c (paper)",
-               acc.per_pulse() < 1e-6);
-  bench::claim("self-reference disturb exposure is exactly 2x conventional",
-               true);
-  bench::claim("margins degrade monotonically with temperature",
-               sm_hot < sm_cold);
-  bench::claim("scheme still operable at 400 K with re-tuned beta",
-               sm_hot > 0.0);
-  return bench::exit_code();
+  row("reliability.disturb_low",
+      "read disturb negligible at I_max = 40 % of I_c (paper)",
+      acc.per_pulse() < 1e-6);
+  row("reliability.disturb_2x",
+      "self-reference disturb exposure is exactly 2x conventional",
+      read_pulses(SchemeId::kConventional) == 1 &&
+          read_pulses(SchemeId::kDestructive) == 2 &&
+          read_pulses(SchemeId::kNondestructive) == 2);
+  row("reliability.hot_margins",
+      "margins degrade monotonically with temperature", sm_hot < sm_cold);
+  row("reliability.works_400k",
+      "scheme still operable at 400 K with re-tuned beta", sm_hot > 0.0);
 }

@@ -3,22 +3,15 @@
 // optimal read-current ratio, maximum sense margin).
 #include <cstdio>
 
-#include "bench_util.hpp"
+#include "paper.hpp"
 #include "sttram/common/format.hpp"
-#include "sttram/device/mtj_params.hpp"
 #include "sttram/device/ri_curve.hpp"
 #include "sttram/io/table.hpp"
-#include "sttram/sense/margins.hpp"
 
-using namespace sttram;
+STTRAM_PAPER_SECTION(bench_table1_parameters) {
+  heading("Table I", "electrical parameters of MTJ and NMOS transistor");
 
-int main() {
-  bench::heading("Table I",
-                 "electrical parameters of MTJ and NMOS transistor");
-
-  const MtjParams mtj = MtjParams::paper_calibrated();
-  const Ohm r_t(917.0);
-  const SelfRefConfig config;  // I_max = 200 uA, alpha = 0.5
+  const auto& [mtj, r_t, config, conv, nondes] = paper_design();
   const LinearRiModel model(mtj);
 
   TextTable dev({"MTJ / NMOS parameter", "value"});
@@ -31,8 +24,6 @@ int main() {
   dev.add_row({"TMR(0)", format_percent(model.tmr(Ampere(0)))});
   std::printf("%s\n", dev.to_string().c_str());
 
-  const DestructiveSelfReference conv(mtj, r_t, config);
-  const NondestructiveSelfReference nondes(mtj, r_t, config);
   const double beta_conv = conv.paper_beta();
   const double beta_nondes = nondes.paper_beta();
 
@@ -63,37 +54,33 @@ int main() {
               scheme_rows(nondes, beta_nondes).to_string().c_str());
 
   std::printf("Paper-vs-measured:\n");
-  bench::compare("conventional beta (Eq. 5)", 1.22, beta_conv, "");
-  bench::compare("conventional max sense margin", 76.6e-3,
-                 conv.margins(beta_conv).max().value(), "V");
-  bench::compare("conventional dR_H at beta", 108.2,
-                 model
-                     .droop(MtjState::kAntiParallel,
-                            conv.first_read_current(beta_conv),
-                            config.i_max)
-                     .value(),
-                 "Ohm");
-  bench::compare("nondestructive beta (Eq. 10)", 2.13, beta_nondes, "");
-  bench::compare("nondestructive max sense margin", 12.1e-3,
-                 nondes.margins(beta_nondes).max().value(), "V");
-  bench::compare("nondestructive dR_H at beta", 3178.0 / 10.0,
-                 model
-                     .droop(MtjState::kAntiParallel,
-                            nondes.first_read_current(beta_nondes),
-                            config.i_max)
-                     .value(),
-                 "Ohm");
-  bench::compare("nondestructive dR_L at beta", 5.3,
-                 model
-                     .droop(MtjState::kParallel,
-                            nondes.first_read_current(beta_nondes),
-                            config.i_max)
-                     .value(),
-                 "Ohm");
-  bench::claim("conventional margin >> nondestructive margin",
-               conv.margins(beta_conv).max() >
-                   3.0 * nondes.margins(beta_nondes).max());
-  bench::claim("nondestructive needs a larger read-current ratio",
-               beta_nondes > 1.5 * beta_conv);
-  return bench::exit_code();
+  // Tolerances: the paper prints beta to 0.01 and dR_L to 0.1 Ohm; it
+  // evaluates dR_H at its rounded beta (1 %); the nondestructive margin
+  // comes out 4 % high on the reconstructed device (DESIGN.md §2).
+  const auto droop = [&](MtjState s, const SelfReferenceScheme& scheme,
+                         double beta) {
+    return model.droop(s, scheme.first_read_current(beta), config.i_max)
+        .value();
+  };
+  row("table1.beta_conv", "conventional beta (Eq. 5)", 1.22, beta_conv, "",
+      Tolerance::abs(0.005));
+  row("table1.sm_conv", "conventional max sense margin", 76.6e-3,
+      conv.margins(beta_conv).max().value(), "V", Tolerance::frac(0.01));
+  row("table1.droop_h_conv", "conventional dR_H at beta", 108.2,
+      droop(MtjState::kAntiParallel, conv, beta_conv), "Ohm",
+      Tolerance::frac(0.01));
+  row("table1.beta_nondes", "nondestructive beta (Eq. 10)", 2.13, beta_nondes,
+      "", Tolerance::abs(0.005));
+  row("table1.sm_nondes", "nondestructive max sense margin", 12.1e-3,
+      nondes.margins(beta_nondes).max().value(), "V", Tolerance::frac(0.05));
+  row("table1.droop_h_nondes", "nondestructive dR_H at beta", 3178.0 / 10.0,
+      droop(MtjState::kAntiParallel, nondes, beta_nondes), "Ohm",
+      Tolerance::frac(0.01));
+  row("table1.droop_l_nondes", "nondestructive dR_L at beta", 5.3,
+      droop(MtjState::kParallel, nondes, beta_nondes), "Ohm",
+      Tolerance::abs(0.05));
+  row("table1.margin_ratio", "conventional margin >> nondestructive margin",
+      conv.margins(beta_conv).max() > 3.0 * nondes.margins(beta_nondes).max());
+  row("table1.beta_ratio", "nondestructive needs a larger read-current ratio",
+      beta_nondes > 1.5 * beta_conv);
 }

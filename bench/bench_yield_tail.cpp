@@ -5,16 +5,13 @@
 // with the sense-amp requirement and the process sigma.
 #include <cstdio>
 
-#include "bench_util.hpp"
+#include "paper.hpp"
 #include "sttram/io/table.hpp"
 #include "sttram/sim/tail.hpp"
 #include "sttram/sim/yield.hpp"
 
-using namespace sttram;
-
-int main() {
-  bench::heading("Fig. 11 tail",
-                 "importance-sampled per-bit failure probability");
+STTRAM_PAPER_SECTION(bench_yield_tail) {
+  heading("Fig. 11 tail", "importance-sampled per-bit failure probability");
 
   // Baseline: the default (calibrated) variation at the 8 mV threshold.
   TailConfig base;
@@ -32,6 +29,14 @@ int main() {
               "importance sampling used 20000.\n\n",
               10.0 / nominal.estimate.probability);
 
+  // One sweep row: the swept value, then the estimate at it.
+  const auto add_row = [](TextTable& table, const std::string& swept,
+                          const TailEstimate& e) {
+    table.add_row({swept, fmt("%.2f", e.design_radius),
+                   fmt("%.2e", e.estimate.probability),
+                   fmt("%.3g", e.expected_failures_16kb)});
+  };
+
   // Threshold sweep: the margin requirement is the design lever.
   TextTable t({"required margin [mV]", "design radius [sigma]",
                "P(fail)/bit", "E[fails] in 16 kb"});
@@ -41,12 +46,7 @@ int main() {
     cfg.threshold = Volt(mv * 1e-3);
     const TailEstimate e = estimate_margin_tail(cfg, 2, 20000);
     probs.push_back(e.estimate.probability);
-    char a[16], b[16], c[16], d[16];
-    std::snprintf(a, sizeof(a), "%.1f", mv);
-    std::snprintf(b, sizeof(b), "%.2f", e.design_radius);
-    std::snprintf(c, sizeof(c), "%.2e", e.estimate.probability);
-    std::snprintf(d, sizeof(d), "%.3g", e.expected_failures_16kb);
-    t.add_row({a, b, c, d});
+    add_row(t, fmt("%.1f", mv), e);
   }
   std::printf("%s\n", t.to_string().c_str());
 
@@ -59,29 +59,24 @@ int main() {
     cfg.variation.sigma_common = sigma;
     const TailEstimate e = estimate_margin_tail(cfg, 3, 20000);
     sigma_probs.push_back(e.estimate.probability);
-    char a[16], b[16], c[16], d[16];
-    std::snprintf(a, sizeof(a), "%.2f", sigma);
-    std::snprintf(b, sizeof(b), "%.2f", e.design_radius);
-    std::snprintf(c, sizeof(c), "%.2e", e.estimate.probability);
-    std::snprintf(d, sizeof(d), "%.3g", e.expected_failures_16kb);
-    s.add_row({a, b, c, d});
+    add_row(s, fmt("%.2f", sigma), e);
   }
   std::printf("%s\n", s.to_string().c_str());
 
   std::printf("Claims:\n");
-  bench::claim("expected 16-kb failures < 1 at the calibrated sigma "
-               "(consistent with the paper's zero-failure chip)",
-               nominal.expected_failures_16kb < 1.0);
-  bench::claim("importance sampling resolves the tail with <10 % rel err",
-               nominal.estimate.relative_error < 0.10);
-  bench::claim("failure probability rises monotonically with the "
-               "threshold",
-               probs[0] < probs[1] && probs[1] < probs[2] &&
-                   probs[2] < probs[3]);
-  bench::claim("failure probability rises monotonically with sigma",
-               sigma_probs[0] < sigma_probs[1] &&
-                   sigma_probs[1] < sigma_probs[2] &&
-                   sigma_probs[2] < sigma_probs[3]);
-
-  return bench::exit_code();
+  row("tail.expected_below_1",
+      "expected 16-kb failures < 1 at the calibrated sigma "
+      "(consistent with the paper's zero-failure chip)",
+      nominal.expected_failures_16kb < 1.0);
+  row("tail.rel_err",
+      "importance sampling resolves the tail with <10 % rel err",
+      nominal.estimate.relative_error < 0.10);
+  row("tail.threshold_monotone",
+      "failure probability rises monotonically with the threshold",
+      probs[0] < probs[1] && probs[1] < probs[2] && probs[2] < probs[3]);
+  row("tail.sigma_monotone",
+      "failure probability rises monotonically with sigma",
+      sigma_probs[0] < sigma_probs[1] &&
+          sigma_probs[1] < sigma_probs[2] &&
+          sigma_probs[2] < sigma_probs[3]);
 }
